@@ -186,43 +186,45 @@ def _cmd_sweep(config: RunConfig) -> int:
     p_lo, p_hi = config.p_range
     a_lo, a_hi = config.a_range
     d_lo, d_hi = config.d_range
+    b_lo, b_hi = (1, p_hi) if config.b_range == "1..p" else _parse_range(config.b_range)
+    grid = [
+        (p, a, b, d)
+        for p in range(p_lo, p_hi + 1)
+        for a in range(a_lo, a_hi + 1)
+        for b in range(b_lo, min(b_hi, p) + 1)
+        for d in range(d_lo, d_hi + 1)
+    ]
+    if not grid:
+        raise ParameterError("the parameter grid is empty")
     entries = []
     failed = skipped = 0
-    for p in range(p_lo, p_hi + 1):
-        if config.b_range == "1..p":
-            bs = range(1, p + 1)
-        else:
-            b_lo, b_hi = _parse_range(config.b_range)
-            bs = range(b_lo, min(b_hi, p) + 1)
-        for a in range(a_lo, a_hi + 1):
-            for b in bs:
-                for d in range(d_lo, d_hi + 1):
-                    m0 = a * p + b
-                    try:
-                        params = make_params(m0, d, p)
-                    except ParameterError as exc:
-                        skipped += 1
-                        entries.append(
-                            {"p": p, "a": a, "b": b, "d": d, "m0": m0,
-                             "status": "skip", "reason": str(exc)}
-                        )
-                        continue
-                    reports = verification_bundle(
-                        params, config.bound, config.samples, config.seed, deep=False
-                    )
-                    ok = all(r.passed for r in reports)
-                    if not ok:
-                        failed += 1
-                    entry = {
-                        "p": p, "a": a, "b": b, "d": d, "m0": m0,
-                        "status": "pass" if ok else "fail",
-                    }
-                    if not ok:
-                        entry["failures"] = [
-                            rec for r in reports for rec in r.to_records()
-                            if rec["status"] == "fail"
-                        ]
-                    entries.append(entry)
+    for p, a, b, d in grid:
+        m0 = a * p + b
+        try:
+            params = make_params(m0, d, p)
+        except ParameterError as exc:
+            skipped += 1
+            entries.append(
+                {"p": p, "a": a, "b": b, "d": d, "m0": m0,
+                 "status": "skip", "reason": str(exc)}
+            )
+            continue
+        reports = verification_bundle(
+            params, config.bound, config.samples, config.seed, deep=False
+        )
+        ok = all(r.passed for r in reports)
+        if not ok:
+            failed += 1
+        entry = {
+            "p": p, "a": a, "b": b, "d": d, "m0": m0,
+            "status": "pass" if ok else "fail",
+        }
+        if not ok:
+            entry["failures"] = [
+                rec for r in reports for rec in r.to_records()
+                if rec["status"] == "fail"
+            ]
+        entries.append(entry)
     ran = len(entries) - skipped
     summary = {"ran": ran, "passed": ran - failed, "failed": failed, "skipped": skipped}
     if config.fmt == "json":
@@ -261,10 +263,32 @@ def run(config: RunConfig) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    """'lo..hi', or a single value, as a non-empty integer range."""
     lo, _, hi = text.partition("..")
-    if not hi:
-        return int(lo), int(lo)
-    return int(lo), int(hi)
+    try:
+        lo, hi = int(lo), int(hi or lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo..hi with integers, got {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return lo, hi
+
+
+def _b_range(text: str) -> str:
+    if text != "1..p":
+        _parse_range(text)
+    return text
+
+
+def _bound(text: str) -> int:
+    """An exponent cap; the enumerations need at least 2."""
+    try:
+        bound = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if bound < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {bound}")
+    return bound
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -292,18 +316,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="full verification for one parameter triple")
     common(v)
-    v.add_argument("--bound", type=int, default=5, help="exponent cap for enumerations")
+    v.add_argument("--bound", type=_bound, default=5, help="exponent cap for enumerations")
     v.add_argument("--samples", type=int, default=1000, help="sampled projection checks")
     v.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     v.add_argument("--shallow", action="store_true",
                    help="skip the one-left-out redundancy closures")
 
     s = sub.add_parser("sweep", help="verification across a parameter grid")
-    s.add_argument("--p", default="2..5", help="range lo..hi")
-    s.add_argument("--a", default="1..3", help="range lo..hi")
-    s.add_argument("--b", default="1..p", help="range lo..hi, or 1..p")
-    s.add_argument("--d", default="1..4", help="range lo..hi")
-    s.add_argument("--bound", type=int, default=4)
+    s.add_argument("--p", type=_parse_range, default="2..5", help="range lo..hi")
+    s.add_argument("--a", type=_parse_range, default="1..3", help="range lo..hi")
+    s.add_argument("--b", type=_b_range, default="1..p", help="range lo..hi, or 1..p")
+    s.add_argument("--d", type=_parse_range, default="1..4", help="range lo..hi")
+    s.add_argument("--bound", type=_bound, default=4)
     s.add_argument("--samples", type=int, default=200)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--format", choices=("text", "json"), default="text")
@@ -321,9 +345,9 @@ def main(argv=None) -> int:
             seed=args.seed,
             fmt=args.format,
             output=args.output,
-            p_range=_parse_range(args.p),
-            a_range=_parse_range(args.a),
-            d_range=_parse_range(args.d),
+            p_range=args.p,
+            a_range=args.a,
+            d_range=args.d,
             b_range=args.b,
         )
     else:

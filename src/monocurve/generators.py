@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .polyring import (
     Mono,
     Poly,
+    Reducer,
     WeightOrder,
     buchberger,
     in_curve_ideal,
@@ -238,12 +239,13 @@ def verify_groebner_generators(params: CurveParams) -> VerificationReport:
         },
     )
 
+    table = Reducer(order, polys)
     witness = None
     pairs = 0
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
             pairs += 1
-            r, _ = normal_form(order, s_polynomial(order, polys[i], polys[j]), polys)
+            r, _ = normal_form(order, s_polynomial(order, polys[i], polys[j]), table)
             if r:
                 witness = {
                     "pair": [labels[i], labels[j]],
@@ -336,16 +338,16 @@ def verify_ideal_equality(params: CurveParams) -> VerificationReport:
         detail=f"{len(gset)} closed-form vs {len(patil)} classical generators",
     )
 
-    gpolys = gset.polynomials()
+    gtable = Reducer(order, gset.polynomials())
     stuck = None
     for lab, g in patil.labeled():
-        r, _ = normal_form(order, g, gpolys)
+        r, _ = normal_form(order, g, gtable)
         if r:
             stuck = {"element": lab, "remainder": poly_to_json(order, r)}
             break
     report.add("classical-set-reduces", stuck is None, witness=stuck)
 
-    closure = buchberger(order, patil.polynomials())
+    closure = Reducer(order, buchberger(order, patil.polynomials()))
     stuck = None
     for lab, g in gset.labeled():
         r, _ = normal_form(order, g, closure)

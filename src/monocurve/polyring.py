@@ -10,6 +10,13 @@ The term order compares weights first (X_i weighs m_i) and breaks ties
 by the sign of the right-most non-zero entry of the exponent difference,
 the larger monomial being the one whose entry is negative.  Encoded as a
 sort key this is (weight, negated-reversed-exponents) under tuple order.
+
+Poly shares its linear arithmetic with syzygy.ModElement through
+SparseMap, and the ring and module orders share TermOrder.  There is
+one division loop, Reducer.divide, for both: a Reducer prepares a basis
+once, grouping its lead terms by module symbol, and a ring basis is a
+module with the single symbol None.  Loops that divide many times by one
+basis build the Reducer once and pass it to normal_form.
 """
 
 from __future__ import annotations
@@ -81,13 +88,88 @@ def mono_to_name(mono: Mono) -> str:
 
 
 # ---------------------------------------------------------------------------
-# polynomials
+# sparse maps and polynomials
 
 
-class Poly:
-    """Sparse polynomial: map from exponent tuple to non-zero Fraction."""
+class SparseMap:
+    """Sparse map from term keys to non-zero Fractions.
+
+    The linear arithmetic shared by Poly, whose keys are monomials, and
+    syzygy.ModElement, whose keys are (monomial, symbol) pairs.  Each
+    subclass brings its own validating constructor and a _shift(key,
+    mono) that multiplies one key by a monomial.
+    """
 
     __slots__ = ("nvars", "terms")
+
+    @classmethod
+    def _raw(cls, nvars, terms):
+        elem = object.__new__(cls)
+        elem.nvars = nvars
+        elem.terms = terms
+        return elem
+
+    @classmethod
+    def zero(cls, nvars: int):
+        return cls._raw(nvars, {})
+
+    def _check(self, other):
+        if self.nvars != other.nvars:
+            raise ValueError(f"mixed variable counts: {self.nvars} vs {other.nvars}")
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.nvars == other.nvars and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        self._check(other)
+        res = dict(self.terms)
+        for t, c in other.terms.items():
+            v = res.get(t, 0) + c
+            if v:
+                res[t] = v
+            elif t in res:
+                del res[t]
+        return self._raw(self.nvars, res)
+
+    def __sub__(self, other):
+        self._check(other)
+        res = dict(self.terms)
+        for t, c in other.terms.items():
+            v = res.get(t, 0) - c
+            if v:
+                res[t] = v
+            elif t in res:
+                del res[t]
+        return self._raw(self.nvars, res)
+
+    def __neg__(self):
+        return self._raw(self.nvars, {t: -c for t, c in self.terms.items()})
+
+    def scaled(self, coeff):
+        coeff = Fraction(coeff)
+        if not coeff:
+            return self.zero(self.nvars)
+        return self._raw(self.nvars, {t: c * coeff for t, c in self.terms.items()})
+
+    def times_term(self, coeff, mono: Mono):
+        coeff = Fraction(coeff)
+        if not coeff:
+            return self.zero(self.nvars)
+        shift = self._shift
+        return self._raw(self.nvars, {shift(t, mono): c * coeff for t, c in self.terms.items()})
+
+
+class Poly(SparseMap):
+    """Sparse polynomial: map from exponent tuple to non-zero Fraction."""
+
+    __slots__ = ()
+    _shift = staticmethod(mono_mul)
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
@@ -101,60 +183,11 @@ class Poly:
         self.terms = clean
 
     @classmethod
-    def _raw(cls, nvars, terms) -> "Poly":
-        poly = object.__new__(cls)
-        poly.nvars = nvars
-        poly.terms = terms
-        return poly
-
-    @classmethod
-    def zero(cls, nvars: int) -> "Poly":
-        return cls._raw(nvars, {})
-
-    @classmethod
     def term(cls, nvars: int, mono: Mono, coeff=1) -> "Poly":
         if len(mono) != nvars:
             raise ValueError(f"monomial {mono} does not have {nvars} exponents")
         coeff = Fraction(coeff)
         return cls._raw(nvars, {tuple(mono): coeff} if coeff else {})
-
-    def _check(self, other: "Poly"):
-        if self.nvars != other.nvars:
-            raise ValueError(f"mixed variable counts: {self.nvars} vs {other.nvars}")
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            v = res.get(m, 0) + c
-            if v:
-                res[m] = v
-            elif m in res:
-                del res[m]
-        return Poly._raw(self.nvars, res)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            v = res.get(m, 0) - c
-            if v:
-                res[m] = v
-            elif m in res:
-                del res[m]
-        return Poly._raw(self.nvars, res)
-
-    def __neg__(self) -> "Poly":
-        return Poly._raw(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -173,18 +206,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def scaled(self, coeff) -> "Poly":
-        coeff = Fraction(coeff)
-        if not coeff:
-            return Poly.zero(self.nvars)
-        return Poly._raw(self.nvars, {m: c * coeff for m, c in self.terms.items()})
-
-    def times_term(self, coeff, mono: Mono) -> "Poly":
-        coeff = Fraction(coeff)
-        if not coeff:
-            return Poly.zero(self.nvars)
-        return Poly._raw(self.nvars, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
-
     def __repr__(self) -> str:
         if not self.terms:
             return "Poly(0)"
@@ -193,10 +214,31 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# the weighted term order
+# term orders
 
 
-class WeightOrder:
+class TermOrder:
+    """What the ring and module orders share, given key() and leading_term().
+
+    leading_term is written out in each subclass so that the calls of
+    each order can be counted on its own class.
+    """
+
+    def compare(self, f, g) -> int:
+        """1, 0 or -1 as f is greater than, equal to, or less than g."""
+        if f == g:
+            return 0
+        return 1 if self.key(f) > self.key(g) else -1
+
+    def sorted_terms(self, elem) -> list:
+        return [(t, elem.terms[t]) for t in sorted(elem.terms, key=self.key, reverse=True)]
+
+    def monic(self, elem):
+        _, lc = self.leading_term(elem)
+        return elem if lc == 1 else elem.scaled(Fraction(1) / lc)
+
+
+class WeightOrder(TermOrder):
     """Total order on monomials for a fixed parameter set.
 
     key() is an ascending sort key: compare weights, then the negated
@@ -220,12 +262,6 @@ class WeightOrder:
             self._cache[mono] = k
         return k
 
-    def compare(self, f: Mono, g: Mono) -> int:
-        """1, 0 or -1 as f is greater than, equal to, or less than g."""
-        if f == g:
-            return 0
-        return 1 if self.key(f) > self.key(g) else -1
-
     def leading_term(self, poly: Poly) -> tuple[Mono, Fraction]:
         if not poly.terms:
             raise ZeroPolynomialError("the zero polynomial has no leading term")
@@ -235,56 +271,83 @@ class WeightOrder:
     def leading_monomial(self, poly: Poly) -> Mono:
         return self.leading_term(poly)[0]
 
-    def sorted_terms(self, poly: Poly) -> list[tuple[Mono, Fraction]]:
-        return [(m, poly.terms[m]) for m in sorted(poly.terms, key=self.key, reverse=True)]
-
-    def monic(self, poly: Poly) -> Poly:
-        _, lc = self.leading_term(poly)
-        return poly if lc == 1 else poly.scaled(Fraction(1) / lc)
-
 
 # ---------------------------------------------------------------------------
 # division, S-polynomials, Buchberger
 
 
+class Reducer:
+    """A division basis prepared once for any number of divisions.
+
+    For every element, in list order, it holds the lead monomial, the
+    lead coefficient and the tail, grouped by the symbol of the lead
+    term.  A module basis groups by its module symbols; a ring basis is
+    a module with the one symbol None.  normal_form and
+    syzygy.module_normal_form take a Reducer in place of a basis list;
+    it must be built with the order they are given.
+    """
+
+    __slots__ = ("order", "ring", "basis", "rows")
+
+    def __init__(self, order: TermOrder, basis=()):
+        self.order = order
+        self.ring = isinstance(order, WeightOrder)
+        self.basis = []
+        self.rows = {}
+        for g in basis:
+            self.append(g)
+
+    def append(self, g) -> None:
+        lead, lc = self.order.leading_term(g)
+        if self.ring:
+            mono, sym = lead, None
+            tail = [(m, None, c) for m, c in g.terms.items() if m != lead]
+        else:
+            mono, sym = lead
+            tail = [(m, s, c) for (m, s), c in g.terms.items() if (m, s) != lead]
+        self.rows.setdefault(sym, []).append((mono, lc, tail, len(self.basis)))
+        self.basis.append(g)
+
+    def divide(self, f):
+        """(remainder, quotients) of f by the basis; see normal_form."""
+        ring, rows, key = self.ring, self.rows, self.order.key
+        work = dict(f.terms)
+        remainder = {}
+        quotients = [{} for _ in self.basis]
+        while work:
+            term = max(work, key=key)
+            coeff = work.pop(term)
+            mono, sym = (term, None) if ring else term
+            for lm, lc, tail, k in rows.get(sym, ()):
+                if mono_divides(lm, mono):
+                    u = mono_div(mono, lm)
+                    c = coeff / lc
+                    quotients[k][u] = quotients[k].get(u, 0) + c
+                    for m2, s2, c2 in tail:
+                        t2 = mono_mul(m2, u) if ring else (mono_mul(m2, u), s2)
+                        v = work.get(t2, 0) - c * c2
+                        if v:
+                            work[t2] = v
+                        elif t2 in work:
+                            del work[t2]
+                    break
+            else:
+                remainder[term] = coeff
+        nv = f.nvars
+        return f._raw(nv, remainder), [Poly._raw(nv, q) for q in quotients]
+
+
 def normal_form(order: WeightOrder, f: Poly, basis) -> tuple[Poly, list[Poly]]:
-    """Divide f by an ordered list of polynomials.
+    """Divide f by an ordered list of polynomials, or by a Reducer of one.
 
     Returns (remainder, quotients) with f = sum q_k * basis_k + remainder
     and no remainder monomial divisible by any basis leading monomial.
     Deterministic: the largest reducible term goes first and the first
     dividing basis element in list order wins.
     """
-    basis = list(basis)
-    data = []
-    for g in basis:
-        lm, lc = order.leading_term(g)
-        tail = [(m, c) for m, c in g.terms.items() if m != lm]
-        data.append((lm, lc, tail))
-    work = dict(f.terms)
-    remainder = {}
-    quotients = [{} for _ in basis]
-    key = order.key
-    while work:
-        mono = max(work, key=key)
-        coeff = work.pop(mono)
-        for k, (lm, lc, tail) in enumerate(data):
-            if mono_divides(lm, mono):
-                u = mono_div(mono, lm)
-                c = coeff / lc
-                quotients[k][u] = quotients[k].get(u, 0) + c
-                for m2, c2 in tail:
-                    mm = mono_mul(m2, u)
-                    v = work.get(mm, 0) - c * c2
-                    if v:
-                        work[mm] = v
-                    elif mm in work:
-                        del work[mm]
-                break
-        else:
-            remainder[mono] = coeff
-    nv = f.nvars
-    return Poly._raw(nv, remainder), [Poly._raw(nv, q) for q in quotients]
+    if not isinstance(basis, Reducer):
+        basis = Reducer(order, basis)
+    return basis.divide(f)
 
 
 def s_polynomial(order: WeightOrder, f: Poly, g: Poly) -> Poly:
@@ -304,7 +367,8 @@ def buchberger(order: WeightOrder, gens) -> list[Poly]:
     the output is interreduced, monic, and sorted by descending leading
     monomial, hence canonical for a given ideal.
     """
-    basis = [order.monic(g) for g in gens if g]
+    table = Reducer(order, (order.monic(g) for g in gens if g))
+    basis = table.basis
     if not basis:
         return []
     lms = [order.leading_monomial(g) for g in basis]
@@ -314,11 +378,10 @@ def buchberger(order: WeightOrder, gens) -> list[Poly]:
         if mono_coprime(lms[i], lms[j]):
             continue
         s = s_polynomial(order, basis[i], basis[j])
-        r, _ = normal_form(order, s, basis)
+        r, _ = normal_form(order, s, table)
         if r:
-            r = order.monic(r)
-            basis.append(r)
-            lms.append(order.leading_monomial(r))
+            table.append(order.monic(r))
+            lms.append(order.leading_monomial(basis[-1]))
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
     return interreduce(order, basis)
 
@@ -365,6 +428,7 @@ def schreyer_syzygies(order: WeightOrder, polys) -> list[tuple[int, int, list[Po
     polys = list(polys)
     nv = polys[0].nvars
     lts = [order.leading_term(g) for g in polys]
+    table = Reducer(order, polys)
     out = []
     for j in range(len(polys)):
         for i in range(j):
@@ -374,7 +438,7 @@ def schreyer_syzygies(order: WeightOrder, polys) -> list[tuple[int, int, list[Po
             s = polys[i].times_term(Fraction(1) / lci, ui) - polys[j].times_term(
                 Fraction(1) / lcj, uj
             )
-            r, quots = normal_form(order, s, polys)
+            r, quots = normal_form(order, s, table)
             if r:
                 raise NotGroebnerError(i, j, r)
             vec = [-q for q in quots]
@@ -417,35 +481,42 @@ def coeff_to_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
+def _json_terms(order: TermOrder, elem, spell) -> list[dict]:
+    """Terms largest first as {"coeff": "num/den", **spell(key)}."""
+    return [{"coeff": coeff_to_str(c), **spell(key)} for key, c in order.sorted_terms(elem)]
+
+
 def poly_to_json(order: WeightOrder, f: Poly) -> list[dict]:
     """Terms as {"coeff": "num/den", "expo": [...]}, sorted descending."""
-    return [
-        {"coeff": coeff_to_str(c), "expo": list(m)} for m, c in order.sorted_terms(f)
-    ]
+    return _json_terms(order, f, lambda m: {"expo": list(m)})
 
 
 def poly_from_json(nvars: int, items) -> Poly:
     return Poly(nvars, {tuple(t["expo"]): Fraction(t["coeff"]) for t in items})
 
 
+def _term_text(mono: Mono, c: Fraction) -> str:
+    """One term with a positive coefficient: '3/2*X1^2', 'X1', '5' or '1'."""
+    name = mono_to_name(mono)
+    if c == 1:
+        return name
+    if name == "1":
+        return str(c)
+    return f"{c}*{name}"
+
+
+def _join_signed(order: TermOrder, elem, spell) -> str:
+    """Terms largest first, joined by their signs; spell(key, |coeff|) writes one."""
+    text = ""
+    for key, c in order.sorted_terms(elem):
+        body = spell(key, abs(c))
+        if text:
+            text += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            text = f"-{body}" if c < 0 else body
+    return text or "0"
+
+
 def format_poly(order: WeightOrder, f: Poly) -> str:
     """Human-readable form with terms in descending order."""
-    if not f:
-        return "0"
-    parts = []
-    for m, c in order.sorted_terms(f):
-        sign = "-" if c < 0 else "+"
-        c = abs(c)
-        name = mono_to_name(m)
-        if c == 1:
-            body = name
-        elif name == "1":
-            body = str(c)
-        else:
-            body = f"{c}*{name}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = f"-{first_body}" if first_sign == "-" else first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    return _join_signed(order, f, _term_text)

@@ -60,7 +60,3 @@ class VerificationReport:
         for c in self.checks:
             if not c.passed:
                 raise VerificationFailure(c.to_record(self.params))
-
-    def merged(self, other: "VerificationReport") -> "VerificationReport":
-        assert other.params == self.params
-        return VerificationReport(self.params, self.checks + other.checks)

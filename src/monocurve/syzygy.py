@@ -19,6 +19,12 @@ Terms are ordered by comparing their projections (monomial times the
 lead monomial of the symbol's binomial) under the ring order, with a
 fixed symbol tie-break: lower Psi index wins, Psi beats Phi, and Phi
 pairs compare by (j, i).
+
+ModElement is a polyring.SparseMap keyed by (monomial, symbol), and
+ModuleOrder a polyring.TermOrder.  module_normal_form runs the ring's
+division loop (polyring.Reducer): a module basis is prepared once with
+its lead terms grouped by symbol, where a ring basis has the one symbol
+None.
 """
 
 from __future__ import annotations
@@ -39,9 +45,14 @@ from .generators import (
 from .polyring import (
     Mono,
     Poly,
+    Reducer,
+    SparseMap,
+    TermOrder,
     WeightOrder,
     ZeroPolynomialError,
-    coeff_to_str,
+    _join_signed,
+    _json_terms,
+    _term_text,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -88,10 +99,10 @@ def phi_symbol(params: CurveParams, i: int, j: int) -> Phi | None:
     return Phi(i, j)
 
 
-class ModElement:
+class ModElement(SparseMap):
     """Element of the free module: map (monomial, symbol) -> Fraction."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ()
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
@@ -104,16 +115,9 @@ class ModElement:
                     clean[(tuple(mono), sym)] = Fraction(coeff)
         self.terms = clean
 
-    @classmethod
-    def _raw(cls, nvars, terms) -> "ModElement":
-        elem = object.__new__(cls)
-        elem.nvars = nvars
-        elem.terms = terms
-        return elem
-
-    @classmethod
-    def zero(cls, nvars: int) -> "ModElement":
-        return cls._raw(nvars, {})
+    @staticmethod
+    def _shift(term, mono: Mono):
+        return (mono_mul(term[0], mono), term[1])
 
     @classmethod
     def term(cls, nvars: int, mono: Mono, sym, coeff=1) -> "ModElement":
@@ -123,63 +127,6 @@ class ModElement:
     @classmethod
     def from_poly(cls, poly: Poly, sym) -> "ModElement":
         return cls._raw(poly.nvars, {(m, sym): c for m, c in poly.terms.items()})
-
-    def _check(self, other: "ModElement"):
-        if self.nvars != other.nvars:
-            raise ValueError(f"mixed variable counts: {self.nvars} vs {other.nvars}")
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModElement)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other: "ModElement") -> "ModElement":
-        self._check(other)
-        res = dict(self.terms)
-        for t, c in other.terms.items():
-            v = res.get(t, 0) + c
-            if v:
-                res[t] = v
-            elif t in res:
-                del res[t]
-        return ModElement._raw(self.nvars, res)
-
-    def __sub__(self, other: "ModElement") -> "ModElement":
-        self._check(other)
-        res = dict(self.terms)
-        for t, c in other.terms.items():
-            v = res.get(t, 0) - c
-            if v:
-                res[t] = v
-            elif t in res:
-                del res[t]
-        return ModElement._raw(self.nvars, res)
-
-    def __neg__(self) -> "ModElement":
-        return ModElement._raw(self.nvars, {t: -c for t, c in self.terms.items()})
-
-    def scaled(self, coeff) -> "ModElement":
-        coeff = Fraction(coeff)
-        if not coeff:
-            return ModElement.zero(self.nvars)
-        return ModElement._raw(self.nvars, {t: c * coeff for t, c in self.terms.items()})
-
-    def times_term(self, coeff, mono: Mono) -> "ModElement":
-        coeff = Fraction(coeff)
-        if not coeff:
-            return ModElement.zero(self.nvars)
-        return ModElement._raw(
-            self.nvars,
-            {(mono_mul(m, mono), s): c * coeff for (m, s), c in self.terms.items()},
-        )
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -246,7 +193,7 @@ def _symbol_tiebreak(sym) -> tuple:
     return (0, sym.j, sym.i)
 
 
-class ModuleOrder:
+class ModuleOrder(TermOrder):
     """Total order on module terms: projection first, symbol tie-break second."""
 
     def __init__(self, params: CurveParams):
@@ -262,24 +209,11 @@ class ModuleOrder:
             self._cache[term] = k
         return k
 
-    def compare(self, t1, t2) -> int:
-        """1, 0 or -1 as t1 is greater than, equal to, or less than t2."""
-        if t1 == t2:
-            return 0
-        return 1 if self.key(t1) > self.key(t2) else -1
-
     def leading_term(self, elem: ModElement):
         if not elem.terms:
             raise ZeroPolynomialError("the zero element has no leading term")
         term = max(elem.terms, key=self.key)
         return term, elem.terms[term]
-
-    def sorted_terms(self, elem: ModElement):
-        return [(t, elem.terms[t]) for t in sorted(elem.terms, key=self.key, reverse=True)]
-
-    def monic(self, elem: ModElement) -> ModElement:
-        _, lc = self.leading_term(elem)
-        return elem if lc == 1 else elem.scaled(Fraction(1) / lc)
 
 
 # ---------------------------------------------------------------------------
@@ -402,23 +336,29 @@ def syzygy_basis(params: CurveParams) -> SyzygySet:
     return SyzygySet(params=params, A=A, B=B, L=L)
 
 
-def expected_module_leading_terms(params: CurveParams) -> set:
-    """The predicted leading terms of the syzygy basis, per family."""
+def _expected_leads(params: CurveParams) -> dict:
+    """The predicted leading term of each basis element, keyed by its label."""
     p, b = params.p, params.b
-    out = set()
+    out = {}
     for i in range(1, p + 1):
         for j in range(0, p - b):
-            out.add((variable_monomial(p, i), Psi(j)))
+            out[f"A({i};{b},{j})"] = (variable_monomial(p, i), Psi(j))
     for i in range(1, p):
         for j in range(i, p):
-            out.add(
-                (mono_mul(variable_monomial(p, i), variable_monomial(p, j)), Psi(p - b))
+            out[f"B({i},{j})"] = (
+                mono_mul(variable_monomial(p, i), variable_monomial(p, j)),
+                Psi(p - b),
             )
     for j in range(2, p):
         for i in range(1, j + 1):
             for l in range(1, j):
-                out.add((variable_monomial(p, l), Phi(i, j)))
+                out[f"L({l};{i},{j})"] = (variable_monomial(p, l), Phi(i, j))
     return out
+
+
+def expected_module_leading_terms(params: CurveParams) -> set:
+    """The predicted leading terms of the syzygy basis, per family."""
+    return set(_expected_leads(params).values())
 
 
 # ---------------------------------------------------------------------------
@@ -426,43 +366,16 @@ def expected_module_leading_terms(params: CurveParams) -> set:
 
 
 def module_normal_form(morder: ModuleOrder, elem: ModElement, basis):
-    """Divide a module element by a list of module elements.
+    """Divide a module element by a list of module elements, or by a
+    Reducer of one.
 
     A term (monomial, symbol) is reducible by a basis element whose lead
     term carries the same symbol and a dividing monomial.  Returns
     (remainder, quotients); the quotients are ring polynomials.
     """
-    basis = list(basis)
-    by_symbol = {}
-    for k, g in enumerate(basis):
-        (lm, sym), lc = morder.leading_term(g)
-        tail = [(t, c) for t, c in g.terms.items() if t != (lm, sym)]
-        by_symbol.setdefault(sym, []).append((lm, lc, tail, k))
-    work = dict(elem.terms)
-    remainder = {}
-    quotients = [{} for _ in basis]
-    key = morder.key
-    while work:
-        term = max(work, key=key)
-        coeff = work.pop(term)
-        mono, sym = term
-        for lm, lc, tail, k in by_symbol.get(sym, ()):
-            if mono_divides(lm, mono):
-                u = mono_div(mono, lm)
-                c = coeff / lc
-                quotients[k][u] = quotients[k].get(u, 0) + c
-                for (m2, s2), c2 in tail:
-                    tt = (mono_mul(m2, u), s2)
-                    v = work.get(tt, 0) - c * c2
-                    if v:
-                        work[tt] = v
-                    elif tt in work:
-                        del work[tt]
-                break
-        else:
-            remainder[term] = coeff
-    nv = elem.nvars
-    return ModElement._raw(nv, remainder), [Poly._raw(nv, q) for q in quotients]
+    if not isinstance(basis, Reducer):
+        basis = Reducer(morder, basis)
+    return basis.divide(elem)
 
 
 def module_s_vector(morder: ModuleOrder, g1: ModElement, g2: ModElement) -> ModElement | None:
@@ -539,17 +452,16 @@ def verify_syzygy_basis(params: CurveParams) -> VerificationReport:
             break
     report.add("members-are-relations", bad is None, detail=f"{len(labeled)} members", witness=bad)
 
-    expected = expected_module_leading_terms(params)
-    actual = {}
-    for lab, g in labeled:
-        (m, s), _ = morder.leading_term(g)
-        actual[lab] = (m, s)
-    shape_ok = set(actual.values()) == expected and len(set(actual.values())) == len(labeled)
-    per_element = _expected_leads(params, sset)
+    predicted = _expected_leads(params)
+    actual = {lab: morder.leading_term(g)[0] for lab, g in labeled}
+    shape_ok = (
+        set(actual.values()) == set(predicted.values())
+        and len(set(actual.values())) == len(labeled)
+    )
     mismatch = [
-        {"element": lab, "computed": term_to_json(actual[lab]), "expected": term_to_json(per_element[lab])}
+        {"element": lab, "computed": term_to_json(actual[lab]), "expected": term_to_json(predicted[lab])}
         for lab in actual
-        if actual[lab] != per_element[lab]
+        if actual[lab] != predicted[lab]
     ]
     report.add(
         "leading-term-shape",
@@ -558,6 +470,7 @@ def verify_syzygy_basis(params: CurveParams) -> VerificationReport:
         witness=None if shape_ok and not mismatch else {"mismatches": mismatch[:3]},
     )
 
+    table = Reducer(morder, elements)
     bad = None
     pairs = 0
     for x in range(len(elements)):
@@ -566,7 +479,7 @@ def verify_syzygy_basis(params: CurveParams) -> VerificationReport:
             if s is None:
                 continue
             pairs += 1
-            r, _ = module_normal_form(morder, s, elements)
+            r, _ = module_normal_form(morder, s, table)
             if r:
                 bad = {
                     "pair": [labeled[x][0], labeled[y][0]],
@@ -584,7 +497,7 @@ def verify_syzygy_basis(params: CurveParams) -> VerificationReport:
         if relation_image(params, rel, images):
             bad = {"pair": list(pair), "problem": "harvested element is not a relation"}
             break
-        r, _ = module_normal_form(morder, rel, elements)
+        r, _ = module_normal_form(morder, rel, table)
         if r:
             bad = {"pair": list(pair), "remainder": mod_elem_to_json(morder, r)}
             break
@@ -615,21 +528,6 @@ def verify_syzygy_basis(params: CurveParams) -> VerificationReport:
         witness=offender,
     )
     return report
-
-
-def _expected_leads(params: CurveParams, sset: SyzygySet) -> dict:
-    p, b = params.p, params.b
-    out = {}
-    for (i, j) in sset.A:
-        out[f"A({i};{b},{j})"] = (variable_monomial(p, i), Psi(j))
-    for (i, j) in sset.B:
-        out[f"B({i},{j})"] = (
-            mono_mul(variable_monomial(p, i), variable_monomial(p, j)),
-            Psi(p - b),
-        )
-    for (l, i, j) in sset.L:
-        out[f"L({l};{i},{j})"] = (variable_monomial(p, l), Phi(i, j))
-    return out
 
 
 def term_to_json(term) -> dict:
@@ -747,10 +645,7 @@ def _symbol_from_json(data) -> Psi | Phi:
 
 def mod_elem_to_json(morder: ModuleOrder, elem: ModElement) -> list[dict]:
     """Terms as {"coeff", "expo", "basis"}, sorted descending."""
-    return [
-        {"coeff": coeff_to_str(c), "expo": list(m), "basis": _symbol_json(s)}
-        for (m, s), c in morder.sorted_terms(elem)
-    ]
+    return _json_terms(morder, elem, term_to_json)
 
 
 def mod_elem_from_json(nvars: int, items) -> ModElement:
@@ -764,22 +659,8 @@ def mod_elem_from_json(nvars: int, items) -> ModElement:
 
 
 def format_mod_elem(morder: ModuleOrder, elem: ModElement) -> str:
-    if not elem:
-        return "0"
-    parts = []
-    for (m, s), c in morder.sorted_terms(elem):
-        sign = "-" if c < 0 else "+"
-        c = abs(c)
-        name = mono_to_name(m)
-        if name == "1":
-            body = f"{s}" if c == 1 else f"{c}*{s}"
-        elif c == 1:
-            body = f"{name}*{s}"
-        else:
-            body = f"{c}*{name}*{s}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = f"-{first_body}" if first_sign == "-" else first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    def spell(term, c):
+        body = _term_text(term[0], c)
+        return str(term[1]) if body == "1" else f"{body}*{term[1]}"
+
+    return _join_signed(morder, elem, spell)

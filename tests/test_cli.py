@@ -22,13 +22,30 @@ def test_info_rejects_bad_gcd(capsys):
     assert "gcd" in err
 
 
-def test_usage_error_exits_2():
+def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["info", "--m0", "7"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])
     assert exc.value.code == 2
+    triple = ["--m0", "7", "--d", "1", "--p", "3"]
+    for argv in (
+        ["verify", *triple, "--bound", "1"],
+        ["verify", *triple, "--bound", "-3"],
+        ["verify", *triple, "--bound", "x"],
+        ["sweep", "--p", "x"],
+        ["sweep", "--p", "5..2"],
+        ["sweep", "--p", "2..2", "--b", "3..4"],
+    ):
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert sum("error:" in line for line in err.splitlines()) == 1, argv
 
 
 def test_verify_json(capsys):

@@ -9,6 +9,7 @@ from monocurve import make_params
 from monocurve.generators import groebner_generators, phi_binomial, psi_binomial
 from monocurve.polyring import (
     Poly,
+    Reducer,
     WeightOrder,
     ZeroPolynomialError,
     buchberger,
@@ -126,16 +127,17 @@ def test_normal_form_postconditions(p713):
     basis = groebner_generators(p713).polynomials()
     lms = [ORDER.leading_monomial(g) for g in basis]
     f = Poly.term(4, (1, 1, 1, 0))  # X1*X2*X3
-    r, quots = normal_form(ORDER, f, basis)
-    recombined = r
-    for q, g in zip(quots, basis):
-        recombined = recombined + q * g
-    assert recombined == f
-    for mono in r.terms:
-        assert not any(mono_divides(lm, mono) for lm in lms)
-    # idempotence
-    r2, _ = normal_form(ORDER, r, basis)
-    assert r2 == r
+    for divisors in (basis, Reducer(ORDER, basis)):
+        r, quots = normal_form(ORDER, f, divisors)
+        recombined = r
+        for q, g in zip(quots, basis):
+            recombined = recombined + q * g
+        assert recombined == f
+        for mono in r.terms:
+            assert not any(mono_divides(lm, mono) for lm in lms)
+        # idempotence
+        r2, _ = normal_form(ORDER, r, divisors)
+        assert r2 == r
 
 
 def test_s_polynomial_of_equal_inputs(p713):

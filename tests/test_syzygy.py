@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from monocurve import make_params, parameter_sweep
-from monocurve.generators import psi_binomial
-from monocurve.polyring import Poly, variable_monomial
+from monocurve.generators import groebner_generators, phi_binomial, psi_binomial
+from monocurve.polyring import Poly, Reducer, normal_form, variable_monomial
 from monocurve.syzygy import (
     ModElement,
     ModuleOrder,
@@ -225,12 +225,29 @@ def test_module_normal_form_recombines(p713):
     probe = syzygy_A(p713, 1, 0).times_term(Fraction(3, 2), _x(2)) + syzygy_L(
         p713, 1, 2, 2
     ).times_term(1, _x(0, 2))
-    r, quots = module_normal_form(MORDER, probe, elems)
-    recombined = r
-    for q, g in zip(quots, elems):
-        for mono, c in q.terms.items():
-            recombined = recombined + g.times_term(c, mono)
-    assert recombined == probe
+    for divisors in (elems, Reducer(MORDER, elems)):
+        r, quots = module_normal_form(MORDER, probe, divisors)
+        recombined = r
+        for q, g in zip(quots, elems):
+            for mono, c in q.terms.items():
+                recombined = recombined + g.times_term(c, mono)
+        assert recombined == probe
+
+
+def test_ring_division_is_module_division_on_one_symbol(p713):
+    # a ring basis lifted under a single symbol divides exactly as the ring does
+    order = MORDER.ring
+    basis = groebner_generators(p713).polynomials()
+    lifted = [ModElement.from_poly(g, Psi(0)) for g in basis]
+    for f in (
+        Poly.term(4, (1, 1, 1, 0)),
+        phi_binomial(p713, 1, 2) * psi_binomial(p713, 1) + Poly.term(4, (2, 0, 3, 1), 5),
+        Poly.term(4, (0, 0, 4, 0), Fraction(3, 2)) - Poly.term(4, (1, 0, 0, 5)),
+    ):
+        r, quots = normal_form(order, f, basis)
+        mr, mquots = module_normal_form(MORDER, ModElement.from_poly(f, Psi(0)), lifted)
+        assert mr == ModElement.from_poly(r, Psi(0))
+        assert mquots == quots
 
 
 def test_s_vectors_reduce(p713):
