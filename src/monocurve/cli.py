@@ -9,31 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass
 
 from . import generators as gens
 from . import polyring, semigroup, syzygy
 from .report import VerificationReport
 from .semigroup import CurveParams, ParameterError, make_params
-
-
-@dataclass
-class RunConfig:
-    command: str
-    m0: int | None = None
-    d: int | None = None
-    p: int | None = None
-    bound: int = 5
-    samples: int = 1000
-    seed: int = 0
-    fmt: str = "text"
-    output: str | None = None
-    deep: bool = True
-    p_range: tuple[int, int] = (2, 5)
-    a_range: tuple[int, int] = (1, 3)
-    d_range: tuple[int, int] = (1, 4)
-    b_range: str = "1..p"
 
 
 def verification_bundle(params: CurveParams, bound: int, samples: int, seed: int,
@@ -51,9 +33,9 @@ def verification_bundle(params: CurveParams, bound: int, samples: int, seed: int
     ]
 
 
-def _emit(config: RunConfig, text: str):
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
+def _emit(args: argparse.Namespace, text: str):
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
@@ -72,26 +54,26 @@ def _params_lines(params: CurveParams) -> list[str]:
     ]
 
 
-def _cmd_info(config: RunConfig) -> int:
-    params = make_params(config.m0, config.d, config.p)
-    if config.fmt == "json":
+def _cmd_info(args: argparse.Namespace) -> int:
+    params = make_params(args.m0, args.d, args.p)
+    if args.format == "json":
         payload = {
             "params": params.to_dict(),
             "mp_multiple": list(semigroup.min_multiple_of_mp(params)),
             "m0_multiple": list(semigroup.min_multiple_of_m0(params)),
         }
-        _emit(config, json.dumps(payload, indent=2))
+        _emit(args, json.dumps(payload, indent=2))
     else:
-        _emit(config, "\n".join(_params_lines(params)))
+        _emit(args, "\n".join(_params_lines(params)))
     return 0
 
 
-def _cmd_generators(config: RunConfig) -> int:
-    params = make_params(config.m0, config.d, config.p)
+def _cmd_generators(args: argparse.Namespace) -> int:
+    params = make_params(args.m0, args.d, args.p)
     order = polyring.WeightOrder(params)
     gset = gens.groebner_generators(params)
     patil = gens.patil_generators(params)
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {
             "params": params.to_dict(),
             "counts": {"groebner": len(gset), "classical": len(patil)},
@@ -108,7 +90,7 @@ def _cmd_generators(config: RunConfig) -> int:
                 for lab, g in patil.labeled()
             ],
         }
-        _emit(config, json.dumps(payload, indent=2))
+        _emit(args, json.dumps(payload, indent=2))
     else:
         lines = [f"closed-form basis ({len(gset)} elements):"]
         for lab, g in gset.labeled():
@@ -117,15 +99,15 @@ def _cmd_generators(config: RunConfig) -> int:
         lines.append(f"classical basis ({len(patil)} elements):")
         for lab, g in patil.labeled():
             lines.append(f"  {lab} = {polyring.format_poly(order, g)}")
-        _emit(config, "\n".join(lines))
+        _emit(args, "\n".join(lines))
     return 0
 
 
-def _cmd_syzygies(config: RunConfig) -> int:
-    params = make_params(config.m0, config.d, config.p)
+def _cmd_syzygies(args: argparse.Namespace) -> int:
+    params = make_params(args.m0, args.d, args.p)
     morder = syzygy.ModuleOrder(params)
     sset = syzygy.syzygy_basis(params)
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {
             "params": params.to_dict(),
             "counts": sset.counts(),
@@ -138,7 +120,7 @@ def _cmd_syzygies(config: RunConfig) -> int:
                 for lab, g in sset.labeled()
             ],
         }
-        _emit(config, json.dumps(payload, indent=2))
+        _emit(args, json.dumps(payload, indent=2))
     else:
         counts = sset.counts()
         lines = [
@@ -147,17 +129,17 @@ def _cmd_syzygies(config: RunConfig) -> int:
         ]
         for lab, g in sset.labeled():
             lines.append(f"  {lab} = {syzygy.format_mod_elem(morder, g)}")
-        _emit(config, "\n".join(lines))
+        _emit(args, "\n".join(lines))
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    params = make_params(config.m0, config.d, config.p)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    params = make_params(args.m0, args.d, args.p)
     reports = verification_bundle(
-        params, config.bound, config.samples, config.seed, deep=config.deep
+        params, args.bound, args.samples, args.seed, deep=not args.shallow
     )
     passed = all(r.passed for r in reports)
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {
             "params": params.to_dict(),
             "passed": passed,
@@ -167,7 +149,7 @@ def _cmd_verify(config: RunConfig) -> int:
             },
             "checks": [rec for r in reports for rec in r.to_records()],
         }
-        _emit(config, json.dumps(payload, indent=2))
+        _emit(args, json.dumps(payload, indent=2))
     else:
         lines = _params_lines(params)
         for r in reports:
@@ -178,15 +160,15 @@ def _cmd_verify(config: RunConfig) -> int:
                 if c.witness is not None:
                     lines.append(f"        witness: {json.dumps(c.witness)}")
         lines.append("result: " + ("all checks passed" if passed else "CHECKS FAILED"))
-        _emit(config, "\n".join(lines))
+        _emit(args, "\n".join(lines))
     return 0 if passed else 1
 
 
-def _cmd_sweep(config: RunConfig) -> int:
-    p_lo, p_hi = config.p_range
-    a_lo, a_hi = config.a_range
-    d_lo, d_hi = config.d_range
-    b_lo, b_hi = (1, p_hi) if config.b_range == "1..p" else _parse_range(config.b_range)
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    p_lo, p_hi = args.p
+    a_lo, a_hi = args.a
+    d_lo, d_hi = args.d
+    b_lo, b_hi = args.b or (1, p_hi)
     grid = [
         (p, a, b, d)
         for p in range(p_lo, p_hi + 1)
@@ -210,7 +192,7 @@ def _cmd_sweep(config: RunConfig) -> int:
             )
             continue
         reports = verification_bundle(
-            params, config.bound, config.samples, config.seed, deep=False
+            params, args.bound, args.samples, args.seed, deep=False
         )
         ok = all(r.passed for r in reports)
         if not ok:
@@ -227,8 +209,8 @@ def _cmd_sweep(config: RunConfig) -> int:
         entries.append(entry)
     ran = len(entries) - skipped
     summary = {"ran": ran, "passed": ran - failed, "failed": failed, "skipped": skipped}
-    if config.fmt == "json":
-        _emit(config, json.dumps({"entries": entries, "summary": summary}, indent=2))
+    if args.format == "json":
+        _emit(args, json.dumps({"entries": entries, "summary": summary}, indent=2))
     else:
         lines = []
         for e in entries:
@@ -241,7 +223,7 @@ def _cmd_sweep(config: RunConfig) -> int:
             f"summary: {summary['ran']} verified, {summary['passed']} passed,"
             f" {summary['failed']} failed, {summary['skipped']} skipped"
         )
-        _emit(config, "\n".join(lines))
+        _emit(args, "\n".join(lines))
     return 0 if failed == 0 else 1
 
 
@@ -254,9 +236,10 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
+    """Run the parsed command; 0 all checks pass, 1 some fail, 2 unusable input."""
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -274,21 +257,43 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _b_range(text: str) -> str:
-    if text != "1..p":
-        _parse_range(text)
-    return text
+def _b_range(text: str) -> tuple[int, int] | None:
+    """A range of remainders b >= 1, or None for "1..p" (every b of each p)."""
+    if text == "1..p":
+        return None
+    lo, hi = _parse_range(text)
+    if lo < 1:
+        raise argparse.ArgumentTypeError(f"b starts at 1, got {text!r}")
+    return lo, hi
 
 
-def _bound(text: str) -> int:
-    """An exponent cap; the enumerations need at least 2."""
-    try:
-        bound = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if bound < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {bound}")
-    return bound
+def _at_least(low: int):
+    """An argparse type for integers no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+# the exponent-box enumerations need a cap of at least 2
+_bound = _at_least(2)
+_samples = _at_least(0)
+
+
+def _output(path: str) -> str:
+    """A file path in an existing, writable directory."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    if not os.access(os.path.dirname(path) or ".", os.W_OK):
+        raise argparse.ArgumentTypeError(f"cannot write into the directory of {path!r}")
+    return path
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -308,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--d", type=int, required=True, help="common difference")
             p.add_argument("--p", type=int, required=True, help="number of steps")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--output", default=None, help="write output to this path")
+        p.add_argument("--output", type=_output, default=None, help="write output to this path")
 
     common(sub.add_parser("info", help="parameters and minimal-multiple data"))
     common(sub.add_parser("generators", help="dump both generating sets"))
@@ -317,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="full verification for one parameter triple")
     common(v)
     v.add_argument("--bound", type=_bound, default=5, help="exponent cap for enumerations")
-    v.add_argument("--samples", type=int, default=1000, help="sampled projection checks")
+    v.add_argument("--samples", type=_samples, default=1000, help="sampled projection checks")
     v.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     v.add_argument("--shallow", action="store_true",
                    help="skip the one-left-out redundancy closures")
@@ -328,42 +333,14 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--b", type=_b_range, default="1..p", help="range lo..hi, or 1..p")
     s.add_argument("--d", type=_parse_range, default="1..4", help="range lo..hi")
     s.add_argument("--bound", type=_bound, default=4)
-    s.add_argument("--samples", type=int, default=200)
+    s.add_argument("--samples", type=_samples, default=200)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--format", choices=("text", "json"), default="text")
-    s.add_argument("--output", default=None)
+    common(s, triple=False)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "sweep":
-        config = RunConfig(
-            command="sweep",
-            bound=args.bound,
-            samples=args.samples,
-            seed=args.seed,
-            fmt=args.format,
-            output=args.output,
-            p_range=args.p,
-            a_range=args.a,
-            d_range=args.d,
-            b_range=args.b,
-        )
-    else:
-        config = RunConfig(
-            command=args.command,
-            m0=args.m0,
-            d=args.d,
-            p=args.p,
-            fmt=args.format,
-            output=args.output,
-            bound=getattr(args, "bound", 5),
-            samples=getattr(args, "samples", 1000),
-            seed=getattr(args, "seed", 0),
-            deep=not getattr(args, "shallow", False),
-        )
-    return run(config)
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

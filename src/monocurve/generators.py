@@ -13,6 +13,7 @@ witness on failure instead of raising.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -389,20 +390,17 @@ def verify_standard_monomials(params: CurveParams, bound: int) -> VerificationRe
     pairwise inequivalent under the parameterization map."""
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
-    order = WeightOrder(params)
-    lms = [
-        order.leading_monomial(g) for g in groebner_generators(params).polynomials()
-    ]
     report = VerificationReport(params)
 
-    std = []
+    std = standard_monomials(params, bound)
+    outside_set = set(std)
     mismatch = None
     for mono in itertools.product(range(bound + 1), repeat=params.nvars):
-        outside = not any(mono_divides(lm, mono) for lm in lms)
-        if outside:
-            std.append(mono)
+        outside = mono in outside_set
         if outside != is_standard_shape(params, mono):
             mismatch = {"monomial": list(mono), "outside_lt_ideal": outside}
+            # report only the standard monomials up to the mismatch, in box order
+            std = std[: bisect.bisect_right(std, mono)]
             break
     report.add(
         "standard-monomial-shape",

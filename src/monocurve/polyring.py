@@ -249,11 +249,8 @@ class WeightOrder(TermOrder):
 
     def __init__(self, params: CurveParams):
         self.params = params
-        self._weights = params.exponent_weights
+        self.weight = params.weight
         self._cache = {}
-
-    def weight(self, mono: Mono) -> int:
-        return sum(e * w for e, w in zip(mono, self._weights))
 
     def key(self, mono: Mono):
         k = self._cache.get(mono)
@@ -457,10 +454,9 @@ def curve_image(params: CurveParams, f: Poly) -> dict[int, Fraction]:
 
     The result is empty exactly when f lies in the curve ideal.
     """
-    weights = params.exponent_weights
     out = {}
     for mono, c in f.terms.items():
-        t = sum(e * w for e, w in zip(mono, weights))
+        t = params.weight(mono)
         v = out.get(t, 0) + c
         if v:
             out[t] = v

@@ -3,15 +3,20 @@
 Fixing integers m0 > p >= 2 and d >= 1 with gcd(m0, d) = 1 yields the
 generators m_i = m0 + i*d, i in [0, p], of a numerical semigroup.  The
 quotient-remainder split m0 = a*p + b with b in [1, p] supplies the pair
-(a, b) used by every construction downstream.  Validation is eager and
-strict: the generators must be a minimal generating set, since the
-structural results built on top of them assume exactly that.
+(a, b) used by every construction downstream.
+
+These hypotheses already make m0, ..., mp a minimal generating set, so
+make_params checks only them.  Were m_i = m_{s_1} + ... + m_{s_k} a sum
+of k >= 1 other generators, then (k-1)*m0 = (i - sum s)*d.  k = 1 is
+impossible because d >= 1; for k >= 2, gcd(m0, d) = 1 forces m0 to
+divide i - sum s, yet 0 < i - sum s <= p < m0.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .report import VerificationReport
@@ -27,15 +32,6 @@ class GcdError(ParameterError):
 
 class HypothesisError(ParameterError):
     """A range hypothesis (p >= 2, d >= 1, m0 > p) fails."""
-
-
-class NotMinimalError(ParameterError):
-    """Some generator is a non-negative integer combination of the others."""
-
-    def __init__(self, message: str, index: int, representation: tuple[int, ...]):
-        super().__init__(message)
-        self.index = index
-        self.representation = representation
 
 
 @dataclass(frozen=True)
@@ -54,10 +50,14 @@ class CurveParams:
         """Number of ring variables X1, ..., Xp, X0."""
         return self.p + 1
 
-    @property
+    @cached_property
     def exponent_weights(self) -> tuple[int, ...]:
         """Generator weights in exponent-tuple position order (X1, ..., Xp, X0)."""
         return self.generators[1:] + (self.generators[0],)
+
+    def weight(self, mono: tuple[int, ...]) -> int:
+        """Weight of an exponent tuple in position order: sum of e * w."""
+        return sum(e * w for e, w in zip(mono, self.exponent_weights))
 
     def to_dict(self) -> dict:
         return {
@@ -102,12 +102,13 @@ def _representation(x: int, values: tuple[int, ...]) -> tuple[int, ...] | None:
 
 
 def make_params(m0: int, d: int, p: int) -> CurveParams:
-    """Validate (m0, d, p) and return the parameter record.
+    """Validate (m0, d, p) and return the parameter record in O(p).
 
-    Raises GcdError when gcd(m0, d) != 1, HypothesisError when a basic
-    range hypothesis fails (in particular m0 <= p, which forces a < 1),
-    and NotMinimalError when some generator lies in the semigroup of the
-    others.
+    Raises GcdError when gcd(m0, d) != 1 and HypothesisError when a range
+    hypothesis fails (in particular m0 <= p, which forces a < 1).  No
+    generator lies in the semigroup of the others: a sum of k >= 2 of
+    them equal to m_i would give (k-1)*m0 = (i - sum s)*d, so m0 would
+    divide i - sum s, which lies in (0, p] with p < m0.
     """
     if p < 2:
         raise HypothesisError(f"p must be at least 2, got {p}")
@@ -123,16 +124,6 @@ def make_params(m0: int, d: int, p: int) -> CurveParams:
     if a < 1:
         raise HypothesisError(f"m0 = {m0} must exceed p = {p} so that m0 = a*p + b with a >= 1")
     generators = tuple(m0 + i * d for i in range(p + 1))
-    for i, m_i in enumerate(generators):
-        others = generators[:i] + generators[i + 1 :]
-        witness = _representation(m_i, others)
-        if witness is not None:
-            raise NotMinimalError(
-                f"m_{i} = {m_i} is representable by the other generators {others} "
-                f"with multiplicities {witness}",
-                i,
-                witness,
-            )
     return CurveParams(p=p, m0=m0, d=d, a=a, b=b, generators=generators)
 
 
@@ -200,13 +191,13 @@ def weight(params: CurveParams, exponents: tuple[int, ...]) -> int:
     """
     if len(exponents) != params.nvars:
         raise ValueError(f"expected {params.nvars} exponents, got {len(exponents)}")
-    return sum(e * w for e, w in zip(exponents, params.exponent_weights))
+    return params.weight(exponents)
 
 
 def parameter_sweep(p_values, a_values, d_values, b_values=None):
     """Yield every valid CurveParams with m0 = a*p + b over the given ranges.
 
-    Combinations failing the gcd or minimality hypotheses are skipped.
+    Combinations failing the gcd or range hypotheses are skipped.
     When b_values is None, b runs over the full range [1, p].
     """
     for p in p_values:

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from monocurve import make_params
-from monocurve.cli import RunConfig, main, run, verification_bundle
+from monocurve.cli import _build_parser, main, run, verification_bundle
 from monocurve.generators import groebner_generators
 from monocurve.polyring import WeightOrder, poly_from_json
 from monocurve.report import VerificationReport
@@ -22,7 +23,7 @@ def test_info_rejects_bad_gcd(capsys):
     assert "gcd" in err
 
 
-def test_usage_error_exits_2(capsys):
+def test_usage_error_exits_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["info", "--m0", "7"])
     assert exc.value.code == 2
@@ -37,6 +38,12 @@ def test_usage_error_exits_2(capsys):
         ["sweep", "--p", "x"],
         ["sweep", "--p", "5..2"],
         ["sweep", "--p", "2..2", "--b", "3..4"],
+        ["info", *triple, "--output", str(tmp_path)],
+        ["info", *triple, "--output", str(tmp_path / "missing" / "info.txt")],
+        ["sweep", "--p", "2..2", "--output", str(tmp_path)],
+        ["verify", *triple, "--samples", "-4"],
+        ["sweep", "--p", "2..2", "--samples", "-1"],
+        ["sweep", "--p", "3..3", "--a", "2..2", "--b", "0..1"],
     ):
         capsys.readouterr()
         try:
@@ -134,9 +141,11 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 
 def test_run_config_direct(tmp_path):
-    config = RunConfig(command="info", m0=7, d=1, p=3, fmt="json",
-                       output=str(tmp_path / "info.json"))
-    assert run(config) == 0
+    args = _build_parser().parse_args(
+        ["info", "--m0", "7", "--d", "1", "--p", "3", "--format", "json",
+         "--output", str(tmp_path / "info.json")]
+    )
+    assert run(args) == 0
     payload = json.loads((tmp_path / "info.json").read_text())
     assert payload["params"]["generators"] == [7, 8, 9, 10]
     assert payload["m0_multiple"] == [4, 2, 1]
@@ -148,3 +157,25 @@ def test_bundle_shapes(p713):
     assert "s-polynomials-reduce" in names
     assert "harvested-relations-reduce" in names
     assert "no-redundant-generator" not in names  # deep disabled
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CALLS = {
+    "info-7-1-3.json": ["info", "--m0", "7", "--d", "1", "--p", "3", "--format", "json"],
+    "generators-7-1-3.json": ["generators", "--m0", "7", "--d", "1", "--p", "3",
+                              "--format", "json"],
+    "syzygies-7-1-3.json": ["syzygies", "--m0", "7", "--d", "1", "--p", "3",
+                            "--format", "json"],
+    "verify-7-1-3.json": ["verify", "--m0", "7", "--d", "1", "--p", "3", "--bound", "2",
+                          "--format", "json"],
+    "verify-8-3-2.txt": ["verify", "--m0", "8", "--d", "3", "--p", "2", "--bound", "2"],
+    "sweep-p2-3-a1-2-d1-2.json": ["sweep", "--p", "2..3", "--a", "1..2", "--d", "1..2",
+                                  "--bound", "2", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CALLS))
+def test_output_matches_golden(name, capsys):
+    # the default output is a contract: any change to it must be deliberate
+    assert main(GOLDEN_CALLS[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")

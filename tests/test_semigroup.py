@@ -3,12 +3,11 @@ from math import gcd
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from monocurve import (
     GcdError,
     HypothesisError,
-    NotMinimalError,
     m0_multiple_identity,
     make_params,
     min_multiple_of_m0,
@@ -19,6 +18,7 @@ from monocurve import (
     semigroup_membership,
     weight,
 )
+from monocurve.semigroup import _representation
 
 SWEEP = list(parameter_sweep(range(2, 6), range(1, 4), range(1, 6)))
 
@@ -57,10 +57,16 @@ def test_make_params_rejects_bad_input():
         make_params(0, 1, 2)
 
 
+def _assert_minimal(pr):
+    # the membership DP as an oracle: no generator is a sum of the others
+    gens = pr.generators
+    for i, m_i in enumerate(gens):
+        assert _representation(m_i, gens[:i] + gens[i + 1:]) is None, (pr, i)
+
+
 def test_minimality_never_violated_on_sweep():
-    # With gcd(m0, d) = 1 and m0 > p no generator can be representable by
-    # the others, so the constructor-level check is purely defensive;
-    # confirm the sweep never trips it.
+    # With gcd(m0, d) = 1 and m0 > p no generator is representable by the
+    # others, which is why make_params does not search for one.
     count = 0
     for p in range(2, 6):
         for a in range(1, 4):
@@ -68,12 +74,26 @@ def test_minimality_never_violated_on_sweep():
                 for d in range(1, 6):
                     if gcd(a * p + b, d) != 1:
                         continue
-                    try:
-                        make_params(a * p + b, d, p)
-                        count += 1
-                    except NotMinimalError as exc:  # pragma: no cover
-                        pytest.fail(f"unexpected NotMinimalError: {exc}")
+                    _assert_minimal(make_params(a * p + b, d, p))
+                    count += 1
     assert count == len(SWEEP)
+
+
+@given(st.integers(2, 6), st.integers(3, 40), st.integers(1, 90))
+@settings(max_examples=150)
+def test_minimality_holds_for_any_valid_triple(p, m0, d):
+    # d may exceed m0: the argument needs only gcd(m0, d) = 1 and m0 > p
+    assume(m0 > p and gcd(m0, d) == 1)
+    _assert_minimal(make_params(m0, d, p))
+
+
+def test_make_params_huge_triple():
+    # construction never walks [0, m0]: huge m0 and d cost O(p)
+    m0, d = 10**18 + 1, 10**18 - 1
+    pr = make_params(m0, d, 3)
+    assert (pr.a, pr.b) == (333_333_333_333_333_333, 2)
+    assert pr.a * 3 + pr.b == m0
+    assert pr.generators == tuple(m0 + i * d for i in range(4))
 
 
 def test_membership_examples(p713):
