@@ -282,7 +282,7 @@ def _at_least(low: int):
     return parse
 
 
-# the exponent-box enumerations need a cap of at least 2
+# the exponent-box checks need a cap of at least 2
 _bound = _at_least(2)
 _samples = _at_least(0)
 
@@ -291,7 +291,8 @@ def _output(path: str) -> str:
     """A file path in an existing, writable directory."""
     if os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"{path!r} is a directory")
-    if not os.access(os.path.dirname(path) or ".", os.W_OK):
+    folder = os.path.dirname(path) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise argparse.ArgumentTypeError(f"cannot write into the directory of {path!r}")
     return path
 

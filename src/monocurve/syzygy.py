@@ -24,12 +24,13 @@ ModElement is a polyring.SparseMap keyed by (monomial, symbol), and
 ModuleOrder a polyring.TermOrder.  module_normal_form runs the ring's
 division loop (polyring.Reducer): a module basis is prepared once with
 its lead terms grouped by symbol, where a ring basis has the one symbol
-None.
+None.  The excluded families of module terms are boxes of exponents,
+each tested against those grouped lead terms through its largest member.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,12 +142,16 @@ class ModElement(SparseMap):
 # evaluation and the module order
 
 
+def labeled_generator_symbols(gset: GeneratorSet) -> list:
+    """The generator list in canonical order with its module symbols."""
+    out = [(Phi(i, j), g) for (i, j), g in sorted(gset.phis.items())]
+    out += [(Psi(j), g) for j, g in sorted(gset.psis.items())]
+    return out
+
+
 def symbol_images(params: CurveParams, gset: GeneratorSet | None = None) -> dict:
     """Map every in-range symbol to the binomial it stands for."""
-    gset = gset or groebner_generators(params)
-    images = {Phi(i, j): g for (i, j), g in gset.phis.items()}
-    images.update({Psi(j): g for j, g in gset.psis.items()})
-    return images
+    return dict(labeled_generator_symbols(gset or groebner_generators(params)))
 
 
 def relation_image(params: CurveParams, elem: ModElement, images: dict | None = None) -> Poly:
@@ -393,13 +398,6 @@ def module_s_vector(morder: ModuleOrder, g1: ModElement, g2: ModElement) -> ModE
     )
 
 
-def labeled_generator_symbols(gset: GeneratorSet) -> list:
-    """The generator list in canonical order with its module symbols."""
-    out = [(Phi(i, j), g) for (i, j), g in sorted(gset.phis.items())]
-    out += [(Psi(j), g) for j, g in sorted(gset.psis.items())]
-    return out
-
-
 def schreyer_relations(params: CurveParams, gset: GeneratorSet | None = None):
     """Relations harvested from all S-polynomial reductions of the
     closed-form basis, expressed over the module symbols.
@@ -540,54 +538,34 @@ def verify_excluded_leading_forms(params: CurveParams, bound: int) -> Verificati
 
     The families are: X_0^k Psi(j); X_0^k X_i Psi(p-b); X_p^k X_i
     Psi(p-b); and X^alpha Phi(i, j) with no variable X_l, 0 < l < j,
-    dividing X^alpha.  Exponents are capped at the bound.
+    dividing X^alpha.  With exponents capped at the bound, each family is
+    a box under one symbol, and a lead term divides some member of a box
+    exactly when it divides its largest member.
     """
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
     p, b = params.p, params.b
-    morder = ModuleOrder(params)
-    sset = syzygy_basis(params)
-    lead_by_symbol = {}
-    for _, g in sset.labeled():
-        (m, s), _ = morder.leading_term(g)
-        lead_by_symbol.setdefault(s, []).append(m)
-
-    def excluded(mono, sym) -> bool:
-        return not any(mono_divides(m, mono) for m in lead_by_symbol.get(sym, ()))
-
-    phi_pairs = [(i, j) for i in range(1, p) for j in range(i, p)]
-
-    def family_members():
-        top = Psi(p - b)
-        for k in range(bound + 1):
-            x0k = variable_monomial(p, 0, k)
-            for j in range(0, p - b + 1):
-                yield "pure-X0", x0k, Psi(j)
-            for i in range(1, p + 1):
-                yield "X0-power-times-variable", mono_mul(x0k, variable_monomial(p, i)), top
-                yield (
-                    "Xp-power-times-variable",
-                    mono_mul(variable_monomial(p, p, k), variable_monomial(p, i)),
-                    top,
-                )
-        for (i, j) in phi_pairs:
-            sym = Phi(i, j)
-            free = list(range(j, p + 1)) + [0]
-            for exps in itertools.product(range(bound + 1), repeat=len(free)):
-                mono = mono_one(params.nvars)
-                for v, e in zip(free, exps):
-                    if e:
-                        mono = mono_mul(mono, variable_monomial(p, v, e))
-                yield "low-index-free-Phi", mono, sym
+    leads = Reducer(ModuleOrder(params), syzygy_basis(params).elements()).rows
+    one = mono_one(params.nvars)
+    x0, xp, top = variable_monomial(p, 0, bound), variable_monomial(p, p, bound), Psi(p - b)
+    boxes = [("pure-X0", Psi(j), one, x0) for j in range(0, p - b + 1)]
+    for i in range(1, p + 1):
+        xi = variable_monomial(p, i)
+        boxes.append(("X0-power-times-variable", top, xi, mono_mul(xi, x0)))
+        boxes.append(("Xp-power-times-variable", top, xi, mono_mul(xi, xp)))
+    for i in range(1, p):
+        for j in range(i, p):
+            caps = (0,) * (j - 1) + (bound,) * (p - j + 2)
+            boxes.append(("low-index-free-Phi", Phi(i, j), one, caps))
 
     report = VerificationReport(params)
     bad = None
-    count = 0
-    for family, mono, sym in family_members():
-        count += 1
-        if not excluded(mono, sym):
-            bad = {"family": family, "term": term_to_json((mono, sym))}
+    for family, sym, low, high in boxes:
+        lead = next((m for m, *_ in leads.get(sym, ()) if mono_divides(m, high)), None)
+        if lead is not None:
+            bad = {"family": family, "term": term_to_json((mono_lcm(lead, low), sym))}
             break
+    count = sum(math.prod(h - l + 1 for l, h in zip(low, high)) for _, _, low, high in boxes)
     report.add(
         "excluded-forms-stay-excluded",
         bad is None,

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from monocurve import make_params
 from monocurve.cli import _build_parser, main, run, verification_bundle
@@ -44,7 +48,9 @@ def test_usage_error_exits_2(capsys, tmp_path):
         ["verify", *triple, "--samples", "-4"],
         ["sweep", "--p", "2..2", "--samples", "-1"],
         ["sweep", "--p", "3..3", "--a", "2..2", "--b", "0..1"],
+        ["info", *triple, "--output", str(tmp_path / "plain.txt" / "out.json")],
     ):
+        (tmp_path / "plain.txt").write_text("a regular file\n")
         capsys.readouterr()
         try:
             code = main(argv)
@@ -179,3 +185,81 @@ def test_output_matches_golden(name, capsys):
     # the default output is a contract: any change to it must be deliberate
     assert main(GOLDEN_CALLS[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+GARBAGE = st.sampled_from(["", "x", "-1", "1.5", "2..", "..", "--", "--bogus", "\x00", "1e3"])
+
+
+@st.composite
+def _argv(draw):
+    # half of the cases are clean, so that valid runs (exit 0) occur too;
+    # the noisy half mixes in garbage values, missing options, stray tokens
+    # and bad output paths
+    noisy = draw(st.booleans())
+
+    def value(lo, hi, valid_lo=None):
+        # valid_lo: the smallest value a clean case draws
+        if not noisy:
+            return st.integers(lo if valid_lo is None else valid_lo, hi).map(str)
+        return st.one_of(st.integers(lo, hi).map(str), GARBAGE)
+
+    def span(lo, hi, valid_lo):
+        # short ranges keep a sweep small: x..x or x..x+1, within [lo, hi]
+        low = lo if noisy else valid_lo
+        spans = st.integers(low, hi).map(lambda x: f"{x}..{min(x + 1, hi)}")
+        return st.one_of(spans, value(lo, hi, valid_lo))
+
+    command = draw(st.sampled_from(["info", "generators", "syzygies", "verify", "sweep"]
+                                   + ["bogus"] * noisy))
+    argv = [command]
+    options = []
+    if command == "sweep":
+        # always narrow the grid: the default one is the full, slow sweep
+        for flag, values in (("--p", span(1, 4, 2)), ("--a", span(0, 3, 1)),
+                             ("--d", span(0, 4, 1))):
+            argv += [flag, draw(values)]
+        options.append(("--b", st.one_of(st.just("1..p"), span(0, 4, 1))))
+    else:
+        p = draw(st.integers(2, 4))
+        options += [("--m0", value(0, 30, p + 1)), ("--d", value(0, 6, 1)),
+                    ("--p", value(1, 4, p))]
+    if command in ("verify", "sweep"):
+        options += [("--bound", value(1, 3, 2)), ("--samples", value(-1, 30, 0)),
+                    ("--seed", value(0, 5))]
+    formats = st.sampled_from(["text", "json"])
+    options.append(("--format", st.one_of(formats, GARBAGE) if noisy else formats))
+    for flag, values in options:
+        if not noisy or draw(st.integers(0, 4)):  # sometimes missing when noisy
+            argv += [flag, draw(values)]
+    if command == "verify" and draw(st.booleans()):
+        argv.append("--shallow")
+    paths = [None, "ok.txt"]
+    if noisy:
+        paths += ["", "folder", "missing/out.txt", "plain.txt/out.txt", "bad\x00name"]
+        for token in draw(st.lists(GARBAGE, max_size=2)):
+            argv.insert(draw(st.integers(1, len(argv))), token)
+    return argv, draw(st.sampled_from(paths))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    (folder / "folder").mkdir()
+    (folder / "plain.txt").write_text("a regular file\n")
+    return folder
+
+
+@given(case=_argv())
+@settings(max_examples=50, deadline=None)
+def test_fuzzed_argv_keeps_the_exit_code_contract(fuzz_dir, case):
+    argv, output = case
+    if output is not None:
+        argv = [*argv, "--output", str(fuzz_dir / output) if output else ""]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

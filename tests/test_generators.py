@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from monocurve import make_params, parameter_sweep, weight
@@ -17,7 +19,7 @@ from monocurve.generators import (
     verify_minimality,
     verify_standard_monomials,
 )
-from monocurve.polyring import Poly, WeightOrder, in_curve_ideal
+from monocurve.polyring import Poly, WeightOrder, in_curve_ideal, mono_divides, mono_to_name
 
 SWEEP = list(parameter_sweep(range(2, 6), range(1, 4), range(1, 6)))
 
@@ -143,11 +145,23 @@ def test_standard_monomial_count(p713):
     assert len(standard_monomials(p713, 5)) == 42
 
 
+def _box_minus_lead_ideal(pr, bound):
+    # brute-force reference: every monomial of the exponent box, in box order,
+    # that no leading monomial divides
+    order = WeightOrder(pr)
+    lms = [order.leading_monomial(g) for g in groebner_generators(pr).polynomials()]
+    return [
+        mono
+        for mono in itertools.product(range(bound + 1), repeat=pr.nvars)
+        if not any(mono_divides(lm, mono) for lm in lms)
+    ]
+
+
 def test_standard_shape_matches_enumeration():
     for pr in SWEEP[:40]:
+        for bound in (2, 3, 4):
+            assert standard_monomials(pr, bound) == _box_minus_lead_ideal(pr, bound), (pr, bound)
         enumerated = set(standard_monomials(pr, 4))
-        import itertools
-
         for mono in itertools.product(range(5), repeat=pr.nvars):
             assert (mono in enumerated) == is_standard_shape(pr, mono)
 
@@ -164,6 +178,42 @@ def test_verify_standard_monomials(p713):
     assert report.passed, [c.name for c in report.failures()]
     with pytest.raises(ValueError):
         verify_standard_monomials(p713, 1)
+
+
+@pytest.mark.parametrize("m0, d, p", [(7, 1, 3), (8, 3, 2), (13, 2, 5)])
+def test_eta_distinct_reports_the_first_planted_collision(monkeypatch, m0, d, p):
+    # plant every product X_i*X_j of inner variables: several of them weigh the
+    # same as a standard monomial, so the check must fail on the first
+    # colliding pair of the pairwise loop it replaced
+    pr = make_params(m0, d, p)
+    real = standard_monomials(pr, 3)
+    planted = sorted(
+        {tuple(sum(v == k for v in pick) for k in range(pr.nvars))
+         for pick in itertools.combinations_with_replacement(range(p - 1), 2)}
+    )
+    std = sorted(real + planted)
+    monkeypatch.setattr("monocurve.generators.standard_monomials", lambda *_: std)
+    monkeypatch.setattr(
+        "monocurve.generators.is_standard_shape",
+        lambda params, mono: mono in planted or is_standard_shape(params, mono),
+    )
+
+    checked, pair = 0, None
+    for x in range(len(std)):
+        for y in range(x + 1, len(std)):
+            checked += 1
+            if in_curve_ideal(pr, Poly(pr.nvars, {std[x]: 1}) - Poly(pr.nvars, {std[y]: 1})):
+                pair = [mono_to_name(std[x]), mono_to_name(std[y])]
+                break
+        if pair:
+            break
+    assert pair is not None
+
+    shape, eta = verify_standard_monomials(pr, 3).checks
+    assert shape.passed
+    assert not eta.passed
+    assert eta.witness == {"pair": pair}
+    assert eta.detail == f"{checked} pairs"
 
 
 def test_power_and_x0_families_never_collide(p713):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -6,7 +7,15 @@ from hypothesis import given, settings
 
 from monocurve import make_params, parameter_sweep
 from monocurve.generators import groebner_generators, phi_binomial, psi_binomial
-from monocurve.polyring import Poly, Reducer, normal_form, variable_monomial
+from monocurve.polyring import (
+    Poly,
+    Reducer,
+    mono_divides,
+    mono_mul,
+    normal_form,
+    variable_monomial,
+    variable_position,
+)
 from monocurve.syzygy import (
     ModElement,
     ModuleOrder,
@@ -28,6 +37,7 @@ from monocurve.syzygy import (
     syzygy_B,
     syzygy_L,
     syzygy_basis,
+    term_to_json,
     verify_excluded_leading_forms,
     verify_order_projection,
     verify_syzygy_basis,
@@ -302,20 +312,94 @@ def test_verify_excluded_leading_forms(p713):
         verify_excluded_leading_forms(p713, 0)
 
 
-def test_excluded_instances(p713):
-    morder = ModuleOrder(p713)
+def _excluded_family_members(pr, bound):
+    # brute-force reference: every member of every excluded family, walked
+    # through its exponent box one tuple at a time
+    p, b = pr.p, pr.b
+    top = Psi(p - b)
+    out = []
+    for k in range(bound + 1):
+        x0k = variable_monomial(p, 0, k)
+        out += [("pure-X0", x0k, Psi(j)) for j in range(0, p - b + 1)]
+        for i in range(1, p + 1):
+            xi = variable_monomial(p, i)
+            out.append(("X0-power-times-variable", mono_mul(x0k, xi), top))
+            out.append(("Xp-power-times-variable", mono_mul(variable_monomial(p, p, k), xi), top))
+    for i in range(1, p):
+        for j in range(i, p):
+            free = [variable_position(p, v) for v in [*range(j, p + 1), 0]]
+            for exps in itertools.product(range(bound + 1), repeat=len(free)):
+                mono = [0] * pr.nvars
+                for pos, e in zip(free, exps):
+                    mono[pos] = e
+                out.append(("low-index-free-Phi", tuple(mono), Phi(i, j)))
+    return out
+
+
+def _lead_table(pr, elements):
+    morder = ModuleOrder(pr)
     leads = {}
-    for _, g in syzygy_basis(p713).labeled():
+    for g in elements:
         (m, s), _ = morder.leading_term(g)
         leads.setdefault(s, []).append(m)
-    from monocurve.polyring import mono_divides, mono_mul
+    return leads
 
-    def in_lt_module(mono, sym):
-        return any(mono_divides(m, mono) for m in leads.get(sym, ()))
 
-    assert not in_lt_module(_x(0, 2), Psi(0))  # X0^2*Psi(0)
-    assert not in_lt_module(_x(2, 3), Phi(1, 2))  # X2^3*Phi(1,2), no X1 factor
-    assert in_lt_module(mono_mul(_x(1), _x(2)), Psi(2))
+def _in_lead_module(leads, mono, sym):
+    return any(mono_divides(m, mono) for m in leads.get(sym, ()))
+
+
+EXCLUDED_SWEEP = [pr for pr in SWEEP5 if pr.a <= 2 and pr.d == 1]
+
+
+def test_excluded_forms_agree_with_box_walk():
+    for pr in EXCLUDED_SWEEP:
+        leads = _lead_table(pr, syzygy_basis(pr).elements())
+        for bound in (2, 3, 4):
+            members = _excluded_family_members(pr, bound)
+            assert not any(_in_lead_module(leads, m, s) for _, m, s in members)
+            (check,) = verify_excluded_leading_forms(pr, bound).checks
+            assert check.passed, (pr, bound, check.witness)
+            assert check.detail == f"{len(members)} family members with exponents <= {bound}"
+
+
+@pytest.mark.parametrize(
+    "mono, sym",
+    [
+        (_x(0, 2), Psi(0)),  # X0^2*Psi(0): pure-X0
+        (mono_mul(_x(1), _x(0, 2)), Psi(2)),  # X1*X0^2*Psi(2): X0 power times X1
+        (mono_mul(_x(2), _x(3, 2)), Psi(2)),  # X2*X3^2*Psi(2): X3 power times X2
+        (mono_mul(_x(3), _x(0, 2)), Phi(2, 2)),  # X3*X0^2*Phi(2,2): no X1 factor
+    ],
+)
+def test_excluded_forms_catch_a_planted_lead(monkeypatch, mono, sym):
+    pr = P713
+    elements = syzygy_basis(pr).elements() + [ModElement.term(pr.nvars, mono, sym)]
+
+    class Planted:
+        def elements(self):
+            return elements
+
+    monkeypatch.setattr("monocurve.syzygy.syzygy_basis", lambda params: Planted())
+    leads = _lead_table(pr, elements)
+    members = _excluded_family_members(pr, 3)
+    walked = [(f, m, s) for f, m, s in members if _in_lead_module(leads, m, s)]
+    assert walked
+
+    (check,) = verify_excluded_leading_forms(pr, 3).checks
+    assert not check.passed
+    assert check.detail == f"{len(members)} family members with exponents <= 3"
+    # the witness is a family member that a lead of its symbol divides: the
+    # smallest one in its box, which for these plants is the planted term
+    assert check.witness in [{"family": f, "term": term_to_json((m, s))} for f, m, s in walked]
+    assert check.witness["term"] == term_to_json((mono, sym))
+
+
+def test_excluded_instances(p713):
+    leads = _lead_table(p713, syzygy_basis(p713).elements())
+    assert not _in_lead_module(leads, _x(0, 2), Psi(0))  # X0^2*Psi(0)
+    assert not _in_lead_module(leads, _x(2, 3), Phi(1, 2))  # X2^3*Phi(1,2), no X1 factor
+    assert _in_lead_module(leads, mono_mul(_x(1), _x(2)), Psi(2))
 
 
 def test_verify_order_projection(p713):
