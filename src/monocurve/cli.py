@@ -18,18 +18,18 @@ from .report import VerificationReport
 from .semigroup import CurveParams, ParameterError, make_params
 
 
-def verification_bundle(params: CurveParams, bound: int, samples: int, seed: int,
+def verification_bundle(curve: syzygy.Curve, bound: int, samples: int, seed: int,
                         deep: bool = True) -> list[VerificationReport]:
     """Every verification report the tool knows how to produce."""
     return [
-        semigroup.verify_minimal_multiples(params),
-        gens.verify_groebner_generators(params),
-        gens.verify_minimality(params, deep=deep),
-        gens.verify_ideal_equality(params),
-        gens.verify_standard_monomials(params, bound),
-        syzygy.verify_syzygy_basis(params),
-        syzygy.verify_excluded_leading_forms(params, bound),
-        syzygy.verify_order_projection(params, samples=samples, seed=seed),
+        semigroup.verify_minimal_multiples(curve.params),
+        gens.verify_groebner_generators(curve),
+        gens.verify_minimality(curve, deep=deep),
+        gens.verify_ideal_equality(curve),
+        gens.verify_standard_monomials(curve, bound),
+        syzygy.verify_syzygy_basis(curve),
+        syzygy.verify_excluded_leading_forms(curve, bound),
+        syzygy.verify_order_projection(curve, samples=samples, seed=seed),
     ]
 
 
@@ -37,8 +37,21 @@ def _emit(args: argparse.Namespace, text: str):
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader has gone.  Point the stdout descriptor at devnull, so
+        # that the interpreter's last flush at exit stays silent; the
+        # command still returns the exit code of the work it did.  A
+        # stream with no descriptor (io.StringIO) has nothing to flush.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 def _params_lines(params: CurveParams) -> list[str]:
@@ -135,8 +148,9 @@ def _cmd_syzygies(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     params = make_params(args.m0, args.d, args.p)
+    curve = syzygy.Curve(params)
     reports = verification_bundle(
-        params, args.bound, args.samples, args.seed, deep=not args.shallow
+        curve, args.bound, args.samples, args.seed, deep=not args.shallow
     )
     passed = all(r.passed for r in reports)
     if args.format == "json":
@@ -144,8 +158,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "params": params.to_dict(),
             "passed": passed,
             "counts": {
-                "generators": len(gens.groebner_generators(params)),
-                "syzygies": syzygy.syzygy_basis(params).counts(),
+                "generators": len(curve.gset),
+                "syzygies": curve.sset.counts(),
             },
             "checks": [rec for r in reports for rec in r.to_records()],
         }
@@ -192,7 +206,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
             continue
         reports = verification_bundle(
-            params, args.bound, args.samples, args.seed, deep=False
+            syzygy.Curve(params), args.bound, args.samples, args.seed, deep=False
         )
         ok = all(r.passed for r in reports)
         if not ok:
@@ -289,6 +303,8 @@ _samples = _at_least(0)
 
 def _output(path: str) -> str:
     """A file path in an existing, writable directory."""
+    if not path:
+        raise argparse.ArgumentTypeError("the output path is empty")
     if os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"{path!r} is a directory")
     folder = os.path.dirname(path) or "."

@@ -7,9 +7,11 @@ Groebner basis under the weighted order.  The classical set of Patil is
 built alongside for cross-checks: both sets generate the same ideal and
 have the same cardinality.
 
-Every verification routine returns a VerificationReport and records a
-witness on failure instead of raising.  Standard monomials are reached
-as an order ideal from 1; the one exponent-box walk checks their shape.
+Every verification routine takes the triple's syzygy.Curve, which holds
+both sets, the ring order and a Reducer of the closed-form basis, built
+once.  It returns a VerificationReport and records a witness on failure
+instead of raising.  Standard monomials are reached as an order ideal
+from 1; the one exponent-box walk checks their shape.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .polyring import (
     Mono,
@@ -35,6 +38,9 @@ from .polyring import (
 )
 from .report import VerificationReport
 from .semigroup import CurveParams
+
+if TYPE_CHECKING:
+    from .syzygy import Curve
 
 
 def epsilon(i: int, j: int, p: int) -> int:
@@ -199,13 +205,12 @@ def is_standard_shape(params: CurveParams, mono: Mono) -> bool:
     return True
 
 
-def standard_monomials(params: CurveParams, bound: int) -> list:
+def standard_monomials(curve: Curve, bound: int) -> list:
     """Monomials with exponents <= bound outside the leading-term ideal, in
     ascending order.  They form an order ideal, reached from 1 by raising
     one exponent at a time and never entering a multiple of a lead."""
-    order = WeightOrder(params)
-    lms = [order.leading_monomial(g) for g in groebner_generators(params).polynomials()]
-    one = mono_one(params.nvars)
+    lms = [lm for lm, *_ in curve.ring_reducer.rows[None]]
+    one = mono_one(curve.params.nvars)
     seen, stack, out = {one}, [one], []
     while stack:
         mono = stack.pop()
@@ -224,17 +229,15 @@ def standard_monomials(params: CurveParams, bound: int) -> list:
 # verification
 
 
-def verify_groebner_generators(params: CurveParams) -> VerificationReport:
+def verify_groebner_generators(curve: Curve) -> VerificationReport:
     """The closed-form set is a Groebner basis with the predicted lead terms.
 
     Three checks: the computed leading monomials match the closed-form
     set; every S-polynomial reduces to zero against the set itself; and
     an independent Buchberger run produces no new leading monomial.
     """
-    order = WeightOrder(params)
-    gset = groebner_generators(params)
-    labels = [lab for lab, _ in gset.labeled()]
-    polys = gset.polynomials()
+    params, order, table = curve.params, curve.order, curve.ring_reducer
+    labels, polys = zip(*curve.gset.labeled())
     report = VerificationReport(params)
 
     expected = expected_leading_monomials(params)
@@ -251,7 +254,6 @@ def verify_groebner_generators(params: CurveParams) -> VerificationReport:
         },
     )
 
-    table = Reducer(order, polys)
     witness = None
     pairs = 0
     for i in range(len(polys)):
@@ -299,16 +301,15 @@ def pairwise_lt_division(order: WeightOrder, labeled) -> dict | None:
     return None
 
 
-def verify_minimality(params: CurveParams, deep: bool = False) -> VerificationReport:
+def verify_minimality(curve: Curve, deep: bool = False) -> VerificationReport:
     """No leading term divides another; optionally, no member is redundant.
 
     The deep check removes one element at a time, closes the rest under
     Buchberger, and confirms the removed element does not reduce to zero.
     """
-    order = WeightOrder(params)
-    gset = groebner_generators(params)
-    labeled = gset.labeled()
-    report = VerificationReport(params)
+    order = curve.order
+    labeled = curve.gset.labeled()
+    report = VerificationReport(curve.params)
 
     offender = pairwise_lt_division(order, labeled)
     n = len(labeled)
@@ -337,11 +338,9 @@ def verify_minimality(params: CurveParams, deep: bool = False) -> VerificationRe
     return report
 
 
-def verify_ideal_equality(params: CurveParams) -> VerificationReport:
+def verify_ideal_equality(curve: Curve) -> VerificationReport:
     """Both generating sets span the same ideal and have equal size."""
-    order = WeightOrder(params)
-    gset = groebner_generators(params)
-    patil = patil_generators(params)
+    params, order, gset, patil = curve.params, curve.order, curve.gset, curve.patil
     report = VerificationReport(params)
 
     report.add(
@@ -350,10 +349,9 @@ def verify_ideal_equality(params: CurveParams) -> VerificationReport:
         detail=f"{len(gset)} closed-form vs {len(patil)} classical generators",
     )
 
-    gtable = Reducer(order, gset.polynomials())
     stuck = None
     for lab, g in patil.labeled():
-        r, _ = normal_form(order, g, gtable)
+        r, _ = normal_form(order, g, curve.ring_reducer)
         if r:
             stuck = {"element": lab, "remainder": poly_to_json(order, r)}
             break
@@ -396,15 +394,16 @@ def verify_ideal_equality(params: CurveParams) -> VerificationReport:
     return report
 
 
-def verify_standard_monomials(params: CurveParams, bound: int) -> VerificationReport:
+def verify_standard_monomials(curve: Curve, bound: int) -> VerificationReport:
     """Standard monomials match the closed-form shape over the whole box
     (is_standard_shape is an outside oracle) and have pairwise distinct
     weights, i.e. distinct images under X_i -> T^(m_i)."""
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
+    params = curve.params
     report = VerificationReport(params)
 
-    std = standard_monomials(params, bound)
+    std = standard_monomials(curve, bound)
     outside_set = set(std)
     mismatch = None
     for mono in itertools.product(range(bound + 1), repeat=params.nvars):

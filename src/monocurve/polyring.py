@@ -16,7 +16,9 @@ SparseMap, and the ring and module orders share TermOrder.  There is
 one division loop, Reducer.divide, for both: a Reducer prepares a basis
 once, grouping its lead terms by module symbol, and a ring basis is a
 module with the single symbol None.  Loops that divide many times by one
-basis build the Reducer once and pass it to normal_form.
+basis build the Reducer once and pass it to normal_form; the closed-form
+basis of a triple has one Reducer, held by syzygy.Curve and shared by
+every check and by schreyer_syzygies.
 """
 
 from __future__ import annotations
@@ -413,19 +415,19 @@ class NotGroebnerError(ValueError):
         self.remainder = remainder
 
 
-def schreyer_syzygies(order: WeightOrder, polys) -> list[tuple[int, int, list[Poly]]]:
+def schreyer_syzygies(table: Reducer) -> list[tuple[int, int, list[Poly]]]:
     """Syzygies harvested from the zero reduction of every S-polynomial.
 
-    For a Groebner basis these generate the full module of relations
-    among the inputs.  Each entry is (i, j, vec) with
+    The inputs, polys, are the basis of the prepared ring Reducer table.
+    For a Groebner basis the harvested syzygies generate the full module
+    of relations among them.  Each entry is (i, j, vec) with
     sum_k vec[k] * polys[k] == 0.  All pairs are processed; no coprime
     skip, since completeness of the harvested set is the point.
     Raises NotGroebnerError when some S-polynomial does not reduce to 0.
     """
-    polys = list(polys)
+    order, polys = table.order, table.basis
     nv = polys[0].nvars
     lts = [order.leading_term(g) for g in polys]
-    table = Reducer(order, polys)
     out = []
     for j in range(len(polys)):
         for i in range(j):

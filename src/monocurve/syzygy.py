@@ -26,6 +26,11 @@ division loop (polyring.Reducer): a module basis is prepared once with
 its lead terms grouped by symbol, where a ring basis has the one symbol
 None.  The excluded families of module terms are boxes of exponents,
 each tested against those grouped lead terms through its largest member.
+
+A Curve holds what every check of one triple shares, each built once:
+both orders (one key cache each), both generating sets, the syzygy
+basis, the symbol images and a prepared Reducer for the ring basis and
+for the module basis.  Every verify_* report takes a Curve.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .generators import (
     GeneratorSet,
     epsilon,
     groebner_generators,
+    patil_generators,
     phi_binomial,
     psi_binomial,
     tau,
@@ -149,15 +155,9 @@ def labeled_generator_symbols(gset: GeneratorSet) -> list:
     return out
 
 
-def symbol_images(params: CurveParams, gset: GeneratorSet | None = None) -> dict:
-    """Map every in-range symbol to the binomial it stands for."""
-    return dict(labeled_generator_symbols(gset or groebner_generators(params)))
-
-
-def relation_image(params: CurveParams, elem: ModElement, images: dict | None = None) -> Poly:
+def relation_image(curve: Curve, elem: ModElement) -> Poly:
     """Evaluate an element: sum of coeff * monomial * symbol image."""
-    if images is None:
-        images = symbol_images(params)
+    images = curve.images
     acc = {}
     for (mono, sym), c in elem.terms.items():
         for m2, c2 in images[sym].terms.items():
@@ -167,11 +167,11 @@ def relation_image(params: CurveParams, elem: ModElement, images: dict | None = 
                 acc[mm] = v
             elif mm in acc:
                 del acc[mm]
-    return Poly._raw(params.nvars, acc)
+    return Poly._raw(curve.params.nvars, acc)
 
 
-def is_relation(params: CurveParams, elem: ModElement, images: dict | None = None) -> bool:
-    return not relation_image(params, elem, images)
+def is_relation(curve: Curve, elem: ModElement) -> bool:
+    return not relation_image(curve, elem)
 
 
 def order_monomial(params: CurveParams, mono: Mono, sym) -> Mono:
@@ -367,6 +367,37 @@ def expected_module_leading_terms(params: CurveParams) -> set:
 
 
 # ---------------------------------------------------------------------------
+# one prepared triple
+
+
+class Curve:
+    """The objects every check of one triple shares, each built once.
+
+    order is the ring order inside morder, so the triple has one key
+    cache per order.  images maps each module symbol to its binomial in
+    label order; ring_reducer divides by those binomials in that order
+    and module_reducer by the syzygy basis in its label order.  The key
+    caches grow as the checks run; everything else is read, never
+    changed, so a caller that needs to extend a basis builds its own
+    Reducer.
+    """
+
+    __slots__ = ("params", "morder", "order", "gset", "patil", "sset", "images",
+                 "ring_reducer", "module_reducer")
+
+    def __init__(self, params: CurveParams):
+        self.params = params
+        self.morder = ModuleOrder(params)
+        self.order = self.morder.ring
+        self.gset = groebner_generators(params)
+        self.patil = patil_generators(params)
+        self.sset = syzygy_basis(params)
+        self.images = dict(labeled_generator_symbols(self.gset))
+        self.ring_reducer = Reducer(self.order, self.images.values())
+        self.module_reducer = Reducer(self.morder, self.sset.elements())
+
+
+# ---------------------------------------------------------------------------
 # module division and S-vectors
 
 
@@ -398,7 +429,7 @@ def module_s_vector(morder: ModuleOrder, g1: ModElement, g2: ModElement) -> ModE
     )
 
 
-def schreyer_relations(params: CurveParams, gset: GeneratorSet | None = None):
+def schreyer_relations(curve: Curve):
     """Relations harvested from all S-polynomial reductions of the
     closed-form basis, expressed over the module symbols.
 
@@ -406,18 +437,15 @@ def schreyer_relations(params: CurveParams, gset: GeneratorSet | None = None):
     polyring.NotGroebnerError if an S-polynomial fails to reduce, which
     would contradict the verified Groebner property.
     """
-    gset = gset or groebner_generators(params)
-    symbols = labeled_generator_symbols(gset)
-    polys = [g for _, g in symbols]
-    order = WeightOrder(params)
-    nv = params.nvars
+    symbols = list(curve.images)  # in the order of the ring reducer's basis
+    nv = curve.params.nvars
     out = []
-    for i, j, vec in schreyer_syzygies(order, polys):
+    for i, j, vec in schreyer_syzygies(curve.ring_reducer):
         elem = ModElement.zero(nv)
         for k, q in enumerate(vec):
             if q:
-                elem += ModElement.from_poly(q, symbols[k][0])
-        out.append(((str(symbols[i][0]), str(symbols[j][0])), elem))
+                elem += ModElement.from_poly(q, symbols[k])
+        out.append(((str(symbols[i]), str(symbols[j])), elem))
     return out
 
 
@@ -425,7 +453,7 @@ def schreyer_relations(params: CurveParams, gset: GeneratorSet | None = None):
 # verification
 
 
-def verify_syzygy_basis(params: CurveParams) -> VerificationReport:
+def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     """Full check of the syzygy basis.
 
     (a) every member evaluates to zero; (b) the computed leading terms
@@ -434,17 +462,14 @@ def verify_syzygy_basis(params: CurveParams) -> VerificationReport:
     the generators reduces to zero against the basis; (e) no leading
     term divides another.
     """
-    morder = ModuleOrder(params)
-    gset = groebner_generators(params)
-    images = symbol_images(params, gset)
-    sset = syzygy_basis(params)
-    labeled = sset.labeled()
+    params, morder, table = curve.params, curve.morder, curve.module_reducer
+    labeled = curve.sset.labeled()
     elements = [g for _, g in labeled]
     report = VerificationReport(params)
 
     bad = None
     for lab, g in labeled:
-        image = relation_image(params, g, images)
+        image = relation_image(curve, g)
         if image:
             bad = {"element": lab, "image": poly_to_json(morder.ring, image)}
             break
@@ -468,7 +493,6 @@ def verify_syzygy_basis(params: CurveParams) -> VerificationReport:
         witness=None if shape_ok and not mismatch else {"mismatches": mismatch[:3]},
     )
 
-    table = Reducer(morder, elements)
     bad = None
     pairs = 0
     for x in range(len(elements)):
@@ -490,9 +514,9 @@ def verify_syzygy_basis(params: CurveParams) -> VerificationReport:
 
     bad = None
     count = 0
-    for (pair, rel) in schreyer_relations(params, gset):
+    for (pair, rel) in schreyer_relations(curve):
         count += 1
-        if relation_image(params, rel, images):
+        if relation_image(curve, rel):
             bad = {"pair": list(pair), "problem": "harvested element is not a relation"}
             break
         r, _ = module_normal_form(morder, rel, table)
@@ -533,7 +557,7 @@ def term_to_json(term) -> dict:
     return {"expo": list(mono), "basis": _symbol_json(sym)}
 
 
-def verify_excluded_leading_forms(params: CurveParams, bound: int) -> VerificationReport:
+def verify_excluded_leading_forms(curve: Curve, bound: int) -> VerificationReport:
     """No member of the excluded families lies in the leading-term module.
 
     The families are: X_0^k Psi(j); X_0^k X_i Psi(p-b); X_p^k X_i
@@ -544,8 +568,9 @@ def verify_excluded_leading_forms(params: CurveParams, bound: int) -> Verificati
     """
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
+    params = curve.params
     p, b = params.p, params.b
-    leads = Reducer(ModuleOrder(params), syzygy_basis(params).elements()).rows
+    leads = curve.module_reducer.rows
     one = mono_one(params.nvars)
     x0, xp, top = variable_monomial(p, 0, bound), variable_monomial(p, p, bound), Psi(p - b)
     boxes = [("pure-X0", Psi(j), one, x0) for j in range(0, p - b + 1)]
@@ -575,21 +600,19 @@ def verify_excluded_leading_forms(params: CurveParams, bound: int) -> Verificati
     return report
 
 
-def verify_order_projection(params: CurveParams, samples: int = 1000, seed: int = 0) -> VerificationReport:
+def verify_order_projection(curve: Curve, samples: int = 1000, seed: int = 0) -> VerificationReport:
     """Sampled check that the order projection of a single term equals the
     leading monomial of its image."""
     rng = random.Random(seed)
-    morder = ModuleOrder(params)
-    images = symbol_images(params)
-    symbols = sorted(images, key=str)
-    p = params.p
+    params = curve.params
+    symbols = sorted(curve.images, key=str)
     bad = None
     for _ in range(samples):
         mono = tuple(rng.randrange(0, 5) for _ in range(params.nvars))
         sym = symbols[rng.randrange(len(symbols))]
         elem = ModElement.term(params.nvars, mono, sym)
-        image = relation_image(params, elem, images)
-        lm = morder.ring.leading_monomial(image)
+        image = relation_image(curve, elem)
+        lm = curve.order.leading_monomial(image)
         if lm != order_monomial(params, mono, sym):
             bad = {"term": term_to_json((mono, sym)), "image-lead": list(lm)}
             break

@@ -31,8 +31,8 @@ from monocurve.generators import (
 )
 from monocurve.polyring import Poly, in_curve_ideal
 from monocurve.syzygy import (
+    Curve,
     relation_image,
-    symbol_images,
     syzygy_basis,
     verify_excluded_leading_forms,
     verify_order_projection,
@@ -49,7 +49,7 @@ def _criterion(number, ok, description):
 
 @lru_cache(maxsize=None)
 def _syzygy_report(pr):
-    return verify_syzygy_basis(pr)
+    return verify_syzygy_basis(Curve(pr))
 
 
 def test_criterion_01_groebner_closed_form():
@@ -59,7 +59,7 @@ def test_criterion_01_groebner_closed_form():
     start = time.monotonic()
     failures = []
     for pr in SWEEP_P6:
-        report = verify_groebner_generators(pr)
+        report = verify_groebner_generators(Curve(pr))
         if not report.passed:
             failures.append((str(pr), [c.name for c in report.failures()]))
     elapsed = time.monotonic() - start
@@ -76,7 +76,7 @@ def test_criterion_01_groebner_closed_form():
 def test_criterion_02_minimality():
     """No leading term of the closed-form basis divides another."""
     failures = [
-        str(pr) for pr in SWEEP_P6 if not verify_minimality(pr, deep=False).passed
+        str(pr) for pr in SWEEP_P6 if not verify_minimality(Curve(pr), deep=False).passed
     ]
     _criterion(2, not failures, f"pairwise leading-term check over {len(SWEEP_P6)} sets")
     assert not failures, failures[:3]
@@ -133,9 +133,9 @@ def test_criterion_04_syzygy_kernel():
     start = time.monotonic()
     failures = []
     for pr in SWEEP_P5:
-        images = symbol_images(pr)
-        for lab, elem in syzygy_basis(pr).labeled():
-            if relation_image(pr, elem, images):
+        curve = Curve(pr)
+        for lab, elem in curve.sset.labeled():
+            if relation_image(curve, elem):
                 failures.append((str(pr), lab))
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 30.0
@@ -175,7 +175,7 @@ def test_criterion_07_order_projection():
     set equals the leading monomial of the term's image."""
     failures = []
     for pr in SWEEP_P5:
-        report = verify_order_projection(pr, samples=1000, seed=0)
+        report = verify_order_projection(Curve(pr), samples=1000, seed=0)
         if not report.passed:
             failures.append((str(pr), report.failures()[0].witness))
     _criterion(7, not failures, f"1000 sampled terms on each of {len(SWEEP_P5)} sets")
@@ -209,7 +209,7 @@ def test_criterion_09_standard_monomial_distinctness():
     standard monomials have distinct images under the substitution
     X_i -> T^(m_i)."""
     pr = make_params(7, 1, 3)
-    std = standard_monomials(pr, 8)
+    std = standard_monomials(Curve(pr), 8)
     collisions = []
     for x in range(len(std)):
         for y in range(x + 1, len(std)):
@@ -224,7 +224,7 @@ def test_criterion_10_excluded_leading_forms():
     """For (7, 1, 3) with bound 5, no member of the excluded families
     lies in the leading-term module of the syzygy basis."""
     pr = make_params(7, 1, 3)
-    report = verify_excluded_leading_forms(pr, 5)
+    report = verify_excluded_leading_forms(Curve(pr), 5)
     detail = report.checks[0].detail
     _criterion(10, report.passed, detail)
     assert report.passed, report.failures()[0].witness

@@ -1,13 +1,17 @@
+import collections
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from monocurve import make_params
+from monocurve import make_params, syzygy
 from monocurve.cli import _build_parser, main, run, verification_bundle
 from monocurve.generators import groebner_generators
 from monocurve.polyring import WeightOrder, poly_from_json
@@ -49,6 +53,7 @@ def test_usage_error_exits_2(capsys, tmp_path):
         ["sweep", "--p", "2..2", "--samples", "-1"],
         ["sweep", "--p", "3..3", "--a", "2..2", "--b", "0..1"],
         ["info", *triple, "--output", str(tmp_path / "plain.txt" / "out.json")],
+        ["info", *triple, "--output", ""],
     ):
         (tmp_path / "plain.txt").write_text("a regular file\n")
         capsys.readouterr()
@@ -158,7 +163,7 @@ def test_run_config_direct(tmp_path):
 
 
 def test_bundle_shapes(p713):
-    reports = verification_bundle(p713, bound=4, samples=50, seed=0, deep=False)
+    reports = verification_bundle(syzygy.Curve(p713), bound=4, samples=50, seed=0, deep=False)
     names = [c.name for r in reports for c in r.checks]
     assert "s-polynomials-reduce" in names
     assert "harvested-relations-reduce" in names
@@ -177,6 +182,10 @@ GOLDEN_CALLS = {
     "verify-8-3-2.txt": ["verify", "--m0", "8", "--d", "3", "--p", "2", "--bound", "2"],
     "sweep-p2-3-a1-2-d1-2.json": ["sweep", "--p", "2..3", "--a", "1..2", "--d", "1..2",
                                   "--bound", "2", "--format", "json"],
+    "verify-13-2-6.json": ["verify", "--m0", "13", "--d", "2", "--p", "6", "--bound", "3",
+                           "--format", "json"],
+    "sweep-p2-3-a1-1-d1-3.txt": ["sweep", "--p", "2..3", "--a", "1..1", "--d", "1..3",
+                                 "--bound", "2"],
 }
 
 
@@ -185,6 +194,62 @@ def test_output_matches_golden(name, capsys):
     # the default output is a contract: any change to it must be deliberate
     assert main(GOLDEN_CALLS[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "--m0", "7", "--d", "1", "--p", "3"],
+    ["syzygies", "--m0", "41", "--d", "2", "--p", "12", "--format", "json"],
+])
+def test_closed_stdout_keeps_the_exit_code_and_no_traceback(argv):
+    # a reader that leaves early, like `| head -1`: here it leaves at once
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "monocurve.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert b"Traceback" not in err, err.decode()
+
+
+BUILT_PER_TRIPLE = ("groebner_generators", "patil_generators", "syzygy_basis", "ModuleOrder")
+
+
+def _count_constructions(monkeypatch) -> collections.Counter:
+    # wrap each name in the namespace the Curve looks it up in, and the ring
+    # order's constructor, with a call counter
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in BUILT_PER_TRIPLE:
+        monkeypatch.setattr(syzygy, name, counted(name, getattr(syzygy, name)))
+    monkeypatch.setattr(WeightOrder, "__init__", counted("WeightOrder", WeightOrder.__init__))
+    return counts
+
+
+def test_each_triple_builds_its_shared_objects_once(monkeypatch, capsys):
+    counts = _count_constructions(monkeypatch)
+    names = (*BUILT_PER_TRIPLE, "WeightOrder")
+    assert main(["verify", "--m0", "13", "--d", "2", "--p", "6", "--bound", "2"]) == 0
+    assert counts == {name: 1 for name in names}
+
+    counts.clear()
+    capsys.readouterr()
+    assert main(["sweep", "--p", "2..3", "--a", "1..2", "--d", "1..2", "--bound", "2",
+                 "--format", "json"]) == 0
+    ran = json.loads(capsys.readouterr().out)["summary"]["ran"]
+    assert ran > 1
+    assert counts == {name: ran for name in names}
 
 
 GARBAGE = st.sampled_from(["", "x", "-1", "1.5", "2..", "..", "--", "--bogus", "\x00", "1e3"])

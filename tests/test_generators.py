@@ -20,6 +20,7 @@ from monocurve.generators import (
     verify_standard_monomials,
 )
 from monocurve.polyring import Poly, WeightOrder, in_curve_ideal, mono_divides, mono_to_name
+from monocurve.syzygy import Curve
 
 SWEEP = list(parameter_sweep(range(2, 6), range(1, 4), range(1, 6)))
 
@@ -113,13 +114,13 @@ def test_patil_rewriting_identities():
 
 
 def test_verify_groebner(p713, p832):
-    assert verify_groebner_generators(p713).passed
-    assert verify_groebner_generators(p832).passed
+    assert verify_groebner_generators(Curve(p713)).passed
+    assert verify_groebner_generators(Curve(p832)).passed
 
 
 def test_verify_minimality_deep(p713, p832):
-    assert verify_minimality(p713, deep=True).passed
-    assert verify_minimality(p832, deep=True).passed
+    assert verify_minimality(Curve(p713), deep=True).passed
+    assert verify_minimality(Curve(p832), deep=True).passed
 
 
 def test_minimality_detects_planted_redundancy(p713):
@@ -136,13 +137,13 @@ def test_minimality_detects_planted_redundancy(p713):
 
 def test_verify_ideal_equality(p713, p832, p613):
     for pr in (p713, p832, p613, make_params(13, 3, 5)):
-        report = verify_ideal_equality(pr)
+        report = verify_ideal_equality(Curve(pr))
         assert report.passed, [c.name for c in report.failures()]
 
 
 def test_standard_monomial_count(p713):
     # six X0 exponents times seven (X_i, X_p-power) shapes
-    assert len(standard_monomials(p713, 5)) == 42
+    assert len(standard_monomials(Curve(p713), 5)) == 42
 
 
 def _box_minus_lead_ideal(pr, bound):
@@ -159,9 +160,10 @@ def _box_minus_lead_ideal(pr, bound):
 
 def test_standard_shape_matches_enumeration():
     for pr in SWEEP[:40]:
+        curve = Curve(pr)
         for bound in (2, 3, 4):
-            assert standard_monomials(pr, bound) == _box_minus_lead_ideal(pr, bound), (pr, bound)
-        enumerated = set(standard_monomials(pr, 4))
+            assert standard_monomials(curve, bound) == _box_minus_lead_ideal(pr, bound), (pr, bound)
+        enumerated = set(standard_monomials(curve, 4))
         for mono in itertools.product(range(5), repeat=pr.nvars):
             assert (mono in enumerated) == is_standard_shape(pr, mono)
 
@@ -170,14 +172,15 @@ def test_mixed_monomials_are_standard(p713):
     # X1*X3*X0 carries all three variable kinds and stays outside the
     # leading-term ideal because the X3 exponent stays below a
     assert is_standard_shape(p713, (1, 0, 1, 1))
-    assert (1, 0, 1, 1) in standard_monomials(p713, 2)
+    assert (1, 0, 1, 1) in standard_monomials(Curve(p713), 2)
 
 
 def test_verify_standard_monomials(p713):
-    report = verify_standard_monomials(p713, 6)
+    curve = Curve(p713)
+    report = verify_standard_monomials(curve, 6)
     assert report.passed, [c.name for c in report.failures()]
     with pytest.raises(ValueError):
-        verify_standard_monomials(p713, 1)
+        verify_standard_monomials(curve, 1)
 
 
 @pytest.mark.parametrize("m0, d, p", [(7, 1, 3), (8, 3, 2), (13, 2, 5)])
@@ -186,7 +189,8 @@ def test_eta_distinct_reports_the_first_planted_collision(monkeypatch, m0, d, p)
     # same as a standard monomial, so the check must fail on the first
     # colliding pair of the pairwise loop it replaced
     pr = make_params(m0, d, p)
-    real = standard_monomials(pr, 3)
+    curve = Curve(pr)
+    real = standard_monomials(curve, 3)
     planted = sorted(
         {tuple(sum(v == k for v in pick) for k in range(pr.nvars))
          for pick in itertools.combinations_with_replacement(range(p - 1), 2)}
@@ -209,7 +213,7 @@ def test_eta_distinct_reports_the_first_planted_collision(monkeypatch, m0, d, p)
             break
     assert pair is not None
 
-    shape, eta = verify_standard_monomials(pr, 3).checks
+    shape, eta = verify_standard_monomials(curve, 3).checks
     assert shape.passed
     assert not eta.passed
     assert eta.witness == {"pair": pair}
@@ -230,7 +234,7 @@ def test_power_and_x0_families_never_collide(p713):
 
 
 def test_verify_reports_serialize(p713):
-    report = verify_groebner_generators(p713)
+    report = verify_groebner_generators(Curve(p713))
     records = report.to_records()
     assert all(rec["status"] == "pass" for rec in records)
     assert all(rec["params"]["m0"] == 7 for rec in records)

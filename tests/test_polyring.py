@@ -169,7 +169,7 @@ def test_buchberger_input_order_independent(p713):
 
 def test_schreyer_vectors_are_syzygies(p713):
     basis = groebner_generators(p713).polynomials()
-    rows = schreyer_syzygies(ORDER, basis)
+    rows = schreyer_syzygies(Reducer(ORDER, basis))
     assert len(rows) == len(basis) * (len(basis) - 1) // 2
     for _, _, vec in rows:
         acc = Poly.zero(4)

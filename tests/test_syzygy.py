@@ -17,6 +17,7 @@ from monocurve.polyring import (
     variable_position,
 )
 from monocurve.syzygy import (
+    Curve,
     ModElement,
     ModuleOrder,
     Phi,
@@ -32,7 +33,6 @@ from monocurve.syzygy import (
     psi_symbol,
     relation_image,
     schreyer_relations,
-    symbol_images,
     syzygy_A,
     syzygy_B,
     syzygy_L,
@@ -44,6 +44,7 @@ from monocurve.syzygy import (
 )
 
 P713 = make_params(7, 1, 3)
+C713 = Curve(P713)
 MORDER = ModuleOrder(P713)
 SWEEP5 = list(parameter_sweep(range(2, 6), range(1, 4), range(1, 6)))
 
@@ -143,17 +144,17 @@ def test_relation_image_examples(p713):
             (_x(0, 3), Phi(1, 2)): -1,
         },
     )
-    assert is_relation(p713, elem)
-    assert relation_image(p713, ModElement.term(4, (0,) * 4, Psi(0))) == psi_binomial(
+    assert is_relation(C713, elem)
+    assert relation_image(C713, ModElement.term(4, (0,) * 4, Psi(0))) == psi_binomial(
         p713, 0
     )
 
 
 def test_every_member_is_a_relation():
     for pr in SWEEP5:
-        images = symbol_images(pr)
-        for _, elem in syzygy_basis(pr).labeled():
-            assert not relation_image(pr, elem, images)
+        curve = Curve(pr)
+        for _, elem in curve.sset.labeled():
+            assert not relation_image(curve, elem)
 
 
 def test_counts(p713, p832):
@@ -171,7 +172,7 @@ def test_order_monomial_examples(p713):
     assert order_monomial(p713, _x(0), Phi(1, 2)) == (1, 1, 0, 1)  # X0*X1*X2
     # the projection equals the image's leading monomial
     elem = ModElement.term(4, _x(2), Psi(1))
-    lm = MORDER.ring.leading_monomial(relation_image(p713, elem))
+    lm = MORDER.ring.leading_monomial(relation_image(C713, elem))
     assert lm == order_monomial(p713, _x(2), Psi(1))
 
 
@@ -280,10 +281,10 @@ def test_s_vector_none_on_distinct_symbols(p713):
 
 def test_harvested_relations_reduce(p713):
     elems = syzygy_basis(p713).elements()
-    rows = schreyer_relations(p713)
+    rows = schreyer_relations(C713)
     assert len(rows) == 15
     for _, rel in rows:
-        assert is_relation(p713, rel)
+        assert is_relation(C713, rel)
         r, _ = module_normal_form(MORDER, rel, elems)
         assert not r
 
@@ -292,7 +293,7 @@ def test_deleting_an_element_breaks_completeness(p713):
     # dropping L(1;2,2) leaves some harvested relation stuck
     kept = [g for lab, g in syzygy_basis(p713).labeled() if lab != "L(1;2,2)"]
     stuck = 0
-    for _, rel in schreyer_relations(p713):
+    for _, rel in schreyer_relations(C713):
         r, _ = module_normal_form(MORDER, rel, kept)
         if r:
             stuck += 1
@@ -301,15 +302,15 @@ def test_deleting_an_element_breaks_completeness(p713):
 
 def test_verify_syzygy_basis(p713, p832, p613):
     for pr in (p713, p832, p613):
-        report = verify_syzygy_basis(pr)
+        report = verify_syzygy_basis(Curve(pr))
         assert report.passed, [c.name for c in report.failures()]
 
 
 def test_verify_excluded_leading_forms(p713):
-    report = verify_excluded_leading_forms(p713, 5)
+    report = verify_excluded_leading_forms(C713, 5)
     assert report.passed
     with pytest.raises(ValueError):
-        verify_excluded_leading_forms(p713, 0)
+        verify_excluded_leading_forms(C713, 0)
 
 
 def _excluded_family_members(pr, bound):
@@ -354,11 +355,12 @@ EXCLUDED_SWEEP = [pr for pr in SWEEP5 if pr.a <= 2 and pr.d == 1]
 
 def test_excluded_forms_agree_with_box_walk():
     for pr in EXCLUDED_SWEEP:
-        leads = _lead_table(pr, syzygy_basis(pr).elements())
+        curve = Curve(pr)
+        leads = _lead_table(pr, curve.sset.elements())
         for bound in (2, 3, 4):
             members = _excluded_family_members(pr, bound)
             assert not any(_in_lead_module(leads, m, s) for _, m, s in members)
-            (check,) = verify_excluded_leading_forms(pr, bound).checks
+            (check,) = verify_excluded_leading_forms(curve, bound).checks
             assert check.passed, (pr, bound, check.witness)
             assert check.detail == f"{len(members)} family members with exponents <= {bound}"
 
@@ -386,7 +388,7 @@ def test_excluded_forms_catch_a_planted_lead(monkeypatch, mono, sym):
     walked = [(f, m, s) for f, m, s in members if _in_lead_module(leads, m, s)]
     assert walked
 
-    (check,) = verify_excluded_leading_forms(pr, 3).checks
+    (check,) = verify_excluded_leading_forms(Curve(pr), 3).checks
     assert not check.passed
     assert check.detail == f"{len(members)} family members with exponents <= 3"
     # the witness is a family member that a lead of its symbol divides: the
@@ -403,21 +405,20 @@ def test_excluded_instances(p713):
 
 
 def test_verify_order_projection(p713):
-    assert verify_order_projection(p713, samples=500, seed=11).passed
+    assert verify_order_projection(C713, samples=500, seed=11).passed
 
 
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_random_combinations_stay_relations(data):
     elems = syzygy_basis(P713).elements()
-    images = symbol_images(P713)
     monos = st.tuples(*[st.integers(0, 2)] * 4)
     acc = ModElement.zero(4)
     for _ in range(data.draw(st.integers(1, 4))):
         g = data.draw(st.sampled_from(elems))
         coeff = data.draw(st.integers(-2, 2))
         acc = acc + g.times_term(coeff, data.draw(monos))
-    assert is_relation(P713, acc, images)
+    assert is_relation(C713, acc)
 
 
 def test_mod_elem_json_roundtrip(p713):
