@@ -19,6 +19,13 @@ module with the single symbol None.  Loops that divide many times by one
 basis build the Reducer once and pass it to normal_form; the closed-form
 basis of a triple has one Reducer, held by syzygy.Curve and shared by
 every check and by schreyer_syzygies.
+
+There is one Buchberger pair loop, closure.  buchberger interreduces
+its full result; a membership test for an element of weight w runs it
+truncated at top = w, dropping every S-pair whose lcm weighs more.  The
+truncated basis decides membership exactly only when the generators
+and the element are weight-homogeneous, as every binomial of the curve
+ideal is; callers confirm that first.
 """
 
 from __future__ import annotations
@@ -359,22 +366,33 @@ def s_polynomial(order: WeightOrder, f: Poly, g: Poly) -> Poly:
     )
 
 
-def buchberger(order: WeightOrder, gens) -> list[Poly]:
-    """Reduced Groebner basis of the ideal generated by gens.
+def closure(order: WeightOrder, gens, top: int | None = None) -> Reducer:
+    """Close gens under S-pairs: a Reducer of a Groebner basis of their ideal.
 
-    Classic pair-by-pair completion with the coprime-leading-term skip;
-    the output is interreduced, monic, and sorted by descending leading
-    monomial, hence canonical for a given ideal.
+    The one pair loop: pairs are popped last-in first-out, a pair with
+    coprime leading monomials is skipped, and every non-zero remainder
+    joins the basis, monic, with a pair to each earlier element.  When
+    top is given, a pair whose lcm of leading monomials weighs more than
+    top is dropped as well.  For weight-homogeneous gens the result is
+    then a Groebner basis up to weight top (Cox, Little, O'Shea, Ideals,
+    Varieties, and Algorithms, on degree-truncated bases of homogeneous
+    ideals): every S-polynomial and remainder is homogeneous of its lcm's
+    weight, so each pair that could reach a weight up to top is processed,
+    and a weight-homogeneous polynomial of weight at most top divides to
+    its normal form modulo the whole ideal, zero exactly when it is a
+    member.  The cost is in pairs, not in the number of monomials of
+    weight top.  For input that is not weight-homogeneous a truncated
+    closure decides nothing.
     """
     table = Reducer(order, (order.monic(g) for g in gens if g))
     basis = table.basis
-    if not basis:
-        return []
     lms = [order.leading_monomial(g) for g in basis]
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     while pairs:
         i, j = pairs.pop()
         if mono_coprime(lms[i], lms[j]):
+            continue
+        if top is not None and order.weight(mono_lcm(lms[i], lms[j])) > top:
             continue
         s = s_polynomial(order, basis[i], basis[j])
         r, _ = normal_form(order, s, table)
@@ -382,7 +400,16 @@ def buchberger(order: WeightOrder, gens) -> list[Poly]:
             table.append(order.monic(r))
             lms.append(order.leading_monomial(basis[-1]))
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    return interreduce(order, basis)
+    return table
+
+
+def buchberger(order: WeightOrder, gens) -> list[Poly]:
+    """Reduced Groebner basis of the ideal generated by gens.
+
+    The untruncated closure, interreduced: monic and sorted by descending
+    leading monomial, hence canonical for a given ideal.
+    """
+    return interreduce(order, closure(order, gens).basis)
 
 
 def interreduce(order: WeightOrder, polys) -> list[Poly]:

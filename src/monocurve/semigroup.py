@@ -14,7 +14,6 @@ divide i - sum s, yet 0 < i - sum s <= p < m0.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -138,35 +137,52 @@ def semigroup_contains(params: CurveParams, x: int) -> bool:
     return semigroup_membership(params, x) is not None
 
 
+def _least_multiple(c: int, modulus: int, rests) -> tuple[int, int, int]:
+    """Smallest k >= 1 with k*c = q*modulus + r, over (i, r) in rests.
+
+    Each i is one linear congruence k*c = r (mod modulus).  With
+    g = gcd(c, modulus), it is solvable exactly when g divides r, and its
+    solutions form one class modulo modulus // g, of which the least
+    positive member is taken.  The least k wins, then the least i.
+    Returns (k, q, i); both callers show that q >= 1 holds.
+    """
+    g = gcd(c, modulus)
+    step = modulus // g
+    inverse = pow(c // g, -1, step)
+    solutions = []
+    for i, r in rests:
+        if r % g == 0:
+            k = (r // g) * inverse % step or step
+            solutions.append((k, i, (k * c - r) // modulus))
+    k, i, q = min(solutions)
+    return k, q, i
+
+
 def min_multiple_of_mp(params: CurveParams) -> tuple[int, int, int]:
     """Smallest m >= 1 with m*m_p = n*m0 + m_i, n >= 1 and 0 <= i < p.
 
-    Exhaustive search over m = 1, 2, ...; the solution (n, i) is unique
-    for each m because gcd(m0, d) = 1, and the loop terminates no later
-    than m = a + 1.  Returns (m, n, i).
+    One linear congruence m*m_p = m_i (mod m0) per i, where
+    gcd(m_p, m0) = gcd(p*d, m0) may exceed 1: O(p log m0) in all,
+    whatever a and d are, and no closed form is used.  n >= 1 needs no
+    search: m*m_p - m_i is a multiple of m0 and positive, as m_i < m_p.
+    The solution (n, i) is unique for each m because gcd(m0, d) = 1.
+    Returns (m, n, i); compare mp_multiple_identity.
     """
     gens = params.generators
-    m0, mp = gens[0], gens[-1]
-    for m in itertools.count(1):
-        for i in range(params.p):
-            rest = m * mp - gens[i]
-            if rest >= m0 and rest % m0 == 0:
-                return m, rest // m0, i
+    return _least_multiple(gens[-1], gens[0], [(i, gens[i]) for i in range(params.p)])
 
 
 def min_multiple_of_m0(params: CurveParams) -> tuple[int, int, int]:
     """Smallest n >= 1 with n*m0 = m*m_p + m_i, m >= 1 and 0 < i <= p.
 
-    Exhaustive search over n = 1, 2, ...; terminates no later than
-    n = a + d + 1.  Returns (n, m, i).
+    One linear congruence n*m0 = m_i (mod m_p) per i, O(p log m_p) in
+    all; no closed form is used.  m >= 1 needs no search: n*m0 - m_i is
+    a multiple of m_p above -m_p, as m_i <= m_p, and it is not 0, as m0
+    would then divide m_i - m0 = i*d, hence i, with 0 < i <= p < m0.
+    Returns (n, m, i); compare m0_multiple_identity.
     """
     gens = params.generators
-    m0, mp = gens[0], gens[-1]
-    for n in itertools.count(1):
-        for i in range(1, params.p + 1):
-            rest = n * m0 - gens[i]
-            if rest >= mp and rest % mp == 0:
-                return n, rest // mp, i
+    return _least_multiple(gens[0], gens[-1], [(i, gens[i]) for i in range(1, params.p + 1)])
 
 
 def mp_multiple_identity(params: CurveParams) -> tuple[int, int, int]:
@@ -179,7 +195,7 @@ def m0_multiple_identity(params: CurveParams) -> tuple[int, int, int]:
 
     The identity follows from a*m_p + m_b = (a+d)*m0 + (ap + b) + ...
     more directly: a*m_p + m_b = a*m0 + a*p*d + m0 + b*d = (a+d+1)*m0.
-    Exhaustive search (min_multiple_of_m0) confirms minimality.
+    The congruence search min_multiple_of_m0 confirms minimality.
     """
     return params.a + params.d + 1, params.a, params.b
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -90,6 +91,18 @@ def test_verify_output_deterministic(tmp_path):
             == 0
         )
     assert paths[0].read_text() == paths[1].read_text()
+
+
+def test_large_triple_verifies_in_seconds(capsys):
+    # deep by default: a step whose cost grows with a or d (here near 10**6,
+    # with binomials of weight near 10**12) would not finish in the budget
+    start = time.monotonic()
+    code = main(["verify", "--m0", "1000129", "--d", "999666", "--p", "3",
+                 "--bound", "2", "--format", "json"])
+    elapsed = time.monotonic() - start
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert elapsed < 10.0, f"verify took {elapsed:.1f}s"
 
 
 def test_generators_json_roundtrip(capsys):

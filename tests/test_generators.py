@@ -1,9 +1,16 @@
 import itertools
+from dataclasses import dataclass
+from functools import lru_cache
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from monocurve import make_params, parameter_sweep, weight
+from monocurve.cli import main
 from monocurve.generators import (
+    GeneratorSet,
+    PatilSet,
     epsilon,
     expected_leading_monomials,
     groebner_generators,
@@ -19,7 +26,20 @@ from monocurve.generators import (
     verify_minimality,
     verify_standard_monomials,
 )
-from monocurve.polyring import Poly, WeightOrder, in_curve_ideal, mono_divides, mono_to_name
+from monocurve.polyring import (
+    Poly,
+    Reducer,
+    WeightOrder,
+    buchberger,
+    closure,
+    in_curve_ideal,
+    mono_divides,
+    mono_mul,
+    mono_to_name,
+    normal_form,
+    poly_to_json,
+    variable_monomial,
+)
 from monocurve.syzygy import Curve
 
 SWEEP = list(parameter_sweep(range(2, 6), range(1, 4), range(1, 6)))
@@ -121,6 +141,51 @@ def test_verify_groebner(p713, p832):
 def test_verify_minimality_deep(p713, p832):
     assert verify_minimality(Curve(p713), deep=True).passed
     assert verify_minimality(Curve(p832), deep=True).passed
+    assert verify_minimality(Curve(make_params(17, 3, 8)), deep=True).passed
+
+
+def test_truncated_closure_decides_membership_like_buchberger():
+    # each generator against the others: the closure truncated at its weight
+    # leaves the same remainder as the full reduced basis, so the same verdict
+    for pr in SWEEP:
+        order = WeightOrder(pr)
+        polys = groebner_generators(pr).polynomials()
+        for k, g in enumerate(polys):
+            others = polys[:k] + polys[k + 1:]
+            top = pr.weight(order.leading_monomial(g))
+            truncated, _ = normal_form(order, g, closure(order, others, top))
+            full, _ = normal_form(order, g, buchberger(order, others))
+            assert truncated == full, (pr, k)
+
+
+@lru_cache(maxsize=None)
+def _classical_reference(triple):
+    # the full reduced basis of the classical set, and its weight-homogeneous
+    # monomials with exponents <= 2 grouped by weight (two or more per weight)
+    pr = make_params(*triple)
+    order = WeightOrder(pr)
+    patil = patil_generators(pr).polynomials()
+    by_weight = {}
+    for mono in itertools.product(range(3), repeat=pr.nvars):
+        by_weight.setdefault(pr.weight(mono), []).append(mono)
+    shared = sorted(w for w, monos in by_weight.items() if len(monos) > 1)
+    return pr, order, patil, Reducer(order, buchberger(order, patil)), by_weight, shared
+
+
+@given(st.sampled_from([(7, 1, 3), (13, 2, 6), (8, 3, 2)]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_truncated_closure_gives_the_full_normal_form(triple, data):
+    pr, order, patil, full, by_weight, shared = _classical_reference(triple)
+    w = data.draw(st.sampled_from(shared))
+    monos = data.draw(
+        st.lists(st.sampled_from(by_weight[w]), min_size=2, max_size=3, unique=True)
+    )
+    coeffs = data.draw(
+        st.lists(st.integers(-3, 3).filter(bool), min_size=len(monos), max_size=len(monos))
+    )
+    f = Poly(pr.nvars, dict(zip(monos, coeffs)))
+    truncated, _ = normal_form(order, f, closure(order, patil, w))
+    assert truncated == normal_form(order, f, full)[0]
 
 
 def test_minimality_detects_planted_redundancy(p713):
@@ -133,6 +198,118 @@ def test_minimality_detects_planted_redundancy(p713):
     offender = pairwise_lt_division(order, planted)
     assert offender is not None
     assert offender["multiple"] == "planted"
+
+
+@dataclass(frozen=True)
+class _PlantedSet(GeneratorSet):
+    """The closed-form set with one more element, labeled "planted"."""
+
+    planted: Poly = None
+
+    def labeled(self):
+        return super().labeled() + [("planted", self.planted)]
+
+
+def _first_redundant(order, labeled):
+    # untruncated reference: the first element, in label order, that reduces
+    # to zero modulo the full reduced basis of the others
+    for k, (lab, g) in enumerate(labeled):
+        others = [f for n, (_, f) in enumerate(labeled) if n != k]
+        if not normal_form(order, g, buchberger(order, others))[0]:
+            return lab
+    return None
+
+
+def _plant(monkeypatch, make):
+    # every Curve built afterwards carries make(params, gset) as "planted"
+    def planted(params):
+        gset = groebner_generators(params)
+        return _PlantedSet(params, gset.phis, gset.psis, make(params, gset))
+
+    monkeypatch.setattr("monocurve.syzygy.groebner_generators", planted)
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (8, 3, 2), (13, 2, 6)])
+def test_deep_minimality_catches_a_planted_multiple(monkeypatch, triple):
+    pr = make_params(*triple)
+    x0 = Poly.term(pr.nvars, variable_monomial(pr.p, 0))
+    _plant(monkeypatch, lambda params, gset: x0 * gset.polynomials()[0])
+    curve = Curve(pr)
+    assert _first_redundant(curve.order, curve.gset.labeled()) == "planted"
+    leads, deep = verify_minimality(curve, deep=True).checks
+    assert not leads.passed and leads.witness["multiple"] == "planted"
+    assert deep.name == "no-redundant-generator"
+    assert not deep.passed and deep.witness == {"element": "planted"}
+
+
+def test_deep_minimality_uses_the_pair_at_the_left_out_weight(monkeypatch, p713):
+    # h = psi(1,0) + X3*phi(2,2) = X2^2*X3 - X0^4 makes psi(1,0) redundant, but
+    # only through the S-pair of h and phi(2,2), whose lcm X2^2*X3 weighs 28,
+    # exactly the weight of psi(1,0); the full closures name the same element
+    h = Poly(4, {(0, 2, 1, 0): 1, (0, 0, 0, 4): -1})
+    _plant(monkeypatch, lambda params, gset: h)
+    curve = Curve(p713)
+    assert _first_redundant(curve.order, curve.gset.labeled()) == "psi(1,0)"
+    deep = verify_minimality(curve, deep=True).checks[1]
+    assert deep.witness == {"element": "psi(1,0)"}
+
+
+def test_closed_form_check_closes_the_classical_set(monkeypatch, p713):
+    # the same h in place of psi_1,0 keeps the classical ideal, but psi(1,0)
+    # then reduces to zero only after the S-pair of h and phi_1 at weight 28
+    h = Poly(4, {(0, 2, 1, 0): 1, (0, 0, 0, 4): -1})
+
+    def planted(params):
+        patil = patil_generators(params)
+        return PatilSet(params, patil.xis, patil.phis, {**patil.psis, 0: h}, patil.theta)
+
+    monkeypatch.setattr("monocurve.syzygy.patil_generators", planted)
+    curve = Curve(p713)
+    order = curve.order
+    assert normal_form(order, psi_binomial(p713, 0), curve.patil.polynomials())[0]
+    checks = {c.name: c for c in verify_ideal_equality(curve).checks}
+    assert checks["closed-form-set-reduces"].passed
+    assert checks["rewriting-identities"].witness == {"elements": ["psi_1,0"]}
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (8, 3, 2), (13, 2, 6)])
+def test_closed_form_check_reports_the_full_normal_form(monkeypatch, triple):
+    # X1^2 - 2*X2*X0 is weight-homogeneous but outside the ideal
+    pr = make_params(*triple)
+    order = WeightOrder(pr)
+    x2x0 = mono_mul(variable_monomial(pr.p, 2), variable_monomial(pr.p, 0))
+    bad = Poly(pr.nvars, {variable_monomial(pr.p, 1, 2): 1, x2x0: -2})
+
+    def replaced(params):
+        gset = groebner_generators(params)
+        return GeneratorSet(params, {**gset.phis, (1, 1): bad}, gset.psis)
+
+    monkeypatch.setattr("monocurve.syzygy.groebner_generators", replaced)
+    full = buchberger(order, patil_generators(pr).polynomials())
+    remainder, _ = normal_form(order, bad, full)
+    assert remainder
+    check = {c.name: c for c in verify_ideal_equality(Curve(pr)).checks}["closed-form-set-reduces"]
+    assert not check.passed
+    assert check.witness == {"element": "phi(1,1)", "remainder": poly_to_json(order, remainder)}
+
+
+def test_truncated_checks_reject_an_inhomogeneous_element(monkeypatch, capsys):
+    pr = make_params(7, 1, 3)
+    # X1^2 - X0 carries weights 16 and 7
+    _plant(monkeypatch, lambda params, gset: Poly(4, {(2, 0, 0, 0): 1, (0, 0, 0, 1): -1}))
+    witness = {"element": "planted", "weights": [7, 16]}
+    curve = Curve(pr)
+    deep = verify_minimality(curve, deep=True).checks[1]
+    assert not deep.passed and deep.witness == witness
+    check = {c.name: c for c in verify_ideal_equality(curve).checks}["closed-form-set-reduces"]
+    assert not check.passed and check.witness == witness
+
+    capsys.readouterr()
+    assert main(["verify", "--m0", "7", "--d", "1", "--p", "3", "--bound", "2",
+                 "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert '"weights": [' in out
+    assert "Traceback" not in out + err
 
 
 def test_verify_ideal_equality(p713, p832, p613):

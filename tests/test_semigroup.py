@@ -1,9 +1,10 @@
+import itertools
 from functools import lru_cache
 from math import gcd
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from monocurve import (
     GcdError,
@@ -161,6 +162,47 @@ def test_min_multiple_of_m0_examples(p713, p832):
 
     assert min_multiple_of_m0(p832) == (7, 3, 2)
     assert 7 * 8 == 3 * 14 + 14
+
+
+def _linear_min_multiple_of_mp(params):
+    # exhaustive reference: m = 1, 2, ... until m*m_p = n*m0 + m_i, n >= 1, 0 <= i < p
+    gens = params.generators
+    m0, mp = gens[0], gens[-1]
+    for m in itertools.count(1):
+        for i in range(params.p):
+            rest = m * mp - gens[i]
+            if rest >= m0 and rest % m0 == 0:
+                return m, rest // m0, i
+
+
+def _linear_min_multiple_of_m0(params):
+    # exhaustive reference: n = 1, 2, ... until n*m0 = m*m_p + m_i, m >= 1, 0 < i <= p
+    gens = params.generators
+    m0, mp = gens[0], gens[-1]
+    for n in itertools.count(1):
+        for i in range(1, params.p + 1):
+            rest = n * m0 - gens[i]
+            if rest >= mp and rest % mp == 0:
+                return n, rest // mp, i
+
+
+@given(st.integers(2, 12), st.integers(3, 400), st.integers(1, 400))
+@example(3, 6, 1)
+@example(4, 12, 5)
+@settings(max_examples=300)
+def test_min_multiples_agree_with_the_linear_searches(p, m0, d):
+    # gcd(m_p, m0) = gcd(p*d, m0) > 1 occurs here, as at the two examples
+    assume(m0 > p and gcd(m0, d) == 1)
+    pr = make_params(m0, d, p)
+    assert min_multiple_of_mp(pr) == _linear_min_multiple_of_mp(pr)
+    assert min_multiple_of_m0(pr) == _linear_min_multiple_of_m0(pr)
+
+
+def test_min_multiples_of_a_huge_triple():
+    # the linear searches would run about 10**18 steps here
+    pr = make_params(10**18 + 1, 10**18 - 1, 3)
+    assert min_multiple_of_mp(pr) == mp_multiple_identity(pr)
+    assert min_multiple_of_m0(pr) == m0_multiple_identity(pr)
 
 
 def test_multiples_match_identities_on_sweep():
