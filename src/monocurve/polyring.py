@@ -20,12 +20,16 @@ basis build the Reducer once and pass it to normal_form; the closed-form
 basis of a triple has one Reducer, held by syzygy.Curve and shared by
 every check and by schreyer_syzygies.
 
-There is one Buchberger pair loop, closure.  buchberger interreduces
-its full result; a membership test for an element of weight w runs it
-truncated at top = w, dropping every S-pair whose lcm weighs more.  The
-truncated basis decides membership exactly only when the generators
-and the element are weight-homogeneous, as every binomial of the curve
-ideal is; callers confirm that first.
+There is one S-pair builder, s_polynomial, for Polys and module
+elements alike, and one Buchberger pair loop, closure.  buchberger
+interreduces its full result; a membership test for an element of
+weight w runs it truncated at top = w, dropping every S-pair whose lcm
+weighs more.  The truncated basis decides membership exactly only when
+the generators and the element are weight-homogeneous, as every binomial
+of the curve ideal is; callers confirm that first.  schreyer_syzygies
+divides every S-polynomial of a basis once and keeps each remainder with
+the relation its division yields: the remainders decide the Groebner
+claim, and the relations feed the completeness check of the syzygies.
 """
 
 from __future__ import annotations
@@ -314,6 +318,12 @@ class Reducer:
         self.rows.setdefault(sym, []).append((mono, lc, tail, len(self.basis)))
         self.basis.append(g)
 
+    def pairs(self) -> list[tuple[int, int]]:
+        """The index pairs x < y whose leading terms share a symbol, x-major:
+        every pair of a ring basis, and the S-pairs of a module basis."""
+        return sorted((x, y) for row in self.rows.values()
+                      for n, (*_, x) in enumerate(row) for *_, y in row[n + 1:])
+
     def divide(self, f):
         """(remainder, quotients) of f by the basis; see normal_form."""
         ring, rows, key = self.ring, self.rows, self.order.key
@@ -356,13 +366,19 @@ def normal_form(order: WeightOrder, f: Poly, basis) -> tuple[Poly, list[Poly]]:
     return basis.divide(f)
 
 
-def s_polynomial(order: WeightOrder, f: Poly, g: Poly) -> Poly:
-    """Cancel the leading terms of f and g against their lcm."""
-    lmf, lcf = order.leading_term(f)
-    lmg, lcg = order.leading_term(g)
-    lcm = mono_lcm(lmf, lmg)
-    return f.times_term(Fraction(1) / lcf, mono_div(lcm, lmf)) - g.times_term(
-        Fraction(1) / lcg, mono_div(lcm, lmg)
+def s_polynomial(order: TermOrder, f, g):
+    """Cancel the leading terms of f and g against their lcm.
+
+    f and g are both Polys, or both module elements whose leading terms
+    carry one symbol; there is no S-pair across two symbols.
+    """
+    (tf, cf), (tg, cg) = order.leading_term(f), order.leading_term(g)
+    (mf, sf), (mg, sg) = ((tf, None), (tg, None)) if isinstance(order, WeightOrder) else (tf, tg)
+    if sf != sg:
+        raise ValueError(f"the leading terms carry different symbols, {sf} and {sg}")
+    lcm = mono_lcm(mf, mg)
+    return f.times_term(Fraction(1) / cf, mono_div(lcm, mf)) - g.times_term(
+        Fraction(1) / cg, mono_div(lcm, mg)
     )
 
 
@@ -433,44 +449,31 @@ def interreduce(order: WeightOrder, polys) -> list[Poly]:
     return out
 
 
-class NotGroebnerError(ValueError):
-    """An S-polynomial failed to reduce to zero against its own basis."""
+def schreyer_syzygies(table: Reducer) -> list[tuple[int, int, Poly, dict]]:
+    """Every S-polynomial of a ring basis, divided once by the basis.
 
-    def __init__(self, i: int, j: int, remainder: Poly):
-        super().__init__(f"S-polynomial of elements {i} and {j} has non-zero normal form")
-        self.pair = (i, j)
-        self.remainder = remainder
-
-
-def schreyer_syzygies(table: Reducer) -> list[tuple[int, int, list[Poly]]]:
-    """Syzygies harvested from the zero reduction of every S-polynomial.
-
-    The inputs, polys, are the basis of the prepared ring Reducer table.
-    For a Groebner basis the harvested syzygies generate the full module
-    of relations among them.  Each entry is (i, j, vec) with
-    sum_k vec[k] * polys[k] == 0.  All pairs are processed; no coprime
-    skip, since completeness of the harvested set is the point.
-    Raises NotGroebnerError when some S-polynomial does not reduce to 0.
+    The basis is that of the prepared ring Reducer table.  All pairs
+    i < j are taken, j-major, with no coprime skip, since completeness of
+    the harvest is the point.  Each entry is (i, j, remainder, vec),
+    where vec maps an index k to a non-zero polynomial, only for the k
+    that occur, and sum_k vec[k] * basis[k] == remainder.  For a Groebner
+    basis every remainder is zero, and the vecs generate the module of
+    relations among the basis (Schreyer).
     """
     order, polys = table.order, table.basis
-    nv = polys[0].nvars
-    lts = [order.leading_term(g) for g in polys]
+    leads = [(lm, lc) for lm, lc, *_ in table.rows.get(None, ())]
     out = []
     for j in range(len(polys)):
         for i in range(j):
-            (lmi, lci), (lmj, lcj) = lts[i], lts[j]
-            lcm = mono_lcm(lmi, lmj)
-            ui, uj = mono_div(lcm, lmi), mono_div(lcm, lmj)
-            s = polys[i].times_term(Fraction(1) / lci, ui) - polys[j].times_term(
-                Fraction(1) / lcj, uj
-            )
-            r, quots = normal_form(order, s, table)
-            if r:
-                raise NotGroebnerError(i, j, r)
-            vec = [-q for q in quots]
-            vec[i] = vec[i] + Poly.term(nv, ui, Fraction(1) / lci)
-            vec[j] = vec[j] - Poly.term(nv, uj, Fraction(1) / lcj)
-            out.append((i, j, vec))
+            r, quots = normal_form(order, s_polynomial(order, polys[i], polys[j]), table)
+            lcm = mono_lcm(leads[i][0], leads[j][0])
+            # the S-polynomial's own cofactors, which no quotient term can cancel
+            vec = {k: Poly.term(r.nvars, mono_div(lcm, leads[k][0]), sign / leads[k][1])
+                   for k, sign in ((i, 1), (j, -1))}
+            for k, q in enumerate(quots):
+                if q:
+                    vec[k] = vec[k] - q if k in vec else -q
+            out.append((i, j, r, vec))
     return out
 
 

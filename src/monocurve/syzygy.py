@@ -24,13 +24,19 @@ ModElement is a polyring.SparseMap keyed by (monomial, symbol), and
 ModuleOrder a polyring.TermOrder.  module_normal_form runs the ring's
 division loop (polyring.Reducer): a module basis is prepared once with
 its lead terms grouped by symbol, where a ring basis has the one symbol
-None.  The excluded families of module terms are boxes of exponents,
-each tested against those grouped lead terms through its largest member.
+None.  S-vectors come from the ring's S-pair builder,
+polyring.s_polynomial, for the pairs of basis elements whose leads share
+a symbol, read from those groups (Reducer.pairs).  The excluded families
+of module terms are boxes of exponents, each tested against the grouped
+lead terms through its largest member.
 
 A Curve holds what every check of one triple shares, each built once:
 both orders (one key cache each), both generating sets, the syzygy
 basis, the symbol images and a prepared Reducer for the ring basis and
-for the module basis.  Every verify_* report takes a Curve.
+for the module basis.  On first use it also keeps the one S-pair harvest
+of the ring basis (schreyer_relations), which both the Groebner check of
+the generators and the completeness check of the syzygies read.  Every
+verify_* report takes a Curve.
 """
 
 from __future__ import annotations
@@ -60,13 +66,13 @@ from .polyring import (
     _join_signed,
     _json_terms,
     _term_text,
-    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
     mono_one,
     mono_to_name,
     poly_to_json,
+    s_polynomial,
     schreyer_syzygies,
     variable_monomial,
 )
@@ -377,13 +383,13 @@ class Curve:
     cache per order.  images maps each module symbol to its binomial in
     label order; ring_reducer divides by those binomials in that order
     and module_reducer by the syzygy basis in its label order.  The key
-    caches grow as the checks run; everything else is read, never
-    changed, so a caller that needs to extend a basis builds its own
-    Reducer.
+    caches grow as the checks run, and harvest() is computed on first
+    use; everything else is read, never changed, so a caller that needs
+    to extend a basis builds its own Reducer.
     """
 
     __slots__ = ("params", "morder", "order", "gset", "patil", "sset", "images",
-                 "ring_reducer", "module_reducer")
+                 "ring_reducer", "module_reducer", "_harvest")
 
     def __init__(self, params: CurveParams):
         self.params = params
@@ -395,6 +401,13 @@ class Curve:
         self.images = dict(labeled_generator_symbols(self.gset))
         self.ring_reducer = Reducer(self.order, self.images.values())
         self.module_reducer = Reducer(self.morder, self.sset.elements())
+        self._harvest = None
+
+    def harvest(self) -> list:
+        """schreyer_relations of this triple, computed once and kept."""
+        if self._harvest is None:
+            self._harvest = schreyer_relations(self)
+        return self._harvest
 
 
 # ---------------------------------------------------------------------------
@@ -414,39 +427,21 @@ def module_normal_form(morder: ModuleOrder, elem: ModElement, basis):
     return basis.divide(elem)
 
 
-def module_s_vector(morder: ModuleOrder, g1: ModElement, g2: ModElement) -> ModElement | None:
-    """Cancel the leading terms of two elements sharing a lead symbol.
+def schreyer_relations(curve: Curve) -> list:
+    """The S-pair harvest of the closed-form basis, over the module symbols.
 
-    Returns None when the lead symbols differ (no cancellation exists).
-    """
-    (m1, s1), c1 = morder.leading_term(g1)
-    (m2, s2), c2 = morder.leading_term(g2)
-    if s1 != s2:
-        return None
-    lcm = mono_lcm(m1, m2)
-    return g1.times_term(Fraction(1) / c1, mono_div(lcm, m1)) - g2.times_term(
-        Fraction(1) / c2, mono_div(lcm, m2)
-    )
-
-
-def schreyer_relations(curve: Curve):
-    """Relations harvested from all S-polynomial reductions of the
-    closed-form basis, expressed over the module symbols.
-
-    Returns a list of ((label_i, label_j), element) pairs.  Raises
-    polyring.NotGroebnerError if an S-polynomial fails to reduce, which
-    would contradict the verified Groebner property.
+    One entry (i, j, remainder, element) per pair of ring basis indices
+    i < j, in the j-major order of polyring.schreyer_syzygies, whose
+    vectors become module elements: each element evaluates to its
+    remainder, so it is a relation exactly when the remainder is zero.
     """
     symbols = list(curve.images)  # in the order of the ring reducer's basis
     nv = curve.params.nvars
-    out = []
-    for i, j, vec in schreyer_syzygies(curve.ring_reducer):
-        elem = ModElement.zero(nv)
-        for k, q in enumerate(vec):
-            if q:
-                elem += ModElement.from_poly(q, symbols[k])
-        out.append(((str(symbols[i]), str(symbols[j])), elem))
-    return out
+    return [
+        (i, j, r, ModElement._raw(nv, {(m, symbols[k]): c
+                                       for k, q in vec.items() for m, c in q.terms.items()}))
+        for i, j, r, vec in schreyer_syzygies(curve.ring_reducer)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +452,11 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     """Full check of the syzygy basis.
 
     (a) every member evaluates to zero; (b) the computed leading terms
-    match the per-family prediction; (c) every same-symbol S-vector
-    reduces to zero against the basis; (d) every harvested relation of
-    the generators reduces to zero against the basis; (e) no leading
-    term divides another.
+    match the per-family prediction; (c) every S-vector of two members
+    whose leads share a symbol reduces to zero against the basis; (d)
+    every S-polynomial of the generators reduced to zero (curve.harvest),
+    and every relation harvested from those reductions reduces to zero
+    against the basis; (e) no leading term divides another.
     """
     params, morder, table = curve.params, curve.morder, curve.module_reducer
     labeled = curve.sset.labeled()
@@ -494,34 +490,30 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     )
 
     bad = None
-    pairs = 0
-    for x in range(len(elements)):
-        for y in range(x + 1, len(elements)):
-            s = module_s_vector(morder, elements[x], elements[y])
-            if s is None:
-                continue
-            pairs += 1
-            r, _ = module_normal_form(morder, s, table)
-            if r:
-                bad = {
-                    "pair": [labeled[x][0], labeled[y][0]],
-                    "remainder": mod_elem_to_json(morder, r),
-                }
-                break
-        if bad:
+    count = 0
+    for x, y in table.pairs():
+        count += 1
+        r, _ = module_normal_form(morder, s_polynomial(morder, elements[x], elements[y]), table)
+        if r:
+            bad = {"pair": [labeled[x][0], labeled[y][0]], "remainder": mod_elem_to_json(morder, r)}
             break
-    report.add("s-vectors-reduce", bad is None, detail=f"{pairs} same-symbol pairs", witness=bad)
+    report.add("s-vectors-reduce", bad is None, detail=f"{count} same-symbol pairs", witness=bad)
 
+    symbols = list(curve.images)
     bad = None
     count = 0
-    for (pair, rel) in schreyer_relations(curve):
+    for i, j, r, rel in curve.harvest():
         count += 1
-        if relation_image(curve, rel):
-            bad = {"pair": list(pair), "problem": "harvested element is not a relation"}
-            break
-        r, _ = module_normal_form(morder, rel, table)
+        pair = [str(symbols[i]), str(symbols[j])]
         if r:
-            bad = {"pair": list(pair), "remainder": mod_elem_to_json(morder, r)}
+            bad = {"pair": pair, "problem": "S-polynomial does not reduce to zero"}
+        elif relation_image(curve, rel):
+            bad = {"pair": pair, "problem": "harvested element is not a relation"}
+        else:
+            r, _ = module_normal_form(morder, rel, table)
+            if r:
+                bad = {"pair": pair, "remainder": mod_elem_to_json(morder, r)}
+        if bad:
             break
     report.add(
         "harvested-relations-reduce",

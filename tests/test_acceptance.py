@@ -7,10 +7,12 @@ arithmetic, so every tolerance is equality.
 Criterion 3 has two halves.  The first (the smallest multiple of the top
 generator) passes.  The second asserts the closed form (a+d, a, b) for
 the smallest n with n*m0 = m*m_p + m_i, and is expected to fail: the
-exhaustive-search oracle returns (a+d+1, a, b) for every valid parameter
-set, matching the identity (a+d+1)*m0 = a*m_p + m_b.  The assertion is
-kept in its stated strict form so the discrepancy stays on record
-instead of being patched away.
+search, which solves one linear congruence per index without the closed
+forms (the exhaustive linear loop it replaced is the oracle in
+tests/test_semigroup.py), returns (a+d+1, a, b) for every valid
+parameter set, matching the identity (a+d+1)*m0 = a*m_p + m_b.  The
+assertion is kept in its stated strict form so the discrepancy stays on
+record instead of being patched away.
 """
 
 import time

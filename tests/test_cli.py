@@ -14,8 +14,8 @@ from hypothesis import given, settings
 
 from monocurve import make_params, syzygy
 from monocurve.cli import _build_parser, main, run, verification_bundle
-from monocurve.generators import groebner_generators
-from monocurve.polyring import WeightOrder, poly_from_json
+from monocurve.generators import GeneratorSet, groebner_generators
+from monocurve.polyring import Poly, Reducer, WeightOrder, poly_from_json
 from monocurve.report import VerificationReport
 
 
@@ -164,6 +164,29 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert "CHECKS FAILED" in capsys.readouterr().out
 
 
+def test_verify_fails_cleanly_on_a_non_groebner_set(monkeypatch, capsys):
+    # X1^2 - 2*X2*X0 in place of phi(1,1) is not in the curve ideal, so some
+    # S-polynomial keeps a remainder: both S-pair checks fail with a witness
+    # and verify exits 1 instead of raising
+    def planted(params):
+        gset = groebner_generators(params)
+        phis = {**gset.phis, (1, 1): Poly(4, {(2, 0, 0, 0): 1, (0, 1, 0, 1): -2})}
+        return GeneratorSet(params=params, phis=phis, psis=gset.psis)
+
+    monkeypatch.setattr(syzygy, "groebner_generators", planted)
+    code = main(["verify", "--m0", "7", "--d", "1", "--p", "3", "--bound", "2", "--format", "json"])
+    assert code == 1
+    checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    spoly = checks["s-polynomials-reduce"]
+    assert spoly["status"] == "fail"
+    assert spoly["witness"] == {"pair": ["phi(1,1)", "phi(1,2)"],
+                                "remainder": [{"coeff": "-1/1", "expo": [1, 0, 1, 1]}]}
+    harvest = checks["harvested-relations-reduce"]
+    assert harvest["status"] == "fail"
+    assert harvest["witness"] == {"pair": ["Phi(1,1)", "Phi(1,2)"],
+                                  "problem": "S-polynomial does not reduce to zero"}
+
+
 def test_run_config_direct(tmp_path):
     args = _build_parser().parse_args(
         ["info", "--m0", "7", "--d", "1", "--p", "3", "--format", "json",
@@ -196,6 +219,8 @@ GOLDEN_CALLS = {
     "sweep-p2-3-a1-2-d1-2.json": ["sweep", "--p", "2..3", "--a", "1..2", "--d", "1..2",
                                   "--bound", "2", "--format", "json"],
     "verify-13-2-6.json": ["verify", "--m0", "13", "--d", "2", "--p", "6", "--bound", "3",
+                           "--format", "json"],
+    "verify-17-3-8.json": ["verify", "--m0", "17", "--d", "3", "--p", "8", "--bound", "2",
                            "--format", "json"],
     "sweep-p2-3-a1-1-d1-3.txt": ["sweep", "--p", "2..3", "--a", "1..1", "--d", "1..3",
                                  "--bound", "2"],
@@ -263,6 +288,48 @@ def test_each_triple_builds_its_shared_objects_once(monkeypatch, capsys):
     ran = json.loads(capsys.readouterr().out)["summary"]["ran"]
     assert ran > 1
     assert counts == {name: ran for name in names}
+
+
+def test_each_triple_harvests_its_s_pairs_once(monkeypatch, capsys):
+    # the S-polynomials of the closed-form basis are divided by the triple's
+    # ring reducer once, in one harvest, which both S-pair checks read; the
+    # classical generators are the only other elements it divides
+    curves, divisions, harvests = [], collections.Counter(), collections.Counter()
+    init, divide, harvest = syzygy.Curve.__init__, Reducer.divide, syzygy.schreyer_syzygies
+
+    def keep(self, params):
+        init(self, params)
+        curves.append(self)
+
+    def count_division(self, f):
+        divisions[id(self)] += 1
+        return divide(self, f)
+
+    def count_harvest(table):
+        harvests[id(table)] += 1
+        return harvest(table)
+
+    monkeypatch.setattr(syzygy.Curve, "__init__", keep)
+    monkeypatch.setattr(Reducer, "divide", count_division)
+    monkeypatch.setattr(syzygy, "schreyer_syzygies", count_harvest)
+
+    def check(ran):
+        assert len(curves) == ran
+        for curve in curves:
+            table, n = curve.ring_reducer, len(curve.gset)
+            assert harvests[id(table)] == 1
+            assert divisions[id(table)] == n * (n - 1) // 2 + len(curve.patil)
+
+    assert main(["verify", "--m0", "13", "--d", "2", "--p", "6", "--bound", "2"]) == 0
+    check(1)
+
+    curves.clear()
+    capsys.readouterr()
+    assert main(["sweep", "--p", "2..3", "--a", "1..2", "--d", "1..2", "--bound", "2",
+                 "--format", "json"]) == 0
+    ran = json.loads(capsys.readouterr().out)["summary"]["ran"]
+    assert ran > 1
+    check(ran)
 
 
 GARBAGE = st.sampled_from(["", "x", "-1", "1.5", "2..", "..", "--", "--bogus", "\x00", "1e3"])

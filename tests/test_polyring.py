@@ -167,15 +167,37 @@ def test_buchberger_input_order_independent(p713):
         assert buchberger(ORDER, shuffled) == reference
 
 
+def _combination(vec, basis):
+    acc = Poly.zero(basis[0].nvars)
+    for k, q in vec.items():
+        assert q
+        acc = acc + q * basis[k]
+    return acc
+
+
 def test_schreyer_vectors_are_syzygies(p713):
     basis = groebner_generators(p713).polynomials()
+    table = Reducer(ORDER, basis)
+    rows = schreyer_syzygies(table)
+    n = len(basis)
+    assert [(i, j) for i, j, _, _ in rows] == [(i, j) for j in range(n) for i in range(j)]
+    assert table.pairs() == sorted((i, j) for i, j, _, _ in rows)
+    for _, _, r, vec in rows:
+        assert not r
+        assert not _combination(vec, basis)
+
+
+def test_schreyer_vectors_carry_the_remainder_of_a_non_groebner_basis(p713):
+    # X1^2 - 2*X2*X0 in place of phi(1,1) is not in the curve ideal: every pair
+    # is still divided, and each vector combines the basis into its remainder
+    basis = groebner_generators(p713).polynomials()
+    basis[0] = Poly(4, {(2, 0, 0, 0): 1, (0, 1, 0, 1): -2})
     rows = schreyer_syzygies(Reducer(ORDER, basis))
     assert len(rows) == len(basis) * (len(basis) - 1) // 2
-    for _, _, vec in rows:
-        acc = Poly.zero(4)
-        for q, g in zip(vec, basis):
-            acc = acc + q * g
-        assert not acc
+    assert any(r for _, _, r, _ in rows)
+    for i, j, r, vec in rows:
+        assert _combination(vec, basis) == r
+        assert r == normal_form(ORDER, s_polynomial(ORDER, basis[i], basis[j]), basis)[0]
 
 
 def test_curve_image_examples(p713):

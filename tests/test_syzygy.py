@@ -5,14 +5,17 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from monocurve import make_params, parameter_sweep
+from monocurve import make_params, parameter_sweep, syzygy
 from monocurve.generators import groebner_generators, phi_binomial, psi_binomial
 from monocurve.polyring import (
     Poly,
     Reducer,
+    mono_div,
     mono_divides,
+    mono_lcm,
     mono_mul,
     normal_form,
+    s_polynomial,
     variable_monomial,
     variable_position,
 )
@@ -22,12 +25,12 @@ from monocurve.syzygy import (
     ModuleOrder,
     Phi,
     Psi,
+    SyzygySet,
     expected_module_leading_terms,
     is_relation,
     mod_elem_from_json,
     mod_elem_to_json,
     module_normal_form,
-    module_s_vector,
     order_monomial,
     phi_symbol,
     psi_symbol,
@@ -263,37 +266,100 @@ def test_ring_division_is_module_division_on_one_symbol(p713):
 
 def test_s_vectors_reduce(p713):
     elems = syzygy_basis(p713).elements()
-    pairs = 0
-    for x in range(len(elems)):
-        for y in range(x + 1, len(elems)):
-            s = module_s_vector(MORDER, elems[x], elems[y])
-            if s is None:
-                continue
-            pairs += 1
-            r, _ = module_normal_form(MORDER, s, elems)
-            assert not r
-    assert pairs == 9
+    pairs = C713.module_reducer.pairs()
+    for x, y in pairs:
+        r, _ = module_normal_form(MORDER, s_polynomial(MORDER, elems[x], elems[y]), elems)
+        assert not r
+    assert len(pairs) == 9
 
 
 def test_s_vector_none_on_distinct_symbols(p713):
-    assert module_s_vector(MORDER, syzygy_A(p713, 1, 0), syzygy_A(p713, 1, 1)) is None
+    labels = [lab for lab, _ in C713.sset.labeled()]
+    x, y = labels.index("A(1;1,0)"), labels.index("A(1;1,1)")
+    assert (x, y) not in C713.module_reducer.pairs()
+    with pytest.raises(ValueError):
+        s_polynomial(MORDER, syzygy_A(p713, 1, 0), syzygy_A(p713, 1, 1))
+
+
+def _module_s_vector(morder, g1, g2):
+    # the S-vector builder of the old all-pairs scan: None across two symbols
+    (m1, s1), c1 = morder.leading_term(g1)
+    (m2, s2), c2 = morder.leading_term(g2)
+    if s1 != s2:
+        return None
+    lcm = mono_lcm(m1, m2)
+    return g1.times_term(Fraction(1) / c1, mono_div(lcm, m1)) - g2.times_term(
+        Fraction(1) / c2, mono_div(lcm, m2)
+    )
+
+
+def _all_pairs_s_vectors(curve):
+    # reference: the s-vectors-reduce record as a scan over every pair of the
+    # module basis made it, as (passed, detail, witness)
+    morder, table = curve.morder, curve.module_reducer
+    labeled = curve.sset.labeled()
+    pairs = 0
+    for x in range(len(labeled)):
+        for y in range(x + 1, len(labeled)):
+            s = _module_s_vector(morder, labeled[x][1], labeled[y][1])
+            if s is None:
+                continue
+            pairs += 1
+            r, _ = module_normal_form(morder, s, table)
+            if r:
+                witness = {"pair": [labeled[x][0], labeled[y][0]],
+                           "remainder": mod_elem_to_json(morder, r)}
+                return False, f"{pairs} same-symbol pairs", witness
+    return True, f"{pairs} same-symbol pairs", None
+
+
+def _s_vectors_record(curve):
+    (check,) = [c for c in verify_syzygy_basis(curve).checks if c.name == "s-vectors-reduce"]
+    return check.passed, check.detail, check.witness
+
+
+def test_symbol_pairing_matches_the_all_pairs_scan():
+    for pr in SWEEP5:
+        curve = Curve(pr)
+        assert _s_vectors_record(curve) == _all_pairs_s_vectors(curve), pr
+
+
+def test_symbol_pairing_matches_the_all_pairs_scan_on_a_failing_basis(monkeypatch, p713):
+    # a tail term X0*Phi(1,1) under the lead of A(1;1,1) leaves its lead alone
+    # and breaks the third same-symbol S-vector
+    base = syzygy_basis(p713)
+    A = dict(base.A)
+    A[(1, 1)] = A[(1, 1)] + ModElement.term(4, _x(0), Phi(1, 1))
+    planted = SyzygySet(params=p713, A=A, B=base.B, L=base.L)
+    monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted)
+    curve = Curve(p713)
+    record = _s_vectors_record(curve)
+    assert record == _all_pairs_s_vectors(curve)
+    passed, detail, witness = record
+    assert not passed
+    assert detail == "3 same-symbol pairs"
+    assert witness["pair"] == ["A(1;1,1)", "A(2;1,1)"]
 
 
 def test_harvested_relations_reduce(p713):
     elems = syzygy_basis(p713).elements()
     rows = schreyer_relations(C713)
     assert len(rows) == 15
-    for _, rel in rows:
+    assert [(i, j) for i, j, *_ in rows] == [(i, j) for j in range(6) for i in range(j)]
+    for _, _, r, rel in rows:
+        assert not r
         assert is_relation(C713, rel)
         r, _ = module_normal_form(MORDER, rel, elems)
         assert not r
+    assert C713.harvest() is C713.harvest()
+    assert [(i, j, r) for i, j, r, _ in C713.harvest()] == [(i, j, r) for i, j, r, _ in rows]
 
 
 def test_deleting_an_element_breaks_completeness(p713):
     # dropping L(1;2,2) leaves some harvested relation stuck
     kept = [g for lab, g in syzygy_basis(p713).labeled() if lab != "L(1;2,2)"]
     stuck = 0
-    for _, rel in schreyer_relations(C713):
+    for *_, rel in schreyer_relations(C713):
         r, _ = module_normal_form(MORDER, rel, kept)
         if r:
             stuck += 1
