@@ -2,9 +2,15 @@
 
 Monomials are exponent tuples of length p + 1 in the fixed variable
 order (X1, ..., Xp, X0); the X0 exponent is stored last.  Coefficients
-are fractions.Fraction throughout: S-polynomial reduction can leave the
-set of plus/minus-one binomials, and the engine is used as an oracle,
-so exactness is not negotiable.
+are exact: an int while the value is integral, a fractions.Fraction only
+when it is not.  Every binomial and syzygy of the paper has coefficients
+plus or minus one, so every basis divided by here has a unit lead
+coefficient, and a reduction step is one integer multiply by the stored
+inverse of that coefficient.  Any other lead coefficient, such as that
+of a planted generator, brings Fractions into the same operators, so
+the engine stays an exact oracle on every input.  Serialization goes
+through Fraction, and Fraction(n) == n with equal hashes and equal str,
+so no output depends on which type a coefficient has.
 
 The term order compares weights first (X_i weighs m_i) and breaks ties
 by the sign of the right-most non-zero entry of the exponent difference,
@@ -15,7 +21,8 @@ Poly shares its linear arithmetic with syzygy.ModElement through
 SparseMap, and the ring and module orders share TermOrder.  There is
 one division loop, Reducer.divide, for both: a Reducer prepares a basis
 once, grouping its lead terms by module symbol, and a ring basis is a
-module with the single symbol None.  Loops that divide many times by one
+module with the single symbol None.  A division returns its quotients
+only for the basis elements it used.  Loops that divide many times by one
 basis build the Reducer once and pass it to normal_form; the closed-form
 basis of a triple has one Reducer, held by syzygy.Curve and shared by
 every check and by schreyer_syzygies.
@@ -35,10 +42,29 @@ claim, and the relations feed the completeness check of the syzygies.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, le, mul, sub
 
 from .semigroup import CurveParams
 
 Mono = tuple
+
+
+# Leaf helpers run once per coefficient.  They are private, so that the
+# perfbench tracer, which spans every public function, leaves them alone.
+
+
+def _exact(c):
+    """c as an int when it is integral, as a Fraction otherwise."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _inverse(c):
+    """The exact inverse of a non-zero coefficient: c itself when it is
+    plus or minus one."""
+    return c if c == 1 or c == -1 else _exact(1 / Fraction(c))
 
 
 class ZeroPolynomialError(ValueError):
@@ -54,25 +80,26 @@ def mono_one(nvars: int) -> Mono:
 
 
 def mono_mul(f: Mono, g: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(f, g))
+    return tuple(map(add, f, g))
 
 
 def mono_divides(f: Mono, g: Mono) -> bool:
     """True when f divides g componentwise."""
-    return all(x <= y for x, y in zip(f, g))
+    return all(map(le, f, g))
 
 
 def mono_div(f: Mono, g: Mono) -> Mono:
     """f / g; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(f, g))
+    return tuple(map(sub, f, g))
 
 
 def mono_lcm(f: Mono, g: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(f, g))
+    return tuple(map(max, f, g))
 
 
 def mono_coprime(f: Mono, g: Mono) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(f, g))
+    """True when no variable occurs in both; exponents are never negative."""
+    return not any(map(mul, f, g))
 
 
 def variable_position(p: int, index: int) -> int:
@@ -105,7 +132,7 @@ def mono_to_name(mono: Mono) -> str:
 
 
 class SparseMap:
-    """Sparse map from term keys to non-zero Fractions.
+    """Sparse map from term keys to non-zero exact coefficients (see _exact).
 
     The linear arithmetic shared by Poly, whose keys are monomials, and
     syzygy.ModElement, whose keys are (monomial, symbol) pairs.  Each
@@ -164,22 +191,28 @@ class SparseMap:
     def __neg__(self):
         return self._raw(self.nvars, {t: -c for t, c in self.terms.items()})
 
+    def _exact_terms(self, terms):
+        # a product with a Fraction in it can be integral again
+        if any(type(c) is not int for c in terms.values()):
+            terms = {t: _exact(c) for t, c in terms.items()}
+        return self._raw(self.nvars, terms)
+
     def scaled(self, coeff):
-        coeff = Fraction(coeff)
+        coeff = _exact(coeff)
         if not coeff:
             return self.zero(self.nvars)
-        return self._raw(self.nvars, {t: c * coeff for t, c in self.terms.items()})
+        return self._exact_terms({t: c * coeff for t, c in self.terms.items()})
 
     def times_term(self, coeff, mono: Mono):
-        coeff = Fraction(coeff)
+        coeff = _exact(coeff)
         if not coeff:
             return self.zero(self.nvars)
         shift = self._shift
-        return self._raw(self.nvars, {shift(t, mono): c * coeff for t, c in self.terms.items()})
+        return self._exact_terms({shift(t, mono): c * coeff for t, c in self.terms.items()})
 
 
 class Poly(SparseMap):
-    """Sparse polynomial: map from exponent tuple to non-zero Fraction."""
+    """Sparse polynomial: map from exponent tuple to non-zero coefficient."""
 
     __slots__ = ()
     _shift = staticmethod(mono_mul)
@@ -192,14 +225,14 @@ class Poly(SparseMap):
                 if len(mono) != nvars:
                     raise ValueError(f"monomial {mono} does not have {nvars} exponents")
                 if coeff:
-                    clean[tuple(mono)] = Fraction(coeff)
+                    clean[tuple(mono)] = _exact(coeff)
         self.terms = clean
 
     @classmethod
     def term(cls, nvars: int, mono: Mono, coeff=1) -> "Poly":
         if len(mono) != nvars:
             raise ValueError(f"monomial {mono} does not have {nvars} exponents")
-        coeff = Fraction(coeff)
+        coeff = _exact(coeff)
         return cls._raw(nvars, {tuple(mono): coeff} if coeff else {})
 
     def __mul__(self, other):
@@ -248,7 +281,7 @@ class TermOrder:
 
     def monic(self, elem):
         _, lc = self.leading_term(elem)
-        return elem if lc == 1 else elem.scaled(Fraction(1) / lc)
+        return elem if lc == 1 else elem.scaled(_inverse(lc))
 
 
 class WeightOrder(TermOrder):
@@ -272,7 +305,7 @@ class WeightOrder(TermOrder):
             self._cache[mono] = k
         return k
 
-    def leading_term(self, poly: Poly) -> tuple[Mono, Fraction]:
+    def leading_term(self, poly: Poly) -> tuple[Mono, int | Fraction]:
         if not poly.terms:
             raise ZeroPolynomialError("the zero polynomial has no leading term")
         mono = max(poly.terms, key=self.key)
@@ -290,11 +323,11 @@ class Reducer:
     """A division basis prepared once for any number of divisions.
 
     For every element, in list order, it holds the lead monomial, the
-    lead coefficient and the tail, grouped by the symbol of the lead
-    term.  A module basis groups by its module symbols; a ring basis is
-    a module with the one symbol None.  normal_form and
-    syzygy.module_normal_form take a Reducer in place of a basis list;
-    it must be built with the order they are given.
+    inverse of the lead coefficient, the tail and the element's index,
+    grouped by the symbol of the lead term.  A module basis groups by its
+    module symbols; a ring basis is a module with the one symbol None.
+    normal_form and syzygy.module_normal_form take a Reducer in place of
+    a basis list; it must be built with the order they are given.
     """
 
     __slots__ = ("order", "ring", "basis", "rows")
@@ -315,7 +348,7 @@ class Reducer:
         else:
             mono, sym = lead
             tail = [(m, s, c) for (m, s), c in g.terms.items() if (m, s) != lead]
-        self.rows.setdefault(sym, []).append((mono, lc, tail, len(self.basis)))
+        self.rows.setdefault(sym, []).append((mono, _inverse(lc), tail, len(self.basis)))
         self.basis.append(g)
 
     def pairs(self) -> list[tuple[int, int]]:
@@ -325,20 +358,28 @@ class Reducer:
                       for n, (*_, x) in enumerate(row) for *_, y in row[n + 1:])
 
     def divide(self, f):
-        """(remainder, quotients) of f by the basis; see normal_form."""
+        """(remainder, quotients) of f by the basis; see normal_form.
+
+        Each processed term is smaller than the one before, so an index
+        k never gets the same quotient monomial twice.
+        """
         ring, rows, key = self.ring, self.rows, self.order.key
         work = dict(f.terms)
         remainder = {}
-        quotients = [{} for _ in self.basis]
+        quotients = {}
         while work:
             term = max(work, key=key)
             coeff = work.pop(term)
             mono, sym = (term, None) if ring else term
-            for lm, lc, tail, k in rows.get(sym, ()):
+            for lm, inv, tail, k in rows.get(sym, ()):
                 if mono_divides(lm, mono):
                     u = mono_div(mono, lm)
-                    c = coeff / lc
-                    quotients[k][u] = quotients[k].get(u, 0) + c
+                    c = coeff * inv
+                    q = quotients.get(k)
+                    if q is None:
+                        quotients[k] = {u: c}
+                    else:
+                        q[u] = c
                     for m2, s2, c2 in tail:
                         t2 = mono_mul(m2, u) if ring else (mono_mul(m2, u), s2)
                         v = work.get(t2, 0) - c * c2
@@ -350,16 +391,18 @@ class Reducer:
             else:
                 remainder[term] = coeff
         nv = f.nvars
-        return f._raw(nv, remainder), [Poly._raw(nv, q) for q in quotients]
+        return f._raw(nv, remainder), {k: Poly._raw(nv, q) for k, q in quotients.items()}
 
 
-def normal_form(order: WeightOrder, f: Poly, basis) -> tuple[Poly, list[Poly]]:
+def normal_form(order: WeightOrder, f: Poly, basis) -> tuple[Poly, dict[int, Poly]]:
     """Divide f by an ordered list of polynomials, or by a Reducer of one.
 
     Returns (remainder, quotients) with f = sum q_k * basis_k + remainder
     and no remainder monomial divisible by any basis leading monomial.
-    Deterministic: the largest reducible term goes first and the first
-    dividing basis element in list order wins.
+    quotients maps a basis index k to q_k only for the k the division
+    used, so every stored q_k is non-zero.  Deterministic: the largest
+    reducible term goes first and the first dividing basis element in
+    list order wins.
     """
     if not isinstance(basis, Reducer):
         basis = Reducer(order, basis)
@@ -377,8 +420,8 @@ def s_polynomial(order: TermOrder, f, g):
     if sf != sg:
         raise ValueError(f"the leading terms carry different symbols, {sf} and {sg}")
     lcm = mono_lcm(mf, mg)
-    return f.times_term(Fraction(1) / cf, mono_div(lcm, mf)) - g.times_term(
-        Fraction(1) / cg, mono_div(lcm, mg)
+    return f.times_term(_inverse(cf), mono_div(lcm, mf)) - g.times_term(
+        _inverse(cg), mono_div(lcm, mg)
     )
 
 
@@ -429,7 +472,13 @@ def buchberger(order: WeightOrder, gens) -> list[Poly]:
 
 
 def interreduce(order: WeightOrder, polys) -> list[Poly]:
-    """Minimalize and fully reduce a basis; output monic, sorted descending."""
+    """Minimalize and fully reduce a basis; output monic, sorted descending.
+
+    One Reducer over the kept elements reduces each element's tail.  A
+    lead monomial divides no smaller monomial, so an element never
+    reduces its own tail, and the result is that of dividing each element
+    by all the others.
+    """
     polys = sorted((order.monic(g) for g in polys if g), key=lambda g: order.key(order.leading_monomial(g)))
     kept = []
     kept_lms = []
@@ -439,12 +488,11 @@ def interreduce(order: WeightOrder, polys) -> list[Poly]:
             continue
         kept.append(g)
         kept_lms.append(lm)
+    table = Reducer(order, kept)
     out = []
-    for k, g in enumerate(kept):
-        others = kept[:k] + kept[k + 1 :]
-        if others:
-            g, _ = normal_form(order, g, others)
-        out.append(order.monic(g))
+    for g in kept:
+        lead = Poly.term(g.nvars, *order.leading_term(g))
+        out.append(lead + normal_form(order, g - lead, table)[0])
     out.sort(key=lambda g: order.key(order.leading_monomial(g)), reverse=True)
     return out
 
@@ -461,18 +509,17 @@ def schreyer_syzygies(table: Reducer) -> list[tuple[int, int, Poly, dict]]:
     relations among the basis (Schreyer).
     """
     order, polys = table.order, table.basis
-    leads = [(lm, lc) for lm, lc, *_ in table.rows.get(None, ())]
+    leads = [(lm, inv) for lm, inv, *_ in table.rows.get(None, ())]
     out = []
     for j in range(len(polys)):
         for i in range(j):
             r, quots = normal_form(order, s_polynomial(order, polys[i], polys[j]), table)
             lcm = mono_lcm(leads[i][0], leads[j][0])
             # the S-polynomial's own cofactors, which no quotient term can cancel
-            vec = {k: Poly.term(r.nvars, mono_div(lcm, leads[k][0]), sign / leads[k][1])
+            vec = {k: Poly.term(r.nvars, mono_div(lcm, leads[k][0]), sign * leads[k][1])
                    for k, sign in ((i, 1), (j, -1))}
-            for k, q in enumerate(quots):
-                if q:
-                    vec[k] = vec[k] - q if k in vec else -q
+            for k, q in quots.items():
+                vec[k] = vec[k] - q if k in vec else -q
             out.append((i, j, r, vec))
     return out
 
@@ -481,7 +528,7 @@ def schreyer_syzygies(table: Reducer) -> list[tuple[int, int, Poly, dict]]:
 # the parameterization map
 
 
-def curve_image(params: CurveParams, f: Poly) -> dict[int, Fraction]:
+def curve_image(params: CurveParams, f: Poly) -> dict[int, int | Fraction]:
     """Substitute X_i -> T**m_i; result maps T-exponent to coefficient.
 
     The result is empty exactly when f lies in the curve ideal.
@@ -504,7 +551,7 @@ def in_curve_ideal(params: CurveParams, f: Poly) -> bool:
 # ---------------------------------------------------------------------------
 # serialization
 
-def coeff_to_str(c: Fraction) -> str:
+def coeff_to_str(c: int | Fraction) -> str:
     c = Fraction(c)
     return f"{c.numerator}/{c.denominator}"
 
@@ -520,10 +567,10 @@ def poly_to_json(order: WeightOrder, f: Poly) -> list[dict]:
 
 
 def poly_from_json(nvars: int, items) -> Poly:
-    return Poly(nvars, {tuple(t["expo"]): Fraction(t["coeff"]) for t in items})
+    return Poly(nvars, {tuple(t["expo"]): _exact(t["coeff"]) for t in items})
 
 
-def _term_text(mono: Mono, c: Fraction) -> str:
+def _term_text(mono: Mono, c: int | Fraction) -> str:
     """One term with a positive coefficient: '3/2*X1^2', 'X1', '5' or '1'."""
     name = mono_to_name(mono)
     if c == 1:

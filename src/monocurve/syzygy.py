@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .generators import (
     GeneratorSet,
@@ -63,6 +62,7 @@ from .polyring import (
     TermOrder,
     WeightOrder,
     ZeroPolynomialError,
+    _exact,
     _join_signed,
     _json_terms,
     _term_text,
@@ -113,7 +113,7 @@ def phi_symbol(params: CurveParams, i: int, j: int) -> Phi | None:
 
 
 class ModElement(SparseMap):
-    """Element of the free module: map (monomial, symbol) -> Fraction."""
+    """Element of the free module: map (monomial, symbol) -> non-zero coefficient."""
 
     __slots__ = ()
 
@@ -125,7 +125,7 @@ class ModElement(SparseMap):
                 if len(mono) != nvars:
                     raise ValueError(f"monomial {mono} does not have {nvars} exponents")
                 if coeff:
-                    clean[(tuple(mono), sym)] = Fraction(coeff)
+                    clean[(tuple(mono), sym)] = _exact(coeff)
         self.terms = clean
 
     @staticmethod
@@ -134,7 +134,7 @@ class ModElement(SparseMap):
 
     @classmethod
     def term(cls, nvars: int, mono: Mono, sym, coeff=1) -> "ModElement":
-        coeff = Fraction(coeff)
+        coeff = _exact(coeff)
         return cls._raw(nvars, {(tuple(mono), sym): coeff} if coeff else {})
 
     @classmethod
@@ -420,7 +420,8 @@ def module_normal_form(morder: ModuleOrder, elem: ModElement, basis):
 
     A term (monomial, symbol) is reducible by a basis element whose lead
     term carries the same symbol and a dividing monomial.  Returns
-    (remainder, quotients); the quotients are ring polynomials.
+    (remainder, quotients); quotients maps each basis index the division
+    used to its ring polynomial.
     """
     if not isinstance(basis, Reducer):
         basis = Reducer(morder, basis)
@@ -645,7 +646,7 @@ def mod_elem_from_json(nvars: int, items) -> ModElement:
     return ModElement(
         nvars,
         {
-            (tuple(t["expo"]), _symbol_from_json(t["basis"])): Fraction(t["coeff"])
+            (tuple(t["expo"]), _symbol_from_json(t["basis"])): _exact(t["coeff"])
             for t in items
         },
     )

@@ -234,6 +234,33 @@ def test_output_matches_golden(name, capsys):
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+HALF_LEAD_GOLDEN_CALLS = {
+    "verify-7-1-3-half-lead.json": ["verify", "--m0", "7", "--d", "1", "--p", "3",
+                                    "--bound", "2", "--format", "json"],
+    "verify-8-3-2-half-lead.txt": ["verify", "--m0", "8", "--d", "3", "--p", "2",
+                                   "--bound", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HALF_LEAD_GOLDEN_CALLS))
+def test_fractional_witnesses_match_golden(name, monkeypatch, capsys):
+    # 2*X1^2 - X2*X0 in place of phi(1,1) has lead coefficient 2, so its
+    # divisions leave the integers and the witnesses carry -1/2 and 1/2
+    def planted(params):
+        gset = groebner_generators(params)
+        p = params.p
+        x1x1 = tuple(2 if k == 0 else 0 for k in range(p + 1))
+        x2x0 = tuple(1 if k in (1, p) else 0 for k in range(p + 1))
+        bad = Poly(params.nvars, {x1x1: 2, x2x0: -1})
+        return GeneratorSet(params, {**gset.phis, (1, 1): bad}, gset.psis)
+
+    monkeypatch.setattr("monocurve.syzygy.groebner_generators", planted)
+    assert main(HALF_LEAD_GOLDEN_CALLS[name]) == 1
+    out = capsys.readouterr().out
+    assert '"coeff": "-1/2"' in out
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -302,11 +329,11 @@ def test_each_triple_harvests_its_s_pairs_once(monkeypatch, capsys):
         curves.append(self)
 
     def count_division(self, f):
-        divisions[id(self)] += 1
+        divisions[self] += 1
         return divide(self, f)
 
     def count_harvest(table):
-        harvests[id(table)] += 1
+        harvests[table] += 1
         return harvest(table)
 
     monkeypatch.setattr(syzygy.Curve, "__init__", keep)
@@ -317,8 +344,8 @@ def test_each_triple_harvests_its_s_pairs_once(monkeypatch, capsys):
         assert len(curves) == ran
         for curve in curves:
             table, n = curve.ring_reducer, len(curve.gset)
-            assert harvests[id(table)] == 1
-            assert divisions[id(table)] == n * (n - 1) // 2 + len(curve.patil)
+            assert harvests[table] == 1
+            assert divisions[table] == n * (n - 1) // 2 + len(curve.patil)
 
     assert main(["verify", "--m0", "13", "--d", "2", "--p", "6", "--bound", "2"]) == 0
     check(1)

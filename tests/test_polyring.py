@@ -116,11 +116,14 @@ def test_normal_form_self_reduction(p713):
     r, quots = normal_form(ORDER, f, [f])
     assert not r
     assert quots[0] == Poly.term(4, (0, 0, 0, 0))
+    # a basis element the division never uses has no entry
+    r, quots = normal_form(ORDER, f, [f, psi_binomial(p713, 0)])
+    assert not r and quots == {0: Poly.term(4, (0, 0, 0, 0))}
 
 
 def test_normal_form_of_zero(p713):
     r, quots = normal_form(ORDER, Poly.zero(4), [phi_binomial(p713, 1, 1)])
-    assert not r and not quots[0]
+    assert not r and quots == {}
 
 
 def test_normal_form_postconditions(p713):
@@ -129,15 +132,75 @@ def test_normal_form_postconditions(p713):
     f = Poly.term(4, (1, 1, 1, 0))  # X1*X2*X3
     for divisors in (basis, Reducer(ORDER, basis)):
         r, quots = normal_form(ORDER, f, divisors)
+        assert all(quots.values())
+        # phi(1,1) leads with X1^2, which divides no monomial of weight 27
+        assert 0 not in quots
         recombined = r
-        for q, g in zip(quots, basis):
-            recombined = recombined + q * g
+        for k, q in quots.items():
+            recombined = recombined + q * basis[k]
         assert recombined == f
         for mono in r.terms:
             assert not any(mono_divides(lm, mono) for lm in lms)
         # idempotence
         r2, _ = normal_form(ORDER, r, divisors)
         assert r2 == r
+
+
+def _with_fractions(f):
+    # the same element with every coefficient a Fraction: the oracle arithmetic
+    return Poly._raw(f.nvars, {m: Fraction(c) for m, c in f.terms.items()})
+
+
+@st.composite
+def homogeneous_polys(draw, params, basis):
+    # a random walk through binomial exchanges keeps the weight of its start
+    nv = params.nvars
+    mono = draw(st.tuples(*[st.integers(0, 3)] * nv))
+    monos = [mono]
+    for g in draw(st.lists(st.sampled_from(basis), max_size=8)):
+        a, b = g.terms
+        for x, y in ((a, b), (b, a)):
+            if mono_divides(x, mono):
+                mono = mono_mul(mono_div(mono, x), y)
+                monos.append(mono)
+                break
+    coeffs = st.sampled_from([1, -1, 2, -3, 5, Fraction(3, 2)])
+    return Poly(nv, {m: draw(coeffs) for m in monos})
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6), (17, 3, 8)])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_integer_division_matches_fraction_division(triple, data):
+    pr = make_params(*triple)
+    order = WeightOrder(pr)
+    closed = groebner_generators(pr).polynomials()
+    x1x1 = variable_monomial(pr.p, 1, 2)
+    x2x0 = mono_mul(variable_monomial(pr.p, 2), variable_monomial(pr.p, 0))
+    # lead coefficient 2: this basis divides in the Fraction fallback
+    half = [Poly(pr.nvars, {x1x1: 2, x2x0: -1})] + closed
+    f = data.draw(homogeneous_polys(pr, closed))
+    assert len({order.weight(m) for m in f.terms}) == 1
+    for basis in (closed, half):
+        r, quots = normal_form(order, f, basis)
+        oracle = normal_form(order, _with_fractions(f), [_with_fractions(g) for g in basis])
+        assert (r, quots) == oracle
+        assert all(quots.values())
+        assert sum((q * basis[k] for k, q in quots.items()), r) == f
+        # unit leads and integer input keep every coefficient an int
+        if basis is closed and all(type(c) is int for c in f.terms.values()):
+            coeffs = [c for g in (r, *quots.values()) for c in g.terms.values()]
+            assert all(type(c) is int for c in coeffs)
+
+
+def test_coefficients_are_ints_while_integral():
+    f = Poly(4, {(1, 0, 0, 0): Fraction(4, 2), (0, 1, 0, 0): Fraction(1, 2)})
+    assert [type(c) for c in f.terms.values()] == [int, Fraction]
+    assert type(f.scaled(Fraction(2)).terms[(0, 1, 0, 0)]) is int
+    assert type(f.times_term(Fraction(6, 3), (0, 0, 0, 1)).terms[(1, 0, 0, 1)]) is int
+    half = Poly(4, {(2, 0, 0, 0): 2, (0, 1, 0, 1): -1})
+    assert ORDER.monic(half).terms == {(2, 0, 0, 0): 1, (0, 1, 0, 1): Fraction(-1, 2)}
+    assert type(ORDER.monic(half).terms[(2, 0, 0, 0)]) is int
 
 
 def test_s_polynomial_of_equal_inputs(p713):

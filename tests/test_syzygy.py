@@ -224,14 +224,29 @@ def test_leading_terms_match_display():
             assert morder.leading_term(g)[0] == (variable_monomial(pr.p, l), Phi(i, j))
 
 
+def test_closed_forms_keep_integer_coefficients():
+    # every closed form has unit coefficients and every basis a unit lead, so
+    # no division leaves the integers; a Fraction here is a silent slow path
+    pr = make_params(17, 3, 8)
+    curve = Curve(pr)
+    elems = groebner_generators(pr).polynomials() + syzygy_basis(pr).elements()
+    for _, _, r, rel in curve.harvest():
+        elems += [r, rel]
+    assert all(type(c) is int for e in elems for c in e.terms.values())
+    for table in (curve.ring_reducer, curve.module_reducer):
+        assert all(type(inv) is int for row in table.rows.values() for _, inv, *_ in row)
+
+
 def test_module_normal_form_basics(p713):
     elems = syzygy_basis(p713).elements()
     a30 = syzygy_A(p713, 3, 0)
     r, quots = module_normal_form(MORDER, a30, [a30])
     assert not r and quots[0] == Poly.term(4, (0, 0, 0, 0))
     shifted = a30.times_term(1, _x(0))
-    r, _ = module_normal_form(MORDER, shifted, elems)
+    r, quots = module_normal_form(MORDER, shifted, elems)
     assert not r
+    k = elems.index(a30)
+    assert quots == {k: Poly.term(4, _x(0))}
 
 
 def test_module_normal_form_recombines(p713):
@@ -241,10 +256,12 @@ def test_module_normal_form_recombines(p713):
     ).times_term(1, _x(0, 2))
     for divisors in (elems, Reducer(MORDER, elems)):
         r, quots = module_normal_form(MORDER, probe, divisors)
+        assert all(quots.values())
+        assert len(quots) < len(elems)  # most members are never used
         recombined = r
-        for q, g in zip(quots, elems):
+        for k, q in quots.items():
             for mono, c in q.terms.items():
-                recombined = recombined + g.times_term(c, mono)
+                recombined = recombined + elems[k].times_term(c, mono)
         assert recombined == probe
 
 
@@ -262,6 +279,7 @@ def test_ring_division_is_module_division_on_one_symbol(p713):
         mr, mquots = module_normal_form(MORDER, ModElement.from_poly(f, Psi(0)), lifted)
         assert mr == ModElement.from_poly(r, Psi(0))
         assert mquots == quots
+        assert all(quots.values()) and set(quots) <= set(range(len(basis)))
 
 
 def test_s_vectors_reduce(p713):
