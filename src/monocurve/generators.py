@@ -11,18 +11,16 @@ Every verification routine takes the triple's syzygy.Curve, which holds
 both sets, the ring order and a Reducer of the closed-form basis, built
 once.  It returns a VerificationReport and records a witness on failure
 instead of raising.  Standard monomials are reached as an order ideal
-from 1; the one exponent-box walk checks their shape.
+from 1 and compared with the paper's shape, written out in closed form;
+no check walks the exponent box.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .polyring import (
-    Mono,
     Poly,
     WeightOrder,
     buchberger,
@@ -182,26 +180,21 @@ def expected_leading_monomials(params: CurveParams) -> set:
     return out
 
 
-def is_standard_shape(params: CurveParams, mono: Mono) -> bool:
-    """Closed-form description of monomials outside the leading-term ideal.
+def standard_shape(params: CurveParams, bound: int) -> list:
+    """The paper's standard monomials with exponents <= bound, ascending.
 
-    A monomial survives exactly when it carries at most one factor X_i
-    with i in [1, p-1] (exponent one), its X_p exponent n satisfies
-    n <= a, and n <= a - 1 whenever the X_i factor has i >= b.  The X_0
-    exponent is unconstrained.
+    They are X0^e * X_p^n * u, where u is 1 or one X_i with i in [1, p-1],
+    n <= a, and n <= a - 1 whenever i >= b; the X0 exponent e is free.
+    Built from (p, a, b) alone, never from lead terms, as an outside
+    oracle for standard_monomials.
     """
     p, a, b = params.p, params.a, params.b
-    core = [(pos + 1, e) for pos, e in enumerate(mono[: p - 1]) if e]
-    if sum(e for _, e in core) >= 2:
-        return False
-    n = mono[p - 1]
-    if n > a:
-        return False
-    if core:
-        i, _ = core[0]
-        if i >= b and n > a - 1:
-            return False
-    return True
+    out = []
+    for i in range(p):  # u = X_i, and u = 1 at i = 0
+        core = tuple(int(k == i) for k in range(1, p))
+        top = a - 1 if i >= b else a
+        out += [core + (n, e) for n in range(min(top, bound) + 1) for e in range(bound + 1)]
+    return sorted(out)
 
 
 def standard_monomials(curve: Curve, bound: int) -> list:
@@ -413,24 +406,27 @@ def verify_ideal_equality(curve: Curve) -> VerificationReport:
 
 
 def verify_standard_monomials(curve: Curve, bound: int) -> VerificationReport:
-    """Standard monomials match the closed-form shape over the whole box
-    (is_standard_shape is an outside oracle) and have pairwise distinct
-    weights, i.e. distinct images under X_i -> T^(m_i)."""
+    """Standard monomials match the closed-form shape (standard_shape is an
+    outside oracle) and have pairwise distinct weights, i.e. distinct
+    images under X_i -> T^(m_i).
+
+    A mismatch is the smallest monomial in one list but not the other:
+    the first one a walk over the whole exponent box would meet.
+    """
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
     params = curve.params
     report = VerificationReport(params)
 
     std = standard_monomials(curve, bound)
-    outside_set = set(std)
+    walked = set(std)
+    differ = walked.symmetric_difference(standard_shape(params, bound))
     mismatch = None
-    for mono in itertools.product(range(bound + 1), repeat=params.nvars):
-        outside = mono in outside_set
-        if outside != is_standard_shape(params, mono):
-            mismatch = {"monomial": list(mono), "outside_lt_ideal": outside}
-            # report only the standard monomials up to the mismatch, in box order
-            std = std[: bisect.bisect_right(std, mono)]
-            break
+    if differ:
+        mono = min(differ)
+        mismatch = {"monomial": list(mono), "outside_lt_ideal": mono in walked}
+        # report only the standard monomials up to the mismatch, in box order
+        std = [m for m in std if m <= mono]
     report.add(
         "standard-monomial-shape",
         mismatch is None,

@@ -1,4 +1,6 @@
+import bisect
 import itertools
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -14,12 +16,12 @@ from monocurve.generators import (
     epsilon,
     expected_leading_monomials,
     groebner_generators,
-    is_standard_shape,
     pairwise_lt_division,
     patil_generators,
     phi_binomial,
     psi_binomial,
     standard_monomials,
+    standard_shape,
     tau,
     verify_groebner_generators,
     verify_ideal_equality,
@@ -335,14 +337,73 @@ def _box_minus_lead_ideal(pr, bound):
     ]
 
 
+def is_standard_shape(params, mono):
+    """Closed-form description of monomials outside the leading-term ideal.
+
+    A monomial survives exactly when it carries at most one factor X_i
+    with i in [1, p-1] (exponent one), its X_p exponent n satisfies
+    n <= a, and n <= a - 1 whenever the X_i factor has i >= b.  The X_0
+    exponent is unconstrained.
+    """
+    p, a, b = params.p, params.a, params.b
+    core = [(pos + 1, e) for pos, e in enumerate(mono[: p - 1]) if e]
+    if sum(e for _, e in core) >= 2:
+        return False
+    n = mono[p - 1]
+    if n > a:
+        return False
+    if core:
+        i, _ = core[0]
+        if i >= b and n > a - 1:
+            return False
+    return True
+
+
+def _box_shape_check(pr, std, bound):
+    # the box walk the shape check used to run: the first box cell, in
+    # itertools.product order, where membership in std and is_standard_shape
+    # disagree, and the count of std members up to it
+    outside_set = set(std)
+    for mono in itertools.product(range(bound + 1), repeat=pr.nvars):
+        outside = mono in outside_set
+        if outside != is_standard_shape(pr, mono):
+            witness = {"monomial": list(mono), "outside_lt_ideal": outside}
+            return witness, bisect.bisect_right(std, mono)
+    return None, len(std)
+
+
 def test_standard_shape_matches_enumeration():
     for pr in SWEEP[:40]:
         curve = Curve(pr)
         for bound in (2, 3, 4):
             assert standard_monomials(curve, bound) == _box_minus_lead_ideal(pr, bound), (pr, bound)
+            box = [
+                mono
+                for mono in itertools.product(range(bound + 1), repeat=pr.nvars)
+                if is_standard_shape(pr, mono)
+            ]
+            assert standard_shape(pr, bound) == box, (pr, bound)
         enumerated = set(standard_monomials(curve, 4))
         for mono in itertools.product(range(5), repeat=pr.nvars):
             assert (mono in enumerated) == is_standard_shape(pr, mono)
+
+
+@pytest.mark.parametrize(
+    "m0, d, p, bound",
+    [
+        (7, 1, 3, 5),
+        (13, 2, 6, 5),
+        (17, 3, 8, 5),
+        (22, 5, 7, 5),
+        (9, 4, 2, 3),
+        (41, 2, 12, 6),
+        (101, 7, 12, 4),
+        (1000129, 999666, 3, 5),
+    ],
+)
+def test_standard_shape_matches_the_order_ideal_walk(m0, d, p, bound):
+    pr = make_params(m0, d, p)
+    assert standard_shape(pr, bound) == standard_monomials(Curve(pr), bound)
 
 
 def test_mixed_monomials_are_standard(p713):
@@ -350,6 +411,7 @@ def test_mixed_monomials_are_standard(p713):
     # leading-term ideal because the X3 exponent stays below a
     assert is_standard_shape(p713, (1, 0, 1, 1))
     assert (1, 0, 1, 1) in standard_monomials(Curve(p713), 2)
+    assert (1, 0, 1, 1) in standard_shape(p713, 2)
 
 
 def test_verify_standard_monomials(p713):
@@ -358,6 +420,62 @@ def test_verify_standard_monomials(p713):
     assert report.passed, [c.name for c in report.failures()]
     with pytest.raises(ValueError):
         verify_standard_monomials(curve, 1)
+
+
+def test_verify_standard_monomials_at_p12_bound_6():
+    # 7^13 exponent-box cells: out of reach for a walk over the box
+    curve = Curve(make_params(41, 2, 12))
+    start = time.perf_counter()
+    report = verify_standard_monomials(curve, 6)
+    elapsed = time.perf_counter() - start
+    assert report.passed, [c.name for c in report.failures()]
+    assert elapsed < 1.0
+
+
+def _plant_extra(std, pr):
+    # X1^2 is a lead, so never of the standard shape
+    return sorted(std + [(2,) + (0,) * pr.p])
+
+
+def _plant_missing(std, pr):
+    return std[: len(std) // 2] + std[len(std) // 2 + 1:]
+
+
+def _plant_missing_and_extra(std, pr):
+    # two mismatches: the witness is the smaller, the dropped member
+    return _plant_extra(_plant_missing(std, pr), pr)
+
+
+def _plant_2200(std, pr):
+    return sorted(std + [(2, 2, 0, 0)])
+
+
+@pytest.mark.parametrize(
+    "m0, d, p, plant",
+    [
+        (7, 1, 3, _plant_extra),
+        (13, 2, 5, _plant_extra),
+        (7, 1, 3, _plant_missing),
+        (13, 2, 5, _plant_missing),
+        (7, 1, 3, _plant_missing_and_extra),
+        (13, 2, 5, _plant_missing_and_extra),
+        (7, 1, 3, _plant_2200),
+        (10, 3, 3, _plant_2200),
+    ],
+)
+def test_planted_shape_mismatch_keeps_the_box_walk_witness(monkeypatch, m0, d, p, plant):
+    pr = make_params(m0, d, p)
+    curve = Curve(pr)
+    bound = 3
+    std = plant(standard_monomials(curve, bound), pr)
+    witness, count = _box_shape_check(pr, std, bound)
+    assert witness is not None
+
+    monkeypatch.setattr("monocurve.generators.standard_monomials", lambda *_: std)
+    shape, _ = verify_standard_monomials(curve, bound).checks
+    assert not shape.passed
+    assert shape.witness == witness
+    assert shape.detail == f"{count} standard monomials with exponents <= {bound}"
 
 
 @pytest.mark.parametrize("m0, d, p", [(7, 1, 3), (8, 3, 2), (13, 2, 5)])
@@ -375,8 +493,8 @@ def test_eta_distinct_reports_the_first_planted_collision(monkeypatch, m0, d, p)
     std = sorted(real + planted)
     monkeypatch.setattr("monocurve.generators.standard_monomials", lambda *_: std)
     monkeypatch.setattr(
-        "monocurve.generators.is_standard_shape",
-        lambda params, mono: mono in planted or is_standard_shape(params, mono),
+        "monocurve.generators.standard_shape",
+        lambda params, bound: sorted(standard_shape(params, bound) + planted),
     )
 
     checked, pair = 0, None
