@@ -18,9 +18,11 @@ no check walks the exponent box.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .polyring import (
+    Closure,
     Poly,
     WeightOrder,
     buchberger,
@@ -297,16 +299,67 @@ def _mixed_weight(params: CurveParams, labeled) -> dict | None:
     return None
 
 
+def _rank(polys) -> int:
+    """The dimension of the span of polys over the rationals: Gaussian
+    elimination with Fraction coefficients, each monomial a coordinate."""
+    pivots = []  # (monomial, row scaled to 1 there), each row zero at earlier pivots
+    for g in polys:
+        row = {m: Fraction(c) for m, c in g.terms.items()}
+        for mono, pivot in pivots:
+            c = row.get(mono)
+            if c:
+                for m, pc in pivot.items():
+                    v = row.get(m, 0) - c * pc
+                    if v:
+                        row[m] = v
+                    else:
+                        del row[m]
+        if row:
+            mono = min(row)
+            pivots.append((mono, {m: c / row[mono] for m, c in row.items()}))
+    return len(pivots)
+
+
+def _redundant_by_weight(order: WeightOrder, labeled) -> str | None:
+    """The label of the first weight-homogeneous generator that lies in the
+    ideal of the others, or None; see verify_minimality."""
+    by_weight = {}
+    for k, (_, g) in enumerate(labeled):
+        by_weight.setdefault(order.weight(order.leading_monomial(g)), []).append(k)
+    grown = Closure(order)
+    first = len(labeled)
+    for w in sorted(by_weight):
+        table = grown.close(w)
+        same = by_weight[w]
+        forms = [normal_form(order, labeled[k][1], table)[0] for k in same]
+        full = _rank(forms)
+        for n, k in enumerate(same):
+            if k < first and _rank(forms[:n] + forms[n + 1:]) == full:
+                first = k
+                break
+        for k in same:
+            grown.add(labeled[k][1])
+    return labeled[first][0] if first < len(labeled) else None
+
+
 def verify_minimality(curve: Curve, deep: bool = False) -> VerificationReport:
     """No leading term divides another; optionally, no member is redundant.
 
-    The deep check leaves one element g out at a time and confirms that g
-    does not reduce to zero modulo the closure of the others, truncated at
-    the weight of g (polyring.closure): for weight-homogeneous input that
-    decides membership in the ideal of the others exactly, at a cost in
-    S-pairs rather than in m0 or d.  It first confirms that every element
-    has a single weight, and fails with the first that does not, and its
-    weights, without running a closure.
+    The deep check first confirms that every element has a single weight,
+    and fails with the first that does not, and its weights.  Otherwise a
+    generator g of weight w lies in the ideal of the others exactly when
+    it lies in their span at weight w: the multiples of the lighter
+    generators there, plus the other generators of weight w themselves.
+    One Closure, grown weight by weight, decides that for every g: closed
+    up to w with only the lighter generators added, it is a Groebner basis
+    of theirs up to weight w (polyring.closure), so normal forms modulo it
+    are unique and linear there.  g is then redundant exactly when the
+    normal forms of the weight-w generators lose rank without g's, which
+    includes g's normal form being zero.  The generators of weight w join
+    the closure afterwards.  The witness is the redundant generator that
+    comes first in label order, and the detail counts the generators
+    tested.  The cost is one closure up to the heaviest weight, in S-pairs
+    rather than in m0 or d.
     """
     params, order = curve.params, curve.order
     labeled = curve.gset.labeled()
@@ -324,13 +377,8 @@ def verify_minimality(curve: Curve, deep: bool = False) -> VerificationReport:
     if deep:
         redundant = _mixed_weight(params, labeled)
         if redundant is None:
-            for k, (lab, g) in enumerate(labeled):
-                others = [h for n, (_, h) in enumerate(labeled) if n != k]
-                top = params.weight(order.leading_monomial(g))
-                r, _ = normal_form(order, g, closure(order, others, top))
-                if not r:
-                    redundant = {"element": lab}
-                    break
+            first = _redundant_by_weight(order, labeled)
+            redundant = None if first is None else {"element": first}
         report.add(
             "no-redundant-generator",
             redundant is None,

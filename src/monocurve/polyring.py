@@ -28,20 +28,25 @@ basis of a triple has one Reducer, held by syzygy.Curve and shared by
 every check and by schreyer_syzygies.
 
 There is one S-pair builder, s_polynomial, for Polys and module
-elements alike, and one Buchberger pair loop, closure.  buchberger
-interreduces its full result; a membership test for an element of
-weight w runs it truncated at top = w, dropping every S-pair whose lcm
-weighs more.  The truncated basis decides membership exactly only when
-the generators and the element are weight-homogeneous, as every binomial
-of the curve ideal is; callers confirm that first.  schreyer_syzygies
-divides every S-polynomial of a basis once and keeps each remainder with
-the relation its division yields: the remainders decide the Groebner
-claim, and the relations feed the completeness check of the syzygies.
+elements alike, and one Buchberger pair loop, Closure.close.  It takes
+pairs in ascending weight of their lcm, the normal strategy (Giovini,
+Mora, Niesi, Robbiano, Traverso, "One sugar cube, please", ISSAC 1991),
+and can be resumed: generators join with Closure.add, and close(upto)
+stops before the first pair heavier than upto.  closure is its one-shot
+form; buchberger interreduces its full result, and a membership test for
+an element of weight w runs it truncated at top = w.  The truncated
+basis decides membership exactly only when the generators and the
+element are weight-homogeneous, as every binomial of the curve ideal is;
+callers confirm that first.  schreyer_syzygies divides every
+S-polynomial of a basis once and keeps each remainder with the relation
+its division yields: the remainders decide the Groebner claim, and the
+relations feed the completeness check of the syzygies.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from operator import add, le, mul, sub
 
 from .semigroup import CurveParams
@@ -267,7 +272,9 @@ class TermOrder:
     """What the ring and module orders share, given key() and leading_term().
 
     leading_term is written out in each subclass so that the calls of
-    each order can be counted on its own class.
+    each order can be counted on its own class.  key() memoizes in the
+    dict _cache, term to key, which Reducer.divide fills and reads
+    directly.
     """
 
     def compare(self, f, g) -> int:
@@ -328,15 +335,21 @@ class Reducer:
     module symbols; a ring basis is a module with the one symbol None.
     normal_form and syzygy.module_normal_form take a Reducer in place of
     a basis list; it must be built with the order they are given.
+
+    It also remembers, per term, the first row that divides it.  A found
+    row stays the first one for good, since rows are only appended; the
+    terms no row divided are kept apart and forgotten on every append.
     """
 
-    __slots__ = ("order", "ring", "basis", "rows")
+    __slots__ = ("order", "ring", "basis", "rows", "_hits", "_misses")
 
     def __init__(self, order: TermOrder, basis=()):
         self.order = order
         self.ring = isinstance(order, WeightOrder)
         self.basis = []
         self.rows = {}
+        self._hits = {}
+        self._misses = set()
         for g in basis:
             self.append(g)
 
@@ -350,6 +363,7 @@ class Reducer:
             tail = [(m, s, c) for (m, s), c in g.terms.items() if (m, s) != lead]
         self.rows.setdefault(sym, []).append((mono, _inverse(lc), tail, len(self.basis)))
         self.basis.append(g)
+        self._misses = set()
 
     def pairs(self) -> list[tuple[int, int]]:
         """The index pairs x < y whose leading terms share a symbol, x-major:
@@ -360,36 +374,57 @@ class Reducer:
     def divide(self, f):
         """(remainder, quotients) of f by the basis; see normal_form.
 
-        Each processed term is smaller than the one before, so an index
-        k never gets the same quotient monomial twice.
+        Each term is keyed once, as it enters the work queue, by filling
+        the order's key cache, so the largest term is found by plain
+        lookups.  Each processed term is smaller than the one before, so
+        an index k never gets the same quotient monomial twice.
         """
-        ring, rows, key = self.ring, self.rows, self.order.key
+        ring, rows, hits, misses = self.ring, self.rows, self._hits, self._misses
+        key, cache = self.order.key, self.order._cache
         work = dict(f.terms)
+        for t in work:
+            if t not in cache:
+                key(t)
+        rank = cache.__getitem__
         remainder = {}
         quotients = {}
         while work:
-            term = max(work, key=key)
+            term = max(work, key=rank)
             coeff = work.pop(term)
-            mono, sym = (term, None) if ring else term
-            for lm, inv, tail, k in rows.get(sym, ()):
-                if mono_divides(lm, mono):
-                    u = mono_div(mono, lm)
-                    c = coeff * inv
-                    q = quotients.get(k)
-                    if q is None:
-                        quotients[k] = {u: c}
-                    else:
-                        q[u] = c
-                    for m2, s2, c2 in tail:
-                        t2 = mono_mul(m2, u) if ring else (mono_mul(m2, u), s2)
-                        v = work.get(t2, 0) - c * c2
-                        if v:
-                            work[t2] = v
-                        elif t2 in work:
-                            del work[t2]
-                    break
-            else:
+            mono = term if ring else term[0]
+            row = hits.get(term)
+            if row is None and term not in misses:
+                for row in rows.get(None if ring else term[1], ()):
+                    if all(map(le, row[0], mono)):
+                        hits[term] = row
+                        break
+                else:
+                    row = None
+                    misses.add(term)
+            if row is None:
                 remainder[term] = coeff
+                continue
+            lm, inv, tail, k = row
+            u = tuple(map(sub, mono, lm))
+            c = coeff * inv
+            q = quotients.get(k)
+            if q is None:
+                quotients[k] = {u: c}
+            else:
+                q[u] = c
+            for m2, s2, c2 in tail:
+                t2 = tuple(map(add, m2, u)) if ring else (tuple(map(add, m2, u)), s2)
+                v = work.get(t2)
+                if v is None:
+                    if t2 not in cache:
+                        key(t2)
+                    work[t2] = -c * c2
+                else:
+                    v -= c * c2
+                    if v:
+                        work[t2] = v
+                    else:
+                        del work[t2]
         nv = f.nvars
         return f._raw(nv, remainder), {k: Poly._raw(nv, q) for k, q in quotients.items()}
 
@@ -425,41 +460,67 @@ def s_polynomial(order: TermOrder, f, g):
     )
 
 
+class Closure:
+    """A Buchberger closure grown weight by weight: the one pair loop.
+
+    add(g) joins g, monic, to the basis, queueing a pair with each earlier
+    element unless their leading monomials are coprime.  close(upto)
+    pops the queued pairs in ascending weight of the lcm of their leading
+    monomials, ties by index, and joins every non-zero remainder of an
+    S-polynomial the same way, until the next pair weighs more than upto
+    (all of them when upto is None).  Heavier pairs stay queued, so more
+    generators can be added and the closure resumed at a larger weight.
+    table is the Reducer of the basis so far.
+    """
+
+    __slots__ = ("order", "table", "_lms", "_pairs")
+
+    def __init__(self, order: WeightOrder, gens=()):
+        self.order = order
+        self.table = Reducer(order)
+        self._lms = []
+        self._pairs = []
+        for g in gens:
+            self.add(g)
+
+    def add(self, g) -> None:
+        if not g:
+            return
+        order, lms, pairs = self.order, self._lms, self._pairs
+        lm, lc = order.leading_term(g)
+        self.table.append(g if lc == 1 else g.scaled(_inverse(lc)))
+        j = len(lms)
+        for i, m in enumerate(lms):
+            if not mono_coprime(m, lm):
+                heappush(pairs, (order.weight(mono_lcm(m, lm)), i, j))
+        lms.append(lm)
+
+    def close(self, upto: int | None = None) -> Reducer:
+        order, table, pairs = self.order, self.table, self._pairs
+        basis = table.basis
+        while pairs and (upto is None or pairs[0][0] <= upto):
+            _, i, j = heappop(pairs)
+            r, _ = normal_form(order, s_polynomial(order, basis[i], basis[j]), table)
+            self.add(r)
+        return table
+
+
 def closure(order: WeightOrder, gens, top: int | None = None) -> Reducer:
     """Close gens under S-pairs: a Reducer of a Groebner basis of their ideal.
 
-    The one pair loop: pairs are popped last-in first-out, a pair with
-    coprime leading monomials is skipped, and every non-zero remainder
-    joins the basis, monic, with a pair to each earlier element.  When
-    top is given, a pair whose lcm of leading monomials weighs more than
-    top is dropped as well.  For weight-homogeneous gens the result is
-    then a Groebner basis up to weight top (Cox, Little, O'Shea, Ideals,
-    Varieties, and Algorithms, on degree-truncated bases of homogeneous
-    ideals): every S-polynomial and remainder is homogeneous of its lcm's
-    weight, so each pair that could reach a weight up to top is processed,
-    and a weight-homogeneous polynomial of weight at most top divides to
-    its normal form modulo the whole ideal, zero exactly when it is a
-    member.  The cost is in pairs, not in the number of monomials of
-    weight top.  For input that is not weight-homogeneous a truncated
-    closure decides nothing.
+    A Closure of gens, closed up to top.  Every pair whose lcm of leading
+    monomials weighs more than top is dropped.  For weight-homogeneous
+    gens the result is then a Groebner basis up to weight top (Cox,
+    Little, O'Shea, Ideals, Varieties, and Algorithms, on degree-truncated
+    bases of homogeneous ideals): every S-polynomial and remainder is
+    homogeneous of its lcm's weight, so each pair that could reach a
+    weight up to top is processed, and a weight-homogeneous polynomial of
+    weight at most top divides to its normal form modulo the whole ideal,
+    zero exactly when it is a member.  The cost is in pairs, not in the
+    number of monomials of weight top.  For input that is not
+    weight-homogeneous a truncated closure decides nothing.
     """
-    table = Reducer(order, (order.monic(g) for g in gens if g))
-    basis = table.basis
-    lms = [order.leading_monomial(g) for g in basis]
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
-    while pairs:
-        i, j = pairs.pop()
-        if mono_coprime(lms[i], lms[j]):
-            continue
-        if top is not None and order.weight(mono_lcm(lms[i], lms[j])) > top:
-            continue
-        s = s_polynomial(order, basis[i], basis[j])
-        r, _ = normal_form(order, s, table)
-        if r:
-            table.append(order.monic(r))
-            lms.append(order.leading_monomial(basis[-1]))
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    return table
+    return Closure(order, gens).close(top)
 
 
 def buchberger(order: WeightOrder, gens) -> list[Poly]:

@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .generators import (
     GeneratorSet,
@@ -80,16 +81,20 @@ from .report import VerificationReport
 from .semigroup import CurveParams
 
 
-@dataclass(frozen=True, order=True)
-class Psi:
+# Symbols are named tuples, so that hashing and comparing a module term
+# (monomial, symbol) runs in C.  A symbol never shares a dict or a sort
+# with a bare tuple, and Psi and Phi differ in length, so none equals
+# another of the other kind.
+
+
+class Psi(NamedTuple):
     j: int
 
     def __str__(self) -> str:
         return f"Psi({self.j})"
 
 
-@dataclass(frozen=True, order=True)
-class Phi:
+class Phi(NamedTuple):
     i: int
     j: int
 
@@ -523,19 +528,28 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
         witness=bad,
     )
 
-    offender = None
-    checked = 0
-    leads = [(lab, actual[lab]) for lab, _ in labeled]
-    for la, (ma, sa) in leads:
-        for lb, (mb, sb) in leads:
-            if la == lb:
-                continue
-            checked += 1
-            if sa == sb and mono_divides(ma, mb):
-                offender = {"divisor": la, "multiple": lb}
+    # only leads on one symbol can divide each other: the first dividing
+    # (x, y) in the order of a double loop over all leads, and the ordered
+    # pairs that loop would have tried up to it
+    leads = [actual[lab] for lab, _ in labeled]
+    by_symbol = {}
+    for x, (_, sym) in enumerate(leads):
+        by_symbol.setdefault(sym, []).append(x)
+    first = None
+    for same in by_symbol.values():
+        for x in same:
+            if first and x > first[0]:
                 break
-        if offender:
-            break
+            y = next((y for y in same if y != x and mono_divides(leads[x][0], leads[y][0])), None)
+            if y is not None:
+                first = min(first or (x, y), (x, y))
+                break
+    n = len(labeled)
+    checked, offender = n * (n - 1), None
+    if first is not None:
+        x, y = first
+        checked = x * (n - 1) + (y if x < y else y + 1)
+        offender = {"divisor": labeled[x][0], "multiple": labeled[y][0]}
     report.add(
         "module-leading-terms-incomparable",
         offender is None,

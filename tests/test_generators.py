@@ -2,6 +2,7 @@ import bisect
 import itertools
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import hypothesis.strategies as st
@@ -12,6 +13,7 @@ from monocurve import make_params, parameter_sweep, weight
 from monocurve.cli import main
 from monocurve.generators import (
     GeneratorSet,
+    _rank,
     PatilSet,
     epsilon,
     expected_leading_monomials,
@@ -29,6 +31,7 @@ from monocurve.generators import (
     verify_standard_monomials,
 )
 from monocurve.polyring import (
+    Closure,
     Poly,
     Reducer,
     WeightOrder,
@@ -40,6 +43,7 @@ from monocurve.polyring import (
     mono_to_name,
     normal_form,
     poly_to_json,
+    s_polynomial,
     variable_monomial,
 )
 from monocurve.syzygy import Curve
@@ -190,6 +194,28 @@ def test_truncated_closure_gives_the_full_normal_form(triple, data):
     assert truncated == normal_form(order, f, full)[0]
 
 
+@given(st.sampled_from([(7, 1, 3), (13, 2, 6), (8, 3, 2)]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_resumed_closure_leaves_the_remainders_of_a_truncated_one(triple, data):
+    # close(w1), more generators, then close(w2): the same normal forms up to
+    # weight w2 as closing all of them at once, truncated at w2
+    pr, order, patil, full, by_weight, shared = _classical_reference(triple)
+    w1, w2 = sorted(data.draw(st.lists(st.sampled_from(shared), min_size=2, max_size=2)))
+    gens = data.draw(st.permutations(patil))
+    cut = data.draw(st.integers(0, len(gens)))
+    grown = Closure(order, gens[:cut])
+    grown.close(w1)
+    for g in gens[cut:]:
+        grown.add(g)
+    resumed = grown.close(w2)
+    once = closure(order, patil, w2)
+    for w in (w1, w2):
+        monos = data.draw(st.lists(st.sampled_from(by_weight[w]), min_size=1, max_size=3, unique=True))
+        f = Poly(pr.nvars, {m: data.draw(st.integers(-3, 3).filter(bool)) for m in monos})
+        assert normal_form(order, f, resumed)[0] == normal_form(order, f, once)[0]
+        assert normal_form(order, f, resumed)[0] == normal_form(order, f, full)[0]
+
+
 def test_minimality_detects_planted_redundancy(p713):
     order = WeightOrder(p713)
     gset = groebner_generators(p713)
@@ -204,12 +230,13 @@ def test_minimality_detects_planted_redundancy(p713):
 
 @dataclass(frozen=True)
 class _PlantedSet(GeneratorSet):
-    """The closed-form set with one more element, labeled "planted"."""
+    """The closed-form set with labeled plants before and after it."""
 
-    planted: Poly = None
+    before: tuple = ()
+    after: tuple = ()
 
     def labeled(self):
-        return super().labeled() + [("planted", self.planted)]
+        return list(self.before) + super().labeled() + list(self.after)
 
 
 def _first_redundant(order, labeled):
@@ -222,13 +249,46 @@ def _first_redundant(order, labeled):
     return None
 
 
-def _plant(monkeypatch, make):
-    # every Curve built afterwards carries make(params, gset) as "planted"
+def _one_left_out(order, labeled):
+    # the per-generator reference: the first element, in label order, that
+    # reduces to zero modulo the closure of all the others truncated at its
+    # own weight
+    for k, (lab, g) in enumerate(labeled):
+        others = [h for n, (_, h) in enumerate(labeled) if n != k]
+        top = order.weight(order.leading_monomial(g))
+        if not normal_form(order, g, closure(order, others, top))[0]:
+            return lab
+    return None
+
+
+def _plant(monkeypatch, make, before=False):
+    # every Curve built afterwards carries make(params, gset), a polynomial
+    # labeled "planted" or a list of (label, polynomial), after the
+    # closed-form set or, with before, ahead of it
     def planted(params):
         gset = groebner_generators(params)
-        return _PlantedSet(params, gset.phis, gset.psis, make(params, gset))
+        plants = make(params, gset)
+        if isinstance(plants, Poly):
+            plants = [("planted", plants)]
+        plants = tuple(plants)
+        return _PlantedSet(params, gset.phis, gset.psis, *((plants, ()) if before else ((), plants)))
 
     monkeypatch.setattr("monocurve.syzygy.groebner_generators", planted)
+
+
+def _deep_witness(curve):
+    deep = verify_minimality(curve, deep=True).checks[1]
+    assert deep.name == "no-redundant-generator"
+    assert deep.detail == f"{len(curve.gset.labeled())} one-left-out closures"
+    assert deep.passed == (deep.witness is None)
+    return None if deep.witness is None else deep.witness["element"]
+
+
+def test_graded_minimality_matches_the_one_left_out_closures():
+    for pr in SWEEP + [make_params(*t) for t in ((17, 3, 8), (18, 1, 8), (15, 7, 8), (16, 5, 8))]:
+        curve = Curve(pr)
+        assert _deep_witness(curve) is None
+        assert _one_left_out(curve.order, curve.gset.labeled()) is None, pr
 
 
 @pytest.mark.parametrize("triple", [(7, 1, 3), (8, 3, 2), (13, 2, 6)])
@@ -238,10 +298,40 @@ def test_deep_minimality_catches_a_planted_multiple(monkeypatch, triple):
     _plant(monkeypatch, lambda params, gset: x0 * gset.polynomials()[0])
     curve = Curve(pr)
     assert _first_redundant(curve.order, curve.gset.labeled()) == "planted"
+    assert _one_left_out(curve.order, curve.gset.labeled()) == "planted"
     leads, deep = verify_minimality(curve, deep=True).checks
     assert not leads.passed and leads.witness["multiple"] == "planted"
     assert deep.name == "no-redundant-generator"
     assert not deep.passed and deep.witness == {"element": "planted"}
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (8, 3, 2), (13, 2, 6), (17, 3, 8)])
+@pytest.mark.parametrize("before", [False, True])
+def test_deep_minimality_names_the_first_of_two_scaled_copies(monkeypatch, triple, before):
+    # 3*g_0 and g_0 make each other redundant, at one weight: the witness is
+    # whichever comes first in label order
+    _plant(monkeypatch, lambda params, gset: gset.polynomials()[0].scaled(3), before)
+    curve = Curve(make_params(*triple))
+    expected = "planted" if before else curve.gset.labeled()[0][0]
+    assert _one_left_out(curve.order, curve.gset.labeled()) == expected
+    assert _deep_witness(curve) == expected
+
+
+@pytest.mark.parametrize("triple, a, b", [((13, 2, 6), (1, 3), (2, 2)),
+                                          ((17, 3, 8), (2, 5), (3, 4)),
+                                          ((16, 5, 8), (1, 6), (3, 4))])
+def test_deep_minimality_catches_a_same_weight_sum(monkeypatch, triple, a, b):
+    # g_a + g_b has the weight of g_a and g_b and a non-zero normal form
+    # modulo the lighter generators: only the rank test over the generators
+    # of that weight finds the three of them dependent
+    _plant(monkeypatch, lambda params, gset: gset.phis[a] + gset.phis[b])
+    curve = Curve(make_params(*triple))
+    labeled = curve.gset.labeled()
+    order = curve.order
+    assert order.weight(order.leading_monomial(labeled[-1][1])) == order.weight(
+        order.leading_monomial(curve.gset.phis[a]))
+    assert _one_left_out(order, labeled) == f"phi({a[0]},{a[1]})"
+    assert _deep_witness(curve) == f"phi({a[0]},{a[1]})"
 
 
 def test_deep_minimality_uses_the_pair_at_the_left_out_weight(monkeypatch, p713):
@@ -252,8 +342,53 @@ def test_deep_minimality_uses_the_pair_at_the_left_out_weight(monkeypatch, p713)
     _plant(monkeypatch, lambda params, gset: h)
     curve = Curve(p713)
     assert _first_redundant(curve.order, curve.gset.labeled()) == "psi(1,0)"
+    assert _one_left_out(curve.order, curve.gset.labeled()) == "psi(1,0)"
     deep = verify_minimality(curve, deep=True).checks[1]
     assert deep.witness == {"element": "psi(1,0)"}
+
+
+def test_deep_minimality_closes_the_lighter_generators_up_to_their_weight(monkeypatch, p713):
+    # h1 = X1^2*X2 + 3*X2^2*X0 (weight 25) and h2 = X1^2*X3 + 2*X2*X3*X0 (26)
+    # lie outside the curve ideal; their S-polynomial is the monomial
+    # X2^2*X3*X0 of weight 35, the weight of the lcm X1^2*X2*X3 of their
+    # leads, and no lighter generator divides it.  So the planted monomial is
+    # redundant, and only a closure that takes the pairs at its own weight
+    # before testing it can tell
+    h1 = Poly(4, {(2, 1, 0, 0): 1, (0, 2, 0, 1): 3})
+    h2 = Poly(4, {(2, 0, 1, 0): 1, (0, 1, 1, 1): 2})
+    m = Poly.term(4, (0, 2, 1, 1))
+    assert s_polynomial(WeightOrder(p713), h1, h2) == m
+    _plant(monkeypatch, lambda params, gset: [("h1", h1), ("h2", h2), ("planted", m)])
+    curve = Curve(p713)
+    assert _first_redundant(curve.order, curve.gset.labeled()) == "planted"
+    assert _one_left_out(curve.order, curve.gset.labeled()) == "planted"
+    assert _deep_witness(curve) == "planted"
+
+
+def test_deep_minimality_at_p12_takes_one_closure():
+    curve = Curve(make_params(41, 2, 12))
+    start = time.process_time()
+    report = verify_minimality(curve, deep=True)
+    elapsed = time.process_time() - start
+    assert report.passed
+    assert report.checks[1].detail == "74 one-left-out closures"
+    assert elapsed < 0.2  # one closure per generator took about 1 s
+
+
+def test_rank_is_exact_over_the_rationals():
+    x, y, z = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    f = Poly(4, {x: Fraction(1, 3), y: Fraction(-2, 7)})
+    g = Poly(4, {y: 1, z: Fraction(5, 2)})
+    assert _rank([]) == 0
+    assert _rank([Poly(4)]) == 0
+    assert _rank([f]) == 1
+    assert _rank([f, f.scaled(Fraction(-9, 4))]) == 1
+    assert _rank([f, g]) == 2
+    assert _rank([f, g, f.scaled(Fraction(3, 5)) + g.scaled(Fraction(-7, 11))]) == 2
+    # off by 10^-30: a float elimination would call this dependent
+    assert _rank([f, g, f + g + Poly(4, {z: Fraction(1, 10**30)})]) == 3
+    assert _rank([f, g, Poly(4, {z: 1})]) == 3
+    assert _rank([Poly(4, {x: 1, y: 1}), Poly(4, {y: 1, z: 1}), Poly(4, {x: 1, z: -1})]) == 2
 
 
 def test_closed_form_check_closes_the_classical_set(monkeypatch, p713):

@@ -146,6 +146,35 @@ def test_normal_form_postconditions(p713):
         assert r2 == r
 
 
+def test_reducer_forgets_its_misses_on_append(p713):
+    # X2^2*X0 is irreducible by phi(1,1) alone; once phi(2,2) joins, the
+    # same Reducer must try it again rather than recall the miss
+    f = Poly.term(4, (0, 2, 0, 1))
+    table = Reducer(ORDER, [phi_binomial(p713, 1, 1)])
+    r, quots = table.divide(f)
+    assert r == f and not quots
+    table.append(phi_binomial(p713, 2, 2))
+    r, quots = table.divide(f)
+    assert r == Poly.term(4, (1, 0, 1, 1)) and list(quots) == [1]
+    assert (r, quots) == Reducer(ORDER, table.basis).divide(f)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_growing_reducer_divides_like_a_fresh_one(data):
+    # appends interleaved with divisions: every division must match that of a
+    # Reducer built from scratch on the basis so far
+    closed = groebner_generators(P713).polynomials()
+    extra = [Poly(4, {(1, 1, 0, 0): 1, (0, 0, 0, 2): 3}), Poly.term(4, (0, 1, 1, 0), 2)]
+    basis = data.draw(st.permutations(closed + extra))
+    table = Reducer(ORDER)
+    for g in basis:
+        table.append(g)
+        for _ in range(data.draw(st.integers(0, 2))):
+            f = data.draw(homogeneous_polys(P713, closed))
+            assert table.divide(f) == Reducer(ORDER, table.basis).divide(f)
+
+
 def _with_fractions(f):
     # the same element with every coefficient a Fraction: the oracle arithmetic
     return Poly._raw(f.nvars, {m: Fraction(c) for m, c in f.terms.items()})

@@ -67,6 +67,32 @@ def test_symbol_conventions(p713):
         psi_symbol(p713, 3)
 
 
+def test_symbols_hash_compare_and_print_like_tuples():
+    assert hash(Psi(2)) == hash((2,)) and hash(Phi(1, 2)) == hash((1, 2))
+    assert Psi(1) == Psi(1) and Phi(1, 2) == Phi(1, 2)
+    assert Psi(1) != Phi(1, 1) and Psi(1) != Psi(2) and Phi(1, 2) != Phi(2, 1)
+    assert len({Psi(1), Psi(1), Phi(1, 1), Phi(1, 1)}) == 2
+    assert {(_x(1), Psi(0)): 1}[((1, 0, 0, 0), Psi(0))] == 1
+    assert Psi(1) < Psi(2) and Phi(1, 3) < Phi(2, 2)
+    assert str(Psi(3)) == "Psi(3)" and str(Phi(1, 2)) == "Phi(1,2)"
+    assert repr(Psi(3)) == "Psi(j=3)" and repr(Phi(1, 2)) == "Phi(i=1, j=2)"
+    for sym in (Psi(0), Psi(4), Phi(1, 1), Phi(2, 5)):
+        assert syzygy._symbol_from_json(syzygy._symbol_json(sym)) == sym
+        assert type(syzygy._symbol_from_json(syzygy._symbol_json(sym))) is type(sym)
+    assert syzygy._symbol_json(Psi(4)) == {"kind": "Psi", "j": 4}
+    assert syzygy._symbol_json(Phi(2, 5)) == {"kind": "Phi", "i": 2, "j": 5}
+
+
+def test_symbols_sort_by_their_text():
+    # the order of the sampled projection check
+    curve = Curve(make_params(13, 2, 6))
+    assert [str(s) for s in sorted(curve.images, key=str)] == [
+        "Phi(1,1)", "Phi(1,2)", "Phi(1,3)", "Phi(1,4)", "Phi(1,5)", "Phi(2,2)", "Phi(2,3)",
+        "Phi(2,4)", "Phi(2,5)", "Phi(3,3)", "Phi(3,4)", "Phi(3,5)", "Phi(4,4)", "Phi(4,5)",
+        "Phi(5,5)", "Psi(0)", "Psi(1)", "Psi(2)", "Psi(3)", "Psi(4)", "Psi(5)",
+    ]
+
+
 def test_syzygy_A_explicit(p713):
     # A(1;1,0) and A(3;1,0), frozen from expanding the construction by hand
     elem = syzygy_A(p713, 1, 0)
@@ -388,6 +414,69 @@ def test_verify_syzygy_basis(p713, p832, p613):
     for pr in (p713, p832, p613):
         report = verify_syzygy_basis(Curve(pr))
         assert report.passed, [c.name for c in report.failures()]
+
+
+def _module_leads_double_loop(curve):
+    # the reference: every ordered pair of distinct leads, outer loop first,
+    # until one lead divides another on the same symbol
+    leads = [(lab, curve.morder.leading_term(g)[0]) for lab, g in curve.sset.labeled()]
+    checked, offender = 0, None
+    for la, (ma, sa) in leads:
+        for lb, (mb, sb) in leads:
+            if la == lb:
+                continue
+            checked += 1
+            if sa == sb and mono_divides(ma, mb):
+                offender = {"divisor": la, "multiple": lb}
+                break
+        if offender:
+            break
+    return offender is None, f"{checked} ordered pairs", offender
+
+
+def _module_leads_record(curve):
+    (check,) = [c for c in verify_syzygy_basis(curve).checks
+                if c.name == "module-leading-terms-incomparable"]
+    return check.passed, check.detail, check.witness
+
+
+def test_module_lead_check_matches_the_double_loop():
+    for pr in SWEEP5[::3] + [make_params(17, 3, 8)]:
+        curve = Curve(pr)
+        n = len(curve.sset)
+        assert _module_leads_record(curve) == _module_leads_double_loop(curve) == (
+            True, f"{n * (n - 1)} ordered pairs", None), pr
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6), (17, 3, 8)])
+@pytest.mark.parametrize("before", [False, True])
+@pytest.mark.parametrize("plant", ["copy", "unit", "multiple", "lone"])
+def test_module_lead_check_finds_a_planted_dividing_lead(monkeypatch, triple, before, plant):
+    pr = make_params(*triple)
+    base = syzygy_basis(pr)
+    nv, p = pr.nvars, pr.p
+    x1x2 = mono_mul(variable_monomial(p, 1), variable_monomial(p, 2))
+    planted = {
+        "copy": base.labeled()[len(base) // 2][1],  # the same lead twice
+        "unit": ModElement.term(nv, (0,) * nv, Psi(0)),  # divides every lead on Psi(0)
+        "multiple": ModElement.term(nv, x1x2, Psi(0)),  # a multiple of the lead of A(1;b,0)
+        "lone": ModElement.term(nv, (0,) * nv, Phi(1, 1)),  # no other lead on Phi(1,1)
+    }[plant]
+
+    class Planted(SyzygySet):
+        def labeled(self):
+            extra = [("planted", planted)]
+            return extra + super().labeled() if before else super().labeled() + extra
+
+    monkeypatch.setattr(syzygy, "syzygy_basis",
+                        lambda params: Planted(params=params, A=base.A, B=base.B, L=base.L))
+    expected = syzygy._expected_leads
+    monkeypatch.setattr(syzygy, "_expected_leads", lambda params: {
+        **expected(params), "planted": ModuleOrder(params).leading_term(planted)[0]})
+    curve = Curve(pr)
+    record = _module_leads_record(curve)
+    assert record == _module_leads_double_loop(curve)
+    assert record[0] == (plant == "lone")
 
 
 def test_verify_excluded_leading_forms(p713):
