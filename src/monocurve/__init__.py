@@ -25,14 +25,12 @@ from .polyring import (
     ZeroPolynomialError,
     buchberger,
     closure,
-    curve_image,
-    in_curve_ideal,
     normal_form,
     s_polynomial,
     schreyer_syzygies,
     variable_monomial,
 )
-from .report import CheckResult, VerificationFailure, VerificationReport
+from .report import CheckResult, VerificationReport
 from .semigroup import (
     CurveParams,
     GcdError,
@@ -43,11 +41,7 @@ from .semigroup import (
     min_multiple_of_m0,
     min_multiple_of_mp,
     mp_multiple_identity,
-    parameter_sweep,
-    semigroup_contains,
-    semigroup_membership,
     verify_minimal_multiples,
-    weight,
 )
 from .syzygy import (
     Curve,
@@ -59,7 +53,6 @@ from .syzygy import (
     module_normal_form,
     order_monomial,
     relation_image,
-    is_relation,
     schreyer_relations,
     syzygy_A,
     syzygy_B,

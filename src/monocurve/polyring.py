@@ -277,12 +277,6 @@ class TermOrder:
     directly.
     """
 
-    def compare(self, f, g) -> int:
-        """1, 0 or -1 as f is greater than, equal to, or less than g."""
-        if f == g:
-            return 0
-        return 1 if self.key(f) > self.key(g) else -1
-
     def sorted_terms(self, elem) -> list:
         return [(t, elem.terms[t]) for t in sorted(elem.terms, key=self.key, reverse=True)]
 
@@ -586,30 +580,6 @@ def schreyer_syzygies(table: Reducer) -> list[tuple[int, int, Poly, dict]]:
 
 
 # ---------------------------------------------------------------------------
-# the parameterization map
-
-
-def curve_image(params: CurveParams, f: Poly) -> dict[int, int | Fraction]:
-    """Substitute X_i -> T**m_i; result maps T-exponent to coefficient.
-
-    The result is empty exactly when f lies in the curve ideal.
-    """
-    out = {}
-    for mono, c in f.terms.items():
-        t = params.weight(mono)
-        v = out.get(t, 0) + c
-        if v:
-            out[t] = v
-        elif t in out:
-            del out[t]
-    return out
-
-
-def in_curve_ideal(params: CurveParams, f: Poly) -> bool:
-    return not curve_image(params, f)
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 def coeff_to_str(c: int | Fraction) -> str:
@@ -625,10 +595,6 @@ def _json_terms(order: TermOrder, elem, spell) -> list[dict]:
 def poly_to_json(order: WeightOrder, f: Poly) -> list[dict]:
     """Terms as {"coeff": "num/den", "expo": [...]}, sorted descending."""
     return _json_terms(order, f, lambda m: {"expo": list(m)})
-
-
-def poly_from_json(nvars: int, items) -> Poly:
-    return Poly(nvars, {tuple(t["expo"]): _exact(t["coeff"]) for t in items})
 
 
 def _term_text(mono: Mono, c: int | Fraction) -> str:

@@ -1,16 +1,13 @@
-"""Structured pass/fail records produced by the verification routines."""
+"""Structured pass/fail records produced by the verification routines.
+
+A report only records: the CLI turns it into output and an exit code,
+and a caller that wants the failed checks filters report.checks on
+CheckResult.passed.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-
-class VerificationFailure(Exception):
-    """Raised by VerificationReport.require() when a check failed."""
-
-    def __init__(self, record: dict):
-        super().__init__(f"{record['check']}: fail")
-        self.record = record
 
 
 @dataclass
@@ -49,14 +46,5 @@ class VerificationReport:
     def add(self, name, passed, detail="", witness=None):
         self.checks.append(CheckResult(name, passed, detail, witness))
 
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
     def to_records(self) -> list[dict]:
         return [c.to_record(self.params) for c in self.checks]
-
-    def require(self):
-        """Raise VerificationFailure on the first failed check, if any."""
-        for c in self.checks:
-            if not c.passed:
-                raise VerificationFailure(c.to_record(self.params))

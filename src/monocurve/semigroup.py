@@ -10,6 +10,11 @@ make_params checks only them.  Were m_i = m_{s_1} + ... + m_{s_k} a sum
 of k >= 1 other generators, then (k-1)*m0 = (i - sum s)*d.  k = 1 is
 impossible because d >= 1; for k >= 2, gcd(m0, d) = 1 forces m0 to
 divide i - sum s, yet 0 < i - sum s <= p < m0.
+
+Nothing here searches the semigroup: a monomial's weight is
+CurveParams.weight, and the two minimal multiples solve linear
+congruences.  An exhaustive membership search lives with the tests,
+which compare these closed forms against it.
 """
 
 from __future__ import annotations
@@ -72,34 +77,6 @@ class CurveParams:
         return f"(m0={self.m0}, d={self.d}, p={self.p})"
 
 
-def _representation(x: int, values: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Multiplicities writing x as a non-negative combination of values, or None.
-
-    Dynamic programming over [0, x] with back-pointers; the witness is
-    reconstructed by walking back, so it is exact but not unique.
-    """
-    if x == 0:
-        return (0,) * len(values)
-    used = [None] * (x + 1)
-    reachable = [False] * (x + 1)
-    reachable[0] = True
-    for v in range(1, x + 1):
-        for k, val in enumerate(values):
-            if val <= v and reachable[v - val]:
-                reachable[v] = True
-                used[v] = k
-                break
-    if not reachable[x]:
-        return None
-    counts = [0] * len(values)
-    v = x
-    while v:
-        k = used[v]
-        counts[k] += 1
-        v -= values[k]
-    return tuple(counts)
-
-
 def make_params(m0: int, d: int, p: int) -> CurveParams:
     """Validate (m0, d, p) and return the parameter record in O(p).
 
@@ -124,17 +101,6 @@ def make_params(m0: int, d: int, p: int) -> CurveParams:
         raise HypothesisError(f"m0 = {m0} must exceed p = {p} so that m0 = a*p + b with a >= 1")
     generators = tuple(m0 + i * d for i in range(p + 1))
     return CurveParams(p=p, m0=m0, d=d, a=a, b=b, generators=generators)
-
-
-def semigroup_membership(params: CurveParams, x: int) -> tuple[int, ...] | None:
-    """A witness (c_0, ..., c_p) with x = sum c_i * m_i, or None."""
-    if x < 0:
-        raise ValueError(f"x must be non-negative, got {x}")
-    return _representation(x, params.generators)
-
-
-def semigroup_contains(params: CurveParams, x: int) -> bool:
-    return semigroup_membership(params, x) is not None
 
 
 def _least_multiple(c: int, modulus: int, rests) -> tuple[int, int, int]:
@@ -198,35 +164,6 @@ def m0_multiple_identity(params: CurveParams) -> tuple[int, int, int]:
     The congruence search min_multiple_of_m0 confirms minimality.
     """
     return params.a + params.d + 1, params.a, params.b
-
-
-def weight(params: CurveParams, exponents: tuple[int, ...]) -> int:
-    """Weight of a monomial: sum of exponent * generator over all variables.
-
-    Exponents are in position order (X1, ..., Xp, X0), X0 last.
-    """
-    if len(exponents) != params.nvars:
-        raise ValueError(f"expected {params.nvars} exponents, got {len(exponents)}")
-    return params.weight(exponents)
-
-
-def parameter_sweep(p_values, a_values, d_values, b_values=None):
-    """Yield every valid CurveParams with m0 = a*p + b over the given ranges.
-
-    Combinations failing the gcd or range hypotheses are skipped.
-    When b_values is None, b runs over the full range [1, p].
-    """
-    for p in p_values:
-        for a in a_values:
-            bs = b_values if b_values is not None else range(1, p + 1)
-            for b in bs:
-                if not 1 <= b <= p:
-                    continue
-                for d in d_values:
-                    try:
-                        yield make_params(a * p + b, d, p)
-                    except ParameterError:
-                        continue
 
 
 def verify_minimal_multiples(params: CurveParams) -> VerificationReport:

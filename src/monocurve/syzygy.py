@@ -181,10 +181,6 @@ def relation_image(curve: Curve, elem: ModElement) -> Poly:
     return Poly._raw(curve.params.nvars, acc)
 
 
-def is_relation(curve: Curve, elem: ModElement) -> bool:
-    return not relation_image(curve, elem)
-
-
 def order_monomial(params: CurveParams, mono: Mono, sym) -> Mono:
     """The ring monomial by which a module term is compared.
 
@@ -192,14 +188,16 @@ def order_monomial(params: CurveParams, mono: Mono, sym) -> Mono:
     multiplied by the term's own monomial.  This equals the leading
     monomial of the term's image, which is checked, not assumed.
     """
+    return mono_mul(mono, _stamp(params, sym))
+
+
+def _stamp(params: CurveParams, sym) -> Mono:
+    """The lead monomial of a symbol's binomial, which order_monomial
+    multiplies onto the term's own monomial."""
     p = params.p
     if isinstance(sym, Psi):
-        stamp = mono_mul(
-            variable_monomial(p, p, params.a), variable_monomial(p, params.b + sym.j)
-        )
-    else:
-        stamp = mono_mul(variable_monomial(p, sym.i), variable_monomial(p, sym.j))
-    return mono_mul(mono, stamp)
+        return mono_mul(variable_monomial(p, p, params.a), variable_monomial(p, params.b + sym.j))
+    return mono_mul(variable_monomial(p, sym.i), variable_monomial(p, sym.j))
 
 
 def _symbol_tiebreak(sym) -> tuple:
@@ -210,18 +208,26 @@ def _symbol_tiebreak(sym) -> tuple:
 
 
 class ModuleOrder(TermOrder):
-    """Total order on module terms: projection first, symbol tie-break second."""
+    """Total order on module terms: projection first, symbol tie-break second.
+
+    key() is order_monomial's closed form, with each symbol's stamp and
+    tie-break computed once per order, in _symbols.
+    """
 
     def __init__(self, params: CurveParams):
         self.params = params
         self.ring = WeightOrder(params)
         self._cache = {}
+        self._symbols = {}
 
     def key(self, term):
         k = self._cache.get(term)
         if k is None:
             mono, sym = term
-            k = (self.ring.key(order_monomial(self.params, mono, sym)), _symbol_tiebreak(sym))
+            known = self._symbols.get(sym)
+            if known is None:
+                known = self._symbols[sym] = (_stamp(self.params, sym), _symbol_tiebreak(sym))
+            k = (self.ring.key(mono_mul(mono, known[0])), known[1])
             self._cache[term] = k
         return k
 
@@ -372,11 +378,6 @@ def _expected_leads(params: CurveParams) -> dict:
     return out
 
 
-def expected_module_leading_terms(params: CurveParams) -> set:
-    """The predicted leading terms of the syzygy basis, per family."""
-    return set(_expected_leads(params).values())
-
-
 # ---------------------------------------------------------------------------
 # one prepared triple
 
@@ -483,11 +484,12 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
         set(actual.values()) == set(predicted.values())
         and len(set(actual.values())) == len(labeled)
     )
-    mismatch = [
-        {"element": lab, "computed": term_to_json(actual[lab]), "expected": term_to_json(predicted[lab])}
-        for lab in actual
-        if actual[lab] != predicted[lab]
-    ]
+    mismatch = []
+    for lab, term in actual.items():
+        want = predicted.get(lab)  # None for a label with no prediction
+        if term != want:
+            mismatch.append({"element": lab, "computed": term_to_json(term),
+                             "expected": None if want is None else term_to_json(want)})
     report.add(
         "leading-term-shape",
         shape_ok and not mismatch,
@@ -643,27 +645,9 @@ def _symbol_json(sym) -> dict:
     return {"kind": "Phi", "i": sym.i, "j": sym.j}
 
 
-def _symbol_from_json(data) -> Psi | Phi:
-    if data["kind"] == "Psi":
-        return Psi(data["j"])
-    if data["kind"] == "Phi":
-        return Phi(data["i"], data["j"])
-    raise ValueError(f"unknown basis symbol kind {data['kind']!r}")
-
-
 def mod_elem_to_json(morder: ModuleOrder, elem: ModElement) -> list[dict]:
     """Terms as {"coeff", "expo", "basis"}, sorted descending."""
     return _json_terms(morder, elem, term_to_json)
-
-
-def mod_elem_from_json(nvars: int, items) -> ModElement:
-    return ModElement(
-        nvars,
-        {
-            (tuple(t["expo"]), _symbol_from_json(t["basis"])): _exact(t["coeff"])
-            for t in items
-        },
-    )
 
 
 def format_mod_elem(morder: ModuleOrder, elem: ModElement) -> str:

@@ -1,0 +1,99 @@
+"""Reference implementations the tests compare the library against.
+
+None of them is on the path of the command line: an exhaustive semigroup
+membership search, the curve ideal as the kernel of the parametrization,
+the grid of valid parameter triples, and the readers of the JSON output
+format.  The library never imports this module.
+"""
+
+from monocurve.polyring import Poly, _exact
+from monocurve.semigroup import CurveParams, ParameterError, make_params
+from monocurve.syzygy import ModElement, Phi, Psi
+
+
+def _representation(x: int, values: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Multiplicities writing x as a non-negative combination of values, or None.
+
+    Dynamic programming over [0, x] with back-pointers; the witness is
+    reconstructed by walking back, so it is exact but not unique.
+    """
+    if x == 0:
+        return (0,) * len(values)
+    used = [None] * (x + 1)
+    reachable = [False] * (x + 1)
+    reachable[0] = True
+    for v in range(1, x + 1):
+        for k, val in enumerate(values):
+            if val <= v and reachable[v - val]:
+                reachable[v] = True
+                used[v] = k
+                break
+    if not reachable[x]:
+        return None
+    counts = [0] * len(values)
+    v = x
+    while v:
+        k = used[v]
+        counts[k] += 1
+        v -= values[k]
+    return tuple(counts)
+
+
+def semigroup_membership(params: CurveParams, x: int) -> tuple[int, ...] | None:
+    """A witness (c_0, ..., c_p) with x = sum c_i * m_i, or None."""
+    if x < 0:
+        raise ValueError(f"x must be non-negative, got {x}")
+    return _representation(x, params.generators)
+
+
+def curve_image(params: CurveParams, f: Poly) -> dict:
+    """Substitute X_i -> T**m_i; result maps T-exponent to coefficient.
+
+    The result is empty exactly when f lies in the curve ideal.
+    """
+    out = {}
+    for mono, c in f.terms.items():
+        t = params.weight(mono)
+        v = out.get(t, 0) + c
+        if v:
+            out[t] = v
+        elif t in out:
+            del out[t]
+    return out
+
+
+def parameter_sweep(p_values, a_values, d_values, b_values=None):
+    """Yield every valid CurveParams with m0 = a*p + b over the given ranges.
+
+    Combinations failing the gcd or range hypotheses are skipped.
+    When b_values is None, b runs over the full range [1, p].
+    """
+    for p in p_values:
+        for a in a_values:
+            for b in b_values if b_values is not None else range(1, p + 1):
+                if not 1 <= b <= p:
+                    continue
+                for d in d_values:
+                    try:
+                        yield make_params(a * p + b, d, p)
+                    except ParameterError:
+                        continue
+
+
+def poly_from_json(nvars: int, items) -> Poly:
+    """Read back polyring.poly_to_json."""
+    return Poly(nvars, {tuple(t["expo"]): _exact(t["coeff"]) for t in items})
+
+
+def _symbol_from_json(data) -> Psi | Phi:
+    if data["kind"] == "Psi":
+        return Psi(data["j"])
+    if data["kind"] == "Phi":
+        return Phi(data["i"], data["j"])
+    raise ValueError(f"unknown basis symbol kind {data['kind']!r}")
+
+
+def mod_elem_from_json(nvars: int, items) -> ModElement:
+    """Read back syzygy.mod_elem_to_json."""
+    return ModElement(nvars, {(tuple(t["expo"]), _symbol_from_json(t["basis"])): _exact(t["coeff"])
+                              for t in items})

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from monocurve import make_params, syzygy
 from monocurve.cli import _build_parser, main, run, verification_bundle
 from monocurve.generators import GeneratorSet, groebner_generators
-from monocurve.polyring import Poly, Reducer, WeightOrder, poly_from_json
+from monocurve.polyring import Poly, Reducer, WeightOrder
 from monocurve.report import VerificationReport
+from oracles import poly_from_json
 
 
 def test_info_text(capsys):
@@ -185,6 +186,27 @@ def test_verify_fails_cleanly_on_a_non_groebner_set(monkeypatch, capsys):
     assert harvest["status"] == "fail"
     assert harvest["witness"] == {"pair": ["Phi(1,1)", "Phi(1,2)"],
                                   "problem": "S-polynomial does not reduce to zero"}
+
+
+def test_verify_fails_cleanly_on_an_unlabelled_syzygy(monkeypatch, capsys):
+    # a syzygy whose label has no predicted lead term fails
+    # leading-term-shape with "expected": null, and verify exits 1
+    planted = syzygy.ModElement.term(4, (0, 0, 0, 0), syzygy.Psi(0))
+
+    class Planted(syzygy.SyzygySet):
+        def labeled(self):
+            return super().labeled() + [("planted", planted)]
+
+    base = syzygy.syzygy_basis(make_params(7, 1, 3))
+    monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: Planted(params, base.A, base.B, base.L))
+    code = main(["verify", "--m0", "7", "--d", "1", "--p", "3", "--bound", "2", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in err
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert checks["leading-term-shape"]["witness"] == {"mismatches": [{
+        "element": "planted", "computed": {"expo": [0, 0, 0, 0], "basis": {"kind": "Psi", "j": 0}},
+        "expected": None}]}
 
 
 def test_run_config_direct(tmp_path):

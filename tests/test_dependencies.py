@@ -29,3 +29,30 @@ def test_library_imports_only_the_standard_library():
 def test_pyproject_declares_no_dependency():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+def test_every_public_library_name_has_a_library_caller():
+    # a public function, class or method that no library module names is
+    # test-only code; the tests keep their oracles in tests/oracles.py
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "monocurve").glob("*.py"))
+             if path.name != "__init__.py"}
+    assert trees
+    defined = set()
+    used = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined.update((module, f"{node.name}.{item.name}") for item in node.body
+                               if isinstance(item, ast.FunctionDef))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted((module, name) for module, name in defined
+                    if not name.rpartition(".")[2].startswith("_")
+                    and name.rpartition(".")[2] not in used)
+    assert unused == []

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from monocurve import make_params, parameter_sweep, syzygy
+from monocurve import make_params, syzygy
 from monocurve.generators import groebner_generators, phi_binomial, psi_binomial
 from monocurve.polyring import (
     Poly,
@@ -26,9 +26,6 @@ from monocurve.syzygy import (
     Phi,
     Psi,
     SyzygySet,
-    expected_module_leading_terms,
-    is_relation,
-    mod_elem_from_json,
     mod_elem_to_json,
     module_normal_form,
     order_monomial,
@@ -45,6 +42,7 @@ from monocurve.syzygy import (
     verify_order_projection,
     verify_syzygy_basis,
 )
+from oracles import _symbol_from_json, mod_elem_from_json, parameter_sweep
 
 P713 = make_params(7, 1, 3)
 C713 = Curve(P713)
@@ -77,8 +75,8 @@ def test_symbols_hash_compare_and_print_like_tuples():
     assert str(Psi(3)) == "Psi(3)" and str(Phi(1, 2)) == "Phi(1,2)"
     assert repr(Psi(3)) == "Psi(j=3)" and repr(Phi(1, 2)) == "Phi(i=1, j=2)"
     for sym in (Psi(0), Psi(4), Phi(1, 1), Phi(2, 5)):
-        assert syzygy._symbol_from_json(syzygy._symbol_json(sym)) == sym
-        assert type(syzygy._symbol_from_json(syzygy._symbol_json(sym))) is type(sym)
+        assert _symbol_from_json(syzygy._symbol_json(sym)) == sym
+        assert type(_symbol_from_json(syzygy._symbol_json(sym))) is type(sym)
     assert syzygy._symbol_json(Psi(4)) == {"kind": "Psi", "j": 4}
     assert syzygy._symbol_json(Phi(2, 5)) == {"kind": "Phi", "i": 2, "j": 5}
 
@@ -173,7 +171,7 @@ def test_relation_image_examples(p713):
             (_x(0, 3), Phi(1, 2)): -1,
         },
     )
-    assert is_relation(C713, elem)
+    assert not relation_image(C713, elem)
     assert relation_image(C713, ModElement.term(4, (0,) * 4, Psi(0))) == psi_binomial(
         p713, 0
     )
@@ -207,19 +205,18 @@ def test_order_monomial_examples(p713):
 
 def test_module_compare_examples():
     # projections tie at X1*X3^3; the lower Psi index wins
-    assert MORDER.compare((_x(3), Psi(0)), (_x(1), Psi(2))) == 1
-    assert MORDER.compare((_x(1), Psi(2)), (_x(3), Psi(0))) == -1
-    assert MORDER.compare((_x(1), Psi(2)), (_x(1), Psi(2))) == 0
+    key = MORDER.key
+    assert key((_x(3), Psi(0))) > key((_x(1), Psi(2)))
+    assert key((_x(1), Psi(2))) < key((_x(3), Psi(0)))
+    assert key((_x(1), Psi(2))) == key((_x(1), Psi(2)))
     # projections tie at X1*X2*X3^(a+1): Psi beats Phi
     a = P713.a
-    assert (
-        MORDER.compare(((1, 1, 0, 0), Psi(2)), (_x(3, a + 1), Phi(1, 2))) == 1
-    )
+    assert key(((1, 1, 0, 0), Psi(2))) > key((_x(3, a + 1), Phi(1, 2)))
     # same projection on Phi terms: larger (j, i) wins
-    assert MORDER.compare((_x(1), Phi(2, 2)), (_x(2), Phi(1, 2))) == 1
+    assert key((_x(1), Phi(2, 2))) > key((_x(2), Phi(1, 2)))
     # distinct projections of equal weight resolve in the ring order:
     # X0^3*X1*X2 loses to X1*X3^3 on the right-most difference entry
-    assert MORDER.compare((_x(0, 3), Phi(1, 2)), (_x(1), Psi(2))) == -1
+    assert key((_x(0, 3), Phi(1, 2))) < key((_x(1), Psi(2)))
 
 
 @given(st.data())
@@ -230,11 +227,9 @@ def test_module_order_multiplicative(data):
     t1 = (data.draw(monos), data.draw(st.sampled_from(symbols)))
     t2 = (data.draw(monos), data.draw(st.sampled_from(symbols)))
     h = data.draw(monos)
-    c = MORDER.compare(t1, t2)
-    from monocurve.polyring import mono_mul
-
-    scaled = MORDER.compare((mono_mul(t1[0], h), t1[1]), (mono_mul(t2[0], h), t2[1]))
-    assert scaled == c
+    k1, k2 = MORDER.key(t1), MORDER.key(t2)
+    s1, s2 = MORDER.key((mono_mul(t1[0], h), t1[1])), MORDER.key((mono_mul(t2[0], h), t2[1]))
+    assert (s1 > s2, s1 == s2) == (k1 > k2, k1 == k2)
 
 
 def test_leading_terms_match_display():
@@ -242,7 +237,7 @@ def test_leading_terms_match_display():
         morder = ModuleOrder(pr)
         sset = syzygy_basis(pr)
         computed = {morder.leading_term(g)[0] for g in sset.elements()}
-        assert computed == expected_module_leading_terms(pr)
+        assert computed == set(syzygy._expected_leads(pr).values())
         b = pr.b
         for (i, j), g in sset.A.items():
             assert morder.leading_term(g)[0] == (variable_monomial(pr.p, i), Psi(j))
@@ -392,7 +387,7 @@ def test_harvested_relations_reduce(p713):
     assert [(i, j) for i, j, *_ in rows] == [(i, j) for j in range(6) for i in range(j)]
     for _, _, r, rel in rows:
         assert not r
-        assert is_relation(C713, rel)
+        assert not relation_image(C713, rel)
         r, _ = module_normal_form(MORDER, rel, elems)
         assert not r
     assert C713.harvest() is C713.harvest()
@@ -413,7 +408,7 @@ def test_deleting_an_element_breaks_completeness(p713):
 def test_verify_syzygy_basis(p713, p832, p613):
     for pr in (p713, p832, p613):
         report = verify_syzygy_basis(Curve(pr))
-        assert report.passed, [c.name for c in report.failures()]
+        assert report.passed, [c.name for c in report.checks if not c.passed]
 
 
 def _module_leads_double_loop(curve):
@@ -470,9 +465,6 @@ def test_module_lead_check_finds_a_planted_dividing_lead(monkeypatch, triple, be
 
     monkeypatch.setattr(syzygy, "syzygy_basis",
                         lambda params: Planted(params=params, A=base.A, B=base.B, L=base.L))
-    expected = syzygy._expected_leads
-    monkeypatch.setattr(syzygy, "_expected_leads", lambda params: {
-        **expected(params), "planted": ModuleOrder(params).leading_term(planted)[0]})
     curve = Curve(pr)
     record = _module_leads_record(curve)
     assert record == _module_leads_double_loop(curve)
@@ -591,7 +583,7 @@ def test_random_combinations_stay_relations(data):
         g = data.draw(st.sampled_from(elems))
         coeff = data.draw(st.integers(-2, 2))
         acc = acc + g.times_term(coeff, data.draw(monos))
-    assert is_relation(C713, acc)
+    assert not relation_image(C713, acc)
 
 
 def test_mod_elem_json_roundtrip(p713):
