@@ -25,7 +25,9 @@ module with the single symbol None.  A division returns its quotients
 only for the basis elements it used.  Loops that divide many times by one
 basis build the Reducer once and pass it to normal_form; the closed-form
 basis of a triple has one Reducer, held by syzygy.Curve and shared by
-every check and by schreyer_syzygies.
+every check and by schreyer_syzygies.  Reducer.pairs lists the S-pairs
+of its basis, and Reducer.critical_pairs those of them that the
+Gebauer-Moeller chain criterion keeps.
 
 There is one S-pair builder, s_polynomial, for Polys and module
 elements alike, and one Buchberger pair loop, Closure.close.  It takes
@@ -46,8 +48,10 @@ relations feed the completeness check of the syzygies.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from heapq import heappop, heappush
-from operator import add, le, mul, sub
+from itertools import combinations
+from operator import add, and_, getitem, le, mul, sub
 
 from .semigroup import CurveParams
 
@@ -361,9 +365,51 @@ class Reducer:
 
     def pairs(self) -> list[tuple[int, int]]:
         """The index pairs x < y whose leading terms share a symbol, x-major:
-        every pair of a ring basis, and the S-pairs of a module basis."""
+        every pair of a ring basis, and the S-pairs of a module basis.
+        The basis is a Groebner basis exactly when all their S-polynomials
+        divide to zero.  critical_pairs decides the same with fewer; a
+        check that finds a failure among those scans these, in this order,
+        for the first one."""
         return sorted((x, y) for row in self.rows.values()
                       for n, (*_, x) in enumerate(row) for *_, y in row[n + 1:])
+
+    def critical_pairs(self) -> list[tuple[int, int]]:
+        """The pairs of pairs() that the chain criterion keeps, x-major.
+
+        Per symbol, the pairs are walked in ascending order of (key of
+        their lcm term, x, y).  A pair (x, y) is dropped when some other
+        element z on the symbol has a lead monomial dividing the pair's
+        lcm and both (x, z) and (y, z) came earlier in the walk (Gebauer,
+        Moeller, "On an installation of Buchberger's algorithm", JSC
+        1988).  Then S(x, y) is a monomial combination of S(x, z) and
+        S(z, y), whose lcms divide that of (x, y), so by induction along
+        the walk every S-polynomial has a representation below its lcm
+        once those of the kept pairs divide to zero: the basis is then a
+        Groebner basis and every pair of pairs() divides to zero too.
+        Requiring both earlier is what keeps the induction sound when
+        lcms are equal.  Holds for any term order that is multiplicative,
+        as both orders here are.
+        """
+        key, kept = self.order.key, []
+        for sym, row in self.rows.items():
+            leads = [lm for lm, *_ in row]
+            # bitsets over the row: fits[v][e], for each exponent e some lead
+            # has at position v, holds the members whose lead has at most e
+            # there, and settled[n] the members m whose pair with n came
+            # earlier; no member is ever settled with itself
+            fits = [{top: sum(1 << n for n, e in enumerate(col) if e <= top) for top in set(col)}
+                    for col in zip(*leads)]
+            settled = [0] * len(row)
+            # row positions follow the basis indices, so (n, m) ties as (x, y)
+            walk = sorted((key(lcm if self.ring else (lcm, sym)), n, m, lcm)
+                          for n, m in combinations(range(len(row)), 2)
+                          for lcm in (mono_lcm(leads[n], leads[m]),))
+            for _, n, m, lcm in walk:
+                if not settled[n] & settled[m] & reduce(and_, map(getitem, fits, lcm)):
+                    kept.append((row[n][3], row[m][3]))
+                settled[n] |= 1 << m
+                settled[m] |= 1 << n
+        return sorted(kept)
 
     def divide(self, f):
         """(remainder, quotients) of f by the basis; see normal_form.

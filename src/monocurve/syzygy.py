@@ -26,7 +26,12 @@ division loop (polyring.Reducer): a module basis is prepared once with
 its lead terms grouped by symbol, where a ring basis has the one symbol
 None.  S-vectors come from the ring's S-pair builder,
 polyring.s_polynomial, for the pairs of basis elements whose leads share
-a symbol, read from those groups (Reducer.pairs).  The excluded families
+a symbol, read from those groups (Reducer.pairs).  Only the pairs that
+the Gebauer-Moeller chain criterion keeps (Reducer.critical_pairs) are
+divided: when they all divide to zero the basis is a Groebner basis, so
+every other S-vector divides to zero as well.  When one does not, the
+scan over every pair runs, in the order of Reducer.pairs, and names its
+first failure with the same witness and count.  The excluded families
 of module terms are boxes of exponents, each tested against the grouped
 lead terms through its largest member.
 
@@ -460,9 +465,13 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
 
     (a) every member evaluates to zero; (b) the computed leading terms
     match the per-family prediction; (c) every S-vector of two members
-    whose leads share a symbol reduces to zero against the basis; (d)
-    every S-polynomial of the generators reduced to zero (curve.harvest),
-    and every relation harvested from those reductions reduces to zero
+    whose leads share a symbol reduces to zero against the basis.  The
+    pairs the chain criterion keeps are divided first; when they all
+    reduce to zero the basis is a Groebner basis, and the detail counts
+    every pair.  Otherwise the pairs are divided in x-major order, and
+    the first that fails is the witness and ends the count; (d) every
+    S-polynomial of the generators reduced to zero (curve.harvest), and
+    every relation harvested from those reductions reduces to zero
     against the basis; (e) no leading term divides another.
     """
     params, morder, table = curve.params, curve.morder, curve.module_reducer
@@ -497,14 +506,20 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
         witness=None if shape_ok and not mismatch else {"mismatches": mismatch[:3]},
     )
 
-    bad = None
-    count = 0
-    for x, y in table.pairs():
-        count += 1
-        r, _ = module_normal_form(morder, s_polynomial(morder, elements[x], elements[y]), table)
-        if r:
-            bad = {"pair": [labeled[x][0], labeled[y][0]], "remainder": mod_elem_to_json(morder, r)}
-            break
+    def s_remainder(x, y):
+        return module_normal_form(morder, s_polynomial(morder, elements[x], elements[y]), table)[0]
+
+    # once the pairs the chain criterion keeps divide to zero, so does every
+    # same-symbol pair; else the x-major scan over all of them names the first
+    pairs, bad = table.pairs(), None
+    count = len(pairs)
+    if any(s_remainder(x, y) for x, y in table.critical_pairs()):
+        for count, (x, y) in enumerate(pairs, 1):
+            r = s_remainder(x, y)
+            if r:
+                bad = {"pair": [labeled[x][0], labeled[y][0]],
+                       "remainder": mod_elem_to_json(morder, r)}
+                break
     report.add("s-vectors-reduce", bad is None, detail=f"{count} same-symbol pairs", witness=bad)
 
     symbols = list(curve.images)

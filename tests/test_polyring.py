@@ -171,6 +171,22 @@ def test_a_growing_reducer_divides_like_a_fresh_one(data):
             assert table.divide(f) == Reducer(ORDER, table.basis).divide(f)
 
 
+@pytest.mark.parametrize("leads, kept", [
+    # X1*X2, X1*X3, X2*X3: every two have the lcm X1*X2*X3, which the third
+    # divides, but only (1, 2), walked last, has both other pairs before it
+    ([(1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0)], [(0, 1), (0, 2)]),
+    # X1^N, X1*X2, X2^N: the lcms of (0, 1) and (1, 2) properly divide that
+    # of (0, 2), so both come before it; N costs nothing
+    ([(10**6, 0, 0, 0), (1, 1, 0, 0), (0, 10**6, 0, 0)], [(0, 1), (1, 2)]),
+    # X1, X2, X3: no lead divides the lcm of the other two
+    ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], [(0, 1), (0, 2), (1, 2)]),
+])
+def test_chain_criterion_on_hand_built_leads(leads, kept):
+    table = Reducer(ORDER, [Poly.term(4, m) for m in leads])
+    assert table.pairs() == [(0, 1), (0, 2), (1, 2)]
+    assert table.critical_pairs() == kept
+
+
 def _with_fractions(f):
     # the same element with every coefficient a Fraction: the oracle arithmetic
     return Poly._raw(f.nvars, {m: Fraction(c) for m, c in f.terms.items()})

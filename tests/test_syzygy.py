@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -378,6 +379,114 @@ def test_symbol_pairing_matches_the_all_pairs_scan_on_a_failing_basis(monkeypatc
     assert not passed
     assert detail == "3 same-symbol pairs"
     assert witness["pair"] == ["A(1;1,1)", "A(2;1,1)"]
+
+
+@pytest.mark.parametrize("triple, kept, pairs", [
+    ((18, 1, 8), 490, 756),
+    ((17, 3, 8), 518, 784),
+    ((41, 2, 12), 2387, 4092),
+])
+def test_chain_criterion_keeps_a_pinned_number_of_pairs(triple, kept, pairs):
+    table = Curve(make_params(*triple)).module_reducer
+    critical, every = table.critical_pairs(), table.pairs()
+    assert (len(critical), len(every)) == (kept, pairs)
+    assert critical == sorted(set(critical) & set(every))
+
+
+def test_every_dropped_pair_divides_to_zero():
+    for pr in SWEEP5:
+        curve = Curve(pr)
+        table, elems = curve.module_reducer, curve.sset.elements()
+        dropped = set(table.pairs()) - set(table.critical_pairs())
+        for x, y in dropped:
+            s = s_polynomial(curve.morder, elems[x], elems[y])
+            assert not module_normal_form(curve.morder, s, table)[0], (pr, x, y)
+
+
+def test_syzygy_check_divides_the_kept_pairs_and_the_harvest_at_p12(monkeypatch):
+    curve = Curve(make_params(41, 2, 12))
+    calls = []
+    divide = syzygy.module_normal_form
+    monkeypatch.setattr(syzygy, "module_normal_form",
+                        lambda *args: calls.append(1) or divide(*args))
+    report = verify_syzygy_basis(curve)
+    assert report.passed
+    (check,) = [c for c in report.checks if c.name == "s-vectors-reduce"]
+    assert check.detail == "4092 same-symbol pairs"
+    kept, harvested = len(curve.module_reducer.critical_pairs()), len(curve.harvest())
+    assert len(calls) == kept + harvested == 2387 + 2701
+
+
+def test_a_failure_after_a_dropped_pair_keeps_the_all_pairs_record(monkeypatch, p713):
+    # on Psi(0) the leads X1*X2, X1*X3, X2*X3 drop (1, 2); X0 with the tail
+    # Phi(1,1) breaks (1, 3), which comes after (1, 2) in the x-major scan,
+    # while X1*X2*Phi(1,1) mends (0, 3)
+    nv = p713.nvars
+    labeled = [("T0", ModElement.term(nv, (1, 1, 0, 0), Psi(0))),
+               ("T1", ModElement.term(nv, (1, 0, 1, 0), Psi(0))),
+               ("T2", ModElement.term(nv, (0, 1, 1, 0), Psi(0))),
+               ("T3", ModElement.term(nv, _x(0), Psi(0))
+                + ModElement.term(nv, (0,) * nv, Phi(1, 1))),
+               ("T4", ModElement.term(nv, (1, 1, 0, 0), Phi(1, 1)))]
+
+    class Planted(SyzygySet):
+        def labeled(self):
+            return labeled
+
+    monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: Planted(params, {}, {}, {}))
+    curve = Curve(p713)
+    table = curve.module_reducer
+    assert table.pairs() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert table.critical_pairs() == [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
+    record = _s_vectors_record(curve)
+    assert record == _all_pairs_s_vectors(curve)
+    passed, detail, witness = record
+    assert (passed, detail, witness["pair"]) == (False, "5 same-symbol pairs", ["T1", "T3"])
+
+
+PLANTED_TRIPLES = [(7, 1, 3), (13, 2, 6), (9, 4, 2), (8, 3, 2), (11, 2, 5), (17, 3, 8), (22, 5, 7)]
+PLANTINGS = 12  # per triple, seeded by the triple
+
+
+def _plant_a_tail_term(curve, rng):
+    # one member gains a term below its lead, coefficient -1, 1 or 2
+    morder, labeled = curve.morder, curve.sset.labeled()
+    symbols = list(curve.images)
+    while True:
+        k = rng.randrange(len(labeled))
+        lead, _ = morder.leading_term(labeled[k][1])
+        term = (tuple(rng.randrange(3) for _ in range(curve.params.nvars)), rng.choice(symbols))
+        if morder.key(term) < morder.key(lead):
+            break
+    planted = list(labeled)
+    tail = ModElement.term(curve.params.nvars, *term, rng.choice((-1, 1, 2)))
+    planted[k] = (labeled[k][0], labeled[k][1] + tail)
+    return planted
+
+
+def test_criterion_record_matches_the_all_pairs_scan_on_planted_tails(monkeypatch):
+    for triple in PLANTED_TRIPLES:
+        pr = make_params(*triple)
+        base = Curve(pr)
+        rng = random.Random(sum(triple))
+        failed = 0
+        for _ in range(PLANTINGS):
+            planted = _plant_a_tail_term(base, rng)
+
+            class Planted(SyzygySet):
+                def labeled(self):
+                    return planted
+
+            with monkeypatch.context() as patch:
+                patch.setattr(syzygy, "syzygy_basis",
+                              lambda params: Planted(params, {}, {}, {}))
+                curve = Curve(pr)
+            curve._harvest = base.harvest()  # the ring side is not planted
+            record = _s_vectors_record(curve)
+            assert record == _all_pairs_s_vectors(curve), triple
+            failed += not record[0]
+        # the one member of (8,3,2) has no pair to break
+        assert failed or not base.module_reducer.pairs(), triple
 
 
 def test_harvested_relations_reduce(p713):
