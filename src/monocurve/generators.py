@@ -227,9 +227,14 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
     """The closed-form set is a Groebner basis with the predicted lead terms.
 
     Three checks: the computed leading monomials match the closed-form
-    set; every S-polynomial reduces to zero against the set itself, as
-    the triple's one S-pair harvest (curve.harvest) records; and an
-    independent Buchberger run produces no new leading monomial.
+    set; every S-polynomial reduces to zero against the set itself; and
+    an independent Buchberger run produces no new leading monomial.  The
+    S-polynomials read are those of the triple's harvest (curve.harvest),
+    the pairs the chain criterion keeps: when they all reduce to zero the
+    set is a Groebner basis, so every pair does, and the detail counts
+    every pair.  Otherwise the harvest of every pair (curve.full_harvest)
+    is scanned i-major, and the first failure is the witness and ends
+    the count.
     """
     params, order = curve.params, curve.order
     labels, polys = zip(*curve.gset.labeled())
@@ -250,12 +255,13 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
     )
 
     witness = None
-    pairs = 0
-    for i, j, r, _ in sorted(curve.harvest(), key=lambda entry: entry[:2]):  # i-major
-        pairs += 1
-        if r:
-            witness = {"pair": [labels[i], labels[j]], "remainder": poly_to_json(order, r)}
-            break
+    pairs = len(polys) * (len(polys) - 1) // 2
+    if any(r for _, _, r, _ in curve.harvest()):
+        i_major = sorted(curve.full_harvest(), key=lambda row: row[:2])
+        for pairs, (i, j, r, _) in enumerate(i_major, 1):
+            if r:
+                witness = {"pair": [labels[i], labels[j]], "remainder": poly_to_json(order, r)}
+                break
     report.add("s-polynomials-reduce", witness is None, detail=f"{pairs} pairs", witness=witness)
 
     reduced = buchberger(order, polys)

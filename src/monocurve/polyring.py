@@ -39,10 +39,12 @@ form; buchberger interreduces its full result, and a membership test for
 an element of weight w runs it truncated at top = w.  The truncated
 basis decides membership exactly only when the generators and the
 element are weight-homogeneous, as every binomial of the curve ideal is;
-callers confirm that first.  schreyer_syzygies divides every
-S-polynomial of a basis once and keeps each remainder with the relation
-its division yields: the remainders decide the Groebner claim, and the
-relations feed the completeness check of the syzygies.
+callers confirm that first.  schreyer_syzygies divides the
+S-polynomials of the pairs it is given once each, and keeps each
+remainder with the relation its division yields.  Given the pairs the
+chain criterion keeps, the remainders decide the Groebner claim, and
+the relations generate every relation among the basis, which the
+completeness check of the syzygies reads.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import combinations
-from operator import add, and_, getitem, le, mul, sub
+from operator import add, and_, getitem, le, mul, neg, sub
 
 from .semigroup import CurveParams
 
@@ -74,6 +76,11 @@ def _inverse(c):
     """The exact inverse of a non-zero coefficient: c itself when it is
     plus or minus one."""
     return c if c == 1 or c == -1 else _exact(1 / Fraction(c))
+
+
+def _weight_key(weight, mono):
+    """WeightOrder's sort key of mono, computed and not stored."""
+    return (weight(mono), tuple(map(neg, reversed(mono))))
 
 
 class ZeroPolynomialError(ValueError):
@@ -306,8 +313,7 @@ class WeightOrder(TermOrder):
     def key(self, mono: Mono):
         k = self._cache.get(mono)
         if k is None:
-            k = (self.weight(mono), tuple(-e for e in reversed(mono)))
-            self._cache[mono] = k
+            k = self._cache[mono] = _weight_key(self.weight, mono)
         return k
 
     def leading_term(self, poly: Poly) -> tuple[Mono, int | Fraction]:
@@ -368,8 +374,8 @@ class Reducer:
         every pair of a ring basis, and the S-pairs of a module basis.
         The basis is a Groebner basis exactly when all their S-polynomials
         divide to zero.  critical_pairs decides the same with fewer; a
-        check that finds a failure among those scans these, in this order,
-        for the first one."""
+        check that finds a failure among those scans these for the first
+        one."""
         return sorted((x, y) for row in self.rows.values()
                       for n, (*_, x) in enumerate(row) for *_, y in row[n + 1:])
 
@@ -389,9 +395,14 @@ class Reducer:
         Requiring both earlier is what keeps the induction sound when
         lcms are equal.  Holds for any term order that is multiplicative,
         as both orders here are.
+
+        Within one symbol a multiplicative order ranks the lcm terms as
+        the ring order ranks their monomials, so the walk sorts by the
+        ring key of the lcm, computed here and kept out of the key
+        caches, which hold only the terms that divisions read.
         """
-        key, kept = self.order.key, []
-        for sym, row in self.rows.items():
+        weight, kept = self.order.params.weight, []
+        for row in self.rows.values():
             leads = [lm for lm, *_ in row]
             # bitsets over the row: fits[v][e], for each exponent e some lead
             # has at position v, holds the members whose lead has at most e
@@ -401,7 +412,7 @@ class Reducer:
                     for col in zip(*leads)]
             settled = [0] * len(row)
             # row positions follow the basis indices, so (n, m) ties as (x, y)
-            walk = sorted((key(lcm if self.ring else (lcm, sym)), n, m, lcm)
+            walk = sorted((_weight_key(weight, lcm), n, m, lcm)
                           for n, m in combinations(range(len(row)), 2)
                           for lcm in (mono_lcm(leads[n], leads[m]),))
             for _, n, m, lcm in walk:
@@ -598,30 +609,38 @@ def interreduce(order: WeightOrder, polys) -> list[Poly]:
     return out
 
 
-def schreyer_syzygies(table: Reducer) -> list[tuple[int, int, Poly, dict]]:
-    """Every S-polynomial of a ring basis, divided once by the basis.
+def schreyer_syzygies(table: Reducer, pairs) -> list[tuple[int, int, Poly, dict]]:
+    """The S-polynomials of the given pairs of a ring basis, each divided
+    once by the basis.
 
-    The basis is that of the prepared ring Reducer table.  All pairs
-    i < j are taken, j-major, with no coprime skip, since completeness of
-    the harvest is the point.  Each entry is (i, j, remainder, vec),
-    where vec maps an index k to a non-zero polynomial, only for the k
-    that occur, and sum_k vec[k] * basis[k] == remainder.  For a Groebner
-    basis every remainder is zero, and the vecs generate the module of
-    relations among the basis (Schreyer).
+    The basis is that of the prepared ring Reducer table, and pairs holds
+    index pairs i < j, taken j-major.  Each entry is (i, j, remainder,
+    vec), where vec maps an index k to a non-zero polynomial, only for
+    the k that occur, and sum_k vec[k] * basis[k] == remainder.
+
+    Given table.critical_pairs(), this decides the Groebner claim: the
+    basis is a Groebner basis exactly when every remainder is zero.  The
+    vecs then generate the module of relations among the basis, since
+    the lead-term syzygies of those pairs generate the lead-term
+    syzygies, each dropped pair's being a monomial combination of two
+    walked before it (Schreyer; Eisenbud, Commutative Algebra, 15.5).
+    The coprime skip (Buchberger's product criterion) would not keep
+    this: a coprime pair's S-polynomial divides to zero, but its
+    lead-term syzygy, the Koszul one, need not be a combination of the
+    others, so skipping it can lose a generator of the relations.
     """
     order, polys = table.order, table.basis
     leads = [(lm, inv) for lm, inv, *_ in table.rows.get(None, ())]
     out = []
-    for j in range(len(polys)):
-        for i in range(j):
-            r, quots = normal_form(order, s_polynomial(order, polys[i], polys[j]), table)
-            lcm = mono_lcm(leads[i][0], leads[j][0])
-            # the S-polynomial's own cofactors, which no quotient term can cancel
-            vec = {k: Poly.term(r.nvars, mono_div(lcm, leads[k][0]), sign * leads[k][1])
-                   for k, sign in ((i, 1), (j, -1))}
-            for k, q in quots.items():
-                vec[k] = vec[k] - q if k in vec else -q
-            out.append((i, j, r, vec))
+    for i, j in sorted(pairs, key=lambda pair: pair[::-1]):
+        r, quots = normal_form(order, s_polynomial(order, polys[i], polys[j]), table)
+        lcm = mono_lcm(leads[i][0], leads[j][0])
+        # the S-polynomial's own cofactors, which no quotient term can cancel
+        vec = {k: Poly.term(r.nvars, mono_div(lcm, leads[k][0]), sign * leads[k][1])
+               for k, sign in ((i, 1), (j, -1))}
+        for k, q in quots.items():
+            vec[k] = vec[k] - q if k in vec else -q
+        out.append((i, j, r, vec))
     return out
 
 

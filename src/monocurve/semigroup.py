@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import mul
 
 from .report import VerificationReport
 
@@ -61,7 +62,7 @@ class CurveParams:
 
     def weight(self, mono: tuple[int, ...]) -> int:
         """Weight of an exponent tuple in position order: sum of e * w."""
-        return sum(e * w for e, w in zip(mono, self.exponent_weights))
+        return sum(map(mul, mono, self.exponent_weights))
 
     def to_dict(self) -> dict:
         return {

@@ -38,10 +38,14 @@ lead terms through its largest member.
 A Curve holds what every check of one triple shares, each built once:
 both orders (one key cache each), both generating sets, the syzygy
 basis, the symbol images and a prepared Reducer for the ring basis and
-for the module basis.  On first use it also keeps the one S-pair harvest
-of the ring basis (schreyer_relations), which both the Groebner check of
-the generators and the completeness check of the syzygies read.  Every
-verify_* report takes a Curve.
+for the module basis.  On first use it also keeps the S-pair harvest of
+the ring basis (schreyer_relations) over the pairs the chain criterion
+keeps, which both the Groebner check of the generators and the
+completeness check of the syzygies read: when its remainders are all
+zero the basis is a Groebner basis, and its relations generate every
+relation among the generators.  The harvest of every pair is built only
+when one of those checks fails, to name the failure as a scan over all
+pairs would, and is kept as well.  Every verify_* report takes a Curve.
 """
 
 from __future__ import annotations
@@ -400,7 +404,7 @@ class Curve:
     """
 
     __slots__ = ("params", "morder", "order", "gset", "patil", "sset", "images",
-                 "ring_reducer", "module_reducer", "_harvest")
+                 "ring_reducer", "module_reducer", "_harvest", "_full_harvest")
 
     def __init__(self, params: CurveParams):
         self.params = params
@@ -412,13 +416,21 @@ class Curve:
         self.images = dict(labeled_generator_symbols(self.gset))
         self.ring_reducer = Reducer(self.order, self.images.values())
         self.module_reducer = Reducer(self.morder, self.sset.elements())
-        self._harvest = None
+        self._harvest = self._full_harvest = None
 
     def harvest(self) -> list:
-        """schreyer_relations of this triple, computed once and kept."""
+        """schreyer_relations of the pairs the chain criterion keeps on the
+        ring basis, computed once and kept."""
         if self._harvest is None:
-            self._harvest = schreyer_relations(self)
+            self._harvest = schreyer_relations(self, self.ring_reducer.critical_pairs())
         return self._harvest
+
+    def full_harvest(self) -> list:
+        """schreyer_relations of every pair of the ring basis, computed
+        once and kept; only a failing check reads it."""
+        if self._full_harvest is None:
+            self._full_harvest = schreyer_relations(self, self.ring_reducer.pairs())
+        return self._full_harvest
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +451,12 @@ def module_normal_form(morder: ModuleOrder, elem: ModElement, basis):
     return basis.divide(elem)
 
 
-def schreyer_relations(curve: Curve) -> list:
+def schreyer_relations(curve: Curve, pairs) -> list:
     """The S-pair harvest of the closed-form basis, over the module symbols.
 
-    One entry (i, j, remainder, element) per pair of ring basis indices
-    i < j, in the j-major order of polyring.schreyer_syzygies, whose
-    vectors become module elements: each element evaluates to its
+    One entry (i, j, remainder, element) per given pair of ring basis
+    indices i < j, in the j-major order of polyring.schreyer_syzygies,
+    whose vectors become module elements: each element evaluates to its
     remainder, so it is a relation exactly when the remainder is zero.
     """
     symbols = list(curve.images)  # in the order of the ring reducer's basis
@@ -452,7 +464,7 @@ def schreyer_relations(curve: Curve) -> list:
     return [
         (i, j, r, ModElement._raw(nv, {(m, symbols[k]): c
                                        for k, q in vec.items() for m, c in q.terms.items()}))
-        for i, j, r, vec in schreyer_syzygies(curve.ring_reducer)
+        for i, j, r, vec in schreyer_syzygies(curve.ring_reducer, pairs)
     ]
 
 
@@ -470,9 +482,17 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     reduce to zero the basis is a Groebner basis, and the detail counts
     every pair.  Otherwise the pairs are divided in x-major order, and
     the first that fails is the witness and ends the count; (d) every
-    S-polynomial of the generators reduced to zero (curve.harvest), and
-    every relation harvested from those reductions reduces to zero
-    against the basis; (e) no leading term divides another.
+    S-polynomial of the generators reduced to zero, and every relation
+    harvested from those reductions is a relation that reduces to zero
+    against the basis.  The harvest of the pairs the chain criterion
+    keeps (curve.harvest) is tested first.  When (c) passed, so that the
+    basis is a Groebner basis of the module it spans, and every kept row
+    passes, the generators form a Groebner basis whose relations the
+    kept ones generate, so every relation lies in that module and
+    divides to zero: the detail counts every pair.  Otherwise the
+    harvest of every pair (curve.full_harvest) is scanned j-major, and
+    the first failure is the witness and ends the count; (e) no leading
+    term divides another.
     """
     params, morder, table = curve.params, curve.morder, curve.module_reducer
     labeled = curve.sset.labeled()
@@ -523,21 +543,26 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     report.add("s-vectors-reduce", bad is None, detail=f"{count} same-symbol pairs", witness=bad)
 
     symbols = list(curve.images)
-    bad = None
-    count = 0
-    for i, j, r, rel in curve.harvest():
-        count += 1
+
+    def harvest_failure(i, j, r, rel):
         pair = [str(symbols[i]), str(symbols[j])]
         if r:
-            bad = {"pair": pair, "problem": "S-polynomial does not reduce to zero"}
-        elif relation_image(curve, rel):
-            bad = {"pair": pair, "problem": "harvested element is not a relation"}
-        else:
-            r, _ = module_normal_form(morder, rel, table)
-            if r:
-                bad = {"pair": pair, "remainder": mod_elem_to_json(morder, r)}
-        if bad:
-            break
+            return {"pair": pair, "problem": "S-polynomial does not reduce to zero"}
+        if relation_image(curve, rel):
+            return {"pair": pair, "problem": "harvested element is not a relation"}
+        r, _ = module_normal_form(morder, rel, table)
+        return {"pair": pair, "remainder": mod_elem_to_json(morder, r)} if r else None
+
+    # the kept rows decide only on top of a module Groebner basis; else the
+    # j-major scan over every pair names the first failure
+    module_groebner, bad = bad is None, None
+    n = len(symbols)
+    count = n * (n - 1) // 2
+    if not module_groebner or any(harvest_failure(*row) for row in curve.harvest()):
+        for count, row in enumerate(curve.full_harvest(), 1):
+            bad = harvest_failure(*row)
+            if bad:
+                break
     report.add(
         "harvested-relations-reduce",
         bad is None,

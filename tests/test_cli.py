@@ -340,9 +340,10 @@ def test_each_triple_builds_its_shared_objects_once(monkeypatch, capsys):
 
 
 def test_each_triple_harvests_its_s_pairs_once(monkeypatch, capsys):
-    # the S-polynomials of the closed-form basis are divided by the triple's
-    # ring reducer once, in one harvest, which both S-pair checks read; the
-    # classical generators are the only other elements it divides
+    # the S-polynomials of the pairs the chain criterion keeps on the
+    # closed-form basis are divided by the triple's ring reducer once, in
+    # one harvest, which both S-pair checks read; the classical generators
+    # are the only other elements it divides
     curves, divisions, harvests = [], collections.Counter(), collections.Counter()
     init, divide, harvest = syzygy.Curve.__init__, Reducer.divide, syzygy.schreyer_syzygies
 
@@ -354,9 +355,9 @@ def test_each_triple_harvests_its_s_pairs_once(monkeypatch, capsys):
         divisions[self] += 1
         return divide(self, f)
 
-    def count_harvest(table):
+    def count_harvest(table, pairs):
         harvests[table] += 1
-        return harvest(table)
+        return harvest(table, pairs)
 
     monkeypatch.setattr(syzygy.Curve, "__init__", keep)
     monkeypatch.setattr(Reducer, "divide", count_division)
@@ -365,9 +366,9 @@ def test_each_triple_harvests_its_s_pairs_once(monkeypatch, capsys):
     def check(ran):
         assert len(curves) == ran
         for curve in curves:
-            table, n = curve.ring_reducer, len(curve.gset)
+            table = curve.ring_reducer
             assert harvests[table] == 1
-            assert divisions[table] == n * (n - 1) // 2 + len(curve.patil)
+            assert divisions[table] == len(table.critical_pairs()) + len(curve.patil)
 
     assert main(["verify", "--m0", "13", "--d", "2", "--p", "6", "--bound", "2"]) == 0
     check(1)

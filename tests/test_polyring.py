@@ -282,7 +282,7 @@ def _combination(vec, basis):
 def test_schreyer_vectors_are_syzygies(p713):
     basis = groebner_generators(p713).polynomials()
     table = Reducer(ORDER, basis)
-    rows = schreyer_syzygies(table)
+    rows = schreyer_syzygies(table, table.pairs())
     n = len(basis)
     assert [(i, j) for i, j, _, _ in rows] == [(i, j) for j in range(n) for i in range(j)]
     assert table.pairs() == sorted((i, j) for i, j, _, _ in rows)
@@ -296,7 +296,8 @@ def test_schreyer_vectors_carry_the_remainder_of_a_non_groebner_basis(p713):
     # is still divided, and each vector combines the basis into its remainder
     basis = groebner_generators(p713).polynomials()
     basis[0] = Poly(4, {(2, 0, 0, 0): 1, (0, 1, 0, 1): -2})
-    rows = schreyer_syzygies(Reducer(ORDER, basis))
+    table = Reducer(ORDER, basis)
+    rows = schreyer_syzygies(table, table.pairs())
     assert len(rows) == len(basis) * (len(basis) - 1) // 2
     assert any(r for _, _, r, _ in rows)
     for i, j, r, vec in rows:

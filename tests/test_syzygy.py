@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -6,7 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from monocurve import make_params, syzygy
+from monocurve import generators, make_params, syzygy
 from monocurve.generators import groebner_generators, phi_binomial, psi_binomial
 from monocurve.polyring import (
     Poly,
@@ -16,6 +18,7 @@ from monocurve.polyring import (
     mono_lcm,
     mono_mul,
     normal_form,
+    poly_to_json,
     s_polynomial,
     variable_monomial,
     variable_position,
@@ -414,7 +417,7 @@ def test_syzygy_check_divides_the_kept_pairs_and_the_harvest_at_p12(monkeypatch)
     (check,) = [c for c in report.checks if c.name == "s-vectors-reduce"]
     assert check.detail == "4092 same-symbol pairs"
     kept, harvested = len(curve.module_reducer.critical_pairs()), len(curve.harvest())
-    assert len(calls) == kept + harvested == 2387 + 2701
+    assert len(calls) == kept + harvested == 2387 + 534
 
 
 def test_a_failure_after_a_dropped_pair_keeps_the_all_pairs_record(monkeypatch, p713):
@@ -481,7 +484,8 @@ def test_criterion_record_matches_the_all_pairs_scan_on_planted_tails(monkeypatc
                 patch.setattr(syzygy, "syzygy_basis",
                               lambda params: Planted(params, {}, {}, {}))
                 curve = Curve(pr)
-            curve._harvest = base.harvest()  # the ring side is not planted
+            # the ring side is not planted
+            curve._harvest, curve._full_harvest = base.harvest(), base.full_harvest()
             record = _s_vectors_record(curve)
             assert record == _all_pairs_s_vectors(curve), triple
             failed += not record[0]
@@ -491,7 +495,7 @@ def test_criterion_record_matches_the_all_pairs_scan_on_planted_tails(monkeypatc
 
 def test_harvested_relations_reduce(p713):
     elems = syzygy_basis(p713).elements()
-    rows = schreyer_relations(C713)
+    rows = schreyer_relations(C713, C713.ring_reducer.pairs())
     assert len(rows) == 15
     assert [(i, j) for i, j, *_ in rows] == [(i, j) for j in range(6) for i in range(j)]
     for _, _, r, rel in rows:
@@ -499,19 +503,184 @@ def test_harvested_relations_reduce(p713):
         assert not relation_image(C713, rel)
         r, _ = module_normal_form(MORDER, rel, elems)
         assert not r
+    assert C713.full_harvest() is C713.full_harvest()
+    assert [(i, j, r) for i, j, r, _ in C713.full_harvest()] == [(i, j, r) for i, j, r, _ in rows]
+    # the harvest both checks read holds the 8 pairs the chain criterion keeps
+    kept = C713.ring_reducer.critical_pairs()
     assert C713.harvest() is C713.harvest()
-    assert [(i, j, r) for i, j, r, _ in C713.harvest()] == [(i, j, r) for i, j, r, _ in rows]
+    assert len(kept) == 8
+    assert [(i, j) for i, j, *_ in C713.harvest()] == sorted(kept, key=lambda pair: pair[::-1])
+    assert [row for row in rows if row[:2] in kept] == C713.harvest()
 
 
 def test_deleting_an_element_breaks_completeness(p713):
     # dropping L(1;2,2) leaves some harvested relation stuck
     kept = [g for lab, g in syzygy_basis(p713).labeled() if lab != "L(1;2,2)"]
     stuck = 0
-    for *_, rel in schreyer_relations(C713):
+    for *_, rel in schreyer_relations(C713, C713.ring_reducer.pairs()):
         r, _ = module_normal_form(MORDER, rel, kept)
         if r:
             stuck += 1
     assert stuck > 0
+
+
+@pytest.mark.parametrize("triple, kept, pairs", [
+    ((7, 1, 3), 8, 15),
+    ((17, 3, 8), 168, 630),
+    ((41, 2, 12), 534, 2701),
+])
+def test_ring_chain_criterion_keeps_a_pinned_number_of_pairs(triple, kept, pairs):
+    table = Curve(make_params(*triple)).ring_reducer
+    critical, every = table.critical_pairs(), table.pairs()
+    assert (len(critical), len(every)) == (kept, pairs)
+    assert critical == sorted(set(critical) & set(every))
+
+
+def test_every_dropped_ring_pair_divides_to_zero_and_lifts():
+    # the Groebner claim rests on the kept pairs, and so does Schreyer's
+    # lifting: each dropped pair's relation lies in the module of the basis
+    for pr in SWEEP5:
+        curve = Curve(pr)
+        order, table, polys = curve.order, curve.ring_reducer, list(curve.images.values())
+        kept = set(table.critical_pairs())
+        for i, j, _, rel in curve.full_harvest():
+            if (i, j) in kept:
+                continue
+            assert not normal_form(order, s_polynomial(order, polys[i], polys[j]), table)[0]
+            assert not module_normal_form(curve.morder, rel, curve.module_reducer)[0], (pr, i, j)
+
+
+def _chain_walk_by_full_keys(table):
+    # reference: the chain criterion walk ranked by the full order key of
+    # each lcm term, on a fresh order, testing every third lead of the symbol
+    order, kept = type(table.order)(table.order.params), []
+    for sym, row in table.rows.items():
+        walk, walked = [], set()
+        for (lx, *_, x), (ly, *_, y) in itertools.combinations(row, 2):
+            lcm = mono_lcm(lx, ly)
+            walk.append((order.key(lcm if sym is None else (lcm, sym)), x, y, lcm))
+        for _, x, y, lcm in sorted(walk):
+            if not any(z not in (x, y) and mono_divides(lz, lcm)
+                       and {tuple(sorted((x, z))), tuple(sorted((y, z)))} <= walked
+                       for lz, *_, z in row):
+                kept.append((x, y))
+            walked.add((x, y))
+    return sorted(kept)
+
+
+def test_critical_pairs_match_the_full_key_walk_and_leave_the_key_caches_alone():
+    for pr in SWEEP5[::2] + [make_params(17, 3, 8)]:
+        curve = Curve(pr)
+        caches = (curve.morder._cache, curve.order._cache)
+        for table in (curve.ring_reducer, curve.module_reducer):
+            sizes = [len(cache) for cache in caches]
+            kept = table.critical_pairs()
+            assert [len(cache) for cache in caches] == sizes, pr
+            assert kept == _chain_walk_by_full_keys(table), pr
+
+
+def _record(report, name):
+    (check,) = [c for c in report.checks if c.name == name]
+    return check.passed, check.detail, check.witness
+
+
+def _all_pairs_spoly_record(curve, rows):
+    # reference: the s-polynomials-reduce record as the i-major scan over
+    # the harvest of every ring pair made it
+    labels = [lab for lab, _ in curve.gset.labeled()]
+    for count, (i, j, r, _) in enumerate(sorted(rows, key=lambda row: row[:2]), 1):
+        if r:
+            witness = {"pair": [labels[i], labels[j]], "remainder": poly_to_json(curve.order, r)}
+            return False, f"{count} pairs", witness
+    return True, f"{len(rows)} pairs", None
+
+
+def _all_pairs_harvest_record(curve, rows):
+    # reference: the harvested-relations-reduce record as the j-major scan
+    # over the harvest of every ring pair made it
+    symbols = list(curve.images)
+    for count, (i, j, r, rel) in enumerate(rows, 1):
+        pair = [str(symbols[i]), str(symbols[j])]
+        if r:
+            bad = {"pair": pair, "problem": "S-polynomial does not reduce to zero"}
+        elif relation_image(curve, rel):
+            bad = {"pair": pair, "problem": "harvested element is not a relation"}
+        else:
+            r, _ = module_normal_form(curve.morder, rel, curve.module_reducer)
+            bad = r and {"pair": pair, "remainder": mod_elem_to_json(curve.morder, r)}
+        if bad:
+            return False, f"{count} harvested relations", bad
+    return True, f"{len(rows)} harvested relations", None
+
+
+RING_PLANTINGS = 4  # per triple, seeded by the triple
+
+
+def _plant_a_ring_tail_term(curve, rng):
+    # one closed-form binomial gains a term below its lead, coefficient -1, 1 or 2
+    order, gset = curve.order, curve.gset
+    family, k = rng.choice([("phis", k) for k in sorted(gset.phis)]
+                           + [("psis", k) for k in sorted(gset.psis)])
+    g = getattr(gset, family)[k]
+    lead = order.key(order.leading_monomial(g))
+    while True:
+        mono = tuple(rng.randrange(3) for _ in range(curve.params.nvars))
+        if order.key(mono) < lead:
+            break
+    tail = Poly.term(curve.params.nvars, mono, rng.choice((-1, 1, 2)))
+    return dataclasses.replace(gset, **{family: {**getattr(gset, family), k: g + tail}})
+
+
+def test_ring_criterion_records_match_the_all_pairs_scans_on_planted_tails(monkeypatch):
+    # Buchberger on a planted set checks nothing compared here, and need
+    # not be homogeneous, so it is left out
+    monkeypatch.setattr(generators, "buchberger", lambda order, gens: list(gens))
+    for triple in PLANTED_TRIPLES:
+        pr = make_params(*triple)
+        base = Curve(pr)
+        rng, failed = random.Random(sum(triple)), 0
+        for _ in range(RING_PLANTINGS):
+            gset = _plant_a_ring_tail_term(base, rng)
+            with monkeypatch.context() as patch:
+                patch.setattr(syzygy, "groebner_generators", lambda params: gset)
+                curve = Curve(pr)
+            spoly = _record(generators.verify_groebner_generators(curve), "s-polynomials-reduce")
+            harvest = _record(verify_syzygy_basis(curve), "harvested-relations-reduce")
+            rows = schreyer_relations(curve, curve.ring_reducer.pairs())
+            assert spoly == _all_pairs_spoly_record(curve, rows), triple
+            assert harvest == _all_pairs_harvest_record(curve, rows), triple
+            failed += not spoly[0]
+        # the leads X1^2 and X2^4 of (8,3,2) are coprime: no tail breaks their pair
+        assert failed == (0 if triple == (8, 3, 2) else RING_PLANTINGS), triple
+
+
+@pytest.mark.parametrize("triple, shortcuts", [
+    ((7, 1, 3), 4), ((13, 2, 6), 7), ((9, 4, 2), 2), ((11, 2, 5), 6), ((17, 3, 8), 9),
+])
+def test_harvest_record_matches_the_all_pairs_scan_with_each_member_dropped(triple, shortcuts):
+    # without some B(i, j), every kept relation can still divide to zero while
+    # another does not: the kept rows decide nothing unless s-vectors-reduce
+    # passed, which it does in the pinned number of drops
+    base = Curve(make_params(*triple))
+    rows, labeled = base.full_harvest(), base.sset.labeled()
+    passed = 0
+    for k in range(len(labeled)):
+        planted = labeled[:k] + labeled[k + 1:]
+
+        class Planted(SyzygySet):
+            def labeled(self):
+                return planted
+
+        # the ring side is the base's, harvests included
+        curve = copy.copy(base)
+        curve.sset = Planted(base.params, {}, {}, {})
+        curve.module_reducer = Reducer(base.morder, [g for _, g in planted])
+        report = verify_syzygy_basis(curve)
+        harvest = _record(report, "harvested-relations-reduce")
+        assert harvest == _all_pairs_harvest_record(curve, rows), labeled[k][0]
+        assert not harvest[0], labeled[k][0]
+        passed += _record(report, "s-vectors-reduce")[0]
+    assert passed == shortcuts
 
 
 def test_verify_syzygy_basis(p713, p832, p613):
