@@ -229,12 +229,10 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
     Three checks: the computed leading monomials match the closed-form
     set; every S-polynomial reduces to zero against the set itself; and
     an independent Buchberger run produces no new leading monomial.  The
-    S-polynomials read are those of the triple's harvest (curve.harvest),
-    the pairs the chain criterion keeps: when they all reduce to zero the
-    set is a Groebner basis, so every pair does, and the detail counts
-    every pair.  Otherwise the harvest of every pair (curve.full_harvest)
-    is scanned i-major, and the first failure is the witness and ends
-    the count.
+    identity K(LT(G)) = N, once every element lies in the curve ideal,
+    decides the S-polynomials (Curve.ring_certified), and the detail
+    counts every pair.  Otherwise the harvest of every pair (curve.harvest)
+    is scanned i-major, and the first failure is the witness.
     """
     params, order = curve.params, curve.order
     labels, polys = zip(*curve.gset.labeled())
@@ -256,9 +254,8 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
 
     witness = None
     pairs = len(polys) * (len(polys) - 1) // 2
-    if any(r for _, _, r, _ in curve.harvest()):
-        i_major = sorted(curve.full_harvest(), key=lambda row: row[:2])
-        for pairs, (i, j, r, _) in enumerate(i_major, 1):
+    if not curve.ring_certified():
+        for pairs, (i, j, r, _) in enumerate(sorted(curve.harvest(), key=lambda row: row[:2]), 1):
             if r:
                 witness = {"pair": [labels[i], labels[j]], "remainder": poly_to_json(order, r)}
                 break

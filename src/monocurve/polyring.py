@@ -21,13 +21,10 @@ Poly shares its linear arithmetic with syzygy.ModElement through
 SparseMap, and the ring and module orders share TermOrder.  There is
 one division loop, Reducer.divide, for both: a Reducer prepares a basis
 once, grouping its lead terms by module symbol, and a ring basis is a
-module with the single symbol None.  A division returns its quotients
-only for the basis elements it used.  Loops that divide many times by one
-basis build the Reducer once and pass it to normal_form; the closed-form
-basis of a triple has one Reducer, held by syzygy.Curve and shared by
-every check and by schreyer_syzygies.  Reducer.pairs lists the S-pairs
-of its basis, and Reducer.critical_pairs those of them that the
-Gebauer-Moeller chain criterion keeps.
+module with the single symbol None.  Loops that divide many times by
+one basis build the Reducer once and pass it to normal_form; the
+closed-form basis of a triple has one Reducer, held by syzygy.Curve.
+Reducer.pairs lists the S-pairs of its basis.
 
 There is one S-pair builder, s_polynomial, for Polys and module
 elements alike, and one Buchberger pair loop, Closure.close.  It takes
@@ -35,27 +32,21 @@ pairs in ascending weight of their lcm, the normal strategy (Giovini,
 Mora, Niesi, Robbiano, Traverso, "One sugar cube, please", ISSAC 1991),
 and can be resumed: generators join with Closure.add, and close(upto)
 stops before the first pair heavier than upto.  closure is its one-shot
-form; buchberger interreduces its full result, and a membership test for
-an element of weight w runs it truncated at top = w.  The truncated
-basis decides membership exactly only when the generators and the
-element are weight-homogeneous, as every binomial of the curve ideal is;
-callers confirm that first.  schreyer_syzygies divides the
-S-polynomials of the pairs it is given once each, and keeps each
-remainder with the relation its division yields.  Given the pairs the
-chain criterion keeps, the remainders decide the Groebner claim, and
-the relations generate every relation among the basis, which the
-completeness check of the syzygies reads.
+form, truncated at a weight for membership (see closure); buchberger
+interreduces its full result.  schreyer_syzygies divides the
+S-polynomial of every pair of a ring basis once, and keeps each
+remainder with the relation its division yields.  hilbert_numerator,
+the Hilbert numerator of a monomial ideal, decides whether a subset of a
+homogeneous ideal is a Groebner basis without dividing an S-pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from heapq import heappop, heappush
-from itertools import combinations
-from operator import add, and_, getitem, le, mul, neg, sub
+from operator import add, le, mul, neg, sub
 
-from .semigroup import CurveParams
+from .semigroup import CurveParams, _add_shifted, _times_one_minus
 
 Mono = tuple
 
@@ -76,11 +67,6 @@ def _inverse(c):
     """The exact inverse of a non-zero coefficient: c itself when it is
     plus or minus one."""
     return c if c == 1 or c == -1 else _exact(1 / Fraction(c))
-
-
-def _weight_key(weight, mono):
-    """WeightOrder's sort key of mono, computed and not stored."""
-    return (weight(mono), tuple(map(neg, reversed(mono))))
 
 
 class ZeroPolynomialError(ValueError):
@@ -313,7 +299,7 @@ class WeightOrder(TermOrder):
     def key(self, mono: Mono):
         k = self._cache.get(mono)
         if k is None:
-            k = self._cache[mono] = _weight_key(self.weight, mono)
+            k = self._cache[mono] = (self.weight(mono), tuple(map(neg, reversed(mono))))
         return k
 
     def leading_term(self, poly: Poly) -> tuple[Mono, int | Fraction]:
@@ -372,55 +358,10 @@ class Reducer:
     def pairs(self) -> list[tuple[int, int]]:
         """The index pairs x < y whose leading terms share a symbol, x-major:
         every pair of a ring basis, and the S-pairs of a module basis.
-        The basis is a Groebner basis exactly when all their S-polynomials
-        divide to zero.  critical_pairs decides the same with fewer; a
-        check that finds a failure among those scans these for the first
-        one."""
+        The checks scan them only when a Hilbert-series identity
+        (hilbert_numerator) fails to decide the Groebner claim."""
         return sorted((x, y) for row in self.rows.values()
                       for n, (*_, x) in enumerate(row) for *_, y in row[n + 1:])
-
-    def critical_pairs(self) -> list[tuple[int, int]]:
-        """The pairs of pairs() that the chain criterion keeps, x-major.
-
-        Per symbol, the pairs are walked in ascending order of (key of
-        their lcm term, x, y).  A pair (x, y) is dropped when some other
-        element z on the symbol has a lead monomial dividing the pair's
-        lcm and both (x, z) and (y, z) came earlier in the walk (Gebauer,
-        Moeller, "On an installation of Buchberger's algorithm", JSC
-        1988).  Then S(x, y) is a monomial combination of S(x, z) and
-        S(z, y), whose lcms divide that of (x, y), so by induction along
-        the walk every S-polynomial has a representation below its lcm
-        once those of the kept pairs divide to zero: the basis is then a
-        Groebner basis and every pair of pairs() divides to zero too.
-        Requiring both earlier is what keeps the induction sound when
-        lcms are equal.  Holds for any term order that is multiplicative,
-        as both orders here are.
-
-        Within one symbol a multiplicative order ranks the lcm terms as
-        the ring order ranks their monomials, so the walk sorts by the
-        ring key of the lcm, computed here and kept out of the key
-        caches, which hold only the terms that divisions read.
-        """
-        weight, kept = self.order.params.weight, []
-        for row in self.rows.values():
-            leads = [lm for lm, *_ in row]
-            # bitsets over the row: fits[v][e], for each exponent e some lead
-            # has at position v, holds the members whose lead has at most e
-            # there, and settled[n] the members m whose pair with n came
-            # earlier; no member is ever settled with itself
-            fits = [{top: sum(1 << n for n, e in enumerate(col) if e <= top) for top in set(col)}
-                    for col in zip(*leads)]
-            settled = [0] * len(row)
-            # row positions follow the basis indices, so (n, m) ties as (x, y)
-            walk = sorted((_weight_key(weight, lcm), n, m, lcm)
-                          for n, m in combinations(range(len(row)), 2)
-                          for lcm in (mono_lcm(leads[n], leads[m]),))
-            for _, n, m, lcm in walk:
-                if not settled[n] & settled[m] & reduce(and_, map(getitem, fits, lcm)):
-                    kept.append((row[n][3], row[m][3]))
-                settled[n] |= 1 << m
-                settled[m] |= 1 << n
-        return sorted(kept)
 
     def divide(self, f):
         """(remainder, quotients) of f by the basis; see normal_form.
@@ -609,30 +550,23 @@ def interreduce(order: WeightOrder, polys) -> list[Poly]:
     return out
 
 
-def schreyer_syzygies(table: Reducer, pairs) -> list[tuple[int, int, Poly, dict]]:
-    """The S-polynomials of the given pairs of a ring basis, each divided
-    once by the basis.
+def schreyer_syzygies(table: Reducer) -> list[tuple[int, int, Poly, dict]]:
+    """The S-polynomial of every pair of a ring basis, each divided once
+    by the basis.
 
-    The basis is that of the prepared ring Reducer table, and pairs holds
-    index pairs i < j, taken j-major.  Each entry is (i, j, remainder,
-    vec), where vec maps an index k to a non-zero polynomial, only for
-    the k that occur, and sum_k vec[k] * basis[k] == remainder.
-
-    Given table.critical_pairs(), this decides the Groebner claim: the
-    basis is a Groebner basis exactly when every remainder is zero.  The
-    vecs then generate the module of relations among the basis, since
-    the lead-term syzygies of those pairs generate the lead-term
-    syzygies, each dropped pair's being a monomial combination of two
-    walked before it (Schreyer; Eisenbud, Commutative Algebra, 15.5).
-    The coprime skip (Buchberger's product criterion) would not keep
-    this: a coprime pair's S-polynomial divides to zero, but its
-    lead-term syzygy, the Koszul one, need not be a combination of the
-    others, so skipping it can lose a generator of the relations.
+    The basis is that of the prepared ring Reducer table, and its pairs
+    are taken j-major.  Each entry is (i, j, remainder, vec), where vec
+    maps an index k to a non-zero polynomial, only for the k that occur,
+    and sum_k vec[k] * basis[k] == remainder.  The basis is a Groebner
+    basis exactly when every remainder is zero, and the vecs then
+    generate the module of relations among the basis (Schreyer;
+    Eisenbud, Commutative Algebra, 15.5); no coprime pair is skipped, as
+    its Koszul relation can be one of the generators.
     """
     order, polys = table.order, table.basis
     leads = [(lm, inv) for lm, inv, *_ in table.rows.get(None, ())]
     out = []
-    for i, j in sorted(pairs, key=lambda pair: pair[::-1]):
+    for i, j in sorted(table.pairs(), key=lambda pair: pair[::-1]):
         r, quots = normal_form(order, s_polynomial(order, polys[i], polys[j]), table)
         lcm = mono_lcm(leads[i][0], leads[j][0])
         # the S-polynomial's own cofactors, which no quotient term can cancel
@@ -641,6 +575,52 @@ def schreyer_syzygies(table: Reducer, pairs) -> list[tuple[int, int, Poly, dict]
         for k, q in quots.items():
             vec[k] = vec[k] - q if k in vec else -q
         out.append((i, j, r, vec))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Hilbert series of monomial ideals
+
+
+def hilbert_numerator(weights, monos) -> dict:
+    """K(J), with HS(R/J) = K(J) / prod_v (1 - t^weights[v]), for the ideal J
+    of the exponent tuples monos, as {exponent: non-zero integer}.
+
+    By Macaulay, R/I and R/LT(I) have one Hilbert series for a homogeneous
+    ideal I, so a subset G of I with K(LT(G)) = K(I) is a Groebner basis:
+    <LT(G)> lies in LT(I), and equal Hilbert functions leave no room.
+    """
+    return _numerator(tuple(weights), monos, {})
+
+
+def _numerator(weights, monos, memo) -> dict:
+    """Bigatti's recursion (JPAA 1997), memoized by minimal generators:
+    K(J) = K(J + (x)) + t^{w(x)} K(J : x), for the variable x in most
+    generators with two or more variables.  Pairwise coprime generators
+    give prod (1 - t^{w(g)}): 1 for J = 0 and 0 for 1 in J."""
+    kept = []
+    for m in sorted(set(monos), key=sum):
+        if not any(mono_divides(k, m) for k in kept):
+            kept.append(m)
+    gens = tuple(sorted(kept))
+    if gens in memo:
+        return memo[gens]
+    users, mixed = [0] * len(weights), [0] * len(weights)
+    for g in gens:
+        support = [v for v, e in enumerate(g) if e]
+        for v in support:
+            users[v] += 1
+            mixed[v] += len(support) > 1
+    if max(users) <= 1:
+        out = _times_one_minus({0: 1}, [sum(map(mul, g, weights)) for g in gens])
+    else:
+        x = mixed.index(max(mixed))
+        unit = tuple(int(v == x) for v in range(len(weights)))
+        added = [g for g in gens if not g[x]] + [unit]
+        quotient = [g[:x] + (max(g[x] - 1, 0),) + g[x + 1:] for g in gens]
+        out = _add_shifted(dict(_numerator(weights, added, memo)),
+                           _numerator(weights, quotient, memo), weights[x])
+    memo[gens] = out
     return out
 
 

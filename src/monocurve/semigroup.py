@@ -12,9 +12,10 @@ impossible because d >= 1; for k >= 2, gcd(m0, d) = 1 forces m0 to
 divide i - sum s, yet 0 < i - sum s <= p < m0.
 
 Nothing here searches the semigroup: a monomial's weight is
-CurveParams.weight, and the two minimal multiples solve linear
-congruences.  An exhaustive membership search lives with the tests,
-which compare these closed forms against it.
+CurveParams.weight, the two minimal multiples solve linear congruences,
+and the Hilbert numerator of the curve is written out from the Apery
+set in closed form.  An exhaustive membership search lives with the
+tests, which compare these closed forms against it.
 """
 
 from __future__ import annotations
@@ -82,10 +83,8 @@ def make_params(m0: int, d: int, p: int) -> CurveParams:
     """Validate (m0, d, p) and return the parameter record in O(p).
 
     Raises GcdError when gcd(m0, d) != 1 and HypothesisError when a range
-    hypothesis fails (in particular m0 <= p, which forces a < 1).  No
-    generator lies in the semigroup of the others: a sum of k >= 2 of
-    them equal to m_i would give (k-1)*m0 = (i - sum s)*d, so m0 would
-    divide i - sum s, which lies in (0, p] with p < m0.
+    hypothesis fails (in particular m0 <= p, which forces a < 1).  The
+    generators are then minimal, as the module docstring shows.
     """
     if p < 2:
         raise HypothesisError(f"p must be at least 2, got {p}")
@@ -158,13 +157,48 @@ def mp_multiple_identity(params: CurveParams) -> tuple[int, int, int]:
 
 
 def m0_multiple_identity(params: CurveParams) -> tuple[int, int, int]:
-    """Closed form (a+d+1, a, b): (a+d+1)*m0 = a*m_p + m_b.
-
-    The identity follows from a*m_p + m_b = (a+d)*m0 + (ap + b) + ...
-    more directly: a*m_p + m_b = a*m0 + a*p*d + m0 + b*d = (a+d+1)*m0.
-    The congruence search min_multiple_of_m0 confirms minimality.
+    """Closed form (a+d+1, a, b): (a+d+1)*m0 = a*m_p + m_b, since
+    a*m_p + m_b = a*m0 + a*p*d + m0 + b*d = (a+d+1)*m0.  The congruence
+    search min_multiple_of_m0 confirms minimality.
     """
     return params.a + params.d + 1, params.a, params.b
+
+
+def _add_shifted(acc: dict, series: dict, shift: int = 0, sign: int = 1) -> dict:
+    """acc += sign * t^shift * series, in place, for polynomials in t kept
+    as {exponent: non-zero integer coefficient}."""
+    for e, c in series.items():
+        v = acc.get(e + shift, 0) + sign * c
+        if v:
+            acc[e + shift] = v
+        else:
+            del acc[e + shift]
+    return acc
+
+
+def _times_one_minus(series: dict, weights) -> dict:
+    """series * prod(1 - t^w) over weights."""
+    for w in weights:
+        series = _add_shifted(dict(series), series, w, -1)
+    return series
+
+
+def apery_numerator(params: CurveParams) -> dict:
+    """N = A(t) * prod_{i=1..p} (1 - t^{m_i}), the Hilbert numerator of the
+    curve ideal, where A(t) sums t^s over the Apery set Ap(S, m0).  By
+    Selmer's formula (Rosales, Garcia-Sanchez, Numerical Semigroups, 2009)
+    Ap(S, m0) holds 0, the (q-1)*m_p + m_k for q in [1, a] and k in
+    [1, p], and the a*m_p + m_k for k in [1, b-1], so that
+      A(t)(1 - t^{m_p}) = 1 - t^{m_p} + (1 - t^{a m_p}) sum_{k=1..p} t^{m_k}
+                          + (1 - t^{m_p}) sum_{k=1..b-1} t^{a m_p + m_k}:
+    O(p) terms, whatever m0 and d are.
+    """
+    gens, mp = params.generators, params.generators[-1]
+    top = params.a * mp
+    series = _times_one_minus({0: 1}, [mp])
+    _add_shifted(series, _times_one_minus(dict.fromkeys(gens[1:], 1), [top]))
+    _add_shifted(series, _times_one_minus({top + m: 1 for m in gens[1:params.b]}, [mp]))
+    return _times_one_minus(series, gens[1:-1])
 
 
 def verify_minimal_multiples(params: CurveParams) -> VerificationReport:

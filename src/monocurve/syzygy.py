@@ -26,26 +26,19 @@ division loop (polyring.Reducer): a module basis is prepared once with
 its lead terms grouped by symbol, where a ring basis has the one symbol
 None.  S-vectors come from the ring's S-pair builder,
 polyring.s_polynomial, for the pairs of basis elements whose leads share
-a symbol, read from those groups (Reducer.pairs).  Only the pairs that
-the Gebauer-Moeller chain criterion keeps (Reducer.critical_pairs) are
-divided: when they all divide to zero the basis is a Groebner basis, so
-every other S-vector divides to zero as well.  When one does not, the
-scan over every pair runs, in the order of Reducer.pairs, and names its
-first failure with the same witness and count.  The excluded families
-of module terms are boxes of exponents, each tested against the grouped
-lead terms through its largest member.
+a symbol, read from those groups (Reducer.pairs).  The excluded
+families of module terms are boxes of exponents, each tested against
+the grouped lead terms through its largest member.
 
-A Curve holds what every check of one triple shares, each built once:
-both orders (one key cache each), both generating sets, the syzygy
-basis, the symbol images and a prepared Reducer for the ring basis and
-for the module basis.  On first use it also keeps the S-pair harvest of
-the ring basis (schreyer_relations) over the pairs the chain criterion
-keeps, which both the Groebner check of the generators and the
-completeness check of the syzygies read: when its remainders are all
-zero the basis is a Groebner basis, and its relations generate every
-relation among the generators.  The harvest of every pair is built only
-when one of those checks fails, to name the failure as a scan over all
-pairs would, and is kept as well.  Every verify_* report takes a Curve.
+Both Groebner claims are decided by one Hilbert-series identity each
+(Curve.ring_certified, _module_identity), in terms of N, the Hilbert
+numerator of the curve ideal (semigroup.apery_numerator), and K, that of
+a monomial ideal (polyring.hilbert_numerator).  A passing triple divides
+no S-pair; when an identity or a hypothesis fails, the checks scan every
+pair and name the first failure with its witness and count.
+
+A Curve holds what every check of one triple shares, each built once,
+and every verify_* report takes one.
 """
 
 from __future__ import annotations
@@ -57,6 +50,7 @@ from typing import NamedTuple
 
 from .generators import (
     GeneratorSet,
+    _mixed_weight,
     epsilon,
     groebner_generators,
     patil_generators,
@@ -76,6 +70,7 @@ from .polyring import (
     _join_signed,
     _json_terms,
     _term_text,
+    hilbert_numerator,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -87,7 +82,7 @@ from .polyring import (
     variable_monomial,
 )
 from .report import VerificationReport
-from .semigroup import CurveParams
+from .semigroup import CurveParams, _add_shifted, apery_numerator
 
 
 # Symbols are named tuples, so that hashing and comparing a module term
@@ -398,13 +393,13 @@ class Curve:
     cache per order.  images maps each module symbol to its binomial in
     label order; ring_reducer divides by those binomials in that order
     and module_reducer by the syzygy basis in its label order.  The key
-    caches grow as the checks run, and harvest() is computed on first
-    use; everything else is read, never changed, so a caller that needs
-    to extend a basis builds its own Reducer.
+    caches grow as the checks run, and ring_certified() and harvest()
+    are computed on first use; everything else is read, never changed,
+    so a caller that needs to extend a basis builds its own Reducer.
     """
 
     __slots__ = ("params", "morder", "order", "gset", "patil", "sset", "images",
-                 "ring_reducer", "module_reducer", "_harvest", "_full_harvest")
+                 "ring_reducer", "module_reducer", "_ring_certified", "_harvest")
 
     def __init__(self, params: CurveParams):
         self.params = params
@@ -416,21 +411,27 @@ class Curve:
         self.images = dict(labeled_generator_symbols(self.gset))
         self.ring_reducer = Reducer(self.order, self.images.values())
         self.module_reducer = Reducer(self.morder, self.sset.elements())
-        self._harvest = self._full_harvest = None
+        self._ring_certified = self._harvest = None
+
+    def ring_certified(self) -> bool:
+        """Whether the closed-form set G is a Groebner basis of the curve
+        ideal I, computed once: G lies in I (each element has one weight
+        and coefficients summing to 0), and K(LT(G)) = N, so <LT(G)>, which
+        lies in LT(I), has the Hilbert series of I and equals LT(I)."""
+        if self._ring_certified is None:
+            in_ideal = (_mixed_weight(self.params, self.images.items()) is None
+                        and not any(sum(g.terms.values()) for g in self.images.values()))
+            leads = [lm for lm, *_ in self.ring_reducer.rows[None]]
+            self._ring_certified = in_ideal and (
+                hilbert_numerator(self.params.exponent_weights, leads) == apery_numerator(self.params))
+        return self._ring_certified
 
     def harvest(self) -> list:
-        """schreyer_relations of the pairs the chain criterion keeps on the
-        ring basis, computed once and kept."""
+        """schreyer_relations of the ring basis, computed once and kept;
+        only a check whose identity fails reads it."""
         if self._harvest is None:
-            self._harvest = schreyer_relations(self, self.ring_reducer.critical_pairs())
+            self._harvest = schreyer_relations(self)
         return self._harvest
-
-    def full_harvest(self) -> list:
-        """schreyer_relations of every pair of the ring basis, computed
-        once and kept; only a failing check reads it."""
-        if self._full_harvest is None:
-            self._full_harvest = schreyer_relations(self, self.ring_reducer.pairs())
-        return self._full_harvest
 
 
 # ---------------------------------------------------------------------------
@@ -451,20 +452,17 @@ def module_normal_form(morder: ModuleOrder, elem: ModElement, basis):
     return basis.divide(elem)
 
 
-def schreyer_relations(curve: Curve, pairs) -> list:
-    """The S-pair harvest of the closed-form basis, over the module symbols.
-
-    One entry (i, j, remainder, element) per given pair of ring basis
-    indices i < j, in the j-major order of polyring.schreyer_syzygies,
-    whose vectors become module elements: each element evaluates to its
-    remainder, so it is a relation exactly when the remainder is zero.
-    """
+def schreyer_relations(curve: Curve) -> list:
+    """polyring.schreyer_syzygies of the closed-form basis, j-major, as
+    entries (i, j, remainder, element) whose vectors become module
+    elements: each evaluates to its remainder, so it is a relation
+    exactly when the remainder is zero."""
     symbols = list(curve.images)  # in the order of the ring reducer's basis
     nv = curve.params.nvars
     return [
         (i, j, r, ModElement._raw(nv, {(m, symbols[k]): c
                                        for k, q in vec.items() for m, c in q.terms.items()}))
-        for i, j, r, vec in schreyer_syzygies(curve.ring_reducer, pairs)
+        for i, j, r, vec in schreyer_syzygies(curve.ring_reducer)
     ]
 
 
@@ -472,31 +470,40 @@ def schreyer_relations(curve: Curve, pairs) -> list:
 # verification
 
 
-def verify_syzygy_basis(curve: Curve) -> VerificationReport:
-    """Full check of the syzygy basis.
+def _module_identity(curve: Curve) -> bool:
+    """Whether sum_sym t^{w(image(sym))} K(M_sym) = 1 - N, for the leads
+    M_sym of the syzygy basis on each symbol.  Once G is a Groebner basis
+    of I, the syzygy module Syz is the kernel of the free module F onto I,
+    graded by the images, so HS(F/Syz) = HS(I) has numerator 1 - N; a
+    basis inside Syz is a Groebner basis of it exactly when its leads
+    give F/<LT(basis)> that series (Macaulay, symbol by symbol)."""
+    params, rows = curve.params, curve.module_reducer.rows
+    series = {}
+    for sym, image in curve.images.items():
+        leads = [lm for lm, *_ in rows.get(sym, ())]
+        shift = params.weight(next(iter(image.terms)))
+        _add_shifted(series, hilbert_numerator(params.exponent_weights, leads), shift)
+    return series == _add_shifted({0: 1}, apery_numerator(params), sign=-1)
 
-    (a) every member evaluates to zero; (b) the computed leading terms
-    match the per-family prediction; (c) every S-vector of two members
-    whose leads share a symbol reduces to zero against the basis.  The
-    pairs the chain criterion keeps are divided first; when they all
-    reduce to zero the basis is a Groebner basis, and the detail counts
-    every pair.  Otherwise the pairs are divided in x-major order, and
-    the first that fails is the witness and ends the count; (d) every
-    S-polynomial of the generators reduced to zero, and every relation
-    harvested from those reductions is a relation that reduces to zero
-    against the basis.  The harvest of the pairs the chain criterion
-    keeps (curve.harvest) is tested first.  When (c) passed, so that the
-    basis is a Groebner basis of the module it spans, and every kept row
-    passes, the generators form a Groebner basis whose relations the
-    kept ones generate, so every relation lies in that module and
-    divides to zero: the detail counts every pair.  Otherwise the
-    harvest of every pair (curve.full_harvest) is scanned j-major, and
-    the first failure is the witness and ends the count; (e) no leading
-    term divides another.
+
+def verify_syzygy_basis(curve: Curve) -> VerificationReport:
+    """Full check of the syzygy basis: (a) every member evaluates to zero;
+    (b) the leading terms match the per-family prediction; (c) every
+    S-vector of two members whose leads share a symbol reduces to zero
+    against the basis; (d) every S-polynomial of the generators reduces to
+    zero, and every relation harvested from those reductions is a relation
+    that reduces to zero against the basis; (e) no lead divides another.
+
+    (c) and (d) are decided by one identity (_module_identity) once (a)
+    passed and the ring identity holds (Curve.ring_certified): the basis
+    is then a Groebner basis of the syzygy module, which holds every
+    S-vector and every harvested relation, and the details count every
+    pair.  Otherwise the S-vectors are divided x-major and the harvest of
+    every ring pair (curve.harvest) is scanned j-major; the first failure
+    of each is its witness and ends its count.
     """
     params, morder, table = curve.params, curve.morder, curve.module_reducer
     labeled = curve.sset.labeled()
-    elements = [g for _, g in labeled]
     report = VerificationReport(params)
 
     bad = None
@@ -506,6 +513,7 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
             bad = {"element": lab, "image": poly_to_json(morder.ring, image)}
             break
     report.add("members-are-relations", bad is None, detail=f"{len(labeled)} members", witness=bad)
+    members_ok = bad is None
 
     predicted = _expected_leads(params)
     actual = {lab: morder.leading_term(g)[0] for lab, g in labeled}
@@ -526,41 +534,32 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
         witness=None if shape_ok and not mismatch else {"mismatches": mismatch[:3]},
     )
 
-    def s_remainder(x, y):
-        return module_normal_form(morder, s_polynomial(morder, elements[x], elements[y]), table)[0]
-
-    # once the pairs the chain criterion keeps divide to zero, so does every
-    # same-symbol pair; else the x-major scan over all of them names the first
-    pairs, bad = table.pairs(), None
-    count = len(pairs)
-    if any(s_remainder(x, y) for x, y in table.critical_pairs()):
-        for count, (x, y) in enumerate(pairs, 1):
-            r = s_remainder(x, y)
+    # one identity decides (c) and (d); if it or a hypothesis fails, both scan
+    certified = members_ok and curve.ring_certified() and _module_identity(curve)
+    bad = None
+    count = sum(len(row) * (len(row) - 1) // 2 for row in table.rows.values())
+    if not certified:
+        for count, (x, y) in enumerate(table.pairs(), 1):
+            s = s_polynomial(morder, table.basis[x], table.basis[y])
+            r, _ = module_normal_form(morder, s, table)
             if r:
                 bad = {"pair": [labeled[x][0], labeled[y][0]],
                        "remainder": mod_elem_to_json(morder, r)}
                 break
     report.add("s-vectors-reduce", bad is None, detail=f"{count} same-symbol pairs", witness=bad)
 
-    symbols = list(curve.images)
-
-    def harvest_failure(i, j, r, rel):
-        pair = [str(symbols[i]), str(symbols[j])]
-        if r:
-            return {"pair": pair, "problem": "S-polynomial does not reduce to zero"}
-        if relation_image(curve, rel):
-            return {"pair": pair, "problem": "harvested element is not a relation"}
-        r, _ = module_normal_form(morder, rel, table)
-        return {"pair": pair, "remainder": mod_elem_to_json(morder, r)} if r else None
-
-    # the kept rows decide only on top of a module Groebner basis; else the
-    # j-major scan over every pair names the first failure
-    module_groebner, bad = bad is None, None
-    n = len(symbols)
-    count = n * (n - 1) // 2
-    if not module_groebner or any(harvest_failure(*row) for row in curve.harvest()):
-        for count, row in enumerate(curve.full_harvest(), 1):
-            bad = harvest_failure(*row)
+    symbols, bad = list(curve.images), None
+    count = len(symbols) * (len(symbols) - 1) // 2
+    if not certified:
+        for count, (i, j, r, rel) in enumerate(curve.harvest(), 1):
+            pair = [str(symbols[i]), str(symbols[j])]
+            if r:
+                bad = {"pair": pair, "problem": "S-polynomial does not reduce to zero"}
+            elif relation_image(curve, rel):
+                bad = {"pair": pair, "problem": "harvested element is not a relation"}
+            else:
+                r, _ = module_normal_form(morder, rel, table)
+                bad = {"pair": pair, "remainder": mod_elem_to_json(morder, r)} if r else None
             if bad:
                 break
     report.add(
@@ -573,19 +572,8 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     # only leads on one symbol can divide each other: the first dividing
     # (x, y) in the order of a double loop over all leads, and the ordered
     # pairs that loop would have tried up to it
-    leads = [actual[lab] for lab, _ in labeled]
-    by_symbol = {}
-    for x, (_, sym) in enumerate(leads):
-        by_symbol.setdefault(sym, []).append(x)
-    first = None
-    for same in by_symbol.values():
-        for x in same:
-            if first and x > first[0]:
-                break
-            y = next((y for y in same if y != x and mono_divides(leads[x][0], leads[y][0])), None)
-            if y is not None:
-                first = min(first or (x, y), (x, y))
-                break
+    first = min(((x, y) for row in table.rows.values() for lx, *_, x in row
+                 for ly, *_, y in row if x != y and mono_divides(lx, ly)), default=None)
     n = len(labeled)
     checked, offender = n * (n - 1), None
     if first is not None:

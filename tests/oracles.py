@@ -1,9 +1,11 @@
 """Reference implementations the tests compare the library against.
 
 None of them is on the path of the command line: an exhaustive semigroup
-membership search, the curve ideal as the kernel of the parametrization,
-the grid of valid parameter triples, and the readers of the JSON output
-format.  The library never imports this module.
+membership search and the Apery numerator it gives, the curve ideal as
+the kernel of the parametrization, a Hilbert function counted monomial by
+monomial, the grid of valid parameter triples, and the readers of the
+JSON output format.  They share no code with the library's division,
+closure or Hilbert numerator.  The library never imports this module.
 """
 
 from monocurve.polyring import Poly, _exact
@@ -44,6 +46,56 @@ def semigroup_membership(params: CurveParams, x: int) -> tuple[int, ...] | None:
     if x < 0:
         raise ValueError(f"x must be non-negative, got {x}")
     return _representation(x, params.generators)
+
+
+def apery_numerator_by_search(params: CurveParams) -> dict:
+    """A(t) * prod_{i=1..p} (1 - t^{m_i}) as {exponent: non-zero coefficient},
+    where A(t) sums t^s over the Apery set Ap(S, m0): the least member of
+    the semigroup in each residue class mod m0, found by semigroup_membership.
+    """
+    m0, least, s = params.m0, {}, 0
+    while len(least) < m0:
+        if s % m0 not in least and semigroup_membership(params, s) is not None:
+            least[s % m0] = s
+        s += 1
+    coeffs = [0] * (max(least.values()) + sum(params.generators[1:]) + 1)
+    for s in least.values():
+        coeffs[s] += 1
+    for m in params.generators[1:]:
+        for e in range(len(coeffs) - 1, m - 1, -1):
+            coeffs[e] -= coeffs[e - m]
+    return {e: c for e, c in enumerate(coeffs) if c}
+
+
+def hilbert_function(weights, monos, top: int) -> list[int]:
+    """h[w] for w <= top: the number of monomials of weight w outside the
+    ideal that the exponent tuples monos generate, counted one by one."""
+    counts = [0] * (top + 1)
+
+    def walk(v, expo, w):
+        if v == len(weights):
+            if not any(all(a <= b for a, b in zip(m, expo)) for m in monos):
+                counts[w] += 1
+            return
+        e = 0
+        while w + e * weights[v] <= top:
+            walk(v + 1, expo + (e,), w + e * weights[v])
+            e += 1
+
+    walk(0, (), 0)
+    return counts
+
+
+def series_coefficients(numerator: dict, weights, top: int) -> list[int]:
+    """The coefficients of t^0..t^top in numerator / prod(1 - t^w)."""
+    coeffs = [0] * (top + 1)
+    for e, c in numerator.items():
+        if e <= top:
+            coeffs[e] += c
+    for w in weights:
+        for e in range(w, top + 1):
+            coeffs[e] += coeffs[e - w]
+    return coeffs
 
 
 def curve_image(params: CurveParams, f: Poly) -> dict:

@@ -339,13 +339,12 @@ def test_each_triple_builds_its_shared_objects_once(monkeypatch, capsys):
     assert counts == {name: ran for name in names}
 
 
-def test_each_triple_harvests_its_s_pairs_once(monkeypatch, capsys):
-    # the S-polynomials of the pairs the chain criterion keeps on the
-    # closed-form basis are divided by the triple's ring reducer once, in
-    # one harvest, which both S-pair checks read; the classical generators
-    # are the only other elements it divides
-    curves, divisions, harvests = [], collections.Counter(), collections.Counter()
-    init, divide, harvest = syzygy.Curve.__init__, Reducer.divide, syzygy.schreyer_syzygies
+def test_a_passing_verify_divides_no_s_pair(monkeypatch, capsys):
+    # on a passing triple the two Hilbert-series identities decide both
+    # S-pair checks: no harvest is built, no S-vector is divided, and the
+    # ring reducer divides only the classical generators
+    curves, divisions, harvests = [], collections.Counter(), []
+    init, divide = syzygy.Curve.__init__, Reducer.divide
 
     def keep(self, params):
         init(self, params)
@@ -355,26 +354,26 @@ def test_each_triple_harvests_its_s_pairs_once(monkeypatch, capsys):
         divisions[self] += 1
         return divide(self, f)
 
-    def count_harvest(table, pairs):
-        harvests[table] += 1
-        return harvest(table, pairs)
-
     monkeypatch.setattr(syzygy.Curve, "__init__", keep)
     monkeypatch.setattr(Reducer, "divide", count_division)
-    monkeypatch.setattr(syzygy, "schreyer_syzygies", count_harvest)
+    monkeypatch.setattr(syzygy, "schreyer_syzygies", harvests.append)
 
     def check(ran):
         assert len(curves) == ran
+        assert not harvests
         for curve in curves:
-            table = curve.ring_reducer
-            assert harvests[table] == 1
-            assert divisions[table] == len(table.critical_pairs()) + len(curve.patil)
+            assert divisions[curve.ring_reducer] == len(curve.patil)
+            assert divisions[curve.module_reducer] == 0
 
-    assert main(["verify", "--m0", "13", "--d", "2", "--p", "6", "--bound", "2"]) == 0
+    assert main(["verify", "--m0", "41", "--d", "2", "--p", "12", "--bound", "2",
+                 "--format", "json"]) == 0
+    details = {c["check"]: c.get("detail") for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert details["s-polynomials-reduce"] == "2701 pairs"
+    assert details["s-vectors-reduce"] == "4092 same-symbol pairs"
+    assert details["harvested-relations-reduce"] == "2701 harvested relations"
     check(1)
 
     curves.clear()
-    capsys.readouterr()
     assert main(["sweep", "--p", "2..3", "--a", "1..2", "--d", "1..2", "--bound", "2",
                  "--format", "json"]) == 0
     ran = json.loads(capsys.readouterr().out)["summary"]["ran"]

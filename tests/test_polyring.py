@@ -14,6 +14,7 @@ from monocurve.polyring import (
     ZeroPolynomialError,
     buchberger,
     format_poly,
+    hilbert_numerator,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -24,7 +25,8 @@ from monocurve.polyring import (
     schreyer_syzygies,
     variable_monomial,
 )
-from oracles import curve_image, poly_from_json
+from monocurve.syzygy import Curve
+from oracles import curve_image, hilbert_function, poly_from_json, series_coefficients
 
 P713 = make_params(7, 1, 3)
 ORDER = WeightOrder(P713)
@@ -171,20 +173,32 @@ def test_a_growing_reducer_divides_like_a_fresh_one(data):
             assert table.divide(f) == Reducer(ORDER, table.basis).divide(f)
 
 
-@pytest.mark.parametrize("leads, kept", [
-    # X1*X2, X1*X3, X2*X3: every two have the lcm X1*X2*X3, which the third
-    # divides, but only (1, 2), walked last, has both other pairs before it
-    ([(1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0)], [(0, 1), (0, 2)]),
-    # X1^N, X1*X2, X2^N: the lcms of (0, 1) and (1, 2) properly divide that
-    # of (0, 2), so both come before it; N costs nothing
-    ([(10**6, 0, 0, 0), (1, 1, 0, 0), (0, 10**6, 0, 0)], [(0, 1), (1, 2)]),
-    # X1, X2, X3: no lead divides the lcm of the other two
-    ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], [(0, 1), (0, 2), (1, 2)]),
-])
-def test_chain_criterion_on_hand_built_leads(leads, kept):
-    table = Reducer(ORDER, [Poly.term(4, m) for m in leads])
-    assert table.pairs() == [(0, 1), (0, 2), (1, 2)]
-    assert table.critical_pairs() == kept
+@given(weights=st.lists(st.integers(1, 4), min_size=1, max_size=4), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_hilbert_numerator_counts_the_monomials_outside_the_ideal(weights, data):
+    expo = st.tuples(*[st.integers(0, 3)] * len(weights))
+    monos = data.draw(st.lists(expo, max_size=6))
+    top = 16
+    assert (series_coefficients(hilbert_numerator(weights, monos), weights, top)
+            == hilbert_function(weights, monos, top))
+
+
+def test_hilbert_numerator_edge_cases():
+    assert hilbert_numerator((2, 3), []) == {0: 1}
+    assert hilbert_numerator((2, 3), [(0, 0), (1, 1)]) == {}
+    # (x^2, xy) with x, y of weights 2, 3: 1 - t^4 - t^5 + t^7
+    assert hilbert_numerator((2, 3), [(2, 0), (1, 1), (3, 1)]) == {0: 1, 4: -1, 5: -1, 7: 1}
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (8, 3, 2), (6, 1, 3), (9, 4, 2)])
+def test_hilbert_numerator_on_the_curves_lead_ideals(triple):
+    curve = Curve(make_params(*triple))
+    weights = curve.params.exponent_weights
+    top = 3 * max(weights)
+    ideals = [[lm for lm, *_ in row] for row in curve.module_reducer.rows.values()]
+    for monos in [[lm for lm, *_ in curve.ring_reducer.rows[None]]] + ideals:
+        assert (series_coefficients(hilbert_numerator(weights, monos), weights, top)
+                == hilbert_function(weights, monos, top))
 
 
 def _with_fractions(f):
@@ -282,7 +296,7 @@ def _combination(vec, basis):
 def test_schreyer_vectors_are_syzygies(p713):
     basis = groebner_generators(p713).polynomials()
     table = Reducer(ORDER, basis)
-    rows = schreyer_syzygies(table, table.pairs())
+    rows = schreyer_syzygies(table)
     n = len(basis)
     assert [(i, j) for i, j, _, _ in rows] == [(i, j) for j in range(n) for i in range(j)]
     assert table.pairs() == sorted((i, j) for i, j, _, _ in rows)
@@ -297,7 +311,7 @@ def test_schreyer_vectors_carry_the_remainder_of_a_non_groebner_basis(p713):
     basis = groebner_generators(p713).polynomials()
     basis[0] = Poly(4, {(2, 0, 0, 0): 1, (0, 1, 0, 1): -2})
     table = Reducer(ORDER, basis)
-    rows = schreyer_syzygies(table, table.pairs())
+    rows = schreyer_syzygies(table)
     assert len(rows) == len(basis) * (len(basis) - 1) // 2
     assert any(r for _, _, r, _ in rows)
     for i, j, r, vec in rows:

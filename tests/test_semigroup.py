@@ -15,7 +15,13 @@ from monocurve import (
     min_multiple_of_mp,
     mp_multiple_identity,
 )
-from oracles import _representation, parameter_sweep, semigroup_membership
+from monocurve.semigroup import apery_numerator
+from oracles import (
+    _representation,
+    apery_numerator_by_search,
+    parameter_sweep,
+    semigroup_membership,
+)
 
 SWEEP = list(parameter_sweep(range(2, 6), range(1, 4), range(1, 6)))
 
@@ -245,3 +251,21 @@ def test_generator_sum_identities():
                     assert gens[i] + gens[j] == gens[0] + gens[i + j]
                 else:
                     assert gens[i] + gens[j] == gens[pr.p] + gens[i + j - pr.p]
+
+
+@pytest.mark.parametrize("triple", [
+    (7, 1, 3), (8, 3, 2), (6, 1, 3), (13, 2, 6), (9, 4, 2), (22, 5, 7), (17, 3, 8), (25, 1, 8),
+    (41, 2, 12), (59, 3, 4),
+])
+def test_apery_numerator_matches_the_membership_search(triple):
+    pr = make_params(*triple)
+    assert apery_numerator(pr) == apery_numerator_by_search(pr)
+
+
+def test_apery_numerator_of_a_huge_triple_has_few_terms():
+    # the search would test about 10**6 weights; the closed form has O(p^3) terms
+    pr = make_params(1000003, 999331, 3)
+    n = apery_numerator(pr)
+    assert len(n) < 100
+    # N(1) = 0: HS(R/I) has a pole of order one at t = 1, not p + 1
+    assert sum(n.values()) == 0

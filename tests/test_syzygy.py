@@ -13,6 +13,7 @@ from monocurve.generators import groebner_generators, phi_binomial, psi_binomial
 from monocurve.polyring import (
     Poly,
     Reducer,
+    hilbert_numerator,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -46,6 +47,7 @@ from monocurve.syzygy import (
     verify_order_projection,
     verify_syzygy_basis,
 )
+from monocurve.semigroup import apery_numerator
 from oracles import _symbol_from_json, mod_elem_from_json, parameter_sweep
 
 P713 = make_params(7, 1, 3)
@@ -384,46 +386,10 @@ def test_symbol_pairing_matches_the_all_pairs_scan_on_a_failing_basis(monkeypatc
     assert witness["pair"] == ["A(1;1,1)", "A(2;1,1)"]
 
 
-@pytest.mark.parametrize("triple, kept, pairs", [
-    ((18, 1, 8), 490, 756),
-    ((17, 3, 8), 518, 784),
-    ((41, 2, 12), 2387, 4092),
-])
-def test_chain_criterion_keeps_a_pinned_number_of_pairs(triple, kept, pairs):
-    table = Curve(make_params(*triple)).module_reducer
-    critical, every = table.critical_pairs(), table.pairs()
-    assert (len(critical), len(every)) == (kept, pairs)
-    assert critical == sorted(set(critical) & set(every))
-
-
-def test_every_dropped_pair_divides_to_zero():
-    for pr in SWEEP5:
-        curve = Curve(pr)
-        table, elems = curve.module_reducer, curve.sset.elements()
-        dropped = set(table.pairs()) - set(table.critical_pairs())
-        for x, y in dropped:
-            s = s_polynomial(curve.morder, elems[x], elems[y])
-            assert not module_normal_form(curve.morder, s, table)[0], (pr, x, y)
-
-
-def test_syzygy_check_divides_the_kept_pairs_and_the_harvest_at_p12(monkeypatch):
-    curve = Curve(make_params(41, 2, 12))
-    calls = []
-    divide = syzygy.module_normal_form
-    monkeypatch.setattr(syzygy, "module_normal_form",
-                        lambda *args: calls.append(1) or divide(*args))
-    report = verify_syzygy_basis(curve)
-    assert report.passed
-    (check,) = [c for c in report.checks if c.name == "s-vectors-reduce"]
-    assert check.detail == "4092 same-symbol pairs"
-    kept, harvested = len(curve.module_reducer.critical_pairs()), len(curve.harvest())
-    assert len(calls) == kept + harvested == 2387 + 534
-
-
 def test_a_failure_after_a_dropped_pair_keeps_the_all_pairs_record(monkeypatch, p713):
-    # on Psi(0) the leads X1*X2, X1*X3, X2*X3 drop (1, 2); X0 with the tail
-    # Phi(1,1) breaks (1, 3), which comes after (1, 2) in the x-major scan,
-    # while X1*X2*Phi(1,1) mends (0, 3)
+    # on Psi(0) the leads X1*X2, X1*X3, X2*X3 make (1, 2) a pair that a chain
+    # criterion would drop; X0 with the tail Phi(1,1) breaks (1, 3), which
+    # comes after (1, 2) in the x-major scan, while X1*X2*Phi(1,1) mends (0, 3)
     nv = p713.nvars
     labeled = [("T0", ModElement.term(nv, (1, 1, 0, 0), Psi(0))),
                ("T1", ModElement.term(nv, (1, 0, 1, 0), Psi(0))),
@@ -440,7 +406,6 @@ def test_a_failure_after_a_dropped_pair_keeps_the_all_pairs_record(monkeypatch, 
     curve = Curve(p713)
     table = curve.module_reducer
     assert table.pairs() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    assert table.critical_pairs() == [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
     record = _s_vectors_record(curve)
     assert record == _all_pairs_s_vectors(curve)
     passed, detail, witness = record
@@ -485,7 +450,7 @@ def test_criterion_record_matches_the_all_pairs_scan_on_planted_tails(monkeypatc
                               lambda params: Planted(params, {}, {}, {}))
                 curve = Curve(pr)
             # the ring side is not planted
-            curve._harvest, curve._full_harvest = base.harvest(), base.full_harvest()
+            curve._harvest = base.harvest()
             record = _s_vectors_record(curve)
             assert record == _all_pairs_s_vectors(curve), triple
             failed += not record[0]
@@ -495,7 +460,7 @@ def test_criterion_record_matches_the_all_pairs_scan_on_planted_tails(monkeypatc
 
 def test_harvested_relations_reduce(p713):
     elems = syzygy_basis(p713).elements()
-    rows = schreyer_relations(C713, C713.ring_reducer.pairs())
+    rows = schreyer_relations(C713)
     assert len(rows) == 15
     assert [(i, j) for i, j, *_ in rows] == [(i, j) for j in range(6) for i in range(j)]
     for _, _, r, rel in rows:
@@ -503,80 +468,19 @@ def test_harvested_relations_reduce(p713):
         assert not relation_image(C713, rel)
         r, _ = module_normal_form(MORDER, rel, elems)
         assert not r
-    assert C713.full_harvest() is C713.full_harvest()
-    assert [(i, j, r) for i, j, r, _ in C713.full_harvest()] == [(i, j, r) for i, j, r, _ in rows]
-    # the harvest both checks read holds the 8 pairs the chain criterion keeps
-    kept = C713.ring_reducer.critical_pairs()
     assert C713.harvest() is C713.harvest()
-    assert len(kept) == 8
-    assert [(i, j) for i, j, *_ in C713.harvest()] == sorted(kept, key=lambda pair: pair[::-1])
-    assert [row for row in rows if row[:2] in kept] == C713.harvest()
+    assert [(i, j, r) for i, j, r, _ in C713.harvest()] == [(i, j, r) for i, j, r, _ in rows]
 
 
 def test_deleting_an_element_breaks_completeness(p713):
     # dropping L(1;2,2) leaves some harvested relation stuck
     kept = [g for lab, g in syzygy_basis(p713).labeled() if lab != "L(1;2,2)"]
     stuck = 0
-    for *_, rel in schreyer_relations(C713, C713.ring_reducer.pairs()):
+    for *_, rel in schreyer_relations(C713):
         r, _ = module_normal_form(MORDER, rel, kept)
         if r:
             stuck += 1
     assert stuck > 0
-
-
-@pytest.mark.parametrize("triple, kept, pairs", [
-    ((7, 1, 3), 8, 15),
-    ((17, 3, 8), 168, 630),
-    ((41, 2, 12), 534, 2701),
-])
-def test_ring_chain_criterion_keeps_a_pinned_number_of_pairs(triple, kept, pairs):
-    table = Curve(make_params(*triple)).ring_reducer
-    critical, every = table.critical_pairs(), table.pairs()
-    assert (len(critical), len(every)) == (kept, pairs)
-    assert critical == sorted(set(critical) & set(every))
-
-
-def test_every_dropped_ring_pair_divides_to_zero_and_lifts():
-    # the Groebner claim rests on the kept pairs, and so does Schreyer's
-    # lifting: each dropped pair's relation lies in the module of the basis
-    for pr in SWEEP5:
-        curve = Curve(pr)
-        order, table, polys = curve.order, curve.ring_reducer, list(curve.images.values())
-        kept = set(table.critical_pairs())
-        for i, j, _, rel in curve.full_harvest():
-            if (i, j) in kept:
-                continue
-            assert not normal_form(order, s_polynomial(order, polys[i], polys[j]), table)[0]
-            assert not module_normal_form(curve.morder, rel, curve.module_reducer)[0], (pr, i, j)
-
-
-def _chain_walk_by_full_keys(table):
-    # reference: the chain criterion walk ranked by the full order key of
-    # each lcm term, on a fresh order, testing every third lead of the symbol
-    order, kept = type(table.order)(table.order.params), []
-    for sym, row in table.rows.items():
-        walk, walked = [], set()
-        for (lx, *_, x), (ly, *_, y) in itertools.combinations(row, 2):
-            lcm = mono_lcm(lx, ly)
-            walk.append((order.key(lcm if sym is None else (lcm, sym)), x, y, lcm))
-        for _, x, y, lcm in sorted(walk):
-            if not any(z not in (x, y) and mono_divides(lz, lcm)
-                       and {tuple(sorted((x, z))), tuple(sorted((y, z)))} <= walked
-                       for lz, *_, z in row):
-                kept.append((x, y))
-            walked.add((x, y))
-    return sorted(kept)
-
-
-def test_critical_pairs_match_the_full_key_walk_and_leave_the_key_caches_alone():
-    for pr in SWEEP5[::2] + [make_params(17, 3, 8)]:
-        curve = Curve(pr)
-        caches = (curve.morder._cache, curve.order._cache)
-        for table in (curve.ring_reducer, curve.module_reducer):
-            sizes = [len(cache) for cache in caches]
-            kept = table.critical_pairs()
-            assert [len(cache) for cache in caches] == sizes, pr
-            assert kept == _chain_walk_by_full_keys(table), pr
 
 
 def _record(report, name):
@@ -646,7 +550,7 @@ def test_ring_criterion_records_match_the_all_pairs_scans_on_planted_tails(monke
                 curve = Curve(pr)
             spoly = _record(generators.verify_groebner_generators(curve), "s-polynomials-reduce")
             harvest = _record(verify_syzygy_basis(curve), "harvested-relations-reduce")
-            rows = schreyer_relations(curve, curve.ring_reducer.pairs())
+            rows = schreyer_relations(curve)
             assert spoly == _all_pairs_spoly_record(curve, rows), triple
             assert harvest == _all_pairs_harvest_record(curve, rows), triple
             failed += not spoly[0]
@@ -658,11 +562,12 @@ def test_ring_criterion_records_match_the_all_pairs_scans_on_planted_tails(monke
     ((7, 1, 3), 4), ((13, 2, 6), 7), ((9, 4, 2), 2), ((11, 2, 5), 6), ((17, 3, 8), 9),
 ])
 def test_harvest_record_matches_the_all_pairs_scan_with_each_member_dropped(triple, shortcuts):
-    # without some B(i, j), every kept relation can still divide to zero while
-    # another does not: the kept rows decide nothing unless s-vectors-reduce
-    # passed, which it does in the pinned number of drops
+    # no member can go: every drop leaves some harvested relation stuck,
+    # although the S-vectors of what is left still reduce in the pinned
+    # number of drops
     base = Curve(make_params(*triple))
-    rows, labeled = base.full_harvest(), base.sset.labeled()
+    rows, labeled = base.harvest(), base.sset.labeled()
+    assert base.ring_certified()
     passed = 0
     for k in range(len(labeled)):
         planted = labeled[:k] + labeled[k + 1:]
@@ -671,7 +576,7 @@ def test_harvest_record_matches_the_all_pairs_scan_with_each_member_dropped(trip
             def labeled(self):
                 return planted
 
-        # the ring side is the base's, harvests included
+        # the ring side is the base's, its harvest and verdict included
         curve = copy.copy(base)
         curve.sset = Planted(base.params, {}, {}, {})
         curve.module_reducer = Reducer(base.morder, [g for _, g in planted])
@@ -681,6 +586,63 @@ def test_harvest_record_matches_the_all_pairs_scan_with_each_member_dropped(trip
         assert not harvest[0], labeled[k][0]
         passed += _record(report, "s-vectors-reduce")[0]
     assert passed == shortcuts
+
+
+def test_both_identities_hold_where_the_all_pairs_scans_pass():
+    # an identity must never pass what a scan would fail: on each triple both
+    # hold, and every ring S-polynomial, module S-vector and harvested
+    # relation divides to zero
+    for pr in SWEEP5 + [make_params(17, 3, 8)]:
+        curve = Curve(pr)
+        assert curve.ring_certified() and syzygy._module_identity(curve), pr
+        rows = schreyer_relations(curve)
+        assert _all_pairs_spoly_record(curve, rows)[0], pr
+        assert _all_pairs_harvest_record(curve, rows)[0], pr
+        assert _all_pairs_s_vectors(curve)[0], pr
+
+
+@pytest.mark.parametrize("triple", PLANTED_TRIPLES)
+def test_each_dropped_generator_fails_the_ring_identity(triple):
+    base = Curve(make_params(*triple))
+    for k in range(len(base.images)):
+        curve = copy.copy(base)
+        curve.images = {sym: g for n, (sym, g) in enumerate(base.images.items()) if n != k}
+        curve.ring_reducer = Reducer(base.order, curve.images.values())
+        curve._ring_certified = None
+        assert not curve.ring_certified(), (triple, k)
+
+
+@pytest.mark.parametrize("triple", PLANTED_TRIPLES)
+def test_sampled_dropped_syzygies_fail_the_module_identity(triple):
+    base = Curve(make_params(*triple))
+    assert base.ring_certified()
+    elements = base.sset.elements()
+    rng = random.Random(sum(triple))
+    for k in rng.sample(range(len(elements)), min(len(elements), 20)):
+        curve = copy.copy(base)
+        curve.module_reducer = Reducer(base.morder, elements[:k] + elements[k + 1:])
+        assert not syzygy._module_identity(curve), (triple, k)
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (8, 3, 2)])
+def test_the_half_lead_plant_fails_the_ring_hypothesis(monkeypatch, triple):
+    # 2*X1^2 - X2*X0 keeps every lead, so K(LT(G)) = N still holds; only the
+    # hypothesis that G lies in the curve ideal rejects it, and the record
+    # is then the all-pairs scan's: a failure at (7,1,3), while the two
+    # coprime leads of (8,3,2) leave their one pair nothing to fail on
+    pr = make_params(*triple)
+    gset = groebner_generators(pr)
+    x2x0 = mono_mul(variable_monomial(pr.p, 2), variable_monomial(pr.p, 0))
+    half = Poly(pr.nvars, {variable_monomial(pr.p, 1, 2): 2, x2x0: -1})
+    planted = dataclasses.replace(gset, phis={**gset.phis, (1, 1): half})
+    monkeypatch.setattr(syzygy, "groebner_generators", lambda params: planted)
+    curve = Curve(pr)
+    leads = [lm for lm, *_ in curve.ring_reducer.rows[None]]
+    assert hilbert_numerator(pr.exponent_weights, leads) == apery_numerator(pr)
+    assert not curve.ring_certified()
+    spoly = _record(generators.verify_groebner_generators(curve), "s-polynomials-reduce")
+    assert spoly == _all_pairs_spoly_record(curve, schreyer_relations(curve))
+    assert spoly[0] == (triple == (8, 3, 2))
 
 
 def test_verify_syzygy_basis(p713, p832, p613):
