@@ -339,6 +339,50 @@ def test_each_triple_builds_its_shared_objects_once(monkeypatch, capsys):
     assert counts == {name: ran for name in names}
 
 
+def test_each_triple_harvests_its_s_pairs_once(monkeypatch, capsys):
+    # when the ring identity fails, the S-polynomial of every pair of the
+    # closed-form basis is divided by the triple's ring reducer once, in
+    # one harvest, which both S-pair checks read; the classical generators
+    # are the only other elements it divides
+    curves, divisions, harvests = [], collections.Counter(), collections.Counter()
+    init, divide, harvest = syzygy.Curve.__init__, Reducer.divide, syzygy.schreyer_syzygies
+
+    def keep(self, params):
+        init(self, params)
+        curves.append(self)
+
+    def count_division(self, f):
+        divisions[self] += 1
+        return divide(self, f)
+
+    def count_harvest(table):
+        harvests[table] += 1
+        return harvest(table)
+
+    monkeypatch.setattr(syzygy.Curve, "__init__", keep)
+    monkeypatch.setattr(syzygy.Curve, "ring_certified", lambda self: False)
+    monkeypatch.setattr(Reducer, "divide", count_division)
+    monkeypatch.setattr(syzygy, "schreyer_syzygies", count_harvest)
+
+    def check(ran):
+        assert len(curves) == ran
+        for curve in curves:
+            table = curve.ring_reducer
+            assert harvests[table] == 1
+            assert divisions[table] == len(table.pairs()) + len(curve.patil)
+
+    assert main(["verify", "--m0", "13", "--d", "2", "--p", "6", "--bound", "2"]) == 0
+    check(1)
+
+    curves.clear()
+    capsys.readouterr()
+    assert main(["sweep", "--p", "2..3", "--a", "1..2", "--d", "1..2", "--bound", "2",
+                 "--format", "json"]) == 0
+    ran = json.loads(capsys.readouterr().out)["summary"]["ran"]
+    assert ran > 1
+    check(ran)
+
+
 def test_a_passing_verify_divides_no_s_pair(monkeypatch, capsys):
     # on a passing triple the two Hilbert-series identities decide both
     # S-pair checks: no harvest is built, no S-vector is divided, and the

@@ -386,6 +386,30 @@ def test_symbol_pairing_matches_the_all_pairs_scan_on_a_failing_basis(monkeypatc
     assert witness["pair"] == ["A(1;1,1)", "A(2;1,1)"]
 
 
+def test_syzygy_check_divides_the_kept_pairs_and_the_harvest_at_p12(monkeypatch):
+    # while the module identity holds the check keeps no pair for division
+    # and builds no harvest; once it fails, every same-symbol pair and every
+    # harvested relation is divided exactly once
+    curve = Curve(make_params(41, 2, 12))
+    calls = []
+    divide = syzygy.module_normal_form
+    monkeypatch.setattr(syzygy, "module_normal_form",
+                        lambda *args: calls.append(1) or divide(*args))
+
+    def details(report):
+        assert report.passed
+        return [c.detail for c in report.checks
+                if c.name in ("s-vectors-reduce", "harvested-relations-reduce")]
+
+    counted = ["4092 same-symbol pairs", "2701 harvested relations"]
+    assert details(verify_syzygy_basis(curve)) == counted
+    assert not calls and curve._harvest is None
+
+    monkeypatch.setattr(syzygy, "_module_identity", lambda curve: False)
+    assert details(verify_syzygy_basis(curve)) == counted
+    assert len(calls) == len(curve.module_reducer.pairs()) + len(curve.harvest()) == 4092 + 2701
+
+
 def test_a_failure_after_a_dropped_pair_keeps_the_all_pairs_record(monkeypatch, p713):
     # on Psi(0) the leads X1*X2, X1*X3, X2*X3 make (1, 2) a pair that a chain
     # criterion would drop; X0 with the tail Phi(1,1) breaks (1, 3), which
