@@ -35,8 +35,12 @@ def verification_bundle(curve: syzygy.Curve, bound: int, samples: int, seed: int
 
 def _emit(args: argparse.Namespace, text: str):
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+        # _output checks the directory; a full or failing device shows only here
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise ParameterError(f"cannot write {args.output!r}: {exc.strerror or exc}") from None
         return
     try:
         print(text, flush=True)

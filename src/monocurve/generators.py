@@ -18,12 +18,12 @@ no check walks the exponent box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .polyring import (
     Closure,
     Poly,
+    Reducer,
     WeightOrder,
     buchberger,
     closure,
@@ -302,25 +302,18 @@ def _mixed_weight(params: CurveParams, labeled) -> dict | None:
     return None
 
 
-def _rank(polys) -> int:
-    """The dimension of the span of polys over the rationals: Gaussian
-    elimination with Fraction coefficients, each monomial a coordinate."""
-    pivots = []  # (monomial, row scaled to 1 there), each row zero at earlier pivots
+def _rank(order: WeightOrder, polys) -> int:
+    """The dimension of the span of polys over the rationals: the rows of a
+    Reducer grown by each non-zero remainder.  Division subtracts u * row,
+    a linear combination only when u = 1, as here: the forms of
+    _redundant_by_weight share one weight, so a lead divides one of their
+    monomials only when it equals it."""
+    rows = Reducer(order)
     for g in polys:
-        row = {m: Fraction(c) for m, c in g.terms.items()}
-        for mono, pivot in pivots:
-            c = row.get(mono)
-            if c:
-                for m, pc in pivot.items():
-                    v = row.get(m, 0) - c * pc
-                    if v:
-                        row[m] = v
-                    else:
-                        del row[m]
-        if row:
-            mono = min(row)
-            pivots.append((mono, {m: c / row[mono] for m, c in row.items()}))
-    return len(pivots)
+        remainder = rows.divide(g)[0]
+        if remainder:
+            rows.append(remainder)
+    return len(rows.basis)
 
 
 def _redundant_by_weight(order: WeightOrder, labeled) -> str | None:
@@ -335,9 +328,9 @@ def _redundant_by_weight(order: WeightOrder, labeled) -> str | None:
         table = grown.close(w)
         same = by_weight[w]
         forms = [normal_form(order, labeled[k][1], table)[0] for k in same]
-        full = _rank(forms)
+        full = _rank(order, forms)
         for n, k in enumerate(same):
-            if k < first and _rank(forms[:n] + forms[n + 1:]) == full:
+            if k < first and _rank(order, forms[:n] + forms[n + 1:]) == full:
                 first = k
                 break
         for k in same:

@@ -304,6 +304,19 @@ def test_closed_stdout_keeps_the_exit_code_and_no_traceback(argv):
     assert b"Traceback" not in err, err.decode()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_output_device_exits_2_with_one_error_line():
+    # /dev/full passes the directory check and then fails the write
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "monocurve.cli", "info", "--m0", "7", "--d", "1", "--p", "3",
+         "--output", "/dev/full"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: cannot write '/dev/full': No space left on device"]
+
+
 BUILT_PER_TRIPLE = ("groebner_generators", "patil_generators", "syzygy_basis", "ModuleOrder")
 
 

@@ -379,16 +379,20 @@ def test_rank_is_exact_over_the_rationals():
     x, y, z = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     f = Poly(4, {x: Fraction(1, 3), y: Fraction(-2, 7)})
     g = Poly(4, {y: 1, z: Fraction(5, 2)})
-    assert _rank([]) == 0
-    assert _rank([Poly(4)]) == 0
-    assert _rank([f]) == 1
-    assert _rank([f, f.scaled(Fraction(-9, 4))]) == 1
-    assert _rank([f, g]) == 2
-    assert _rank([f, g, f.scaled(Fraction(3, 5)) + g.scaled(Fraction(-7, 11))]) == 2
+    # x, y and z divide one another only when equal, as forms of one weight do
+    order = WeightOrder(make_params(7, 1, 3))
+    assert _rank(order, []) == 0
+    assert _rank(order, [Poly(4)]) == 0
+    assert _rank(order, [f]) == 1
+    assert _rank(order, [f, f.scaled(Fraction(-9, 4))]) == 1
+    assert _rank(order, [f, g]) == 2
+    assert _rank(order, [f, g, f.scaled(Fraction(3, 5)) + g.scaled(Fraction(-7, 11))]) == 2
     # off by 10^-30: a float elimination would call this dependent
-    assert _rank([f, g, f + g + Poly(4, {z: Fraction(1, 10**30)})]) == 3
-    assert _rank([f, g, Poly(4, {z: 1})]) == 3
-    assert _rank([Poly(4, {x: 1, y: 1}), Poly(4, {y: 1, z: 1}), Poly(4, {x: 1, z: -1})]) == 2
+    assert _rank(order, [f, g, f + g + Poly(4, {z: Fraction(1, 10**30)})]) == 3
+    assert _rank(order, [f, g, Poly(4, {z: 1})]) == 3
+    assert _rank(order, [Poly(4, {x: 1, y: 1}), Poly(4, {y: 1, z: 1}), Poly(4, {x: 1, z: -1})]) == 2
+    # z leads the first two forms, so the second row is the remainder y - x
+    assert _rank(order, [Poly(4, {x: 1, z: 1}), Poly(4, {z: 1, y: 1}), Poly(4, {y: 1, x: -1})]) == 2
 
 
 def test_closed_form_check_closes_the_classical_set(monkeypatch, p713):

@@ -94,10 +94,18 @@ def test_order_antisymmetric_total(f, g):
     assert (kf == kg) == (f == g)
 
 
-@given(monos4, monos4, monos4)
-def test_order_multiplicative(f, g, h):
-    if ORDER.key(f) > ORDER.key(g):
-        assert ORDER.key(mono_mul(f, h)) > ORDER.key(mono_mul(g, h))
+ORDERS = [WeightOrder(make_params(*t)) for t in [(7, 1, 3), (8, 3, 2), (13, 2, 6), (17, 3, 8), (41, 2, 12)]]
+
+
+@given(st.data())
+def test_order_multiplicative(data):
+    # a monomial order on every triple: LT(m*f) = m*LT(f)
+    order = data.draw(st.sampled_from(ORDERS))
+    monos = st.tuples(*[st.integers(0, 5)] * order.params.nvars)
+    f, g, h = data.draw(monos), data.draw(monos), data.draw(monos)
+    kf, kg = order.key(f), order.key(g)
+    kfh, kgh = order.key(mono_mul(f, h)), order.key(mono_mul(g, h))
+    assert (kfh > kgh, kfh == kgh) == (kf > kg, kf == kg)
 
 
 def test_leading_terms(p713):
