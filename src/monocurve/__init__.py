@@ -7,7 +7,6 @@ from .generators import (
     epsilon,
     expected_leading_monomials,
     groebner_generators,
-    pairwise_lt_division,
     patil_generators,
     phi_binomial,
     psi_binomial,
@@ -27,7 +26,6 @@ from .polyring import (
     closure,
     normal_form,
     s_polynomial,
-    schreyer_syzygies,
     variable_monomial,
 )
 from .report import CheckResult, VerificationReport
@@ -51,7 +49,6 @@ from .syzygy import (
     Psi,
     SyzygySet,
     module_normal_form,
-    order_monomial,
     relation_image,
     schreyer_relations,
     syzygy_A,

@@ -25,6 +25,7 @@ from .polyring import (
     Poly,
     Reducer,
     WeightOrder,
+    _first_dividing_pair,
     buchberger,
     closure,
     mono_divides,
@@ -280,18 +281,6 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
     return report
 
 
-def pairwise_lt_division(order: WeightOrder, labeled) -> dict | None:
-    """First (divisor, multiple) pair among distinct leading monomials, or None."""
-    lms = [(lab, order.leading_monomial(g)) for lab, g in labeled]
-    for pos_a, (la, ma) in enumerate(lms):
-        for pos_b, (lb, mb) in enumerate(lms):
-            if pos_a == pos_b:
-                continue
-            if mono_divides(ma, mb):
-                return {"divisor": la, "multiple": lb, "monomials": [list(ma), list(mb)]}
-    return None
-
-
 def _mixed_weight(params: CurveParams, labeled) -> dict | None:
     """The first (label, polynomial) whose terms carry more than one weight,
     as a witness with its distinct weights ascending, or None."""
@@ -327,7 +316,7 @@ def _redundant_by_weight(order: WeightOrder, labeled) -> str | None:
     for w in sorted(by_weight):
         table = grown.close(w)
         same = by_weight[w]
-        forms = [normal_form(order, labeled[k][1], table)[0] for k in same]
+        forms = [normal_form(labeled[k][1], table)[0] for k in same]
         full = _rank(order, forms)
         for n, k in enumerate(same):
             if k < first and _rank(order, forms[:n] + forms[n + 1:]) == full:
@@ -361,7 +350,11 @@ def verify_minimality(curve: Curve, deep: bool = False) -> VerificationReport:
     labeled = curve.gset.labeled()
     report = VerificationReport(params)
 
-    offender = pairwise_lt_division(order, labeled)
+    leads = [(order.leading_monomial(g), k) for k, (_, g) in enumerate(labeled)]
+    first = _first_dividing_pair([leads])
+    offender = None if first is None else {
+        "divisor": labeled[first[0]][0], "multiple": labeled[first[1]][0],
+        "monomials": [list(leads[k][0]) for k in first]}
     n = len(labeled)
     report.add(
         "leading-terms-incomparable",
@@ -403,7 +396,7 @@ def verify_ideal_equality(curve: Curve) -> VerificationReport:
 
     stuck = None
     for lab, g in patil.labeled():
-        r, _ = normal_form(order, g, curve.ring_reducer)
+        r, _ = normal_form(g, curve.ring_reducer)
         if r:
             stuck = {"element": lab, "remainder": poly_to_json(order, r)}
             break
@@ -415,7 +408,7 @@ def verify_ideal_equality(curve: Curve) -> VerificationReport:
         top = max(params.weight(order.leading_monomial(g)) for g in gset.polynomials())
         table = closure(order, patil.polynomials(), top)
         for lab, g in gset.labeled():
-            r, _ = normal_form(order, g, table)
+            r, _ = normal_form(g, table)
             if r:
                 stuck = {"element": lab, "remainder": poly_to_json(order, r)}
                 break

@@ -21,8 +21,8 @@ Poly shares its linear arithmetic with syzygy.ModElement through
 SparseMap, and the ring and module orders share TermOrder.  There is
 one division loop, Reducer.divide, for both: a Reducer prepares a basis
 once, grouping its lead terms by module symbol, and a ring basis is a
-module with the single symbol None.  Loops that divide many times by
-one basis build the Reducer once and pass it to normal_form; the
+module with the single symbol None.  normal_form and
+syzygy.module_normal_form divide by a Reducer and nothing else; the
 closed-form basis of a triple has one Reducer, held by syzygy.Curve.
 Reducer.pairs lists the S-pairs of its basis.
 
@@ -33,11 +33,9 @@ Mora, Niesi, Robbiano, Traverso, "One sugar cube, please", ISSAC 1991),
 and can be resumed: generators join with Closure.add, and close(upto)
 stops before the first pair heavier than upto.  closure is its one-shot
 form, truncated at a weight for membership (see closure); buchberger
-interreduces its full result.  schreyer_syzygies divides the
-S-polynomial of every pair of a ring basis once, and keeps each
-remainder with the relation its division yields.  hilbert_numerator,
-the Hilbert numerator of a monomial ideal, decides whether a subset of a
-homogeneous ideal is a Groebner basis without dividing an S-pair.
+interreduces its full result.  hilbert_numerator, the Hilbert numerator
+of a monomial ideal, decides whether a subset of a homogeneous ideal is
+a Groebner basis without dividing an S-pair.
 """
 
 from __future__ import annotations
@@ -323,8 +321,8 @@ class Reducer:
     inverse of the lead coefficient, the tail and the element's index,
     grouped by the symbol of the lead term.  A module basis groups by its
     module symbols; a ring basis is a module with the one symbol None.
-    normal_form and syzygy.module_normal_form take a Reducer in place of
-    a basis list; it must be built with the order they are given.
+    normal_form and syzygy.module_normal_form divide by one, in the
+    order it was built with.
 
     It also remembers, per term, the first row that divides it.  A found
     row stays the first one for good, since rows are only appended; the
@@ -421,8 +419,8 @@ class Reducer:
         return f._raw(nv, remainder), {k: Poly._raw(nv, q) for k, q in quotients.items()}
 
 
-def normal_form(order: WeightOrder, f: Poly, basis) -> tuple[Poly, dict[int, Poly]]:
-    """Divide f by an ordered list of polynomials, or by a Reducer of one.
+def normal_form(f: Poly, table: Reducer) -> tuple[Poly, dict[int, Poly]]:
+    """Divide f by the basis of the ring Reducer table.
 
     Returns (remainder, quotients) with f = sum q_k * basis_k + remainder
     and no remainder monomial divisible by any basis leading monomial.
@@ -431,9 +429,15 @@ def normal_form(order: WeightOrder, f: Poly, basis) -> tuple[Poly, dict[int, Pol
     reducible term goes first and the first dividing basis element in
     list order wins.
     """
-    if not isinstance(basis, Reducer):
-        basis = Reducer(order, basis)
-    return basis.divide(f)
+    return table.divide(f)
+
+
+def _first_dividing_pair(groups) -> tuple[int, int] | None:
+    """The first (x, y) in index order, x != y, whose lead x divides lead y
+    within one group, or None.  Each group lists rows shaped like those of
+    a Reducer, (lead, ..., index); leads on two symbols never divide."""
+    return min(((x, y) for group in groups for lx, *_, x in group
+                for ly, *_, y in group if x != y and mono_divides(lx, ly)), default=None)
 
 
 def s_polynomial(order: TermOrder, f, g):
@@ -462,15 +466,14 @@ class Closure:
     S-polynomial the same way, until the next pair weighs more than upto
     (all of them when upto is None).  Heavier pairs stay queued, so more
     generators can be added and the closure resumed at a larger weight.
-    table is the Reducer of the basis so far.
+    table is the Reducer of the basis so far, and its rows hold the leads.
     """
 
-    __slots__ = ("order", "table", "_lms", "_pairs")
+    __slots__ = ("order", "table", "_pairs")
 
     def __init__(self, order: WeightOrder, gens=()):
         self.order = order
         self.table = Reducer(order)
-        self._lms = []
         self._pairs = []
         for g in gens:
             self.add(g)
@@ -478,21 +481,20 @@ class Closure:
     def add(self, g) -> None:
         if not g:
             return
-        order, lms, pairs = self.order, self._lms, self._pairs
+        order, table, pairs = self.order, self.table, self._pairs
         lm, lc = order.leading_term(g)
-        self.table.append(g if lc == 1 else g.scaled(_inverse(lc)))
-        j = len(lms)
-        for i, m in enumerate(lms):
+        j = len(table.basis)
+        for m, *_, i in table.rows.get(None, ()):
             if not mono_coprime(m, lm):
                 heappush(pairs, (order.weight(mono_lcm(m, lm)), i, j))
-        lms.append(lm)
+        table.append(g if lc == 1 else g.scaled(_inverse(lc)))
 
     def close(self, upto: int | None = None) -> Reducer:
         order, table, pairs = self.order, self.table, self._pairs
         basis = table.basis
         while pairs and (upto is None or pairs[0][0] <= upto):
             _, i, j = heappop(pairs)
-            r, _ = normal_form(order, s_polynomial(order, basis[i], basis[j]), table)
+            r, _ = normal_form(s_polynomial(order, basis[i], basis[j]), table)
             self.add(r)
         return table
 
@@ -545,36 +547,8 @@ def interreduce(order: WeightOrder, polys) -> list[Poly]:
     out = []
     for g in kept:
         lead = Poly.term(g.nvars, *order.leading_term(g))
-        out.append(lead + normal_form(order, g - lead, table)[0])
+        out.append(lead + normal_form(g - lead, table)[0])
     out.sort(key=lambda g: order.key(order.leading_monomial(g)), reverse=True)
-    return out
-
-
-def schreyer_syzygies(table: Reducer) -> list[tuple[int, int, Poly, dict]]:
-    """The S-polynomial of every pair of a ring basis, each divided once
-    by the basis.
-
-    The basis is that of the prepared ring Reducer table, and its pairs
-    are taken j-major.  Each entry is (i, j, remainder, vec), where vec
-    maps an index k to a non-zero polynomial, only for the k that occur,
-    and sum_k vec[k] * basis[k] == remainder.  The basis is a Groebner
-    basis exactly when every remainder is zero, and the vecs then
-    generate the module of relations among the basis (Schreyer;
-    Eisenbud, Commutative Algebra, 15.5); no coprime pair is skipped, as
-    its Koszul relation can be one of the generators.
-    """
-    order, polys = table.order, table.basis
-    leads = [(lm, inv) for lm, inv, *_ in table.rows.get(None, ())]
-    out = []
-    for i, j in sorted(table.pairs(), key=lambda pair: pair[::-1]):
-        r, quots = normal_form(order, s_polynomial(order, polys[i], polys[j]), table)
-        lcm = mono_lcm(leads[i][0], leads[j][0])
-        # the S-polynomial's own cofactors, which no quotient term can cancel
-        vec = {k: Poly.term(r.nvars, mono_div(lcm, leads[k][0]), sign * leads[k][1])
-               for k, sign in ((i, 1), (j, -1))}
-        for k, q in quots.items():
-            vec[k] = vec[k] - q if k in vec else -q
-        out.append((i, j, r, vec))
     return out
 
 

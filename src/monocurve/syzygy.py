@@ -26,7 +26,8 @@ division loop (polyring.Reducer): a module basis is prepared once with
 its lead terms grouped by symbol, where a ring basis has the one symbol
 None.  S-vectors come from the ring's S-pair builder,
 polyring.s_polynomial, for the pairs of basis elements whose leads share
-a symbol, read from those groups (Reducer.pairs).  The excluded
+a symbol, read from those groups (Reducer.pairs).  schreyer_relations
+lifts each S-pair of the ring basis to a module element.  The excluded
 families of module terms are boxes of exponents, each tested against
 the grouped lead terms through its largest member.
 
@@ -49,7 +50,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .generators import (
-    GeneratorSet,
     _mixed_weight,
     epsilon,
     groebner_generators,
@@ -67,18 +67,20 @@ from .polyring import (
     WeightOrder,
     ZeroPolynomialError,
     _exact,
+    _first_dividing_pair,
     _join_signed,
     _json_terms,
     _term_text,
     hilbert_numerator,
+    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
     mono_one,
     mono_to_name,
+    normal_form,
     poly_to_json,
     s_polynomial,
-    schreyer_syzygies,
     variable_monomial,
 )
 from .report import VerificationReport
@@ -163,13 +165,6 @@ class ModElement(SparseMap):
 # evaluation and the module order
 
 
-def labeled_generator_symbols(gset: GeneratorSet) -> list:
-    """The generator list in canonical order with its module symbols."""
-    out = [(Phi(i, j), g) for (i, j), g in sorted(gset.phis.items())]
-    out += [(Psi(j), g) for j, g in sorted(gset.psis.items())]
-    return out
-
-
 def relation_image(curve: Curve, elem: ModElement) -> Poly:
     """Evaluate an element: sum of coeff * monomial * symbol image."""
     images = curve.images
@@ -185,19 +180,9 @@ def relation_image(curve: Curve, elem: ModElement) -> Poly:
     return Poly._raw(curve.params.nvars, acc)
 
 
-def order_monomial(params: CurveParams, mono: Mono, sym) -> Mono:
-    """The ring monomial by which a module term is compared.
-
-    Psi(j) projects to X_p^a * X_{b+j}, Phi(i, j) to X_i * X_j, both
-    multiplied by the term's own monomial.  This equals the leading
-    monomial of the term's image, which is checked, not assumed.
-    """
-    return mono_mul(mono, _stamp(params, sym))
-
-
 def _stamp(params: CurveParams, sym) -> Mono:
-    """The lead monomial of a symbol's binomial, which order_monomial
-    multiplies onto the term's own monomial."""
+    """The predicted lead monomial of a symbol's binomial: X_p^a * X_{b+j}
+    for Psi(j), X_i * X_j for Phi(i, j)."""
     p = params.p
     if isinstance(sym, Psi):
         return mono_mul(variable_monomial(p, p, params.a), variable_monomial(p, params.b + sym.j))
@@ -214,8 +199,9 @@ def _symbol_tiebreak(sym) -> tuple:
 class ModuleOrder(TermOrder):
     """Total order on module terms: projection first, symbol tie-break second.
 
-    key() is order_monomial's closed form, with each symbol's stamp and
-    tie-break computed once per order, in _symbols.
+    key() is the ring key of the projection m * _stamp(sym), which
+    verify_order_projection checks against the lead of the term's image,
+    and the tie-break, each symbol's stamp and tie-break computed once.
     """
 
     def __init__(self, params: CurveParams):
@@ -408,7 +394,8 @@ class Curve:
         self.gset = groebner_generators(params)
         self.patil = patil_generators(params)
         self.sset = syzygy_basis(params)
-        self.images = dict(labeled_generator_symbols(self.gset))
+        self.images = {Phi(i, j): g for (i, j), g in sorted(self.gset.phis.items())}
+        self.images.update((Psi(j), g) for j, g in sorted(self.gset.psis.items()))
         self.ring_reducer = Reducer(self.order, self.images.values())
         self.module_reducer = Reducer(self.morder, self.sset.elements())
         self._ring_certified = self._harvest = None
@@ -438,32 +425,39 @@ class Curve:
 # module division and S-vectors
 
 
-def module_normal_form(morder: ModuleOrder, elem: ModElement, basis):
-    """Divide a module element by a list of module elements, or by a
-    Reducer of one.
+def module_normal_form(elem: ModElement, table: Reducer):
+    """Divide a module element by the basis of the module Reducer table.
 
     A term (monomial, symbol) is reducible by a basis element whose lead
     term carries the same symbol and a dividing monomial.  Returns
     (remainder, quotients); quotients maps each basis index the division
     used to its ring polynomial.
     """
-    if not isinstance(basis, Reducer):
-        basis = Reducer(morder, basis)
-    return basis.divide(elem)
+    return table.divide(elem)
 
 
 def schreyer_relations(curve: Curve) -> list:
-    """polyring.schreyer_syzygies of the closed-form basis, j-major, as
-    entries (i, j, remainder, element) whose vectors become module
-    elements: each evaluates to its remainder, so it is a relation
-    exactly when the remainder is zero."""
+    """Each S-pair of the closed-form basis, j-major, divided once by
+    curve.ring_reducer, as (i, j, remainder, element).  The element, the
+    pair's two cofactors minus the division's quotients on the generators'
+    symbols, evaluates to the remainder.  So the basis is a Groebner basis
+    exactly when every remainder is zero, and the elements then generate
+    the relations among it (Schreyer; Eisenbud, Commutative Algebra,
+    15.5); no coprime pair is skipped, as its Koszul relation can be one
+    of the generators."""
+    order, table = curve.order, curve.ring_reducer
     symbols = list(curve.images)  # in the order of the ring reducer's basis
-    nv = curve.params.nvars
-    return [
-        (i, j, r, ModElement._raw(nv, {(m, symbols[k]): c
-                                       for k, q in vec.items() for m, c in q.terms.items()}))
-        for i, j, r, vec in schreyer_syzygies(curve.ring_reducer)
-    ]
+    rows = table.rows[None]
+    out = []
+    for i, j in sorted(table.pairs(), key=lambda pair: pair[::-1]):
+        r, quots = normal_form(s_polynomial(order, table.basis[i], table.basis[j]), table)
+        terms = {(m, symbols[k]): -c for k, q in quots.items() for m, c in q.terms.items()}
+        # the cofactors reach the lcm, above every quotient term: no overlap
+        lcm = mono_lcm(rows[i][0], rows[j][0])
+        for k, sign in ((i, 1), (j, -1)):
+            terms[(mono_div(lcm, rows[k][0]), symbols[k])] = sign * rows[k][1]
+        out.append((i, j, r, ModElement._raw(curve.params.nvars, terms)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +535,7 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     if not certified:
         for count, (x, y) in enumerate(table.pairs(), 1):
             s = s_polynomial(morder, table.basis[x], table.basis[y])
-            r, _ = module_normal_form(morder, s, table)
+            r, _ = module_normal_form(s, table)
             if r:
                 bad = {"pair": [labeled[x][0], labeled[y][0]],
                        "remainder": mod_elem_to_json(morder, r)}
@@ -558,7 +552,7 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
             elif relation_image(curve, rel):
                 bad = {"pair": pair, "problem": "harvested element is not a relation"}
             else:
-                r, _ = module_normal_form(morder, rel, table)
+                r, _ = module_normal_form(rel, table)
                 bad = {"pair": pair, "remainder": mod_elem_to_json(morder, r)} if r else None
             if bad:
                 break
@@ -569,11 +563,9 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
         witness=bad,
     )
 
-    # only leads on one symbol can divide each other: the first dividing
-    # (x, y) in the order of a double loop over all leads, and the ordered
-    # pairs that loop would have tried up to it
-    first = min(((x, y) for row in table.rows.values() for lx, *_, x in row
-                 for ly, *_, y in row if x != y and mono_divides(lx, ly)), default=None)
+    # the first dividing (x, y) in the order of a double loop over all
+    # leads, and the ordered pairs that loop would have tried up to it
+    first = _first_dividing_pair(table.rows.values())
     n = len(labeled)
     checked, offender = n * (n - 1), None
     if first is not None:
@@ -650,7 +642,7 @@ def verify_order_projection(curve: Curve, samples: int = 1000, seed: int = 0) ->
         elem = ModElement.term(params.nvars, mono, sym)
         image = relation_image(curve, elem)
         lm = curve.order.leading_monomial(image)
-        if lm != order_monomial(params, mono, sym):
+        if curve.order.key(lm) != curve.morder.key((mono, sym))[0]:
             bad = {"term": term_to_json((mono, sym)), "image-lead": list(lm)}
             break
     report = VerificationReport(params)

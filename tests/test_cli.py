@@ -233,6 +233,8 @@ GOLDEN_CALLS = {
     "info-7-1-3.json": ["info", "--m0", "7", "--d", "1", "--p", "3", "--format", "json"],
     "generators-7-1-3.json": ["generators", "--m0", "7", "--d", "1", "--p", "3",
                               "--format", "json"],
+    "generators-7-1-3.txt": ["generators", "--m0", "7", "--d", "1", "--p", "3"],
+    "syzygies-7-1-3.txt": ["syzygies", "--m0", "7", "--d", "1", "--p", "3"],
     "syzygies-7-1-3.json": ["syzygies", "--m0", "7", "--d", "1", "--p", "3",
                             "--format", "json"],
     "verify-7-1-3.json": ["verify", "--m0", "7", "--d", "1", "--p", "3", "--bound", "2",
@@ -264,23 +266,54 @@ HALF_LEAD_GOLDEN_CALLS = {
 }
 
 
+def _half_lead(params):
+    # 2*X1^2 - X2*X0 in place of phi(1,1): lead coefficient 2, not in the ideal
+    gset = groebner_generators(params)
+    p = params.p
+    x1x1 = tuple(2 if k == 0 else 0 for k in range(p + 1))
+    x2x0 = tuple(1 if k in (1, p) else 0 for k in range(p + 1))
+    bad = Poly(params.nvars, {x1x1: 2, x2x0: -1})
+    return GeneratorSet(params, {**gset.phis, (1, 1): bad}, gset.psis)
+
+
 @pytest.mark.parametrize("name", sorted(HALF_LEAD_GOLDEN_CALLS))
 def test_fractional_witnesses_match_golden(name, monkeypatch, capsys):
-    # 2*X1^2 - X2*X0 in place of phi(1,1) has lead coefficient 2, so its
-    # divisions leave the integers and the witnesses carry -1/2 and 1/2
-    def planted(params):
-        gset = groebner_generators(params)
-        p = params.p
-        x1x1 = tuple(2 if k == 0 else 0 for k in range(p + 1))
-        x2x0 = tuple(1 if k in (1, p) else 0 for k in range(p + 1))
-        bad = Poly(params.nvars, {x1x1: 2, x2x0: -1})
-        return GeneratorSet(params, {**gset.phis, (1, 1): bad}, gset.psis)
-
-    monkeypatch.setattr("monocurve.syzygy.groebner_generators", planted)
+    # the half lead's divisions leave the integers, and the witnesses carry
+    # -1/2 and 1/2
+    monkeypatch.setattr("monocurve.syzygy.groebner_generators", _half_lead)
     assert main(HALF_LEAD_GOLDEN_CALLS[name]) == 1
     out = capsys.readouterr().out
     assert '"coeff": "-1/2"' in out
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_a_sweep_with_failing_triples_reports_each_failure(monkeypatch, capsys):
+    # every verified triple carries the half lead, so every one fails, with
+    # the failing records of a shallow verify at the sweep's bound and samples
+    monkeypatch.setattr("monocurve.syzygy.groebner_generators", _half_lead)
+    sweep = ["sweep", "--p", "2..3", "--a", "1..1", "--d", "1..2", "--bound", "2"]
+    assert main(sweep + ["--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    verified = [e for e in data["entries"] if e["status"] != "skip"]
+    skipped = len(data["entries"]) - len(verified)
+    assert verified and skipped
+    assert data["summary"] == {"ran": len(verified), "passed": 0,
+                               "failed": len(verified), "skipped": skipped}
+    for e in verified:
+        assert e["status"] == "fail"
+        argv = ["verify", "--m0", str(e["m0"]), "--d", str(e["d"]), "--p", str(e["p"]),
+                "--bound", "2", "--samples", "200", "--shallow", "--format", "json"]
+        assert main(argv) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert e["failures"] == [rec for rec in checks if rec["status"] == "fail"]
+
+    assert main(sweep) == 1
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(data["entries"])
+    for line, e in zip(lines, data["entries"]):
+        assert line.endswith(": fail") == (e["status"] == "fail")
+    assert summary == (f"summary: {len(verified)} verified, 0 passed,"
+                       f" {len(verified)} failed, {skipped} skipped")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -358,7 +391,7 @@ def test_each_triple_harvests_its_s_pairs_once(monkeypatch, capsys):
     # one harvest, which both S-pair checks read; the classical generators
     # are the only other elements it divides
     curves, divisions, harvests = [], collections.Counter(), collections.Counter()
-    init, divide, harvest = syzygy.Curve.__init__, Reducer.divide, syzygy.schreyer_syzygies
+    init, divide, harvest = syzygy.Curve.__init__, Reducer.divide, syzygy.schreyer_relations
 
     def keep(self, params):
         init(self, params)
@@ -368,14 +401,14 @@ def test_each_triple_harvests_its_s_pairs_once(monkeypatch, capsys):
         divisions[self] += 1
         return divide(self, f)
 
-    def count_harvest(table):
-        harvests[table] += 1
-        return harvest(table)
+    def count_harvest(curve):
+        harvests[curve.ring_reducer] += 1
+        return harvest(curve)
 
     monkeypatch.setattr(syzygy.Curve, "__init__", keep)
     monkeypatch.setattr(syzygy.Curve, "ring_certified", lambda self: False)
     monkeypatch.setattr(Reducer, "divide", count_division)
-    monkeypatch.setattr(syzygy, "schreyer_syzygies", count_harvest)
+    monkeypatch.setattr(syzygy, "schreyer_relations", count_harvest)
 
     def check(ran):
         assert len(curves) == ran
@@ -413,7 +446,7 @@ def test_a_passing_verify_divides_no_s_pair(monkeypatch, capsys):
 
     monkeypatch.setattr(syzygy.Curve, "__init__", keep)
     monkeypatch.setattr(Reducer, "divide", count_division)
-    monkeypatch.setattr(syzygy, "schreyer_syzygies", harvests.append)
+    monkeypatch.setattr(syzygy, "schreyer_relations", harvests.append)
 
     def check(ran):
         assert len(curves) == ran

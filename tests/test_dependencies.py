@@ -56,3 +56,23 @@ def test_every_public_library_name_has_a_library_caller():
                     if not name.rpartition(".")[2].startswith("_")
                     and name.rpartition(".")[2] not in used)
     assert unused == []
+
+
+def test_every_parameter_of_a_library_function_is_read():
+    # a parameter that its body never reads is a dead argument that callers
+    # must still pass and keep in step, as an order beside a prepared Reducer
+    unread = []
+    for path in sorted((ROOT / "src" / "monocurve").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [(path.name, name, p) for p in params
+                       if p not in ("self", "cls") and p not in read]
+    assert unread == []

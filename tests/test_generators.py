@@ -18,7 +18,6 @@ from monocurve.generators import (
     epsilon,
     expected_leading_monomials,
     groebner_generators,
-    pairwise_lt_division,
     patil_generators,
     phi_binomial,
     psi_binomial,
@@ -144,6 +143,43 @@ def test_verify_groebner(p713, p832):
     assert verify_groebner_generators(Curve(p832)).passed
 
 
+def test_a_wrong_lead_is_the_leading_term_set_witness(monkeypatch, p713):
+    # X1^2 - X3^5 in place of phi(1,1) leads with X3^5, not X1^2
+    def replaced(params):
+        gset = groebner_generators(params)
+        bad = Poly(4, {(2, 0, 0, 0): 1, (0, 0, 5, 0): -1})
+        return GeneratorSet(params, {**gset.phis, (1, 1): bad}, gset.psis)
+
+    monkeypatch.setattr("monocurve.syzygy.groebner_generators", replaced)
+    check = verify_groebner_generators(Curve(p713)).checks[0]
+    assert (check.name, check.passed, check.detail) == ("leading-term-set", False,
+                                                        "6 leading monomials")
+    assert check.witness == {"unexpected": [[0, 0, 5, 0]], "missing": [[2, 0, 0, 0]]}
+
+
+@pytest.mark.parametrize("triple, xis, phis, theta, broken", [
+    ((7, 1, 3), [(1, 1)], [0], True, ["xi(1,1)", "phi_0", "theta"]),
+    # xi(2,4) at p = 6 is rewritten through phi_0, xi(1,2) is not
+    ((13, 2, 6), [(2, 4), (1, 2)], [3], False, ["xi(1,2)", "xi(2,4)", "phi_3"]),
+])
+def test_broken_classical_elements_are_the_rewriting_witness(monkeypatch, triple, xis, phis,
+                                                             theta, broken):
+    # negated classical elements span the same ideal but break their identities
+    def negated(params):
+        patil = patil_generators(params)
+        return PatilSet(params, {**patil.xis, **{k: -patil.xis[k] for k in xis}},
+                        {**patil.phis, **{k: -patil.phis[k] for k in phis}}, patil.psis,
+                        -patil.theta if theta else patil.theta)
+
+    monkeypatch.setattr("monocurve.syzygy.patil_generators", negated)
+    pr = make_params(*triple)
+    checks = {c.name: c for c in verify_ideal_equality(Curve(pr)).checks}
+    assert [c.name for c in checks.values() if not c.passed] == ["rewriting-identities"]
+    check = checks["rewriting-identities"]
+    assert check.detail == f"{len(patil_generators(pr))} identities"
+    assert check.witness == {"elements": broken}
+
+
 def test_verify_minimality_deep(p713, p832):
     assert verify_minimality(Curve(p713), deep=True).passed
     assert verify_minimality(Curve(p832), deep=True).passed
@@ -159,8 +195,8 @@ def test_truncated_closure_decides_membership_like_buchberger():
         for k, g in enumerate(polys):
             others = polys[:k] + polys[k + 1:]
             top = pr.weight(order.leading_monomial(g))
-            truncated, _ = normal_form(order, g, closure(order, others, top))
-            full, _ = normal_form(order, g, buchberger(order, others))
+            truncated, _ = normal_form(g, closure(order, others, top))
+            full, _ = normal_form(g, Reducer(order, buchberger(order, others)))
             assert truncated == full, (pr, k)
 
 
@@ -190,8 +226,8 @@ def test_truncated_closure_gives_the_full_normal_form(triple, data):
         st.lists(st.integers(-3, 3).filter(bool), min_size=len(monos), max_size=len(monos))
     )
     f = Poly(pr.nvars, dict(zip(monos, coeffs)))
-    truncated, _ = normal_form(order, f, closure(order, patil, w))
-    assert truncated == normal_form(order, f, full)[0]
+    truncated, _ = normal_form(f, closure(order, patil, w))
+    assert truncated == normal_form(f, full)[0]
 
 
 @given(st.sampled_from([(7, 1, 3), (13, 2, 6), (8, 3, 2)]), st.data())
@@ -212,20 +248,27 @@ def test_a_resumed_closure_leaves_the_remainders_of_a_truncated_one(triple, data
     for w in (w1, w2):
         monos = data.draw(st.lists(st.sampled_from(by_weight[w]), min_size=1, max_size=3, unique=True))
         f = Poly(pr.nvars, {m: data.draw(st.integers(-3, 3).filter(bool)) for m in monos})
-        assert normal_form(order, f, resumed)[0] == normal_form(order, f, once)[0]
-        assert normal_form(order, f, resumed)[0] == normal_form(order, f, full)[0]
+        assert normal_form(f, resumed)[0] == normal_form(f, once)[0]
+        assert normal_form(f, resumed)[0] == normal_form(f, full)[0]
 
 
-def test_minimality_detects_planted_redundancy(p713):
-    order = WeightOrder(p713)
-    gset = groebner_generators(p713)
-    labeled = gset.labeled()
-    assert pairwise_lt_division(order, labeled) is None
+def _lead_record(curve):
+    check = verify_minimality(curve).checks[0]
+    assert check.name == "leading-terms-incomparable"
+    return check
+
+
+def test_minimality_detects_planted_redundancy(monkeypatch, p713):
+    check = _lead_record(Curve(p713))
+    assert check.passed and check.witness is None
+    assert check.detail == "30 ordered pairs"
     x1 = Poly.term(4, (1, 0, 0, 0))
-    planted = labeled + [("planted", x1 * phi_binomial(p713, 1, 1))]
-    offender = pairwise_lt_division(order, planted)
-    assert offender is not None
-    assert offender["multiple"] == "planted"
+    _plant(monkeypatch, lambda params, gset: x1 * phi_binomial(params, 1, 1))
+    check = _lead_record(Curve(p713))
+    assert not check.passed
+    assert check.witness == {"divisor": "phi(1,1)", "multiple": "planted",
+                             "monomials": [[2, 0, 0, 0], [3, 0, 0, 0]]}
+    assert check.detail == "42 ordered pairs"
 
 
 @dataclass(frozen=True)
@@ -244,7 +287,7 @@ def _first_redundant(order, labeled):
     # to zero modulo the full reduced basis of the others
     for k, (lab, g) in enumerate(labeled):
         others = [f for n, (_, f) in enumerate(labeled) if n != k]
-        if not normal_form(order, g, buchberger(order, others))[0]:
+        if not normal_form(g, Reducer(order, buchberger(order, others)))[0]:
             return lab
     return None
 
@@ -256,7 +299,7 @@ def _one_left_out(order, labeled):
     for k, (lab, g) in enumerate(labeled):
         others = [h for n, (_, h) in enumerate(labeled) if n != k]
         top = order.weight(order.leading_monomial(g))
-        if not normal_form(order, g, closure(order, others, top))[0]:
+        if not normal_form(g, closure(order, others, top))[0]:
             return lab
     return None
 
@@ -407,7 +450,7 @@ def test_closed_form_check_closes_the_classical_set(monkeypatch, p713):
     monkeypatch.setattr("monocurve.syzygy.patil_generators", planted)
     curve = Curve(p713)
     order = curve.order
-    assert normal_form(order, psi_binomial(p713, 0), curve.patil.polynomials())[0]
+    assert normal_form(psi_binomial(p713, 0), Reducer(order, curve.patil.polynomials()))[0]
     checks = {c.name: c for c in verify_ideal_equality(curve).checks}
     assert checks["closed-form-set-reduces"].passed
     assert checks["rewriting-identities"].witness == {"elements": ["psi_1,0"]}
@@ -427,7 +470,7 @@ def test_closed_form_check_reports_the_full_normal_form(monkeypatch, triple):
 
     monkeypatch.setattr("monocurve.syzygy.groebner_generators", replaced)
     full = buchberger(order, patil_generators(pr).polynomials())
-    remainder, _ = normal_form(order, bad, full)
+    remainder, _ = normal_form(bad, Reducer(order, full))
     assert remainder
     check = {c.name: c for c in verify_ideal_equality(Curve(pr)).checks}["closed-form-set-reduces"]
     assert not check.passed

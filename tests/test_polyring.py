@@ -22,7 +22,6 @@ from monocurve.polyring import (
     normal_form,
     poly_to_json,
     s_polynomial,
-    schreyer_syzygies,
     variable_monomial,
 )
 from monocurve.syzygy import Curve
@@ -119,16 +118,16 @@ def test_leading_terms(p713):
 
 def test_normal_form_self_reduction(p713):
     f = phi_binomial(p713, 1, 2)
-    r, quots = normal_form(ORDER, f, [f])
+    r, quots = normal_form(f, Reducer(ORDER, [f]))
     assert not r
     assert quots[0] == Poly.term(4, (0, 0, 0, 0))
     # a basis element the division never uses has no entry
-    r, quots = normal_form(ORDER, f, [f, psi_binomial(p713, 0)])
+    r, quots = normal_form(f, Reducer(ORDER, [f, psi_binomial(p713, 0)]))
     assert not r and quots == {0: Poly.term(4, (0, 0, 0, 0))}
 
 
 def test_normal_form_of_zero(p713):
-    r, quots = normal_form(ORDER, Poly.zero(4), [phi_binomial(p713, 1, 1)])
+    r, quots = normal_form(Poly.zero(4), Reducer(ORDER, [phi_binomial(p713, 1, 1)]))
     assert not r and quots == {}
 
 
@@ -136,20 +135,20 @@ def test_normal_form_postconditions(p713):
     basis = groebner_generators(p713).polynomials()
     lms = [ORDER.leading_monomial(g) for g in basis]
     f = Poly.term(4, (1, 1, 1, 0))  # X1*X2*X3
-    for divisors in (basis, Reducer(ORDER, basis)):
-        r, quots = normal_form(ORDER, f, divisors)
-        assert all(quots.values())
-        # phi(1,1) leads with X1^2, which divides no monomial of weight 27
-        assert 0 not in quots
-        recombined = r
-        for k, q in quots.items():
-            recombined = recombined + q * basis[k]
-        assert recombined == f
-        for mono in r.terms:
-            assert not any(mono_divides(lm, mono) for lm in lms)
-        # idempotence
-        r2, _ = normal_form(ORDER, r, divisors)
-        assert r2 == r
+    divisors = Reducer(ORDER, basis)
+    r, quots = normal_form(f, divisors)
+    assert all(quots.values())
+    # phi(1,1) leads with X1^2, which divides no monomial of weight 27
+    assert 0 not in quots
+    recombined = r
+    for k, q in quots.items():
+        recombined = recombined + q * basis[k]
+    assert recombined == f
+    for mono in r.terms:
+        assert not any(mono_divides(lm, mono) for lm in lms)
+    # idempotence
+    r2, _ = normal_form(r, divisors)
+    assert r2 == r
 
 
 def test_reducer_forgets_its_misses_on_append(p713):
@@ -245,8 +244,8 @@ def test_integer_division_matches_fraction_division(triple, data):
     f = data.draw(homogeneous_polys(pr, closed))
     assert len({order.weight(m) for m in f.terms}) == 1
     for basis in (closed, half):
-        r, quots = normal_form(order, f, basis)
-        oracle = normal_form(order, _with_fractions(f), [_with_fractions(g) for g in basis])
+        r, quots = normal_form(f, Reducer(order, basis))
+        oracle = normal_form(_with_fractions(f), Reducer(order, [_with_fractions(g) for g in basis]))
         assert (r, quots) == oracle
         assert all(quots.values())
         assert sum((q * basis[k] for k, q in quots.items()), r) == f
@@ -291,40 +290,6 @@ def test_buchberger_input_order_independent(p713):
         shuffled = basis[:]
         rng.shuffle(shuffled)
         assert buchberger(ORDER, shuffled) == reference
-
-
-def _combination(vec, basis):
-    acc = Poly.zero(basis[0].nvars)
-    for k, q in vec.items():
-        assert q
-        acc = acc + q * basis[k]
-    return acc
-
-
-def test_schreyer_vectors_are_syzygies(p713):
-    basis = groebner_generators(p713).polynomials()
-    table = Reducer(ORDER, basis)
-    rows = schreyer_syzygies(table)
-    n = len(basis)
-    assert [(i, j) for i, j, _, _ in rows] == [(i, j) for j in range(n) for i in range(j)]
-    assert table.pairs() == sorted((i, j) for i, j, _, _ in rows)
-    for _, _, r, vec in rows:
-        assert not r
-        assert not _combination(vec, basis)
-
-
-def test_schreyer_vectors_carry_the_remainder_of_a_non_groebner_basis(p713):
-    # X1^2 - 2*X2*X0 in place of phi(1,1) is not in the curve ideal: every pair
-    # is still divided, and each vector combines the basis into its remainder
-    basis = groebner_generators(p713).polynomials()
-    basis[0] = Poly(4, {(2, 0, 0, 0): 1, (0, 1, 0, 1): -2})
-    table = Reducer(ORDER, basis)
-    rows = schreyer_syzygies(table)
-    assert len(rows) == len(basis) * (len(basis) - 1) // 2
-    assert any(r for _, _, r, _ in rows)
-    for i, j, r, vec in rows:
-        assert _combination(vec, basis) == r
-        assert r == normal_form(ORDER, s_polynomial(ORDER, basis[i], basis[j]), basis)[0]
 
 
 def test_curve_image_examples(p713):

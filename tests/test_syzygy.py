@@ -33,7 +33,6 @@ from monocurve.syzygy import (
     SyzygySet,
     mod_elem_to_json,
     module_normal_form,
-    order_monomial,
     phi_symbol,
     psi_symbol,
     relation_image,
@@ -201,12 +200,14 @@ def test_counts(p713, p832):
 
 
 def test_order_monomial_examples(p713):
-    assert order_monomial(p713, (0, 0, 0, 0), Psi(0)) == (1, 0, 2, 0)  # X1*X3^2
-    assert order_monomial(p713, _x(0), Phi(1, 2)) == (1, 1, 0, 1)  # X0*X1*X2
+    # a term is compared by the ring key of its projection
+    ring = MORDER.ring
+    assert MORDER.key(((0, 0, 0, 0), Psi(0)))[0] == ring.key((1, 0, 2, 0))  # X1*X3^2
+    assert MORDER.key((_x(0), Phi(1, 2)))[0] == ring.key((1, 1, 0, 1))  # X0*X1*X2
     # the projection equals the image's leading monomial
     elem = ModElement.term(4, _x(2), Psi(1))
-    lm = MORDER.ring.leading_monomial(relation_image(C713, elem))
-    assert lm == order_monomial(p713, _x(2), Psi(1))
+    lm = ring.leading_monomial(relation_image(C713, elem))
+    assert MORDER.key((_x(2), Psi(1)))[0] == ring.key(lm)
 
 
 def test_module_compare_examples():
@@ -267,10 +268,10 @@ def test_closed_forms_keep_integer_coefficients():
 def test_module_normal_form_basics(p713):
     elems = syzygy_basis(p713).elements()
     a30 = syzygy_A(p713, 3, 0)
-    r, quots = module_normal_form(MORDER, a30, [a30])
+    r, quots = module_normal_form(a30, Reducer(MORDER, [a30]))
     assert not r and quots[0] == Poly.term(4, (0, 0, 0, 0))
     shifted = a30.times_term(1, _x(0))
-    r, quots = module_normal_form(MORDER, shifted, elems)
+    r, quots = module_normal_form(shifted, Reducer(MORDER, elems))
     assert not r
     k = elems.index(a30)
     assert quots == {k: Poly.term(4, _x(0))}
@@ -281,15 +282,14 @@ def test_module_normal_form_recombines(p713):
     probe = syzygy_A(p713, 1, 0).times_term(Fraction(3, 2), _x(2)) + syzygy_L(
         p713, 1, 2, 2
     ).times_term(1, _x(0, 2))
-    for divisors in (elems, Reducer(MORDER, elems)):
-        r, quots = module_normal_form(MORDER, probe, divisors)
-        assert all(quots.values())
-        assert len(quots) < len(elems)  # most members are never used
-        recombined = r
-        for k, q in quots.items():
-            for mono, c in q.terms.items():
-                recombined = recombined + elems[k].times_term(c, mono)
-        assert recombined == probe
+    r, quots = module_normal_form(probe, Reducer(MORDER, elems))
+    assert all(quots.values())
+    assert len(quots) < len(elems)  # most members are never used
+    recombined = r
+    for k, q in quots.items():
+        for mono, c in q.terms.items():
+            recombined = recombined + elems[k].times_term(c, mono)
+    assert recombined == probe
 
 
 def test_ring_division_is_module_division_on_one_symbol(p713):
@@ -302,8 +302,8 @@ def test_ring_division_is_module_division_on_one_symbol(p713):
         phi_binomial(p713, 1, 2) * psi_binomial(p713, 1) + Poly.term(4, (2, 0, 3, 1), 5),
         Poly.term(4, (0, 0, 4, 0), Fraction(3, 2)) - Poly.term(4, (1, 0, 0, 5)),
     ):
-        r, quots = normal_form(order, f, basis)
-        mr, mquots = module_normal_form(MORDER, ModElement.from_poly(f, Psi(0)), lifted)
+        r, quots = normal_form(f, Reducer(order, basis))
+        mr, mquots = module_normal_form(ModElement.from_poly(f, Psi(0)), Reducer(MORDER, lifted))
         assert mr == ModElement.from_poly(r, Psi(0))
         assert mquots == quots
         assert all(quots.values()) and set(quots) <= set(range(len(basis)))
@@ -311,9 +311,10 @@ def test_ring_division_is_module_division_on_one_symbol(p713):
 
 def test_s_vectors_reduce(p713):
     elems = syzygy_basis(p713).elements()
+    table = Reducer(MORDER, elems)
     pairs = C713.module_reducer.pairs()
     for x, y in pairs:
-        r, _ = module_normal_form(MORDER, s_polynomial(MORDER, elems[x], elems[y]), elems)
+        r, _ = module_normal_form(s_polynomial(MORDER, elems[x], elems[y]), table)
         assert not r
     assert len(pairs) == 9
 
@@ -350,7 +351,7 @@ def _all_pairs_s_vectors(curve):
             if s is None:
                 continue
             pairs += 1
-            r, _ = module_normal_form(morder, s, table)
+            r, _ = module_normal_form(s, table)
             if r:
                 witness = {"pair": [labeled[x][0], labeled[y][0]],
                            "remainder": mod_elem_to_json(morder, r)}
@@ -490,18 +491,47 @@ def test_harvested_relations_reduce(p713):
     for _, _, r, rel in rows:
         assert not r
         assert not relation_image(C713, rel)
-        r, _ = module_normal_form(MORDER, rel, elems)
+        r, _ = module_normal_form(rel, Reducer(MORDER, elems))
         assert not r
     assert C713.harvest() is C713.harvest()
     assert [(i, j, r) for i, j, r, _ in C713.harvest()] == [(i, j, r) for i, j, r, _ in rows]
 
 
+def test_schreyer_vectors_are_syzygies(p713):
+    rows = schreyer_relations(C713)
+    n = len(C713.images)
+    assert [(i, j) for i, j, _, _ in rows] == [(i, j) for j in range(n) for i in range(j)]
+    assert C713.ring_reducer.pairs() == sorted((i, j) for i, j, _, _ in rows)
+    for _, _, r, rel in rows:
+        assert not r
+        assert relation_image(C713, rel) == r
+
+
+def test_schreyer_vectors_carry_the_remainder_of_a_non_groebner_basis(monkeypatch, p713):
+    # X1^2 - 2*X2*X0 in place of phi(1,1) is not in the curve ideal: every pair
+    # is still divided, and each relation evaluates to its remainder
+    def planted(params):
+        gset = groebner_generators(params)
+        bad = Poly(4, {(2, 0, 0, 0): 1, (0, 1, 0, 1): -2})
+        return dataclasses.replace(gset, phis={**gset.phis, (1, 1): bad})
+
+    monkeypatch.setattr(syzygy, "groebner_generators", planted)
+    curve = Curve(p713)
+    order, basis = curve.order, list(curve.images.values())
+    rows = schreyer_relations(curve)
+    assert len(rows) == len(basis) * (len(basis) - 1) // 2
+    assert any(r for _, _, r, _ in rows)
+    for i, j, r, rel in rows:
+        assert relation_image(curve, rel) == r
+        assert r == normal_form(s_polynomial(order, basis[i], basis[j]), Reducer(order, basis))[0]
+
+
 def test_deleting_an_element_breaks_completeness(p713):
     # dropping L(1;2,2) leaves some harvested relation stuck
-    kept = [g for lab, g in syzygy_basis(p713).labeled() if lab != "L(1;2,2)"]
+    kept = Reducer(MORDER, [g for lab, g in syzygy_basis(p713).labeled() if lab != "L(1;2,2)"])
     stuck = 0
     for *_, rel in schreyer_relations(C713):
-        r, _ = module_normal_form(MORDER, rel, kept)
+        r, _ = module_normal_form(rel, kept)
         if r:
             stuck += 1
     assert stuck > 0
@@ -534,7 +564,7 @@ def _all_pairs_harvest_record(curve, rows):
         elif relation_image(curve, rel):
             bad = {"pair": pair, "problem": "harvested element is not a relation"}
         else:
-            r, _ = module_normal_form(curve.morder, rel, curve.module_reducer)
+            r, _ = module_normal_form(rel, curve.module_reducer)
             bad = r and {"pair": pair, "remainder": mod_elem_to_json(curve.morder, r)}
         if bad:
             return False, f"{count} harvested relations", bad
@@ -835,6 +865,26 @@ def test_excluded_instances(p713):
 
 def test_verify_order_projection(p713):
     assert verify_order_projection(C713, samples=500, seed=11).passed
+
+
+@pytest.mark.parametrize("samples, seed, term, lead", [
+    (1000, 0, [0, 2, 3, 4], [0, 2, 8, 4]),
+    (200, 3, [4, 3, 1, 2], [4, 3, 6, 2]),
+])
+def test_a_wrong_image_lead_is_the_projection_witness(monkeypatch, p713, samples, seed, term, lead):
+    # X1^2 - X3^5 in place of phi(1,1): Phi(1,1) projects by X1^2, while its
+    # image leads with X3^5; the witness is the first sampled term on it
+    def replaced(params):
+        gset = groebner_generators(params)
+        bad = Poly(4, {(2, 0, 0, 0): 1, (0, 0, 5, 0): -1})
+        return dataclasses.replace(gset, phis={**gset.phis, (1, 1): bad})
+
+    monkeypatch.setattr(syzygy, "groebner_generators", replaced)
+    (check,) = verify_order_projection(Curve(p713), samples=samples, seed=seed).checks
+    assert (check.name, check.passed) == ("projection-matches-image-lead", False)
+    assert check.detail == f"{samples} sampled terms, seed {seed}"
+    assert check.witness == {"term": {"expo": term, "basis": {"kind": "Phi", "i": 1, "j": 1}},
+                             "image-lead": lead}
 
 
 @given(st.data())
