@@ -19,11 +19,11 @@ from .generators import (
     verify_standard_monomials,
 )
 from .polyring import (
+    Closure,
     Poly,
     WeightOrder,
     ZeroPolynomialError,
     buchberger,
-    closure,
     normal_form,
     s_polynomial,
     variable_monomial,

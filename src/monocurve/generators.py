@@ -27,7 +27,6 @@ from .polyring import (
     WeightOrder,
     _first_dividing_pair,
     buchberger,
-    closure,
     mono_divides,
     mono_mul,
     mono_one,
@@ -337,14 +336,14 @@ def verify_minimality(curve: Curve, deep: bool = False) -> VerificationReport:
     generators there, plus the other generators of weight w themselves.
     One Closure, grown weight by weight, decides that for every g: closed
     up to w with only the lighter generators added, it is a Groebner basis
-    of theirs up to weight w (polyring.closure), so normal forms modulo it
-    are unique and linear there.  g is then redundant exactly when the
-    normal forms of the weight-w generators lose rank without g's, which
-    includes g's normal form being zero.  The generators of weight w join
-    the closure afterwards.  The witness is the redundant generator that
-    comes first in label order, and the detail counts the generators
-    tested.  The cost is one closure up to the heaviest weight, in S-pairs
-    rather than in m0 or d.
+    of theirs up to weight w (polyring.Closure.close), so normal forms
+    modulo it are unique and linear there.  g is then redundant exactly
+    when the normal forms of the weight-w generators lose rank without
+    g's, which includes g's normal form being zero.  The generators of
+    weight w join the closure afterwards.  The witness is the redundant
+    generator that comes first in label order, and the detail counts the
+    generators tested.  The cost is one closure up to the heaviest weight,
+    in S-pairs rather than in m0 or d.
     """
     params, order = curve.params, curve.order
     labeled = curve.gset.labeled()
@@ -406,7 +405,7 @@ def verify_ideal_equality(curve: Curve) -> VerificationReport:
     stuck = _mixed_weight(params, patil.labeled() + gset.labeled())
     if stuck is None:
         top = max(params.weight(order.leading_monomial(g)) for g in gset.polynomials())
-        table = closure(order, patil.polynomials(), top)
+        table = Closure(order, patil.polynomials()).close(top)
         for lab, g in gset.labeled():
             r, _ = normal_form(g, table)
             if r:

@@ -17,25 +17,25 @@ by the sign of the right-most non-zero entry of the exponent difference,
 the larger monomial being the one whose entry is negative.  Encoded as a
 sort key this is (weight, negated-reversed-exponents) under tuple order.
 
-Poly shares its linear arithmetic with syzygy.ModElement through
-SparseMap, and the ring and module orders share TermOrder.  There is
-one division loop, Reducer.divide, for both: a Reducer prepares a basis
-once, grouping its lead terms by module symbol, and a ring basis is a
-module with the single symbol None.  normal_form and
-syzygy.module_normal_form divide by a Reducer and nothing else; the
-closed-form basis of a triple has one Reducer, held by syzygy.Curve.
-Reducer.pairs lists the S-pairs of its basis.
+Poly shares its linear arithmetic and its validating constructor with
+syzygy.ModElement through SparseMap, and the ring and module orders
+share TermOrder.  There is one division loop, Reducer.divide, for both:
+a Reducer prepares a basis once, grouping its lead terms by module
+symbol, and a ring basis is a module with the single symbol None.
+normal_form and syzygy.module_normal_form divide by a Reducer and
+nothing else; the closed-form basis of a triple has one Reducer, held by
+syzygy.Curve.  Reducer.pairs lists the S-pairs of its basis.
 
 There is one S-pair builder, s_polynomial, for Polys and module
 elements alike, and one Buchberger pair loop, Closure.close.  It takes
 pairs in ascending weight of their lcm, the normal strategy (Giovini,
 Mora, Niesi, Robbiano, Traverso, "One sugar cube, please", ISSAC 1991),
 and can be resumed: generators join with Closure.add, and close(upto)
-stops before the first pair heavier than upto.  closure is its one-shot
-form, truncated at a weight for membership (see closure); buchberger
-interreduces its full result.  hilbert_numerator, the Hilbert numerator
-of a monomial ideal, decides whether a subset of a homogeneous ideal is
-a Groebner basis without dividing an S-pair.
+stops before the first pair heavier than upto, which decides membership
+up to that weight.  buchberger interreduces a full closure.
+hilbert_numerator, the Hilbert numerator of a monomial ideal, decides
+whether a subset of a homogeneous ideal is a Groebner basis without
+dividing an S-pair.
 """
 
 from __future__ import annotations
@@ -134,13 +134,24 @@ def mono_to_name(mono: Mono) -> str:
 class SparseMap:
     """Sparse map from term keys to non-zero exact coefficients (see _exact).
 
-    The linear arithmetic shared by Poly, whose keys are monomials, and
-    syzygy.ModElement, whose keys are (monomial, symbol) pairs.  Each
-    subclass brings its own validating constructor and a _shift(key,
-    mono) that multiplies one key by a monomial.
+    The linear arithmetic and the validating constructor shared by Poly,
+    whose keys are monomials, and syzygy.ModElement, whose keys are
+    (monomial, symbol) pairs.  Each subclass brings a _key(key, nvars)
+    that checks one key and returns it canonical, and a _shift(key, mono)
+    that multiplies one key by a monomial.
     """
 
     __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms=None):
+        self.nvars = nvars
+        clean = {}
+        if terms:
+            for key, coeff in terms.items():
+                key = self._key(key, nvars)
+                if coeff:
+                    clean[key] = _exact(coeff)
+        self.terms = clean
 
     @classmethod
     def _raw(cls, nvars, terms):
@@ -166,11 +177,12 @@ class SparseMap:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def __add__(self, other):
+    def __add__(self, other, op=add):
+        """self + other, and self - other with op=sub: the one loop of both."""
         self._check(other)
         res = dict(self.terms)
         for t, c in other.terms.items():
-            v = res.get(t, 0) + c
+            v = op(res.get(t, 0), c)
             if v:
                 res[t] = v
             elif t in res:
@@ -178,15 +190,7 @@ class SparseMap:
         return self._raw(self.nvars, res)
 
     def __sub__(self, other):
-        self._check(other)
-        res = dict(self.terms)
-        for t, c in other.terms.items():
-            v = res.get(t, 0) - c
-            if v:
-                res[t] = v
-            elif t in res:
-                del res[t]
-        return self._raw(self.nvars, res)
+        return self.__add__(other, sub)
 
     def __neg__(self):
         return self._raw(self.nvars, {t: -c for t, c in self.terms.items()})
@@ -217,37 +221,22 @@ class Poly(SparseMap):
     __slots__ = ()
     _shift = staticmethod(mono_mul)
 
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if len(mono) != nvars:
-                    raise ValueError(f"monomial {mono} does not have {nvars} exponents")
-                if coeff:
-                    clean[tuple(mono)] = _exact(coeff)
-        self.terms = clean
+    @staticmethod
+    def _key(mono: Mono, nvars: int) -> Mono:
+        if len(mono) != nvars:
+            raise ValueError(f"monomial {mono} does not have {nvars} exponents")
+        return tuple(mono)
 
     @classmethod
     def term(cls, nvars: int, mono: Mono, coeff=1) -> "Poly":
-        if len(mono) != nvars:
-            raise ValueError(f"monomial {mono} does not have {nvars} exponents")
+        mono = cls._key(mono, nvars)
         coeff = _exact(coeff)
-        return cls._raw(nvars, {tuple(mono): coeff} if coeff else {})
+        return cls._raw(nvars, {mono: coeff} if coeff else {})
 
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check(other)
-            res = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = mono_mul(m1, m2)
-                    v = res.get(m, 0) + c1 * c2
-                    if v:
-                        res[m] = v
-                    elif m in res:
-                        del res[m]
-            return Poly._raw(self.nvars, res)
+            return sum((self.times_term(c, m) for m, c in other.terms.items()), self.zero(self.nvars))
         return self.scaled(other)
 
     __rmul__ = __mul__
@@ -274,10 +263,6 @@ class TermOrder:
 
     def sorted_terms(self, elem) -> list:
         return [(t, elem.terms[t]) for t in sorted(elem.terms, key=self.key, reverse=True)]
-
-    def monic(self, elem):
-        _, lc = self.leading_term(elem)
-        return elem if lc == 1 else elem.scaled(_inverse(lc))
 
 
 class WeightOrder(TermOrder):
@@ -324,12 +309,11 @@ class Reducer:
     normal_form and syzygy.module_normal_form divide by one, in the
     order it was built with.
 
-    It also remembers, per term, the first row that divides it.  A found
-    row stays the first one for good, since rows are only appended; the
-    terms no row divided are kept apart and forgotten on every append.
+    It also remembers, per term, the first row that divides it: rows are
+    only appended, so that row stays the first for good.
     """
 
-    __slots__ = ("order", "ring", "basis", "rows", "_hits", "_misses")
+    __slots__ = ("order", "ring", "basis", "rows", "_hits")
 
     def __init__(self, order: TermOrder, basis=()):
         self.order = order
@@ -337,7 +321,6 @@ class Reducer:
         self.basis = []
         self.rows = {}
         self._hits = {}
-        self._misses = set()
         for g in basis:
             self.append(g)
 
@@ -351,7 +334,6 @@ class Reducer:
             tail = [(m, s, c) for (m, s), c in g.terms.items() if (m, s) != lead]
         self.rows.setdefault(sym, []).append((mono, _inverse(lc), tail, len(self.basis)))
         self.basis.append(g)
-        self._misses = set()
 
     def pairs(self) -> list[tuple[int, int]]:
         """The index pairs x < y whose leading terms share a symbol, x-major:
@@ -369,7 +351,7 @@ class Reducer:
         lookups.  Each processed term is smaller than the one before, so
         an index k never gets the same quotient monomial twice.
         """
-        ring, rows, hits, misses = self.ring, self.rows, self._hits, self._misses
+        ring, rows, hits = self.ring, self.rows, self._hits
         key, cache = self.order.key, self.order._cache
         work = dict(f.terms)
         for t in work:
@@ -383,17 +365,14 @@ class Reducer:
             coeff = work.pop(term)
             mono = term if ring else term[0]
             row = hits.get(term)
-            if row is None and term not in misses:
+            if row is None:
                 for row in rows.get(None if ring else term[1], ()):
                     if all(map(le, row[0], mono)):
                         hits[term] = row
                         break
                 else:
-                    row = None
-                    misses.add(term)
-            if row is None:
-                remainder[term] = coeff
-                continue
+                    remainder[term] = coeff
+                    continue
             lm, inv, tail, k = row
             u = tuple(map(sub, mono, lm))
             c = coeff * inv
@@ -460,13 +439,11 @@ class Closure:
     """A Buchberger closure grown weight by weight: the one pair loop.
 
     add(g) joins g, monic, to the basis, queueing a pair with each earlier
-    element unless their leading monomials are coprime.  close(upto)
-    pops the queued pairs in ascending weight of the lcm of their leading
-    monomials, ties by index, and joins every non-zero remainder of an
-    S-polynomial the same way, until the next pair weighs more than upto
-    (all of them when upto is None).  Heavier pairs stay queued, so more
-    generators can be added and the closure resumed at a larger weight.
-    table is the Reducer of the basis so far, and its rows hold the leads.
+    element unless their leading monomials are coprime; a zero g is
+    skipped.  close(upto) processes the queued pairs in ascending weight,
+    and heavier pairs stay queued, so more generators can be added and the
+    closure resumed at a larger weight.  table is the Reducer of the basis
+    so far, and its rows hold the leads.
     """
 
     __slots__ = ("order", "table", "_pairs")
@@ -490,6 +467,24 @@ class Closure:
         table.append(g if lc == 1 else g.scaled(_inverse(lc)))
 
     def close(self, upto: int | None = None) -> Reducer:
+        """The Reducer of a Groebner basis of the ideal of the generators
+        added so far, truncated at weight upto (untruncated when None).
+
+        Pairs are popped in ascending weight of the lcm of their leading
+        monomials, ties by index, and every non-zero remainder of an
+        S-polynomial joins through add, until the next pair weighs more
+        than upto.  For weight-homogeneous generators the result is a
+        Groebner basis up to weight upto (Cox, Little, O'Shea, Ideals,
+        Varieties, and Algorithms, on degree-truncated bases of
+        homogeneous ideals): every S-polynomial and remainder is
+        homogeneous of its lcm's weight, so each pair that could reach a
+        weight up to upto is processed, and a weight-homogeneous
+        polynomial of weight at most upto divides to its normal form
+        modulo the whole ideal, zero exactly when it is a member.  The
+        cost is in pairs, not in the number of monomials of weight upto.
+        For input that is not weight-homogeneous a truncated closure
+        decides nothing.
+        """
         order, table, pairs = self.order, self.table, self._pairs
         basis = table.basis
         while pairs and (upto is None or pairs[0][0] <= upto):
@@ -499,56 +494,31 @@ class Closure:
         return table
 
 
-def closure(order: WeightOrder, gens, top: int | None = None) -> Reducer:
-    """Close gens under S-pairs: a Reducer of a Groebner basis of their ideal.
-
-    A Closure of gens, closed up to top.  Every pair whose lcm of leading
-    monomials weighs more than top is dropped.  For weight-homogeneous
-    gens the result is then a Groebner basis up to weight top (Cox,
-    Little, O'Shea, Ideals, Varieties, and Algorithms, on degree-truncated
-    bases of homogeneous ideals): every S-polynomial and remainder is
-    homogeneous of its lcm's weight, so each pair that could reach a
-    weight up to top is processed, and a weight-homogeneous polynomial of
-    weight at most top divides to its normal form modulo the whole ideal,
-    zero exactly when it is a member.  The cost is in pairs, not in the
-    number of monomials of weight top.  For input that is not
-    weight-homogeneous a truncated closure decides nothing.
-    """
-    return Closure(order, gens).close(top)
-
-
 def buchberger(order: WeightOrder, gens) -> list[Poly]:
-    """Reduced Groebner basis of the ideal generated by gens.
+    """Reduced Groebner basis of the ideal generated by gens: monic and
+    sorted by descending leading monomial, hence canonical for a given
+    ideal (Cox, Little, O'Shea, section 2.7).
 
-    The untruncated closure, interreduced: monic and sorted by descending
-    leading monomial, hence canonical for a given ideal.
+    The untruncated closure of gens is monic and holds no zero (see
+    Closure.add).  Its elements, by ascending lead, grow one Reducer of
+    those whose lead no earlier kept lead divides, and that Reducer
+    reduces the tail of each kept element.  A lead monomial divides no
+    smaller monomial, so an element never reduces its own tail, and the
+    result is that of dividing each element by all the others.
     """
-    return interreduce(order, closure(order, gens).basis)
+    def lead_key(g):
+        return order.key(order.leading_monomial(g))
 
-
-def interreduce(order: WeightOrder, polys) -> list[Poly]:
-    """Minimalize and fully reduce a basis; output monic, sorted descending.
-
-    One Reducer over the kept elements reduces each element's tail.  A
-    lead monomial divides no smaller monomial, so an element never
-    reduces its own tail, and the result is that of dividing each element
-    by all the others.
-    """
-    polys = sorted((order.monic(g) for g in polys if g), key=lambda g: order.key(order.leading_monomial(g)))
-    kept = []
-    kept_lms = []
-    for g in polys:
+    kept = Reducer(order)
+    for g in sorted(Closure(order, gens).close().basis, key=lead_key):
         lm = order.leading_monomial(g)
-        if any(mono_divides(m, lm) for m in kept_lms):
-            continue
-        kept.append(g)
-        kept_lms.append(lm)
-    table = Reducer(order, kept)
+        if not any(mono_divides(m, lm) for m, *_ in kept.rows.get(None, ())):
+            kept.append(g)
     out = []
-    for g in kept:
+    for g in kept.basis:
         lead = Poly.term(g.nvars, *order.leading_term(g))
-        out.append(lead + normal_form(g - lead, table)[0])
-    out.sort(key=lambda g: order.key(order.leading_monomial(g)), reverse=True)
+        out.append(lead + normal_form(g - lead, kept)[0])
+    out.sort(key=lead_key, reverse=True)
     return out
 
 

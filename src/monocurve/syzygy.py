@@ -20,16 +20,17 @@ lead monomial of the symbol's binomial) under the ring order, with a
 fixed symbol tie-break: lower Psi index wins, Psi beats Phi, and Phi
 pairs compare by (j, i).
 
-ModElement is a polyring.SparseMap keyed by (monomial, symbol), and
-ModuleOrder a polyring.TermOrder.  module_normal_form runs the ring's
-division loop (polyring.Reducer): a module basis is prepared once with
-its lead terms grouped by symbol, where a ring basis has the one symbol
-None.  S-vectors come from the ring's S-pair builder,
-polyring.s_polynomial, for the pairs of basis elements whose leads share
-a symbol, read from those groups (Reducer.pairs).  schreyer_relations
-lifts each S-pair of the ring basis to a module element.  The excluded
-families of module terms are boxes of exponents, each tested against
-the grouped lead terms through its largest member.
+ModElement is a polyring.SparseMap keyed by (monomial, symbol), with
+Poly's arithmetic and validating constructor, and ModuleOrder a
+polyring.TermOrder.  module_normal_form runs the ring's division loop
+(polyring.Reducer): a module basis is prepared once with its lead terms
+grouped by symbol, where a ring basis has the one symbol None.
+S-vectors come from the ring's S-pair builder, polyring.s_polynomial,
+for the pairs of basis elements whose leads share a symbol, read from
+those groups (Reducer.pairs).  schreyer_relations lifts each S-pair of
+the ring basis to a module element.  The excluded families of module
+terms are boxes of exponents, each tested against the grouped lead terms
+through its largest member.
 
 Both Groebner claims are decided by one Hilbert-series identity each
 (Curve.ring_certified, _module_identity), in terms of N, the Hilbert
@@ -128,16 +129,10 @@ class ModElement(SparseMap):
 
     __slots__ = ()
 
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        clean = {}
-        if terms:
-            for (mono, sym), coeff in terms.items():
-                if len(mono) != nvars:
-                    raise ValueError(f"monomial {mono} does not have {nvars} exponents")
-                if coeff:
-                    clean[(tuple(mono), sym)] = _exact(coeff)
-        self.terms = clean
+    @staticmethod
+    def _key(term, nvars: int):
+        mono, sym = term
+        return (Poly._key(mono, nvars), sym)
 
     @staticmethod
     def _shift(term, mono: Mono):
@@ -145,6 +140,9 @@ class ModElement(SparseMap):
 
     @classmethod
     def term(cls, nvars: int, mono: Mono, sym, coeff=1) -> "ModElement":
+        # the check of _key, written out: projection builds many terms
+        if len(mono) != nvars:
+            raise ValueError(f"monomial {mono} does not have {nvars} exponents")
         coeff = _exact(coeff)
         return cls._raw(nvars, {(tuple(mono), sym): coeff} if coeff else {})
 

@@ -35,7 +35,6 @@ from monocurve.polyring import (
     Reducer,
     WeightOrder,
     buchberger,
-    closure,
     mono_divides,
     mono_mul,
     mono_to_name,
@@ -195,7 +194,7 @@ def test_truncated_closure_decides_membership_like_buchberger():
         for k, g in enumerate(polys):
             others = polys[:k] + polys[k + 1:]
             top = pr.weight(order.leading_monomial(g))
-            truncated, _ = normal_form(g, closure(order, others, top))
+            truncated, _ = normal_form(g, Closure(order, others).close(top))
             full, _ = normal_form(g, Reducer(order, buchberger(order, others)))
             assert truncated == full, (pr, k)
 
@@ -226,7 +225,7 @@ def test_truncated_closure_gives_the_full_normal_form(triple, data):
         st.lists(st.integers(-3, 3).filter(bool), min_size=len(monos), max_size=len(monos))
     )
     f = Poly(pr.nvars, dict(zip(monos, coeffs)))
-    truncated, _ = normal_form(f, closure(order, patil, w))
+    truncated, _ = normal_form(f, Closure(order, patil).close(w))
     assert truncated == normal_form(f, full)[0]
 
 
@@ -244,7 +243,7 @@ def test_a_resumed_closure_leaves_the_remainders_of_a_truncated_one(triple, data
     for g in gens[cut:]:
         grown.add(g)
     resumed = grown.close(w2)
-    once = closure(order, patil, w2)
+    once = Closure(order, patil).close(w2)
     for w in (w1, w2):
         monos = data.draw(st.lists(st.sampled_from(by_weight[w]), min_size=1, max_size=3, unique=True))
         f = Poly(pr.nvars, {m: data.draw(st.integers(-3, 3).filter(bool)) for m in monos})
@@ -299,7 +298,7 @@ def _one_left_out(order, labeled):
     for k, (lab, g) in enumerate(labeled):
         others = [h for n, (_, h) in enumerate(labeled) if n != k]
         top = order.weight(order.leading_monomial(g))
-        if not normal_form(g, closure(order, others, top))[0]:
+        if not normal_form(g, Closure(order, others).close(top))[0]:
             return lab
     return None
 

@@ -261,8 +261,8 @@ def test_coefficients_are_ints_while_integral():
     assert type(f.scaled(Fraction(2)).terms[(0, 1, 0, 0)]) is int
     assert type(f.times_term(Fraction(6, 3), (0, 0, 0, 1)).terms[(1, 0, 0, 1)]) is int
     half = Poly(4, {(2, 0, 0, 0): 2, (0, 1, 0, 1): -1})
-    assert ORDER.monic(half).terms == {(2, 0, 0, 0): 1, (0, 1, 0, 1): Fraction(-1, 2)}
-    assert type(ORDER.monic(half).terms[(2, 0, 0, 0)]) is int
+    assert half.scaled(Fraction(1, 2)).terms == {(2, 0, 0, 0): 1, (0, 1, 0, 1): Fraction(-1, 2)}
+    assert type(half.scaled(Fraction(1, 2)).terms[(2, 0, 0, 0)]) is int
 
 
 def test_s_polynomial_of_equal_inputs(p713):
@@ -273,6 +273,14 @@ def test_s_polynomial_of_equal_inputs(p713):
 def test_buchberger_principal_ideal():
     x1 = Poly.term(4, (1, 0, 0, 0))
     assert buchberger(ORDER, [x1]) == [x1]
+
+
+def test_buchberger_drops_zeros_multiples_and_copies(p713):
+    # input the closed-form sets never produce: a zero, a non-monic copy, a
+    # multiple and a negated copy of one generator
+    g = phi_binomial(p713, 1, 1)
+    x1 = Poly.term(4, variable_monomial(3, 1))
+    assert buchberger(ORDER, [Poly.zero(4), 2 * g, x1 * g, -g]) == [g]
 
 
 def test_buchberger_adds_no_leading_terms(p713):
@@ -321,3 +329,6 @@ def test_poly_json_roundtrip(p713):
 def test_format_poly(p713):
     assert format_poly(ORDER, phi_binomial(p713, 1, 2)) == "X1*X2 - X3*X0"
     assert format_poly(ORDER, Poly.zero(4)) == "0"
+    # coefficients other than plus or minus one, on a monomial and alone
+    f = Poly(4, {(2, 0, 0, 0): Fraction(3, 2), (0, 1, 0, 1): -2, (0, 0, 0, 0): 5})
+    assert format_poly(ORDER, f) == "3/2*X1^2 - 2*X2*X0 + 5"

@@ -13,6 +13,8 @@ from monocurve.generators import groebner_generators, phi_binomial, psi_binomial
 from monocurve.polyring import (
     Poly,
     Reducer,
+    WeightOrder,
+    ZeroPolynomialError,
     hilbert_numerator,
     mono_div,
     mono_divides,
@@ -41,6 +43,7 @@ from monocurve.syzygy import (
     syzygy_B,
     syzygy_L,
     syzygy_basis,
+    format_mod_elem,
     term_to_json,
     verify_excluded_leading_forms,
     verify_order_projection,
@@ -154,6 +157,28 @@ def test_syzygy_L_explicit(p713):
             (_x(3), Phi(1, 1)): 1,
         },
     )
+
+
+def test_every_constructor_checks_the_exponent_count():
+    message = r"monomial \(1, 0, 0\) does not have 4 exponents"
+    for build in (lambda: Poly.term(4, (1, 0, 0)),
+                  lambda: Poly(4, {(1, 0, 0): 1}),
+                  lambda: ModElement(4, {((1, 0, 0), Psi(0)): 1}),
+                  lambda: ModElement.term(4, (1, 0, 0), Psi(0))):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+def test_zero_has_no_leading_term_in_either_order():
+    with pytest.raises(ZeroPolynomialError, match="the zero polynomial has no leading term"):
+        WeightOrder(P713).leading_term(Poly.zero(4))
+    with pytest.raises(ZeroPolynomialError, match="the zero element has no leading term"):
+        MORDER.leading_term(ModElement.zero(4))
+
+
+def test_format_mod_elem_spells_non_unit_coefficients():
+    elem = ModElement(4, {((1, 0, 0, 0), Psi(0)): Fraction(-1, 2), ((0, 0, 0, 0), Phi(1, 1)): 3})
+    assert format_mod_elem(MORDER, elem) == "-1/2*X1*Psi(0) + 3*Phi(1,1)"
 
 
 def test_syzygy_index_errors(p713):
@@ -495,6 +520,26 @@ def test_harvested_relations_reduce(p713):
         assert not r
     assert C713.harvest() is C713.harvest()
     assert [(i, j, r) for i, j, r, _ in C713.harvest()] == [(i, j, r) for i, j, r, _ in rows]
+
+
+def test_a_harvested_element_that_is_no_relation_is_the_witness(monkeypatch, p713):
+    # Psi(0) added to the third harvested element: its S-polynomial still
+    # reduces to zero, but the element no longer evaluates to zero
+    harvest = syzygy.schreyer_relations
+
+    def planted(curve):
+        rows = harvest(curve)
+        i, j, r, rel = rows[2]
+        rows[2] = (i, j, r, rel + ModElement.term(4, (0, 0, 0, 0), Psi(0)))
+        return rows
+
+    monkeypatch.setattr(syzygy, "schreyer_relations", planted)
+    monkeypatch.setattr(syzygy.Curve, "ring_certified", lambda self: False)
+    report = verify_syzygy_basis(Curve(p713))
+    assert _record(report, "s-vectors-reduce") == (True, "9 same-symbol pairs", None)
+    assert _record(report, "harvested-relations-reduce") == (
+        False, "3 harvested relations",
+        {"pair": ["Phi(1,2)", "Phi(2,2)"], "problem": "harvested element is not a relation"})
 
 
 def test_schreyer_vectors_are_syzygies(p713):
