@@ -23,7 +23,6 @@ from .polyring import (
     Poly,
     WeightOrder,
     ZeroPolynomialError,
-    buchberger,
     normal_form,
     s_polynomial,
     variable_monomial,

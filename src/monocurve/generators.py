@@ -9,10 +9,11 @@ have the same cardinality.
 
 Every verification routine takes the triple's syzygy.Curve, which holds
 both sets, the ring order and a Reducer of the closed-form basis, built
-once.  It returns a VerificationReport and records a witness on failure
-instead of raising.  Standard monomials are reached as an order ideal
-from 1 and compared with the paper's shape, written out in closed form;
-no check walks the exponent box.
+once, and the one closure of that basis, built on first use.  It returns
+a VerificationReport and records a witness on failure instead of
+raising.  Standard monomials are reached as an order ideal from 1 and
+compared with the paper's shape, written out in closed form; no check
+walks the exponent box.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .polyring import (
     Reducer,
     WeightOrder,
     _first_dividing_pair,
-    buchberger,
     mono_divides,
     mono_mul,
     mono_one,
@@ -228,11 +228,17 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
 
     Three checks: the computed leading monomials match the closed-form
     set; every S-polynomial reduces to zero against the set itself; and
-    an independent Buchberger run produces no new leading monomial.  The
-    identity K(LT(G)) = N, once every element lies in the curve ideal,
-    decides the S-polynomials (Curve.ring_certified), and the detail
-    counts every pair.  Otherwise the harvest of every pair (curve.harvest)
-    is scanned i-major, and the first failure is the witness.
+    the Groebner basis of the set's ideal, the triple's one closure
+    (Curve.closure), has no new leading monomial.  The identity
+    K(LT(G)) = N, once every element lies in the curve ideal, decides the
+    S-polynomials (Curve.ring_certified), and the detail counts every
+    pair.  Otherwise the harvest of every pair (curve.harvest) is scanned
+    i-major, and the first failure is the witness.
+
+    The reduced Groebner basis has one element per minimal generator of
+    the lead ideal (Cox, Little, O'Shea, section 2.7), so the closure's
+    distinct leads that no other divides stand for it.  The closure can
+    hold equal leads, and a later lead can divide an earlier one.
     """
     params, order = curve.params, curve.order
     labels, polys = zip(*curve.gset.labeled())
@@ -261,14 +267,10 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
                 break
     report.add("s-polynomials-reduce", witness is None, detail=f"{pairs} pairs", witness=witness)
 
-    reduced = buchberger(order, polys)
-    new = [
-        order.leading_monomial(g)
-        for g in reduced
-        if not any(mono_divides(m, order.leading_monomial(g)) for m in actual)
-    ]
-    reduced_lms = [order.leading_monomial(g) for g in reduced]
-    lost = [m for m in actual if not any(mono_divides(r, m) for r in reduced_lms)]
+    leads = {lm for lm, *_ in curve.closure()[0].rows[None]}
+    reduced = [m for m in leads if not any(k != m and mono_divides(k, m) for k in leads)]
+    new = [r for r in reduced if not any(mono_divides(m, r) for m in actual)]
+    lost = [m for m in actual if not any(mono_divides(r, m) for r in reduced)]
     report.add(
         "buchberger-lt-ideal",
         not new and not lost,
@@ -304,26 +306,39 @@ def _rank(order: WeightOrder, polys) -> int:
     return len(rows.basis)
 
 
-def _redundant_by_weight(order: WeightOrder, labeled) -> str | None:
-    """The label of the first weight-homogeneous generator that lies in the
-    ideal of the others, or None; see verify_minimality."""
+def _closure_by_weight(order: WeightOrder, labeled) -> tuple[Reducer, list]:
+    """One Closure of the labeled generators, grown weight by weight: at
+    each lead weight w, ascending, it is closed up to w, the weight-w
+    generators are divided by it in label order, and then they join it.
+    Returns the Reducer of the untruncated closure, a Groebner basis of
+    their ideal, and per weight the (index, normal form) of each of its
+    generators; see verify_minimality."""
     by_weight = {}
     for k, (_, g) in enumerate(labeled):
         by_weight.setdefault(order.weight(order.leading_monomial(g)), []).append(k)
     grown = Closure(order)
-    first = len(labeled)
+    forms = []
     for w in sorted(by_weight):
         table = grown.close(w)
-        same = by_weight[w]
-        forms = [normal_form(labeled[k][1], table)[0] for k in same]
-        full = _rank(order, forms)
-        for n, k in enumerate(same):
-            if k < first and _rank(order, forms[:n] + forms[n + 1:]) == full:
+        forms.append([(k, normal_form(labeled[k][1], table)[0]) for k in by_weight[w]])
+        for k in by_weight[w]:
+            grown.add(labeled[k][1])
+    return grown.close(), forms
+
+
+def _redundant_by_weight(order: WeightOrder, forms) -> int | None:
+    """The index of the first weight-homogeneous generator that lies in the
+    ideal of the others, or None, from the per-weight normal forms of
+    _closure_by_weight; see verify_minimality."""
+    first = None
+    for same in forms:
+        polys = [f for _, f in same]
+        full = _rank(order, polys)
+        for n, (k, _) in enumerate(same):
+            if (first is None or k < first) and _rank(order, polys[:n] + polys[n + 1:]) == full:
                 first = k
                 break
-        for k in same:
-            grown.add(labeled[k][1])
-    return labeled[first][0] if first < len(labeled) else None
+    return first
 
 
 def verify_minimality(curve: Curve, deep: bool = False) -> VerificationReport:
@@ -334,16 +349,17 @@ def verify_minimality(curve: Curve, deep: bool = False) -> VerificationReport:
     generator g of weight w lies in the ideal of the others exactly when
     it lies in their span at weight w: the multiples of the lighter
     generators there, plus the other generators of weight w themselves.
-    One Closure, grown weight by weight, decides that for every g: closed
-    up to w with only the lighter generators added, it is a Groebner basis
-    of theirs up to weight w (polyring.Closure.close), so normal forms
-    modulo it are unique and linear there.  g is then redundant exactly
-    when the normal forms of the weight-w generators lose rank without
-    g's, which includes g's normal form being zero.  The generators of
-    weight w join the closure afterwards.  The witness is the redundant
-    generator that comes first in label order, and the detail counts the
-    generators tested.  The cost is one closure up to the heaviest weight,
-    in S-pairs rather than in m0 or d.
+    The triple's one Closure, grown weight by weight (Curve.closure),
+    decides that for every g: closed up to w with only the lighter
+    generators added, it is a Groebner basis of theirs up to weight w
+    (polyring.Closure.close), so normal forms modulo it are unique and
+    linear there.  g is then redundant exactly when the normal forms of
+    the weight-w generators lose rank without g's, which includes g's
+    normal form being zero.  The generators of weight w join the closure
+    afterwards.  The witness is the redundant generator that comes first
+    in label order, and the detail counts the generators tested.  The
+    closure costs S-pairs rather than m0 or d, and is shared with
+    verify_groebner_generators; this check adds only the rank tests.
     """
     params, order = curve.params, curve.order
     labeled = curve.gset.labeled()
@@ -365,8 +381,8 @@ def verify_minimality(curve: Curve, deep: bool = False) -> VerificationReport:
     if deep:
         redundant = _mixed_weight(params, labeled)
         if redundant is None:
-            first = _redundant_by_weight(order, labeled)
-            redundant = None if first is None else {"element": first}
+            first = _redundant_by_weight(order, curve.closure()[1])
+            redundant = None if first is None else {"element": labeled[first][0]}
         report.add(
             "no-redundant-generator",
             redundant is None,

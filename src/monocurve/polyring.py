@@ -32,7 +32,7 @@ pairs in ascending weight of their lcm, the normal strategy (Giovini,
 Mora, Niesi, Robbiano, Traverso, "One sugar cube, please", ISSAC 1991),
 and can be resumed: generators join with Closure.add, and close(upto)
 stops before the first pair heavier than upto, which decides membership
-up to that weight.  buchberger interreduces a full closure.
+up to that weight.
 hilbert_numerator, the Hilbert numerator of a monomial ideal, decides
 whether a subset of a homogeneous ideal is a Groebner basis without
 dividing an S-pair.
@@ -184,7 +184,7 @@ class SparseMap:
         for t, c in other.terms.items():
             v = op(res.get(t, 0), c)
             if v:
-                res[t] = v
+                res[t] = v if type(v) is int else _exact(v)
             elif t in res:
                 del res[t]
         return self._raw(self.nvars, res)
@@ -371,7 +371,7 @@ class Reducer:
                         hits[term] = row
                         break
                 else:
-                    remainder[term] = coeff
+                    remainder[term] = coeff if type(coeff) is int else _exact(coeff)
                     continue
             lm, inv, tail, k = row
             u = tuple(map(sub, mono, lm))
@@ -492,34 +492,6 @@ class Closure:
             r, _ = normal_form(s_polynomial(order, basis[i], basis[j]), table)
             self.add(r)
         return table
-
-
-def buchberger(order: WeightOrder, gens) -> list[Poly]:
-    """Reduced Groebner basis of the ideal generated by gens: monic and
-    sorted by descending leading monomial, hence canonical for a given
-    ideal (Cox, Little, O'Shea, section 2.7).
-
-    The untruncated closure of gens is monic and holds no zero (see
-    Closure.add).  Its elements, by ascending lead, grow one Reducer of
-    those whose lead no earlier kept lead divides, and that Reducer
-    reduces the tail of each kept element.  A lead monomial divides no
-    smaller monomial, so an element never reduces its own tail, and the
-    result is that of dividing each element by all the others.
-    """
-    def lead_key(g):
-        return order.key(order.leading_monomial(g))
-
-    kept = Reducer(order)
-    for g in sorted(Closure(order, gens).close().basis, key=lead_key):
-        lm = order.leading_monomial(g)
-        if not any(mono_divides(m, lm) for m, *_ in kept.rows.get(None, ())):
-            kept.append(g)
-    out = []
-    for g in kept.basis:
-        lead = Poly.term(g.nvars, *order.leading_term(g))
-        out.append(lead + normal_form(g - lead, kept)[0])
-    out.sort(key=lead_key, reverse=True)
-    return out
 
 
 # ---------------------------------------------------------------------------

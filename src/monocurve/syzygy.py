@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .generators import (
+    _closure_by_weight,
     _mixed_weight,
     epsilon,
     groebner_generators,
@@ -377,13 +378,14 @@ class Curve:
     cache per order.  images maps each module symbol to its binomial in
     label order; ring_reducer divides by those binomials in that order
     and module_reducer by the syzygy basis in its label order.  The key
-    caches grow as the checks run, and ring_certified() and harvest()
-    are computed on first use; everything else is read, never changed,
-    so a caller that needs to extend a basis builds its own Reducer.
+    caches grow as the checks run, and ring_certified(), harvest() and
+    closure() are computed on first use; everything else is read, never
+    changed, so a caller that needs to extend a basis builds its own
+    Reducer.
     """
 
     __slots__ = ("params", "morder", "order", "gset", "patil", "sset", "images",
-                 "ring_reducer", "module_reducer", "_ring_certified", "_harvest")
+                 "ring_reducer", "module_reducer", "_ring_certified", "_harvest", "_closure")
 
     def __init__(self, params: CurveParams):
         self.params = params
@@ -396,7 +398,7 @@ class Curve:
         self.images.update((Psi(j), g) for j, g in sorted(self.gset.psis.items()))
         self.ring_reducer = Reducer(self.order, self.images.values())
         self.module_reducer = Reducer(self.morder, self.sset.elements())
-        self._ring_certified = self._harvest = None
+        self._ring_certified = self._harvest = self._closure = None
 
     def ring_certified(self) -> bool:
         """Whether the closed-form set G is a Groebner basis of the curve
@@ -417,6 +419,16 @@ class Curve:
         if self._harvest is None:
             self._harvest = schreyer_relations(self)
         return self._harvest
+
+    def closure(self) -> tuple[Reducer, list]:
+        """The one closure of the closed-form set in label order, grown
+        weight by weight, computed once: the Reducer of a Groebner basis of
+        its ideal, and the normal forms of its generators per weight
+        (generators._closure_by_weight), read by the minimality and
+        lead-ideal checks."""
+        if self._closure is None:
+            self._closure = _closure_by_weight(self.order, self.gset.labeled())
+        return self._closure
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,14 @@ membership search and the Apery numerator it gives, the curve ideal as
 the kernel of the parametrization, a Hilbert function counted monomial by
 monomial, the grid of valid parameter triples, and the readers of the
 JSON output format.  They share no code with the library's division,
-closure or Hilbert numerator.  The library never imports this module.
+closure or Hilbert numerator.  buchberger, the reduced Groebner basis, is
+the one exception: it interreduces the library's untruncated Closure, and
+is the reference for the lead ideal the library reads off that closure.
+The library never imports this module.
 """
 
-from monocurve.polyring import Poly, _exact
+from monocurve.polyring import (Closure, Poly, Reducer, WeightOrder, _exact, mono_divides,
+                                normal_form)
 from monocurve.semigroup import CurveParams, ParameterError, make_params
 from monocurve.syzygy import ModElement, Phi, Psi
 
@@ -149,3 +153,31 @@ def mod_elem_from_json(nvars: int, items) -> ModElement:
     """Read back syzygy.mod_elem_to_json."""
     return ModElement(nvars, {(tuple(t["expo"]), _symbol_from_json(t["basis"])): _exact(t["coeff"])
                               for t in items})
+
+
+def buchberger(order: WeightOrder, gens) -> list[Poly]:
+    """Reduced Groebner basis of the ideal generated by gens: monic and
+    sorted by descending leading monomial, hence canonical for a given
+    ideal (Cox, Little, O'Shea, section 2.7).
+
+    The untruncated closure of gens is monic and holds no zero (see
+    Closure.add).  Its elements, by ascending lead, grow one Reducer of
+    those whose lead no earlier kept lead divides, and that Reducer
+    reduces the tail of each kept element.  A lead monomial divides no
+    smaller monomial, so an element never reduces its own tail, and the
+    result is that of dividing each element by all the others.
+    """
+    def lead_key(g):
+        return order.key(order.leading_monomial(g))
+
+    kept = Reducer(order)
+    for g in sorted(Closure(order, gens).close().basis, key=lead_key):
+        lm = order.leading_monomial(g)
+        if not any(mono_divides(m, lm) for m, *_ in kept.rows.get(None, ())):
+            kept.append(g)
+    out = []
+    for g in kept.basis:
+        lead = Poly.term(g.nvars, *order.leading_term(g))
+        out.append(lead + normal_form(g - lead, kept)[0])
+    out.sort(key=lead_key, reverse=True)
+    return out

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from monocurve import make_params, syzygy
 from monocurve.cli import _build_parser, main, run, verification_bundle
 from monocurve.generators import GeneratorSet, groebner_generators
-from monocurve.polyring import Poly, Reducer, WeightOrder
+from monocurve.polyring import Closure, Poly, Reducer, WeightOrder
 from monocurve.report import VerificationReport
 from oracles import poly_from_json
 
@@ -427,6 +427,32 @@ def test_each_triple_harvests_its_s_pairs_once(monkeypatch, capsys):
     ran = json.loads(capsys.readouterr().out)["summary"]["ran"]
     assert ran > 1
     check(ran)
+
+
+def test_each_triple_closes_its_closed_form_set_once(monkeypatch, capsys):
+    # deep minimality and the lead-ideal check read one closure of the
+    # closed-form set; the classical set's closure is the only other one
+    curves, closures = [], collections.Counter()
+    init, closure_init = syzygy.Curve.__init__, Closure.__init__
+
+    def keep(self, params):
+        init(self, params)
+        curves.append(self)
+
+    def count_closure(self, order, gens=()):
+        closures[order] += 1
+        closure_init(self, order, gens)
+
+    monkeypatch.setattr(syzygy.Curve, "__init__", keep)
+    monkeypatch.setattr(Closure, "__init__", count_closure)
+    for extra in ([], ["--shallow"]):
+        curves.clear()
+        closures.clear()
+        assert main(["verify", "--m0", "13", "--d", "2", "--p", "6", "--bound", "2"] + extra) == 0
+        (curve,) = curves
+        assert closures == {curve.order: 2}, extra
+        assert curve.closure() is curve.closure()
+    capsys.readouterr()
 
 
 def test_a_passing_verify_divides_no_s_pair(monkeypatch, capsys):

@@ -34,7 +34,6 @@ from monocurve.polyring import (
     Poly,
     Reducer,
     WeightOrder,
-    buchberger,
     mono_divides,
     mono_mul,
     mono_to_name,
@@ -44,7 +43,7 @@ from monocurve.polyring import (
     variable_monomial,
 )
 from monocurve.syzygy import Curve
-from oracles import curve_image, parameter_sweep
+from oracles import buchberger, curve_image, parameter_sweep
 
 SWEEP = list(parameter_sweep(range(2, 6), range(1, 4), range(1, 6)))
 

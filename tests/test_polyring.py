@@ -12,7 +12,6 @@ from monocurve.polyring import (
     Reducer,
     WeightOrder,
     ZeroPolynomialError,
-    buchberger,
     format_poly,
     hilbert_numerator,
     mono_div,
@@ -25,7 +24,7 @@ from monocurve.polyring import (
     variable_monomial,
 )
 from monocurve.syzygy import Curve
-from oracles import curve_image, hilbert_function, poly_from_json, series_coefficients
+from oracles import buchberger, curve_image, hilbert_function, poly_from_json, series_coefficients
 
 P713 = make_params(7, 1, 3)
 ORDER = WeightOrder(P713)
@@ -263,6 +262,14 @@ def test_coefficients_are_ints_while_integral():
     half = Poly(4, {(2, 0, 0, 0): 2, (0, 1, 0, 1): -1})
     assert half.scaled(Fraction(1, 2)).terms == {(2, 0, 0, 0): 1, (0, 1, 0, 1): Fraction(-1, 2)}
     assert type(half.scaled(Fraction(1, 2)).terms[(2, 0, 0, 0)]) is int
+    # sums and remainders that come out integral
+    h = Poly(4, {(1, 0, 0, 0): Fraction(1, 2)})
+    assert [type(c) for c in (h + h).terms.values()] == [int]
+    assert [type(c) for c in (h - (-h)).terms.values()] == [int]
+    x0 = variable_monomial(3, 0)
+    row = Reducer(ORDER, [Poly(4, {(2, 0, 0, 0): 1, x0: Fraction(-1, 2)})])
+    remainder, _ = row.divide(Poly(4, {(2, 0, 0, 0): 1, x0: Fraction(1, 2)}))
+    assert remainder.terms == {x0: 1} and type(remainder.terms[x0]) is int
 
 
 def test_s_polynomial_of_equal_inputs(p713):

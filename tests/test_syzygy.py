@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from monocurve import generators, make_params, syzygy
-from monocurve.generators import groebner_generators, phi_binomial, psi_binomial
+from monocurve.generators import GeneratorSet, groebner_generators, phi_binomial, psi_binomial
 from monocurve.polyring import (
     Poly,
     Reducer,
@@ -50,7 +50,7 @@ from monocurve.syzygy import (
     verify_syzygy_basis,
 )
 from monocurve.semigroup import apery_numerator
-from oracles import _symbol_from_json, mod_elem_from_json, parameter_sweep
+from oracles import _symbol_from_json, buchberger, mod_elem_from_json, parameter_sweep
 
 P713 = make_params(7, 1, 3)
 C713 = Curve(P713)
@@ -635,9 +635,6 @@ def _plant_a_ring_tail_term(curve, rng):
 
 
 def test_ring_criterion_records_match_the_all_pairs_scans_on_planted_tails(monkeypatch):
-    # Buchberger on a planted set checks nothing compared here, and need
-    # not be homogeneous, so it is left out
-    monkeypatch.setattr(generators, "buchberger", lambda order, gens: list(gens))
     for triple in PLANTED_TRIPLES:
         pr = make_params(*triple)
         base = Curve(pr)
@@ -655,6 +652,70 @@ def test_ring_criterion_records_match_the_all_pairs_scans_on_planted_tails(monke
             failed += not spoly[0]
         # the leads X1^2 and X2^4 of (8,3,2) are coprime: no tail breaks their pair
         assert failed == (0 if triple == (8, 3, 2) else RING_PLANTINGS), triple
+
+
+def _buchberger_record(curve):
+    # reference: the buchberger-lt-ideal record as the leads of the reduced
+    # Groebner basis of the closed-form set make it
+    order = curve.order
+    polys = curve.gset.polynomials()
+    actual = {order.leading_monomial(g) for g in polys}
+    reduced = [order.leading_monomial(g) for g in buchberger(order, polys)]
+    new = [m for m in reduced if not any(mono_divides(a, m) for a in actual)]
+    lost = [m for m in actual if not any(mono_divides(r, m) for r in reduced)]
+    ok = not new and not lost
+    witness = None if ok else {"new": sorted(map(list, new)), "lost": sorted(map(list, lost))}
+    return ok, f"{len(reduced)} elements in the reduced basis", witness
+
+
+def _replace_phi11(g):
+    # g in place of phi(1,1)
+    def replaced(params):
+        gset = groebner_generators(params)
+        return dataclasses.replace(gset, phis={**gset.phis, (1, 1): g})
+    return replaced
+
+
+def _with_multiple_and_negation(params):
+    # X1*phi(1,1) and -phi(1,1) after the closed-form set: the closure holds
+    # a lead that another lead divides, and two equal leads
+    gset = groebner_generators(params)
+    phi = gset.phis[(1, 1)]
+    extra = [("X1*phi(1,1)", Poly.term(params.nvars, variable_monomial(params.p, 1)) * phi),
+             ("-phi(1,1)", -phi)]
+
+    class Extended(GeneratorSet):
+        def labeled(self):
+            return super().labeled() + extra
+
+    return Extended(params, gset.phis, gset.psis)
+
+
+def _with_a_ring_tail_term(params):
+    return _plant_a_ring_tail_term(Curve(params), random.Random(params.m0 + params.d + params.p))
+
+
+@pytest.mark.parametrize("triple, planted", [
+    *[pytest.param(t, None, id="-".join(map(str, t)))
+      for t in ((7, 1, 3), (8, 3, 2), (13, 2, 6), (17, 3, 8))],
+    pytest.param((7, 1, 3), _replace_phi11(Poly(4, {(2, 0, 0, 0): 2, (0, 1, 0, 1): -1})),
+                 id="half-lead"),
+    # X1^2 - X3^5 leads with X3^5
+    pytest.param((7, 1, 3), _replace_phi11(Poly(4, {(2, 0, 0, 0): 1, (0, 0, 5, 0): -1})),
+                 id="wrong-lead"),
+    pytest.param((7, 1, 3), _with_multiple_and_negation, id="multiple-and-negation"),
+    # not weight-homogeneous
+    *[pytest.param(t, _with_a_ring_tail_term, id="tail-" + "-".join(map(str, t)))
+      for t in ((13, 2, 6), (9, 4, 2), (17, 3, 8))],
+])
+def test_lead_ideal_record_matches_the_reduced_basis(monkeypatch, triple, planted):
+    pr = make_params(*triple)
+    if planted is not None:
+        gset = planted(pr)
+        monkeypatch.setattr(syzygy, "groebner_generators", lambda params: gset)
+    curve = Curve(pr)
+    record = _record(generators.verify_groebner_generators(curve), "buchberger-lt-ideal")
+    assert record == _buchberger_record(curve)
 
 
 @pytest.mark.parametrize("triple, shortcuts", [
