@@ -9,11 +9,13 @@ have the same cardinality.
 
 Every verification routine takes the triple's syzygy.Curve, which holds
 both sets, the ring order and a Reducer of the closed-form basis, built
-once, and the one closure of that basis, built on first use.  It returns
-a VerificationReport and records a witness on failure instead of
-raising.  Standard monomials are reached as an order ideal from 1 and
-compared with the paper's shape, written out in closed form; no check
-walks the exponent box.
+once, and the one closure of that basis, built only for deep minimality
+or when a Hilbert-series certificate fails (_certified): a certified set
+needs no closure to be known a Groebner basis.  It returns a
+VerificationReport and records a witness on failure instead of raising.
+Standard monomials are reached as an order ideal from 1 and compared
+with the paper's shape, written out in closed form; no check walks the
+exponent box.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .polyring import (
     Reducer,
     WeightOrder,
     _first_dividing_pair,
+    _minimal,
+    hilbert_numerator,
     mono_divides,
     mono_mul,
     mono_one,
@@ -36,7 +40,7 @@ from .polyring import (
     variable_monomial,
 )
 from .report import VerificationReport
-from .semigroup import CurveParams
+from .semigroup import CurveParams, apery_numerator
 
 if TYPE_CHECKING:
     from .syzygy import Curve
@@ -228,17 +232,19 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
 
     Three checks: the computed leading monomials match the closed-form
     set; every S-polynomial reduces to zero against the set itself; and
-    the Groebner basis of the set's ideal, the triple's one closure
-    (Curve.closure), has no new leading monomial.  The identity
-    K(LT(G)) = N, once every element lies in the curve ideal, decides the
-    S-polynomials (Curve.ring_certified), and the detail counts every
-    pair.  Otherwise the harvest of every pair (curve.harvest) is scanned
-    i-major, and the first failure is the witness.
+    the reduced Groebner basis of the set's ideal has no new leading
+    monomial.  The identity K(LT(G)) = N, once every element lies in the
+    curve ideal, decides both Groebner claims (Curve.ring_certified).  The
+    S-pair detail then counts every pair, and the reduced basis leads with
+    the minimal leads of G.  Otherwise the harvest of every pair
+    (curve.harvest) is scanned i-major, and the first failure is the
+    witness; and the triple's one closure (Curve.closure), closed
+    untruncated, is a Groebner basis of the ideal of G.
 
     The reduced Groebner basis has one element per minimal generator of
-    the lead ideal (Cox, Little, O'Shea, section 2.7), so the closure's
-    distinct leads that no other divides stand for it.  The closure can
-    hold equal leads, and a later lead can divide an earlier one.
+    the lead ideal (Cox, Little, O'Shea, section 2.7), so the distinct
+    leads that no other divides stand for it.  The closure can hold equal
+    leads, and a later lead can divide an earlier one.
     """
     params, order = curve.params, curve.order
     labels, polys = zip(*curve.gset.labeled())
@@ -258,19 +264,20 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
         },
     )
 
-    witness = None
+    witness, leads = None, actual
     pairs = len(polys) * (len(polys) - 1) // 2
     if not curve.ring_certified():
         for pairs, (i, j, r, _) in enumerate(sorted(curve.harvest(), key=lambda row: row[:2]), 1):
             if r:
                 witness = {"pair": [labels[i], labels[j]], "remainder": poly_to_json(order, r)}
                 break
+        leads = [lm for lm, *_ in curve.closure()[0].close().rows[None]]
     report.add("s-polynomials-reduce", witness is None, detail=f"{pairs} pairs", witness=witness)
 
-    leads = {lm for lm, *_ in curve.closure()[0].rows[None]}
-    reduced = [m for m in leads if not any(k != m and mono_divides(k, m) for k in leads)]
-    new = [r for r in reduced if not any(mono_divides(m, r) for m in actual)]
-    lost = [m for m in actual if not any(mono_divides(r, m) for r in reduced)]
+    # a lead in both sets divides itself, so only the others are scanned
+    reduced = _minimal(leads)
+    new = [r for r in reduced if r not in actual and not any(mono_divides(m, r) for m in actual)]
+    lost = [m for m in actual if m not in reduced and not any(mono_divides(r, m) for r in reduced)]
     report.add(
         "buchberger-lt-ideal",
         not new and not lost,
@@ -292,6 +299,18 @@ def _mixed_weight(params: CurveParams, labeled) -> dict | None:
     return None
 
 
+def _certified(order: WeightOrder, basis, members=()) -> bool:
+    """Whether basis is a Groebner basis of the curve ideal I that holds
+    members too, for elements of one weight each (see _mixed_weight): each
+    element lies in I, as its coefficients sum to 0, and K(LT(basis)) = N.
+    Then <LT(basis)>, inside LT(I), has the Hilbert series of I and equals
+    it (Macaulay; Cox, Little, O'Shea, sections 5.2 and 2.7)."""
+    if any(sum(g.terms.values()) for g in [*basis, *members]):
+        return False
+    params, leads = order.params, [order.leading_monomial(g) for g in basis]
+    return hilbert_numerator(params.exponent_weights, leads) == apery_numerator(params)
+
+
 def _rank(order: WeightOrder, polys) -> int:
     """The dimension of the span of polys over the rationals: the rows of a
     Reducer grown by each non-zero remainder.  Division subtracts u * row,
@@ -306,13 +325,14 @@ def _rank(order: WeightOrder, polys) -> int:
     return len(rows.basis)
 
 
-def _closure_by_weight(order: WeightOrder, labeled) -> tuple[Reducer, list]:
+def _closure_by_weight(order: WeightOrder, labeled) -> tuple[Closure, list]:
     """One Closure of the labeled generators, grown weight by weight: at
     each lead weight w, ascending, it is closed up to w, the weight-w
     generators are divided by it in label order, and then they join it.
-    Returns the Reducer of the untruncated closure, a Groebner basis of
-    their ideal, and per weight the (index, normal form) of each of its
-    generators; see verify_minimality."""
+    Returns the Closure, holding every generator and closed only up to the
+    heaviest (close() resumes it to a Groebner basis of their ideal), and
+    per weight the (index, normal form) of each of its generators; see
+    verify_minimality."""
     by_weight = {}
     for k, (_, g) in enumerate(labeled):
         by_weight.setdefault(order.weight(order.leading_monomial(g)), []).append(k)
@@ -323,7 +343,7 @@ def _closure_by_weight(order: WeightOrder, labeled) -> tuple[Reducer, list]:
         forms.append([(k, normal_form(labeled[k][1], table)[0]) for k in by_weight[w]])
         for k in by_weight[w]:
             grown.add(labeled[k][1])
-    return grown.close(), forms
+    return grown, forms
 
 
 def _redundant_by_weight(order: WeightOrder, forms) -> int | None:
@@ -395,10 +415,12 @@ def verify_minimality(curve: Curve, deep: bool = False) -> VerificationReport:
 def verify_ideal_equality(curve: Curve) -> VerificationReport:
     """Both generating sets span the same ideal and have equal size.
 
-    The classical set reduces by the closed-form basis; the closed-form
-    set reduces by the classical set's closure truncated at the heaviest
-    closed-form weight, once every element of both sets is confirmed to
-    have a single weight (see verify_minimality).
+    The classical set reduces by the closed-form basis.  Once every element
+    of both sets has a single weight, the closed-form set reduces by the
+    classical set's closure truncated at the heaviest closed-form weight.
+    When both sets lie in the curve ideal and the classical set is a
+    Groebner basis of it (_certified), every remainder is zero, and the
+    closure is not run.
     """
     params, order, gset, patil = curve.params, curve.order, curve.gset, curve.patil
     report = VerificationReport(params)
@@ -419,7 +441,7 @@ def verify_ideal_equality(curve: Curve) -> VerificationReport:
 
     # the classical set's closure up to the heaviest closed-form element
     stuck = _mixed_weight(params, patil.labeled() + gset.labeled())
-    if stuck is None:
+    if stuck is None and not _certified(order, patil.polynomials(), gset.polynomials()):
         top = max(params.weight(order.leading_monomial(g)) for g in gset.polynomials())
         table = Closure(order, patil.polynomials()).close(top)
         for lab, g in gset.labeled():

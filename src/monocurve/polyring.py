@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import groupby
 from operator import add, le, mul, neg, sub
 
 from .semigroup import CurveParams, _add_shifted, _times_one_minus
@@ -506,19 +507,26 @@ def hilbert_numerator(weights, monos) -> dict:
     ideal I, so a subset G of I with K(LT(G)) = K(I) is a Groebner basis:
     <LT(G)> lies in LT(I), and equal Hilbert functions leave no room.
     """
-    return _numerator(tuple(weights), monos, {})
+    return _numerator(tuple(weights), _minimal(monos), {})
 
 
-def _numerator(weights, monos, memo) -> dict:
-    """Bigatti's recursion (JPAA 1997), memoized by minimal generators:
-    K(J) = K(J + (x)) + t^{w(x)} K(J : x), for the variable x in most
-    generators with two or more variables.  Pairwise coprime generators
-    give prod (1 - t^{w(g)}): 1 for J = 0 and 0 for 1 in J."""
+def _minimal(monos) -> list:
+    """The minimal generators of the monomial ideal of monos: each distinct
+    monomial that no other one divides, tested against lower degrees only."""
     kept = []
-    for m in sorted(set(monos), key=sum):
-        if not any(mono_divides(k, m) for k in kept):
-            kept.append(m)
-    gens = tuple(sorted(kept))
+    for _, same in groupby(sorted(set(monos), key=sum), sum):
+        kept += [m for m in same if not any(mono_divides(k, m) for k in kept)]
+    return kept
+
+
+def _numerator(weights, gens, memo) -> dict:
+    """Bigatti's recursion (JPAA 1997) on minimal generators, memoized by
+    them: K(J) = K(J + (x)) + t^{w(x)} K(J : x), for the variable x in
+    most generators with two or more variables.  Pairwise coprime
+    generators give prod (1 - t^{w(g)}): 1 for J = 0 and 0 for 1 in J.
+    J + (x) is minimal as built, and in J : x only a generator free of x
+    can fall, to one that lost a power of x."""
+    gens = tuple(sorted(gens))
     if gens in memo:
         return memo[gens]
     users, mixed = [0] * len(weights), [0] * len(weights)
@@ -532,8 +540,10 @@ def _numerator(weights, monos, memo) -> dict:
     else:
         x = mixed.index(max(mixed))
         unit = tuple(int(v == x) for v in range(len(weights)))
-        added = [g for g in gens if not g[x]] + [unit]
-        quotient = [g[:x] + (max(g[x] - 1, 0),) + g[x + 1:] for g in gens]
+        free = [g for g in gens if not g[x]]
+        lost = [g[:x] + (g[x] - 1,) + g[x + 1:] for g in gens if g[x]]
+        added = free + [unit]
+        quotient = lost + [g for g in free if not any(mono_divides(h, g) for h in lost)]
         out = _add_shifted(dict(_numerator(weights, added, memo)),
                            _numerator(weights, quotient, memo), weights[x])
     memo[gens] = out

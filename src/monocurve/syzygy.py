@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .generators import (
+    _certified,
     _closure_by_weight,
     _mixed_weight,
     epsilon,
@@ -61,6 +62,7 @@ from .generators import (
     tau,
 )
 from .polyring import (
+    Closure,
     Mono,
     Poly,
     Reducer,
@@ -72,8 +74,9 @@ from .polyring import (
     _first_dividing_pair,
     _join_signed,
     _json_terms,
+    _minimal,
+    _numerator,
     _term_text,
-    hilbert_numerator,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -381,7 +384,8 @@ class Curve:
     caches grow as the checks run, and ring_certified(), harvest() and
     closure() are computed on first use; everything else is read, never
     changed, so a caller that needs to extend a basis builds its own
-    Reducer.
+    Reducer.  Only deep minimality, or a check whose identity fails, builds
+    the closure: a shallow verify of a certified triple builds none.
     """
 
     __slots__ = ("params", "morder", "order", "gset", "patil", "sset", "images",
@@ -401,16 +405,12 @@ class Curve:
         self._ring_certified = self._harvest = self._closure = None
 
     def ring_certified(self) -> bool:
-        """Whether the closed-form set G is a Groebner basis of the curve
-        ideal I, computed once: G lies in I (each element has one weight
-        and coefficients summing to 0), and K(LT(G)) = N, so <LT(G)>, which
-        lies in LT(I), has the Hilbert series of I and equals LT(I)."""
+        """Whether the closed-form set G, each element of one weight, is a
+        Groebner basis of the curve ideal (generators._certified), computed
+        once."""
         if self._ring_certified is None:
-            in_ideal = (_mixed_weight(self.params, self.images.items()) is None
-                        and not any(sum(g.terms.values()) for g in self.images.values()))
-            leads = [lm for lm, *_ in self.ring_reducer.rows[None]]
-            self._ring_certified = in_ideal and (
-                hilbert_numerator(self.params.exponent_weights, leads) == apery_numerator(self.params))
+            self._ring_certified = (_mixed_weight(self.params, self.images.items()) is None
+                                    and _certified(self.order, self.images.values()))
         return self._ring_certified
 
     def harvest(self) -> list:
@@ -420,12 +420,13 @@ class Curve:
             self._harvest = schreyer_relations(self)
         return self._harvest
 
-    def closure(self) -> tuple[Reducer, list]:
+    def closure(self) -> tuple[Closure, list]:
         """The one closure of the closed-form set in label order, grown
-        weight by weight, computed once: the Reducer of a Groebner basis of
-        its ideal, and the normal forms of its generators per weight
-        (generators._closure_by_weight), read by the minimality and
-        lead-ideal checks."""
+        weight by weight up to its heaviest generator, computed once: the
+        Closure, and the normal forms of its generators per weight
+        (generators._closure_by_weight), which deep minimality reads.  The
+        lead-ideal check resumes it to a Groebner basis of the set's ideal
+        only when the ring identity fails."""
         if self._closure is None:
             self._closure = _closure_by_weight(self.order, self.gset.labeled())
         return self._closure
@@ -480,13 +481,19 @@ def _module_identity(curve: Curve) -> bool:
     of I, the syzygy module Syz is the kernel of the free module F onto I,
     graded by the images, so HS(F/Syz) = HS(I) has numerator 1 - N; a
     basis inside Syz is a Groebner basis of it exactly when its leads
-    give F/<LT(basis)> that series (Macaulay, symbol by symbol)."""
+    give F/<LT(basis)> that series (Macaulay, symbol by symbol).  Many
+    symbols share one lead set, so K is computed once per distinct set,
+    every set sharing one memo of Bigatti's recursion."""
     params, rows = curve.params, curve.module_reducer.rows
-    series = {}
+    shifts = {}
     for sym, image in curve.images.items():
-        leads = [lm for lm, *_ in rows.get(sym, ())]
-        shift = params.weight(next(iter(image.terms)))
-        _add_shifted(series, hilbert_numerator(params.exponent_weights, leads), shift)
+        leads = frozenset(lm for lm, *_ in rows.get(sym, ()))
+        shifts.setdefault(leads, []).append(params.weight(next(iter(image.terms))))
+    series, memo = {}, {}
+    for leads, weights in shifts.items():
+        k = _numerator(params.exponent_weights, _minimal(leads), memo)
+        for shift in weights:
+            _add_shifted(series, k, shift)
     return series == _add_shifted({0: 1}, apery_numerator(params), sign=-1)
 
 

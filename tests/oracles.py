@@ -8,12 +8,16 @@ JSON output format.  They share no code with the library's division,
 closure or Hilbert numerator.  buchberger, the reduced Groebner basis, is
 the one exception: it interreduces the library's untruncated Closure, and
 is the reference for the lead ideal the library reads off that closure.
+Two more keep the library's earlier, slower forms as references for the
+faster ones: numerator_all_pairs, Bigatti's recursion minimizing every
+ideal it meets, and module_identity_by_symbol, one K per module symbol.
 The library never imports this module.
 """
 
 from monocurve.polyring import (Closure, Poly, Reducer, WeightOrder, _exact, mono_divides,
                                 normal_form)
-from monocurve.semigroup import CurveParams, ParameterError, make_params
+from monocurve.semigroup import (CurveParams, ParameterError, _add_shifted, _times_one_minus,
+                                 apery_numerator, make_params)
 from monocurve.syzygy import ModElement, Phi, Psi
 
 
@@ -100,6 +104,54 @@ def series_coefficients(numerator: dict, weights, top: int) -> list[int]:
         for e in range(w, top + 1):
             coeffs[e] += coeffs[e - w]
     return coeffs
+
+
+def numerator_all_pairs(weights, monos, memo=None) -> dict:
+    """K(J) for the ideal J of the exponent tuples monos, by Bigatti's
+    recursion (JPAA 1997) with every ideal it meets minimized by testing
+    all pairs: K(J) = K(J + (x)) + t^{w(x)} K(J : x), for the variable x in
+    most generators with two or more variables, and prod (1 - t^{w(g)})
+    for pairwise coprime generators.  The reference for
+    polyring.hilbert_numerator, which minimizes once, at entry."""
+    memo = {} if memo is None else memo
+    kept = []
+    for m in sorted(set(monos), key=sum):
+        if not any(mono_divides(k, m) for k in kept):
+            kept.append(m)
+    gens = tuple(sorted(kept))
+    if gens in memo:
+        return memo[gens]
+    users, mixed = [0] * len(weights), [0] * len(weights)
+    for g in gens:
+        support = [v for v, e in enumerate(g) if e]
+        for v in support:
+            users[v] += 1
+            mixed[v] += len(support) > 1
+    if max(users) <= 1:
+        out = _times_one_minus({0: 1}, [sum(e * w for e, w in zip(g, weights)) for g in gens])
+    else:
+        x = mixed.index(max(mixed))
+        unit = tuple(int(v == x) for v in range(len(weights)))
+        added = [g for g in gens if not g[x]] + [unit]
+        quotient = [g[:x] + (max(g[x] - 1, 0),) + g[x + 1:] for g in gens]
+        out = _add_shifted(dict(numerator_all_pairs(weights, added, memo)),
+                           numerator_all_pairs(weights, quotient, memo), weights[x])
+    memo[gens] = out
+    return out
+
+
+def module_identity_by_symbol(curve) -> bool:
+    """sum_sym t^{w(image(sym))} K(M_sym) = 1 - N, for the leads M_sym of
+    the curve's syzygy basis on each symbol, with one numerator_all_pairs
+    per symbol: the reference for syzygy._module_identity, which computes
+    one K per distinct lead set."""
+    params, rows = curve.params, curve.module_reducer.rows
+    series = {}
+    for sym, image in curve.images.items():
+        leads = [lm for lm, *_ in rows.get(sym, ())]
+        shift = params.weight(next(iter(image.terms)))
+        _add_shifted(series, numerator_all_pairs(params.exponent_weights, leads), shift)
+    return series == _add_shifted({0: 1}, apery_numerator(params), sign=-1)
 
 
 def curve_image(params: CurveParams, f: Poly) -> dict:

@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from monocurve import make_params, syzygy
+from monocurve import make_params, polyring, syzygy
 from monocurve.cli import _build_parser, main, run, verification_bundle
 from monocurve.generators import GeneratorSet, groebner_generators
 from monocurve.polyring import Closure, Poly, Reducer, WeightOrder
@@ -279,9 +279,19 @@ def _half_lead(params):
 @pytest.mark.parametrize("name", sorted(HALF_LEAD_GOLDEN_CALLS))
 def test_fractional_witnesses_match_golden(name, monkeypatch, capsys):
     # the half lead's divisions leave the integers, and the witnesses carry
-    # -1/2 and 1/2
+    # -1/2 and 1/2; it lies outside the curve ideal, so both certificates
+    # fail and both closures run: the closed-form set's, grown from empty,
+    # and the classical set's
+    closures, closure_init = [], Closure.__init__
+
+    def count_closure(self, order, gens=()):
+        closures.append("classical" if gens else "closed-form")
+        closure_init(self, order, gens)
+
     monkeypatch.setattr("monocurve.syzygy.groebner_generators", _half_lead)
+    monkeypatch.setattr(Closure, "__init__", count_closure)
     assert main(HALF_LEAD_GOLDEN_CALLS[name]) == 1
+    assert closures == ["closed-form", "classical"]
     out = capsys.readouterr().out
     assert '"coeff": "-1/2"' in out
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
@@ -430,8 +440,9 @@ def test_each_triple_harvests_its_s_pairs_once(monkeypatch, capsys):
 
 
 def test_each_triple_closes_its_closed_form_set_once(monkeypatch, capsys):
-    # deep minimality and the lead-ideal check read one closure of the
-    # closed-form set; the classical set's closure is the only other one
+    # on a certified triple only deep minimality closes the closed-form set,
+    # once; the certificates decide the lead-ideal and closed-form-set
+    # checks, so a shallow verify and every sweep triple build no closure
     curves, closures = [], collections.Counter()
     init, closure_init = syzygy.Curve.__init__, Closure.__init__
 
@@ -445,13 +456,59 @@ def test_each_triple_closes_its_closed_form_set_once(monkeypatch, capsys):
 
     monkeypatch.setattr(syzygy.Curve, "__init__", keep)
     monkeypatch.setattr(Closure, "__init__", count_closure)
-    for extra in ([], ["--shallow"]):
+    for extra, built in (([], 1), (["--shallow"], 0)):
         curves.clear()
         closures.clear()
         assert main(["verify", "--m0", "13", "--d", "2", "--p", "6", "--bound", "2"] + extra) == 0
         (curve,) = curves
-        assert closures == {curve.order: 2}, extra
+        assert curve.ring_certified()
+        assert closures == ({curve.order: 1} if built else {}), extra
         assert curve.closure() is curve.closure()
+
+    curves.clear()
+    closures.clear()
+    capsys.readouterr()
+    assert main(["sweep", "--p", "2..3", "--a", "1..2", "--d", "1..2", "--bound", "2",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["ran"] == len(curves) > 1
+    assert not closures
+
+
+def test_a_certified_triple_divides_no_pair_past_its_heaviest_generator(monkeypatch, capsys):
+    # a passing shallow verify builds no S-polynomial at all; a deep one
+    # pops pairs only up to the heaviest generator's weight, and leaves the
+    # heavier ones queued
+    curves, spolys, popped = [], [], []
+    init, spoly, pop = syzygy.Curve.__init__, polyring.s_polynomial, polyring.heappop
+
+    def keep(self, params):
+        init(self, params)
+        curves.append(self)
+
+    def count_spoly(*args):
+        spolys.append(args)
+        return spoly(*args)
+
+    def record_pop(heap):
+        popped.append(heap[0][0])
+        return pop(heap)
+
+    monkeypatch.setattr(syzygy.Curve, "__init__", keep)
+    monkeypatch.setattr(polyring, "s_polynomial", count_spoly)
+    monkeypatch.setattr(syzygy, "s_polynomial", count_spoly)
+    monkeypatch.setattr(polyring, "heappop", record_pop)
+    argv = ["verify", "--m0", "41", "--d", "2", "--p", "12", "--bound", "2"]
+    assert main(argv + ["--shallow"]) == 0
+    assert not spolys and not popped
+
+    curves.clear()
+    assert main(argv) == 0
+    (curve,) = curves
+    top = max(curve.order.weight(lm) for lm, *_ in curve.ring_reducer.rows[None])
+    assert popped and max(popped) <= top
+    assert len(spolys) == len(popped)
+    grown = curve.closure()[0]
+    assert grown._pairs and min(w for w, *_ in grown._pairs) > top
     capsys.readouterr()
 
 

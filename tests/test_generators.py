@@ -13,6 +13,7 @@ from monocurve import make_params
 from monocurve.cli import main
 from monocurve.generators import (
     GeneratorSet,
+    _certified,
     _rank,
     PatilSet,
     epsilon,
@@ -436,6 +437,18 @@ def test_rank_is_exact_over_the_rationals():
     assert _rank(order, [Poly(4, {x: 1, z: 1}), Poly(4, {z: 1, y: 1}), Poly(4, {y: 1, x: -1})]) == 2
 
 
+def _closures_of(monkeypatch) -> list:
+    # the generator lists of the Closures built from now on, in order
+    built, closure_init = [], Closure.__init__
+
+    def count_closure(self, order, gens=()):
+        built.append(list(gens))
+        closure_init(self, order, gens)
+
+    monkeypatch.setattr(Closure, "__init__", count_closure)
+    return built
+
+
 def test_closed_form_check_closes_the_classical_set(monkeypatch, p713):
     # the same h in place of psi_1,0 keeps the classical ideal, but psi(1,0)
     # then reduces to zero only after the S-pair of h and phi_1 at weight 28
@@ -449,7 +462,12 @@ def test_closed_form_check_closes_the_classical_set(monkeypatch, p713):
     curve = Curve(p713)
     order = curve.order
     assert normal_form(psi_binomial(p713, 0), Reducer(order, curve.patil.polynomials()))[0]
+    # h leads with X2^2*X3 where psi_1,0 led with X1*X3: K(LT) fails, so the
+    # classical set's closure decides the record
+    assert not _certified(order, curve.patil.polynomials())
+    built = _closures_of(monkeypatch)
     checks = {c.name: c for c in verify_ideal_equality(curve).checks}
+    assert built == [curve.patil.polynomials()]
     assert checks["closed-form-set-reduces"].passed
     assert checks["rewriting-identities"].witness == {"elements": ["psi_1,0"]}
 
@@ -470,7 +488,13 @@ def test_closed_form_check_reports_the_full_normal_form(monkeypatch, triple):
     full = buchberger(order, patil_generators(pr).polynomials())
     remainder, _ = normal_form(bad, Reducer(order, full))
     assert remainder
-    check = {c.name: c for c in verify_ideal_equality(Curve(pr)).checks}["closed-form-set-reduces"]
+    curve = Curve(pr)
+    # bad lies outside the ideal, so the certificate fails and the closure runs
+    assert _certified(order, curve.patil.polynomials())
+    assert not _certified(order, curve.patil.polynomials(), curve.gset.polynomials())
+    built = _closures_of(monkeypatch)
+    check = {c.name: c for c in verify_ideal_equality(curve).checks}["closed-form-set-reduces"]
+    assert built == [curve.patil.polynomials()]
     assert not check.passed
     assert check.witness == {"element": "phi(1,1)", "remainder": poly_to_json(order, remainder)}
 

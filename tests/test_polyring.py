@@ -24,7 +24,8 @@ from monocurve.polyring import (
     variable_monomial,
 )
 from monocurve.syzygy import Curve
-from oracles import buchberger, curve_image, hilbert_function, poly_from_json, series_coefficients
+from oracles import (buchberger, curve_image, hilbert_function, numerator_all_pairs,
+                     poly_from_json, series_coefficients)
 
 P713 = make_params(7, 1, 3)
 ORDER = WeightOrder(P713)
@@ -187,6 +188,27 @@ def test_hilbert_numerator_counts_the_monomials_outside_the_ideal(weights, data)
     top = 16
     assert (series_coefficients(hilbert_numerator(weights, monos), weights, top)
             == hilbert_function(weights, monos, top))
+
+
+@given(weights=st.lists(st.integers(1, 9), min_size=1, max_size=7), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_hilbert_numerator_matches_the_all_pairs_recursion(weights, data):
+    # minimizing once at entry gives the K of minimizing every ideal the
+    # recursion meets, on monomial ideals in up to 7 variables
+    expo = st.tuples(*[st.integers(0, 3)] * len(weights))
+    monos = data.draw(st.lists(expo, max_size=10))
+    assert hilbert_numerator(weights, monos) == numerator_all_pairs(weights, monos)
+
+
+@pytest.mark.parametrize("triple", [(17, 3, 8), (41, 2, 12), (71, 2, 24)])
+def test_hilbert_numerator_matches_the_all_pairs_recursion_on_lead_sets(triple):
+    # the ring leads, and each distinct lead set of the syzygy basis
+    curve = Curve(make_params(*triple))
+    weights = curve.params.exponent_weights
+    ideals = {frozenset(lm for lm, *_ in row) for row in curve.module_reducer.rows.values()}
+    ideals.add(frozenset(lm for lm, *_ in curve.ring_reducer.rows[None]))
+    for monos in ideals:
+        assert hilbert_numerator(weights, monos) == numerator_all_pairs(weights, monos)
 
 
 def test_hilbert_numerator_edge_cases():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from monocurve import generators, make_params, syzygy
 from monocurve.generators import GeneratorSet, groebner_generators, phi_binomial, psi_binomial
 from monocurve.polyring import (
+    Closure,
     Poly,
     Reducer,
     WeightOrder,
@@ -50,12 +51,14 @@ from monocurve.syzygy import (
     verify_syzygy_basis,
 )
 from monocurve.semigroup import apery_numerator
-from oracles import _symbol_from_json, buchberger, mod_elem_from_json, parameter_sweep
+from oracles import (_symbol_from_json, buchberger, mod_elem_from_json, module_identity_by_symbol,
+                     parameter_sweep)
 
 P713 = make_params(7, 1, 3)
 C713 = Curve(P713)
 MORDER = ModuleOrder(P713)
 SWEEP5 = list(parameter_sweep(range(2, 6), range(1, 4), range(1, 6)))
+SWEEP6 = list(parameter_sweep(range(2, 7), range(1, 4), range(1, 6)))
 
 
 def _x(v, e=1):
@@ -718,6 +721,45 @@ def test_lead_ideal_record_matches_the_reduced_basis(monkeypatch, triple, plante
     assert record == _buchberger_record(curve)
 
 
+def _closure_record(curve):
+    # reference: the closed-form-set-reduces record as the classical set's
+    # closure, truncated at the heaviest closed-form weight, makes it
+    order = curve.order
+    top = max(order.weight(order.leading_monomial(g)) for g in curve.gset.polynomials())
+    table = Closure(order, curve.patil.polynomials()).close(top)
+    for lab, g in curve.gset.labeled():
+        r, _ = normal_form(g, table)
+        if r:
+            return False, "", {"element": lab, "remainder": poly_to_json(order, r)}
+    return True, "", None
+
+
+def test_certified_records_match_the_closure_records(monkeypatch):
+    # on each of the 206 triples both certificates hold, no closure is
+    # built, and the two records they decide are those that the classical
+    # set's truncated closure and the reduced basis of the closed-form set
+    # make
+    built = []
+    closure_init = Closure.__init__
+
+    def count_closure(self, order, gens=()):
+        built.append(order)
+        closure_init(self, order, gens)
+
+    assert len(SWEEP6) == 206
+    for pr in SWEEP6:
+        curve = Curve(pr)
+        with monkeypatch.context() as patch:
+            patch.setattr(Closure, "__init__", count_closure)
+            lead_ideal = _record(generators.verify_groebner_generators(curve), "buchberger-lt-ideal")
+            closed_form = _record(generators.verify_ideal_equality(curve), "closed-form-set-reduces")
+        assert not built, pr
+        assert curve.ring_certified()
+        assert generators._certified(curve.order, curve.patil.polynomials(), curve.gset.polynomials())
+        assert lead_ideal == _buchberger_record(curve), pr
+        assert closed_form == _closure_record(curve), pr
+
+
 @pytest.mark.parametrize("triple, shortcuts", [
     ((7, 1, 3), 4), ((13, 2, 6), 7), ((9, 4, 2), 2), ((11, 2, 5), 6), ((17, 3, 8), 9),
 ])
@@ -782,6 +824,20 @@ def test_sampled_dropped_syzygies_fail_the_module_identity(triple):
         curve = copy.copy(base)
         curve.module_reducer = Reducer(base.morder, elements[:k] + elements[k + 1:])
         assert not syzygy._module_identity(curve), (triple, k)
+
+
+@pytest.mark.parametrize("triple", [(17, 3, 8), (41, 2, 12), (71, 2, 24)])
+def test_module_identity_matches_the_per_symbol_reference(triple):
+    # one K per distinct lead set gives the verdict of one K per symbol, on
+    # the basis and with a sampled member dropped
+    base = Curve(make_params(*triple))
+    assert syzygy._module_identity(base) and module_identity_by_symbol(base)
+    elements = base.sset.elements()
+    for k in random.Random(sum(triple)).sample(range(len(elements)), 2):
+        curve = copy.copy(base)
+        curve.module_reducer = Reducer(base.morder, elements[:k] + elements[k + 1:])
+        assert not syzygy._module_identity(curve), (triple, k)
+        assert not module_identity_by_symbol(curve), (triple, k)
 
 
 @pytest.mark.parametrize("triple", [(7, 1, 3), (8, 3, 2)])
