@@ -8,11 +8,12 @@ built alongside for cross-checks: both sets generate the same ideal and
 have the same cardinality.
 
 Every verification routine takes the triple's syzygy.Curve, which holds
-both sets, the ring order and a Reducer of the closed-form basis, built
-once, and the one closure of that basis, built only for deep minimality
-or when a Hilbert-series certificate fails (_certified): a certified set
-needs no closure to be known a Groebner basis.  It returns a
-VerificationReport and records a witness on failure instead of raising.
+both sets, the ring order, the ring Reducer of the closed-form set G,
+the one copy of G, its leads and pairs that a ring check reads, and the
+one closure of G, built only for deep minimality or when the
+Hilbert-series certificate fails (_certified): a certified set needs no
+closure to be known a Groebner basis.  It returns a VerificationReport
+and records a witness on failure instead of raising.
 Standard monomials are reached as an order ideal from 1 and compared
 with the paper's shape, written out in closed form; no check walks the
 exponent box.
@@ -37,6 +38,7 @@ from .polyring import (
     mono_to_name,
     normal_form,
     poly_to_json,
+    s_polynomial,
     variable_monomial,
 )
 from .report import VerificationReport
@@ -207,7 +209,7 @@ def standard_monomials(curve: Curve, bound: int) -> list:
     """Monomials with exponents <= bound outside the leading-term ideal, in
     ascending order.  They form an order ideal, reached from 1 by raising
     one exponent at a time and never entering a multiple of a lead."""
-    lms = [lm for lm, *_ in curve.ring_reducer.rows[None]]
+    lms = curve.ring_reducer.lead_monomials()
     one = mono_one(curve.params.nvars)
     seen, stack, out = {one}, [one], []
     while stack:
@@ -230,14 +232,14 @@ def standard_monomials(curve: Curve, bound: int) -> list:
 def verify_groebner_generators(curve: Curve) -> VerificationReport:
     """The closed-form set is a Groebner basis with the predicted lead terms.
 
-    Three checks: the computed leading monomials match the closed-form
-    set; every S-polynomial reduces to zero against the set itself; and
-    the reduced Groebner basis of the set's ideal has no new leading
-    monomial.  The identity K(LT(G)) = N, once every element lies in the
-    curve ideal, decides both Groebner claims (Curve.ring_certified).  The
-    S-pair detail then counts every pair, and the reduced basis leads with
-    the minimal leads of G.  Otherwise the harvest of every pair
-    (curve.harvest) is scanned i-major, and the first failure is the
+    Three checks, on G as the ring Reducer holds it: the leading monomials
+    match the closed-form set; every S-polynomial reduces to zero against
+    G itself; and the reduced Groebner basis of the ideal of G has no new
+    leading monomial.  The identity K(LT(G)) = N, once every element lies
+    in the curve ideal, decides both Groebner claims
+    (Curve.ring_certified).  The S-pair detail then counts every pair, and
+    the reduced basis leads with the minimal leads of G.  Otherwise every
+    pair is divided x-major, and the first non-zero remainder is the
     witness; and the triple's one closure (Curve.closure), closed
     untruncated, is a Groebner basis of the ideal of G.
 
@@ -246,12 +248,12 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
     leads that no other divides stand for it.  The closure can hold equal
     leads, and a later lead can divide an earlier one.
     """
-    params, order = curve.params, curve.order
-    labels, polys = zip(*curve.gset.labeled())
+    params, order, table = curve.params, curve.order, curve.ring_reducer
+    labels, basis = [lab for lab, _ in curve.gset.labeled()], table.basis
     report = VerificationReport(params)
 
     expected = expected_leading_monomials(params)
-    actual = {order.leading_monomial(g) for g in polys}
+    actual = set(table.lead_monomials())
     report.add(
         "leading-term-set",
         actual == expected,
@@ -265,13 +267,14 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
     )
 
     witness, leads = None, actual
-    pairs = len(polys) * (len(polys) - 1) // 2
+    pairs = len(basis) * (len(basis) - 1) // 2
     if not curve.ring_certified():
-        for pairs, (i, j, r, _) in enumerate(sorted(curve.harvest(), key=lambda row: row[:2]), 1):
+        for pairs, (i, j) in enumerate(table.pairs(), 1):
+            r, _ = normal_form(s_polynomial(order, basis[i], basis[j]), table)
             if r:
                 witness = {"pair": [labels[i], labels[j]], "remainder": poly_to_json(order, r)}
                 break
-        leads = [lm for lm, *_ in curve.closure()[0].close().rows[None]]
+        leads = curve.closure()[0].close().lead_monomials()
     report.add("s-polynomials-reduce", witness is None, detail=f"{pairs} pairs", witness=witness)
 
     # a lead in both sets divides itself, so only the others are scanned
@@ -299,16 +302,25 @@ def _mixed_weight(params: CurveParams, labeled) -> dict | None:
     return None
 
 
-def _certified(order: WeightOrder, basis, members=()) -> bool:
-    """Whether basis is a Groebner basis of the curve ideal I that holds
-    members too, for elements of one weight each (see _mixed_weight): each
-    element lies in I, as its coefficients sum to 0, and K(LT(basis)) = N.
-    Then <LT(basis)>, inside LT(I), has the Hilbert series of I and equals
+def _first_stuck(labeled, table: Reducer) -> dict | None:
+    """The first (label, polynomial) with a non-zero remainder by table, as
+    a witness with that remainder, or None."""
+    for lab, g in labeled:
+        r, _ = normal_form(g, table)
+        if r:
+            return {"element": lab, "remainder": poly_to_json(table.order, r)}
+    return None
+
+
+def _certified(table: Reducer) -> bool:
+    """Whether the basis G of the ring Reducer table, of one weight per
+    element (see _mixed_weight), is a Groebner basis of the curve ideal I:
+    each element lies in I, as its coefficients sum to 0, and K(LT(G)) =
+    N.  Then <LT(G)>, inside LT(I), has the Hilbert series of I and equals
     it (Macaulay; Cox, Little, O'Shea, sections 5.2 and 2.7)."""
-    if any(sum(g.terms.values()) for g in [*basis, *members]):
-        return False
-    params, leads = order.params, [order.leading_monomial(g) for g in basis]
-    return hilbert_numerator(params.exponent_weights, leads) == apery_numerator(params)
+    params, leads = table.order.params, table.lead_monomials()
+    return (not any(sum(g.terms.values()) for g in table.basis)
+            and hilbert_numerator(params.exponent_weights, leads) == apery_numerator(params))
 
 
 def _rank(order: WeightOrder, polys) -> int:
@@ -325,24 +337,25 @@ def _rank(order: WeightOrder, polys) -> int:
     return len(rows.basis)
 
 
-def _closure_by_weight(order: WeightOrder, labeled) -> tuple[Closure, list]:
-    """One Closure of the labeled generators, grown weight by weight: at
-    each lead weight w, ascending, it is closed up to w, the weight-w
-    generators are divided by it in label order, and then they join it.
-    Returns the Closure, holding every generator and closed only up to the
-    heaviest (close() resumes it to a Groebner basis of their ideal), and
-    per weight the (index, normal form) of each of its generators; see
-    verify_minimality."""
+def _closure_by_weight(table: Reducer) -> tuple[Closure, list]:
+    """One Closure of the basis of the ring Reducer table, grown weight by
+    weight: at each lead weight w, ascending, it is closed up to w, the
+    weight-w generators are divided by it in list order, and then they
+    join it.  Returns the Closure, holding every generator and closed only
+    up to the heaviest (close() resumes it to a Groebner basis of their
+    ideal), and per weight the (index, normal form) of each of its
+    generators; see verify_minimality."""
+    order, basis = table.order, table.basis
     by_weight = {}
-    for k, (_, g) in enumerate(labeled):
-        by_weight.setdefault(order.weight(order.leading_monomial(g)), []).append(k)
+    for k, (lm, _) in enumerate(table.leads):
+        by_weight.setdefault(order.weight(lm), []).append(k)
     grown = Closure(order)
     forms = []
     for w in sorted(by_weight):
-        table = grown.close(w)
-        forms.append([(k, normal_form(labeled[k][1], table)[0]) for k in by_weight[w]])
+        closed = grown.close(w)
+        forms.append([(k, normal_form(basis[k], closed)[0]) for k in by_weight[w]])
         for k in by_weight[w]:
-            grown.add(labeled[k][1])
+            grown.add(basis[k])
     return grown, forms
 
 
@@ -381,16 +394,15 @@ def verify_minimality(curve: Curve, deep: bool = False) -> VerificationReport:
     closure costs S-pairs rather than m0 or d, and is shared with
     verify_groebner_generators; this check adds only the rank tests.
     """
-    params, order = curve.params, curve.order
-    labeled = curve.gset.labeled()
+    params, table = curve.params, curve.ring_reducer
+    labels = [lab for lab, _ in curve.gset.labeled()]
     report = VerificationReport(params)
 
-    leads = [(order.leading_monomial(g), k) for k, (_, g) in enumerate(labeled)]
-    first = _first_dividing_pair([leads])
+    first = _first_dividing_pair(table)
     offender = None if first is None else {
-        "divisor": labeled[first[0]][0], "multiple": labeled[first[1]][0],
-        "monomials": [list(leads[k][0]) for k in first]}
-    n = len(labeled)
+        "divisor": labels[first[0]], "multiple": labels[first[1]],
+        "monomials": [list(table.leads[k][0]) for k in first]}
+    n = len(table.basis)
     report.add(
         "leading-terms-incomparable",
         offender is None,
@@ -399,14 +411,14 @@ def verify_minimality(curve: Curve, deep: bool = False) -> VerificationReport:
     )
 
     if deep:
-        redundant = _mixed_weight(params, labeled)
+        redundant = _mixed_weight(params, zip(labels, table.basis))
         if redundant is None:
-            first = _redundant_by_weight(order, curve.closure()[1])
-            redundant = None if first is None else {"element": labeled[first][0]}
+            first = _redundant_by_weight(curve.order, curve.closure()[1])
+            redundant = None if first is None else {"element": labels[first]}
         report.add(
             "no-redundant-generator",
             redundant is None,
-            detail=f"{len(labeled)} one-left-out closures",
+            detail=f"{n} one-left-out closures",
             witness=redundant,
         )
     return report
@@ -415,40 +427,31 @@ def verify_minimality(curve: Curve, deep: bool = False) -> VerificationReport:
 def verify_ideal_equality(curve: Curve) -> VerificationReport:
     """Both generating sets span the same ideal and have equal size.
 
-    The classical set reduces by the closed-form basis.  Once every element
-    of both sets has a single weight, the closed-form set reduces by the
-    classical set's closure truncated at the heaviest closed-form weight.
-    When both sets lie in the curve ideal and the classical set is a
-    Groebner basis of it (_certified), every remainder is zero, and the
-    closure is not run.
+    The classical set reduces by the closed-form set G (the ring
+    Reducer).  Once every element of both sets has a single weight, G is
+    divided by the classical set, where a zero remainder proves
+    membership; only if a remainder is left must G reduce by the
+    classical set's closure, truncated at the heaviest weight of G.
     """
-    params, order, gset, patil = curve.params, curve.order, curve.gset, curve.patil
+    params, order, table, patil = curve.params, curve.order, curve.ring_reducer, curve.patil
+    labeled = [(lab, g) for (lab, _), g in zip(curve.gset.labeled(), table.basis)]
     report = VerificationReport(params)
 
     report.add(
         "cardinalities-match",
-        len(gset) == len(patil),
-        detail=f"{len(gset)} closed-form vs {len(patil)} classical generators",
+        len(labeled) == len(patil),
+        detail=f"{len(labeled)} closed-form vs {len(patil)} classical generators",
     )
 
-    stuck = None
-    for lab, g in patil.labeled():
-        r, _ = normal_form(g, curve.ring_reducer)
-        if r:
-            stuck = {"element": lab, "remainder": poly_to_json(order, r)}
-            break
+    stuck = _first_stuck(patil.labeled(), table)
     report.add("classical-set-reduces", stuck is None, witness=stuck)
 
-    # the classical set's closure up to the heaviest closed-form element
-    stuck = _mixed_weight(params, patil.labeled() + gset.labeled())
-    if stuck is None and not _certified(order, patil.polynomials(), gset.polynomials()):
-        top = max(params.weight(order.leading_monomial(g)) for g in gset.polynomials())
-        table = Closure(order, patil.polynomials()).close(top)
-        for lab, g in gset.labeled():
-            r, _ = normal_form(g, table)
-            if r:
-                stuck = {"element": lab, "remainder": poly_to_json(order, r)}
-                break
+    # division by the classical set, and its closure up to the heaviest
+    # closed-form element only when a remainder is left
+    stuck = _mixed_weight(params, patil.labeled() + labeled)
+    if stuck is None and _first_stuck(labeled, Reducer(order, patil.polynomials())):
+        top = max(params.weight(lm) for lm in table.lead_monomials())
+        stuck = _first_stuck(labeled, Closure(order, patil.polynomials()).close(top))
     report.add("closed-form-set-reduces", stuck is None, witness=stuck)
 
     # rewriting identities tying the two sets together

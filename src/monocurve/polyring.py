@@ -303,24 +303,26 @@ class WeightOrder(TermOrder):
 class Reducer:
     """A division basis prepared once for any number of divisions.
 
-    For every element, in list order, it holds the lead monomial, the
-    inverse of the lead coefficient, the tail and the element's index,
-    grouped by the symbol of the lead term.  A module basis groups by its
-    module symbols; a ring basis is a module with the one symbol None.
-    normal_form and syzygy.module_normal_form divide by one, in the
-    order it was built with.
+    leads holds the leading term of each element, in list order, and
+    lead_monomials(sym) the lead monomials on one symbol.  The private
+    rows group each element's lead monomial, inverse lead coefficient,
+    tail and index by the symbol of its lead: a module basis by its
+    module symbols, a ring basis under the one symbol None.  normal_form
+    and syzygy.module_normal_form divide by one, in the order it was
+    built with.
 
     It also remembers, per term, the first row that divides it: rows are
     only appended, so that row stays the first for good.
     """
 
-    __slots__ = ("order", "ring", "basis", "rows", "_hits")
+    __slots__ = ("order", "ring", "basis", "leads", "_rows", "_hits")
 
     def __init__(self, order: TermOrder, basis=()):
         self.order = order
         self.ring = isinstance(order, WeightOrder)
         self.basis = []
-        self.rows = {}
+        self.leads = []
+        self._rows = {}
         self._hits = {}
         for g in basis:
             self.append(g)
@@ -333,15 +335,18 @@ class Reducer:
         else:
             mono, sym = lead
             tail = [(m, s, c) for (m, s), c in g.terms.items() if (m, s) != lead]
-        self.rows.setdefault(sym, []).append((mono, _inverse(lc), tail, len(self.basis)))
+        self._rows.setdefault(sym, []).append((mono, _inverse(lc), tail, len(self.basis)))
+        self.leads.append((lead, lc))
         self.basis.append(g)
+
+    def lead_monomials(self, sym=None) -> list:
+        """The lead monomials on sym in list order: all of a ring basis."""
+        return [row[0] for row in self._rows.get(sym, ())]
 
     def pairs(self) -> list[tuple[int, int]]:
         """The index pairs x < y whose leading terms share a symbol, x-major:
-        every pair of a ring basis, and the S-pairs of a module basis.
-        The checks scan them only when a Hilbert-series identity
-        (hilbert_numerator) fails to decide the Groebner claim."""
-        return sorted((x, y) for row in self.rows.values()
+        every pair of a ring basis, and the S-pairs of a module basis."""
+        return sorted((x, y) for row in self._rows.values()
                       for n, (*_, x) in enumerate(row) for *_, y in row[n + 1:])
 
     def divide(self, f):
@@ -352,7 +357,7 @@ class Reducer:
         lookups.  Each processed term is smaller than the one before, so
         an index k never gets the same quotient monomial twice.
         """
-        ring, rows, hits = self.ring, self.rows, self._hits
+        ring, rows, hits = self.ring, self._rows, self._hits
         key, cache = self.order.key, self.order._cache
         work = dict(f.terms)
         for t in work:
@@ -412,12 +417,12 @@ def normal_form(f: Poly, table: Reducer) -> tuple[Poly, dict[int, Poly]]:
     return table.divide(f)
 
 
-def _first_dividing_pair(groups) -> tuple[int, int] | None:
-    """The first (x, y) in index order, x != y, whose lead x divides lead y
-    within one group, or None.  Each group lists rows shaped like those of
-    a Reducer, (lead, ..., index); leads on two symbols never divide."""
-    return min(((x, y) for group in groups for lx, *_, x in group
-                for ly, *_, y in group if x != y and mono_divides(lx, ly)), default=None)
+def _first_dividing_pair(table: Reducer) -> tuple[int, int] | None:
+    """The first (x, y) in index order, x != y, whose lead monomial x
+    divides lead monomial y on one symbol of table, or None; leads on two
+    symbols never divide."""
+    return min(((x, y) for row in table._rows.values() for lx, *_, x in row
+                for ly, *_, y in row if x != y and mono_divides(lx, ly)), default=None)
 
 
 def s_polynomial(order: TermOrder, f, g):
@@ -444,7 +449,7 @@ class Closure:
     skipped.  close(upto) processes the queued pairs in ascending weight,
     and heavier pairs stay queued, so more generators can be added and the
     closure resumed at a larger weight.  table is the Reducer of the basis
-    so far, and its rows hold the leads.
+    so far, and holds its leads.
     """
 
     __slots__ = ("order", "table", "_pairs")
@@ -462,7 +467,7 @@ class Closure:
         order, table, pairs = self.order, self.table, self._pairs
         lm, lc = order.leading_term(g)
         j = len(table.basis)
-        for m, *_, i in table.rows.get(None, ()):
+        for i, (m, _) in enumerate(table.leads):
             if not mono_coprime(m, lm):
                 heappush(pairs, (order.weight(mono_lcm(m, lm)), i, j))
         table.append(g if lc == 1 else g.scaled(_inverse(lc)))

@@ -23,14 +23,13 @@ pairs compare by (j, i).
 ModElement is a polyring.SparseMap keyed by (monomial, symbol), with
 Poly's arithmetic and validating constructor, and ModuleOrder a
 polyring.TermOrder.  module_normal_form runs the ring's division loop
-(polyring.Reducer): a module basis is prepared once with its lead terms
-grouped by symbol, where a ring basis has the one symbol None.
+(polyring.Reducer), where a ring basis has the one symbol None.
 S-vectors come from the ring's S-pair builder, polyring.s_polynomial,
-for the pairs of basis elements whose leads share a symbol, read from
-those groups (Reducer.pairs).  schreyer_relations lifts each S-pair of
-the ring basis to a module element.  The excluded families of module
-terms are boxes of exponents, each tested against the grouped lead terms
-through its largest member.
+for the pairs of basis elements whose leads share a symbol
+(Reducer.pairs).  schreyer_relations lifts each S-pair of the symbols'
+binomials to a module element.  The excluded families of module terms
+are boxes of exponents, each tested against the lead terms on their
+symbol through its largest member.
 
 Both Groebner claims are decided by one Hilbert-series identity each
 (Curve.ring_certified, _module_identity), in terms of N, the Hilbert
@@ -47,6 +46,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,6 +72,7 @@ from .polyring import (
     ZeroPolynomialError,
     _exact,
     _first_dividing_pair,
+    _inverse,
     _join_signed,
     _json_terms,
     _minimal,
@@ -378,18 +379,19 @@ class Curve:
     """The objects every check of one triple shares, each built once.
 
     order is the ring order inside morder, so the triple has one key
-    cache per order.  images maps each module symbol to its binomial in
-    label order; ring_reducer divides by those binomials in that order
-    and module_reducer by the syzygy basis in its label order.  The key
-    caches grow as the checks run, and ring_certified(), harvest() and
-    closure() are computed on first use; everything else is read, never
-    changed, so a caller that needs to extend a basis builds its own
-    Reducer.  Only deep minimality, or a check whose identity fails, builds
-    the closure: a shallow verify of a certified triple builds none.
+    cache per order.  ring_reducer divides by G = gset.labeled() in that
+    order, the one copy of G the ring checks read; images maps each module
+    symbol, of A, B and L, to its binomial; module_reducer divides by the
+    syzygy basis in label order.  The key caches grow as the checks run,
+    and ring_certified() and closure() are computed on first use;
+    everything else is read, never changed, so a caller that extends a
+    basis builds its own Reducer.  Only deep minimality, or a check whose
+    identity fails, builds the closure: a certified shallow verify builds
+    none.
     """
 
     __slots__ = ("params", "morder", "order", "gset", "patil", "sset", "images",
-                 "ring_reducer", "module_reducer", "_ring_certified", "_harvest", "_closure")
+                 "ring_reducer", "module_reducer", "_ring_certified", "_closure")
 
     def __init__(self, params: CurveParams):
         self.params = params
@@ -400,35 +402,27 @@ class Curve:
         self.sset = syzygy_basis(params)
         self.images = {Phi(i, j): g for (i, j), g in sorted(self.gset.phis.items())}
         self.images.update((Psi(j), g) for j, g in sorted(self.gset.psis.items()))
-        self.ring_reducer = Reducer(self.order, self.images.values())
+        self.ring_reducer = Reducer(self.order, self.gset.polynomials())
         self.module_reducer = Reducer(self.morder, self.sset.elements())
-        self._ring_certified = self._harvest = self._closure = None
+        self._ring_certified = self._closure = None
 
     def ring_certified(self) -> bool:
-        """Whether the closed-form set G, each element of one weight, is a
-        Groebner basis of the curve ideal (generators._certified), computed
-        once."""
+        """Whether G, each element of one weight, is a Groebner basis of
+        the curve ideal (generators._certified), computed once."""
         if self._ring_certified is None:
-            self._ring_certified = (_mixed_weight(self.params, self.images.items()) is None
-                                    and _certified(self.order, self.images.values()))
+            table = self.ring_reducer
+            self._ring_certified = (_mixed_weight(self.params, enumerate(table.basis)) is None
+                                    and _certified(table))
         return self._ring_certified
 
-    def harvest(self) -> list:
-        """schreyer_relations of the ring basis, computed once and kept;
-        only a check whose identity fails reads it."""
-        if self._harvest is None:
-            self._harvest = schreyer_relations(self)
-        return self._harvest
-
     def closure(self) -> tuple[Closure, list]:
-        """The one closure of the closed-form set in label order, grown
-        weight by weight up to its heaviest generator, computed once: the
-        Closure, and the normal forms of its generators per weight
-        (generators._closure_by_weight), which deep minimality reads.  The
-        lead-ideal check resumes it to a Groebner basis of the set's ideal
-        only when the ring identity fails."""
+        """The one closure of G, grown weight by weight up to its heaviest
+        generator, computed once: the Closure, and the normal forms of its
+        generators per weight (generators._closure_by_weight), which deep
+        minimality reads.  The lead-ideal check resumes it to a Groebner
+        basis of the ideal of G only when the ring identity fails."""
         if self._closure is None:
-            self._closure = _closure_by_weight(self.order, self.gset.labeled())
+            self._closure = _closure_by_weight(self.ring_reducer)
         return self._closure
 
 
@@ -448,25 +442,24 @@ def module_normal_form(elem: ModElement, table: Reducer):
 
 
 def schreyer_relations(curve: Curve) -> list:
-    """Each S-pair of the closed-form basis, j-major, divided once by
-    curve.ring_reducer, as (i, j, remainder, element).  The element, the
-    pair's two cofactors minus the division's quotients on the generators'
-    symbols, evaluates to the remainder.  So the basis is a Groebner basis
-    exactly when every remainder is zero, and the elements then generate
-    the relations among it (Schreyer; Eisenbud, Commutative Algebra,
-    15.5); no coprime pair is skipped, as its Koszul relation can be one
-    of the generators."""
-    order, table = curve.order, curve.ring_reducer
-    symbols = list(curve.images)  # in the order of the ring reducer's basis
-    rows = table.rows[None]
-    out = []
+    """Each S-pair of the binomials of the symbols (curve.images), j-major,
+    divided once by a Reducer of them in symbol order, as (i, j,
+    remainder, element).  The element, the pair's two cofactors minus the
+    division's quotients on the binomials' symbols, evaluates to the
+    remainder.  So the binomials form a Groebner basis exactly when every
+    remainder is zero, and the elements then generate the relations among
+    them (Schreyer; Eisenbud, Commutative Algebra, 15.5); no coprime pair
+    is skipped, as its Koszul relation can be one of the generators."""
+    order, symbols = curve.order, list(curve.images)
+    table = Reducer(order, curve.images.values())
+    leads, out = table.leads, []
     for i, j in sorted(table.pairs(), key=lambda pair: pair[::-1]):
         r, quots = normal_form(s_polynomial(order, table.basis[i], table.basis[j]), table)
         terms = {(m, symbols[k]): -c for k, q in quots.items() for m, c in q.terms.items()}
         # the cofactors reach the lcm, above every quotient term: no overlap
-        lcm = mono_lcm(rows[i][0], rows[j][0])
+        lcm = mono_lcm(leads[i][0], leads[j][0])
         for k, sign in ((i, 1), (j, -1)):
-            terms[(mono_div(lcm, rows[k][0]), symbols[k])] = sign * rows[k][1]
+            terms[(mono_div(lcm, leads[k][0]), symbols[k])] = sign * _inverse(leads[k][1])
         out.append((i, j, r, ModElement._raw(curve.params.nvars, terms)))
     return out
 
@@ -477,17 +470,18 @@ def schreyer_relations(curve: Curve) -> list:
 
 def _module_identity(curve: Curve) -> bool:
     """Whether sum_sym t^{w(image(sym))} K(M_sym) = 1 - N, for the leads
-    M_sym of the syzygy basis on each symbol.  Once G is a Groebner basis
-    of I, the syzygy module Syz is the kernel of the free module F onto I,
-    graded by the images, so HS(F/Syz) = HS(I) has numerator 1 - N; a
-    basis inside Syz is a Groebner basis of it exactly when its leads
-    give F/<LT(basis)> that series (Macaulay, symbol by symbol).  Many
-    symbols share one lead set, so K is computed once per distinct set,
-    every set sharing one memo of Bigatti's recursion."""
-    params, rows = curve.params, curve.module_reducer.rows
+    M_sym of the syzygy basis on each symbol.  Once the images are a
+    Groebner basis of I (the certified ring Reducer's basis), the syzygy
+    module Syz is the kernel of the free module F onto I, graded by the
+    images, so HS(F/Syz) = HS(I) has numerator 1 - N; a basis inside Syz
+    is a Groebner basis of it exactly when its leads give F/<LT(basis)>
+    that series (Macaulay, symbol by symbol).  Many symbols share one lead
+    set, so K is computed once per distinct set, every set sharing one
+    memo of Bigatti's recursion."""
+    params, table = curve.params, curve.module_reducer
     shifts = {}
     for sym, image in curve.images.items():
-        leads = frozenset(lm for lm, *_ in rows.get(sym, ()))
+        leads = frozenset(table.lead_monomials(sym))
         shifts.setdefault(leads, []).append(params.weight(next(iter(image.terms))))
     series, memo = {}, {}
     for leads, weights in shifts.items():
@@ -506,12 +500,13 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     that reduces to zero against the basis; (e) no lead divides another.
 
     (c) and (d) are decided by one identity (_module_identity) once (a)
-    passed and the ring identity holds (Curve.ring_certified): the basis
-    is then a Groebner basis of the syzygy module, which holds every
-    S-vector and every harvested relation, and the details count every
-    pair.  Otherwise the S-vectors are divided x-major and the harvest of
-    every ring pair (curve.harvest) is scanned j-major; the first failure
-    of each is its witness and ends its count.
+    passed, the symbols' binomials are the ring Reducer's basis, and the
+    ring identity holds (Curve.ring_certified): the basis is then a
+    Groebner basis of the syzygy module, which holds every S-vector and
+    every harvested relation, and the details count every pair.
+    Otherwise the S-vectors are divided x-major and the harvest of every
+    pair of binomials (schreyer_relations) is scanned j-major; the first
+    failure of each is its witness and ends its count.
     """
     params, morder, table = curve.params, curve.morder, curve.module_reducer
     labeled = curve.sset.labeled()
@@ -527,7 +522,7 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     members_ok = bad is None
 
     predicted = _expected_leads(params)
-    actual = {lab: morder.leading_term(g)[0] for lab, g in labeled}
+    actual = {lab: term for (lab, _), (term, _) in zip(labeled, table.leads)}
     shape_ok = (
         set(actual.values()) == set(predicted.values())
         and len(set(actual.values())) == len(labeled)
@@ -546,9 +541,10 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     )
 
     # one identity decides (c) and (d); if it or a hypothesis fails, both scan
-    certified = members_ok and curve.ring_certified() and _module_identity(curve)
+    certified = (members_ok and list(curve.images.values()) == curve.ring_reducer.basis
+                 and curve.ring_certified() and _module_identity(curve))
     bad = None
-    count = sum(len(row) * (len(row) - 1) // 2 for row in table.rows.values())
+    count = sum(n * (n - 1) // 2 for n in Counter(sym for (_, sym), _ in table.leads).values())
     if not certified:
         for count, (x, y) in enumerate(table.pairs(), 1):
             s = s_polynomial(morder, table.basis[x], table.basis[y])
@@ -562,7 +558,7 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     symbols, bad = list(curve.images), None
     count = len(symbols) * (len(symbols) - 1) // 2
     if not certified:
-        for count, (i, j, r, rel) in enumerate(curve.harvest(), 1):
+        for count, (i, j, r, rel) in enumerate(schreyer_relations(curve), 1):
             pair = [str(symbols[i]), str(symbols[j])]
             if r:
                 bad = {"pair": pair, "problem": "S-polynomial does not reduce to zero"}
@@ -573,16 +569,12 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
                 bad = {"pair": pair, "remainder": mod_elem_to_json(morder, r)} if r else None
             if bad:
                 break
-    report.add(
-        "harvested-relations-reduce",
-        bad is None,
-        detail=f"{count} harvested relations",
-        witness=bad,
-    )
+    report.add("harvested-relations-reduce", bad is None, detail=f"{count} harvested relations",
+               witness=bad)
 
     # the first dividing (x, y) in the order of a double loop over all
     # leads, and the ordered pairs that loop would have tried up to it
-    first = _first_dividing_pair(table.rows.values())
+    first = _first_dividing_pair(table)
     n = len(labeled)
     checked, offender = n * (n - 1), None
     if first is not None:
@@ -616,7 +608,7 @@ def verify_excluded_leading_forms(curve: Curve, bound: int) -> VerificationRepor
         raise ValueError(f"bound must be at least 2, got {bound}")
     params = curve.params
     p, b = params.p, params.b
-    leads = curve.module_reducer.rows
+    leads = curve.module_reducer.lead_monomials
     one = mono_one(params.nvars)
     x0, xp, top = variable_monomial(p, 0, bound), variable_monomial(p, p, bound), Psi(p - b)
     boxes = [("pure-X0", Psi(j), one, x0) for j in range(0, p - b + 1)]
@@ -632,7 +624,7 @@ def verify_excluded_leading_forms(curve: Curve, bound: int) -> VerificationRepor
     report = VerificationReport(params)
     bad = None
     for family, sym, low, high in boxes:
-        lead = next((m for m, *_ in leads.get(sym, ()) if mono_divides(m, high)), None)
+        lead = next((m for m in leads(sym) if mono_divides(m, high)), None)
         if lead is not None:
             bad = {"family": family, "term": term_to_json((mono_lcm(lead, low), sym))}
             break

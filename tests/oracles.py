@@ -145,10 +145,10 @@ def module_identity_by_symbol(curve) -> bool:
     the curve's syzygy basis on each symbol, with one numerator_all_pairs
     per symbol: the reference for syzygy._module_identity, which computes
     one K per distinct lead set."""
-    params, rows = curve.params, curve.module_reducer.rows
+    params, table = curve.params, curve.module_reducer
     series = {}
     for sym, image in curve.images.items():
-        leads = [lm for lm, *_ in rows.get(sym, ())]
+        leads = table.lead_monomials(sym)
         shift = params.weight(next(iter(image.terms)))
         _add_shifted(series, numerator_all_pairs(params.exponent_weights, leads), shift)
     return series == _add_shifted({0: 1}, apery_numerator(params), sign=-1)
@@ -225,7 +225,7 @@ def buchberger(order: WeightOrder, gens) -> list[Poly]:
     kept = Reducer(order)
     for g in sorted(Closure(order, gens).close().basis, key=lead_key):
         lm = order.leading_monomial(g)
-        if not any(mono_divides(m, lm) for m, *_ in kept.rows.get(None, ())):
+        if not any(mono_divides(m, lm) for m in kept.lead_monomials()):
             kept.append(g)
     out = []
     for g in kept.basis:

@@ -397,9 +397,9 @@ def test_each_triple_builds_its_shared_objects_once(monkeypatch, capsys):
 
 def test_each_triple_harvests_its_s_pairs_once(monkeypatch, capsys):
     # when the ring identity fails, the S-polynomial of every pair of the
-    # closed-form basis is divided by the triple's ring reducer once, in
-    # one harvest, which both S-pair checks read; the classical generators
-    # are the only other elements it divides
+    # closed-form set is divided by the triple's ring reducer once, and the
+    # classical generators are the only other elements it divides; the
+    # syzygy check builds one harvest, over a Reducer of its own
     curves, divisions, harvests = [], collections.Counter(), collections.Counter()
     init, divide, harvest = syzygy.Curve.__init__, Reducer.divide, syzygy.schreyer_relations
 
@@ -504,7 +504,7 @@ def test_a_certified_triple_divides_no_pair_past_its_heaviest_generator(monkeypa
     curves.clear()
     assert main(argv) == 0
     (curve,) = curves
-    top = max(curve.order.weight(lm) for lm, *_ in curve.ring_reducer.rows[None])
+    top = max(curve.order.weight(lm) for lm, _ in curve.ring_reducer.leads)
     assert popped and max(popped) <= top
     assert len(spolys) == len(popped)
     grown = curve.closure()[0]

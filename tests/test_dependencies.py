@@ -76,3 +76,12 @@ def test_every_parameter_of_a_library_function_is_read():
             unread += [(path.name, name, p) for p in params
                        if p not in ("self", "cls") and p not in read]
     assert unread == []
+
+
+def test_only_polyring_reads_the_rows_of_a_reducer():
+    # a Reducer's rows are private to polyring; the other modules read its
+    # leads, lead_monomials and pairs, so no row tuple is unpacked elsewhere
+    readers = {path.name for path in sorted((ROOT / "src" / "monocurve").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr in ("_rows", "rows")}
+    assert readers == {"polyring.py"}

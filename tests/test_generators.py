@@ -318,6 +318,38 @@ def _plant(monkeypatch, make, before=False):
     monkeypatch.setattr("monocurve.syzygy.groebner_generators", planted)
 
 
+@pytest.mark.parametrize("triple", [(7, 1, 3), (17, 3, 8)])
+@pytest.mark.parametrize("before", [False, True])
+def test_a_generator_planted_through_the_labels_reaches_every_ring_check(monkeypatch, triple,
+                                                                        before):
+    # X1^2 lies outside the curve ideal.  Planted through labeled() alone,
+    # with the phis and psis left as they are, it must reach the ring
+    # certificate, the S-pair scan, the lead ideal and the count
+    pr = make_params(*triple)
+    plain = Curve(pr)
+    assert plain.ring_reducer.basis == [g for _, g in plain.gset.labeled()]
+    x1x1 = Poly.term(pr.nvars, variable_monomial(pr.p, 1, 2))
+    _plant(monkeypatch, lambda params, gset: x1x1, before)
+    curve = Curve(pr)
+    assert curve.ring_reducer.basis == [g for _, g in curve.gset.labeled()]
+    assert not curve.ring_certified()
+    checks = {c.name: c for report in (verify_groebner_generators(curve),
+                                       verify_ideal_equality(curve)) for c in report.checks}
+    # the S-polynomial of X1^2 and phi(1,1) = X1^2 - X2*X0 is +-X2*X0
+    x2x0 = mono_mul(variable_monomial(pr.p, 2), variable_monomial(pr.p, 0))
+    pair = ["planted", "phi(1,1)"] if before else ["phi(1,1)", "planted"]
+    remainder = Poly.term(pr.nvars, x2x0, 1 if before else -1)
+    spoly = checks["s-polynomials-reduce"]
+    assert not spoly.passed
+    assert spoly.witness == {"pair": pair, "remainder": poly_to_json(curve.order, remainder)}
+    lead_ideal = checks["buchberger-lt-ideal"]
+    assert not lead_ideal.passed and not lead_ideal.witness["lost"]
+    assert list(x2x0) in lead_ideal.witness["new"]
+    n = len(curve.patil)
+    count = checks["cardinalities-match"]
+    assert not count.passed and count.detail == f"{n + 1} closed-form vs {n} classical generators"
+
+
 def _deep_witness(curve):
     deep = verify_minimality(curve, deep=True).checks[1]
     assert deep.name == "no-redundant-generator"
@@ -462,9 +494,10 @@ def test_closed_form_check_closes_the_classical_set(monkeypatch, p713):
     curve = Curve(p713)
     order = curve.order
     assert normal_form(psi_binomial(p713, 0), Reducer(order, curve.patil.polynomials()))[0]
-    # h leads with X2^2*X3 where psi_1,0 led with X1*X3: K(LT) fails, so the
-    # classical set's closure decides the record
-    assert not _certified(order, curve.patil.polynomials())
+    # so division by the classical set leaves a remainder, and its closure
+    # decides the record; h leads with X2^2*X3 where psi_1,0 led with X1*X3,
+    # so K(LT) fails too
+    assert not _certified(Reducer(order, curve.patil.polynomials()))
     built = _closures_of(monkeypatch)
     checks = {c.name: c for c in verify_ideal_equality(curve).checks}
     assert built == [curve.patil.polynomials()]
@@ -489,9 +522,10 @@ def test_closed_form_check_reports_the_full_normal_form(monkeypatch, triple):
     remainder, _ = normal_form(bad, Reducer(order, full))
     assert remainder
     curve = Curve(pr)
-    # bad lies outside the ideal, so the certificate fails and the closure runs
-    assert _certified(order, curve.patil.polynomials())
-    assert not _certified(order, curve.patil.polynomials(), curve.gset.polynomials())
+    # bad lies outside the ideal, so it leaves a remainder by the classical
+    # set, a Groebner basis of the curve ideal, and the closure runs
+    assert _certified(Reducer(order, curve.patil.polynomials()))
+    assert normal_form(bad, Reducer(order, curve.patil.polynomials()))[0]
     built = _closures_of(monkeypatch)
     check = {c.name: c for c in verify_ideal_equality(curve).checks}["closed-form-set-reduces"]
     assert built == [curve.patil.polynomials()]

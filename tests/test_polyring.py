@@ -205,8 +205,10 @@ def test_hilbert_numerator_matches_the_all_pairs_recursion_on_lead_sets(triple):
     # the ring leads, and each distinct lead set of the syzygy basis
     curve = Curve(make_params(*triple))
     weights = curve.params.exponent_weights
-    ideals = {frozenset(lm for lm, *_ in row) for row in curve.module_reducer.rows.values()}
-    ideals.add(frozenset(lm for lm, *_ in curve.ring_reducer.rows[None]))
+    table = curve.module_reducer
+    symbols = {sym for (_, sym), _ in table.leads}
+    ideals = {frozenset(table.lead_monomials(sym)) for sym in symbols}
+    ideals.add(frozenset(curve.ring_reducer.lead_monomials()))
     for monos in ideals:
         assert hilbert_numerator(weights, monos) == numerator_all_pairs(weights, monos)
 
@@ -223,8 +225,9 @@ def test_hilbert_numerator_on_the_curves_lead_ideals(triple):
     curve = Curve(make_params(*triple))
     weights = curve.params.exponent_weights
     top = 3 * max(weights)
-    ideals = [[lm for lm, *_ in row] for row in curve.module_reducer.rows.values()]
-    for monos in [[lm for lm, *_ in curve.ring_reducer.rows[None]]] + ideals:
+    table = curve.module_reducer
+    ideals = [table.lead_monomials(sym) for sym in {sym for (_, sym), _ in table.leads}]
+    for monos in [curve.ring_reducer.lead_monomials()] + ideals:
         assert (series_coefficients(hilbert_numerator(weights, monos), weights, top)
                 == hilbert_function(weights, monos, top))
 
