@@ -10,10 +10,11 @@ have the same cardinality.
 Every verification routine takes the triple's syzygy.Curve, which holds
 both sets, the ring order, the ring Reducer of the closed-form set G,
 the one copy of G, its leads and pairs that a ring check reads, and the
-one closure of G, built only for deep minimality or when the
-Hilbert-series certificate fails (_certified): a certified set needs no
-closure to be known a Groebner basis.  It returns a VerificationReport
-and records a witness on failure instead of raising.
+one closure of G, built only when a certificate fails: the
+Hilbert-series certificate (_certified) that G is a Groebner basis, or
+the count of minimal generators per weight (_minimal_by_count) that it
+is minimal.  It returns a VerificationReport and records a witness on
+failure instead of raising.
 Standard monomials are reached as an order ideal from 1 and compared
 with the paper's shape, written out in closed form; no check walks the
 exponent box.
@@ -21,6 +22,7 @@ exponent box.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -42,7 +44,7 @@ from .polyring import (
     variable_monomial,
 )
 from .report import VerificationReport
-from .semigroup import CurveParams, apery_numerator
+from .semigroup import CurveParams, _betti_1, apery_numerator
 
 if TYPE_CHECKING:
     from .syzygy import Curve
@@ -208,20 +210,27 @@ def standard_shape(params: CurveParams, bound: int) -> list:
 def standard_monomials(curve: Curve, bound: int) -> list:
     """Monomials with exponents <= bound outside the leading-term ideal, in
     ascending order.  They form an order ideal, reached from 1 by raising
-    one exponent at a time and never entering a multiple of a lead."""
+    one exponent at a time and never entering a multiple of a lead.  When
+    the exponent at pos of a standard monomial is raised to e, a lead that
+    divides the result carries exactly e at pos, as it does not divide the
+    monomial, so only those leads are tested."""
     lms = curve.ring_reducer.lead_monomials()
     one = mono_one(curve.params.nvars)
-    seen, stack, out = {one}, [one], []
-    while stack:
-        mono = stack.pop()
-        if any(mono_divides(lm, mono) for lm in lms):
-            continue
-        out.append(mono)
+    if one in lms:
+        return []
+    at = {}
+    for lm in lms:
+        for pos, e in enumerate(lm):
+            if e:
+                at.setdefault((pos, e), []).append(lm)
+    seen, out = {one}, [one]
+    for mono in out:
         for pos, e in enumerate(mono):
             up = mono[:pos] + (e + 1,) + mono[pos + 1:]
             if e < bound and up not in seen:
                 seen.add(up)
-                stack.append(up)
+                if not any(mono_divides(lm, up) for lm in at.get((pos, e + 1), ())):
+                    out.append(up)
     return sorted(out)
 
 
@@ -323,6 +332,17 @@ def _certified(table: Reducer) -> bool:
             and hilbert_numerator(params.exponent_weights, leads) == apery_numerator(params))
 
 
+def _minimal_by_count(table: Reducer) -> bool:
+    """Whether the basis G of the ring Reducer table, once certified a
+    Groebner basis of the curve ideal I (Curve.ring_certified), is minimal:
+    G generates I, so by graded Nakayama it holds at least beta_1(w)
+    elements of each weight w, the number of minimal generators of I there
+    (semigroup._betti_1), and no element is redundant exactly when every
+    weight of G carries exactly beta_1(w) of them."""
+    counts = Counter(map(table.order.weight, table.lead_monomials()))
+    return _betti_1(table.order.params, counts) == counts
+
+
 def _rank(order: WeightOrder, polys) -> int:
     """The dimension of the span of polys over the rationals: the rows of a
     Reducer grown by each non-zero remainder.  Division subtracts u * row,
@@ -378,21 +398,23 @@ def verify_minimality(curve: Curve, deep: bool = False) -> VerificationReport:
     """No leading term divides another; optionally, no member is redundant.
 
     The deep check first confirms that every element has a single weight,
-    and fails with the first that does not, and its weights.  Otherwise a
-    generator g of weight w lies in the ideal of the others exactly when
-    it lies in their span at weight w: the multiples of the lighter
-    generators there, plus the other generators of weight w themselves.
-    The triple's one Closure, grown weight by weight (Curve.closure),
-    decides that for every g: closed up to w with only the lighter
-    generators added, it is a Groebner basis of theirs up to weight w
-    (polyring.Closure.close), so normal forms modulo it are unique and
-    linear there.  g is then redundant exactly when the normal forms of
-    the weight-w generators lose rank without g's, which includes g's
-    normal form being zero.  The generators of weight w join the closure
-    afterwards.  The witness is the redundant generator that comes first
-    in label order, and the detail counts the generators tested.  The
-    closure costs S-pairs rather than m0 or d, and is shared with
-    verify_groebner_generators; this check adds only the rank tests.
+    and fails with the first that does not, and its weights.  When the
+    ring certificate holds (Curve.ring_certified), counting the elements
+    per weight against beta_1 decides the check (_minimal_by_count), and
+    no closure is built.  Otherwise, or when a count differs, the rank
+    tests name the witness.  A generator g of weight w lies in the ideal
+    of the others exactly when it lies in their span at weight w: the
+    multiples of the lighter generators there, plus the other generators
+    of weight w themselves.  The triple's one Closure, grown weight by
+    weight (Curve.closure), decides that for every g: closed up to w with
+    only the lighter generators added, it is a Groebner basis of theirs up
+    to weight w (polyring.Closure.close), so normal forms modulo it are
+    unique and linear there.  g is then redundant exactly when the normal
+    forms of the weight-w generators lose rank without g's, which includes
+    g's normal form being zero.  The generators of weight w join the
+    closure afterwards.  The witness is the redundant generator that comes
+    first in label order, and the detail counts the generators, as it did
+    when each was tested by a closure of its own.
     """
     params, table = curve.params, curve.ring_reducer
     labels = [lab for lab, _ in curve.gset.labeled()]
@@ -412,7 +434,7 @@ def verify_minimality(curve: Curve, deep: bool = False) -> VerificationReport:
 
     if deep:
         redundant = _mixed_weight(params, zip(labels, table.basis))
-        if redundant is None:
+        if redundant is None and not (curve.ring_certified() and _minimal_by_count(table)):
             first = _redundant_by_weight(curve.order, curve.closure()[1])
             redundant = None if first is None else {"element": labels[first]}
         report.add(

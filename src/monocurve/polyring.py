@@ -27,7 +27,8 @@ nothing else; the closed-form basis of a triple has one Reducer, held by
 syzygy.Curve.  Reducer.pairs lists the S-pairs of its basis.
 
 There is one S-pair builder, s_polynomial, for Polys and module
-elements alike, and one Buchberger pair loop, Closure.close.  It takes
+elements alike (Closure.close builds from the leads its Reducer holds),
+and one Buchberger pair loop, Closure.close.  It takes
 pairs in ascending weight of their lcm, the normal strategy (Giovini,
 Mora, Niesi, Robbiano, Traverso, "One sugar cube, please", ISSAC 1991),
 and can be resumed: generators join with Closure.add, and close(upto)
@@ -328,7 +329,10 @@ class Reducer:
             self.append(g)
 
     def append(self, g) -> None:
-        lead, lc = self.order.leading_term(g)
+        self._append(g, *self.order.leading_term(g))
+
+    def _append(self, g, lead, lc) -> None:
+        """append(g), given the leading term and coefficient of g."""
         if self.ring:
             mono, sym = lead, None
             tail = [(m, None, c) for m, c in g.terms.items() if m != lead]
@@ -420,9 +424,25 @@ def normal_form(f: Poly, table: Reducer) -> tuple[Poly, dict[int, Poly]]:
 def _first_dividing_pair(table: Reducer) -> tuple[int, int] | None:
     """The first (x, y) in index order, x != y, whose lead monomial x
     divides lead monomial y on one symbol of table, or None; leads on two
-    symbols never divide."""
-    return min(((x, y) for row in table._rows.values() for lx, *_, x in row
-                for ly, *_, y in row if x != y and mono_divides(lx, ly)), default=None)
+    symbols never divide.  A lead divides one of its own degree only when
+    equal to it, so equal leads are found by a dict, and each distinct
+    lead is tested against the distinct leads of lower degree only, by
+    the first index of each."""
+    found = []
+    for row in table._rows.values():
+        first = {}
+        for lead, *_, k in row:
+            if lead in first:
+                found.append((first[lead], k))
+            else:
+                first[lead] = k
+        lower = []
+        for _, same in groupby(sorted(first, key=sum), sum):
+            same = list(same)
+            found += [(first[lx], first[ly]) for ly in same for lx in lower
+                      if mono_divides(lx, ly)]
+            lower += same
+    return min(found, default=None)
 
 
 def s_polynomial(order: TermOrder, f, g):
@@ -435,6 +455,12 @@ def s_polynomial(order: TermOrder, f, g):
     (mf, sf), (mg, sg) = ((tf, None), (tg, None)) if isinstance(order, WeightOrder) else (tf, tg)
     if sf != sg:
         raise ValueError(f"the leading terms carry different symbols, {sf} and {sg}")
+    return _s_pair(f, mf, cf, g, mg, cg)
+
+
+def _s_pair(f, mf, cf, g, mg, cg):
+    """The S-polynomial of f and g, given their lead monomials and lead
+    coefficients."""
     lcm = mono_lcm(mf, mg)
     return f.times_term(_inverse(cf), mono_div(lcm, mf)) - g.times_term(
         _inverse(cg), mono_div(lcm, mg)
@@ -449,7 +475,8 @@ class Closure:
     skipped.  close(upto) processes the queued pairs in ascending weight,
     and heavier pairs stay queued, so more generators can be added and the
     closure resumed at a larger weight.  table is the Reducer of the basis
-    so far, and holds its leads.
+    so far, and holds its leads: each is computed once, as its element
+    joins, and every S-polynomial is built from them.
     """
 
     __slots__ = ("order", "table", "_pairs")
@@ -470,7 +497,7 @@ class Closure:
         for i, (m, _) in enumerate(table.leads):
             if not mono_coprime(m, lm):
                 heappush(pairs, (order.weight(mono_lcm(m, lm)), i, j))
-        table.append(g if lc == 1 else g.scaled(_inverse(lc)))
+        table._append(g if lc == 1 else g.scaled(_inverse(lc)), lm, 1)
 
     def close(self, upto: int | None = None) -> Reducer:
         """The Reducer of a Groebner basis of the ideal of the generators
@@ -491,11 +518,11 @@ class Closure:
         For input that is not weight-homogeneous a truncated closure
         decides nothing.
         """
-        order, table, pairs = self.order, self.table, self._pairs
-        basis = table.basis
+        table, pairs = self.table, self._pairs
+        basis, leads = table.basis, table.leads
         while pairs and (upto is None or pairs[0][0] <= upto):
             _, i, j = heappop(pairs)
-            r, _ = normal_form(s_polynomial(order, basis[i], basis[j]), table)
+            r, _ = normal_form(_s_pair(basis[i], *leads[i], basis[j], *leads[j]), table)
             self.add(r)
         return table
 

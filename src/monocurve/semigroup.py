@@ -13,9 +13,10 @@ divide i - sum s, yet 0 < i - sum s <= p < m0.
 
 Nothing here searches the semigroup: a monomial's weight is
 CurveParams.weight, the two minimal multiples solve linear congruences,
-and the Hilbert numerator of the curve is written out from the Apery
-set in closed form.  An exhaustive membership search lives with the
-tests, which compare these closed forms against it.
+and the Hilbert numerator of the curve, membership in the semigroup and
+the number of minimal generators of the curve ideal in one weight are
+read off the Apery set in closed form.  An exhaustive membership search
+lives with the tests, which compare these closed forms against it.
 """
 
 from __future__ import annotations
@@ -199,6 +200,46 @@ def apery_numerator(params: CurveParams) -> dict:
     _add_shifted(series, _times_one_minus(dict.fromkeys(gens[1:], 1), [top]))
     _add_shifted(series, _times_one_minus({top + m: 1 for m in gens[1:params.b]}, [mp]))
     return _times_one_minus(series, gens[1:-1])
+
+
+def _membership(params: CurveParams):
+    """The test n in S, in O(1) after one modular inverse: n lies in S
+    exactly when n >= ceil(i/p)*m0 + i*d, the member of the Apery set
+    Ap(S, m0) in the class of n, where i = n/d mod m0 and 0 <= i < m0
+    (Selmer's formula, as in apery_numerator): a sum of q generators is
+    q*m0 + j*d with j <= q*p, so j = i takes q = ceil(i/p) at least, and
+    any other j in the class of i is larger by a multiple of m0."""
+    m0, d, p = params.m0, params.d, params.p
+    inverse = pow(d, -1, m0)
+
+    def member(n: int) -> bool:
+        i = n * inverse % m0
+        return n >= -(-i // p) * m0 + i * d
+
+    return member
+
+
+def _betti_1(params: CurveParams, weights) -> dict:
+    """beta_1(w), the number of minimal generators of weight w of the curve
+    ideal, for each w in weights: the connected components, less one, of
+    the graph on {i : w - m_i in S} with an edge {i, j} whenever w - m_i -
+    m_j lies in S.  That graph is the 1-skeleton of the squarefree divisor
+    complex D_w, and beta_1(w) = dim H~_0(D_w) (Miller, Sturmfels,
+    Combinatorial Commutative Algebra, Thm 9.2; Briales, Campillo,
+    Marijuan, Pison 1998)."""
+    member, gens = _membership(params), params.generators
+    out = {}
+    for w in weights:
+        left, components = [m for m in gens if member(w - m)], 0
+        while left:
+            components += 1
+            stack = [left.pop()]
+            while stack:
+                m = stack.pop()
+                stack += [n for n in left if member(w - m - n)]
+                left = [n for n in left if n not in stack]
+        out[w] = max(components - 1, 0)
+    return out
 
 
 def verify_minimal_multiples(params: CurveParams) -> VerificationReport:

@@ -385,9 +385,8 @@ class Curve:
     syzygy basis in label order.  The key caches grow as the checks run,
     and ring_certified() and closure() are computed on first use;
     everything else is read, never changed, so a caller that extends a
-    basis builds its own Reducer.  Only deep minimality, or a check whose
-    identity fails, builds the closure: a certified shallow verify builds
-    none.
+    basis builds its own Reducer.  Only a check whose certificate fails
+    builds the closure: a passing verify, deep or shallow, builds none.
     """
 
     __slots__ = ("params", "morder", "order", "gset", "patil", "sset", "images",
@@ -419,7 +418,8 @@ class Curve:
         """The one closure of G, grown weight by weight up to its heaviest
         generator, computed once: the Closure, and the normal forms of its
         generators per weight (generators._closure_by_weight), which deep
-        minimality reads.  The lead-ideal check resumes it to a Groebner
+        minimality reads when the ring identity or the count of minimal
+        generators fails.  The lead-ideal check resumes it to a Groebner
         basis of the ideal of G only when the ring identity fails."""
         if self._closure is None:
             self._closure = _closure_by_weight(self.ring_reducer)

@@ -8,17 +8,39 @@ JSON output format.  They share no code with the library's division,
 closure or Hilbert numerator.  buchberger, the reduced Groebner basis, is
 the one exception: it interreduces the library's untruncated Closure, and
 is the reference for the lead ideal the library reads off that closure.
-Two more keep the library's earlier, slower forms as references for the
+More keep the library's earlier, slower forms as references for the
 faster ones: numerator_all_pairs, Bigatti's recursion minimizing every
-ideal it meets, and module_identity_by_symbol, one K per module symbol.
+ideal it meets; module_identity_by_symbol, one K per module symbol;
+first_dividing_pair_all_pairs, every ordered pair of leads; and
+standard_monomials_full_test, each monomial tested against every lead.
+betti_1_by_search counts minimal generators per weight from the
+membership search alone.
 The library never imports this module.
 """
 
+from itertools import combinations
+
 from monocurve.polyring import (Closure, Poly, Reducer, WeightOrder, _exact, mono_divides,
-                                normal_form)
+                                mono_one, normal_form)
 from monocurve.semigroup import (CurveParams, ParameterError, _add_shifted, _times_one_minus,
                                  apery_numerator, make_params)
 from monocurve.syzygy import ModElement, Phi, Psi
+
+
+def _reach(x: int, values: tuple[int, ...]) -> tuple[list, list]:
+    """(reachable, used) over [0, x]: whether v is a non-negative
+    combination of values, and the index of the first value whose removal
+    leaves a reachable rest, by dynamic programming."""
+    used = [None] * (x + 1)
+    reachable = [False] * (x + 1)
+    reachable[0] = True
+    for v in range(1, x + 1):
+        for k, val in enumerate(values):
+            if val <= v and reachable[v - val]:
+                reachable[v] = True
+                used[v] = k
+                break
+    return reachable, used
 
 
 def _representation(x: int, values: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -29,15 +51,7 @@ def _representation(x: int, values: tuple[int, ...]) -> tuple[int, ...] | None:
     """
     if x == 0:
         return (0,) * len(values)
-    used = [None] * (x + 1)
-    reachable = [False] * (x + 1)
-    reachable[0] = True
-    for v in range(1, x + 1):
-        for k, val in enumerate(values):
-            if val <= v and reachable[v - val]:
-                reachable[v] = True
-                used[v] = k
-                break
+    reachable, used = _reach(x, values)
     if not reachable[x]:
         return None
     counts = [0] * len(values)
@@ -54,6 +68,32 @@ def semigroup_membership(params: CurveParams, x: int) -> tuple[int, ...] | None:
     if x < 0:
         raise ValueError(f"x must be non-negative, got {x}")
     return _representation(x, params.generators)
+
+
+def semigroup_elements(params: CurveParams, top: int) -> set[int]:
+    """The members of the semigroup up to top, from the dynamic programming
+    of semigroup_membership run once."""
+    return {v for v, r in enumerate(_reach(top, params.generators)[0]) if r}
+
+
+def betti_1_by_search(params: CurveParams, weights) -> dict:
+    """beta_1(w) for each w in weights, the number of minimal generators of
+    weight w of the curve ideal: the connected components, less one, of
+    the 1-skeleton of the squarefree divisor complex D_w = {F : w - sum_F
+    m_i in S} (Miller, Sturmfels, Thm 9.2), with membership from
+    semigroup_elements and components by merging labels.  The reference
+    for semigroup._betti_1."""
+    weights = list(weights)
+    members, gens = semigroup_elements(params, max(weights, default=0)), params.generators
+    out = {}
+    for w in weights:
+        label = {i: i for i, m in enumerate(gens) if w - m in members}
+        for i, j in combinations(sorted(label), 2):
+            if w - gens[i] - gens[j] in members and label[i] != label[j]:
+                old = label[j]
+                label = {k: label[i] if v == old else v for k, v in label.items()}
+        out[w] = max(len(set(label.values())) - 1, 0)
+    return out
 
 
 def apery_numerator_by_search(params: CurveParams) -> dict:
@@ -233,3 +273,34 @@ def buchberger(order: WeightOrder, gens) -> list[Poly]:
         out.append(lead + normal_form(g - lead, kept)[0])
     out.sort(key=lead_key, reverse=True)
     return out
+
+
+def first_dividing_pair_all_pairs(table: Reducer) -> tuple[int, int] | None:
+    """The first (x, y) in index order, x != y, whose lead monomial x
+    divides lead monomial y on one symbol of the Reducer table, or None,
+    from every ordered pair of its leads: the reference for
+    polyring._first_dividing_pair, which tests only lower degrees."""
+    terms = [(t, None) if table.ring else t for t, _ in table.leads]
+    return min(((x, y) for x, (mx, sx) in enumerate(terms) for y, (my, sy) in enumerate(terms)
+                if x != y and sx == sy and mono_divides(mx, my)), default=None)
+
+
+def standard_monomials_full_test(lms, nvars: int, bound: int) -> list:
+    """The monomials with exponents <= bound that no monomial of lms
+    divides, ascending: the order ideal reached from 1 by raising one
+    exponent at a time, each monomial reached tested against every one
+    of lms.  The reference for generators.standard_monomials, which tests
+    only the leads that can divide."""
+    one = mono_one(nvars)
+    seen, stack, out = {one}, [one], []
+    while stack:
+        mono = stack.pop()
+        if any(mono_divides(lm, mono) for lm in lms):
+            continue
+        out.append(mono)
+        for pos, e in enumerate(mono):
+            up = mono[:pos] + (e + 1,) + mono[pos + 1:]
+            if e < bound and up not in seen:
+                seen.add(up)
+                stack.append(up)
+    return sorted(out)

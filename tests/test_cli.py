@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from monocurve import make_params, polyring, syzygy
+from monocurve import generators, make_params, polyring, syzygy
 from monocurve.cli import _build_parser, main, run, verification_bundle
 from monocurve.generators import GeneratorSet, groebner_generators
 from monocurve.polyring import Closure, Poly, Reducer, WeightOrder
@@ -440,9 +440,10 @@ def test_each_triple_harvests_its_s_pairs_once(monkeypatch, capsys):
 
 
 def test_each_triple_closes_its_closed_form_set_once(monkeypatch, capsys):
-    # on a certified triple only deep minimality closes the closed-form set,
-    # once; the certificates decide the lead-ideal and closed-form-set
-    # checks, so a shallow verify and every sweep triple build no closure
+    # on a certified triple the certificates decide every ring record, deep
+    # minimality by counting minimal generators per weight, so no verify
+    # and no sweep triple closes the closed-form set; a closure asked for
+    # afterwards is built once
     curves, closures = [], collections.Counter()
     init, closure_init = syzygy.Curve.__init__, Closure.__init__
 
@@ -456,14 +457,15 @@ def test_each_triple_closes_its_closed_form_set_once(monkeypatch, capsys):
 
     monkeypatch.setattr(syzygy.Curve, "__init__", keep)
     monkeypatch.setattr(Closure, "__init__", count_closure)
-    for extra, built in (([], 1), (["--shallow"], 0)):
+    for extra in ([], ["--shallow"]):
         curves.clear()
         closures.clear()
         assert main(["verify", "--m0", "13", "--d", "2", "--p", "6", "--bound", "2"] + extra) == 0
         (curve,) = curves
         assert curve.ring_certified()
-        assert closures == ({curve.order: 1} if built else {}), extra
+        assert not closures and curve._closure is None, extra
         assert curve.closure() is curve.closure()
+        assert closures == {curve.order: 1}
 
     curves.clear()
     closures.clear()
@@ -476,8 +478,9 @@ def test_each_triple_closes_its_closed_form_set_once(monkeypatch, capsys):
 
 def test_a_certified_triple_divides_no_pair_past_its_heaviest_generator(monkeypatch, capsys):
     # a passing shallow verify builds no S-polynomial at all; a deep one
-    # pops pairs only up to the heaviest generator's weight, and leaves the
-    # heavier ones queued
+    # whose count certificate fails falls back to the closure, which pops
+    # pairs only up to the heaviest generator's weight, leaves the heavier
+    # ones queued, and builds each S-polynomial from the leads it holds
     curves, spolys, popped = [], [], []
     init, spoly, pop = syzygy.Curve.__init__, polyring.s_polynomial, polyring.heappop
 
@@ -502,11 +505,13 @@ def test_a_certified_triple_divides_no_pair_past_its_heaviest_generator(monkeypa
     assert not spolys and not popped
 
     curves.clear()
+    monkeypatch.setattr(generators, "_minimal_by_count", lambda table: False)
     assert main(argv) == 0
     (curve,) = curves
+    assert curve.ring_certified()
     top = max(curve.order.weight(lm) for lm, _ in curve.ring_reducer.leads)
     assert popped and max(popped) <= top
-    assert len(spolys) == len(popped)
+    assert not spolys
     grown = curve.closure()[0]
     assert grown._pairs and min(w for w, *_ in grown._pairs) > top
     capsys.readouterr()

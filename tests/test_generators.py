@@ -4,6 +4,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
@@ -14,7 +15,9 @@ from monocurve.cli import main
 from monocurve.generators import (
     GeneratorSet,
     _certified,
+    _minimal_by_count,
     _rank,
+    _redundant_by_weight,
     PatilSet,
     epsilon,
     expected_leading_monomials,
@@ -44,9 +47,10 @@ from monocurve.polyring import (
     variable_monomial,
 )
 from monocurve.syzygy import Curve
-from oracles import buchberger, curve_image, parameter_sweep
+from oracles import buchberger, curve_image, parameter_sweep, standard_monomials_full_test
 
 SWEEP = list(parameter_sweep(range(2, 6), range(1, 4), range(1, 6)))
+SWEEP6 = list(parameter_sweep(range(2, 7), range(1, 4), range(1, 6)))
 
 
 def test_epsilon_tau():
@@ -439,6 +443,43 @@ def test_deep_minimality_closes_the_lighter_generators_up_to_their_weight(monkey
     assert _deep_witness(curve) == "planted"
 
 
+def test_the_count_certificate_agrees_with_the_closure_rank_tests_on_the_grid():
+    # a passing deep verify builds no closure: the count certificate
+    # decides it, with the verdict of the rank tests on the closure
+    assert len(SWEEP6) == 206
+    for pr in SWEEP6:
+        curve = Curve(pr)
+        assert verify_minimality(curve, deep=True).passed, pr
+        assert curve._closure is None, pr
+        assert curve.ring_certified() and _minimal_by_count(curve.ring_reducer), pr
+        assert _redundant_by_weight(curve.order, curve.closure()[1]) is None, pr
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6), (17, 3, 8)])
+@pytest.mark.parametrize("before", [False, True])
+@pytest.mark.parametrize("plant", ["copy", "X1*phi(1,1)", "X0*top psi"])
+def test_a_planted_redundant_generator_fails_the_count(monkeypatch, triple, before, plant):
+    # a copy or a multiple of a member lies in the curve ideal and leaves
+    # the lead ideal as it is, so the ring certificate holds; one weight
+    # then carries one generator too many, and the closure's rank tests
+    # name the same witness as before the count certificate: the first
+    # of two copies in label order, or the multiple
+    def make(params, gset):
+        if plant == "copy":
+            return gset.phis[(1, 1)]
+        if plant == "X1*phi(1,1)":
+            return Poly.term(params.nvars, variable_monomial(params.p, 1)) * gset.phis[(1, 1)]
+        return Poly.term(params.nvars, variable_monomial(params.p, 0)) * gset.psis[max(gset.psis)]
+
+    _plant(monkeypatch, make, before)
+    curve = Curve(make_params(*triple))
+    assert curve.ring_certified()
+    assert not _minimal_by_count(curve.ring_reducer)
+    expected = "phi(1,1)" if plant == "copy" and not before else "planted"
+    assert _deep_witness(curve) == expected
+    assert curve._closure is not None
+
+
 def test_deep_minimality_at_p12_takes_one_closure():
     curve = Curve(make_params(41, 2, 12))
     start = time.process_time()
@@ -642,6 +683,24 @@ def test_standard_shape_matches_enumeration():
 def test_standard_shape_matches_the_order_ideal_walk(m0, d, p, bound):
     pr = make_params(m0, d, p)
     assert standard_shape(pr, bound) == standard_monomials(Curve(pr), bound)
+
+
+def test_standard_monomials_match_the_full_test_walk_on_the_grid():
+    for pr in SWEEP6:
+        curve = Curve(pr)
+        lms = curve.ring_reducer.lead_monomials()
+        for bound in (2, 3, 5):
+            assert standard_monomials(curve, bound) == standard_monomials_full_test(
+                lms, pr.nvars, bound), (pr, bound)
+
+
+@given(leads=st.lists(st.tuples(*[st.integers(0, 3)] * 4), max_size=8), bound=st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_standard_monomials_match_the_full_test_walk_on_any_leads(p713, leads, bound):
+    # equal leads, leads of one degree, and the lead 1, which leaves none
+    polys = [Poly.term(4, m) for m in leads]
+    curve = SimpleNamespace(params=p713, ring_reducer=Reducer(WeightOrder(p713), polys))
+    assert standard_monomials(curve, bound) == standard_monomials_full_test(leads, 4, bound)
 
 
 def test_mixed_monomials_are_standard(p713):

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from monocurve import make_params
 from monocurve.generators import groebner_generators, phi_binomial, psi_binomial
 from monocurve.polyring import (
+    Closure,
     Poly,
     Reducer,
     WeightOrder,
     ZeroPolynomialError,
+    _first_dividing_pair,
     format_poly,
     hilbert_numerator,
     mono_div,
@@ -23,9 +25,9 @@ from monocurve.polyring import (
     s_polynomial,
     variable_monomial,
 )
-from monocurve.syzygy import Curve
-from oracles import (buchberger, curve_image, hilbert_function, numerator_all_pairs,
-                     poly_from_json, series_coefficients)
+from monocurve.syzygy import Curve, ModElement, ModuleOrder, Phi, Psi
+from oracles import (buchberger, curve_image, first_dividing_pair_all_pairs, hilbert_function,
+                     numerator_all_pairs, poly_from_json, series_coefficients)
 
 P713 = make_params(7, 1, 3)
 ORDER = WeightOrder(P713)
@@ -364,3 +366,60 @@ def test_format_poly(p713):
     # coefficients other than plus or minus one, on a monomial and alone
     f = Poly(4, {(2, 0, 0, 0): Fraction(3, 2), (0, 1, 0, 1): -2, (0, 0, 0, 0): 5})
     assert format_poly(ORDER, f) == "3/2*X1^2 - 2*X2*X0 + 5"
+
+
+# exponents 0..2 in four variables: equal leads and ties in degree are common
+small_monos = st.tuples(*[st.integers(0, 2)] * 4)
+
+
+@given(st.lists(small_monos, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_first_dividing_pair_matches_the_all_pairs_scan(leads):
+    table = Reducer(ORDER, [Poly.term(4, m) for m in leads])
+    assert _first_dividing_pair(table) == first_dividing_pair_all_pairs(table)
+
+
+@given(st.lists(st.tuples(small_monos, st.sampled_from([Psi(0), Psi(2), Phi(1, 2), Phi(2, 2)])),
+                max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_first_dividing_pair_matches_the_all_pairs_scan_on_module_symbols(terms):
+    # leads on two symbols never divide, even with equal monomials
+    table = Reducer(ModuleOrder(P713), [ModElement.term(4, m, sym) for m, sym in terms])
+    assert _first_dividing_pair(table) == first_dividing_pair_all_pairs(table)
+
+
+def test_first_dividing_pair_examples():
+    x1, x1x2, x2 = (1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0)
+    ring = [Poly.term(4, m) for m in (x1x2, x2, x1x2, x1)]
+    # (0, 2) by equal leads comes before (1, 0) and (3, 0) by lower degree
+    assert _first_dividing_pair(Reducer(ORDER, ring)) == (0, 2)
+    assert _first_dividing_pair(Reducer(ORDER, ring[1:])) == (0, 1)
+    assert _first_dividing_pair(Reducer(ORDER, ring[:2])) == (1, 0)
+    assert _first_dividing_pair(Reducer(ORDER, [ring[1], ring[3]])) is None
+    module = [ModElement.term(4, x1, Psi(0)), ModElement.term(4, x1, Psi(2)),
+              ModElement.term(4, x1x2, Psi(2))]
+    assert _first_dividing_pair(Reducer(ModuleOrder(P713), module)) == (1, 2)
+
+
+def test_a_closure_computes_each_lead_once(monkeypatch):
+    # each element's lead is computed as it joins, and every S-polynomial
+    # is built from the leads its Reducer holds: the closure of the
+    # closed-form set at (17,3,8), up to its heaviest generator, used to
+    # compute 368 leads for its 36 elements and 148 popped pairs
+    curve = Curve(make_params(17, 3, 8))
+    calls, leading_term = [], WeightOrder.leading_term
+
+    def count(self, poly):
+        calls.append(poly)
+        return leading_term(self, poly)
+
+    monkeypatch.setattr(WeightOrder, "leading_term", count)
+    grown = curve.closure()[0]
+    assert len(grown.table.basis) == len(calls) == 36
+    # phi(1,1) and psi(1,0) of (7,1,3) are no Groebner basis: a remainder joins
+    calls.clear()
+    gens = [phi_binomial(P713, 1, 1), psi_binomial(P713, 0)]
+    closed = Closure(ORDER, gens).close()
+    assert len(closed.basis) == len(calls) == 3
+    monkeypatch.undo()
+    assert closed.leads == [leading_term(ORDER, g) for g in closed.basis]

@@ -1,3 +1,4 @@
+import collections
 import itertools
 from functools import lru_cache
 from math import gcd
@@ -15,15 +16,19 @@ from monocurve import (
     min_multiple_of_mp,
     mp_multiple_identity,
 )
-from monocurve.semigroup import apery_numerator
+from monocurve.generators import groebner_generators
+from monocurve.semigroup import _betti_1, _membership, apery_numerator
 from oracles import (
     _representation,
     apery_numerator_by_search,
+    betti_1_by_search,
     parameter_sweep,
+    semigroup_elements,
     semigroup_membership,
 )
 
 SWEEP = list(parameter_sweep(range(2, 6), range(1, 4), range(1, 6)))
+SWEEP6 = list(parameter_sweep(range(2, 7), range(1, 4), range(1, 6)))
 
 
 @st.composite
@@ -269,3 +274,46 @@ def test_apery_numerator_of_a_huge_triple_has_few_terms():
     assert len(n) < 100
     # N(1) = 0: HS(R/I) has a pole of order one at t = 1, not p + 1
     assert sum(n.values()) == 0
+
+
+def test_closed_form_membership_matches_the_search_on_the_grid():
+    assert len(SWEEP6) == 206
+    for pr in SWEEP6:
+        top = 3 * pr.generators[-1]
+        members, member = semigroup_elements(pr, top), _membership(pr)
+        assert [x for x in range(-pr.m0, top + 1) if member(x)] == sorted(members), pr
+
+
+def test_closed_form_membership_of_a_huge_triple():
+    # Ap(S, m0) holds (q-1)*m_p + m_k: m_1 + m_p is a member, m_1 + m_p - m0 is not
+    pr = make_params(1000003, 999331, 3)
+    member, gens = _membership(pr), pr.generators
+    assert member(0) and all(member(m) for m in gens)
+    assert member(gens[1] + gens[3]) and not member(gens[1] + gens[3] - pr.m0)
+    assert not member(1) and not member(gens[0] - 1) and not member(-gens[0])
+
+
+def test_betti_1_counts_the_closed_form_generators_per_weight():
+    # the closed-form set is a minimal generating set, so beta_1 is its
+    # count in each weight, and 0 at every other weight up to its heaviest
+    for pr in SWEEP6:
+        counts = collections.Counter(pr.weight(next(iter(g.terms)))
+                                     for g in groebner_generators(pr).polynomials())
+        weights = range(max(counts) + 1)
+        expected = {w: counts.get(w, 0) for w in weights}
+        assert betti_1_by_search(pr, weights) == expected, pr
+        assert _betti_1(pr, weights) == expected, pr
+
+
+@pytest.mark.parametrize("triple", [(17, 3, 8), (41, 2, 12), (1000003, 999331, 3)])
+def test_betti_1_off_the_grid(triple):
+    # the search oracle reaches the small triples; at m0 near 10^6 the
+    # closed-form set's counts per weight, as minimal generators, stand
+    # in for it.  0 and one generator's weight carry no binomial
+    pr = make_params(*triple)
+    counts = collections.Counter(pr.weight(next(iter(g.terms)))
+                                 for g in groebner_generators(pr).polynomials())
+    assert _betti_1(pr, counts) == counts
+    if pr.m0 < 100:
+        assert betti_1_by_search(pr, counts) == counts
+    assert _betti_1(pr, (0,) + pr.generators) == dict.fromkeys((0,) + pr.generators, 0)
