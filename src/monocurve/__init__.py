@@ -47,7 +47,6 @@ from .syzygy import (
     Phi,
     Psi,
     SyzygySet,
-    module_normal_form,
     relation_image,
     schreyer_relations,
     syzygy_A,

@@ -346,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=_samples, default=1000, help="sampled projection checks")
     v.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     v.add_argument("--shallow", action="store_true",
-                   help="skip the one-left-out redundancy closures")
+                   help="skip the no-redundant-generator check")
 
     s = sub.add_parser("sweep", help="verification across a parameter grid")
     s.add_argument("--p", type=_parse_range, default="2..5", help="range lo..hi")

@@ -22,9 +22,10 @@ syzygy.ModElement through SparseMap, and the ring and module orders
 share TermOrder.  There is one division loop, Reducer.divide, for both:
 a Reducer prepares a basis once, grouping its lead terms by module
 symbol, and a ring basis is a module with the single symbol None.
-normal_form and syzygy.module_normal_form divide by a Reducer and
-nothing else; the closed-form basis of a triple has one Reducer, held by
-syzygy.Curve.  Reducer.pairs lists the S-pairs of its basis.
+normal_form, the one public name of that loop, divides a Poly or a
+module element by a Reducer and nothing else; the closed-form basis of
+a triple has one Reducer, held by syzygy.Curve.  Reducer.pairs lists
+the S-pairs of its basis.
 
 There is one S-pair builder, s_polynomial, for Polys and module
 elements alike (Closure.close builds from the leads its Reducer holds),
@@ -309,8 +310,7 @@ class Reducer:
     rows group each element's lead monomial, inverse lead coefficient,
     tail and index by the symbol of its lead: a module basis by its
     module symbols, a ring basis under the one symbol None.  normal_form
-    and syzygy.module_normal_form divide by one, in the order it was
-    built with.
+    divides by one, in the order it was built with.
 
     It also remembers, per term, the first row that divides it: rows are
     only appended, so that row stays the first for good.
@@ -408,8 +408,9 @@ class Reducer:
         return f._raw(nv, remainder), {k: Poly._raw(nv, q) for k, q in quotients.items()}
 
 
-def normal_form(f: Poly, table: Reducer) -> tuple[Poly, dict[int, Poly]]:
-    """Divide f by the basis of the ring Reducer table.
+def normal_form(f, table: Reducer) -> tuple:
+    """Divide f, a Poly or a module element, by the basis of the Reducer
+    table, ring or module.
 
     Returns (remainder, quotients) with f = sum q_k * basis_k + remainder
     and no remainder monomial divisible by any basis leading monomial.

@@ -22,8 +22,9 @@ pairs compare by (j, i).
 
 ModElement is a polyring.SparseMap keyed by (monomial, symbol), with
 Poly's arithmetic and validating constructor, and ModuleOrder a
-polyring.TermOrder.  module_normal_form runs the ring's division loop
-(polyring.Reducer), where a ring basis has the one symbol None.
+polyring.TermOrder.  normal_form divides it by a module Reducer with the
+ring's division loop (polyring.Reducer), where a ring basis has the one
+symbol None.
 S-vectors come from the ring's S-pair builder, polyring.s_polynomial,
 for the pairs of basis elements whose leads share a symbol
 (Reducer.pairs).  schreyer_relations lifts each S-pair of the symbols'
@@ -75,9 +76,8 @@ from .polyring import (
     _inverse,
     _join_signed,
     _json_terms,
-    _minimal,
-    _numerator,
     _term_text,
+    hilbert_numerator,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -235,6 +235,21 @@ class ModuleOrder(TermOrder):
 # the three syzygy families
 
 
+def _relation(params: CurveParams, *terms) -> ModElement:
+    """The sum of the terms (coeff, mono, sym), with each term whose symbol
+    is None dropped (phi_symbol's zero convention); terms on one key add,
+    and cancel when their sum is zero."""
+    out = {}
+    for coeff, mono, sym in terms:
+        if sym is not None:
+            c = out.get((mono, sym), 0) + coeff
+            if c:
+                out[(mono, sym)] = c
+            else:
+                del out[(mono, sym)]
+    return ModElement._raw(params.nvars, out)
+
+
 def syzygy_A(params: CurveParams, i: int, j: int) -> ModElement:
     """Relation led by X_i * Psi(j), for i in [1, p] and j in [0, p-b-1].
 
@@ -246,22 +261,16 @@ def syzygy_A(params: CurveParams, i: int, j: int) -> ModElement:
         raise IndexError(f"index i = {i} outside [1, {p}]")
     if not 0 <= j <= p - b - 1:
         raise IndexError(f"index j = {j} outside [0, {p - b - 1}]")
-    nv = params.nvars
     e = epsilon(i, b + j, p)
-    elem = ModElement.term(nv, variable_monomial(p, i), psi_symbol(params, j))
-    elem -= ModElement.term(
-        nv, variable_monomial(p, b + i + j - e), psi_symbol(params, e - b)
+    x0 = variable_monomial(p, 0, a + d)
+    return _relation(
+        params,
+        (1, variable_monomial(p, i), psi_symbol(params, j)),
+        (-1, variable_monomial(p, b + i + j - e), psi_symbol(params, e - b)),
+        (-1, variable_monomial(p, p, a), phi_symbol(params, i, b + j)),
+        (1, x0, phi_symbol(params, i, j)),
+        (-1, x0, phi_symbol(params, b + i + j - p, p - b)),
     )
-    sym = phi_symbol(params, i, b + j)
-    if sym is not None:
-        elem -= ModElement.term(nv, variable_monomial(p, p, a), sym)
-    sym = phi_symbol(params, i, j)
-    if sym is not None:
-        elem += ModElement.term(nv, variable_monomial(p, 0, a + d), sym)
-    sym = phi_symbol(params, b + i + j - p, p - b)
-    if sym is not None:
-        elem -= ModElement.term(nv, variable_monomial(p, 0, a + d), sym)
-    return elem
 
 
 def syzygy_B(params: CurveParams, i: int, j: int) -> ModElement:
@@ -289,18 +298,14 @@ def syzygy_L(params: CurveParams, l: int, i: int, j: int) -> ModElement:
     p = params.p
     if not (1 <= i <= j <= p - 1 and 1 <= l < j):
         raise IndexError(f"indices (l={l}; i={i}, j={j}) violate i <= j, l < j in [1, {p - 1}]")
-    nv = params.nvars
-    elem = ModElement.term(nv, variable_monomial(p, l), phi_symbol(params, i, j))
-    elem -= ModElement.term(nv, variable_monomial(p, j), phi_symbol(params, i, l))
-    t = tau(i, j, p)
-    sym = phi_symbol(params, i + j - t, l)
-    if sym is not None:
-        elem += ModElement.term(nv, variable_monomial(p, t), sym)
-    t = tau(i, l, p)
-    sym = phi_symbol(params, i + l - t, j)
-    if sym is not None:
-        elem -= ModElement.term(nv, variable_monomial(p, t), sym)
-    return elem
+    t, u = tau(i, j, p), tau(i, l, p)
+    return _relation(
+        params,
+        (1, variable_monomial(p, l), phi_symbol(params, i, j)),
+        (-1, variable_monomial(p, j), phi_symbol(params, i, l)),
+        (1, variable_monomial(p, t), phi_symbol(params, i + j - t, l)),
+        (-1, variable_monomial(p, u), phi_symbol(params, i + l - u, j)),
+    )
 
 
 @dataclass(frozen=True)
@@ -427,18 +432,7 @@ class Curve:
 
 
 # ---------------------------------------------------------------------------
-# module division and S-vectors
-
-
-def module_normal_form(elem: ModElement, table: Reducer):
-    """Divide a module element by the basis of the module Reducer table.
-
-    A term (monomial, symbol) is reducible by a basis element whose lead
-    term carries the same symbol and a dividing monomial.  Returns
-    (remainder, quotients); quotients maps each basis index the division
-    used to its ring polynomial.
-    """
-    return table.divide(elem)
+# S-vectors
 
 
 def schreyer_relations(curve: Curve) -> list:
@@ -476,16 +470,15 @@ def _module_identity(curve: Curve) -> bool:
     images, so HS(F/Syz) = HS(I) has numerator 1 - N; a basis inside Syz
     is a Groebner basis of it exactly when its leads give F/<LT(basis)>
     that series (Macaulay, symbol by symbol).  Many symbols share one lead
-    set, so K is computed once per distinct set, every set sharing one
-    memo of Bigatti's recursion."""
+    set, so K is computed once per distinct set."""
     params, table = curve.params, curve.module_reducer
     shifts = {}
     for sym, image in curve.images.items():
         leads = frozenset(table.lead_monomials(sym))
         shifts.setdefault(leads, []).append(params.weight(next(iter(image.terms))))
-    series, memo = {}, {}
+    series = {}
     for leads, weights in shifts.items():
-        k = _numerator(params.exponent_weights, _minimal(leads), memo)
+        k = hilbert_numerator(params.exponent_weights, leads)
         for shift in weights:
             _add_shifted(series, k, shift)
     return series == _add_shifted({0: 1}, apery_numerator(params), sign=-1)
@@ -548,7 +541,7 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     if not certified:
         for count, (x, y) in enumerate(table.pairs(), 1):
             s = s_polynomial(morder, table.basis[x], table.basis[y])
-            r, _ = module_normal_form(s, table)
+            r, _ = normal_form(s, table)
             if r:
                 bad = {"pair": [labeled[x][0], labeled[y][0]],
                        "remainder": mod_elem_to_json(morder, r)}
@@ -565,7 +558,7 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
             elif relation_image(curve, rel):
                 bad = {"pair": pair, "problem": "harvested element is not a relation"}
             else:
-                r, _ = module_normal_form(rel, table)
+                r, _ = normal_form(rel, table)
                 bad = {"pair": pair, "remainder": mod_elem_to_json(morder, r)} if r else None
             if bad:
                 break

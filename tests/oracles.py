@@ -11,8 +11,10 @@ is the reference for the lead ideal the library reads off that closure.
 More keep the library's earlier, slower forms as references for the
 faster ones: numerator_all_pairs, Bigatti's recursion minimizing every
 ideal it meets; module_identity_by_symbol, one K per module symbol;
-first_dividing_pair_all_pairs, every ordered pair of leads; and
-standard_monomials_full_test, each monomial tested against every lead.
+first_dividing_pair_all_pairs, every ordered pair of leads;
+standard_monomials_full_test, each monomial tested against every lead;
+and syzygy_A_chained and syzygy_L_chained, the A and L relations built
+one term at a time by module arithmetic.
 betti_1_by_search counts minimal generators per weight from the
 membership search alone.
 The library never imports this module.
@@ -20,11 +22,12 @@ The library never imports this module.
 
 from itertools import combinations
 
+from monocurve.generators import epsilon, tau
 from monocurve.polyring import (Closure, Poly, Reducer, WeightOrder, _exact, mono_divides,
-                                mono_one, normal_form)
+                                mono_one, normal_form, variable_monomial)
 from monocurve.semigroup import (CurveParams, ParameterError, _add_shifted, _times_one_minus,
                                  apery_numerator, make_params)
-from monocurve.syzygy import ModElement, Phi, Psi
+from monocurve.syzygy import ModElement, Phi, Psi, phi_symbol, psi_symbol
 
 
 def _reach(x: int, values: tuple[int, ...]) -> tuple[list, list]:
@@ -304,3 +307,41 @@ def standard_monomials_full_test(lms, nvars: int, bound: int) -> list:
                 seen.add(up)
                 stack.append(up)
     return sorted(out)
+
+
+def syzygy_A_chained(params: CurveParams, i: int, j: int) -> ModElement:
+    """A(i; b, j), one ModElement.term added or subtracted per term, each
+    Phi term guarded by the zero convention: the reference for
+    syzygy.syzygy_A, which sums one term list."""
+    p, a, b, d = params.p, params.a, params.b, params.d
+    nv = params.nvars
+    e = epsilon(i, b + j, p)
+    elem = ModElement.term(nv, variable_monomial(p, i), psi_symbol(params, j))
+    elem -= ModElement.term(nv, variable_monomial(p, b + i + j - e), psi_symbol(params, e - b))
+    sym = phi_symbol(params, i, b + j)
+    if sym is not None:
+        elem -= ModElement.term(nv, variable_monomial(p, p, a), sym)
+    sym = phi_symbol(params, i, j)
+    if sym is not None:
+        elem += ModElement.term(nv, variable_monomial(p, 0, a + d), sym)
+    sym = phi_symbol(params, b + i + j - p, p - b)
+    if sym is not None:
+        elem -= ModElement.term(nv, variable_monomial(p, 0, a + d), sym)
+    return elem
+
+
+def syzygy_L_chained(params: CurveParams, l: int, i: int, j: int) -> ModElement:
+    """L(l; i, j), built as syzygy_A_chained builds A: the reference for
+    syzygy.syzygy_L."""
+    p, nv = params.p, params.nvars
+    elem = ModElement.term(nv, variable_monomial(p, l), phi_symbol(params, i, j))
+    elem -= ModElement.term(nv, variable_monomial(p, j), phi_symbol(params, i, l))
+    t = tau(i, j, p)
+    sym = phi_symbol(params, i + j - t, l)
+    if sym is not None:
+        elem += ModElement.term(nv, variable_monomial(p, t), sym)
+    t = tau(i, l, p)
+    sym = phi_symbol(params, i + l - t, j)
+    if sym is not None:
+        elem -= ModElement.term(nv, variable_monomial(p, t), sym)
+    return elem

@@ -85,3 +85,14 @@ def test_only_polyring_reads_the_rows_of_a_reducer():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Attribute) and node.attr in ("_rows", "rows")}
     assert readers == {"polyring.py"}
+
+
+def test_only_polyring_names_bigattis_recursion():
+    # hilbert_numerator is the one entry to Bigatti's recursion: it
+    # minimizes the generators and owns the memo, so no other module
+    # imports, calls or reads _numerator
+    namers = {path.name for path in sorted((ROOT / "src" / "monocurve").glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if "_numerator" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                  getattr(node, "name", None))}
+    assert namers == {"polyring.py"}
