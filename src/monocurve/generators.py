@@ -5,7 +5,8 @@ binomials phi(i, j) = X_i*X_j - X_eps*X_{i+j-eps} with the power
 binomials psi(b, i) = X_{b+i}*X_p^a - X_i*X_0^(a+d); it is a minimal
 Groebner basis under the weighted order.  The classical set of Patil is
 built alongside for cross-checks: both sets generate the same ideal and
-have the same cardinality.
+have the same cardinality.  Each set reads one table of the triple's
+unit monomials (_units), and fills each family in one loop over it.
 
 Every verification routine takes the triple's syzygy.Curve, which holds
 both sets, the ring order, the ring Reducer of the closed-form set G,
@@ -60,6 +61,34 @@ def tau(i: int, j: int, p: int) -> int:
     return 0 if i + j < p else p
 
 
+def _units(params: CurveParams) -> list:
+    """The unit monomials of one triple, each built once: X_k at index k
+    for k in [0, p] (X0 sits last, polyring.variable_position), then X_p^a
+    and X_0^(a+d).  Each family is filled from them in one loop."""
+    p, a, zeros = params.p, params.a, (0,) * params.p
+    units = [zeros + (1,)] + [zeros[:k - 1] + (1,) + zeros[k - 1:] for k in range(1, p + 1)]
+    return units + [zeros[:p - 1] + (a, 0), zeros + (a + params.d,)]
+
+
+def _family_phi(params: CurveParams, units: list, pairs) -> dict:
+    """phi(i, j) for each (i, j) of pairs, keyed by the pair.  The two
+    monomials of a binomial differ, so its terms are written directly."""
+    p, nv, out = params.p, params.nvars, {}
+    for i, j in pairs:
+        e = epsilon(i, j, p)
+        lead, tail = mono_mul(units[i], units[j]), mono_mul(units[e], units[i + j - e])
+        out[i, j] = Poly._raw(nv, {lead: 1, tail: -1})
+    return out
+
+
+def _family_psi(params: CurveParams, units: list, indices) -> dict:
+    """psi(b, i) for each i of indices, keyed by i."""
+    p, b, nv = params.p, params.b, params.nvars
+    xpa, x0ad = units[p + 1], units[p + 2]
+    return {i: Poly._raw(nv, {mono_mul(units[b + i], xpa): 1, mono_mul(units[i], x0ad): -1})
+            for i in indices}
+
+
 def phi_binomial(params: CurveParams, i: int, j: int) -> Poly:
     """The quadratic binomial X_i*X_j - X_eps(i,j)*X_{i+j-eps(i,j)}.
 
@@ -68,10 +97,7 @@ def phi_binomial(params: CurveParams, i: int, j: int) -> Poly:
     p = params.p
     if not (1 <= i <= p - 1 and 1 <= j <= p - 1):
         raise IndexError(f"phi indices ({i}, {j}) outside [1, {p - 1}]")
-    e = epsilon(i, j, p)
-    lead = mono_mul(variable_monomial(p, i), variable_monomial(p, j))
-    tail = mono_mul(variable_monomial(p, e), variable_monomial(p, i + j - e))
-    return Poly(params.nvars, {lead: 1}) - Poly(params.nvars, {tail: 1})
+    return _family_phi(params, _units(params), [(i, j)])[i, j]
 
 
 def psi_binomial(params: CurveParams, i: int) -> Poly:
@@ -80,12 +106,9 @@ def psi_binomial(params: CurveParams, i: int) -> Poly:
     At i = 0 the trailing term collapses to X_0^(a+d+1); at i = p - b the
     leading term collapses to X_p^(a+1).
     """
-    p, a, b, d = params.p, params.a, params.b, params.d
-    if not 0 <= i <= p - b:
-        raise IndexError(f"psi index {i} outside [0, {p - b}]")
-    lead = mono_mul(variable_monomial(p, b + i), variable_monomial(p, p, a))
-    tail = mono_mul(variable_monomial(p, i), variable_monomial(p, 0, a + d))
-    return Poly(params.nvars, {lead: 1}) - Poly(params.nvars, {tail: 1})
+    if not 0 <= i <= params.p - params.b:
+        raise IndexError(f"psi index {i} outside [0, {params.p - params.b}]")
+    return _family_psi(params, _units(params), [i])[i]
 
 
 @dataclass(frozen=True)
@@ -110,16 +133,16 @@ class GeneratorSet:
         return [g for _, g in self.labeled()]
 
 
+def _closed_form(params: CurveParams) -> tuple[dict, dict]:
+    """The phis and the psis of the closed-form set, from one table."""
+    p, units = params.p, _units(params)
+    return (_family_phi(params, units, [(i, j) for i in range(1, p) for j in range(i, p)]),
+            _family_psi(params, units, range(p - params.b + 1)))
+
+
 def groebner_generators(params: CurveParams) -> GeneratorSet:
     """Build the full closed-form set: p(p-1)/2 phis and p-b+1 psis."""
-    p, b = params.p, params.b
-    phis = {
-        (i, j): phi_binomial(params, i, j)
-        for i in range(1, p)
-        for j in range(i, p)
-    }
-    psis = {i: psi_binomial(params, i) for i in range(0, p - b + 1)}
-    return GeneratorSet(params=params, phis=phis, psis=psis)
+    return GeneratorSet(params, *_closed_form(params))
 
 
 @dataclass(frozen=True)
@@ -152,29 +175,20 @@ class PatilSet:
 
 
 def patil_generators(params: CurveParams) -> PatilSet:
-    p, a, b, d = params.p, params.a, params.b, params.d
-    nv = params.nvars
+    p, b, nv, x = params.p, params.b, params.nvars, _units(params)
+    xpa, x0ad = x[p + 1], x[p + 2]
 
-    def term(*factors) -> Poly:
-        mono = (0,) * nv
-        for idx, power in factors:
-            mono = mono_mul(mono, variable_monomial(p, idx, power))
-        return Poly(nv, {mono: 1})
+    def binomial(lead, tail) -> Poly:
+        return Poly._raw(nv, {lead: 1, tail: -1})
 
     xis = {}
     for i in range(1, p - 1):
         for j in range(i, p - 1):
-            if i + j <= p - 1:
-                xis[(i, j)] = term((i, 1), (j, 1)) - term((i + j, 1), (0, 1))
-            else:
-                xis[(i, j)] = term((i, 1), (j, 1)) - term((i + j + 1 - p, 1), (p - 1, 1))
-    phis = {
-        i: term((i + 1, 1), (p - 1, 1)) - term((i, 1), (p, 1)) for i in range(0, p - 1)
-    }
-    psis = {
-        j: term((b + j, 1), (p, a)) - term((j, 1), (0, a + d)) for j in range(0, p - b)
-    }
-    theta = term((p, a + 1)) - term((p - b, 1), (0, a + d))
+            k, u = (i + j, 0) if i + j <= p - 1 else (i + j + 1 - p, p - 1)
+            xis[i, j] = binomial(mono_mul(x[i], x[j]), mono_mul(x[k], x[u]))
+    phis = {i: binomial(mono_mul(x[i + 1], x[p - 1]), mono_mul(x[i], x[p])) for i in range(p - 1)}
+    psis = {j: binomial(mono_mul(x[b + j], xpa), mono_mul(x[j], x0ad)) for j in range(p - b)}
+    theta = binomial(mono_mul(xpa, x[p]), mono_mul(x[p - b], x0ad))
     return PatilSet(params=params, xis=xis, phis=phis, psis=psis, theta=theta)
 
 
@@ -477,23 +491,14 @@ def verify_ideal_equality(curve: Curve) -> VerificationReport:
     report.add("closed-form-set-reduces", stuck is None, witness=stuck)
 
     # rewriting identities tying the two sets together
-    p = params.p
+    p, (phi, psi) = params.p, _closed_form(params)
     broken = []
     for (i, j), xi in patil.xis.items():
-        target = phi_binomial(params, i, j)
-        if i + j <= p - 1:
-            ok = xi == target
-        else:
-            ok = xi + patil.phis[i + j - p] == target
-        if not ok:
+        if (xi + patil.phis[i + j - p] if i + j > p - 1 else xi) != phi[i, j]:
             broken.append(f"xi({i},{j})")
-    for i, g in patil.phis.items():
-        if g != phi_binomial(params, i + 1, p - 1):
-            broken.append(f"phi_{i}")
-    for j, g in patil.psis.items():
-        if g != psi_binomial(params, j):
-            broken.append(f"psi_{params.b},{j}")
-    if patil.theta != psi_binomial(params, p - params.b):
+    broken += [f"phi_{i}" for i, g in patil.phis.items() if g != phi[i + 1, p - 1]]
+    broken += [f"psi_{params.b},{j}" for j, g in patil.psis.items() if g != psi[j]]
+    if patil.theta != psi[p - params.b]:
         broken.append("theta")
     report.add(
         "rewriting-identities",

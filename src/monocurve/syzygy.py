@@ -7,8 +7,9 @@ either Psi(j), standing for the power binomial psi(b, j), or Phi(i, j)
 The evaluation map sends a term to monomial * binomial; an element is a
 relation when its image is zero.
 
-Two index conventions matter everywhere and are applied at construction
-time, never stored:
+syzygy_basis fills each family in one loop from one table per triple
+(_table) of unit monomials and symbols, each built once and shared by
+every term that carries it.  The table applies two index conventions:
   * Phi(i, j) = Phi(j, i), so pairs are kept sorted;
   * Phi(i, j) is zero whenever either index leaves [1, p-1].  Indices 0
     and p do occur in the syzygy displays; dropping them agrees with the
@@ -55,11 +56,12 @@ from .generators import (
     _certified,
     _closure_by_weight,
     _mixed_weight,
+    _family_phi,
+    _family_psi,
+    _units,
     epsilon,
     groebner_generators,
     patil_generators,
-    phi_binomial,
-    psi_binomial,
     tau,
 )
 from .polyring import (
@@ -114,21 +116,6 @@ class Phi(NamedTuple):
         return f"Phi({self.i},{self.j})"
 
 
-def psi_symbol(params: CurveParams, j: int) -> Psi:
-    if not 0 <= j <= params.p - params.b:
-        raise IndexError(f"Psi index {j} outside [0, {params.p - params.b}]")
-    return Psi(j)
-
-
-def phi_symbol(params: CurveParams, i: int, j: int) -> Phi | None:
-    """Canonical Phi symbol, or None when the zero convention applies."""
-    if i > j:
-        i, j = j, i
-    if i < 1 or j > params.p - 1:
-        return None
-    return Phi(i, j)
-
-
 class ModElement(SparseMap):
     """Element of the free module: map (monomial, symbol) -> non-zero coefficient."""
 
@@ -150,10 +137,6 @@ class ModElement(SparseMap):
             raise ValueError(f"monomial {mono} does not have {nvars} exponents")
         coeff = _exact(coeff)
         return cls._raw(nvars, {(tuple(mono), sym): coeff} if coeff else {})
-
-    @classmethod
-    def from_poly(cls, poly: Poly, sym) -> "ModElement":
-        return cls._raw(poly.nvars, {(m, sym): c for m, c in poly.terms.items()})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -235,19 +218,63 @@ class ModuleOrder(TermOrder):
 # the three syzygy families
 
 
-def _relation(params: CurveParams, *terms) -> ModElement:
-    """The sum of the terms (coeff, mono, sym), with each term whose symbol
-    is None dropped (phi_symbol's zero convention); terms on one key add,
-    and cancel when their sum is zero."""
+def _table(params: CurveParams) -> tuple:
+    """What the families of one triple share, each built once: its units
+    (generators._units), Psi(j) at index j in [0, p-b], and Phi(i, j) for
+    1 <= i <= j <= p-1 under (i, j) and (j, i), so a pair with an index
+    outside [1, p-1] is absent: the symbol is zero.  No two terms of a
+    member share a key, but for the cancelling pair of A."""
+    p, phi = params.p, {}
+    for i in range(1, p):
+        for j in range(i, p):
+            phi[i, j] = phi[j, i] = Phi(i, j)
+    return _units(params), [Psi(j) for j in range(p - params.b + 1)], phi
+
+
+def _family_A(params: CurveParams, table: tuple, pairs) -> dict:
+    """A(i; b, j) for each (i, j) of pairs, keyed by the pair."""
+    p, b, nv = params.p, params.b, params.nvars
+    x, psi, phi = table
+    xpa, x0ad, out = x[p + 1], x[p + 2], {}
+    for i, j in pairs:
+        e = epsilon(i, b + j, p)
+        terms = {(x[i], psi[j]): 1, (x[b + i + j - e], psi[e - b]): -1}
+        corrections = [(xpa, phi.get((i, b + j)), -1)]
+        if i != p - b:  # there the two X0 corrections carry one symbol and cancel
+            corrections += [(x0ad, phi.get((i, j)), 1), (x0ad, phi.get((b + i + j - p, p - b)), -1)]
+        for m, sym, c in corrections:
+            if sym is not None:
+                terms[m, sym] = c
+        out[i, j] = ModElement._raw(nv, terms)
+    return out
+
+
+def _family_B(params: CurveParams, table: tuple, pairs) -> dict:
+    """B(i, j) for each (i, j) of pairs, keyed by the pair: phi(i, j) on
+    Psi(p-b) less one copy of psi(b, p-b) on Phi(i, j)."""
+    x, psi, phi = table
+    top = _family_psi(params, x, [params.p - params.b])[params.p - params.b].terms.items()
     out = {}
-    for coeff, mono, sym in terms:
-        if sym is not None:
-            c = out.get((mono, sym), 0) + coeff
-            if c:
-                out[(mono, sym)] = c
-            else:
-                del out[(mono, sym)]
-    return ModElement._raw(params.nvars, out)
+    for (i, j), quad in _family_phi(params, x, pairs).items():
+        terms = {(m, psi[-1]): c for m, c in quad.terms.items()}
+        for m, c in top:
+            terms[m, phi[i, j]] = -c
+        out[i, j] = ModElement._raw(params.nvars, terms)
+    return out
+
+
+def _family_L(params: CurveParams, table: tuple, triples) -> dict:
+    """L(l; i, j) for each (l, i, j) of triples, keyed by the triple."""
+    p, nv, out = params.p, params.nvars, {}
+    x, _, phi = table
+    for l, i, j in triples:
+        t, u = tau(i, j, p), tau(i, l, p)
+        terms = {(x[l], phi[i, j]): 1, (x[j], phi[i, l]): -1}
+        for m, sym, c in ((x[t], phi.get((i + j - t, l)), 1), (x[u], phi.get((i + l - u, j)), -1)):
+            if sym is not None:
+                terms[m, sym] = c
+        out[l, i, j] = ModElement._raw(nv, terms)
+    return out
 
 
 def syzygy_A(params: CurveParams, i: int, j: int) -> ModElement:
@@ -256,21 +283,12 @@ def syzygy_A(params: CurveParams, i: int, j: int) -> ModElement:
     Multiplying psi(b, j) by X_i re-expresses the product through the
     next power binomial and quadratic corrections.
     """
-    p, a, b, d = params.p, params.a, params.b, params.d
+    p, b = params.p, params.b
     if not 1 <= i <= p:
         raise IndexError(f"index i = {i} outside [1, {p}]")
     if not 0 <= j <= p - b - 1:
         raise IndexError(f"index j = {j} outside [0, {p - b - 1}]")
-    e = epsilon(i, b + j, p)
-    x0 = variable_monomial(p, 0, a + d)
-    return _relation(
-        params,
-        (1, variable_monomial(p, i), psi_symbol(params, j)),
-        (-1, variable_monomial(p, b + i + j - e), psi_symbol(params, e - b)),
-        (-1, variable_monomial(p, p, a), phi_symbol(params, i, b + j)),
-        (1, x0, phi_symbol(params, i, j)),
-        (-1, x0, phi_symbol(params, b + i + j - p, p - b)),
-    )
+    return _family_A(params, _table(params), [(i, j)])[i, j]
 
 
 def syzygy_B(params: CurveParams, i: int, j: int) -> ModElement:
@@ -279,14 +297,9 @@ def syzygy_B(params: CurveParams, i: int, j: int) -> ModElement:
     The quadratic binomial times the top power symbol cancels against the
     top power binomial times the quadratic symbol.
     """
-    p, b = params.p, params.b
-    if not (1 <= i <= j <= p - 1):
-        raise IndexError(f"indices ({i}, {j}) must satisfy 1 <= i <= j <= {p - 1}")
-    quad = phi_binomial(params, i, j)
-    top = psi_binomial(params, p - b)
-    return ModElement.from_poly(quad, psi_symbol(params, p - b)) - ModElement.from_poly(
-        top, phi_symbol(params, i, j)
-    )
+    if not (1 <= i <= j <= params.p - 1):
+        raise IndexError(f"indices ({i}, {j}) must satisfy 1 <= i <= j <= {params.p - 1}")
+    return _family_B(params, _table(params), [(i, j)])[i, j]
 
 
 def syzygy_L(params: CurveParams, l: int, i: int, j: int) -> ModElement:
@@ -298,14 +311,7 @@ def syzygy_L(params: CurveParams, l: int, i: int, j: int) -> ModElement:
     p = params.p
     if not (1 <= i <= j <= p - 1 and 1 <= l < j):
         raise IndexError(f"indices (l={l}; i={i}, j={j}) violate i <= j, l < j in [1, {p - 1}]")
-    t, u = tau(i, j, p), tau(i, l, p)
-    return _relation(
-        params,
-        (1, variable_monomial(p, l), phi_symbol(params, i, j)),
-        (-1, variable_monomial(p, j), phi_symbol(params, i, l)),
-        (1, variable_monomial(p, t), phi_symbol(params, i + j - t, l)),
-        (-1, variable_monomial(p, u), phi_symbol(params, i + l - u, j)),
-    )
+    return _family_L(params, _table(params), [(l, i, j)])[l, i, j]
 
 
 @dataclass(frozen=True)
@@ -335,25 +341,15 @@ class SyzygySet:
 
 
 def syzygy_basis(params: CurveParams) -> SyzygySet:
-    """Build all three families over their index ranges."""
-    p, b = params.p, params.b
-    A = {
-        (i, j): syzygy_A(params, i, j)
-        for i in range(1, p + 1)
-        for j in range(0, p - b)
-    }
-    B = {
-        (i, j): syzygy_B(params, i, j)
-        for i in range(1, p)
-        for j in range(i, p)
-    }
-    L = {
-        (l, i, j): syzygy_L(params, l, i, j)
-        for j in range(2, p)
-        for i in range(1, j + 1)
-        for l in range(1, j)
-    }
-    return SyzygySet(params=params, A=A, B=B, L=L)
+    """Build all three families over their index ranges from one table."""
+    p, b, table = params.p, params.b, _table(params)
+    return SyzygySet(
+        params,
+        _family_A(params, table, [(i, j) for i in range(1, p + 1) for j in range(p - b)]),
+        _family_B(params, table, [(i, j) for i in range(1, p) for j in range(i, p)]),
+        _family_L(params, table,
+                  [(l, i, j) for j in range(2, p) for i in range(1, j + 1) for l in range(1, j)]),
+    )
 
 
 def _expected_leads(params: CurveParams) -> dict:

@@ -13,21 +13,27 @@ faster ones: numerator_all_pairs, Bigatti's recursion minimizing every
 ideal it meets; module_identity_by_symbol, one K per module symbol;
 first_dividing_pair_all_pairs, every ordered pair of leads;
 standard_monomials_full_test, each monomial tested against every lead;
-and syzygy_A_chained and syzygy_L_chained, the A and L relations built
-one term at a time by module arithmetic.
+syzygy_A_chained and syzygy_L_chained, the A and L relations built
+one term at a time by module arithmetic; phi_by_subtraction and
+psi_by_subtraction, each binomial a difference of two Polys of fresh
+variable_monomial products; syzygy_B_lifted, B from those binomials
+lifted onto a symbol (lift); patil_by_terms, the classical set built
+term by term; and phi_symbol and psi_symbol, the symbol conventions.
 betti_1_by_search counts minimal generators per weight from the
-membership search alone.
+membership search alone, and betti_2_by_homology the minimal syzygies
+per weight from the homology of the same complexes.
 The library never imports this module.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
-from monocurve.generators import epsilon, tau
+from monocurve.generators import PatilSet, epsilon, tau
 from monocurve.polyring import (Closure, Poly, Reducer, WeightOrder, _exact, mono_divides,
-                                mono_one, normal_form, variable_monomial)
+                                mono_mul, mono_one, normal_form, variable_monomial)
 from monocurve.semigroup import (CurveParams, ParameterError, _add_shifted, _times_one_minus,
                                  apery_numerator, make_params)
-from monocurve.syzygy import ModElement, Phi, Psi, phi_symbol, psi_symbol
+from monocurve.syzygy import ModElement, Phi, Psi
 
 
 def _reach(x: int, values: tuple[int, ...]) -> tuple[list, list]:
@@ -309,6 +315,24 @@ def standard_monomials_full_test(lms, nvars: int, bound: int) -> list:
     return sorted(out)
 
 
+def psi_symbol(params: CurveParams, j: int) -> Psi:
+    """Psi(j), for j in [0, p-b]."""
+    if not 0 <= j <= params.p - params.b:
+        raise IndexError(f"Psi index {j} outside [0, {params.p - params.b}]")
+    return Psi(j)
+
+
+def phi_symbol(params: CurveParams, i: int, j: int) -> Phi | None:
+    """The canonical Phi symbol of the unordered pair, or None when either
+    index leaves [1, p-1] and the symbol is zero: the reference for the
+    symbols of syzygy._table."""
+    if i > j:
+        i, j = j, i
+    if i < 1 or j > params.p - 1:
+        return None
+    return Phi(i, j)
+
+
 def syzygy_A_chained(params: CurveParams, i: int, j: int) -> ModElement:
     """A(i; b, j), one ModElement.term added or subtracted per term, each
     Phi term guarded by the zero convention: the reference for
@@ -345,3 +369,114 @@ def syzygy_L_chained(params: CurveParams, l: int, i: int, j: int) -> ModElement:
     if sym is not None:
         elem -= ModElement.term(nv, variable_monomial(p, t), sym)
     return elem
+
+
+def phi_by_subtraction(params: CurveParams, i: int, j: int) -> Poly:
+    """phi(i, j) as the difference of two one-term Polys: the reference for
+    generators.phi_binomial and the phis of groebner_generators."""
+    p = params.p
+    e = epsilon(i, j, p)
+    lead = mono_mul(variable_monomial(p, i), variable_monomial(p, j))
+    tail = mono_mul(variable_monomial(p, e), variable_monomial(p, i + j - e))
+    return Poly(params.nvars, {lead: 1}) - Poly(params.nvars, {tail: 1})
+
+
+def psi_by_subtraction(params: CurveParams, i: int) -> Poly:
+    """psi(b, i), built as phi_by_subtraction builds phi(i, j)."""
+    p, a, b, d = params.p, params.a, params.b, params.d
+    lead = mono_mul(variable_monomial(p, b + i), variable_monomial(p, p, a))
+    tail = mono_mul(variable_monomial(p, i), variable_monomial(p, 0, a + d))
+    return Poly(params.nvars, {lead: 1}) - Poly(params.nvars, {tail: 1})
+
+
+def lift(poly: Poly, sym) -> ModElement:
+    """The module element poly * sym: each term of poly on the one symbol."""
+    return ModElement(poly.nvars, {(m, sym): c for m, c in poly.terms.items()})
+
+
+def syzygy_B_lifted(params: CurveParams, i: int, j: int) -> ModElement:
+    """B(i, j) = phi(i, j) * Psi(p-b) - psi(b, p-b) * Phi(i, j), from the
+    binomials of phi_by_subtraction and psi_by_subtraction: the reference
+    for syzygy.syzygy_B."""
+    top = params.p - params.b
+    return (lift(phi_by_subtraction(params, i, j), psi_symbol(params, top))
+            - lift(psi_by_subtraction(params, top), phi_symbol(params, i, j)))
+
+
+def patil_by_terms(params: CurveParams) -> PatilSet:
+    """The classical set, each term a product of variable_monomial powers:
+    the reference for generators.patil_generators."""
+    p, a, b, d = params.p, params.a, params.b, params.d
+    nv = params.nvars
+
+    def term(*factors) -> Poly:
+        mono = (0,) * nv
+        for idx, power in factors:
+            mono = mono_mul(mono, variable_monomial(p, idx, power))
+        return Poly(nv, {mono: 1})
+
+    xis = {}
+    for i in range(1, p - 1):
+        for j in range(i, p - 1):
+            if i + j <= p - 1:
+                xis[(i, j)] = term((i, 1), (j, 1)) - term((i + j, 1), (0, 1))
+            else:
+                xis[(i, j)] = term((i, 1), (j, 1)) - term((i + j + 1 - p, 1), (p - 1, 1))
+    phis = {
+        i: term((i + 1, 1), (p - 1, 1)) - term((i, 1), (p, 1)) for i in range(0, p - 1)
+    }
+    psis = {
+        j: term((b + j, 1), (p, a)) - term((j, 1), (0, a + d)) for j in range(0, p - b)
+    }
+    theta = term((p, a + 1)) - term((p - b, 1), (0, a + d))
+    return PatilSet(params=params, xis=xis, phis=phis, psis=psis, theta=theta)
+
+
+def fraction_rank(rows) -> int:
+    """The rank over the rationals of a matrix given as rows, by Gaussian
+    elimination on Fractions."""
+    rows, rank = [[Fraction(v) for v in row] for row in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def betti_2_by_homology(params: CurveParams) -> dict:
+    """beta_2(s) at each weight s where it is non-zero: dim H~_1(D_s) of the
+    squarefree divisor complex D_s = {F : s - sum_F m_i in S} (Miller,
+    Sturmfels, Thm 9.2), as the edges less the exact ranks of the boundary
+    maps from edges and from triangles, with membership from
+    semigroup_membership.  Past F(S) plus the sum of all m_i every face is
+    in D_s, its 2-skeleton is full and H~_1 vanishes, so the weights below
+    that bound are all of them."""
+    gens, known = params.generators, {}
+
+    def member(x: int) -> bool:
+        if x not in known:
+            known[x] = x >= 0 and semigroup_membership(params, x) is not None
+        return known[x]
+
+    # the Frobenius number F(S): the last gap before m0 members in a row
+    x, run, frobenius = 0, 0, -1
+    while run < params.m0:
+        run, frobenius = (run + 1, frobenius) if member(x) else (0, x)
+        x += 1
+    out = {}
+    for s in range(frobenius + sum(gens) + 1):
+        faces = [[f for f in combinations(range(len(gens)), k)
+                  if member(s - sum(gens[i] for i in f))] for k in (1, 2, 3)]
+        # the boundary sends face f to sum_k (-1)^k (f less its k-th vertex)
+        d1, d2 = ([[sum((-1) ** k for k in range(len(f)) if f[:k] + f[k + 1:] == g)
+                    for f in upper] for g in lower] for lower, upper in zip(faces, faces[1:]))
+        h = len(faces[1]) - fraction_rank(d1) - fraction_rank(d2)
+        if h:
+            out[s] = h
+    return out

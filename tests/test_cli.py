@@ -297,6 +297,18 @@ def test_fractional_witnesses_match_golden(name, monkeypatch, capsys):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+def test_the_syzygy_basis_reads_nothing_of_the_closed_form_set(monkeypatch):
+    # with the half lead planted in place of phi(1,1), B and the whole
+    # basis stay the unplanted ones, alone and inside a Curve
+    for pr in (make_params(7, 1, 3), make_params(17, 3, 8), make_params(9, 1, 3)):
+        want = syzygy.syzygy_basis(pr)
+        monkeypatch.setattr("monocurve.syzygy.groebner_generators", _half_lead)
+        curve = syzygy.Curve(pr)
+        assert curve.gset.phis[1, 1] != groebner_generators(pr).phis[1, 1]
+        assert syzygy.syzygy_basis(pr) == want and curve.sset == want
+        monkeypatch.undo()
+
+
 def test_a_sweep_with_failing_triples_reports_each_failure(monkeypatch, capsys):
     # every verified triple carries the half lead, so every one fails, with
     # the failing records of a shallow verify at the sweep's bound and samples

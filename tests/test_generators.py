@@ -18,6 +18,7 @@ from monocurve.generators import (
     _minimal_by_count,
     _rank,
     _redundant_by_weight,
+    _units,
     PatilSet,
     epsilon,
     expected_leading_monomials,
@@ -47,7 +48,8 @@ from monocurve.polyring import (
     variable_monomial,
 )
 from monocurve.syzygy import Curve
-from oracles import buchberger, curve_image, parameter_sweep, standard_monomials_full_test
+from oracles import (buchberger, curve_image, parameter_sweep, patil_by_terms, phi_by_subtraction,
+                     psi_by_subtraction, standard_monomials_full_test)
 
 SWEEP = list(parameter_sweep(range(2, 6), range(1, 4), range(1, 6)))
 SWEEP6 = list(parameter_sweep(range(2, 7), range(1, 4), range(1, 6)))
@@ -115,6 +117,33 @@ def test_leading_monomials_match_prediction():
             order.leading_monomial(g) for g in groebner_generators(pr).polynomials()
         }
         assert computed == expected_leading_monomials(pr)
+
+
+def test_units_are_the_variable_monomials(ladder):
+    for pr in ladder + SWEEP:
+        p, units = pr.p, _units(pr)
+        assert units == [variable_monomial(p, k) for k in range(p + 1)] + [
+            variable_monomial(p, p, pr.a), variable_monomial(p, 0, pr.a + pr.d)]
+        assert all(type(u) is tuple for u in units)
+
+
+def test_both_generating_sets_match_their_references(ladder):
+    # every phi, psi and classical element equals its reference, built from
+    # fresh variable_monomial products by Poly arithmetic, with int
+    # coefficients; the per-element builders agree on small triples
+    for pr in ladder:
+        p, gset = pr.p, groebner_generators(pr)
+        assert gset.phis == {(i, j): phi_by_subtraction(pr, i, j)
+                             for i in range(1, p) for j in range(i, p)}, pr
+        assert gset.psis == {i: psi_by_subtraction(pr, i) for i in range(p - pr.b + 1)}, pr
+        assert patil_generators(pr) == patil_by_terms(pr), pr
+        assert all(type(c) is int for g in gset.polynomials() + patil_generators(pr).polynomials()
+                   for c in g.terms.values())
+        if p <= 3:
+            assert all(phi_binomial(pr, i, j) == phi_by_subtraction(pr, i, j)
+                       for i in range(1, p) for j in range(1, p))
+            assert all(psi_binomial(pr, i) == psi_by_subtraction(pr, i)
+                       for i in range(p - pr.b + 1))
 
 
 def test_patil_set_explicit(p713):

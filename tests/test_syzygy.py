@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -35,8 +36,6 @@ from monocurve.syzygy import (
     Psi,
     SyzygySet,
     mod_elem_to_json,
-    phi_symbol,
-    psi_symbol,
     relation_image,
     schreyer_relations,
     syzygy_A,
@@ -50,8 +49,9 @@ from monocurve.syzygy import (
     verify_syzygy_basis,
 )
 from monocurve.semigroup import apery_numerator
-from oracles import (_symbol_from_json, buchberger, mod_elem_from_json, module_identity_by_symbol,
-                     parameter_sweep, syzygy_A_chained, syzygy_L_chained)
+from oracles import (_symbol_from_json, betti_2_by_homology, buchberger, lift, mod_elem_from_json,
+                     module_identity_by_symbol, parameter_sweep, phi_symbol, syzygy_A_chained,
+                     syzygy_B_lifted, syzygy_L_chained)
 
 P713 = make_params(7, 1, 3)
 C713 = Curve(P713)
@@ -65,14 +65,14 @@ def _x(v, e=1):
 
 
 def test_symbol_conventions(p713):
-    assert phi_symbol(p713, 2, 1) == Phi(1, 2)
-    assert phi_symbol(p713, 1, 1) == Phi(1, 1)
-    assert phi_symbol(p713, 0, 2) is None
-    assert phi_symbol(p713, 3, 1) is None  # index p is out of range
-    assert phi_symbol(p713, -1, 2) is None
-    assert psi_symbol(p713, 2) == Psi(2)
-    with pytest.raises(IndexError):
-        psi_symbol(p713, 3)
+    _, psi, phi = syzygy._table(p713)
+    assert phi[2, 1] == Phi(1, 2)
+    assert phi[1, 1] == Phi(1, 1)
+    assert (0, 2) not in phi
+    assert (3, 1) not in phi  # index p is out of range
+    assert (-1, 2) not in phi
+    assert psi[2] == Psi(2)
+    assert len(psi) == 3  # Psi(3) lies past p - b
 
 
 def test_symbols_hash_compare_and_print_like_tuples():
@@ -199,6 +199,91 @@ def test_zero_has_no_leading_term_in_either_order():
 def test_format_mod_elem_spells_non_unit_coefficients():
     elem = ModElement(4, {((1, 0, 0, 0), Psi(0)): Fraction(-1, 2), ((0, 0, 0, 0), Phi(1, 1)): 3})
     assert format_mod_elem(MORDER, elem) == "-1/2*X1*Psi(0) + 3*Phi(1,1)"
+
+
+def test_every_member_matches_its_reference(ladder):
+    # A and L built one term at a time, B lifted from fresh binomials; the
+    # per-element builders agree with the families on small triples
+    for pr in ladder:
+        sset = syzygy_basis(pr)
+        assert sset.A == {(i, j): syzygy_A_chained(pr, i, j) for i, j in sset.A}, pr
+        assert sset.B == {(i, j): syzygy_B_lifted(pr, i, j)
+                          for i in range(1, pr.p) for j in range(i, pr.p)}, pr
+        assert sset.L == {(l, i, j): syzygy_L_chained(pr, l, i, j) for l, i, j in sset.L}, pr
+        assert len(sset.A) == pr.p * (pr.p - pr.b)
+        assert len(sset.L) == sum(j * (j - 1) for j in range(2, pr.p))
+        if pr.p <= 3:
+            assert sset.A == {key: syzygy_A(pr, *key) for key in sset.A}
+            assert sset.B == {key: syzygy_B(pr, *key) for key in sset.B}
+            assert sset.L == {key: syzygy_L(pr, *key) for key in sset.L}
+
+
+def test_the_table_holds_each_symbol_once(ladder):
+    for pr in ladder:
+        p, b = pr.p, pr.b
+        _, psi, phi = syzygy._table(pr)
+        assert psi == [Psi(j) for j in range(p - b + 1)]
+        assert phi == {(i, j): phi_symbol(pr, i, j) for i in range(1, p) for j in range(1, p)}
+        assert all(phi[i, j] is phi[j, i] for i, j in phi)
+
+
+def test_members_on_one_unit_monomial_share_its_tuple(ladder):
+    # A(1; b, 0) and L(1; 1, 2) both carry X1, and every A carrying
+    # X0^(a+d) carries one tuple: the families read one table per triple
+    for pr in ladder:
+        if pr.p < 3 or pr.b == pr.p:
+            continue
+        sset = syzygy_basis(pr)
+        (a_x1,) = [m for m, sym in sset.A[1, 0].terms if sym == Psi(0)]
+        (l_x1,) = [m for m, sym in sset.L[1, 1, 2].terms if sym == Phi(1, 2)]
+        assert a_x1 == variable_monomial(pr.p, 1) and a_x1 is l_x1
+        x0 = variable_monomial(pr.p, 0, pr.a + pr.d)
+        shared = {id(m) for g in sset.A.values() for m, _ in g.terms if m == x0}
+        assert len(shared) == 1
+
+
+def _weight(curve, elem) -> int:
+    # a member is weight-homogeneous: the projection of any term weighs it
+    return curve.morder.key(next(iter(elem.terms)))[0][0]
+
+
+def _monomials_of_weight(weights, w):
+    if not weights:
+        yield from [()] if w == 0 else []
+        return
+    for e in range(w // weights[0] + 1):
+        yield from ((e,) + rest for rest in _monomials_of_weight(weights[1:], w - e * weights[0]))
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6), (9, 1, 3), (15, 1, 5)])
+def test_betti_2_counts_the_members_of_a_and_l_or_b_and_l(triple):
+    # the minimal syzygies per weight, dim H~_1(D_s), are A and L when
+    # b < p, and B and L when b = p, where A is empty
+    pr = make_params(*triple)
+    curve = Curve(pr)
+    sset = curve.sset
+    kept = list(sset.L.values()) + list((sset.A if pr.b < pr.p else sset.B).values())
+    assert betti_2_by_homology(pr) == Counter(_weight(curve, g) for g in kept)
+    assert bool(sset.A) == (pr.b < pr.p)
+
+
+def test_each_b_reduces_to_zero_modulo_a_and_l_at_its_weight():
+    # B lies in the module A and L generate: the multiples of A and L of
+    # B(i,j)'s weight, kept as the rows of a Reducer, divide it to zero.
+    # A and L alone are no Groebner basis, so dividing by them leaves a
+    # remainder.
+    curve = Curve(P713)
+    sset, weights = curve.sset, P713.exponent_weights
+    gens = list(sset.A.values()) + list(sset.L.values())
+    for key, elem in sset.B.items():
+        w, rows = _weight(curve, elem), Reducer(curve.morder)
+        for g in gens:
+            for u in _monomials_of_weight(weights, w - _weight(curve, g)):
+                r = normal_form(g.times_term(1, u), rows)[0]
+                if r:
+                    rows.append(r)
+        assert not normal_form(elem, rows)[0], key
+        assert normal_form(elem, Reducer(curve.morder, gens))[0], key
 
 
 def test_syzygy_index_errors(p713):
@@ -341,15 +426,15 @@ def test_ring_division_is_module_division_on_one_symbol(p713):
     # a ring basis lifted under a single symbol divides exactly as the ring does
     order = MORDER.ring
     basis = groebner_generators(p713).polynomials()
-    lifted = [ModElement.from_poly(g, Psi(0)) for g in basis]
+    lifted = [lift(g, Psi(0)) for g in basis]
     for f in (
         Poly.term(4, (1, 1, 1, 0)),
         phi_binomial(p713, 1, 2) * psi_binomial(p713, 1) + Poly.term(4, (2, 0, 3, 1), 5),
         Poly.term(4, (0, 0, 4, 0), Fraction(3, 2)) - Poly.term(4, (1, 0, 0, 5)),
     ):
         r, quots = normal_form(f, Reducer(order, basis))
-        mr, mquots = normal_form(ModElement.from_poly(f, Psi(0)), Reducer(MORDER, lifted))
-        assert mr == ModElement.from_poly(r, Psi(0))
+        mr, mquots = normal_form(lift(f, Psi(0)), Reducer(MORDER, lifted))
+        assert mr == lift(r, Psi(0))
         assert mquots == quots
         assert all(quots.values()) and set(quots) <= set(range(len(basis)))
 
