@@ -8,8 +8,6 @@ from .generators import (
     expected_leading_monomials,
     groebner_generators,
     patil_generators,
-    phi_binomial,
-    psi_binomial,
     standard_monomials,
     standard_shape,
     tau,
@@ -49,9 +47,6 @@ from .syzygy import (
     SyzygySet,
     relation_image,
     schreyer_relations,
-    syzygy_A,
-    syzygy_B,
-    syzygy_L,
     syzygy_basis,
     verify_excluded_leading_forms,
     verify_order_projection,

@@ -6,7 +6,9 @@ binomials psi(b, i) = X_{b+i}*X_p^a - X_i*X_0^(a+d); it is a minimal
 Groebner basis under the weighted order.  The classical set of Patil is
 built alongside for cross-checks: both sets generate the same ideal and
 have the same cardinality.  Each set reads one table of the triple's
-unit monomials (_units), and fills each family in one loop over it.
+unit monomials (_units), and fills each family in one loop over its own
+index range; a member is read from its family's map, as
+groebner_generators(params).phis[i, j].
 
 Every verification routine takes the triple's syzygy.Curve, which holds
 both sets, the ring order, the ring Reducer of the closed-form set G,
@@ -70,45 +72,27 @@ def _units(params: CurveParams) -> list:
     return units + [zeros[:p - 1] + (a, 0), zeros + (a + params.d,)]
 
 
-def _family_phi(params: CurveParams, units: list, pairs) -> dict:
-    """phi(i, j) for each (i, j) of pairs, keyed by the pair.  The two
-    monomials of a binomial differ, so its terms are written directly."""
+def _family_phi(params: CurveParams, units: list) -> dict:
+    """phi(i, j) = X_i*X_j - X_eps(i,j)*X_{i+j-eps(i,j)}, keyed by (i, j)
+    for 1 <= i <= j <= p-1.  The two monomials of a binomial differ, so
+    its terms are written directly."""
     p, nv, out = params.p, params.nvars, {}
-    for i, j in pairs:
-        e = epsilon(i, j, p)
-        lead, tail = mono_mul(units[i], units[j]), mono_mul(units[e], units[i + j - e])
-        out[i, j] = Poly._raw(nv, {lead: 1, tail: -1})
+    for i in range(1, p):
+        for j in range(i, p):
+            e = epsilon(i, j, p)
+            lead, tail = mono_mul(units[i], units[j]), mono_mul(units[e], units[i + j - e])
+            out[i, j] = Poly._raw(nv, {lead: 1, tail: -1})
     return out
 
 
-def _family_psi(params: CurveParams, units: list, indices) -> dict:
-    """psi(b, i) for each i of indices, keyed by i."""
+def _family_psi(params: CurveParams, units: list) -> dict:
+    """psi(b, i) = X_{b+i}*X_p^a - X_i*X_0^(a+d) for i in [0, p-b], keyed by
+    i.  At i = 0 the trailing term collapses to X_0^(a+d+1); at i = p - b
+    the leading term collapses to X_p^(a+1)."""
     p, b, nv = params.p, params.b, params.nvars
     xpa, x0ad = units[p + 1], units[p + 2]
     return {i: Poly._raw(nv, {mono_mul(units[b + i], xpa): 1, mono_mul(units[i], x0ad): -1})
-            for i in indices}
-
-
-def phi_binomial(params: CurveParams, i: int, j: int) -> Poly:
-    """The quadratic binomial X_i*X_j - X_eps(i,j)*X_{i+j-eps(i,j)}.
-
-    Indices are restricted to [1, p-1]; the pair is unordered.
-    """
-    p = params.p
-    if not (1 <= i <= p - 1 and 1 <= j <= p - 1):
-        raise IndexError(f"phi indices ({i}, {j}) outside [1, {p - 1}]")
-    return _family_phi(params, _units(params), [(i, j)])[i, j]
-
-
-def psi_binomial(params: CurveParams, i: int) -> Poly:
-    """The power binomial X_{b+i}*X_p^a - X_i*X_0^(a+d) for i in [0, p-b].
-
-    At i = 0 the trailing term collapses to X_0^(a+d+1); at i = p - b the
-    leading term collapses to X_p^(a+1).
-    """
-    if not 0 <= i <= params.p - params.b:
-        raise IndexError(f"psi index {i} outside [0, {params.p - params.b}]")
-    return _family_psi(params, _units(params), [i])[i]
+            for i in range(p - b + 1)}
 
 
 @dataclass(frozen=True)
@@ -135,9 +119,8 @@ class GeneratorSet:
 
 def _closed_form(params: CurveParams) -> tuple[dict, dict]:
     """The phis and the psis of the closed-form set, from one table."""
-    p, units = params.p, _units(params)
-    return (_family_phi(params, units, [(i, j) for i in range(1, p) for j in range(i, p)]),
-            _family_psi(params, units, range(p - params.b + 1)))
+    units = _units(params)
+    return _family_phi(params, units), _family_psi(params, units)
 
 
 def groebner_generators(params: CurveParams) -> GeneratorSet:

@@ -7,9 +7,11 @@ either Psi(j), standing for the power binomial psi(b, j), or Phi(i, j)
 The evaluation map sends a term to monomial * binomial; an element is a
 relation when its image is zero.
 
-syzygy_basis fills each family in one loop from one table per triple
-(_table) of unit monomials and symbols, each built once and shared by
-every term that carries it.  The table applies two index conventions:
+syzygy_basis fills each family in one loop over its own index range,
+from one table per triple (_table) of unit monomials and symbols, each
+built once and shared by every term that carries it; a member is read
+from its family's map, as syzygy_basis(params).L[l, i, j].  The table
+applies two index conventions:
   * Phi(i, j) = Phi(j, i), so pairs are kept sorted;
   * Phi(i, j) is zero whenever either index leaves [1, p-1].  Indices 0
     and p do occur in the syzygy displays; dropping them agrees with the
@@ -29,9 +31,10 @@ symbol None.
 S-vectors come from the ring's S-pair builder, polyring.s_polynomial,
 for the pairs of basis elements whose leads share a symbol
 (Reducer.pairs).  schreyer_relations lifts each S-pair of the symbols'
-binomials to a module element.  The excluded families of module terms
-are boxes of exponents, each tested against the lead terms on their
-symbol through its largest member.
+binomials to a module element, one pair at a time as its caller asks.
+The excluded families of module terms are boxes of exponents, each
+tested against the lead terms on their symbol through its largest
+member.
 
 Both Groebner claims are decided by one Hilbert-series identity each
 (Curve.ring_certified, _module_identity), in terms of N, the Hilbert
@@ -49,6 +52,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -231,31 +235,36 @@ def _table(params: CurveParams) -> tuple:
     return _units(params), [Psi(j) for j in range(p - params.b + 1)], phi
 
 
-def _family_A(params: CurveParams, table: tuple, pairs) -> dict:
-    """A(i; b, j) for each (i, j) of pairs, keyed by the pair."""
+def _family_A(params: CurveParams, table: tuple) -> dict:
+    """A(i; b, j), led by X_i * Psi(j), for i in [1, p] and j in [0, p-b-1],
+    keyed by (i, j): multiplying psi(b, j) by X_i re-expresses the product
+    through the next power binomial and quadratic corrections."""
     p, b, nv = params.p, params.b, params.nvars
     x, psi, phi = table
     xpa, x0ad, out = x[p + 1], x[p + 2], {}
-    for i, j in pairs:
-        e = epsilon(i, b + j, p)
-        terms = {(x[i], psi[j]): 1, (x[b + i + j - e], psi[e - b]): -1}
-        corrections = [(xpa, phi.get((i, b + j)), -1)]
-        if i != p - b:  # there the two X0 corrections carry one symbol and cancel
-            corrections += [(x0ad, phi.get((i, j)), 1), (x0ad, phi.get((b + i + j - p, p - b)), -1)]
-        for m, sym, c in corrections:
-            if sym is not None:
-                terms[m, sym] = c
-        out[i, j] = ModElement._raw(nv, terms)
+    for i in range(1, p + 1):
+        for j in range(p - b):
+            e = epsilon(i, b + j, p)
+            terms = {(x[i], psi[j]): 1, (x[b + i + j - e], psi[e - b]): -1}
+            corrections = [(xpa, phi.get((i, b + j)), -1)]
+            if i != p - b:  # there the two X0 corrections carry one symbol and cancel
+                corrections += [(x0ad, phi.get((i, j)), 1),
+                                (x0ad, phi.get((b + i + j - p, p - b)), -1)]
+            for m, sym, c in corrections:
+                if sym is not None:
+                    terms[m, sym] = c
+            out[i, j] = ModElement._raw(nv, terms)
     return out
 
 
-def _family_B(params: CurveParams, table: tuple, pairs) -> dict:
-    """B(i, j) for each (i, j) of pairs, keyed by the pair: phi(i, j) on
-    Psi(p-b) less one copy of psi(b, p-b) on Phi(i, j)."""
+def _family_B(params: CurveParams, table: tuple) -> dict:
+    """B(i, j), led by X_i * X_j * Psi(p-b), for 1 <= i <= j <= p-1, keyed
+    by (i, j): phi(i, j) on Psi(p-b) less one copy of psi(b, p-b) on
+    Phi(i, j), a Koszul-style relation."""
     x, psi, phi = table
-    top = _family_psi(params, x, [params.p - params.b])[params.p - params.b].terms.items()
+    top = _family_psi(params, x)[params.p - params.b].terms.items()
     out = {}
-    for (i, j), quad in _family_phi(params, x, pairs).items():
+    for (i, j), quad in _family_phi(params, x).items():
         terms = {(m, psi[-1]): c for m, c in quad.terms.items()}
         for m, c in top:
             terms[m, phi[i, j]] = -c
@@ -263,55 +272,23 @@ def _family_B(params: CurveParams, table: tuple, pairs) -> dict:
     return out
 
 
-def _family_L(params: CurveParams, table: tuple, triples) -> dict:
-    """L(l; i, j) for each (l, i, j) of triples, keyed by the triple."""
+def _family_L(params: CurveParams, table: tuple) -> dict:
+    """L(l; i, j), led by X_l * Phi(i, j), for i <= j and l < j in [1, p-1],
+    keyed by (l, i, j): it exchanges the outer multiplier between two
+    quadratic symbols, with capped-index corrections."""
     p, nv, out = params.p, params.nvars, {}
     x, _, phi = table
-    for l, i, j in triples:
-        t, u = tau(i, j, p), tau(i, l, p)
-        terms = {(x[l], phi[i, j]): 1, (x[j], phi[i, l]): -1}
-        for m, sym, c in ((x[t], phi.get((i + j - t, l)), 1), (x[u], phi.get((i + l - u, j)), -1)):
-            if sym is not None:
-                terms[m, sym] = c
-        out[l, i, j] = ModElement._raw(nv, terms)
+    for j in range(2, p):
+        for i in range(1, j + 1):
+            for l in range(1, j):
+                t, u = tau(i, j, p), tau(i, l, p)
+                terms = {(x[l], phi[i, j]): 1, (x[j], phi[i, l]): -1}
+                for m, sym, c in ((x[t], phi.get((i + j - t, l)), 1),
+                                  (x[u], phi.get((i + l - u, j)), -1)):
+                    if sym is not None:
+                        terms[m, sym] = c
+                out[l, i, j] = ModElement._raw(nv, terms)
     return out
-
-
-def syzygy_A(params: CurveParams, i: int, j: int) -> ModElement:
-    """Relation led by X_i * Psi(j), for i in [1, p] and j in [0, p-b-1].
-
-    Multiplying psi(b, j) by X_i re-expresses the product through the
-    next power binomial and quadratic corrections.
-    """
-    p, b = params.p, params.b
-    if not 1 <= i <= p:
-        raise IndexError(f"index i = {i} outside [1, {p}]")
-    if not 0 <= j <= p - b - 1:
-        raise IndexError(f"index j = {j} outside [0, {p - b - 1}]")
-    return _family_A(params, _table(params), [(i, j)])[i, j]
-
-
-def syzygy_B(params: CurveParams, i: int, j: int) -> ModElement:
-    """Koszul-style relation led by X_i * X_j * Psi(p-b), i <= j in [1, p-1].
-
-    The quadratic binomial times the top power symbol cancels against the
-    top power binomial times the quadratic symbol.
-    """
-    if not (1 <= i <= j <= params.p - 1):
-        raise IndexError(f"indices ({i}, {j}) must satisfy 1 <= i <= j <= {params.p - 1}")
-    return _family_B(params, _table(params), [(i, j)])[i, j]
-
-
-def syzygy_L(params: CurveParams, l: int, i: int, j: int) -> ModElement:
-    """Relation led by X_l * Phi(i, j), for i <= j, l < j, all in [1, p-1].
-
-    Exchanges the outer multiplier between two quadratic symbols, with
-    capped-index corrections.
-    """
-    p = params.p
-    if not (1 <= i <= j <= p - 1 and 1 <= l < j):
-        raise IndexError(f"indices (l={l}; i={i}, j={j}) violate i <= j, l < j in [1, {p - 1}]")
-    return _family_L(params, _table(params), [(l, i, j)])[l, i, j]
 
 
 @dataclass(frozen=True)
@@ -342,14 +319,9 @@ class SyzygySet:
 
 def syzygy_basis(params: CurveParams) -> SyzygySet:
     """Build all three families over their index ranges from one table."""
-    p, b, table = params.p, params.b, _table(params)
-    return SyzygySet(
-        params,
-        _family_A(params, table, [(i, j) for i in range(1, p + 1) for j in range(p - b)]),
-        _family_B(params, table, [(i, j) for i in range(1, p) for j in range(i, p)]),
-        _family_L(params, table,
-                  [(l, i, j) for j in range(2, p) for i in range(1, j + 1) for l in range(1, j)]),
-    )
+    table = _table(params)
+    return SyzygySet(params, _family_A(params, table), _family_B(params, table),
+                     _family_L(params, table))
 
 
 def _expected_leads(params: CurveParams) -> dict:
@@ -431,18 +403,20 @@ class Curve:
 # S-vectors
 
 
-def schreyer_relations(curve: Curve) -> list:
-    """Each S-pair of the binomials of the symbols (curve.images), j-major,
-    divided once by a Reducer of them in symbol order, as (i, j,
+def schreyer_relations(curve: Curve) -> Iterator[tuple]:
+    """Yield each S-pair of the binomials of the symbols (curve.images),
+    j-major, divided once by a Reducer of them in symbol order, as (i, j,
     remainder, element).  The element, the pair's two cofactors minus the
     division's quotients on the binomials' symbols, evaluates to the
     remainder.  So the binomials form a Groebner basis exactly when every
     remainder is zero, and the elements then generate the relations among
     them (Schreyer; Eisenbud, Commutative Algebra, 15.5); no coprime pair
-    is skipped, as its Koszul relation can be one of the generators."""
+    is skipped, as its Koszul relation can be one of the generators.  A
+    pair is divided only when its row is asked for, so a scan that stops
+    at its first failure divides no later pair."""
     order, symbols = curve.order, list(curve.images)
     table = Reducer(order, curve.images.values())
-    leads, out = table.leads, []
+    leads = table.leads
     for i, j in sorted(table.pairs(), key=lambda pair: pair[::-1]):
         r, quots = normal_form(s_polynomial(order, table.basis[i], table.basis[j]), table)
         terms = {(m, symbols[k]): -c for k, q in quots.items() for m, c in q.terms.items()}
@@ -450,8 +424,7 @@ def schreyer_relations(curve: Curve) -> list:
         lcm = mono_lcm(leads[i][0], leads[j][0])
         for k, sign in ((i, 1), (j, -1)):
             terms[(mono_div(lcm, leads[k][0]), symbols[k])] = sign * _inverse(leads[k][1])
-        out.append((i, j, r, ModElement._raw(curve.params.nvars, terms)))
-    return out
+        yield i, j, r, ModElement._raw(curve.params.nvars, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +468,8 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     every harvested relation, and the details count every pair.
     Otherwise the S-vectors are divided x-major and the harvest of every
     pair of binomials (schreyer_relations) is scanned j-major; the first
-    failure of each is its witness and ends its count.
+    failure of each is its witness and ends its count, and no pair of
+    binomials after it is divided.
     """
     params, morder, table = curve.params, curve.morder, curve.module_reducer
     labeled = curve.sset.labeled()

@@ -335,8 +335,8 @@ def phi_symbol(params: CurveParams, i: int, j: int) -> Phi | None:
 
 def syzygy_A_chained(params: CurveParams, i: int, j: int) -> ModElement:
     """A(i; b, j), one ModElement.term added or subtracted per term, each
-    Phi term guarded by the zero convention: the reference for
-    syzygy.syzygy_A, which sums one term list."""
+    Phi term guarded by the zero convention: the reference for the A
+    family of syzygy.syzygy_basis, which sums one term list per member."""
     p, a, b, d = params.p, params.a, params.b, params.d
     nv = params.nvars
     e = epsilon(i, b + j, p)
@@ -356,7 +356,7 @@ def syzygy_A_chained(params: CurveParams, i: int, j: int) -> ModElement:
 
 def syzygy_L_chained(params: CurveParams, l: int, i: int, j: int) -> ModElement:
     """L(l; i, j), built as syzygy_A_chained builds A: the reference for
-    syzygy.syzygy_L."""
+    the L family of syzygy.syzygy_basis."""
     p, nv = params.p, params.nvars
     elem = ModElement.term(nv, variable_monomial(p, l), phi_symbol(params, i, j))
     elem -= ModElement.term(nv, variable_monomial(p, j), phi_symbol(params, i, l))
@@ -373,7 +373,7 @@ def syzygy_L_chained(params: CurveParams, l: int, i: int, j: int) -> ModElement:
 
 def phi_by_subtraction(params: CurveParams, i: int, j: int) -> Poly:
     """phi(i, j) as the difference of two one-term Polys: the reference for
-    generators.phi_binomial and the phis of groebner_generators."""
+    the phis of generators.groebner_generators."""
     p = params.p
     e = epsilon(i, j, p)
     lead = mono_mul(variable_monomial(p, i), variable_monomial(p, j))
@@ -397,7 +397,7 @@ def lift(poly: Poly, sym) -> ModElement:
 def syzygy_B_lifted(params: CurveParams, i: int, j: int) -> ModElement:
     """B(i, j) = phi(i, j) * Psi(p-b) - psi(b, p-b) * Phi(i, j), from the
     binomials of phi_by_subtraction and psi_by_subtraction: the reference
-    for syzygy.syzygy_B."""
+    for the B family of syzygy.syzygy_basis."""
     top = params.p - params.b
     return (lift(phi_by_subtraction(params, i, j), psi_symbol(params, top))
             - lift(psi_by_subtraction(params, top), phi_symbol(params, i, j)))

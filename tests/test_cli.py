@@ -248,6 +248,9 @@ GOLDEN_CALLS = {
                            "--format", "json"],
     "sweep-p2-3-a1-1-d1-3.txt": ["sweep", "--p", "2..3", "--a", "1..1", "--d", "1..3",
                                  "--bound", "2"],
+    # at p = 6 the families' loop order differs from their label order
+    "generators-13-2-6.txt": ["generators", "--m0", "13", "--d", "2", "--p", "6"],
+    "syzygies-13-2-6.txt": ["syzygies", "--m0", "13", "--d", "2", "--p", "6"],
 }
 
 
@@ -307,6 +310,26 @@ def test_the_syzygy_basis_reads_nothing_of_the_closed_form_set(monkeypatch):
         assert curve.gset.phis[1, 1] != groebner_generators(pr).phis[1, 1]
         assert syzygy.syzygy_basis(pr) == want and curve.sset == want
         monkeypatch.undo()
+
+
+def test_a_failing_harvest_divides_no_ring_s_pair_past_its_first_failure(monkeypatch):
+    # with the half lead planted at (17,3,8) the first harvested relation
+    # fails, and the harvest builds no S-polynomial of the binomials after
+    # it; divided in full it would build one per pair, 630
+    ring_pairs, s_polynomial = [], syzygy.s_polynomial
+
+    def count(order, f, g):
+        ring_pairs.append(isinstance(order, WeightOrder))
+        return s_polynomial(order, f, g)
+
+    monkeypatch.setattr("monocurve.syzygy.groebner_generators", _half_lead)
+    monkeypatch.setattr(syzygy, "s_polynomial", count)
+    report = syzygy.verify_syzygy_basis(syzygy.Curve(make_params(17, 3, 8)))
+    (record,) = [c for c in report.checks if c.name == "harvested-relations-reduce"]
+    assert (record.passed, record.detail) == (False, "1 harvested relations")
+    assert record.witness == {"pair": ["Phi(1,1)", "Phi(1,2)"],
+                              "problem": "S-polynomial does not reduce to zero"}
+    assert ring_pairs.count(True) == 1
 
 
 def test_a_sweep_with_failing_triples_reports_each_failure(monkeypatch, capsys):

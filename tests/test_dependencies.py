@@ -31,13 +31,6 @@ def test_pyproject_declares_no_dependency():
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
 
 
-# The per-element builders stay public for a caller who builds one element;
-# the library builds whole families through the same private code
-# (generators._family_phi, syzygy._family_A, ...), so no library module
-# names them.
-PER_ELEMENT_BUILDERS = {"phi_binomial", "psi_binomial", "syzygy_A", "syzygy_B", "syzygy_L"}
-
-
 def test_every_public_library_name_has_a_library_caller():
     # a public function, class or method that no library module names is
     # test-only code; the tests keep their oracles in tests/oracles.py
@@ -59,27 +52,10 @@ def test_every_public_library_name_has_a_library_caller():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    used |= PER_ELEMENT_BUILDERS
     unused = sorted((module, name) for module, name in defined
                     if not name.rpartition(".")[2].startswith("_")
                     and name.rpartition(".")[2] not in used)
     assert unused == []
-
-
-def test_per_element_builders_are_exported_and_build_through_the_family_code():
-    # the exemption above holds only while each builder is public API and
-    # calls its family's code, so each formula exists once in the library
-    init = (ROOT / "src" / "monocurve" / "__init__.py").read_text(encoding="utf-8")
-    found = set()
-    for path in sorted((ROOT / "src" / "monocurve").glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, ast.FunctionDef) and node.name in PER_ELEMENT_BUILDERS:
-                called = {n.func.id for n in ast.walk(node)
-                          if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
-                assert any(name.startswith("_family_") for name in called), node.name
-                found.add(node.name)
-    assert found == PER_ELEMENT_BUILDERS
-    assert all(re.search(rf"^    {name},$", init, re.MULTILINE) for name in PER_ELEMENT_BUILDERS)
 
 
 def test_no_library_module_keeps_a_module_level_cache():

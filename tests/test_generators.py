@@ -24,8 +24,6 @@ from monocurve.generators import (
     expected_leading_monomials,
     groebner_generators,
     patil_generators,
-    phi_binomial,
-    psi_binomial,
     standard_monomials,
     standard_shape,
     tau,
@@ -62,24 +60,17 @@ def test_epsilon_tau():
 
 
 def test_phi_binomials(p713):
-    assert phi_binomial(p713, 1, 2) == Poly(4, {(1, 1, 0, 0): 1, (0, 0, 1, 1): -1})
-    assert phi_binomial(p713, 1, 1) == Poly(4, {(2, 0, 0, 0): 1, (0, 1, 0, 1): -1})
-    assert phi_binomial(p713, 2, 2) == Poly(4, {(0, 2, 0, 0): 1, (1, 0, 1, 0): -1})
-    assert phi_binomial(p713, 2, 1) == phi_binomial(p713, 1, 2)
-    with pytest.raises(IndexError):
-        phi_binomial(p713, 0, 1)
-    with pytest.raises(IndexError):
-        phi_binomial(p713, 1, 3)
+    phis = groebner_generators(p713).phis
+    assert phis[1, 2] == Poly(4, {(1, 1, 0, 0): 1, (0, 0, 1, 1): -1})
+    assert phis[1, 1] == Poly(4, {(2, 0, 0, 0): 1, (0, 1, 0, 1): -1})
+    assert phis[2, 2] == Poly(4, {(0, 2, 0, 0): 1, (1, 0, 1, 0): -1})
 
 
 def test_psi_binomials(p713):
-    assert psi_binomial(p713, 0) == Poly(4, {(1, 0, 2, 0): 1, (0, 0, 0, 4): -1})
-    assert psi_binomial(p713, 1) == Poly(4, {(0, 1, 2, 0): 1, (1, 0, 0, 3): -1})
-    assert psi_binomial(p713, 2) == Poly(4, {(0, 0, 3, 0): 1, (0, 1, 0, 3): -1})
-    with pytest.raises(IndexError):
-        psi_binomial(p713, 3)
-    with pytest.raises(IndexError):
-        psi_binomial(p713, -1)
+    psis = groebner_generators(p713).psis
+    assert psis[0] == Poly(4, {(1, 0, 2, 0): 1, (0, 0, 0, 4): -1})
+    assert psis[1] == Poly(4, {(0, 1, 2, 0): 1, (1, 0, 0, 3): -1})
+    assert psis[2] == Poly(4, {(0, 0, 3, 0): 1, (0, 1, 0, 3): -1})
 
 
 def test_generator_set_sizes(p713, p832):
@@ -130,7 +121,7 @@ def test_units_are_the_variable_monomials(ladder):
 def test_both_generating_sets_match_their_references(ladder):
     # every phi, psi and classical element equals its reference, built from
     # fresh variable_monomial products by Poly arithmetic, with int
-    # coefficients; the per-element builders agree on small triples
+    # coefficients
     for pr in ladder:
         p, gset = pr.p, groebner_generators(pr)
         assert gset.phis == {(i, j): phi_by_subtraction(pr, i, j)
@@ -139,35 +130,30 @@ def test_both_generating_sets_match_their_references(ladder):
         assert patil_generators(pr) == patil_by_terms(pr), pr
         assert all(type(c) is int for g in gset.polynomials() + patil_generators(pr).polynomials()
                    for c in g.terms.values())
-        if p <= 3:
-            assert all(phi_binomial(pr, i, j) == phi_by_subtraction(pr, i, j)
-                       for i in range(1, p) for j in range(1, p))
-            assert all(psi_binomial(pr, i) == psi_by_subtraction(pr, i)
-                       for i in range(p - pr.b + 1))
 
 
 def test_patil_set_explicit(p713):
-    patil = patil_generators(p713)
+    patil, psis = patil_generators(p713), groebner_generators(p713).psis
     assert patil.xis == {(1, 1): Poly(4, {(2, 0, 0, 0): 1, (0, 1, 0, 1): -1})}
     assert patil.phis[0] == Poly(4, {(1, 1, 0, 0): 1, (0, 0, 1, 1): -1})
     assert patil.phis[1] == Poly(4, {(0, 2, 0, 0): 1, (1, 0, 1, 0): -1})
-    assert patil.psis[0] == psi_binomial(p713, 0)
-    assert patil.psis[1] == psi_binomial(p713, 1)
-    assert patil.theta == psi_binomial(p713, 2)
+    assert patil.psis[0] == psis[0]
+    assert patil.psis[1] == psis[1]
+    assert patil.theta == psis[2]
     assert len(patil) == 6
 
 
 def test_patil_rewriting_identities():
     for pr in SWEEP:
-        patil = patil_generators(pr)
+        patil, gset = patil_generators(pr), groebner_generators(pr)
         for (i, j), xi in patil.xis.items():
             if i + j <= pr.p - 1:
-                assert xi == phi_binomial(pr, i, j)
+                assert xi == gset.phis[i, j]
             else:
-                assert xi + patil.phis[i + j - pr.p] == phi_binomial(pr, i, j)
+                assert xi + patil.phis[i + j - pr.p] == gset.phis[i, j]
         for i, g in patil.phis.items():
-            assert g == phi_binomial(pr, i + 1, pr.p - 1)
-        assert patil.theta == psi_binomial(pr, pr.p - pr.b)
+            assert g == gset.phis[i + 1, pr.p - 1]
+        assert patil.theta == gset.psis[pr.p - pr.b]
 
 
 def test_verify_groebner(p713, p832):
@@ -295,7 +281,7 @@ def test_minimality_detects_planted_redundancy(monkeypatch, p713):
     assert check.passed and check.witness is None
     assert check.detail == "30 ordered pairs"
     x1 = Poly.term(4, (1, 0, 0, 0))
-    _plant(monkeypatch, lambda params, gset: x1 * phi_binomial(params, 1, 1))
+    _plant(monkeypatch, lambda params, gset: x1 * gset.phis[1, 1])
     check = _lead_record(Curve(p713))
     assert not check.passed
     assert check.witness == {"divisor": "phi(1,1)", "multiple": "planted",
@@ -563,7 +549,7 @@ def test_closed_form_check_closes_the_classical_set(monkeypatch, p713):
     monkeypatch.setattr("monocurve.syzygy.patil_generators", planted)
     curve = Curve(p713)
     order = curve.order
-    assert normal_form(psi_binomial(p713, 0), Reducer(order, curve.patil.polynomials()))[0]
+    assert normal_form(curve.gset.psis[0], Reducer(order, curve.patil.polynomials()))[0]
     # so division by the classical set leaves a remainder, and its closure
     # decides the record; h leads with X2^2*X3 where psi_1,0 led with X1*X3,
     # so K(LT) fails too

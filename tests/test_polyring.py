@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from monocurve import make_params
-from monocurve.generators import groebner_generators, phi_binomial, psi_binomial
+from monocurve.generators import groebner_generators
 from monocurve.polyring import (
     Closure,
     Poly,
@@ -31,6 +31,7 @@ from oracles import (buchberger, curve_image, first_dividing_pair_all_pairs, hil
 
 P713 = make_params(7, 1, 3)
 ORDER = WeightOrder(P713)
+G713 = groebner_generators(P713)
 
 monos4 = st.tuples(*[st.integers(0, 5)] * 4)
 
@@ -109,27 +110,27 @@ def test_order_multiplicative(data):
     assert (kfh > kgh, kfh == kgh) == (kf > kg, kf == kg)
 
 
-def test_leading_terms(p713):
-    assert ORDER.leading_term(phi_binomial(p713, 1, 2)) == ((1, 1, 0, 0), 1)
-    assert ORDER.leading_term(psi_binomial(p713, 0)) == ((1, 0, 2, 0), 1)
+def test_leading_terms():
+    assert ORDER.leading_term(G713.phis[1, 2]) == ((1, 1, 0, 0), 1)
+    assert ORDER.leading_term(G713.psis[0]) == ((1, 0, 2, 0), 1)
     five_x0 = Poly.term(4, (0, 0, 0, 1), 5)
     assert ORDER.leading_term(five_x0) == ((0, 0, 0, 1), 5)
     with pytest.raises(ZeroPolynomialError):
         ORDER.leading_term(Poly.zero(4))
 
 
-def test_normal_form_self_reduction(p713):
-    f = phi_binomial(p713, 1, 2)
+def test_normal_form_self_reduction():
+    f = G713.phis[1, 2]
     r, quots = normal_form(f, Reducer(ORDER, [f]))
     assert not r
     assert quots[0] == Poly.term(4, (0, 0, 0, 0))
     # a basis element the division never uses has no entry
-    r, quots = normal_form(f, Reducer(ORDER, [f, psi_binomial(p713, 0)]))
+    r, quots = normal_form(f, Reducer(ORDER, [f, G713.psis[0]]))
     assert not r and quots == {0: Poly.term(4, (0, 0, 0, 0))}
 
 
-def test_normal_form_of_zero(p713):
-    r, quots = normal_form(Poly.zero(4), Reducer(ORDER, [phi_binomial(p713, 1, 1)]))
+def test_normal_form_of_zero():
+    r, quots = normal_form(Poly.zero(4), Reducer(ORDER, [G713.phis[1, 1]]))
     assert not r and quots == {}
 
 
@@ -153,14 +154,14 @@ def test_normal_form_postconditions(p713):
     assert r2 == r
 
 
-def test_reducer_forgets_its_misses_on_append(p713):
+def test_reducer_forgets_its_misses_on_append():
     # X2^2*X0 is irreducible by phi(1,1) alone; once phi(2,2) joins, the
     # same Reducer must try it again rather than recall the miss
     f = Poly.term(4, (0, 2, 0, 1))
-    table = Reducer(ORDER, [phi_binomial(p713, 1, 1)])
+    table = Reducer(ORDER, [G713.phis[1, 1]])
     r, quots = table.divide(f)
     assert r == f and not quots
-    table.append(phi_binomial(p713, 2, 2))
+    table.append(G713.phis[2, 2])
     r, quots = table.divide(f)
     assert r == Poly.term(4, (1, 0, 1, 1)) and list(quots) == [1]
     assert (r, quots) == Reducer(ORDER, table.basis).divide(f)
@@ -299,8 +300,8 @@ def test_coefficients_are_ints_while_integral():
     assert remainder.terms == {x0: 1} and type(remainder.terms[x0]) is int
 
 
-def test_s_polynomial_of_equal_inputs(p713):
-    f = psi_binomial(p713, 1)
+def test_s_polynomial_of_equal_inputs():
+    f = G713.psis[1]
     assert not s_polynomial(ORDER, f, f)
 
 
@@ -309,10 +310,10 @@ def test_buchberger_principal_ideal():
     assert buchberger(ORDER, [x1]) == [x1]
 
 
-def test_buchberger_drops_zeros_multiples_and_copies(p713):
+def test_buchberger_drops_zeros_multiples_and_copies():
     # input the closed-form sets never produce: a zero, a non-monic copy, a
     # multiple and a negated copy of one generator
-    g = phi_binomial(p713, 1, 1)
+    g = G713.phis[1, 1]
     x1 = Poly.term(4, variable_monomial(3, 1))
     assert buchberger(ORDER, [Poly.zero(4), 2 * g, x1 * g, -g]) == [g]
 
@@ -336,9 +337,9 @@ def test_buchberger_input_order_independent(p713):
 
 def test_curve_image_examples(p713):
     assert curve_image(p713, Poly.term(4, (1, 0, 0, 0))) == {8: 1}
-    assert not curve_image(p713, phi_binomial(p713, 1, 2))
+    assert not curve_image(p713, G713.phis[1, 2])
     # 3*10 == 9 + 3*7 backs the top power binomial
-    assert not curve_image(p713, psi_binomial(p713, 2))
+    assert not curve_image(p713, G713.psis[2])
 
 
 def test_curve_image_all_generators(p713):
@@ -353,15 +354,15 @@ def test_binomial_membership_iff_equal_weight(f, g):
     assert (not curve_image(P713, diff)) == (ORDER.weight(f) == ORDER.weight(g))
 
 
-def test_poly_json_roundtrip(p713):
-    f = psi_binomial(p713, 1) + Poly.term(4, (0, 0, 0, 2), Fraction(3, 2))
+def test_poly_json_roundtrip():
+    f = G713.psis[1] + Poly.term(4, (0, 0, 0, 2), Fraction(3, 2))
     data = poly_to_json(ORDER, f)
     assert data[0]["coeff"] == "1/1"
     assert poly_from_json(4, data) == f
 
 
-def test_format_poly(p713):
-    assert format_poly(ORDER, phi_binomial(p713, 1, 2)) == "X1*X2 - X3*X0"
+def test_format_poly():
+    assert format_poly(ORDER, G713.phis[1, 2]) == "X1*X2 - X3*X0"
     assert format_poly(ORDER, Poly.zero(4)) == "0"
     # coefficients other than plus or minus one, on a monomial and alone
     f = Poly(4, {(2, 0, 0, 0): Fraction(3, 2), (0, 1, 0, 1): -2, (0, 0, 0, 0): 5})
@@ -418,7 +419,7 @@ def test_a_closure_computes_each_lead_once(monkeypatch):
     assert len(grown.table.basis) == len(calls) == 36
     # phi(1,1) and psi(1,0) of (7,1,3) are no Groebner basis: a remainder joins
     calls.clear()
-    gens = [phi_binomial(P713, 1, 1), psi_binomial(P713, 0)]
+    gens = [G713.phis[1, 1], G713.psis[0]]
     closed = Closure(ORDER, gens).close()
     assert len(closed.basis) == len(calls) == 3
     monkeypatch.undo()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from monocurve import generators, make_params, syzygy
-from monocurve.generators import GeneratorSet, groebner_generators, phi_binomial, psi_binomial
+from monocurve.generators import GeneratorSet, groebner_generators
 from monocurve.polyring import (
     Closure,
     Poly,
@@ -38,9 +38,6 @@ from monocurve.syzygy import (
     mod_elem_to_json,
     relation_image,
     schreyer_relations,
-    syzygy_A,
-    syzygy_B,
-    syzygy_L,
     syzygy_basis,
     format_mod_elem,
     term_to_json,
@@ -101,9 +98,9 @@ def test_symbols_sort_by_their_text():
     ]
 
 
-def test_syzygy_A_explicit(p713):
+def test_syzygy_A_explicit():
     # A(1;1,0) and A(3;1,0), frozen from expanding the construction by hand
-    elem = syzygy_A(p713, 1, 0)
+    elem = C713.sset.A[1, 0]
     assert elem == ModElement(
         4,
         {
@@ -112,7 +109,7 @@ def test_syzygy_A_explicit(p713):
             (_x(3, 2), Phi(1, 1)): -1,
         },
     )
-    elem = syzygy_A(p713, 3, 0)
+    elem = C713.sset.A[3, 0]
     assert elem == ModElement(
         4,
         {
@@ -123,9 +120,9 @@ def test_syzygy_A_explicit(p713):
     )
 
 
-def test_syzygy_A_internal_cancellation(p713):
+def test_syzygy_A_internal_cancellation():
     # in A(2;1,1) the two bracket corrections carry the same symbol and cancel
-    elem = syzygy_A(p713, 2, 1)
+    elem = C713.sset.A[2, 1]
     assert elem == ModElement(
         4,
         {
@@ -136,8 +133,8 @@ def test_syzygy_A_internal_cancellation(p713):
     )
 
 
-def test_syzygy_B_explicit(p713):
-    elem = syzygy_B(p713, 1, 2)
+def test_syzygy_B_explicit():
+    elem = C713.sset.B[1, 2]
     assert elem == ModElement(
         4,
         {
@@ -149,8 +146,8 @@ def test_syzygy_B_explicit(p713):
     )
 
 
-def test_syzygy_L_explicit(p713):
-    elem = syzygy_L(p713, 1, 2, 2)
+def test_syzygy_L_explicit():
+    elem = C713.sset.L[1, 2, 2]
     assert elem == ModElement(
         4,
         {
@@ -202,8 +199,7 @@ def test_format_mod_elem_spells_non_unit_coefficients():
 
 
 def test_every_member_matches_its_reference(ladder):
-    # A and L built one term at a time, B lifted from fresh binomials; the
-    # per-element builders agree with the families on small triples
+    # A and L built one term at a time, B lifted from fresh binomials
     for pr in ladder:
         sset = syzygy_basis(pr)
         assert sset.A == {(i, j): syzygy_A_chained(pr, i, j) for i, j in sset.A}, pr
@@ -212,10 +208,6 @@ def test_every_member_matches_its_reference(ladder):
         assert sset.L == {(l, i, j): syzygy_L_chained(pr, l, i, j) for l, i, j in sset.L}, pr
         assert len(sset.A) == pr.p * (pr.p - pr.b)
         assert len(sset.L) == sum(j * (j - 1) for j in range(2, pr.p))
-        if pr.p <= 3:
-            assert sset.A == {key: syzygy_A(pr, *key) for key in sset.A}
-            assert sset.B == {key: syzygy_B(pr, *key) for key in sset.B}
-            assert sset.L == {key: syzygy_L(pr, *key) for key in sset.L}
 
 
 def test_the_table_holds_each_symbol_once(ladder):
@@ -286,18 +278,7 @@ def test_each_b_reduces_to_zero_modulo_a_and_l_at_its_weight():
         assert normal_form(elem, Reducer(curve.morder, gens))[0], key
 
 
-def test_syzygy_index_errors(p713):
-    with pytest.raises(IndexError):
-        syzygy_A(p713, 0, 0)
-    with pytest.raises(IndexError):
-        syzygy_A(p713, 1, 2)  # j must stay below p - b
-    with pytest.raises(IndexError):
-        syzygy_B(p713, 2, 1)  # not canonical
-    with pytest.raises(IndexError):
-        syzygy_L(p713, 2, 1, 2)  # l < j violated
-
-
-def test_relation_image_examples(p713):
+def test_relation_image_examples():
     elem = ModElement(
         4,
         {
@@ -307,9 +288,7 @@ def test_relation_image_examples(p713):
         },
     )
     assert not relation_image(C713, elem)
-    assert relation_image(C713, ModElement.term(4, (0,) * 4, Psi(0))) == psi_binomial(
-        p713, 0
-    )
+    assert relation_image(C713, ModElement.term(4, (0,) * 4, Psi(0))) == C713.gset.psis[0]
 
 
 def test_every_member_is_a_relation():
@@ -397,7 +376,7 @@ def test_closed_forms_keep_integer_coefficients():
 
 def test_module_normal_form_basics(p713):
     elems = syzygy_basis(p713).elements()
-    a30 = syzygy_A(p713, 3, 0)
+    a30 = C713.sset.A[3, 0]
     r, quots = normal_form(a30, Reducer(MORDER, [a30]))
     assert not r and quots[0] == Poly.term(4, (0, 0, 0, 0))
     shifted = a30.times_term(1, _x(0))
@@ -409,9 +388,8 @@ def test_module_normal_form_basics(p713):
 
 def test_module_normal_form_recombines(p713):
     elems = syzygy_basis(p713).elements()
-    probe = syzygy_A(p713, 1, 0).times_term(Fraction(3, 2), _x(2)) + syzygy_L(
-        p713, 1, 2, 2
-    ).times_term(1, _x(0, 2))
+    probe = (C713.sset.A[1, 0].times_term(Fraction(3, 2), _x(2))
+             + C713.sset.L[1, 2, 2].times_term(1, _x(0, 2)))
     r, quots = normal_form(probe, Reducer(MORDER, elems))
     assert all(quots.values())
     assert len(quots) < len(elems)  # most members are never used
@@ -429,7 +407,7 @@ def test_ring_division_is_module_division_on_one_symbol(p713):
     lifted = [lift(g, Psi(0)) for g in basis]
     for f in (
         Poly.term(4, (1, 1, 1, 0)),
-        phi_binomial(p713, 1, 2) * psi_binomial(p713, 1) + Poly.term(4, (2, 0, 3, 1), 5),
+        C713.gset.phis[1, 2] * C713.gset.psis[1] + Poly.term(4, (2, 0, 3, 1), 5),
         Poly.term(4, (0, 0, 4, 0), Fraction(3, 2)) - Poly.term(4, (1, 0, 0, 5)),
     ):
         r, quots = normal_form(f, Reducer(order, basis))
@@ -449,12 +427,12 @@ def test_s_vectors_reduce(p713):
     assert len(pairs) == 9
 
 
-def test_s_vector_none_on_distinct_symbols(p713):
+def test_s_vector_none_on_distinct_symbols():
     labels = [lab for lab, _ in C713.sset.labeled()]
     x, y = labels.index("A(1;1,0)"), labels.index("A(1;1,1)")
     assert (x, y) not in C713.module_reducer.pairs()
     with pytest.raises(ValueError):
-        s_polynomial(MORDER, syzygy_A(p713, 1, 0), syzygy_A(p713, 1, 1))
+        s_polynomial(MORDER, C713.sset.A[1, 0], C713.sset.A[1, 1])
 
 
 def _module_s_vector(morder, g1, g2):
@@ -548,7 +526,8 @@ def test_syzygy_check_divides_the_kept_pairs_and_the_harvest_at_p12(monkeypatch)
     monkeypatch.setattr(syzygy, "_module_identity", lambda curve: False)
     assert details(verify_syzygy_basis(curve)) == counted
     assert len(harvests) == 1
-    assert len(calls) == len(curve.module_reducer.pairs()) + len(harvest(curve)) == 4092 + 2701
+    harvested = len(list(harvest(curve)))
+    assert len(calls) == len(curve.module_reducer.pairs()) + harvested == 4092 + 2701
 
 
 def test_a_failure_after_a_dropped_pair_keeps_the_all_pairs_record(monkeypatch, p713):
@@ -601,7 +580,7 @@ def test_criterion_record_matches_the_all_pairs_scan_on_planted_tails(monkeypatc
     for triple in PLANTED_TRIPLES:
         pr = make_params(*triple)
         base = Curve(pr)
-        rows = schreyer_relations(base)
+        rows = list(schreyer_relations(base))
         rng = random.Random(sum(triple))
         failed = 0
         for _ in range(PLANTINGS):
@@ -626,7 +605,7 @@ def test_criterion_record_matches_the_all_pairs_scan_on_planted_tails(monkeypatc
 
 def test_harvested_relations_reduce(p713):
     elems = syzygy_basis(p713).elements()
-    rows = schreyer_relations(C713)
+    rows = list(schreyer_relations(C713))
     assert len(rows) == 15
     assert [(i, j) for i, j, *_ in rows] == [(i, j) for j in range(6) for i in range(j)]
     for _, _, r, rel in rows:
@@ -644,7 +623,7 @@ def test_a_harvested_element_that_is_no_relation_is_the_witness(monkeypatch, p71
     harvest = syzygy.schreyer_relations
 
     def planted(curve):
-        rows = harvest(curve)
+        rows = list(harvest(curve))
         i, j, r, rel = rows[2]
         rows[2] = (i, j, r, rel + ModElement.term(4, (0, 0, 0, 0), Psi(0)))
         return rows
@@ -659,7 +638,7 @@ def test_a_harvested_element_that_is_no_relation_is_the_witness(monkeypatch, p71
 
 
 def test_schreyer_vectors_are_syzygies(p713):
-    rows = schreyer_relations(C713)
+    rows = list(schreyer_relations(C713))
     n = len(C713.images)
     assert [(i, j) for i, j, _, _ in rows] == [(i, j) for j in range(n) for i in range(j)]
     assert C713.ring_reducer.pairs() == sorted((i, j) for i, j, _, _ in rows)
@@ -679,7 +658,7 @@ def test_schreyer_vectors_carry_the_remainder_of_a_non_groebner_basis(monkeypatc
     monkeypatch.setattr(syzygy, "groebner_generators", planted)
     curve = Curve(p713)
     order, basis = curve.order, list(curve.images.values())
-    rows = schreyer_relations(curve)
+    rows = list(schreyer_relations(curve))
     assert len(rows) == len(basis) * (len(basis) - 1) // 2
     assert any(r for _, _, r, _ in rows)
     for i, j, r, rel in rows:
@@ -762,7 +741,7 @@ def test_ring_criterion_records_match_the_all_pairs_scans_on_planted_tails(monke
                 curve = Curve(pr)
             spoly = _record(generators.verify_groebner_generators(curve), "s-polynomials-reduce")
             harvest = _record(verify_syzygy_basis(curve), "harvested-relations-reduce")
-            rows = schreyer_relations(curve)
+            rows = list(schreyer_relations(curve))
             assert spoly == _all_pairs_spoly_record(curve, rows), triple
             assert harvest == _all_pairs_harvest_record(curve, rows), triple
             failed += not spoly[0]
@@ -882,7 +861,7 @@ def test_harvest_record_matches_the_all_pairs_scan_with_each_member_dropped(monk
     # although the S-vectors of what is left still reduce in the pinned
     # number of drops
     base = Curve(make_params(*triple))
-    rows, labeled = schreyer_relations(base), base.sset.labeled()
+    rows, labeled = list(schreyer_relations(base)), base.sset.labeled()
     monkeypatch.setattr(syzygy, "schreyer_relations", lambda curve: rows)
     assert base.ring_certified()
     passed = 0
@@ -912,7 +891,7 @@ def test_both_identities_hold_where_the_all_pairs_scans_pass():
     for pr in SWEEP5 + [make_params(17, 3, 8)]:
         curve = Curve(pr)
         assert curve.ring_certified() and syzygy._module_identity(curve), pr
-        rows = schreyer_relations(curve)
+        rows = list(schreyer_relations(curve))
         assert _all_pairs_spoly_record(curve, rows)[0], pr
         assert _all_pairs_harvest_record(curve, rows)[0], pr
         assert _all_pairs_s_vectors(curve)[0], pr
@@ -972,7 +951,7 @@ def test_the_half_lead_plant_fails_the_ring_hypothesis(monkeypatch, triple):
     assert hilbert_numerator(pr.exponent_weights, leads) == apery_numerator(pr)
     assert not curve.ring_certified()
     spoly = _record(generators.verify_groebner_generators(curve), "s-polynomials-reduce")
-    assert spoly == _all_pairs_spoly_record(curve, schreyer_relations(curve))
+    assert spoly == _all_pairs_spoly_record(curve, list(schreyer_relations(curve)))
     assert spoly[0] == (triple == (8, 3, 2))
 
 
@@ -1177,8 +1156,8 @@ def test_random_combinations_stay_relations(data):
     assert not relation_image(C713, acc)
 
 
-def test_mod_elem_json_roundtrip(p713):
-    elem = syzygy_B(p713, 1, 2)
+def test_mod_elem_json_roundtrip():
+    elem = C713.sset.B[1, 2]
     data = mod_elem_to_json(MORDER, elem)
     assert data[0]["basis"] == {"kind": "Psi", "j": 2}
     assert mod_elem_from_json(4, data) == elem
