@@ -230,12 +230,6 @@ class Poly(SparseMap):
             raise ValueError(f"monomial {mono} does not have {nvars} exponents")
         return tuple(mono)
 
-    @classmethod
-    def term(cls, nvars: int, mono: Mono, coeff=1) -> "Poly":
-        mono = cls._key(mono, nvars)
-        coeff = _exact(coeff)
-        return cls._raw(nvars, {mono: coeff} if coeff else {})
-
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check(other)
@@ -256,12 +250,16 @@ class Poly(SparseMap):
 
 
 class TermOrder:
-    """What the ring and module orders share, given key() and leading_term().
+    """What the ring and module orders share, given key(), uncached_key()
+    and leading_term().
 
-    leading_term is written out in each subclass so that the calls of
-    each order can be counted on its own class.  key() memoizes in the
-    dict _cache, term to key, which Reducer.divide fills and reads
-    directly.
+    key and leading_term are written out in each subclass, so that each
+    order's own class holds them and the calls of each order can be
+    counted on it.  Each subclass defines its key once, in
+    uncached_key(), which fills no cache; key() memoizes uncached_key()
+    in the dict _cache, term to key, which Reducer.divide fills and
+    reads directly.  A term keyed only once, as each sampled term of
+    syzygy.verify_order_projection, is keyed by uncached_key().
     """
 
     def sorted_terms(self, elem) -> list:
@@ -271,10 +269,10 @@ class TermOrder:
 class WeightOrder(TermOrder):
     """Total order on monomials for a fixed parameter set.
 
-    key() is an ascending sort key: compare weights, then the negated
-    reversed exponent tuple, so that of two equal-weight monomials the
-    larger is the one whose right-most non-zero difference entry is
-    negative.
+    uncached_key() is an ascending sort key: compare weights, then the
+    negated reversed exponent tuple, so that of two equal-weight
+    monomials the larger is the one whose right-most non-zero difference
+    entry is negative.  key() is the same key, memoized per monomial.
     """
 
     def __init__(self, params: CurveParams):
@@ -282,10 +280,13 @@ class WeightOrder(TermOrder):
         self.weight = params.weight
         self._cache = {}
 
+    def uncached_key(self, mono: Mono):
+        return self.weight(mono), tuple(map(neg, reversed(mono)))
+
     def key(self, mono: Mono):
         k = self._cache.get(mono)
         if k is None:
-            k = self._cache[mono] = (self.weight(mono), tuple(map(neg, reversed(mono))))
+            k = self._cache[mono] = self.uncached_key(mono)
         return k
 
     def leading_term(self, poly: Poly) -> tuple[Mono, int | Fraction]:

@@ -18,13 +18,17 @@ one term at a time by module arithmetic; phi_by_subtraction and
 psi_by_subtraction, each binomial a difference of two Polys of fresh
 variable_monomial products; syzygy_B_lifted, B from those binomials
 lifted onto a symbol (lift); patil_by_terms, the classical set built
-term by term; and phi_symbol and psi_symbol, the symbol conventions.
+term by term; order_projection_by_images, the sampled projection check
+through one module element and image polynomial per sampled term; and
+phi_symbol and psi_symbol, the symbol conventions.  poly_term and
+module_term build one-term elements, which the library never does.
 betti_1_by_search counts minimal generators per weight from the
 membership search alone, and betti_2_by_homology the minimal syzygies
 per weight from the homology of the same complexes.
 The library never imports this module.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,7 +37,8 @@ from monocurve.polyring import (Closure, Poly, Reducer, WeightOrder, _exact, mon
                                 mono_mul, mono_one, normal_form, variable_monomial)
 from monocurve.semigroup import (CurveParams, ParameterError, _add_shifted, _times_one_minus,
                                  apery_numerator, make_params)
-from monocurve.syzygy import ModElement, Phi, Psi
+from monocurve.report import VerificationReport
+from monocurve.syzygy import ModElement, Phi, Psi, relation_image, term_to_json
 
 
 def _reach(x: int, values: tuple[int, ...]) -> tuple[list, list]:
@@ -278,7 +283,7 @@ def buchberger(order: WeightOrder, gens) -> list[Poly]:
             kept.append(g)
     out = []
     for g in kept.basis:
-        lead = Poly.term(g.nvars, *order.leading_term(g))
+        lead = poly_term(g.nvars, *order.leading_term(g))
         out.append(lead + normal_form(g - lead, kept)[0])
     out.sort(key=lead_key, reverse=True)
     return out
@@ -315,6 +320,43 @@ def standard_monomials_full_test(lms, nvars: int, bound: int) -> list:
     return sorted(out)
 
 
+def poly_term(nvars: int, mono, coeff=1) -> Poly:
+    """The one-term polynomial coeff * mono, zero when coeff is, through
+    Poly's validating constructor."""
+    return Poly(nvars, {tuple(mono): coeff})
+
+
+def module_term(nvars: int, mono, sym, coeff=1) -> ModElement:
+    """The one-term module element coeff * mono * sym, zero when coeff is,
+    through ModElement's validating constructor."""
+    return ModElement(nvars, {(tuple(mono), sym): coeff})
+
+
+def order_projection_by_images(curve, samples: int = 1000, seed: int = 0) -> VerificationReport:
+    """The sampled projection check term by term: each sampled term made a
+    module element, evaluated by relation_image, its image's lead found by
+    the ring order's leading_monomial and keyed by key().  The reference
+    for syzygy.verify_order_projection, which multiplies the drawn
+    monomial into each image monomial and keys nothing through a cache;
+    the draws are the same."""
+    rng = random.Random(seed)
+    params = curve.params
+    symbols = sorted(curve.images, key=str)
+    bad = None
+    for _ in range(samples):
+        mono = tuple(rng.randrange(0, 5) for _ in range(params.nvars))
+        sym = symbols[rng.randrange(len(symbols))]
+        image = relation_image(curve, module_term(params.nvars, mono, sym))
+        lm = curve.order.leading_monomial(image)
+        if curve.order.key(lm) != curve.morder.key((mono, sym))[0]:
+            bad = {"term": term_to_json((mono, sym)), "image-lead": list(lm)}
+            break
+    report = VerificationReport(params)
+    report.add("projection-matches-image-lead", bad is None,
+               detail=f"{samples} sampled terms, seed {seed}", witness=bad)
+    return report
+
+
 def psi_symbol(params: CurveParams, j: int) -> Psi:
     """Psi(j), for j in [0, p-b]."""
     if not 0 <= j <= params.p - params.b:
@@ -340,17 +382,17 @@ def syzygy_A_chained(params: CurveParams, i: int, j: int) -> ModElement:
     p, a, b, d = params.p, params.a, params.b, params.d
     nv = params.nvars
     e = epsilon(i, b + j, p)
-    elem = ModElement.term(nv, variable_monomial(p, i), psi_symbol(params, j))
-    elem -= ModElement.term(nv, variable_monomial(p, b + i + j - e), psi_symbol(params, e - b))
+    elem = module_term(nv, variable_monomial(p, i), psi_symbol(params, j))
+    elem -= module_term(nv, variable_monomial(p, b + i + j - e), psi_symbol(params, e - b))
     sym = phi_symbol(params, i, b + j)
     if sym is not None:
-        elem -= ModElement.term(nv, variable_monomial(p, p, a), sym)
+        elem -= module_term(nv, variable_monomial(p, p, a), sym)
     sym = phi_symbol(params, i, j)
     if sym is not None:
-        elem += ModElement.term(nv, variable_monomial(p, 0, a + d), sym)
+        elem += module_term(nv, variable_monomial(p, 0, a + d), sym)
     sym = phi_symbol(params, b + i + j - p, p - b)
     if sym is not None:
-        elem -= ModElement.term(nv, variable_monomial(p, 0, a + d), sym)
+        elem -= module_term(nv, variable_monomial(p, 0, a + d), sym)
     return elem
 
 
@@ -358,16 +400,16 @@ def syzygy_L_chained(params: CurveParams, l: int, i: int, j: int) -> ModElement:
     """L(l; i, j), built as syzygy_A_chained builds A: the reference for
     the L family of syzygy.syzygy_basis."""
     p, nv = params.p, params.nvars
-    elem = ModElement.term(nv, variable_monomial(p, l), phi_symbol(params, i, j))
-    elem -= ModElement.term(nv, variable_monomial(p, j), phi_symbol(params, i, l))
+    elem = module_term(nv, variable_monomial(p, l), phi_symbol(params, i, j))
+    elem -= module_term(nv, variable_monomial(p, j), phi_symbol(params, i, l))
     t = tau(i, j, p)
     sym = phi_symbol(params, i + j - t, l)
     if sym is not None:
-        elem += ModElement.term(nv, variable_monomial(p, t), sym)
+        elem += module_term(nv, variable_monomial(p, t), sym)
     t = tau(i, l, p)
     sym = phi_symbol(params, i + l - t, j)
     if sym is not None:
-        elem -= ModElement.term(nv, variable_monomial(p, t), sym)
+        elem -= module_term(nv, variable_monomial(p, t), sym)
     return elem
 
 

@@ -17,7 +17,7 @@ from monocurve.cli import _build_parser, main, run, verification_bundle
 from monocurve.generators import GeneratorSet, groebner_generators
 from monocurve.polyring import Closure, Poly, Reducer, WeightOrder
 from monocurve.report import VerificationReport
-from oracles import poly_from_json
+from oracles import module_term, poly_from_json
 
 
 def test_info_text(capsys):
@@ -191,7 +191,7 @@ def test_verify_fails_cleanly_on_a_non_groebner_set(monkeypatch, capsys):
 def test_verify_fails_cleanly_on_an_unlabelled_syzygy(monkeypatch, capsys):
     # a syzygy whose label has no predicted lead term fails
     # leading-term-shape with "expected": null, and verify exits 1
-    planted = syzygy.ModElement.term(4, (0, 0, 0, 0), syzygy.Psi(0))
+    planted = module_term(4, (0, 0, 0, 0), syzygy.Psi(0))
 
     class Planted(syzygy.SyzygySet):
         def labeled(self):

@@ -47,7 +47,7 @@ from monocurve.polyring import (
 )
 from monocurve.syzygy import Curve
 from oracles import (buchberger, curve_image, parameter_sweep, patil_by_terms, phi_by_subtraction,
-                     psi_by_subtraction, standard_monomials_full_test)
+                     poly_term, psi_by_subtraction, standard_monomials_full_test)
 
 SWEEP = list(parameter_sweep(range(2, 6), range(1, 4), range(1, 6)))
 SWEEP6 = list(parameter_sweep(range(2, 7), range(1, 4), range(1, 6)))
@@ -280,7 +280,7 @@ def test_minimality_detects_planted_redundancy(monkeypatch, p713):
     check = _lead_record(Curve(p713))
     assert check.passed and check.witness is None
     assert check.detail == "30 ordered pairs"
-    x1 = Poly.term(4, (1, 0, 0, 0))
+    x1 = poly_term(4, (1, 0, 0, 0))
     _plant(monkeypatch, lambda params, gset: x1 * gset.phis[1, 1])
     check = _lead_record(Curve(p713))
     assert not check.passed
@@ -347,7 +347,7 @@ def test_a_generator_planted_through_the_labels_reaches_every_ring_check(monkeyp
     pr = make_params(*triple)
     plain = Curve(pr)
     assert plain.ring_reducer.basis == [g for _, g in plain.gset.labeled()]
-    x1x1 = Poly.term(pr.nvars, variable_monomial(pr.p, 1, 2))
+    x1x1 = poly_term(pr.nvars, variable_monomial(pr.p, 1, 2))
     _plant(monkeypatch, lambda params, gset: x1x1, before)
     curve = Curve(pr)
     assert curve.ring_reducer.basis == [g for _, g in curve.gset.labeled()]
@@ -357,7 +357,7 @@ def test_a_generator_planted_through_the_labels_reaches_every_ring_check(monkeyp
     # the S-polynomial of X1^2 and phi(1,1) = X1^2 - X2*X0 is +-X2*X0
     x2x0 = mono_mul(variable_monomial(pr.p, 2), variable_monomial(pr.p, 0))
     pair = ["planted", "phi(1,1)"] if before else ["phi(1,1)", "planted"]
-    remainder = Poly.term(pr.nvars, x2x0, 1 if before else -1)
+    remainder = poly_term(pr.nvars, x2x0, 1 if before else -1)
     spoly = checks["s-polynomials-reduce"]
     assert not spoly.passed
     assert spoly.witness == {"pair": pair, "remainder": poly_to_json(curve.order, remainder)}
@@ -387,7 +387,7 @@ def test_graded_minimality_matches_the_one_left_out_closures():
 @pytest.mark.parametrize("triple", [(7, 1, 3), (8, 3, 2), (13, 2, 6)])
 def test_deep_minimality_catches_a_planted_multiple(monkeypatch, triple):
     pr = make_params(*triple)
-    x0 = Poly.term(pr.nvars, variable_monomial(pr.p, 0))
+    x0 = poly_term(pr.nvars, variable_monomial(pr.p, 0))
     _plant(monkeypatch, lambda params, gset: x0 * gset.polynomials()[0])
     curve = Curve(pr)
     assert _first_redundant(curve.order, curve.gset.labeled()) == "planted"
@@ -449,7 +449,7 @@ def test_deep_minimality_closes_the_lighter_generators_up_to_their_weight(monkey
     # before testing it can tell
     h1 = Poly(4, {(2, 1, 0, 0): 1, (0, 2, 0, 1): 3})
     h2 = Poly(4, {(2, 0, 1, 0): 1, (0, 1, 1, 1): 2})
-    m = Poly.term(4, (0, 2, 1, 1))
+    m = poly_term(4, (0, 2, 1, 1))
     assert s_polynomial(WeightOrder(p713), h1, h2) == m
     _plant(monkeypatch, lambda params, gset: [("h1", h1), ("h2", h2), ("planted", m)])
     curve = Curve(p713)
@@ -483,8 +483,8 @@ def test_a_planted_redundant_generator_fails_the_count(monkeypatch, triple, befo
         if plant == "copy":
             return gset.phis[(1, 1)]
         if plant == "X1*phi(1,1)":
-            return Poly.term(params.nvars, variable_monomial(params.p, 1)) * gset.phis[(1, 1)]
-        return Poly.term(params.nvars, variable_monomial(params.p, 0)) * gset.psis[max(gset.psis)]
+            return poly_term(params.nvars, variable_monomial(params.p, 1)) * gset.phis[(1, 1)]
+        return poly_term(params.nvars, variable_monomial(params.p, 0)) * gset.psis[max(gset.psis)]
 
     _plant(monkeypatch, make, before)
     curve = Curve(make_params(*triple))
@@ -713,7 +713,7 @@ def test_standard_monomials_match_the_full_test_walk_on_the_grid():
 @settings(max_examples=300, deadline=None)
 def test_standard_monomials_match_the_full_test_walk_on_any_leads(p713, leads, bound):
     # equal leads, leads of one degree, and the lead 1, which leaves none
-    polys = [Poly.term(4, m) for m in leads]
+    polys = [poly_term(4, m) for m in leads]
     curve = SimpleNamespace(params=p713, ring_reducer=Reducer(WeightOrder(p713), polys))
     assert standard_monomials(curve, bound) == standard_monomials_full_test(leads, 4, bound)
 

@@ -15,6 +15,7 @@ from monocurve.polyring import (
     Closure,
     Poly,
     Reducer,
+    SparseMap,
     WeightOrder,
     ZeroPolynomialError,
     hilbert_numerator,
@@ -47,8 +48,9 @@ from monocurve.syzygy import (
 )
 from monocurve.semigroup import apery_numerator
 from oracles import (_symbol_from_json, betti_2_by_homology, buchberger, lift, mod_elem_from_json,
-                     module_identity_by_symbol, parameter_sweep, phi_symbol, syzygy_A_chained,
-                     syzygy_B_lifted, syzygy_L_chained)
+                     module_identity_by_symbol, module_term, order_projection_by_images,
+                     parameter_sweep, phi_symbol, poly_term, syzygy_A_chained, syzygy_B_lifted,
+                     syzygy_L_chained)
 
 P713 = make_params(7, 1, 3)
 C713 = Curve(P713)
@@ -178,10 +180,8 @@ def test_term_lists_match_the_chained_construction():
 
 def test_every_constructor_checks_the_exponent_count():
     message = r"monomial \(1, 0, 0\) does not have 4 exponents"
-    for build in (lambda: Poly.term(4, (1, 0, 0)),
-                  lambda: Poly(4, {(1, 0, 0): 1}),
-                  lambda: ModElement(4, {((1, 0, 0), Psi(0)): 1}),
-                  lambda: ModElement.term(4, (1, 0, 0), Psi(0))):
+    for build in (lambda: Poly(4, {(1, 0, 0): 1}),
+                  lambda: ModElement(4, {((1, 0, 0), Psi(0)): 1})):
         with pytest.raises(ValueError, match=message):
             build()
 
@@ -288,7 +288,7 @@ def test_relation_image_examples():
         },
     )
     assert not relation_image(C713, elem)
-    assert relation_image(C713, ModElement.term(4, (0,) * 4, Psi(0))) == C713.gset.psis[0]
+    assert relation_image(C713, module_term(4, (0,) * 4, Psi(0))) == C713.gset.psis[0]
 
 
 def test_every_member_is_a_relation():
@@ -314,7 +314,7 @@ def test_order_monomial_examples(p713):
     assert MORDER.key(((0, 0, 0, 0), Psi(0)))[0] == ring.key((1, 0, 2, 0))  # X1*X3^2
     assert MORDER.key((_x(0), Phi(1, 2)))[0] == ring.key((1, 1, 0, 1))  # X0*X1*X2
     # the projection equals the image's leading monomial
-    elem = ModElement.term(4, _x(2), Psi(1))
+    elem = module_term(4, _x(2), Psi(1))
     lm = ring.leading_monomial(relation_image(C713, elem))
     assert MORDER.key((_x(2), Psi(1)))[0] == ring.key(lm)
 
@@ -378,12 +378,12 @@ def test_module_normal_form_basics(p713):
     elems = syzygy_basis(p713).elements()
     a30 = C713.sset.A[3, 0]
     r, quots = normal_form(a30, Reducer(MORDER, [a30]))
-    assert not r and quots[0] == Poly.term(4, (0, 0, 0, 0))
+    assert not r and quots[0] == poly_term(4, (0, 0, 0, 0))
     shifted = a30.times_term(1, _x(0))
     r, quots = normal_form(shifted, Reducer(MORDER, elems))
     assert not r
     k = elems.index(a30)
-    assert quots == {k: Poly.term(4, _x(0))}
+    assert quots == {k: poly_term(4, _x(0))}
 
 
 def test_module_normal_form_recombines(p713):
@@ -406,9 +406,9 @@ def test_ring_division_is_module_division_on_one_symbol(p713):
     basis = groebner_generators(p713).polynomials()
     lifted = [lift(g, Psi(0)) for g in basis]
     for f in (
-        Poly.term(4, (1, 1, 1, 0)),
-        C713.gset.phis[1, 2] * C713.gset.psis[1] + Poly.term(4, (2, 0, 3, 1), 5),
-        Poly.term(4, (0, 0, 4, 0), Fraction(3, 2)) - Poly.term(4, (1, 0, 0, 5)),
+        poly_term(4, (1, 1, 1, 0)),
+        C713.gset.phis[1, 2] * C713.gset.psis[1] + poly_term(4, (2, 0, 3, 1), 5),
+        poly_term(4, (0, 0, 4, 0), Fraction(3, 2)) - poly_term(4, (1, 0, 0, 5)),
     ):
         r, quots = normal_form(f, Reducer(order, basis))
         mr, mquots = normal_form(lift(f, Psi(0)), Reducer(MORDER, lifted))
@@ -483,7 +483,7 @@ def test_symbol_pairing_matches_the_all_pairs_scan_on_a_failing_basis(monkeypatc
     # and breaks the third same-symbol S-vector
     base = syzygy_basis(p713)
     A = dict(base.A)
-    A[(1, 1)] = A[(1, 1)] + ModElement.term(4, _x(0), Phi(1, 1))
+    A[(1, 1)] = A[(1, 1)] + module_term(4, _x(0), Phi(1, 1))
     planted = SyzygySet(params=p713, A=A, B=base.B, L=base.L)
     monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted)
     curve = Curve(p713)
@@ -535,12 +535,12 @@ def test_a_failure_after_a_dropped_pair_keeps_the_all_pairs_record(monkeypatch, 
     # criterion would drop; X0 with the tail Phi(1,1) breaks (1, 3), which
     # comes after (1, 2) in the x-major scan, while X1*X2*Phi(1,1) mends (0, 3)
     nv = p713.nvars
-    labeled = [("T0", ModElement.term(nv, (1, 1, 0, 0), Psi(0))),
-               ("T1", ModElement.term(nv, (1, 0, 1, 0), Psi(0))),
-               ("T2", ModElement.term(nv, (0, 1, 1, 0), Psi(0))),
-               ("T3", ModElement.term(nv, _x(0), Psi(0))
-                + ModElement.term(nv, (0,) * nv, Phi(1, 1))),
-               ("T4", ModElement.term(nv, (1, 1, 0, 0), Phi(1, 1)))]
+    labeled = [("T0", module_term(nv, (1, 1, 0, 0), Psi(0))),
+               ("T1", module_term(nv, (1, 0, 1, 0), Psi(0))),
+               ("T2", module_term(nv, (0, 1, 1, 0), Psi(0))),
+               ("T3", module_term(nv, _x(0), Psi(0))
+                + module_term(nv, (0,) * nv, Phi(1, 1))),
+               ("T4", module_term(nv, (1, 1, 0, 0), Phi(1, 1)))]
 
     class Planted(SyzygySet):
         def labeled(self):
@@ -571,7 +571,7 @@ def _plant_a_tail_term(curve, rng):
         if morder.key(term) < morder.key(lead):
             break
     planted = list(labeled)
-    tail = ModElement.term(curve.params.nvars, *term, rng.choice((-1, 1, 2)))
+    tail = module_term(curve.params.nvars, *term, rng.choice((-1, 1, 2)))
     planted[k] = (labeled[k][0], labeled[k][1] + tail)
     return planted
 
@@ -625,7 +625,7 @@ def test_a_harvested_element_that_is_no_relation_is_the_witness(monkeypatch, p71
     def planted(curve):
         rows = list(harvest(curve))
         i, j, r, rel = rows[2]
-        rows[2] = (i, j, r, rel + ModElement.term(4, (0, 0, 0, 0), Psi(0)))
+        rows[2] = (i, j, r, rel + module_term(4, (0, 0, 0, 0), Psi(0)))
         return rows
 
     monkeypatch.setattr(syzygy, "schreyer_relations", planted)
@@ -725,7 +725,7 @@ def _plant_a_ring_tail_term(curve, rng):
         mono = tuple(rng.randrange(3) for _ in range(curve.params.nvars))
         if order.key(mono) < lead:
             break
-    tail = Poly.term(curve.params.nvars, mono, rng.choice((-1, 1, 2)))
+    tail = poly_term(curve.params.nvars, mono, rng.choice((-1, 1, 2)))
     return dataclasses.replace(gset, **{family: {**getattr(gset, family), k: g + tail}})
 
 
@@ -776,7 +776,7 @@ def _with_multiple_and_negation(params):
     # a lead that another lead divides, and two equal leads
     gset = groebner_generators(params)
     phi = gset.phis[(1, 1)]
-    extra = [("X1*phi(1,1)", Poly.term(params.nvars, variable_monomial(params.p, 1)) * phi),
+    extra = [("X1*phi(1,1)", poly_term(params.nvars, variable_monomial(params.p, 1)) * phi),
              ("-phi(1,1)", -phi)]
 
     class Extended(GeneratorSet):
@@ -1003,9 +1003,9 @@ def test_module_lead_check_finds_a_planted_dividing_lead(monkeypatch, triple, be
     x1x2 = mono_mul(variable_monomial(p, 1), variable_monomial(p, 2))
     planted = {
         "copy": base.labeled()[len(base) // 2][1],  # the same lead twice
-        "unit": ModElement.term(nv, (0,) * nv, Psi(0)),  # divides every lead on Psi(0)
-        "multiple": ModElement.term(nv, x1x2, Psi(0)),  # a multiple of the lead of A(1;b,0)
-        "lone": ModElement.term(nv, (0,) * nv, Phi(1, 1)),  # no other lead on Phi(1,1)
+        "unit": module_term(nv, (0,) * nv, Psi(0)),  # divides every lead on Psi(0)
+        "multiple": module_term(nv, x1x2, Psi(0)),  # a multiple of the lead of A(1;b,0)
+        "lone": module_term(nv, (0,) * nv, Phi(1, 1)),  # no other lead on Phi(1,1)
     }[plant]
 
     class Planted(SyzygySet):
@@ -1091,7 +1091,7 @@ def test_excluded_forms_agree_with_box_walk():
 )
 def test_excluded_forms_catch_a_planted_lead(monkeypatch, mono, sym):
     pr = P713
-    elements = syzygy_basis(pr).elements() + [ModElement.term(pr.nvars, mono, sym)]
+    elements = syzygy_basis(pr).elements() + [module_term(pr.nvars, mono, sym)]
 
     class Planted:
         def elements(self):
@@ -1141,6 +1141,81 @@ def test_a_wrong_image_lead_is_the_projection_witness(monkeypatch, p713, samples
     assert check.detail == f"{samples} sampled terms, seed {seed}"
     assert check.witness == {"term": {"expo": term, "basis": {"kind": "Phi", "i": 1, "j": 1}},
                              "image-lead": lead}
+
+
+PROJECTION_SAMPLES = (0, 1, 2, 5, 1000)
+
+
+def _same_projection_records(curve):
+    for seed in range(6):
+        for samples in PROJECTION_SAMPLES:
+            report = verify_order_projection(curve, samples, seed)
+            reference = order_projection_by_images(curve, samples, seed)
+            assert report.checks == reference.checks, (seed, samples)
+            assert report.to_records() == reference.to_records(), (seed, samples)
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (9, 1, 3), (5, 1, 2), (17, 3, 8),
+                                    (1000003, 999999, 3)])
+def test_sampled_projection_record_matches_the_term_by_term_reference(triple):
+    # (9,1,3) has b = p and (5,1,2) has p = 2
+    _same_projection_records(Curve(make_params(*triple)))
+
+
+# a planted image at (7,1,3) and the seeds whose first 5 draws miss its symbol
+PROJECTION_PLANTS = {
+    "phi(1,1) = X1^2 - X3^5": (Phi(1, 1), {(2, 0, 0, 0): 1, (0, 0, 5, 0): -1}, {0, 2, 3}),
+    "psi(1) = X2*X3^2 - X2*X3^2*X0": (Psi(1), {(0, 1, 2, 0): 1, (0, 1, 2, 1): -1}, {1}),
+    "phi(2,2) = X2^2 - X2^2*X0": (Phi(2, 2), {(0, 2, 0, 0): 1, (0, 2, 0, 1): -1}, {1, 5}),
+}
+
+
+@pytest.mark.parametrize("sym, terms, missed", PROJECTION_PLANTS.values(), ids=PROJECTION_PLANTS)
+def test_sampled_projection_record_matches_the_reference_on_a_planted_lead(p713, sym, terms,
+                                                                          missed):
+    curve = Curve(p713)
+    curve.images[sym] = Poly(p713.nvars, terms)
+    _same_projection_records(curve)
+    for seed in range(6):
+        assert verify_order_projection(curve, 5, seed).passed == (seed in missed), seed
+        assert not verify_order_projection(curve, 1000, seed).passed, seed
+
+
+def test_the_sampled_projection_check_builds_no_element_and_fills_no_key_cache(monkeypatch):
+    # each sample multiplies into the image monomials and keys the products
+    # once: no relation_image, no Poly or ModElement, no cached key
+    calls, built = [], []
+    image, raw, init = syzygy.relation_image, SparseMap._raw.__func__, SparseMap.__init__
+    curve = Curve(make_params(17, 3, 8))
+    monkeypatch.setattr(syzygy, "relation_image",
+                        lambda *args: calls.append(args) or image(*args))
+    monkeypatch.setattr(SparseMap, "_raw", classmethod(lambda *args: built.append(args[0])
+                                                       or raw(*args)))
+    monkeypatch.setattr(SparseMap, "__init__", lambda *args: built.append(args[0]) or init(*args))
+    sizes = len(curve.order._cache), len(curve.morder._cache)
+    assert verify_order_projection(curve, 1000, 3).passed
+    assert (len(calls), built) == (0, [])
+    assert (len(curve.order._cache), len(curve.morder._cache)) == sizes
+
+
+KEY_PARAMS = [make_params(*t) for t in ((7, 1, 3), (9, 1, 3), (17, 3, 8), (1000003, 999999, 3))]
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_the_module_key_is_the_ring_key_of_the_projection(data):
+    params = data.draw(st.sampled_from(KEY_PARAMS))
+    _, psi, phi = syzygy._table(params)
+    mono = data.draw(st.tuples(*[st.integers(0, 6)] * params.nvars))
+    sym = data.draw(st.sampled_from(psi + sorted(set(phi.values()))))
+    morder = ModuleOrder(params)
+    key = morder.key((mono, sym))
+    assert morder.ring._cache == {}  # the module key fills no ring key
+    ring = WeightOrder(params)
+    assert key == (ring.key(mono_mul(mono, syzygy._stamp(params, sym))),
+                   syzygy._symbol_tiebreak(sym))
+    assert morder.uncached_key((mono, sym)) == key
+    assert ring.uncached_key(mono) == ring.key(mono)
 
 
 @given(st.data())
