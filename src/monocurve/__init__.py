@@ -22,7 +22,6 @@ from .polyring import (
     WeightOrder,
     ZeroPolynomialError,
     normal_form,
-    s_polynomial,
     variable_monomial,
 )
 from .report import CheckResult, VerificationReport

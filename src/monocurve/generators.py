@@ -43,7 +43,6 @@ from .polyring import (
     mono_to_name,
     normal_form,
     poly_to_json,
-    s_polynomial,
     variable_monomial,
 )
 from .report import VerificationReport
@@ -255,7 +254,7 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
     leads, and a later lead can divide an earlier one.
     """
     params, order, table = curve.params, curve.order, curve.ring_reducer
-    labels, basis = [lab for lab, _ in curve.gset.labeled()], table.basis
+    labels = [lab for lab, _ in curve.gset.labeled()]
     report = VerificationReport(params)
 
     expected = expected_leading_monomials(params)
@@ -272,14 +271,11 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
         },
     )
 
-    witness, leads = None, actual
-    pairs = len(basis) * (len(basis) - 1) // 2
+    witness, leads, pairs = None, actual, table.pair_count()
     if not curve.ring_certified():
-        for pairs, (i, j) in enumerate(table.pairs(), 1):
-            r, _ = normal_form(s_polynomial(order, basis[i], basis[j]), table)
-            if r:
-                witness = {"pair": [labels[i], labels[j]], "remainder": poly_to_json(order, r)}
-                break
+        pairs, pair, r = table.first_unreduced()
+        if pair:
+            witness = {"pair": [labels[k] for k in pair], "remainder": poly_to_json(order, r)}
         leads = curve.closure()[0].close().lead_monomials()
     report.add("s-polynomials-reduce", witness is None, detail=f"{pairs} pairs", witness=witness)
 
@@ -372,7 +368,7 @@ def _closure_by_weight(table: Reducer) -> tuple[Closure, list]:
         closed = grown.close(w)
         forms.append([(k, normal_form(basis[k], closed)[0]) for k in by_weight[w]])
         for k in by_weight[w]:
-            grown.add(basis[k])
+            grown.append(basis[k])
     return grown, forms
 
 

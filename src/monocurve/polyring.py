@@ -24,15 +24,18 @@ a Reducer prepares a basis once, grouping its lead terms by module
 symbol, and a ring basis is a module with the single symbol None.
 normal_form, the one public name of that loop, divides a Poly or a
 module element by a Reducer and nothing else; the closed-form basis of
-a triple has one Reducer, held by syzygy.Curve.  Reducer.pairs lists
-the S-pairs of its basis.
+a triple has one Reducer, held by syzygy.Curve.
 
-There is one S-pair builder, s_polynomial, for Polys and module
-elements alike (Closure.close builds from the leads its Reducer holds),
-and one Buchberger pair loop, Closure.close.  It takes
-pairs in ascending weight of their lcm, the normal strategy (Giovini,
-Mora, Niesi, Robbiano, Traverso, "One sugar cube, please", ISSAC 1991),
-and can be resumed: generators join with Closure.add, and close(upto)
+There is one S-pair path, on the Reducer, for Polys and module elements
+alike: pairs lists the index pairs whose leads share a symbol and
+pair_count counts them, s_pair builds the S-element of one from the
+leads the Reducer holds, with its two cofactors, and first_unreduced is
+the one scan, x-major, to the first S-element with a non-zero
+remainder.  The one Buchberger pair loop, Closure.close, runs on a
+Closure, a Reducer that queues pairs as elements join.  It takes pairs
+in ascending weight of their lcm, the normal strategy (Giovini, Mora,
+Niesi, Robbiano, Traverso, "One sugar cube, please", ISSAC 1991), and
+can be resumed: generators join with Closure.append, and close(upto)
 stops before the first pair heavier than upto, which decides membership
 up to that weight.
 hilbert_numerator, the Hilbert numerator of a monomial ideal, decides
@@ -311,7 +314,8 @@ class Reducer:
     rows group each element's lead monomial, inverse lead coefficient,
     tail and index by the symbol of its lead: a module basis by its
     module symbols, a ring basis under the one symbol None.  normal_form
-    divides by one, in the order it was built with.
+    divides by one, in the order it was built with, and its S-pairs are
+    listed, counted, built and scanned here.
 
     It also remembers, per term, the first row that divides it: rows are
     only appended, so that row stays the first for good.
@@ -353,6 +357,34 @@ class Reducer:
         every pair of a ring basis, and the S-pairs of a module basis."""
         return sorted((x, y) for row in self._rows.values()
                       for n, (*_, x) in enumerate(row) for *_, y in row[n + 1:])
+
+    def pair_count(self) -> int:
+        """len(pairs()), without listing them."""
+        return sum(len(row) * (len(row) - 1) // 2 for row in self._rows.values())
+
+    def s_pair(self, x: int, y: int) -> tuple:
+        """(S, (cx, ux), (cy, uy)) for a pair (x, y) of pairs(), from the
+        leads held here: the S-element S = cx*ux*basis[x] + cy*uy*basis[y]
+        and its cofactors, each an exact coefficient and a monomial, which
+        take both leading terms to the lcm of their monomials, where they
+        cancel."""
+        (tx, lx), (ty, ly) = self.leads[x], self.leads[y]
+        mx, my = (tx, ty) if self.ring else (tx[0], ty[0])
+        lcm = mono_lcm(mx, my)
+        fx, fy = (_inverse(lx), mono_div(lcm, mx)), (-_inverse(ly), mono_div(lcm, my))
+        return self.basis[x].times_term(*fx) + self.basis[y].times_term(*fy), fx, fy
+
+    def first_unreduced(self) -> tuple:
+        """(tried, pair, remainder): the S-elements of pairs() divided
+        x-major up to the first with a non-zero remainder, which is
+        returned with its pair and the count of pairs tried; every pair,
+        None and None when all reduce to zero."""
+        tried = 0
+        for tried, (x, y) in enumerate(self.pairs(), 1):
+            r, _ = normal_form(self.s_pair(x, y)[0], self)
+            if r:
+                return tried, (x, y), r
+        return tried, None, None
 
     def divide(self, f):
         """(remainder, quotients) of f by the basis; see normal_form.
@@ -447,67 +479,43 @@ def _first_dividing_pair(table: Reducer) -> tuple[int, int] | None:
     return min(found, default=None)
 
 
-def s_polynomial(order: TermOrder, f, g):
-    """Cancel the leading terms of f and g against their lcm.
-
-    f and g are both Polys, or both module elements whose leading terms
-    carry one symbol; there is no S-pair across two symbols.
-    """
-    (tf, cf), (tg, cg) = order.leading_term(f), order.leading_term(g)
-    (mf, sf), (mg, sg) = ((tf, None), (tg, None)) if isinstance(order, WeightOrder) else (tf, tg)
-    if sf != sg:
-        raise ValueError(f"the leading terms carry different symbols, {sf} and {sg}")
-    return _s_pair(f, mf, cf, g, mg, cg)
-
-
-def _s_pair(f, mf, cf, g, mg, cg):
-    """The S-polynomial of f and g, given their lead monomials and lead
-    coefficients."""
-    lcm = mono_lcm(mf, mg)
-    return f.times_term(_inverse(cf), mono_div(lcm, mf)) - g.times_term(
-        _inverse(cg), mono_div(lcm, mg)
-    )
-
-
-class Closure:
+class Closure(Reducer):
     """A Buchberger closure grown weight by weight: the one pair loop.
 
-    add(g) joins g, monic, to the basis, queueing a pair with each earlier
-    element unless their leading monomials are coprime; a zero g is
-    skipped.  close(upto) processes the queued pairs in ascending weight,
-    and heavier pairs stay queued, so more generators can be added and the
-    closure resumed at a larger weight.  table is the Reducer of the basis
-    so far, and holds its leads: each is computed once, as its element
-    joins, and every S-polynomial is built from them.
+    A Reducer whose append(g) joins g, monic, to the basis, queueing a
+    pair with each earlier element unless their leading monomials are
+    coprime; a zero g is skipped.  close(upto) processes the queued pairs
+    in ascending weight, and heavier pairs stay queued, so more generators
+    can be appended and the closure resumed at a larger weight.  Each lead
+    is computed once, as its element joins, and every S-polynomial is
+    built from the leads the closure holds (Reducer.s_pair).
     """
 
-    __slots__ = ("order", "table", "_pairs")
+    __slots__ = ("_pairs",)
 
     def __init__(self, order: WeightOrder, gens=()):
-        self.order = order
-        self.table = Reducer(order)
         self._pairs = []
-        for g in gens:
-            self.add(g)
+        super().__init__(order, gens)
 
-    def add(self, g) -> None:
+    def append(self, g) -> None:
         if not g:
             return
-        order, table, pairs = self.order, self.table, self._pairs
+        order, pairs = self.order, self._pairs
         lm, lc = order.leading_term(g)
-        j = len(table.basis)
-        for i, (m, _) in enumerate(table.leads):
+        j = len(self.basis)
+        for i, (m, _) in enumerate(self.leads):
             if not mono_coprime(m, lm):
                 heappush(pairs, (order.weight(mono_lcm(m, lm)), i, j))
-        table._append(g if lc == 1 else g.scaled(_inverse(lc)), lm, 1)
+        self._append(g if lc == 1 else g.scaled(_inverse(lc)), lm, 1)
 
-    def close(self, upto: int | None = None) -> Reducer:
-        """The Reducer of a Groebner basis of the ideal of the generators
-        added so far, truncated at weight upto (untruncated when None).
+    def close(self, upto: int | None = None) -> Closure:
+        """The closure itself, a Groebner basis of the ideal of the
+        generators appended so far, truncated at weight upto (untruncated
+        when None).
 
         Pairs are popped in ascending weight of the lcm of their leading
         monomials, ties by index, and every non-zero remainder of an
-        S-polynomial joins through add, until the next pair weighs more
+        S-polynomial joins through append, until the next pair weighs more
         than upto.  For weight-homogeneous generators the result is a
         Groebner basis up to weight upto (Cox, Little, O'Shea, Ideals,
         Varieties, and Algorithms, on degree-truncated bases of
@@ -520,13 +528,11 @@ class Closure:
         For input that is not weight-homogeneous a truncated closure
         decides nothing.
         """
-        table, pairs = self.table, self._pairs
-        basis, leads = table.basis, table.leads
+        pairs = self._pairs
         while pairs and (upto is None or pairs[0][0] <= upto):
             _, i, j = heappop(pairs)
-            r, _ = normal_form(_s_pair(basis[i], *leads[i], basis[j], *leads[j]), table)
-            self.add(r)
-        return table
+            self.append(normal_form(self.s_pair(i, j)[0], self)[0])
+        return self
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,12 @@ Poly's arithmetic and validating constructor, and ModuleOrder a
 polyring.TermOrder.  normal_form divides it by a module Reducer with the
 ring's division loop (polyring.Reducer), where a ring basis has the one
 symbol None.
-S-vectors come from the ring's S-pair builder, polyring.s_polynomial,
-for the pairs of basis elements whose leads share a symbol
-(Reducer.pairs).  schreyer_relations lifts each S-pair of the symbols'
-binomials to a module element, one pair at a time as its caller asks.
+S-vectors take the ring's one S-pair path: a module Reducer lists and
+counts the pairs of basis elements whose leads share a symbol, builds
+each S-vector from the leads it holds and scans them
+(Reducer.first_unreduced).  schreyer_relations lifts each S-pair of the
+symbols' binomials to a module element, from the cofactors that
+Reducer.s_pair returns with it, one pair at a time as its caller asks.
 The excluded families of module terms are boxes of exponents, each
 tested against the lead terms on their symbol through its largest
 member.
@@ -51,7 +53,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import add, sub
@@ -79,12 +80,10 @@ from .polyring import (
     WeightOrder,
     ZeroPolynomialError,
     _first_dividing_pair,
-    _inverse,
     _join_signed,
     _json_terms,
     _term_text,
     hilbert_numerator,
-    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -92,7 +91,6 @@ from .polyring import (
     mono_to_name,
     normal_form,
     poly_to_json,
-    s_polynomial,
     variable_monomial,
 )
 from .report import VerificationReport
@@ -415,16 +413,14 @@ def schreyer_relations(curve: Curve) -> Iterator[tuple]:
     is skipped, as its Koszul relation can be one of the generators.  A
     pair is divided only when its row is asked for, so a scan that stops
     at its first failure divides no later pair."""
-    order, symbols = curve.order, list(curve.images)
-    table = Reducer(order, curve.images.values())
-    leads = table.leads
+    symbols = list(curve.images)
+    table = Reducer(curve.order, curve.images.values())
     for i, j in sorted(table.pairs(), key=lambda pair: pair[::-1]):
-        r, quots = normal_form(s_polynomial(order, table.basis[i], table.basis[j]), table)
+        s, (ci, ui), (cj, uj) = table.s_pair(i, j)
+        r, quots = normal_form(s, table)
         terms = {(m, symbols[k]): -c for k, q in quots.items() for m, c in q.terms.items()}
         # the cofactors reach the lcm, above every quotient term: no overlap
-        lcm = mono_lcm(leads[i][0], leads[j][0])
-        for k, sign in ((i, 1), (j, -1)):
-            terms[(mono_div(lcm, leads[k][0]), symbols[k])] = sign * _inverse(leads[k][1])
+        terms[(ui, symbols[i])], terms[(uj, symbols[j])] = ci, cj
         yield i, j, r, ModElement._raw(curve.params.nvars, terms)
 
 
@@ -507,16 +503,11 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     # one identity decides (c) and (d); if it or a hypothesis fails, both scan
     certified = (members_ok and list(curve.images.values()) == curve.ring_reducer.basis
                  and curve.ring_certified() and _module_identity(curve))
-    bad = None
-    count = sum(n * (n - 1) // 2 for n in Counter(sym for (_, sym), _ in table.leads).values())
+    bad, count = None, table.pair_count()
     if not certified:
-        for count, (x, y) in enumerate(table.pairs(), 1):
-            s = s_polynomial(morder, table.basis[x], table.basis[y])
-            r, _ = normal_form(s, table)
-            if r:
-                bad = {"pair": [labeled[x][0], labeled[y][0]],
-                       "remainder": mod_elem_to_json(morder, r)}
-                break
+        count, pair, r = table.first_unreduced()
+        if pair:
+            bad = {"pair": [labeled[k][0] for k in pair], "remainder": mod_elem_to_json(morder, r)}
     report.add("s-vectors-reduce", bad is None, detail=f"{count} same-symbol pairs", witness=bad)
 
     symbols, bad = list(curve.images), None

@@ -12,6 +12,8 @@ More keep the library's earlier, slower forms as references for the
 faster ones: numerator_all_pairs, Bigatti's recursion minimizing every
 ideal it meets; module_identity_by_symbol, one K per module symbol;
 first_dividing_pair_all_pairs, every ordered pair of leads;
+s_polynomial, the S-element of two elements from leads recomputed by
+the order, for Reducer.s_pair, which reads the leads it holds;
 standard_monomials_full_test, each monomial tested against every lead;
 syzygy_A_chained and syzygy_L_chained, the A and L relations built
 one term at a time by module arithmetic; phi_by_subtraction and
@@ -33,8 +35,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from monocurve.generators import PatilSet, epsilon, tau
-from monocurve.polyring import (Closure, Poly, Reducer, WeightOrder, _exact, mono_divides,
-                                mono_mul, mono_one, normal_form, variable_monomial)
+from monocurve.polyring import (Closure, Poly, Reducer, WeightOrder, _exact, mono_div,
+                                mono_divides, mono_lcm, mono_mul, mono_one, normal_form,
+                                variable_monomial)
 from monocurve.semigroup import (CurveParams, ParameterError, _add_shifted, _times_one_minus,
                                  apery_numerator, make_params)
 from monocurve.report import VerificationReport
@@ -267,7 +270,7 @@ def buchberger(order: WeightOrder, gens) -> list[Poly]:
     ideal (Cox, Little, O'Shea, section 2.7).
 
     The untruncated closure of gens is monic and holds no zero (see
-    Closure.add).  Its elements, by ascending lead, grow one Reducer of
+    Closure.append).  Its elements, by ascending lead, grow one Reducer of
     those whose lead no earlier kept lead divides, and that Reducer
     reduces the tail of each kept element.  A lead monomial divides no
     smaller monomial, so an element never reduces its own tail, and the
@@ -287,6 +290,22 @@ def buchberger(order: WeightOrder, gens) -> list[Poly]:
         out.append(lead + normal_form(g - lead, kept)[0])
     out.sort(key=lead_key, reverse=True)
     return out
+
+
+def s_polynomial(order, f, g):
+    """Cancel the leading terms of f and g, each found by the order, against
+    their lcm: the reference for polyring.Reducer.s_pair.
+
+    f and g are both Polys, or both module elements whose leading terms
+    carry one symbol; there is no S-pair across two symbols.
+    """
+    (tf, cf), (tg, cg) = order.leading_term(f), order.leading_term(g)
+    (mf, sf), (mg, sg) = ((tf, None), (tg, None)) if isinstance(order, WeightOrder) else (tf, tg)
+    if sf != sg:
+        raise ValueError(f"the leading terms carry different symbols, {sf} and {sg}")
+    lcm = mono_lcm(mf, mg)
+    return f.times_term(Fraction(1) / cf, mono_div(lcm, mf)) - g.times_term(
+        Fraction(1) / cg, mono_div(lcm, mg))
 
 
 def first_dividing_pair_all_pairs(table: Reducer) -> tuple[int, int] | None:

@@ -261,6 +261,18 @@ def test_output_matches_golden(name, capsys):
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", ["verify-7-1-3.json", "verify-8-3-2.txt", "verify-13-2-6.json",
+                                  "verify-17-3-8.json"])
+def test_scanned_s_pairs_of_a_passing_triple_match_golden(name, monkeypatch, capsys):
+    # with the three certificates failing, every S-pair check scans its
+    # pairs and the closures run; a passing triple still prints its golden
+    monkeypatch.setattr(syzygy.Curve, "ring_certified", lambda self: False)
+    monkeypatch.setattr(syzygy, "_module_identity", lambda curve: False)
+    monkeypatch.setattr(generators, "_minimal_by_count", lambda table: False)
+    assert main(GOLDEN_CALLS[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
 HALF_LEAD_GOLDEN_CALLS = {
     "verify-7-1-3-half-lead.json": ["verify", "--m0", "7", "--d", "1", "--p", "3",
                                     "--bound", "2", "--format", "json"],
@@ -316,14 +328,14 @@ def test_a_failing_harvest_divides_no_ring_s_pair_past_its_first_failure(monkeyp
     # with the half lead planted at (17,3,8) the first harvested relation
     # fails, and the harvest builds no S-polynomial of the binomials after
     # it; divided in full it would build one per pair, 630
-    ring_pairs, s_polynomial = [], syzygy.s_polynomial
+    ring_pairs, s_pair = [], Reducer.s_pair
 
-    def count(order, f, g):
-        ring_pairs.append(isinstance(order, WeightOrder))
-        return s_polynomial(order, f, g)
+    def count(self, x, y):
+        ring_pairs.append(self.ring)
+        return s_pair(self, x, y)
 
     monkeypatch.setattr("monocurve.syzygy.groebner_generators", _half_lead)
-    monkeypatch.setattr(syzygy, "s_polynomial", count)
+    monkeypatch.setattr(Reducer, "s_pair", count)
     report = syzygy.verify_syzygy_basis(syzygy.Curve(make_params(17, 3, 8)))
     (record,) = [c for c in report.checks if c.name == "harvested-relations-reduce"]
     assert (record.passed, record.detail) == (False, "1 harvested relations")
@@ -515,25 +527,24 @@ def test_a_certified_triple_divides_no_pair_past_its_heaviest_generator(monkeypa
     # a passing shallow verify builds no S-polynomial at all; a deep one
     # whose count certificate fails falls back to the closure, which pops
     # pairs only up to the heaviest generator's weight, leaves the heavier
-    # ones queued, and builds each S-polynomial from the leads it holds
+    # ones queued, and builds one S-polynomial per popped pair
     curves, spolys, popped = [], [], []
-    init, spoly, pop = syzygy.Curve.__init__, polyring.s_polynomial, polyring.heappop
+    init, s_pair, pop = syzygy.Curve.__init__, Reducer.s_pair, polyring.heappop
 
     def keep(self, params):
         init(self, params)
         curves.append(self)
 
-    def count_spoly(*args):
-        spolys.append(args)
-        return spoly(*args)
+    def count_spoly(self, x, y):
+        spolys.append((self, x, y))
+        return s_pair(self, x, y)
 
     def record_pop(heap):
         popped.append(heap[0][0])
         return pop(heap)
 
     monkeypatch.setattr(syzygy.Curve, "__init__", keep)
-    monkeypatch.setattr(polyring, "s_polynomial", count_spoly)
-    monkeypatch.setattr(syzygy, "s_polynomial", count_spoly)
+    monkeypatch.setattr(Reducer, "s_pair", count_spoly)
     monkeypatch.setattr(polyring, "heappop", record_pop)
     argv = ["verify", "--m0", "41", "--d", "2", "--p", "12", "--bound", "2"]
     assert main(argv + ["--shallow"]) == 0
@@ -545,9 +556,9 @@ def test_a_certified_triple_divides_no_pair_past_its_heaviest_generator(monkeypa
     (curve,) = curves
     assert curve.ring_certified()
     top = max(curve.order.weight(lm) for lm, _ in curve.ring_reducer.leads)
-    assert popped and max(popped) <= top
-    assert not spolys
     grown = curve.closure()[0]
+    assert popped and max(popped) <= top
+    assert len(spolys) == len(popped) and all(table is grown for table, _, _ in spolys)
     assert grown._pairs and min(w for w, *_ in grown._pairs) > top
     capsys.readouterr()
 

@@ -128,3 +128,12 @@ def test_only_polyring_names_bigattis_recursion():
               if "_numerator" in (getattr(node, "id", None), getattr(node, "attr", None),
                                   getattr(node, "name", None))}
     assert namers == {"polyring.py"}
+
+
+def test_only_polyring_builds_s_pairs():
+    # Reducer.s_pair is the one S-pair builder: it cancels two leads by
+    # multiplying each element by a term, so no other module calls times_term
+    builders = {path.name for path in sorted((ROOT / "src" / "monocurve").glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "times_term"}
+    assert builders == {"polyring.py"}

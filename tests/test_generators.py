@@ -42,12 +42,11 @@ from monocurve.polyring import (
     mono_to_name,
     normal_form,
     poly_to_json,
-    s_polynomial,
     variable_monomial,
 )
 from monocurve.syzygy import Curve
 from oracles import (buchberger, curve_image, parameter_sweep, patil_by_terms, phi_by_subtraction,
-                     poly_term, psi_by_subtraction, standard_monomials_full_test)
+                     poly_term, psi_by_subtraction, s_polynomial, standard_monomials_full_test)
 
 SWEEP = list(parameter_sweep(range(2, 6), range(1, 4), range(1, 6)))
 SWEEP6 = list(parameter_sweep(range(2, 7), range(1, 4), range(1, 6)))
@@ -260,7 +259,7 @@ def test_a_resumed_closure_leaves_the_remainders_of_a_truncated_one(triple, data
     grown = Closure(order, gens[:cut])
     grown.close(w1)
     for g in gens[cut:]:
-        grown.add(g)
+        grown.append(g)
     resumed = grown.close(w2)
     once = Closure(order, patil).close(w2)
     for w in (w1, w2):

@@ -22,13 +22,12 @@ from monocurve.polyring import (
     mono_mul,
     normal_form,
     poly_to_json,
-    s_polynomial,
     variable_monomial,
 )
 from monocurve.syzygy import Curve, ModuleOrder, Phi, Psi
 from oracles import (buchberger, curve_image, first_dividing_pair_all_pairs, hilbert_function,
                      module_term, numerator_all_pairs, poly_from_json, poly_term,
-                     series_coefficients)
+                     s_polynomial, series_coefficients)
 
 P713 = make_params(7, 1, 3)
 ORDER = WeightOrder(P713)
@@ -306,6 +305,29 @@ def test_s_polynomial_of_equal_inputs():
     assert not s_polynomial(ORDER, f, f)
 
 
+def test_reducer_s_pairs_match_the_reference_and_their_cofactors():
+    # on every pair of the (17,3,8) ring and module Reducers the S-element
+    # built from the held leads is the one from leads the order recomputes,
+    # and its cofactors rebuild it; pair_count counts pairs() on those and on
+    # a planted basis whose leads sit on two symbols
+    curve = Curve(make_params(17, 3, 8))
+    x1, x2, x3 = (variable_monomial(3, k) for k in (1, 2, 3))
+    planted = Reducer(ModuleOrder(P713), [
+        module_term(4, x1, Psi(0)), module_term(4, x1, Phi(1, 1)),
+        module_term(4, mono_mul(x2, x3), Psi(0), 2), module_term(4, x3, Psi(2)),
+        module_term(4, mono_mul(x1, x2), Phi(1, 1)) + module_term(4, x3, Phi(1, 1), -3)])
+    assert planted.pairs() == [(0, 2), (1, 4)]
+    for table in (curve.ring_reducer, curve.module_reducer, planted):
+        pairs = table.pairs()
+        assert table.pair_count() == len(pairs)
+        basis = table.basis
+        for x, y in pairs:
+            s, (cx, ux), (cy, uy) = table.s_pair(x, y)
+            assert s == s_polynomial(table.order, basis[x], basis[y])
+            assert s == basis[x].times_term(cx, ux) + basis[y].times_term(cy, uy)
+    assert (curve.ring_reducer.pair_count(), curve.module_reducer.pair_count()) == (630, 784)
+
+
 def test_buchberger_principal_ideal():
     x1 = poly_term(4, (1, 0, 0, 0))
     assert buchberger(ORDER, [x1]) == [x1]
@@ -417,7 +439,7 @@ def test_a_closure_computes_each_lead_once(monkeypatch):
 
     monkeypatch.setattr(WeightOrder, "leading_term", count)
     grown = curve.closure()[0]
-    assert len(grown.table.basis) == len(calls) == 36
+    assert len(grown.basis) == len(calls) == 36
     # phi(1,1) and psi(1,0) of (7,1,3) are no Groebner basis: a remainder joins
     calls.clear()
     gens = [G713.phis[1, 1], G713.psis[0]]

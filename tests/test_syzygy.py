@@ -25,7 +25,6 @@ from monocurve.polyring import (
     mono_mul,
     normal_form,
     poly_to_json,
-    s_polynomial,
     variable_monomial,
     variable_position,
 )
@@ -49,8 +48,8 @@ from monocurve.syzygy import (
 from monocurve.semigroup import apery_numerator
 from oracles import (_symbol_from_json, betti_2_by_homology, buchberger, lift, mod_elem_from_json,
                      module_identity_by_symbol, module_term, order_projection_by_images,
-                     parameter_sweep, phi_symbol, poly_term, syzygy_A_chained, syzygy_B_lifted,
-                     syzygy_L_chained)
+                     parameter_sweep, phi_symbol, poly_term, s_polynomial, syzygy_A_chained,
+                     syzygy_B_lifted, syzygy_L_chained)
 
 P713 = make_params(7, 1, 3)
 C713 = Curve(P713)
@@ -501,16 +500,16 @@ def test_syzygy_check_divides_the_kept_pairs_and_the_harvest_at_p12(monkeypatch)
     # same-symbol pair and every harvested relation is divided exactly once
     curve = Curve(make_params(41, 2, 12))
     calls, harvests = [], []
-    divide, harvest = syzygy.normal_form, syzygy.schreyer_relations
+    divide, harvest = Reducer.divide, syzygy.schreyer_relations
 
-    def divide_counted(f, table):
-        # the harvest divides its ring S-pairs through the same name: count
+    def divide_counted(table, f):
+        # the harvest divides its ring S-pairs by the same method: count
         # only the divisions by the module basis
         if table is curve.module_reducer:
             calls.append(1)
-        return divide(f, table)
+        return divide(table, f)
 
-    monkeypatch.setattr(syzygy, "normal_form", divide_counted)
+    monkeypatch.setattr(Reducer, "divide", divide_counted)
     monkeypatch.setattr(syzygy, "schreyer_relations",
                         lambda curve: harvests.append(1) or harvest(curve))
 
