@@ -317,7 +317,37 @@ def _output(path: str) -> str:
     return path
 
 
+def _add_arguments(name: str, parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Give the parser of one command its options and their defaults."""
+    if name == "sweep":
+        parser.add_argument("--p", type=_parse_range, default="2..5", help="range lo..hi")
+        parser.add_argument("--a", type=_parse_range, default="1..3", help="range lo..hi")
+        parser.add_argument("--b", type=_b_range, default="1..p", help="range lo..hi, or 1..p")
+        parser.add_argument("--d", type=_parse_range, default="1..4", help="range lo..hi")
+        parser.add_argument("--bound", type=_bound, default=4)
+        parser.add_argument("--samples", type=_samples, default=200)
+        parser.add_argument("--seed", type=int, default=0)
+    else:
+        parser.add_argument("--m0", type=int, required=True, help="smallest generator")
+        parser.add_argument("--d", type=int, required=True, help="common difference")
+        parser.add_argument("--p", type=int, required=True, help="number of steps")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--output", type=_output, default=None,
+                        help="write output to this path")
+    if name == "verify":
+        parser.add_argument("--bound", type=_bound, default=5, help="exponent cap for enumerations")
+        parser.add_argument("--samples", type=_samples, default=1000,
+                            help="sampled projection checks")
+        parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+        parser.add_argument("--shallow", action="store_true",
+                            help="skip the no-redundant-generator check")
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with every command's parser under it: it
+    prints the top-level help, and the error of an argv that names no
+    command or leaves an argument over."""
     parser = argparse.ArgumentParser(
         prog="monocurve",
         description=(
@@ -327,40 +357,33 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, triple=True):
-        if triple:
-            p.add_argument("--m0", type=int, required=True, help="smallest generator")
-            p.add_argument("--d", type=int, required=True, help="common difference")
-            p.add_argument("--p", type=int, required=True, help="number of steps")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--output", type=_output, default=None, help="write output to this path")
-
-    common(sub.add_parser("info", help="parameters and minimal-multiple data"))
-    common(sub.add_parser("generators", help="dump both generating sets"))
-    common(sub.add_parser("syzygies", help="dump the syzygy basis"))
-
-    v = sub.add_parser("verify", help="full verification for one parameter triple")
-    common(v)
-    v.add_argument("--bound", type=_bound, default=5, help="exponent cap for enumerations")
-    v.add_argument("--samples", type=_samples, default=1000, help="sampled projection checks")
-    v.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    v.add_argument("--shallow", action="store_true",
-                   help="skip the no-redundant-generator check")
-
-    s = sub.add_parser("sweep", help="verification across a parameter grid")
-    s.add_argument("--p", type=_parse_range, default="2..5", help="range lo..hi")
-    s.add_argument("--a", type=_parse_range, default="1..3", help="range lo..hi")
-    s.add_argument("--b", type=_b_range, default="1..p", help="range lo..hi, or 1..p")
-    s.add_argument("--d", type=_parse_range, default="1..4", help="range lo..hi")
-    s.add_argument("--bound", type=_bound, default=4)
-    s.add_argument("--samples", type=_samples, default=200)
-    s.add_argument("--seed", type=int, default=0)
-    common(s, triple=False)
+    for name, text in (
+        ("info", "parameters and minimal-multiple data"),
+        ("generators", "dump both generating sets"),
+        ("syzygies", "dump the syzygy basis"),
+        ("verify", "full verification for one parameter triple"),
+        ("sweep", "verification across a parameter grid"),
+    ):
+        _add_arguments(name, sub.add_parser(name, help=text))
     return parser
 
 
 def main(argv=None) -> int:
+    """Parse argv (sys.argv[1:] when None) and run its command.
+
+    A command is parsed by its own parser alone, the one the full tree
+    would hand it to, under the same prog, so its help and usage errors
+    read the same: building the other commands' parsers costs more than
+    the parse.  Any other argv (no command, the top-level help, an
+    unknown command, an argument left over) goes to the full tree.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        parser = _add_arguments(argv[0], argparse.ArgumentParser(prog="monocurve " + argv[0]))
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return run(args)
     return run(_build_parser().parse_args(argv))
 
 

@@ -21,7 +21,9 @@ psi_by_subtraction, each binomial a difference of two Polys of fresh
 variable_monomial products; syzygy_B_lifted, B from those binomials
 lifted onto a symbol (lift); patil_by_terms, the classical set built
 term by term; order_projection_by_images, the sampled projection check
-through one module element and image polynomial per sampled term; and
+through one module element and image polynomial per sampled term;
+order_projection_exact, the same check decided once per symbol, drawing
+only to name a witness; and
 phi_symbol and psi_symbol, the symbol conventions.  poly_term and
 module_term build one-term elements, which the library never does.
 betti_1_by_search counts minimal generators per weight from the
@@ -370,6 +372,36 @@ def order_projection_by_images(curve, samples: int = 1000, seed: int = 0) -> Ver
         if curve.order.key(lm) != curve.morder.key((mono, sym))[0]:
             bad = {"term": term_to_json((mono, sym)), "image-lead": list(lm)}
             break
+    report = VerificationReport(params)
+    report.add("projection-matches-image-lead", bad is None,
+               detail=f"{samples} sampled terms, seed {seed}", witness=bad)
+    return report
+
+
+def order_projection_exact(curve, samples: int = 1000, seed: int = 0) -> VerificationReport:
+    """The sampled projection check decided once per symbol.  The ring and
+    module keys both shift by the ring key of m under multiplication by m,
+    so a sampled term (m, sym) fails exactly when the largest ring key of
+    sym's image monomials differs from the module key of (1, sym).  When
+    every symbol agrees the record passes with no draw; otherwise the
+    seeded draws of syzygy.verify_order_projection are replayed up to the
+    first sample on a disagreeing symbol, which is the witness."""
+    params = curve.params
+    one = mono_one(params.nvars)
+    ring_key, module_key = curve.order.uncached_key, curve.morder.uncached_key
+    symbols = sorted(curve.images, key=str)
+    wrong = {sym for sym in symbols
+             if max(map(ring_key, curve.images[sym].terms)) != module_key((one, sym))[0]}
+    bad = None
+    if wrong:
+        rng = random.Random(seed)
+        for _ in range(samples):
+            mono = tuple(rng.randrange(0, 5) for _ in range(params.nvars))
+            sym = symbols[rng.randrange(len(symbols))]
+            if sym in wrong:
+                lm = max((mono_mul(mono, m) for m in curve.images[sym].terms), key=ring_key)
+                bad = {"term": term_to_json((mono, sym)), "image-lead": list(lm)}
+                break
     report = VerificationReport(params)
     report.add("projection-matches-image-lead", bad is None,
                detail=f"{samples} sampled terms, seed {seed}", witness=bad)

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import contextlib
 import io
@@ -218,6 +219,91 @@ def test_run_config_direct(tmp_path):
     payload = json.loads((tmp_path / "info.json").read_text())
     assert payload["params"]["generators"] == [7, 8, 9, 10]
     assert payload["m0_multiple"] == [4, 2, 1]
+
+
+def _outcome(call, argv) -> tuple:
+    # (exit code, stdout, stderr): the return value, or SystemExit's code
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_full_tree(argv) -> int:
+    # the reference parse: the top-level parser and all five subparsers
+    return run(_build_parser().parse_args(argv))
+
+
+TRIPLE = ["--m0", "7", "--d", "1", "--p", "3"]
+PARITY_ARGV = [
+    [], ["-h"], ["bogus", *TRIPLE],
+    *([command, "-h"] for command in ("info", "generators", "syzygies", "verify", "sweep")),
+    ["info", "--m0", "7", "--p", "3"],
+    ["verify", "--m0", "7", "--d", "1", "--p", "x"],
+    ["generators", *TRIPLE, "--format", "xml"],
+    ["verify", *TRIPLE, "--bound", "1"],
+    ["verify", *TRIPLE, "--samples", "-1"],
+    ["sweep", "--p", "3..3", "--a", "2..2", "--b", "0..1"],
+    ["info", *TRIPLE, "--extra"],
+    ["verify", "--m0", "7", "--bogus", "3", "--d", "1", "--p", "3", "--bound", "2"],
+    ["verify", *TRIPLE, "--bound", "2", "--samp", "3"],
+    ["sweep", "--p", "2..2", "--s", "1"],
+    ["info", *TRIPLE, "--output", "{tmp}"],
+    ["info", "--m0", "6", "--d", "2", "--p", "3"],
+    ["info", "--", *TRIPLE],
+    ["info", *TRIPLE],
+    ["verify", *TRIPLE, "--bound", "2", "--seed", "4", "--format", "json"],
+    ["sweep", "--p", "2..3", "--a", "1..1", "--d", "1..2", "--bound", "2", "--shallow"],
+    ["sweep", "--p", "2..2", "--a", "1..1", "--d", "1..2", "--bound", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
+def test_main_prints_and_exits_as_the_full_parser_tree(argv, monkeypatch, tmp_path):
+    # main parses a command with its own parser alone; the reference parses
+    # every argv with the tree of all five, and must read the same
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert _outcome(main, argv) == _outcome(_run_full_tree, argv)
+
+
+FULL_TREE = ["monocurve"] + [f"monocurve {command}" for command in
+                              ("info", "generators", "syzygies", "verify", "sweep")]
+
+
+@pytest.mark.parametrize("argv, progs", [
+    (["info", *TRIPLE], ["monocurve info"]),
+    (["verify", *TRIPLE, "--bound", "2"], ["monocurve verify"]),
+    # the command's own parser prints the usage error of a missing option
+    (["verify", "--m0", "7"], ["monocurve verify"]),
+    # an unknown command, and a stray argument after its command's parse
+    (["bogus"], FULL_TREE),
+    (["info", *TRIPLE, "--extra"], ["monocurve info", *FULL_TREE]),
+])
+def test_main_builds_one_parser_unless_the_full_tree_must_answer(argv, progs, monkeypatch,
+                                                                  capsys):
+    # the full tree is a top-level parser and one subparser per command
+    built, init = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(kwargs.get("prog"))
+                        or init(self, *args, **kwargs))
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    assert built == progs
+
+
+def test_main_reads_the_command_line_when_given_no_argv(monkeypatch, capsys):
+    # the path of the monocurve console script, which calls main()
+    monkeypatch.setattr(sys, "argv", ["monocurve", "info", *TRIPLE])
+    assert main() == 0
+    assert "a = 2, b = 1" in capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["monocurve"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
 
 
 def test_bundle_shapes(p713):
@@ -673,11 +759,8 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(fuzz_dir, case):
     argv, output = case
     if output is not None:
         argv = [*argv, "--output", str(fuzz_dir / output) if output else ""]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exit_:
-            code = exit_.code
+    code, _, err = outcome = _outcome(main, argv)
     assert code in (0, 1, 2), (argv, code)
-    assert "Traceback" not in err.getvalue(), argv
+    assert "Traceback" not in err, argv
+    # and main, parsing a command with its own parser, reads as the full tree
+    assert outcome == _outcome(_run_full_tree, argv), argv

@@ -48,8 +48,8 @@ from monocurve.syzygy import (
 from monocurve.semigroup import apery_numerator
 from oracles import (_symbol_from_json, betti_2_by_homology, buchberger, lift, mod_elem_from_json,
                      module_identity_by_symbol, module_term, order_projection_by_images,
-                     parameter_sweep, phi_symbol, poly_term, s_polynomial, syzygy_A_chained,
-                     syzygy_B_lifted, syzygy_L_chained)
+                     order_projection_exact, parameter_sweep, phi_symbol, poly_term,
+                     s_polynomial, syzygy_A_chained, syzygy_B_lifted, syzygy_L_chained)
 
 P713 = make_params(7, 1, 3)
 C713 = Curve(P713)
@@ -1145,17 +1145,19 @@ def test_a_wrong_image_lead_is_the_projection_witness(monkeypatch, p713, samples
 PROJECTION_SAMPLES = (0, 1, 2, 5, 1000)
 
 
-def _same_projection_records(curve):
+def _same_projection_records(curve, oracle=order_projection_by_images):
     for seed in range(6):
         for samples in PROJECTION_SAMPLES:
             report = verify_order_projection(curve, samples, seed)
-            reference = order_projection_by_images(curve, samples, seed)
+            reference = oracle(curve, samples, seed)
             assert report.checks == reference.checks, (seed, samples)
             assert report.to_records() == reference.to_records(), (seed, samples)
 
 
-@pytest.mark.parametrize("triple", [(7, 1, 3), (9, 1, 3), (5, 1, 2), (17, 3, 8),
-                                    (1000003, 999999, 3)])
+PROJECTION_TRIPLES = [(7, 1, 3), (9, 1, 3), (5, 1, 2), (17, 3, 8), (1000003, 999999, 3)]
+
+
+@pytest.mark.parametrize("triple", PROJECTION_TRIPLES)
 def test_sampled_projection_record_matches_the_term_by_term_reference(triple):
     # (9,1,3) has b = p and (5,1,2) has p = 2
     _same_projection_records(Curve(make_params(*triple)))
@@ -1178,6 +1180,21 @@ def test_sampled_projection_record_matches_the_reference_on_a_planted_lead(p713,
     for seed in range(6):
         assert verify_order_projection(curve, 5, seed).passed == (seed in missed), seed
         assert not verify_order_projection(curve, 1000, seed).passed, seed
+
+
+@pytest.mark.parametrize("case", [*PROJECTION_TRIPLES, *PROJECTION_PLANTS])
+def test_the_per_symbol_projection_record_matches_the_sampled_one(monkeypatch, p713, case):
+    # a passing curve, and each planted lead with the seeds that miss it
+    if case in PROJECTION_PLANTS:
+        sym, terms, _ = PROJECTION_PLANTS[case]
+        curve = Curve(p713)
+        curve.images[sym] = Poly(p713.nvars, terms)
+    else:
+        curve = Curve(make_params(*case))
+        with monkeypatch.context() as patch:
+            patch.setattr(random, "Random", None)  # a passing curve is decided with no draw
+            assert order_projection_exact(curve, 1000, 0).passed
+    _same_projection_records(curve, order_projection_exact)
 
 
 def test_the_sampled_projection_check_builds_no_element_and_fills_no_key_cache(monkeypatch):
