@@ -245,20 +245,13 @@ def _betti_1(params: CurveParams, weights) -> dict:
 def verify_minimal_multiples(params: CurveParams) -> VerificationReport:
     """Check the two searched minimal multiples against their closed forms."""
     report = VerificationReport(params)
-    found = min_multiple_of_mp(params)
-    expect = mp_multiple_identity(params)
-    report.add(
-        "mp-minimal-multiple",
-        found == expect,
-        detail=f"search {found}, identity {expect}",
-        witness=None if found == expect else {"search": list(found), "identity": list(expect)},
-    )
-    found = min_multiple_of_m0(params)
-    expect = m0_multiple_identity(params)
-    report.add(
-        "m0-minimal-multiple",
-        found == expect,
-        detail=f"search {found}, identity {expect}",
-        witness=None if found == expect else {"search": list(found), "identity": list(expect)},
-    )
+    for name, search, identity in (("mp", min_multiple_of_mp, mp_multiple_identity),
+                                   ("m0", min_multiple_of_m0, m0_multiple_identity)):
+        found, expect = search(params), identity(params)
+        report.add(
+            f"{name}-minimal-multiple",
+            found == expect,
+            detail=f"search {found}, identity {expect}",
+            witness=None if found == expect else {"search": list(found), "identity": list(expect)},
+        )
     return report

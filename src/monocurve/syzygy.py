@@ -204,12 +204,6 @@ class ModuleOrder(TermOrder):
         return (self.ring.weight(mono) + weight,
                 tuple(map(sub, negrev, reversed(mono)))), tiebreak
 
-    def key(self, term):
-        k = self._cache.get(term)
-        if k is None:
-            k = self._cache[term] = self.uncached_key(term)
-        return k
-
     def leading_term(self, elem: ModElement):
         if not elem.terms:
             raise ZeroPolynomialError("the zero element has no leading term")

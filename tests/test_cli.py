@@ -332,6 +332,9 @@ GOLDEN_CALLS = {
                            "--format", "json"],
     "verify-17-3-8.json": ["verify", "--m0", "17", "--d", "3", "--p", "8", "--bound", "2",
                            "--format", "json"],
+    # a passing verify at scale; its S-pairs are too many to scan here
+    "verify-97-2-32.json": ["verify", "--m0", "97", "--d", "2", "--p", "32", "--bound", "2",
+                            "--format", "json"],
     "sweep-p2-3-a1-1-d1-3.txt": ["sweep", "--p", "2..3", "--a", "1..1", "--d", "1..3",
                                  "--bound", "2"],
     # at p = 6 the families' loop order differs from their label order
@@ -360,6 +363,9 @@ def test_scanned_s_pairs_of_a_passing_triple_match_golden(name, monkeypatch, cap
 
 
 HALF_LEAD_GOLDEN_CALLS = {
+    # its s-vectors-reduce passes, so it divides every same-symbol module pair
+    "verify-35-2-16-half-lead.json": ["verify", "--m0", "35", "--d", "2", "--p", "16",
+                                      "--bound", "2", "--format", "json"],
     "verify-7-1-3-half-lead.json": ["verify", "--m0", "7", "--d", "1", "--p", "3",
                                     "--bound", "2", "--format", "json"],
     "verify-8-3-2-half-lead.txt": ["verify", "--m0", "8", "--d", "3", "--p", "2",

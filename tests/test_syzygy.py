@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -397,6 +398,25 @@ def test_module_normal_form_recombines(p713):
         for mono, c in q.terms.items():
             recombined = recombined + elems[k].times_term(c, mono)
     assert recombined == probe
+
+
+def test_module_division_skips_the_lead_term_not_the_lead_monomial(p713):
+    # no A/B/L member carries its lead monomial on a second symbol; g does,
+    # so a division step that skipped every term on that monomial would
+    # drop one and break f = sum q_k * basis_k + r
+    for elem in syzygy_basis(p713).elements():
+        lead, _ = MORDER.leading_term(elem)
+        assert [t for t in elem.terms if t[0] == lead[0]] == [lead]
+    m = mono_mul(_x(1), _x(2))
+    g = ModElement(4, {(m, Psi(0)): 1, (m, Phi(1, 1)): -1})
+    (lm, sym), _ = MORDER.leading_term(g)
+    assert lm == m and sym in (Psi(0), Phi(1, 1))
+    f = ModElement(4, {(mono_mul(lm, _x(0)), sym): 3})
+    r, quots = normal_form(f, Reducer(MORDER, [g]))
+    assert quots == {0: poly_term(4, _x(0), 3)}
+    assert sum((g.times_term(c, mono) for mono, c in quots[0].terms.items()), r) == f
+    assert not [t for t in r.terms if t[1] == sym and mono_divides(lm, t[0])]
+    assert len(r.terms) == 1
 
 
 def test_ring_division_is_module_division_on_one_symbol(p713):
@@ -812,6 +832,34 @@ def test_lead_ideal_record_matches_the_reduced_basis(monkeypatch, triple, plante
     assert record == _buchberger_record(curve)
 
 
+@pytest.mark.parametrize("triple", [(7, 1, 3), (8, 3, 2), (13, 2, 6)])
+def test_the_closure_holds_every_lead_of_g_so_none_is_lost(monkeypatch, triple):
+    # buchberger-lt-ideal scans only for new leads: the closure it reads
+    # when the certificate fails holds every lead of G, on the half-lead
+    # plant and with each generator dropped, and its witness, if any,
+    # loses no lead
+    pr = make_params(*triple)
+    base = Curve(pr)
+    x2x0 = mono_mul(variable_monomial(pr.p, 2), variable_monomial(pr.p, 0))
+    half = Poly(pr.nvars, {variable_monomial(pr.p, 1, 2): 2, x2x0: -1})
+    with monkeypatch.context() as patch:
+        patch.setattr(syzygy, "groebner_generators", _replace_phi11(half))
+        curves = [Curve(pr)]
+    polys = base.gset.polynomials()
+    for k in range(len(polys)):
+        curve = copy.copy(base)
+        curve.ring_reducer = Reducer(base.order, polys[:k] + polys[k + 1:])
+        curve._ring_certified = curve._closure = None
+        curves.append(curve)
+    for n, curve in enumerate(curves):
+        assert not curve.ring_certified(), (triple, n)
+        leads = set(curve.closure()[0].close().lead_monomials())
+        assert set(curve.ring_reducer.lead_monomials()) <= leads, (triple, n)
+        passed, _, witness = _record(generators.verify_groebner_generators(curve),
+                                     "buchberger-lt-ideal")
+        assert passed or witness["lost"] == [], (triple, n)
+
+
 def _closure_record(curve):
     # reference: the closed-form-set-reduces record as the classical set's
     # closure, truncated at the heaviest closed-form weight, makes it
@@ -1195,6 +1243,21 @@ def test_the_per_symbol_projection_record_matches_the_sampled_one(monkeypatch, p
             patch.setattr(random, "Random", None)  # a passing curve is decided with no draw
             assert order_projection_exact(curve, 1000, 0).passed
     _same_projection_records(curve, order_projection_exact)
+
+
+def test_a_curve_at_p24_holds_at_most_7_8_mib():
+    # a tripwire on the memory a Curve holds: each basis element once, in
+    # its Reducer, and one key per distinct term per order
+    params = make_params(71, 2, 24)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        curve = Curve(params)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert curve.module_reducer.basis
+    assert held <= 7.8 * 2**20, held / 2**20
 
 
 def test_the_sampled_projection_check_builds_no_element_and_fills_no_key_cache(monkeypatch):
