@@ -1,8 +1,10 @@
 """Batch command-line front end.
 
-Five commands: info, generators, syzygies, verify, sweep.  Output is
-text or JSON; exit code 0 means every check passed, 1 means some check
-failed, 2 means the input was unusable.
+Five commands: info, generators, syzygies, verify, sweep.  Each command
+returns its verdict and its text, text or JSON, and ``run`` alone writes
+that text and turns the outcome into the exit code: 0 when every check
+passed, 1 when some check failed, 2 when the input was unusable or did
+not fit in memory, with one ``error:`` line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -71,44 +73,24 @@ def _params_lines(params: CurveParams) -> list[str]:
     ]
 
 
-def _cmd_info(args: argparse.Namespace) -> int:
+def _cmd_info(args: argparse.Namespace) -> tuple[bool, str]:
     params = make_params(args.m0, args.d, args.p)
-    if args.format == "json":
-        payload = {
-            "params": params.to_dict(),
-            "mp_multiple": list(semigroup.min_multiple_of_mp(params)),
-            "m0_multiple": list(semigroup.min_multiple_of_m0(params)),
-        }
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        _emit(args, "\n".join(_params_lines(params)))
-    return 0
+    if args.format == "text":
+        return True, "\n".join(_params_lines(params))
+    payload = {
+        "params": params.to_dict(),
+        "mp_multiple": list(semigroup.min_multiple_of_mp(params)),
+        "m0_multiple": list(semigroup.min_multiple_of_m0(params)),
+    }
+    return True, json.dumps(payload, indent=2)
 
 
-def _cmd_generators(args: argparse.Namespace) -> int:
+def _cmd_generators(args: argparse.Namespace) -> tuple[bool, str]:
     params = make_params(args.m0, args.d, args.p)
     order = polyring.WeightOrder(params)
     gset = gens.groebner_generators(params)
     patil = gens.patil_generators(params)
-    if args.format == "json":
-        payload = {
-            "params": params.to_dict(),
-            "counts": {"groebner": len(gset), "classical": len(patil)},
-            "groebner": [
-                {
-                    "label": lab,
-                    "terms": polyring.poly_to_json(order, g),
-                    "leading_monomial": list(order.leading_monomial(g)),
-                }
-                for lab, g in gset.labeled()
-            ],
-            "classical": [
-                {"label": lab, "terms": polyring.poly_to_json(order, g)}
-                for lab, g in patil.labeled()
-            ],
-        }
-        _emit(args, json.dumps(payload, indent=2))
-    else:
+    if args.format == "text":
         lines = [f"closed-form basis ({len(gset)} elements):"]
         for lab, g in gset.labeled():
             lm = polyring.mono_to_name(order.leading_monomial(g))
@@ -116,59 +98,62 @@ def _cmd_generators(args: argparse.Namespace) -> int:
         lines.append(f"classical basis ({len(patil)} elements):")
         for lab, g in patil.labeled():
             lines.append(f"  {lab} = {polyring.format_poly(order, g)}")
-        _emit(args, "\n".join(lines))
-    return 0
+        return True, "\n".join(lines)
+    payload = {
+        "params": params.to_dict(),
+        "counts": {"groebner": len(gset), "classical": len(patil)},
+        "groebner": [
+            {
+                "label": lab,
+                "terms": polyring.poly_to_json(order, g),
+                "leading_monomial": list(order.leading_monomial(g)),
+            }
+            for lab, g in gset.labeled()
+        ],
+        "classical": [
+            {"label": lab, "terms": polyring.poly_to_json(order, g)}
+            for lab, g in patil.labeled()
+        ],
+    }
+    return True, json.dumps(payload, indent=2)
 
 
-def _cmd_syzygies(args: argparse.Namespace) -> int:
+def _cmd_syzygies(args: argparse.Namespace) -> tuple[bool, str]:
     params = make_params(args.m0, args.d, args.p)
     morder = syzygy.ModuleOrder(params)
     sset = syzygy.syzygy_basis(params)
-    if args.format == "json":
-        payload = {
-            "params": params.to_dict(),
-            "counts": sset.counts(),
-            "elements": [
-                {
-                    "label": lab,
-                    "terms": syzygy.mod_elem_to_json(morder, g),
-                    "leading_term": syzygy.term_to_json(morder.leading_term(g)[0]),
-                }
-                for lab, g in sset.labeled()
-            ],
-        }
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        counts = sset.counts()
+    counts = sset.counts()
+    if args.format == "text":
         lines = [
             f"syzygy basis: {counts['A']} A + {counts['B']} B + {counts['L']} L"
             f" = {counts['total']} elements"
         ]
         for lab, g in sset.labeled():
             lines.append(f"  {lab} = {syzygy.format_mod_elem(morder, g)}")
-        _emit(args, "\n".join(lines))
-    return 0
+        return True, "\n".join(lines)
+    payload = {
+        "params": params.to_dict(),
+        "counts": counts,
+        "elements": [
+            {
+                "label": lab,
+                "terms": syzygy.mod_elem_to_json(morder, g),
+                "leading_term": syzygy.term_to_json(morder.leading_term(g)[0]),
+            }
+            for lab, g in sset.labeled()
+        ],
+    }
+    return True, json.dumps(payload, indent=2)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[bool, str]:
     params = make_params(args.m0, args.d, args.p)
     curve = syzygy.Curve(params)
     reports = verification_bundle(
         curve, args.bound, args.samples, args.seed, deep=not args.shallow
     )
     passed = all(r.passed for r in reports)
-    if args.format == "json":
-        payload = {
-            "params": params.to_dict(),
-            "passed": passed,
-            "counts": {
-                "generators": len(curve.gset),
-                "syzygies": curve.sset.counts(),
-            },
-            "checks": [rec for r in reports for rec in r.to_records()],
-        }
-        _emit(args, json.dumps(payload, indent=2))
-    else:
+    if args.format == "text":
         lines = _params_lines(params)
         for r in reports:
             for c in r.checks:
@@ -178,11 +163,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 if c.witness is not None:
                     lines.append(f"        witness: {json.dumps(c.witness)}")
         lines.append("result: " + ("all checks passed" if passed else "CHECKS FAILED"))
-        _emit(args, "\n".join(lines))
-    return 0 if passed else 1
+        return passed, "\n".join(lines)
+    payload = {
+        "params": params.to_dict(),
+        "passed": passed,
+        "counts": {
+            "generators": len(curve.gset),
+            "syzygies": curve.sset.counts(),
+        },
+        "checks": [rec for r in reports for rec in r.to_records()],
+    }
+    return passed, json.dumps(payload, indent=2)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> tuple[bool, str]:
     p_lo, p_hi = args.p
     a_lo, a_hi = args.a
     d_lo, d_hi = args.d
@@ -213,13 +207,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             syzygy.Curve(params), args.bound, args.samples, args.seed, deep=False
         )
         ok = all(r.passed for r in reports)
+        entry = {"p": p, "a": a, "b": b, "d": d, "m0": m0, "status": "pass" if ok else "fail"}
         if not ok:
             failed += 1
-        entry = {
-            "p": p, "a": a, "b": b, "d": d, "m0": m0,
-            "status": "pass" if ok else "fail",
-        }
-        if not ok:
             entry["failures"] = [
                 rec for r in reports for rec in r.to_records()
                 if rec["status"] == "fail"
@@ -228,21 +218,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ran = len(entries) - skipped
     summary = {"ran": ran, "passed": ran - failed, "failed": failed, "skipped": skipped}
     if args.format == "json":
-        _emit(args, json.dumps({"entries": entries, "summary": summary}, indent=2))
-    else:
-        lines = []
-        for e in entries:
-            tag = e["status"]
-            line = f"p={e['p']} a={e['a']} b={e['b']} d={e['d']} m0={e['m0']}: {tag}"
-            if tag == "skip":
-                line += f" ({e['reason']})"
-            lines.append(line)
-        lines.append(
-            f"summary: {summary['ran']} verified, {summary['passed']} passed,"
-            f" {summary['failed']} failed, {summary['skipped']} skipped"
-        )
-        _emit(args, "\n".join(lines))
-    return 0 if failed == 0 else 1
+        return failed == 0, json.dumps({"entries": entries, "summary": summary}, indent=2)
+    lines = []
+    for e in entries:
+        tag = e["status"]
+        line = f"p={e['p']} a={e['a']} b={e['b']} d={e['d']} m0={e['m0']}: {tag}"
+        if tag == "skip":
+            line += f" ({e['reason']})"
+        lines.append(line)
+    lines.append(
+        f"summary: {summary['ran']} verified, {summary['passed']} passed,"
+        f" {summary['failed']} failed, {summary['skipped']} skipped"
+    )
+    return failed == 0, "\n".join(lines)
 
 
 _COMMANDS = {
@@ -255,12 +243,20 @@ _COMMANDS = {
 
 
 def run(args: argparse.Namespace) -> int:
-    """Run the parsed command; 0 all checks pass, 1 some fail, 2 unusable input."""
+    """Run the parsed command, write its text once, and return its exit
+    code: 0 when every check passes, 1 when one fails, and 2, with one
+    ``error:`` line on stderr, on unusable input or an input that does
+    not fit in memory."""
     try:
-        return _COMMANDS[args.command](args)
+        passed, text = _COMMANDS[args.command](args)
+        _emit(args, text)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: the input does not fit in memory; try a smaller p", file=sys.stderr)
+        return 2
+    return 0 if passed else 1
 
 
 def _parse_range(text: str) -> tuple[int, int]:

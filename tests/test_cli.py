@@ -499,6 +499,43 @@ def test_a_full_output_device_exits_2_with_one_error_line():
     assert proc.stderr.splitlines() == ["error: cannot write '/dev/full': No space left on device"]
 
 
+OUTPUT_CALLS = [
+    [command, *TRIPLE] for command in ("info", "generators", "syzygies")
+] + [
+    ["verify", *TRIPLE, "--bound", "2", "--samples", "20"],
+    ["sweep", "--p", "2..2", "--a", "1..1", "--d", "1..2", "--bound", "2", "--samples", "20"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, half_lead", [(argv, False) for argv in OUTPUT_CALLS]
+                         + [(argv, True) for argv in OUTPUT_CALLS[3:]])
+def test_an_output_file_holds_the_bytes_stdout_gets(argv, half_lead, fmt, monkeypatch, tmp_path):
+    # the half-lead plant fails verify and every swept triple, so both exit 1
+    if half_lead:
+        monkeypatch.setattr("monocurve.syzygy.groebner_generators", _half_lead)
+    argv = [*argv, "--format", fmt]
+    path = tmp_path / "out"
+    code, out, err = _outcome(main, argv)
+    assert (code, err) == (int(half_lead), "")
+    assert _outcome(main, [*argv, "--output", str(path)]) == (code, "", "")
+    assert path.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [["verify", *TRIPLE, "--bound", "2"],
+                                  ["sweep", "--p", "2..2", "--a", "1..1", "--d", "1..1"]])
+def test_a_memory_error_exits_2_with_one_error_line(argv, monkeypatch):
+    # Curve raises as a build too large for memory would: no large build runs
+    def out_of_memory(params):
+        raise MemoryError
+
+    monkeypatch.setattr("monocurve.syzygy.Curve", out_of_memory)
+    code, out, err = _outcome(main, argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
 BUILT_PER_TRIPLE = ("groebner_generators", "patil_generators", "syzygy_basis", "ModuleOrder")
 
 

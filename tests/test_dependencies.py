@@ -137,3 +137,12 @@ def test_only_polyring_builds_s_pairs():
                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                 if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "times_term"}
     assert builders == {"polyring.py"}
+
+
+def test_only_run_writes_a_commands_text():
+    # each command returns (passed, text); run writes it once and maps the
+    # outcome to the exit code, so _emit has one caller
+    tree = ast.parse((ROOT / "src" / "monocurve" / "cli.py").read_text(encoding="utf-8"))
+    callers = [getattr(stmt, "name", None) for stmt in tree.body for node in ast.walk(stmt)
+               if isinstance(node, ast.Name) and node.id == "_emit"]
+    assert callers == ["run"]

@@ -69,6 +69,14 @@ def test_poly_product_exact():
     assert f * g == Poly(4, {(1, 1, 0, 0): 2, (0, 1, 0, 1): -6})
 
 
+def test_poly_repr_lists_its_terms_by_exponent_tuple():
+    assert repr(Poly.zero(4)) == repr(Poly(4, {})) == "Poly(0)"
+    # built out of order: the repr sorts the exponent tuples, ascending
+    f = Poly(4, {(1, 0, 0, 1): Fraction(-1, 2), (0, 2, 0, 0): 3, (0, 0, 0, 0): 1})
+    assert repr(f) == "Poly(1*1 + 3*X2^2 + -1/2*X1*X0)"
+    assert repr(Poly(4, {(0, 0, 1, 0): Fraction(4, 2)})) == "Poly(2*X3)"
+
+
 def test_poly_dimension_mismatch():
     with pytest.raises(ValueError):
         poly_term(4, (1, 0, 0, 0)) + poly_term(3, (1, 0, 0))

@@ -90,6 +90,18 @@ def test_symbols_hash_compare_and_print_like_tuples():
     assert syzygy._symbol_json(Phi(2, 5)) == {"kind": "Phi", "i": 2, "j": 5}
 
 
+def test_mod_element_repr_lists_its_terms_by_their_text():
+    assert repr(ModElement.zero(4)) == repr(ModElement(4, {})) == "ModElement(0)"
+    # built out of order: the repr sorts the terms by str((monomial, symbol))
+    g = ModElement(4, {
+        ((1, 0, 0, 0), Phi(1, 2)): -1,
+        ((0, 0, 0, 1), Psi(2)): Fraction(1, 3),
+        ((0, 0, 0, 1), Phi(1, 1)): 2,
+        ((0, 0, 0, 0), Psi(0)): 5,
+    })
+    assert repr(g) == "ModElement(5*1*Psi(0) + 2*X0*Phi(1,1) + 1/3*X0*Psi(2) + -1*X1*Phi(1,2))"
+
+
 def test_symbols_sort_by_their_text():
     # the order of the sampled projection check
     curve = Curve(make_params(13, 2, 6))
