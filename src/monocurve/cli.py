@@ -331,7 +331,8 @@ def _add_arguments(name: str, parser: argparse.ArgumentParser) -> argparse.Argum
     parser.add_argument("--output", type=_output, default=None,
                         help="write output to this path")
     if name == "verify":
-        parser.add_argument("--bound", type=_bound, default=5, help="exponent cap for enumerations")
+        parser.add_argument("--bound", type=_bound, default=5,
+                            help="exponent cap for detail counts and witness searches")
         parser.add_argument("--samples", type=_samples, default=1000,
                             help="sampled projection checks")
         parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")

@@ -18,15 +18,20 @@ Hilbert-series certificate (_certified) that G is a Groebner basis, or
 the count of minimal generators per weight (_minimal_by_count) that it
 is minimal.  It returns a VerificationReport and records a witness on
 failure instead of raising.
-Standard monomials are reached as an order ideal from 1 and compared
-with the paper's shape, written out in closed form; no check walks the
-exponent box.
+The standard-monomial checks hold for all exponents.  A passing triple
+decides them, and both reductions of the ideal equality, from closed
+forms and the ring certificate: it walks no exponent box and divides
+nothing.  bound caps only the counts in their details and the search
+for the witness of a failure, where the standard monomials are reached
+as an order ideal from 1 and compared with the paper's shape, written
+out in closed form.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 from typing import TYPE_CHECKING
 
 from .polyring import (
@@ -305,6 +310,15 @@ def _mixed_weight(params: CurveParams, labeled) -> dict | None:
     return None
 
 
+def _in_curve_ideal(params: CurveParams, g: Poly) -> bool:
+    """Whether g lies in the curve ideal I, the kernel of X_i -> t^{m_i}:
+    its coefficients sum to 0 at each weight."""
+    sums = Counter()
+    for m, c in g.terms.items():
+        sums[params.weight(m)] += c
+    return not any(sums.values())
+
+
 def _first_stuck(labeled, table: Reducer) -> dict | None:
     """The first (label, polynomial) with a non-zero remainder by table, as
     a witness with that remainder, or None."""
@@ -443,10 +457,16 @@ def verify_minimality(curve: Curve, deep: bool = False) -> VerificationReport:
 def verify_ideal_equality(curve: Curve) -> VerificationReport:
     """Both generating sets span the same ideal and have equal size.
 
-    The classical set reduces by the closed-form set G (the ring
-    Reducer).  Once every element of both sets has a single weight, G is
-    divided by the classical set, where a zero remainder proves
-    membership; only if a remainder is left must G reduce by the
+    A passing triple divides nothing.  Once G, the closed-form set (the
+    ring Reducer), is certified a Groebner basis of the curve ideal I
+    (Curve.ring_certified), a classical binomial reduces to zero by G
+    exactly when it lies in I (_in_curve_ideal).  The classical set is
+    divided by G, for the first remainder, only when one does not, or
+    when G is not certified.  An element of G that a rewriting identity
+    writes as a classical element or a sum of two lies in the classical
+    ideal.  Should one not, once every element of both sets has a single
+    weight, G is divided by the classical set, where a zero remainder
+    proves membership; only if a remainder is left must G reduce by the
     classical set's closure, truncated at the heaviest weight of G.
     """
     params, order, table, patil = curve.params, curve.order, curve.ring_reducer, curve.patil
@@ -459,27 +479,31 @@ def verify_ideal_equality(curve: Curve) -> VerificationReport:
         detail=f"{len(labeled)} closed-form vs {len(patil)} classical generators",
     )
 
-    stuck = _first_stuck(patil.labeled(), table)
+    in_ideal = curve.ring_certified() and all(_in_curve_ideal(params, g)
+                                              for g in patil.polynomials())
+    stuck = None if in_ideal else _first_stuck(patil.labeled(), table)
     report.add("classical-set-reduces", stuck is None, witness=stuck)
+
+    # rewriting identities: each closed form as a classical element or a
+    # sum of two
+    p, b, (phi, psi) = params.p, params.b, _closed_form(params)
+    identities = [(f"xi({i},{j})", xi + patil.phis[i + j - p] if i + j > p - 1 else xi, phi[i, j])
+                  for (i, j), xi in patil.xis.items()]
+    identities += [(f"phi_{i}", g, phi[i + 1, p - 1]) for i, g in patil.phis.items()]
+    identities += [(f"psi_{b},{j}", g, psi[j]) for j, g in patil.psis.items()]
+    identities.append(("theta", patil.theta, psi[p - b]))
+    sums = {lhs for _, lhs, _ in identities}
 
     # division by the classical set, and its closure up to the heaviest
     # closed-form element only when a remainder is left
     stuck = _mixed_weight(params, patil.labeled() + labeled)
-    if stuck is None and _first_stuck(labeled, Reducer(order, patil.polynomials())):
+    if (stuck is None and not all(g in sums for g in table.basis)
+            and _first_stuck(labeled, Reducer(order, patil.polynomials()))):
         top = max(params.weight(lm) for lm in table.lead_monomials())
         stuck = _first_stuck(labeled, Closure(order, patil.polynomials()).close(top))
     report.add("closed-form-set-reduces", stuck is None, witness=stuck)
 
-    # rewriting identities tying the two sets together
-    p, (phi, psi) = params.p, _closed_form(params)
-    broken = []
-    for (i, j), xi in patil.xis.items():
-        if (xi + patil.phis[i + j - p] if i + j > p - 1 else xi) != phi[i, j]:
-            broken.append(f"xi({i},{j})")
-    broken += [f"phi_{i}" for i, g in patil.phis.items() if g != phi[i + 1, p - 1]]
-    broken += [f"psi_{params.b},{j}" for j, g in patil.psis.items() if g != psi[j]]
-    if patil.theta != psi[p - params.b]:
-        broken.append("theta")
+    broken = [lab for lab, lhs, rhs in identities if lhs != rhs]
     report.add(
         "rewriting-identities",
         not broken,
@@ -489,28 +513,63 @@ def verify_ideal_equality(curve: Curve) -> VerificationReport:
     return report
 
 
+def _shape_weights_distinct(params: CurveParams) -> bool:
+    """Whether the members of the paper's shape have pairwise distinct
+    weights, over all exponents, in O(p).  X0^e * X_p^n * u, with u = X_i,
+    or i = 0 for u = 1, weighs (e + n + [i >= 1])*m0 + (n*p + i)*d.  The
+    values n*p + i of the shape are distinct, as i < p.  When they lie in
+    [0, m0 - 1] and gcd(m0, d) = 1, the weights of two members are equal
+    mod m0 only when they share (n, i), and then their e differs."""
+    p, a, b, m0 = params.p, params.a, params.b, params.m0
+    largest = max(i + p * (a - 1 if i >= b else a) for i in range(p))
+    return largest < m0 and gcd(m0, params.d) == 1
+
+
 def verify_standard_monomials(curve: Curve, bound: int) -> VerificationReport:
     """Standard monomials match the closed-form shape (standard_shape is an
     outside oracle) and have pairwise distinct weights, i.e. distinct
-    images under X_i -> T^(m_i).
+    images under X_i -> T^(m_i), for all exponents.
 
-    A mismatch is the smallest monomial in one list but not the other:
-    the first one a walk over the whole exponent box would meet.
+    The minimal monomials outside the shape are E =
+    expected_leading_monomials(params), and two monomial ideals are equal
+    exactly when their minimal generators are, so the standard monomials
+    are the shape exactly when the minimal leads of G are E.  The weights
+    then differ (_shape_weights_distinct), and the details count the
+    shape's members with exponents <= bound, and their pairs.
+
+    Only a failing shape walks the box, for its witness: the order-ideal
+    walk (standard_monomials) is compared with standard_shape, and a
+    mismatch is the smallest monomial in one list but not the other, the
+    first one a walk over the whole exponent box would meet.  With none in
+    the box, it is the smallest monomial in one of the two minimal sets
+    but not the other: the smallest monomial, over all exponents, that is
+    standard by one and not by the other.  The walk's list, up to the
+    mismatch, is then searched for the first pair of equal weight.
     """
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
     params = curve.params
     report = VerificationReport(params)
 
-    std = standard_monomials(curve, bound)
-    walked = set(std)
-    differ = walked.symmetric_difference(standard_shape(params, bound))
+    leads, expected = curve.ring_reducer.lead_monomials(), expected_leading_monomials(params)
+    exact = set(leads) == expected or set(_minimal(leads)) == expected
     mismatch = None
-    if differ:
-        mono = min(differ)
-        mismatch = {"monomial": list(mono), "outside_lt_ideal": mono in walked}
-        # report only the standard monomials up to the mismatch, in box order
-        std = [m for m in std if m <= mono]
+    if exact:
+        std = standard_shape(params, bound)
+    else:
+        std = standard_monomials(curve, bound)
+        walked = set(std)
+        differ = walked.symmetric_difference(standard_shape(params, bound))
+        if differ:
+            mono = min(differ)
+            mismatch = {"monomial": list(mono), "outside_lt_ideal": mono in walked}
+            # report only the standard monomials up to the mismatch, in box order
+            std = [m for m in std if m <= mono]
+        else:
+            # a minimal lead outside E is not standard; a member of E that
+            # is not a minimal lead is
+            mono = min(expected.symmetric_difference(_minimal(leads)))
+            mismatch = {"monomial": list(mono), "outside_lt_ideal": mono in expected}
     report.add(
         "standard-monomial-shape",
         mismatch is None,
@@ -518,18 +577,19 @@ def verify_standard_monomials(curve: Curve, bound: int) -> VerificationReport:
         witness=mismatch,
     )
 
-    # the first colliding (x, y) in pair order, and the pairs tried up to it
-    first, pairs = {}, []
-    for y, mono in enumerate(std):
-        x = first.setdefault(params.weight(mono), y)
-        if x < y:
-            pairs.append((x, y))
     n = len(std)
     checked, collision = n * (n - 1) // 2, None
-    if pairs:
-        x, y = min(pairs)
-        checked = x * (n - 1) - x * (x - 1) // 2 + (y - x)
-        collision = {"pair": [mono_to_name(std[x]), mono_to_name(std[y])]}
+    if not (exact and _shape_weights_distinct(params)):
+        # the first colliding (x, y) in pair order, and the pairs tried up to it
+        first, pairs = {}, []
+        for y, mono in enumerate(std):
+            x = first.setdefault(params.weight(mono), y)
+            if x < y:
+                pairs.append((x, y))
+        if pairs:
+            x, y = min(pairs)
+            checked = x * (n - 1) - x * (x - 1) // 2 + (y - x)
+            collision = {"pair": [mono_to_name(std[x]), mono_to_name(std[y])]}
     report.add(
         "standard-monomials-eta-distinct",
         collision is None,

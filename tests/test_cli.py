@@ -694,29 +694,35 @@ def test_a_certified_triple_divides_no_pair_past_its_heaviest_generator(monkeypa
 
 def test_a_passing_verify_divides_no_s_pair(monkeypatch, capsys):
     # on a passing triple the two Hilbert-series identities decide both
-    # S-pair checks: no harvest is built, no S-vector is divided, and the
-    # ring reducer divides only the classical generators
-    curves, divisions, harvests = [], collections.Counter(), []
-    init, divide = syzygy.Curve.__init__, Reducer.divide
+    # S-pair checks, and closed forms decide the ideal equality: no harvest
+    # is built, nothing is divided, and the only Reducers are each curve's
+    # two, so none is built over the classical set
+    curves, divisions, harvests, reducers = [], collections.Counter(), [], []
+    init, reducer_init, divide = syzygy.Curve.__init__, Reducer.__init__, Reducer.divide
 
     def keep(self, params):
         init(self, params)
         curves.append(self)
+
+    def keep_reducer(self, order, basis=()):
+        reducer_init(self, order, basis)
+        reducers.append(self)
 
     def count_division(self, f):
         divisions[self] += 1
         return divide(self, f)
 
     monkeypatch.setattr(syzygy.Curve, "__init__", keep)
+    monkeypatch.setattr(Reducer, "__init__", keep_reducer)
     monkeypatch.setattr(Reducer, "divide", count_division)
     monkeypatch.setattr(syzygy, "schreyer_relations", harvests.append)
 
     def check(ran):
         assert len(curves) == ran
         assert not harvests
-        for curve in curves:
-            assert divisions[curve.ring_reducer] == len(curve.patil)
-            assert divisions[curve.module_reducer] == 0
+        assert not divisions
+        owned = [r for curve in curves for r in (curve.ring_reducer, curve.module_reducer)]
+        assert reducers == owned
 
     assert main(["verify", "--m0", "41", "--d", "2", "--p", "12", "--bound", "2",
                  "--format", "json"]) == 0
@@ -727,6 +733,7 @@ def test_a_passing_verify_divides_no_s_pair(monkeypatch, capsys):
     check(1)
 
     curves.clear()
+    reducers.clear()
     assert main(["sweep", "--p", "2..3", "--a", "1..2", "--d", "1..2", "--bound", "2",
                  "--format", "json"]) == 0
     ran = json.loads(capsys.readouterr().out)["summary"]["ran"]

@@ -4,6 +4,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
@@ -607,6 +608,31 @@ def test_truncated_checks_reject_an_inhomogeneous_element(monkeypatch, capsys):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6), (17, 3, 8)])
+@pytest.mark.parametrize("scale, tail", [(2, None), (1, "X0")])
+def test_a_classical_binomial_outside_the_ideal_keeps_the_division_witness(monkeypatch, triple,
+                                                                           scale, tail):
+    # theta with its tail doubled, or with X0 for its tail, lies outside the
+    # curve ideal: the certified G decides that, and the witness is the
+    # remainder that dividing theta by G leaves
+    pr = make_params(*triple)
+    lead, old = patil_generators(pr).theta.terms
+    bad = Poly(pr.nvars, {lead: 1, variable_monomial(pr.p, 0) if tail else old: -scale})
+
+    def planted(params):
+        patil = patil_generators(params)
+        return PatilSet(params, patil.xis, patil.phis, patil.psis, bad)
+
+    monkeypatch.setattr("monocurve.syzygy.patil_generators", planted)
+    curve = Curve(pr)
+    assert curve.ring_certified()
+    remainder, _ = normal_form(bad, Reducer(curve.order, curve.gset.polynomials()))
+    assert remainder
+    check = {c.name: c for c in verify_ideal_equality(curve).checks}["classical-set-reduces"]
+    assert not check.passed
+    assert check.witness == {"element": "theta", "remainder": poly_to_json(curve.order, remainder)}
+
+
 def test_verify_ideal_equality(p713, p832, p613):
     for pr in (p713, p832, p613, make_params(13, 3, 5)):
         report = verify_ideal_equality(Curve(pr))
@@ -743,6 +769,14 @@ def test_verify_standard_monomials_at_p12_bound_6():
     assert elapsed < 1.0
 
 
+def _lead_past_the_box(pr, bound):
+    # a curve whose ring leads are those of G and X0^(bound+1): the box walk
+    # sees no change, but the minimal leads are no longer those of the shape
+    polys = groebner_generators(pr).polynomials()
+    polys.append(poly_term(pr.nvars, variable_monomial(pr.p, 0, bound + 1)))
+    return SimpleNamespace(params=pr, ring_reducer=Reducer(WeightOrder(pr), polys))
+
+
 def _plant_extra(std, pr):
     # X1^2 is a lead, so never of the standard shape
     return sorted(std + [(2,) + (0,) * pr.p])
@@ -776,14 +810,14 @@ def _plant_2200(std, pr):
 )
 def test_planted_shape_mismatch_keeps_the_box_walk_witness(monkeypatch, m0, d, p, plant):
     pr = make_params(m0, d, p)
-    curve = Curve(pr)
     bound = 3
-    std = plant(standard_monomials(curve, bound), pr)
+    std = plant(standard_monomials(Curve(pr), bound), pr)
     witness, count = _box_shape_check(pr, std, bound)
     assert witness is not None
 
+    # the walk runs only when the minimal leads differ from the shape's
     monkeypatch.setattr("monocurve.generators.standard_monomials", lambda *_: std)
-    shape, _ = verify_standard_monomials(curve, bound).checks
+    shape, _ = verify_standard_monomials(_lead_past_the_box(pr, bound), bound).checks
     assert not shape.passed
     assert shape.witness == witness
     assert shape.detail == f"{count} standard monomials with exponents <= {bound}"
@@ -795,8 +829,7 @@ def test_eta_distinct_reports_the_first_planted_collision(monkeypatch, m0, d, p)
     # same as a standard monomial, so the check must fail on the first
     # colliding pair of the pairwise loop it replaced
     pr = make_params(m0, d, p)
-    curve = Curve(pr)
-    real = standard_monomials(curve, 3)
+    real = standard_monomials(Curve(pr), 3)
     planted = sorted(
         {tuple(sum(v == k for v in pick) for k in range(pr.nvars))
          for pick in itertools.combinations_with_replacement(range(p - 1), 2)}
@@ -819,11 +852,68 @@ def test_eta_distinct_reports_the_first_planted_collision(monkeypatch, m0, d, p)
             break
     assert pair is not None
 
-    shape, eta = verify_standard_monomials(curve, 3).checks
-    assert shape.passed
+    # the pairs are tried only when the minimal leads differ from the
+    # shape's; the walk then meets no mismatch in the box, and the shape
+    # fails on the planted lead past it
+    shape, eta = verify_standard_monomials(_lead_past_the_box(pr, 3), 3).checks
+    assert not shape.passed
+    assert shape.witness == {"monomial": [0] * p + [4], "outside_lt_ideal": False}
     assert not eta.passed
     assert eta.witness == {"pair": pair}
     assert eta.detail == f"{checked} pairs"
+
+
+def _below(mono):
+    # the monomials one exponent below mono
+    return {mono[:k] + (e - 1,) + mono[k + 1:] for k, e in enumerate(mono) if e}
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_the_expected_leads_cut_out_the_shape_and_its_weights_differ(p):
+    # for a = 1..3, every b and one d coprime to m0, in the box of side
+    # a + 2, which holds every expected lead: the shape is an order ideal,
+    # the minimal monomials outside it are the expected leads, and the
+    # images t^weight of its members differ
+    for a in range(1, 4):
+        for b in range(1, p + 1):
+            m0 = a * p + b
+            pr = make_params(m0, next(d for d in itertools.count(2) if gcd(m0, d) == 1), p)
+            shape = set(standard_shape(pr, a + 1))
+            assert all(_below(m) <= shape for m in shape), pr
+            outside = {m for m in itertools.product(range(a + 2), repeat=pr.nvars)
+                       if m not in shape and _below(m) <= shape}
+            assert outside == expected_leading_monomials(pr), pr
+            image = curve_image(pr, Poly(pr.nvars, dict.fromkeys(shape, 1)))
+            assert len(image) == len(shape) and set(image.values()) == {1}, pr
+
+
+def _lead_dropped(pr, bound):
+    # G without psi(b, p-b): X_p^(a+1) turns standard
+    polys = groebner_generators(pr).polynomials()[:-1]
+    return SimpleNamespace(params=pr, ring_reducer=Reducer(WeightOrder(pr), polys))
+
+
+@pytest.mark.parametrize("triple, plant, witness", [
+    ((7, 1, 3), _lead_past_the_box, {"monomial": [0, 0, 0, 3], "outside_lt_ideal": False}),
+    ((13, 2, 5), _lead_past_the_box, {"monomial": [0, 0, 0, 0, 0, 3], "outside_lt_ideal": False}),
+    ((13, 2, 5), _lead_dropped, {"monomial": [0, 0, 0, 0, 3, 0], "outside_lt_ideal": True}),
+    ((17, 3, 8), _lead_dropped, {"monomial": [0] * 7 + [3, 0], "outside_lt_ideal": True}),
+])
+def test_a_mismatch_past_the_bound_fails_the_shape_the_box_walk_passes(triple, plant, witness):
+    # a lead X0^3 on top of G, or X_p^(a+1) with a >= 2 left out: every
+    # monomial that changes side lies outside the box of bound 2
+    pr, bound = make_params(*triple), 2
+    curve = plant(pr, bound)
+    std = standard_monomials(curve, bound)
+    assert std == standard_shape(pr, bound)
+
+    shape, eta = verify_standard_monomials(curve, bound).checks
+    assert not shape.passed
+    assert shape.witness == witness
+    assert shape.detail == f"{len(std)} standard monomials with exponents <= {bound}"
+    # the walk's list is then searched pair by pair, and holds no collision
+    assert eta.passed
+    assert eta.detail == f"{len(std) * (len(std) - 1) // 2} pairs"
 
 
 def test_power_and_x0_families_never_collide(p713):

@@ -1171,6 +1171,36 @@ def test_excluded_forms_catch_a_planted_lead(monkeypatch, mono, sym):
     assert check.witness["term"] == term_to_json((mono, sym))
 
 
+@pytest.mark.parametrize(
+    "mono, sym, family, witness",
+    [
+        (_x(0, 4), Psi(0), "pure-X0", _x(0, 4)),
+        (_x(3, 5), Psi(2), "Xp-power-times-variable", mono_mul(_x(1), _x(3, 5))),
+        (mono_mul(_x(2), _x(0, 4)), Phi(1, 2), "low-index-free-Phi", mono_mul(_x(2), _x(0, 4))),
+    ],
+)
+def test_excluded_forms_catch_a_lead_past_the_box(monkeypatch, mono, sym, family, witness):
+    # each planted lead divides family members only past the box of bound
+    # 3, where the walk finds none; the witness is the least member that it
+    # divides, mono_lcm(lead, low): X3^5*Psi(2) first divides X1*X3^5*Psi(2)
+    pr = P713
+    elements = syzygy_basis(pr).elements() + [module_term(pr.nvars, mono, sym)]
+
+    class Planted:
+        def elements(self):
+            return elements
+
+    monkeypatch.setattr("monocurve.syzygy.syzygy_basis", lambda params: Planted())
+    leads = _lead_table(pr, elements)
+    members = _excluded_family_members(pr, 3)
+    assert not any(_in_lead_module(leads, m, s) for _, m, s in members)
+
+    (check,) = verify_excluded_leading_forms(Curve(pr), 3).checks
+    assert not check.passed
+    assert check.detail == f"{len(members)} family members with exponents <= 3"
+    assert check.witness == {"family": family, "term": term_to_json((witness, sym))}
+
+
 def test_excluded_instances(p713):
     leads = _lead_table(p713, syzygy_basis(p713).elements())
     assert not _in_lead_module(leads, _x(0, 2), Psi(0))  # X0^2*Psi(0)
