@@ -590,28 +590,48 @@ def verify_excluded_leading_forms(curve: Curve, bound: int) -> VerificationRepor
     return report
 
 
-def verify_order_projection(curve: Curve, samples: int = 1000, seed: int = 0) -> VerificationReport:
+def _draws(nvars: int, nsymbols: int, samples: int, seed: int) -> Iterator[tuple]:
+    """The sampled terms of verify_order_projection, one (mono, k) per
+    sample: exponents in [0, 4], then the index k of a symbol in text
+    order, all drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        yield tuple(rng.randrange(0, 5) for _ in range(nvars)), rng.randrange(nsymbols)
+
+
+def verify_order_projection(curve: Curve, samples: int = 1000, seed: int = 0,
+                            drawn: dict | None = None) -> VerificationReport:
     """Sampled check that the order projection of a single term equals the
     leading monomial of its image.
 
     Each sample draws a term (mono, sym), exponents in [0, 4] and a symbol
-    in text order, from random.Random(seed).  Its image is mono times the
-    binomial of sym: the binomial's monomials are distinct, so are their
-    products with mono, and no term of the image cancels.  So the image's
-    lead is the largest of those products, found by their ring keys, and
-    no module element, image polynomial or cache entry is built: both
-    orders key each sampled term by uncached_key().  The witness is the
-    first term whose projection key differs from its image lead's key.
+    in text order, from random.Random(seed).  The draws depend only on the
+    number of variables (p + 1), the number of symbols (fixed by p and b),
+    samples and seed, so all triples with the same p and b draw the same
+    terms.  Without drawn they are drawn one sample at a time, and the
+    first failing sample stops them.  drawn maps those four numbers to the
+    list of their samples terms, filled on first use, so that a caller
+    checking many triples, as sweep does, draws each (p, b) shape's terms
+    once and holds about samples terms per distinct shape.  An exact
+    per-symbol check would draw only to name a witness, and need no dict.
+
+    A term's image is mono times the binomial of sym: the binomial's
+    monomials are distinct, so are their products with mono, and no term
+    of the image cancels.  So the image's lead is the largest of those
+    products, found by their ring keys, and no module element, image
+    polynomial or cache entry is built: both orders key each sampled term
+    by uncached_key().  The witness is the first term whose projection key
+    differs from its image lead's key.
     """
-    rng = random.Random(seed)
-    nvars = curve.params.nvars
     ring_key, module_key = curve.order.uncached_key, curve.morder.uncached_key
     symbols = sorted(curve.images, key=str)
     images = [list(curve.images[sym].terms) for sym in symbols]
+    shape = (curve.params.nvars, len(symbols), samples, seed)
+    terms = _draws(*shape) if drawn is None else drawn.get(shape)
+    if terms is None:
+        terms = drawn[shape] = list(_draws(*shape))
     bad = None
-    for _ in range(samples):
-        mono = tuple(rng.randrange(0, 5) for _ in range(nvars))
-        k = rng.randrange(len(symbols))
+    for mono, k in terms:
         products = [tuple(map(add, mono, m)) for m in images[k]]
         lead_key, lm = max(zip(map(ring_key, products), products))
         if lead_key != module_key((mono, symbols[k]))[0]:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -436,22 +437,46 @@ def test_a_failing_harvest_divides_no_ring_s_pair_past_its_first_failure(monkeyp
     assert ring_pairs.count(True) == 1
 
 
-def test_a_sweep_with_failing_triples_reports_each_failure(monkeypatch, capsys):
-    # every verified triple carries the half lead, so every one fails, with
-    # the failing records of a shallow verify at the sweep's bound and samples
-    monkeypatch.setattr("monocurve.syzygy.groebner_generators", _half_lead)
-    sweep = ["sweep", "--p", "2..3", "--a", "1..1", "--d", "1..2", "--bound", "2"]
+def _wrong_stamp(monkeypatch):
+    # X0 times Psi(0)'s stamp: the module order projects Psi(0) terms off
+    # their images' leads, so projection-matches-image-lead fails on the
+    # first sample drawn on Psi(0), and no other check fails
+    stamp = syzygy._stamp
+
+    def wrong(params, sym):
+        mono = stamp(params, sym)
+        if sym == syzygy.Psi(0):
+            return polyring.mono_mul(mono, polyring.variable_monomial(params.p, 0))
+        return mono
+
+    monkeypatch.setattr(syzygy, "_stamp", wrong)
+
+
+FAILING_PLANTS = {
+    "half-lead": lambda patch: patch.setattr("monocurve.syzygy.groebner_generators", _half_lead),
+    "wrong-stamp": _wrong_stamp,
+}
+
+
+def _sweep_failures_match_verify(capsys, projection_only: bool):
+    # every verified triple fails, with the failing records, witnesses
+    # included, of a shallow verify at the sweep's bound, samples and seed
+    sweep = ["sweep", "--p", "2..3", "--a", "1..2", "--d", "1..2", "--bound", "2", "--seed", "5"]
     assert main(sweep + ["--format", "json"]) == 1
     data = json.loads(capsys.readouterr().out)
     verified = [e for e in data["entries"] if e["status"] != "skip"]
     skipped = len(data["entries"]) - len(verified)
     assert verified and skipped
+    assert len({(e["p"], e["b"]) for e in verified}) < len(verified)
     assert data["summary"] == {"ran": len(verified), "passed": 0,
                                "failed": len(verified), "skipped": skipped}
     for e in verified:
         assert e["status"] == "fail"
+        if projection_only:
+            assert [rec["check"] for rec in e["failures"]] == ["projection-matches-image-lead"]
         argv = ["verify", "--m0", str(e["m0"]), "--d", str(e["d"]), "--p", str(e["p"]),
-                "--bound", "2", "--samples", "200", "--shallow", "--format", "json"]
+                "--bound", "2", "--samples", "200", "--seed", "5", "--shallow",
+                "--format", "json"]
         assert main(argv) == 1
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert e["failures"] == [rec for rec in checks if rec["status"] == "fail"]
@@ -463,6 +488,70 @@ def test_a_sweep_with_failing_triples_reports_each_failure(monkeypatch, capsys):
         assert line.endswith(": fail") == (e["status"] == "fail")
     assert summary == (f"summary: {len(verified)} verified, 0 passed,"
                        f" {len(verified)} failed, {skipped} skipped")
+
+
+def test_a_sweep_with_failing_triples_reports_each_failure(monkeypatch, capsys):
+    # each plant fails every triple; the grid repeats each (p, b) over a and
+    # d, so the wrong stamp's witnesses come from terms the sweep drew for
+    # an earlier triple of the same (p, b)
+    for plant, install in FAILING_PLANTS.items():
+        with monkeypatch.context() as patch:
+            install(patch)
+            _sweep_failures_match_verify(capsys, projection_only=plant == "wrong-stamp")
+
+
+def test_a_sweep_draws_each_shapes_projection_terms_once(monkeypatch, capsys):
+    # the sampled projection terms depend on p and b (with the samples and
+    # the seed) alone: a sweep draws them once per (p, b) it verifies, and
+    # a verify draws once
+    shapes, draws = [], syzygy._draws
+
+    def count(*shape):
+        shapes.append(shape)
+        return draws(*shape)
+
+    monkeypatch.setattr(syzygy, "_draws", count)
+    assert main(["sweep", "--p", "2..3", "--a", "1..2", "--d", "1..2", "--bound", "2",
+                 "--format", "json"]) == 0
+    verified = [e for e in json.loads(capsys.readouterr().out)["entries"]
+                if e["status"] != "skip"]
+    pb = {(e["p"], e["b"]) for e in verified}
+    assert len(pb) < len(verified)
+    assert len(shapes) == len(set(shapes)) == len(pb)
+    shapes.clear()
+    assert main(["verify", "--m0", "7", "--d", "1", "--p", "3", "--bound", "2"]) == 0
+    assert len(shapes) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_a_failing_verify_draws_no_sample_past_its_witness(seed, monkeypatch, capsys):
+    # under the wrong stamp the k-th sample, the first drawn on Psi(0),
+    # fails; verify stops there, having drawn p + 1 exponents and one
+    # symbol index per sample, whatever --samples asks for
+    params = make_params(7, 1, 3)
+    symbols = sorted(syzygy.Curve(params).images, key=str)
+    rng, k = random.Random(seed), 0
+    while True:
+        k += 1
+        for _ in range(params.nvars):
+            rng.randrange(0, 5)
+        if symbols[rng.randrange(len(symbols))] == syzygy.Psi(0):
+            break
+    assert 1 < k < 200
+    _wrong_stamp(monkeypatch)
+    calls, randrange = [], random.Random.randrange
+    monkeypatch.setattr(random.Random, "randrange",
+                        lambda self, *args: calls.append(args) or randrange(self, *args))
+    for samples in (k, 200, 1000):
+        calls.clear()
+        argv = ["verify", "--m0", "7", "--d", "1", "--p", "3", "--bound", "2",
+                "--samples", str(samples), "--seed", str(seed), "--format", "json"]
+        assert main(argv) == 1
+        (record,) = [rec for rec in json.loads(capsys.readouterr().out)["checks"]
+                     if rec["status"] == "fail"]
+        assert record["check"] == "projection-matches-image-lead"
+        assert record["witness"]["term"]["basis"] == {"kind": "Psi", "j": 0}
+        assert len(calls) == k * (params.p + 2), samples
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
