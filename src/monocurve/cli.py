@@ -315,6 +315,9 @@ def _output(path: str) -> str:
     """A file path in an existing, writable directory."""
     if not path:
         raise argparse.ArgumentTypeError("the output path is empty")
+    if "\0" in path:
+        # os.path.isdir says False here, and open would raise ValueError
+        raise argparse.ArgumentTypeError(f"{path!r} holds a null byte")
     if os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"{path!r} is a directory")
     folder = os.path.dirname(path) or "."

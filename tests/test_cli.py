@@ -588,6 +588,14 @@ def test_a_full_output_device_exits_2_with_one_error_line():
     assert proc.stderr.splitlines() == ["error: cannot write '/dev/full': No space left on device"]
 
 
+def test_an_output_path_with_a_null_byte_exits_2_without_a_traceback(tmp_path):
+    # open() raises ValueError, not OSError, on such a path: the parser must stop it
+    code, out, err = _outcome(main, ["info", *TRIPLE, "--output", str(tmp_path / "bad\x00name")])
+    assert code == 2 and out == ""
+    assert "null byte" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 OUTPUT_CALLS = [
     [command, *TRIPLE] for command in ("info", "generators", "syzygies")
 ] + [
