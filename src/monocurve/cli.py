@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
 Five commands: info, generators, syzygies, verify, sweep.  Each command
-returns its verdict and its text, text or JSON, and ``run`` alone writes
-that text and turns the outcome into the exit code: 0 when every check
-passed, 1 when some check failed, 2 when the input was unusable or did
-not fit in memory, with one ``error:`` line on stderr and no traceback.
+returns its verdict and its lines (text) or payload (JSON); ``run`` alone
+renders them, newline-joined or as two-space JSON, writes the result and
+turns the outcome into the exit code: 0 when every check passed, 1 when
+some check failed, 2 when the input was unusable or did not fit in
+memory, with one ``error:`` line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ def verification_bundle(curve: syzygy.Curve, bound: int, samples: int, seed: int
     drawn, when given, keeps the sampled projection terms between calls,
     one list of samples terms per (p, b) shape; the draws depend on
     nothing else but samples and seed (syzygy.verify_order_projection).
-    sweep passes one dict for all its triples, about 0.4 MB on its
-    default grid; verify passes none, so its draws stop at the first
-    failing sample.
+    sweep passes one dict per p, so it holds at most p shapes; verify
+    passes none, so its draws stop at the first failing sample.
     """
     return [
         semigroup.verify_minimal_multiples(curve.params),
@@ -48,7 +48,7 @@ def _emit(args: argparse.Namespace, text: str):
         # _output checks the directory; a full or failing device shows only here
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text if text.endswith("\n") else text + "\n")
+                handle.write(text + "\n")  # the newline print adds on stdout
         except OSError as exc:
             raise ParameterError(f"cannot write {args.output!r}: {exc.strerror or exc}") from None
         return
@@ -81,19 +81,18 @@ def _params_lines(params: CurveParams) -> list[str]:
     ]
 
 
-def _cmd_info(args: argparse.Namespace) -> tuple[bool, str]:
+def _cmd_info(args: argparse.Namespace) -> tuple[bool, list[str] | dict]:
     params = make_params(args.m0, args.d, args.p)
     if args.format == "text":
-        return True, "\n".join(_params_lines(params))
-    payload = {
+        return True, _params_lines(params)
+    return True, {
         "params": params.to_dict(),
         "mp_multiple": list(semigroup.min_multiple_of_mp(params)),
         "m0_multiple": list(semigroup.min_multiple_of_m0(params)),
     }
-    return True, json.dumps(payload, indent=2)
 
 
-def _cmd_generators(args: argparse.Namespace) -> tuple[bool, str]:
+def _cmd_generators(args: argparse.Namespace) -> tuple[bool, list[str] | dict]:
     params = make_params(args.m0, args.d, args.p)
     order = polyring.WeightOrder(params)
     gset = gens.groebner_generators(params)
@@ -106,8 +105,8 @@ def _cmd_generators(args: argparse.Namespace) -> tuple[bool, str]:
         lines.append(f"classical basis ({len(patil)} elements):")
         for lab, g in patil.labeled():
             lines.append(f"  {lab} = {polyring.format_poly(order, g)}")
-        return True, "\n".join(lines)
-    payload = {
+        return True, lines
+    return True, {
         "params": params.to_dict(),
         "counts": {"groebner": len(gset), "classical": len(patil)},
         "groebner": [
@@ -123,10 +122,9 @@ def _cmd_generators(args: argparse.Namespace) -> tuple[bool, str]:
             for lab, g in patil.labeled()
         ],
     }
-    return True, json.dumps(payload, indent=2)
 
 
-def _cmd_syzygies(args: argparse.Namespace) -> tuple[bool, str]:
+def _cmd_syzygies(args: argparse.Namespace) -> tuple[bool, list[str] | dict]:
     params = make_params(args.m0, args.d, args.p)
     morder = syzygy.ModuleOrder(params)
     sset = syzygy.syzygy_basis(params)
@@ -138,8 +136,8 @@ def _cmd_syzygies(args: argparse.Namespace) -> tuple[bool, str]:
         ]
         for lab, g in sset.labeled():
             lines.append(f"  {lab} = {syzygy.format_mod_elem(morder, g)}")
-        return True, "\n".join(lines)
-    payload = {
+        return True, lines
+    return True, {
         "params": params.to_dict(),
         "counts": counts,
         "elements": [
@@ -151,10 +149,9 @@ def _cmd_syzygies(args: argparse.Namespace) -> tuple[bool, str]:
             for lab, g in sset.labeled()
         ],
     }
-    return True, json.dumps(payload, indent=2)
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[bool, str]:
+def _cmd_verify(args: argparse.Namespace) -> tuple[bool, list[str] | dict]:
     params = make_params(args.m0, args.d, args.p)
     curve = syzygy.Curve(params)
     reports = verification_bundle(
@@ -171,8 +168,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[bool, str]:
                 if c.witness is not None:
                     lines.append(f"        witness: {json.dumps(c.witness)}")
         lines.append("result: " + ("all checks passed" if passed else "CHECKS FAILED"))
-        return passed, "\n".join(lines)
-    payload = {
+        return passed, lines
+    return passed, {
         "params": params.to_dict(),
         "passed": passed,
         "counts": {
@@ -181,10 +178,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[bool, str]:
         },
         "checks": [rec for r in reports for rec in r.to_records()],
     }
-    return passed, json.dumps(payload, indent=2)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> tuple[bool, str]:
+def _cmd_sweep(args: argparse.Namespace) -> tuple[bool, list[str] | dict]:
     p_lo, p_hi = args.p
     a_lo, a_hi = args.a
     d_lo, d_hi = args.d
@@ -200,9 +196,12 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[bool, str]:
         raise ParameterError("the parameter grid is empty")
     entries = []
     failed = skipped = 0
-    # the triples of one (p, b) draw the same projection terms: draw them once
-    drawn = {}
+    # the triples of one (p, b) draw the same projection terms: draw them
+    # once, and drop them when p, the grid's outer loop, moves on
+    drawn, drawn_p = {}, None
     for p, a, b, d in grid:
+        if p != drawn_p:
+            drawn, drawn_p = {}, p
         m0 = a * p + b
         try:
             params = make_params(m0, d, p)
@@ -228,7 +227,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[bool, str]:
     ran = len(entries) - skipped
     summary = {"ran": ran, "passed": ran - failed, "failed": failed, "skipped": skipped}
     if args.format == "json":
-        return failed == 0, json.dumps({"entries": entries, "summary": summary}, indent=2)
+        return failed == 0, {"entries": entries, "summary": summary}
     lines = []
     for e in entries:
         tag = e["status"]
@@ -240,7 +239,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[bool, str]:
         f"summary: {summary['ran']} verified, {summary['passed']} passed,"
         f" {summary['failed']} failed, {summary['skipped']} skipped"
     )
-    return failed == 0, "\n".join(lines)
+    return failed == 0, lines
 
 
 _COMMANDS = {
@@ -253,13 +252,13 @@ _COMMANDS = {
 
 
 def run(args: argparse.Namespace) -> int:
-    """Run the parsed command, write its text once, and return its exit
-    code: 0 when every check passes, 1 when one fails, and 2, with one
-    ``error:`` line on stderr, on unusable input or an input that does
-    not fit in memory."""
+    """Run the parsed command, render its output once, write it, and
+    return its exit code: 0 when every check passes, 1 when one fails,
+    and 2, with one ``error:`` line on stderr, on unusable input or an
+    input that does not fit in memory."""
     try:
-        passed, text = _COMMANDS[args.command](args)
-        _emit(args, text)
+        passed, out = _COMMANDS[args.command](args)
+        _emit(args, json.dumps(out, indent=2) if args.format == "json" else "\n".join(out))
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -193,7 +193,7 @@ class SparseMap:
             v = op(res.get(t, 0), c)
             if v:
                 res[t] = v if type(v) is int else _exact(v)
-            elif t in res:
+            else:
                 del res[t]
         return self._raw(self.nvars, res)
 

@@ -155,7 +155,7 @@ def relation_image(curve: Curve, elem: ModElement) -> Poly:
             v = acc.get(mm, 0) + c * c2
             if v:
                 acc[mm] = v
-            elif mm in acc:
+            else:
                 del acc[mm]
     return Poly._raw(curve.params.nvars, acc)
 
@@ -475,24 +475,22 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     report.add("members-are-relations", bad is None, detail=f"{len(labeled)} members", witness=bad)
     members_ok = bad is None
 
+    # the predicted leads are pairwise distinct, so one map comparison
+    # decides the shape; the length test catches a repeated label
     predicted = _expected_leads(params)
     actual = {lab: term for (lab, _), (term, _) in zip(labeled, table.leads)}
-    shape_ok = (
-        set(actual.values()) == set(predicted.values())
-        and len(set(actual.values())) == len(labeled)
-    )
-    mismatch = []
-    for lab, term in actual.items():
-        want = predicted.get(lab)  # None for a label with no prediction
-        if term != want:
-            mismatch.append({"element": lab, "computed": term_to_json(term),
-                             "expected": None if want is None else term_to_json(want)})
-    report.add(
-        "leading-term-shape",
-        shape_ok and not mismatch,
-        detail=f"{len(labeled)} leading terms",
-        witness=None if shape_ok and not mismatch else {"mismatches": mismatch[:3]},
-    )
+    shape_ok = actual == predicted and len(actual) == len(labeled)
+    bad = None
+    if not shape_ok:
+        mismatch = []
+        for lab, term in actual.items():
+            want = predicted.get(lab)  # None for a label with no prediction
+            if term != want:
+                mismatch.append({"element": lab, "computed": term_to_json(term),
+                                 "expected": None if want is None else term_to_json(want)})
+        bad = {"mismatches": mismatch[:3]}
+    report.add("leading-term-shape", shape_ok, detail=f"{len(labeled)} leading terms",
+               witness=bad)
 
     # one identity decides (c) and (d); if it or a hypothesis fails, both scan
     certified = (members_ok and list(curve.images.values()) == curve.ring_reducer.basis
@@ -610,9 +608,9 @@ def verify_order_projection(curve: Curve, samples: int = 1000, seed: int = 0,
     samples and seed, so all triples with the same p and b draw the same
     terms.  Without drawn they are drawn one sample at a time, and the
     first failing sample stops them.  drawn maps those four numbers to the
-    list of their samples terms, filled on first use, so that a caller
-    checking many triples, as sweep does, draws each (p, b) shape's terms
-    once and holds about samples terms per distinct shape.  An exact
+    list of their samples terms, filled on first use: a caller checking
+    many triples draws each (p, b) shape's terms once, and holds samples
+    terms per shape it keeps (sweep keeps one p's shapes).  An exact
     per-symbol check would draw only to name a witness, and need no dict.
 
     A term's image is mono times the binomial of sym: the binomial's

@@ -23,7 +23,9 @@ lifted onto a symbol (lift); patil_by_terms, the classical set built
 term by term; order_projection_by_images, the sampled projection check
 through one module element and image polynomial per sampled term;
 order_projection_exact, the same check decided once per symbol, drawing
-only to name a witness; and
+only to name a witness; leading_term_shape_three_tests, the lead shape
+decided by a set equality, a distinct count and a per-label comparison;
+and
 phi_symbol and psi_symbol, the symbol conventions.  poly_term and
 module_term build one-term elements, which the library never does.
 betti_1_by_search counts minimal generators per weight from the
@@ -43,7 +45,7 @@ from monocurve.polyring import (Closure, Poly, Reducer, WeightOrder, _exact, mon
 from monocurve.semigroup import (CurveParams, ParameterError, _add_shifted, _times_one_minus,
                                  apery_numerator, make_params)
 from monocurve.report import VerificationReport
-from monocurve.syzygy import ModElement, Phi, Psi, relation_image, term_to_json
+from monocurve.syzygy import ModElement, Phi, Psi, _expected_leads, relation_image, term_to_json
 
 
 def _reach(x: int, values: tuple[int, ...]) -> tuple[list, list]:
@@ -405,6 +407,30 @@ def order_projection_exact(curve, samples: int = 1000, seed: int = 0) -> Verific
     report = VerificationReport(params)
     report.add("projection-matches-image-lead", bad is None,
                detail=f"{samples} sampled terms, seed {seed}", witness=bad)
+    return report
+
+
+def leading_term_shape_three_tests(curve) -> VerificationReport:
+    """The leading-term-shape check as three tests: the computed leads, as
+    a set, equal the predicted ones; they are as many as the members; and
+    no label's lead differs from its prediction.  The witness lists the
+    first three mismatching labels, with "expected" null for a label that
+    has no prediction."""
+    labeled = curve.sset.labeled()
+    predicted = _expected_leads(curve.params)
+    actual = {lab: term for (lab, _), (term, _) in zip(labeled, curve.module_reducer.leads)}
+    shape_ok = (set(actual.values()) == set(predicted.values())
+                and len(set(actual.values())) == len(labeled))
+    mismatch = []
+    for lab, term in actual.items():
+        want = predicted.get(lab)
+        if term != want:
+            mismatch.append({"element": lab, "computed": term_to_json(term),
+                             "expected": None if want is None else term_to_json(want)})
+    passed = shape_ok and not mismatch
+    report = VerificationReport(curve.params)
+    report.add("leading-term-shape", passed, detail=f"{len(labeled)} leading terms",
+               witness=None if passed else {"mismatches": mismatch[:3]})
     return report
 
 

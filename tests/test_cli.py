@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from monocurve import generators, make_params, polyring, syzygy
+from monocurve import cli, generators, make_params, polyring, syzygy
 from monocurve.cli import _build_parser, main, run, verification_bundle
 from monocurve.generators import GeneratorSet, groebner_generators
 from monocurve.polyring import Closure, Poly, Reducer, WeightOrder
@@ -521,6 +521,26 @@ def test_a_sweep_draws_each_shapes_projection_terms_once(monkeypatch, capsys):
     shapes.clear()
     assert main(["verify", "--m0", "7", "--d", "1", "--p", "3", "--bound", "2"]) == 0
     assert len(shapes) == 1
+
+
+def test_a_sweep_holds_only_the_current_ps_draws(monkeypatch, capsys):
+    # p is the grid's outer loop, and each shape carries p + 1 variables,
+    # so no later triple reuses an earlier p's draws: the sweep drops them
+    # and holds at most p shapes, all of the current p
+    held, bundle = [], cli.verification_bundle
+
+    def record(curve, *args, drawn=None, **kwargs):
+        reports = bundle(curve, *args, drawn=drawn, **kwargs)
+        held.append((curve.params.p, len(drawn), {shape[0] for shape in drawn}))
+        return reports
+
+    monkeypatch.setattr(cli, "verification_bundle", record)
+    assert main(["sweep", "--p", "2..4", "--a", "1..2", "--d", "1..2", "--bound", "2",
+                 "--samples", "20"]) == 0
+    capsys.readouterr()
+    assert all(nvars == {p + 1} and n <= p for p, n, nvars in held)
+    # by each p's last triple, every b of that p has drawn its shape
+    assert {p: n for p, n, _ in held} == {2: 2, 3: 3, 4: 4}
 
 
 @pytest.mark.parametrize("seed", [0, 5])

@@ -140,9 +140,22 @@ def test_only_polyring_builds_s_pairs():
 
 
 def test_only_run_writes_a_commands_text():
-    # each command returns (passed, text); run writes it once and maps the
-    # outcome to the exit code, so _emit has one caller
+    # each command returns its verdict and its lines or payload; run writes
+    # them once and maps the outcome to the exit code, so _emit has one caller
     tree = ast.parse((ROOT / "src" / "monocurve" / "cli.py").read_text(encoding="utf-8"))
     callers = [getattr(stmt, "name", None) for stmt in tree.body for node in ast.walk(stmt)
                if isinstance(node, ast.Name) and node.id == "_emit"]
     assert callers == ["run"]
+
+
+def test_only_run_renders_a_commands_output():
+    # each command returns its lines or its payload, and run renders it
+    # once, so no other function of cli picks the JSON indent or joins lines
+    tree = ast.parse((ROOT / "src" / "monocurve" / "cli.py").read_text(encoding="utf-8"))
+    renderers = [(getattr(stmt, "name", None), ast.unparse(node.func))
+                 for stmt in tree.body for node in ast.walk(stmt)
+                 if isinstance(node, ast.Call)
+                 and (ast.unparse(node.func) == "json.dumps"
+                      and any(k.arg == "indent" for k in node.keywords)
+                      or ast.unparse(node.func) == "'\\n'.join")]
+    assert sorted(renderers) == [("run", "'\\n'.join"), ("run", "json.dumps")]

@@ -24,7 +24,7 @@ from monocurve.polyring import (
     poly_to_json,
     variable_monomial,
 )
-from monocurve.syzygy import Curve, ModuleOrder, Phi, Psi
+from monocurve.syzygy import Curve, ModElement, ModuleOrder, Phi, Psi
 from oracles import (buchberger, curve_image, first_dividing_pair_all_pairs, hilbert_function,
                      module_term, numerator_all_pairs, poly_from_json, poly_term,
                      s_polynomial, series_coefficients)
@@ -61,6 +61,19 @@ def test_poly_cancellation():
     assert (x1 - x0) + (x0 - x2) == x1 - x2
     assert not (x1 - x0) * 0
     assert (x1 - x0).scaled(0) == Poly.zero(4)
+
+
+def test_the_constructors_drop_a_zero_coefficient():
+    # no stored coefficient is zero, so a sum is zero only on a key that
+    # both summands hold, and SparseMap.__add__ deletes it without a test
+    x1, x0 = variable_monomial(3, 1), variable_monomial(3, 0)
+    for zero in (0, Fraction(0), Fraction(0, 3)):
+        f = Poly(4, {x1: 2, x0: zero})
+        assert f.terms == {x1: 2} and f == Poly(4, {x1: 2})
+        g = ModElement(4, {(x1, Psi(0)): 2, (x0, Phi(1, 2)): zero})
+        assert g.terms == {(x1, Psi(0)): 2} and g == ModElement(4, {(x1, Psi(0)): 2})
+        assert f - f == Poly.zero(4) and g - g == ModElement.zero(4)
+    assert Poly(4, {x0: 0}) == Poly.zero(4) and not Poly(4, {x0: 0})
 
 
 def test_poly_product_exact():

@@ -47,7 +47,8 @@ from monocurve.syzygy import (
     verify_syzygy_basis,
 )
 from monocurve.semigroup import apery_numerator
-from oracles import (_symbol_from_json, betti_2_by_homology, buchberger, lift, mod_elem_from_json,
+from oracles import (_symbol_from_json, betti_2_by_homology, buchberger,
+                     leading_term_shape_three_tests, lift, mod_elem_from_json,
                      module_identity_by_symbol, module_term, order_projection_by_images,
                      order_projection_exact, parameter_sweep, phi_symbol, poly_term,
                      s_polynomial, syzygy_A_chained, syzygy_B_lifted, syzygy_L_chained)
@@ -1018,6 +1019,55 @@ def test_verify_syzygy_basis(p713, p832, p613):
     for pr in (p713, p832, p613):
         report = verify_syzygy_basis(Curve(pr))
         assert report.passed, [c.name for c in report.checks if not c.passed]
+
+
+def _shape_record(report):
+    return [rec for rec in report.to_records() if rec["check"] == "leading-term-shape"]
+
+
+def _swap(labeled, i, j):
+    planted = list(labeled)
+    planted[i], planted[j] = (labeled[i][0], labeled[j][1]), (labeled[j][0], labeled[i][1])
+    return planted
+
+
+SHAPE_PLANTS = {
+    "dropped-member": lambda labeled: labeled[:1] + labeled[2:],
+    "extra-label": lambda labeled: labeled + [("planted", labeled[0][1])],
+    "repeated-label": lambda labeled: labeled + [labeled[-1]],
+    "swapped-leads": lambda labeled: _swap(labeled, 0, len(labeled) // 2),
+    "repeated-lead": lambda labeled: labeled[:-1] + [(labeled[-1][0], labeled[0][1])],
+}
+
+
+def test_the_lead_shape_map_comparison_matches_the_three_tests_on_the_sweep():
+    for pr in SWEEP5:
+        curve = Curve(pr)
+        record = _shape_record(verify_syzygy_basis(curve))
+        assert record == _shape_record(leading_term_shape_three_tests(curve)), pr
+        assert record[0]["status"] == "pass"
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6), (9, 4, 2)])
+@pytest.mark.parametrize("plant", sorted(SHAPE_PLANTS))
+def test_the_lead_shape_map_comparison_matches_the_three_tests_on_plants(monkeypatch, triple,
+                                                                       plant):
+    # each plant fails the shape; a dropped member and a repeated label
+    # leave no label mismatching its prediction, so the witness lists none
+    base = syzygy_basis(make_params(*triple))
+    planted = SHAPE_PLANTS[plant](base.labeled())
+
+    class Planted(SyzygySet):
+        def labeled(self):
+            return planted
+
+    monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: Planted(params, {}, {}, {}))
+    curve = Curve(make_params(*triple))
+    (record,) = _shape_record(verify_syzygy_basis(curve))
+    assert [record] == _shape_record(leading_term_shape_three_tests(curve))
+    assert record["status"] == "fail"
+    assert (record["witness"] == {"mismatches": []}) == (plant in ("dropped-member",
+                                                                   "repeated-label"))
 
 
 def _module_leads_double_loop(curve):
