@@ -14,10 +14,11 @@ Every verification routine takes the triple's syzygy.Curve, which holds
 both sets, the ring order, the ring Reducer of the closed-form set G,
 the one copy of G, its leads and pairs that a ring check reads, and the
 one closure of G, built only when a certificate fails: the
-Hilbert-series certificate (_certified) that G is a Groebner basis, or
-the count of minimal generators per weight (_minimal_by_count) that it
-is minimal.  It returns a VerificationReport and records a witness on
-failure instead of raising.
+Hilbert-series certificate (_certified), in closed form when the leads
+of G are the predicted ones, that G is a Groebner basis, or the count of
+minimal generators per weight (_minimal_by_count) that it is minimal.
+It returns a VerificationReport and records a witness on failure instead
+of raising.
 The standard-monomial checks hold for all exponents.  A passing triple
 decides them, and both reductions of the ideal equality, from closed
 forms and the ring certificate: it walks no exponent box and divides
@@ -51,7 +52,7 @@ from .polyring import (
     variable_monomial,
 )
 from .report import VerificationReport
-from .semigroup import CurveParams, _betti_1, apery_numerator
+from .semigroup import CurveParams, _add_shifted, _apery_by_mp, _betti_1, apery_numerator
 
 if TYPE_CHECKING:
     from .syzygy import Curve
@@ -247,8 +248,10 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
     G itself; and the reduced Groebner basis of the ideal of G has no new
     leading monomial.  The identity K(LT(G)) = N, once every element lies
     in the curve ideal, decides both Groebner claims
-    (Curve.ring_certified).  The S-pair detail then counts every pair, and
-    the reduced basis leads with the minimal leads of G.  Otherwise every
+    (Curve.ring_certified): in closed form when the first check passes,
+    whose comparison the Curve keeps (Curve.ring_shape), and by Bigatti's
+    recursion on any other lead set.  The S-pair detail then counts every
+    pair, and the reduced basis leads with the minimal leads of G.  Otherwise every
     pair is divided x-major, and the first non-zero remainder is the
     witness; and the triple's one closure (Curve.closure), closed
     untruncated, is a Groebner basis of the ideal of G.
@@ -266,19 +269,13 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
     labels = [lab for lab, _ in curve.gset.labeled()]
     report = VerificationReport(params)
 
-    expected = expected_leading_monomials(params)
-    actual = set(table.lead_monomials())
-    report.add(
-        "leading-term-set",
-        actual == expected,
-        detail=f"{len(actual)} leading monomials",
-        witness=None
-        if actual == expected
-        else {
-            "unexpected": sorted(map(list, actual - expected)),
-            "missing": sorted(map(list, expected - actual)),
-        },
-    )
+    actual, shaped, witness = set(table.lead_monomials()), curve.ring_shape(), None
+    if not shaped:
+        expected = expected_leading_monomials(params)
+        witness = {"unexpected": sorted(map(list, actual - expected)),
+                   "missing": sorted(map(list, expected - actual))}
+    report.add("leading-term-set", shaped, detail=f"{len(actual)} leading monomials",
+               witness=witness)
 
     witness, leads, pairs = None, actual, table.pair_count()
     if not curve.ring_certified():
@@ -329,15 +326,39 @@ def _first_stuck(labeled, table: Reducer) -> dict | None:
     return None
 
 
-def _certified(table: Reducer) -> bool:
+def _shape_by_mp(params: CurveParams) -> dict:
+    """S(t)(1 - t^{m_p}), where S(t) sums t^w over the paper's shape free of
+    X0, the X_p^n * u of standard_shape: per u, 1 or X_i with i in [1, p-1],
+    t^{w(u)}(1 - t^{(top+1) m_p}), with top = a, or a - 1 once i >= b."""
+    gens, mp, series = params.generators, params.generators[-1], {}
+    for i in range(params.p):  # u = X_i, and u = 1 at i = 0
+        w = gens[i] if i else 0
+        _add_shifted(series, {w: 1, w + (params.a + (i < params.b)) * mp: -1})
+    return series
+
+
+def _certified(table: Reducer, shaped: bool = False) -> bool:
     """Whether the basis G of the ring Reducer table, of one weight per
     element (see _mixed_weight), is a Groebner basis of the curve ideal I:
     each element lies in I, as its coefficients sum to 0, and K(LT(G)) =
     N.  Then <LT(G)>, inside LT(I), has the Hilbert series of I and equals
-    it (Macaulay; Cox, Little, O'Shea, sections 5.2 and 2.7)."""
-    params, leads = table.order.params, table.lead_monomials()
-    return (not any(sum(g.terms.values()) for g in table.basis)
-            and hilbert_numerator(params.exponent_weights, leads) == apery_numerator(params))
+    it (Macaulay; Cox, Little, O'Shea, sections 5.2 and 2.7).
+
+    shaped says that the leads of G are expected_leading_monomials (the
+    leading-term-set comparison, Curve.ring_shape).  The standard
+    monomials of LT(G) are then X0^e times the shape X_p^n * u, a free
+    K[X0]-module, so K(LT(G)) = S(t) prod_{i=1..p}(1 - t^{m_i}) and N =
+    A(t) prod_{i=1..p}(1 - t^{m_i}): the identity is S(t)(1 - t^{m_p}) =
+    A(t)(1 - t^{m_p}), O(p) terms on each side (_shape_by_mp,
+    semigroup._apery_by_mp).  Any other lead set goes to Bigatti's
+    recursion (polyring.hilbert_numerator)."""
+    params = table.order.params
+    if any(sum(g.terms.values()) for g in table.basis):
+        return False
+    if shaped:
+        return _shape_by_mp(params) == _apery_by_mp(params)
+    leads = table.lead_monomials()
+    return hilbert_numerator(params.exponent_weights, leads) == apery_numerator(params)
 
 
 def _minimal_by_count(table: Reducer) -> bool:

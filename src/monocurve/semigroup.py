@@ -184,11 +184,10 @@ def _times_one_minus(series: dict, weights) -> dict:
     return series
 
 
-def apery_numerator(params: CurveParams) -> dict:
-    """N = A(t) * prod_{i=1..p} (1 - t^{m_i}), the Hilbert numerator of the
-    curve ideal, where A(t) sums t^s over the Apery set Ap(S, m0).  By
-    Selmer's formula (Rosales, Garcia-Sanchez, Numerical Semigroups, 2009)
-    Ap(S, m0) holds 0, the (q-1)*m_p + m_k for q in [1, a] and k in
+def _apery_by_mp(params: CurveParams) -> dict:
+    """A(t)(1 - t^{m_p}), where A(t) sums t^s over the Apery set Ap(S, m0).
+    By Selmer's formula (Rosales, Garcia-Sanchez, Numerical Semigroups,
+    2009) Ap(S, m0) holds 0, the (q-1)*m_p + m_k for q in [1, a] and k in
     [1, p], and the a*m_p + m_k for k in [1, b-1], so that
       A(t)(1 - t^{m_p}) = 1 - t^{m_p} + (1 - t^{a m_p}) sum_{k=1..p} t^{m_k}
                           + (1 - t^{m_p}) sum_{k=1..b-1} t^{a m_p + m_k}:
@@ -198,8 +197,13 @@ def apery_numerator(params: CurveParams) -> dict:
     top = params.a * mp
     series = _times_one_minus({0: 1}, [mp])
     _add_shifted(series, _times_one_minus(dict.fromkeys(gens[1:], 1), [top]))
-    _add_shifted(series, _times_one_minus({top + m: 1 for m in gens[1:params.b]}, [mp]))
-    return _times_one_minus(series, gens[1:-1])
+    return _add_shifted(series, _times_one_minus({top + m: 1 for m in gens[1:params.b]}, [mp]))
+
+
+def apery_numerator(params: CurveParams) -> dict:
+    """N = A(t) * prod_{i=1..p} (1 - t^{m_i}), the Hilbert numerator of the
+    curve ideal: _apery_by_mp times the p - 1 factors left."""
+    return _times_one_minus(_apery_by_mp(params), params.generators[1:-1])
 
 
 def _membership(params: CurveParams):

@@ -41,9 +41,15 @@ symbol through its cap, for all exponents.
 Both Groebner claims are decided by one Hilbert-series identity each
 (Curve.ring_certified, _module_identity), in terms of N, the Hilbert
 numerator of the curve ideal (semigroup.apery_numerator), and K, that of
-a monomial ideal (polyring.hilbert_numerator).  A passing triple divides
-no S-pair; when an identity or a hypothesis fails, the checks scan every
-pair and name the first failure with its witness and count.
+a monomial ideal.  When the leads are the predicted ones, as the
+leading-term-set and leading-term-shape comparisons find them
+(Curve.ring_shape, Curve.module_shape), each K is known in closed form
+and the identity compares O(p) series terms with Selmer's; any other
+lead set goes to Bigatti's recursion (polyring.hilbert_numerator).  A
+passing triple divides no S-pair; when an identity or a hypothesis
+fails, the checks scan every pair and name the first failure with its
+witness and count.  Members are keyed by family and index tuple
+(SyzygySet.keyed), and a label is spelled only for output and witnesses.
 
 A Curve holds what every check of one triple shares, each built once,
 and every verify_* report takes one.
@@ -66,6 +72,7 @@ from .generators import (
     _family_psi,
     _units,
     epsilon,
+    expected_leading_monomials,
     groebner_generators,
     patil_generators,
     tau,
@@ -94,7 +101,7 @@ from .polyring import (
     variable_monomial,
 )
 from .report import VerificationReport
-from .semigroup import CurveParams, _add_shifted, apery_numerator
+from .semigroup import CurveParams, _add_shifted, _times_one_minus, apery_numerator
 
 
 # Symbols are named tuples, so that hashing and comparing a module term
@@ -286,7 +293,12 @@ def _family_L(params: CurveParams, table: tuple) -> dict:
 
 @dataclass(frozen=True)
 class SyzygySet:
-    """The full syzygy basis, keyed by family and index tuple."""
+    """The full syzygy basis, keyed by family and index tuple.
+
+    keyed() lists each member under its key (family, index tuple), in
+    label order, and spells no label; label(key) spells one, for output
+    and witnesses.
+    """
 
     params: CurveParams
     A: dict
@@ -299,15 +311,27 @@ class SyzygySet:
     def counts(self) -> dict:
         return {"A": len(self.A), "B": len(self.B), "L": len(self.L), "total": len(self)}
 
+    def keyed(self) -> list[tuple[tuple, ModElement]]:
+        """(key, member) pairs: A by (i, j), then B by (i, j), then L by
+        (l, i, j), each key (family, index tuple)."""
+        return [((family, idx), g) for family, members in (("A", self.A), ("B", self.B),
+                                                            ("L", self.L))
+                for idx, g in sorted(members.items())]
+
+    def label(self, key: tuple) -> str:
+        """The label of the member at key: A(i;b,j), B(i,j) or L(l;i,j)."""
+        family, idx = key
+        if family == "A":
+            return f"A({idx[0]};{self.params.b},{idx[1]})"
+        if family == "B":
+            return f"B({idx[0]},{idx[1]})"
+        return f"L({idx[0]};{idx[1]},{idx[2]})"
+
     def labeled(self) -> list[tuple[str, ModElement]]:
-        b = self.params.b
-        out = [(f"A({i};{b},{j})", g) for (i, j), g in sorted(self.A.items())]
-        out += [(f"B({i},{j})", g) for (i, j), g in sorted(self.B.items())]
-        out += [(f"L({l};{i},{j})", g) for (l, i, j), g in sorted(self.L.items())]
-        return out
+        return [(self.label(key), g) for key, g in self.keyed()]
 
     def elements(self) -> list[ModElement]:
-        return [g for _, g in self.labeled()]
+        return [g for _, g in self.keyed()]
 
 
 def syzygy_basis(params: CurveParams) -> SyzygySet:
@@ -318,23 +342,31 @@ def syzygy_basis(params: CurveParams) -> SyzygySet:
 
 
 def _expected_leads(params: CurveParams) -> dict:
-    """The predicted leading term of each basis element, keyed by its label."""
+    """The predicted leading term of each basis element, keyed as
+    SyzygySet.keyed() keys it, by family and index tuple."""
     p, b = params.p, params.b
+    x = [variable_monomial(p, i) for i in range(p + 1)]
     out = {}
     for i in range(1, p + 1):
         for j in range(0, p - b):
-            out[f"A({i};{b},{j})"] = (variable_monomial(p, i), Psi(j))
+            out["A", (i, j)] = (x[i], Psi(j))
+    top = Psi(p - b)
     for i in range(1, p):
         for j in range(i, p):
-            out[f"B({i},{j})"] = (
-                mono_mul(variable_monomial(p, i), variable_monomial(p, j)),
-                Psi(p - b),
-            )
+            out["B", (i, j)] = (mono_mul(x[i], x[j]), top)
     for j in range(2, p):
         for i in range(1, j + 1):
+            sym = Phi(i, j)
             for l in range(1, j):
-                out[f"L({l};{i},{j})"] = (variable_monomial(p, l), Phi(i, j))
+                out["L", (l, i, j)] = (x[l], sym)
     return out
+
+
+def _lead_map(keyed: list, table: Reducer) -> dict:
+    """Each key of keyed mapped to the leading term of its member in the
+    module Reducer table, which holds the members in that order; a
+    repeated key keeps its first place and its last term."""
+    return {key: term for (key, _), (term, _) in zip(keyed, table.leads)}
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +385,13 @@ class Curve:
     everything else is read, never changed, so a caller that extends a
     basis builds its own Reducer.  Only a check whose certificate fails
     builds the closure: a passing verify, deep or shallow, builds none.
+    ring_shape() and module_shape() are computed once per Reducer they
+    read, so a copy given a Reducer of its own decides them afresh.
     """
 
     __slots__ = ("params", "morder", "order", "gset", "patil", "sset", "images",
-                 "ring_reducer", "module_reducer", "_ring_certified", "_closure")
+                 "ring_reducer", "module_reducer", "_ring_certified", "_closure",
+                 "_ring_shape", "_module_shape")
 
     def __init__(self, params: CurveParams):
         self.params = params
@@ -370,14 +405,40 @@ class Curve:
         self.ring_reducer = Reducer(self.order, self.gset.polynomials())
         self.module_reducer = Reducer(self.morder, self.sset.elements())
         self._ring_certified = self._closure = None
+        self._ring_shape = self._module_shape = (None, None)
+
+    def ring_shape(self) -> bool:
+        """Whether the leads of G are expected_leading_monomials: the
+        comparison that leading-term-set reports, made once."""
+        table = self.ring_reducer
+        if self._ring_shape[0] is not table:
+            shaped = set(table.lead_monomials()) == expected_leading_monomials(self.params)
+            self._ring_shape = (table, shaped)
+        return self._ring_shape[1]
+
+    def module_shape(self) -> bool:
+        """Whether each member of the syzygy basis leads with its predicted
+        term: the comparison that leading-term-shape reports, made once.
+        The predicted leads are pairwise distinct, so one map comparison,
+        keyed by family and index tuple, decides it; the length tests catch
+        a repeated key, which the map hides, and a lead no key names."""
+        table = self.module_reducer
+        if self._module_shape[0] is not table:
+            keyed = self.sset.keyed()
+            actual = _lead_map(keyed, table)
+            shaped = (actual == _expected_leads(self.params)
+                      and len(actual) == len(keyed) == len(table.leads))
+            self._module_shape = (table, shaped)
+        return self._module_shape[1]
 
     def ring_certified(self) -> bool:
         """Whether G, each element of one weight, is a Groebner basis of
-        the curve ideal (generators._certified), computed once."""
+        the curve ideal (generators._certified), computed once; in closed
+        form when its leads are the predicted ones (ring_shape)."""
         if self._ring_certified is None:
             table = self.ring_reducer
             self._ring_certified = (_mixed_weight(self.params, enumerate(table.basis)) is None
-                                    and _certified(table))
+                                    and _certified(table, self.ring_shape()))
         return self._ring_certified
 
     def closure(self) -> tuple[Closure, list]:
@@ -422,6 +483,32 @@ def schreyer_relations(curve: Curve) -> Iterator[tuple]:
 # verification
 
 
+def _shape_module_sum(curve: Curve) -> dict:
+    """sum_sym t^{w(image(sym))} K(M_sym) for the predicted lead sets M_sym:
+    X_1..X_p on Psi(j) for j < p-b, the X_i*X_j with 1 <= i <= j <= p-1 on
+    Psi(p-b), and X_1..X_{j-1} on Phi(i, j).  K is prod (1 - t^{m_l}) over
+    the variables of a set, and (1 + sum_{i<p} t^{m_i}) prod_{i<p}(1 -
+    t^{m_i}) for the quadratics, so the sum is taken by Horner's rule:
+    from the Psi(j) with j < p-b, times (1 - t^{m_p}), plus the quadratic
+    term of Psi(p-b); then for j = p-1 down to 1, times (1 - t^{m_j}),
+    plus the t^{w(image(Phi(i, j)))} with i <= j."""
+    params, gens = curve.params, curve.params.generators
+    p, b, levels = params.p, params.b, {}
+    quadratic = dict.fromkeys((0, *gens[1:-1]), 1)  # 1 + sum_{i<p} t^{m_i}
+    for sym, image in curve.images.items():
+        shift = params.weight(next(iter(image.terms)))
+        if isinstance(sym, Phi):
+            _add_shifted(levels.setdefault(sym.j, {}), {shift: 1})
+        elif sym.j < p - b:
+            _add_shifted(levels.setdefault(p + 1, {}), {shift: 1})
+        else:
+            _add_shifted(levels.setdefault(p, {}), quadratic, shift)
+    series = levels.get(p + 1, {})
+    for j in range(p, 0, -1):
+        series = _add_shifted(_times_one_minus(series, [gens[j]]), levels.get(j, {}))
+    return series
+
+
 def _module_identity(curve: Curve) -> bool:
     """Whether sum_sym t^{w(image(sym))} K(M_sym) = 1 - N, for the leads
     M_sym of the syzygy basis on each symbol.  Once the images are a
@@ -429,18 +516,26 @@ def _module_identity(curve: Curve) -> bool:
     module Syz is the kernel of the free module F onto I, graded by the
     images, so HS(F/Syz) = HS(I) has numerator 1 - N; a basis inside Syz
     is a Groebner basis of it exactly when its leads give F/<LT(basis)>
-    that series (Macaulay, symbol by symbol).  Many symbols share one lead
-    set, so K is computed once per distinct set."""
+    that series (Macaulay, symbol by symbol).
+
+    When each member leads with its predicted term (Curve.module_shape,
+    the leading-term-shape comparison), the sum is taken in closed form
+    (_shape_module_sum).  Any other lead set goes to Bigatti's recursion
+    (polyring.hilbert_numerator), once per distinct lead set, as many
+    symbols share one."""
     params, table = curve.params, curve.module_reducer
-    shifts = {}
-    for sym, image in curve.images.items():
-        leads = frozenset(table.lead_monomials(sym))
-        shifts.setdefault(leads, []).append(params.weight(next(iter(image.terms))))
-    series = {}
-    for leads, weights in shifts.items():
-        k = hilbert_numerator(params.exponent_weights, leads)
-        for shift in weights:
-            _add_shifted(series, k, shift)
+    if curve.module_shape():
+        series = _shape_module_sum(curve)
+    else:
+        shifts = {}
+        for sym, image in curve.images.items():
+            leads = frozenset(table.lead_monomials(sym))
+            shifts.setdefault(leads, []).append(params.weight(next(iter(image.terms))))
+        series = {}
+        for leads, weights in shifts.items():
+            k = hilbert_numerator(params.exponent_weights, leads)
+            for shift in weights:
+                _add_shifted(series, k, shift)
     return series == _add_shifted({0: 1}, apery_numerator(params), sign=-1)
 
 
@@ -456,41 +551,48 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     passed, the symbols' binomials are the ring Reducer's basis, and the
     ring identity holds (Curve.ring_certified): the basis is then a
     Groebner basis of the syzygy module, which holds every S-vector and
-    every harvested relation, and the details count every pair.
+    every harvested relation, and the details count every pair.  When (b)
+    holds, the identity is taken in closed form from the predicted lead
+    sets; otherwise by Bigatti's recursion on the computed ones.
     Otherwise the S-vectors are divided x-major and the harvest of every
     pair of binomials (schreyer_relations) is scanned j-major; the first
     failure of each is its witness and ends its count, and no pair of
     binomials after it is divided.
+
+    The members are read from the module Reducer, in label order, and
+    (b) is Curve.module_shape, keyed by family and index tuple; a label
+    is spelled (SyzygySet.label) only for a witness.
     """
-    params, morder, table = curve.params, curve.morder, curve.module_reducer
-    labeled = curve.sset.labeled()
+    params, morder, table, sset = curve.params, curve.morder, curve.module_reducer, curve.sset
     report = VerificationReport(params)
 
+    def label(k: int) -> str:
+        # the k-th member's label, spelled only for a witness
+        return sset.label(sset.keyed()[k][0])
+
     bad = None
-    for lab, g in labeled:
+    for k, g in enumerate(table.basis):
         image = relation_image(curve, g)
         if image:
-            bad = {"element": lab, "image": poly_to_json(morder.ring, image)}
+            bad = {"element": label(k), "image": poly_to_json(morder.ring, image)}
             break
-    report.add("members-are-relations", bad is None, detail=f"{len(labeled)} members", witness=bad)
+    n = len(table.basis)
+    report.add("members-are-relations", bad is None, detail=f"{n} members", witness=bad)
     members_ok = bad is None
 
-    # the predicted leads are pairwise distinct, so one map comparison
-    # decides the shape; the length test catches a repeated label
-    predicted = _expected_leads(params)
-    actual = {lab: term for (lab, _), (term, _) in zip(labeled, table.leads)}
-    shape_ok = actual == predicted and len(actual) == len(labeled)
-    bad = None
+    # the first three keys whose lead differs from the prediction, labelled
+    shape_ok, bad = curve.module_shape(), None
     if not shape_ok:
-        mismatch = []
-        for lab, term in actual.items():
-            want = predicted.get(lab)  # None for a label with no prediction
+        predicted, mismatch = _expected_leads(params), []
+        for key, term in _lead_map(sset.keyed(), table).items():
+            want = predicted.get(key)  # None for a key with no prediction
             if term != want:
-                mismatch.append({"element": lab, "computed": term_to_json(term),
+                mismatch.append({"element": sset.label(key), "computed": term_to_json(term),
                                  "expected": None if want is None else term_to_json(want)})
-        bad = {"mismatches": mismatch[:3]}
-    report.add("leading-term-shape", shape_ok, detail=f"{len(labeled)} leading terms",
-               witness=bad)
+                if len(mismatch) == 3:
+                    break
+        bad = {"mismatches": mismatch}
+    report.add("leading-term-shape", shape_ok, detail=f"{n} leading terms", witness=bad)
 
     # one identity decides (c) and (d); if it or a hypothesis fails, both scan
     certified = (members_ok and list(curve.images.values()) == curve.ring_reducer.basis
@@ -499,7 +601,7 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     if not certified:
         count, pair, r = table.first_unreduced()
         if pair:
-            bad = {"pair": [labeled[k][0] for k in pair], "remainder": mod_elem_to_json(morder, r)}
+            bad = {"pair": [label(k) for k in pair], "remainder": mod_elem_to_json(morder, r)}
     report.add("s-vectors-reduce", bad is None, detail=f"{count} same-symbol pairs", witness=bad)
 
     symbols, bad = list(curve.images), None
@@ -522,12 +624,11 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     # the first dividing (x, y) in the order of a double loop over all
     # leads, and the ordered pairs that loop would have tried up to it
     first = _first_dividing_pair(table)
-    n = len(labeled)
     checked, offender = n * (n - 1), None
     if first is not None:
         x, y = first
         checked = x * (n - 1) + (y if x < y else y + 1)
-        offender = {"divisor": labeled[x][0], "multiple": labeled[y][0]}
+        offender = {"divisor": label(x), "multiple": label(y)}
     report.add(
         "module-leading-terms-incomparable",
         offender is None,
@@ -553,6 +654,13 @@ def verify_excluded_leading_forms(curve: Curve, bound: int) -> VerificationRepor
     some member exactly when it divides the cap, and the least such
     member, mono_lcm(lead, low), is the witness.  The detail counts the
     members with free exponents <= bound.
+
+    The caps of the 2p variable-times-power boxes on Psi(p-b) carry at
+    most one of X_1..X_{p-1} each, so those boxes are tested only against
+    the leads on Psi(p-b) that do too.  Each lead is tested for that once,
+    and p - 1 of the p(p-1)/2 predicted leads pass, so the boxes take O(p^2)
+    divisibility tests, not p^3.  A lead left out divides no cap, so the
+    first box hit, and its first lead, stay the same.
     """
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
@@ -561,24 +669,25 @@ def verify_excluded_leading_forms(curve: Curve, bound: int) -> VerificationRepor
     leads = curve.module_reducer.lead_monomials
     one = mono_one(params.nvars)
     x0, xp, top = variable_monomial(p, 0, inf), variable_monomial(p, p, inf), Psi(p - b)
-    boxes = [("pure-X0", Psi(j), one, x0) for j in range(0, p - b + 1)]
+    boxes = [("pure-X0", Psi(j), one, x0, leads(Psi(j))) for j in range(0, p - b + 1)]
+    few = [m for m in leads(top) if m[:p - 1].count(0) >= p - 2]
     for i in range(1, p + 1):
         xi = variable_monomial(p, i)
-        boxes.append(("X0-power-times-variable", top, xi, mono_mul(xi, x0)))
-        boxes.append(("Xp-power-times-variable", top, xi, mono_mul(xi, xp)))
+        boxes.append(("X0-power-times-variable", top, xi, mono_mul(xi, x0), few))
+        boxes.append(("Xp-power-times-variable", top, xi, mono_mul(xi, xp), few))
     for i in range(1, p):
         for j in range(i, p):
             caps = (0,) * (j - 1) + (inf,) * (p - j + 2)
-            boxes.append(("low-index-free-Phi", Phi(i, j), one, caps))
+            boxes.append(("low-index-free-Phi", Phi(i, j), one, caps, leads(Phi(i, j))))
 
     report = VerificationReport(params)
     bad = None
-    for family, sym, low, high in boxes:
-        lead = next((m for m in leads(sym) if mono_divides(m, high)), None)
+    for family, sym, low, high, tested in boxes:
+        lead = next((m for m in tested if mono_divides(m, high)), None)
         if lead is not None:
             bad = {"family": family, "term": term_to_json((mono_lcm(lead, low), sym))}
             break
-    count = sum((bound + 1) ** high.count(inf) for *_, high in boxes)
+    count = sum((bound + 1) ** high.count(inf) for *_, high, _ in boxes)
     report.add(
         "excluded-forms-stay-excluded",
         bad is None,

@@ -1,17 +1,18 @@
 """Reference implementations the tests compare the library against.
 
 None of them is on the path of the command line: an exhaustive semigroup
-membership search and the Apery numerator it gives, the curve ideal as
-the kernel of the parametrization, a Hilbert function counted monomial by
-monomial, the grid of valid parameter triples, and the readers of the
-JSON output format.  They share no code with the library's division,
+membership search and the Apery set and numerator it gives, the curve
+ideal as the kernel of the parametrization, a Hilbert function counted
+monomial by monomial, the grid of valid parameter triples, and the
+readers of the JSON output format.  They share no code with the library's division,
 closure or Hilbert numerator.  buchberger, the reduced Groebner basis, is
 the one exception: it interreduces the library's untruncated Closure, and
 is the reference for the lead ideal the library reads off that closure.
 More keep the library's earlier, slower forms as references for the
 faster ones: numerator_all_pairs, Bigatti's recursion minimizing every
-ideal it meets; module_identity_by_symbol, one K per module symbol;
-first_dividing_pair_all_pairs, every ordered pair of leads;
+ideal it meets; module_identity_by_symbol and module_sum_by_symbol, one
+K per module symbol; first_dividing_pair_all_pairs, every ordered pair
+of leads;
 s_polynomial, the S-element of two elements from leads recomputed by
 the order, for Reducer.s_pair, which reads the leads it holds;
 standard_monomials_full_test, each monomial tested against every lead;
@@ -23,11 +24,14 @@ lifted onto a symbol (lift); patil_by_terms, the classical set built
 term by term; order_projection_by_images, the sampled projection check
 through one module element and image polynomial per sampled term;
 order_projection_exact, the same check decided once per symbol, drawing
-only to name a witness; leading_term_shape_three_tests, the lead shape
-decided by a set equality, a distinct count and a per-label comparison;
+only to name a witness; excluded_form_every_box, the excluded-form
+witness with every box tested against every lead on its symbol;
+leading_term_shape_three_tests, the lead shape decided by a set
+equality, a distinct count and a per-label comparison;
 and
 phi_symbol and psi_symbol, the symbol conventions.  poly_term and
-module_term build one-term elements, which the library never does.
+module_term build one-term elements, which the library never does, and
+planted_syzygies a syzygy set of planted members.
 betti_1_by_search counts minimal generators per weight from the
 membership search alone, and betti_2_by_homology the minimal syzygies
 per weight from the homology of the same complexes.
@@ -37,6 +41,7 @@ The library never imports this module.
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import inf
 
 from monocurve.generators import PatilSet, epsilon, tau
 from monocurve.polyring import (Closure, Poly, Reducer, WeightOrder, _exact, mono_div,
@@ -45,7 +50,8 @@ from monocurve.polyring import (Closure, Poly, Reducer, WeightOrder, _exact, mon
 from monocurve.semigroup import (CurveParams, ParameterError, _add_shifted, _times_one_minus,
                                  apery_numerator, make_params)
 from monocurve.report import VerificationReport
-from monocurve.syzygy import ModElement, Phi, Psi, _expected_leads, relation_image, term_to_json
+from monocurve.syzygy import (ModElement, Phi, Psi, SyzygySet, _expected_leads, relation_image,
+                              term_to_json)
 
 
 def _reach(x: int, values: tuple[int, ...]) -> tuple[list, list]:
@@ -117,18 +123,23 @@ def betti_1_by_search(params: CurveParams, weights) -> dict:
     return out
 
 
-def apery_numerator_by_search(params: CurveParams) -> dict:
-    """A(t) * prod_{i=1..p} (1 - t^{m_i}) as {exponent: non-zero coefficient},
-    where A(t) sums t^s over the Apery set Ap(S, m0): the least member of
-    the semigroup in each residue class mod m0, found by semigroup_membership.
-    """
+def apery_set_by_search(params: CurveParams) -> list[int]:
+    """The Apery set Ap(S, m0), ascending: the least member of the semigroup
+    in each residue class mod m0, found by semigroup_membership."""
     m0, least, s = params.m0, {}, 0
     while len(least) < m0:
         if s % m0 not in least and semigroup_membership(params, s) is not None:
             least[s % m0] = s
         s += 1
-    coeffs = [0] * (max(least.values()) + sum(params.generators[1:]) + 1)
-    for s in least.values():
+    return sorted(least.values())
+
+
+def apery_numerator_by_search(params: CurveParams) -> dict:
+    """A(t) * prod_{i=1..p} (1 - t^{m_i}) as {exponent: non-zero coefficient},
+    where A(t) sums t^s over the Apery set (apery_set_by_search)."""
+    least = apery_set_by_search(params)
+    coeffs = [0] * (least[-1] + sum(params.generators[1:]) + 1)
+    for s in least:
         coeffs[s] += 1
     for m in params.generators[1:]:
         for e in range(len(coeffs) - 1, m - 1, -1):
@@ -201,18 +212,24 @@ def numerator_all_pairs(weights, monos, memo=None) -> dict:
     return out
 
 
+def module_sum_by_symbol(curve, leads_of) -> dict:
+    """sum_sym t^{w(image(sym))} K(M_sym) over the curve's symbols, for the
+    lead monomials M_sym = leads_of(sym), with one numerator_all_pairs per
+    symbol."""
+    params, series = curve.params, {}
+    for sym, image in curve.images.items():
+        shift = params.weight(next(iter(image.terms)))
+        _add_shifted(series, numerator_all_pairs(params.exponent_weights, leads_of(sym)), shift)
+    return series
+
+
 def module_identity_by_symbol(curve) -> bool:
     """sum_sym t^{w(image(sym))} K(M_sym) = 1 - N, for the leads M_sym of
-    the curve's syzygy basis on each symbol, with one numerator_all_pairs
-    per symbol: the reference for syzygy._module_identity, which computes
-    one K per distinct lead set."""
-    params, table = curve.params, curve.module_reducer
-    series = {}
-    for sym, image in curve.images.items():
-        leads = table.lead_monomials(sym)
-        shift = params.weight(next(iter(image.terms)))
-        _add_shifted(series, numerator_all_pairs(params.exponent_weights, leads), shift)
-    return series == _add_shifted({0: 1}, apery_numerator(params), sign=-1)
+    the curve's syzygy basis on each symbol (module_sum_by_symbol): the
+    reference for syzygy._module_identity, which computes one K per
+    distinct lead set, or the sum in closed form."""
+    series = module_sum_by_symbol(curve, curve.module_reducer.lead_monomials)
+    return series == _add_shifted({0: 1}, apery_numerator(curve.params), sign=-1)
 
 
 def curve_image(params: CurveParams, f: Poly) -> dict:
@@ -355,6 +372,48 @@ def module_term(nvars: int, mono, sym, coeff=1) -> ModElement:
     return ModElement(nvars, {(tuple(mono), sym): coeff})
 
 
+def planted_syzygies(params: CurveParams, keyed: list) -> SyzygySet:
+    """A syzygy set whose members are keyed, (key, element) pairs in list
+    order, as SyzygySet.keyed() lists them; a key that is a string, for a
+    planted member, is its own label."""
+
+    class Planted(SyzygySet):
+        def keyed(self):
+            return keyed
+
+        def label(self, key):
+            return key if isinstance(key, str) else super().label(key)
+
+    return Planted(params, {}, {}, {})
+
+
+def excluded_form_every_box(curve) -> dict | None:
+    """The witness of excluded-forms-stay-excluded, or None, with every box
+    tested against every lead on its symbol in box order: each of the 2p
+    variable-times-power boxes on Psi(p-b) against all p(p-1)/2 of its
+    predicted leads.  The reference for syzygy.verify_excluded_leading_forms,
+    which tests those boxes only against the leads that can divide a cap."""
+    params = curve.params
+    p, b = params.p, params.b
+    leads = curve.module_reducer.lead_monomials
+    one = mono_one(params.nvars)
+    x0, xp, top = variable_monomial(p, 0, inf), variable_monomial(p, p, inf), Psi(p - b)
+    boxes = [("pure-X0", Psi(j), one, x0) for j in range(0, p - b + 1)]
+    for i in range(1, p + 1):
+        xi = variable_monomial(p, i)
+        boxes.append(("X0-power-times-variable", top, xi, mono_mul(xi, x0)))
+        boxes.append(("Xp-power-times-variable", top, xi, mono_mul(xi, xp)))
+    for i in range(1, p):
+        for j in range(i, p):
+            boxes.append(("low-index-free-Phi", Phi(i, j), one,
+                          (0,) * (j - 1) + (inf,) * (p - j + 2)))
+    for family, sym, low, high in boxes:
+        lead = next((m for m in leads(sym) if mono_divides(m, high)), None)
+        if lead is not None:
+            return {"family": family, "term": term_to_json((mono_lcm(lead, low), sym))}
+    return None
+
+
 def order_projection_by_images(curve, samples: int = 1000, seed: int = 0) -> VerificationReport:
     """The sampled projection check term by term: each sampled term made a
     module element, evaluated by relation_image, its image's lead found by
@@ -416,8 +475,8 @@ def leading_term_shape_three_tests(curve) -> VerificationReport:
     no label's lead differs from its prediction.  The witness lists the
     first three mismatching labels, with "expected" null for a label that
     has no prediction."""
-    labeled = curve.sset.labeled()
-    predicted = _expected_leads(curve.params)
+    labeled, sset = curve.sset.labeled(), curve.sset
+    predicted = {sset.label(key): term for key, term in _expected_leads(curve.params).items()}
     actual = {lab: term for (lab, _), (term, _) in zip(labeled, curve.module_reducer.leads)}
     shape_ok = (set(actual.values()) == set(predicted.values())
                 and len(set(actual.values())) == len(labeled))

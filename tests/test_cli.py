@@ -19,7 +19,7 @@ from monocurve.cli import _build_parser, main, run, verification_bundle
 from monocurve.generators import GeneratorSet, groebner_generators
 from monocurve.polyring import Closure, Poly, Reducer, WeightOrder
 from monocurve.report import VerificationReport
-from oracles import module_term, poly_from_json
+from oracles import module_term, planted_syzygies, poly_from_json
 
 
 def test_info_text(capsys):
@@ -193,14 +193,9 @@ def test_verify_fails_cleanly_on_a_non_groebner_set(monkeypatch, capsys):
 def test_verify_fails_cleanly_on_an_unlabelled_syzygy(monkeypatch, capsys):
     # a syzygy whose label has no predicted lead term fails
     # leading-term-shape with "expected": null, and verify exits 1
-    planted = module_term(4, (0, 0, 0, 0), syzygy.Psi(0))
-
-    class Planted(syzygy.SyzygySet):
-        def labeled(self):
-            return super().labeled() + [("planted", planted)]
-
-    base = syzygy.syzygy_basis(make_params(7, 1, 3))
-    monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: Planted(params, base.A, base.B, base.L))
+    keyed = syzygy.syzygy_basis(make_params(7, 1, 3)).keyed()
+    keyed.append(("planted", module_term(4, (0, 0, 0, 0), syzygy.Psi(0))))
+    monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted_syzygies(params, keyed))
     code = main(["verify", "--m0", "7", "--d", "1", "--p", "3", "--bound", "2", "--format", "json"])
     out, err = capsys.readouterr()
     assert code == 1

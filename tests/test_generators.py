@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -16,6 +17,7 @@ from monocurve.cli import main
 from monocurve.generators import (
     GeneratorSet,
     _certified,
+    _shape_by_mp,
     _minimal_by_count,
     _rank,
     _redundant_by_weight,
@@ -38,6 +40,7 @@ from monocurve.polyring import (
     Poly,
     Reducer,
     WeightOrder,
+    hilbert_numerator,
     mono_divides,
     mono_mul,
     mono_to_name,
@@ -45,12 +48,16 @@ from monocurve.polyring import (
     poly_to_json,
     variable_monomial,
 )
+from monocurve.semigroup import _apery_by_mp, _times_one_minus
 from monocurve.syzygy import Curve
-from oracles import (buchberger, curve_image, parameter_sweep, patil_by_terms, phi_by_subtraction,
-                     poly_term, psi_by_subtraction, s_polynomial, standard_monomials_full_test)
+from oracles import (apery_set_by_search, buchberger, curve_image, parameter_sweep, patil_by_terms,
+                     phi_by_subtraction, poly_term, psi_by_subtraction, s_polynomial,
+                     standard_monomials_full_test)
 
 SWEEP = list(parameter_sweep(range(2, 6), range(1, 4), range(1, 6)))
 SWEEP6 = list(parameter_sweep(range(2, 7), range(1, 4), range(1, 6)))
+# p = 2..8, a = 1..3, every b and every d <= 5 coprime to m0
+GRID8 = list(parameter_sweep(range(2, 9), range(1, 4), range(1, 6)))
 
 
 def test_epsilon_tau():
@@ -935,3 +942,19 @@ def test_verify_reports_serialize(p713):
     assert all(rec["status"] == "pass" for rec in records)
     assert all(rec["params"]["m0"] == 7 for rec in records)
     assert not [c for c in report.checks if not c.passed]
+
+
+def test_the_ring_closed_form_is_k_of_the_predicted_leads_and_sums_the_apery_set():
+    # the closed form S(t)(1 - t^{m_p}) of the ring identity, times the
+    # other p - 1 factors (1 - t^{m_i}), is K(expected_leading_monomials)
+    # by Bigatti's recursion; S(t), summed here over the shape of
+    # standard_shape free of X0, is A(t), summed over the Apery set that
+    # the membership search finds; and the closed form is Selmer's side
+    assert len(GRID8) == 361
+    for pr in GRID8:
+        gens, form = pr.generators, _shape_by_mp(pr)
+        lead_ideal = hilbert_numerator(pr.exponent_weights, expected_leading_monomials(pr))
+        assert _times_one_minus(form, gens[1:-1]) == lead_ideal, pr
+        shape = Counter(pr.weight(m) for m in standard_shape(pr, pr.a) if not m[-1])
+        assert shape == Counter(apery_set_by_search(pr)), pr
+        assert form == _times_one_minus(dict(shape), gens[-1:]) == _apery_by_mp(pr), pr

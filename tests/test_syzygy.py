@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from monocurve import generators, make_params, syzygy
+from monocurve.cli import main
 from monocurve.generators import GeneratorSet, groebner_generators
 from monocurve.polyring import (
     Closure,
@@ -46,18 +47,22 @@ from monocurve.syzygy import (
     verify_order_projection,
     verify_syzygy_basis,
 )
-from monocurve.semigroup import apery_numerator
+from monocurve.semigroup import _add_shifted, apery_numerator
 from oracles import (_symbol_from_json, betti_2_by_homology, buchberger,
-                     leading_term_shape_three_tests, lift, mod_elem_from_json,
-                     module_identity_by_symbol, module_term, order_projection_by_images,
-                     order_projection_exact, parameter_sweep, phi_symbol, poly_term,
-                     s_polynomial, syzygy_A_chained, syzygy_B_lifted, syzygy_L_chained)
+                     excluded_form_every_box, leading_term_shape_three_tests, lift,
+                     mod_elem_from_json, module_identity_by_symbol, module_sum_by_symbol,
+                     module_term, order_projection_by_images,
+                     order_projection_exact, parameter_sweep, phi_symbol, planted_syzygies,
+                     poly_term, s_polynomial, syzygy_A_chained, syzygy_B_lifted,
+                     syzygy_L_chained)
 
 P713 = make_params(7, 1, 3)
 C713 = Curve(P713)
 MORDER = ModuleOrder(P713)
 SWEEP5 = list(parameter_sweep(range(2, 6), range(1, 4), range(1, 6)))
 SWEEP6 = list(parameter_sweep(range(2, 7), range(1, 4), range(1, 6)))
+# p = 2..8, a = 1..3, every b and every d <= 5 coprime to m0
+GRID8 = list(parameter_sweep(range(2, 9), range(1, 4), range(1, 6)))
 
 
 def _x(v, e=1):
@@ -574,11 +579,7 @@ def test_a_failure_after_a_dropped_pair_keeps_the_all_pairs_record(monkeypatch, 
                 + module_term(nv, (0,) * nv, Phi(1, 1))),
                ("T4", module_term(nv, (1, 1, 0, 0), Phi(1, 1)))]
 
-    class Planted(SyzygySet):
-        def labeled(self):
-            return labeled
-
-    monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: Planted(params, {}, {}, {}))
+    monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted_syzygies(params, labeled))
     curve = Curve(p713)
     table = curve.module_reducer
     assert table.pairs() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -594,17 +595,17 @@ PLANTINGS = 12  # per triple, seeded by the triple
 
 def _plant_a_tail_term(curve, rng):
     # one member gains a term below its lead, coefficient -1, 1 or 2
-    morder, labeled = curve.morder, curve.sset.labeled()
+    morder, keyed = curve.morder, curve.sset.keyed()
     symbols = list(curve.images)
     while True:
-        k = rng.randrange(len(labeled))
-        lead, _ = morder.leading_term(labeled[k][1])
+        k = rng.randrange(len(keyed))
+        lead, _ = morder.leading_term(keyed[k][1])
         term = (tuple(rng.randrange(3) for _ in range(curve.params.nvars)), rng.choice(symbols))
         if morder.key(term) < morder.key(lead):
             break
-    planted = list(labeled)
+    planted = list(keyed)
     tail = module_term(curve.params.nvars, *term, rng.choice((-1, 1, 2)))
-    planted[k] = (labeled[k][0], labeled[k][1] + tail)
+    planted[k] = (keyed[k][0], keyed[k][1] + tail)
     return planted
 
 
@@ -617,14 +618,9 @@ def test_criterion_record_matches_the_all_pairs_scan_on_planted_tails(monkeypatc
         failed = 0
         for _ in range(PLANTINGS):
             planted = _plant_a_tail_term(base, rng)
-
-            class Planted(SyzygySet):
-                def labeled(self):
-                    return planted
-
             with monkeypatch.context() as patch:
                 patch.setattr(syzygy, "syzygy_basis",
-                              lambda params: Planted(params, {}, {}, {}))
+                              lambda params: planted_syzygies(params, planted))
                 curve = Curve(pr)
                 # the ring side is not planted: its harvest is the base's
                 patch.setattr(syzygy, "schreyer_relations", lambda curve: rows)
@@ -921,25 +917,21 @@ def test_harvest_record_matches_the_all_pairs_scan_with_each_member_dropped(monk
     # although the S-vectors of what is left still reduce in the pinned
     # number of drops
     base = Curve(make_params(*triple))
-    rows, labeled = list(schreyer_relations(base)), base.sset.labeled()
+    rows, keyed = list(schreyer_relations(base)), base.sset.keyed()
     monkeypatch.setattr(syzygy, "schreyer_relations", lambda curve: rows)
     assert base.ring_certified()
     passed = 0
-    for k in range(len(labeled)):
-        planted = labeled[:k] + labeled[k + 1:]
-
-        class Planted(SyzygySet):
-            def labeled(self):
-                return planted
-
+    for k in range(len(keyed)):
+        planted = keyed[:k] + keyed[k + 1:]
+        label = base.sset.label(keyed[k][0])
         # the ring side is the base's, its harvest and verdict included
         curve = copy.copy(base)
-        curve.sset = Planted(base.params, {}, {}, {})
+        curve.sset = planted_syzygies(base.params, planted)
         curve.module_reducer = Reducer(base.morder, [g for _, g in planted])
         report = verify_syzygy_basis(curve)
         harvest = _record(report, "harvested-relations-reduce")
-        assert harvest == _all_pairs_harvest_record(curve, rows), labeled[k][0]
-        assert not harvest[0], labeled[k][0]
+        assert harvest == _all_pairs_harvest_record(curve, rows), label
+        assert not harvest[0], label
         passed += _record(report, "s-vectors-reduce")[0]
     assert passed == shortcuts
 
@@ -994,6 +986,77 @@ def test_module_identity_matches_the_per_symbol_reference(triple):
         assert not module_identity_by_symbol(curve), (triple, k)
 
 
+def test_the_module_closed_form_is_the_per_symbol_sum_of_the_predicted_leads():
+    # the Horner sum of the module identity equals one numerator_all_pairs
+    # per symbol over the predicted lead sets, and it is 1 - N
+    assert len(GRID8) == 361
+    for pr in GRID8:
+        curve = Curve(pr)
+        predicted = {}
+        for mono, sym in syzygy._expected_leads(pr).values():
+            predicted.setdefault(sym, []).append(mono)
+        form = syzygy._shape_module_sum(curve)
+        assert form == module_sum_by_symbol(curve, lambda sym: predicted.get(sym, [])), pr
+        assert form == _add_shifted({0: 1}, apery_numerator(pr), sign=-1), pr
+
+
+def _count_bigatti(monkeypatch):
+    # every lead set that reaches Bigatti's recursion, from either identity
+    calls, numerator = [], hilbert_numerator
+
+    def counted(weights, monos):
+        calls.append(monos)
+        return numerator(weights, monos)
+
+    monkeypatch.setattr(generators, "hilbert_numerator", counted)
+    monkeypatch.setattr(syzygy, "hilbert_numerator", counted)
+    return calls
+
+
+def test_only_leads_off_the_prediction_reach_bigattis_recursion(monkeypatch, capsys):
+    calls = _count_bigatti(monkeypatch)
+    pr = make_params(17, 3, 8)
+    assert main(["verify", "--m0", "17", "--d", "3", "--p", "8"]) == 0
+    assert calls == []
+    # the half lead keeps every lead, and lies outside the ideal: the ring
+    # identity is never asked, and members-are-relations fails before the
+    # module identity is
+    x2x0 = mono_mul(variable_monomial(6, 2), variable_monomial(6, 0))
+    half = Poly(7, {variable_monomial(6, 1, 2): 2, x2x0: -1})
+    with monkeypatch.context() as patch:
+        patch.setattr(syzygy, "groebner_generators", _replace_phi11(half))
+        assert main(["verify", "--m0", "13", "--d", "2", "--p", "6"]) == 1
+    assert calls == []
+    capsys.readouterr()
+    # leads off the prediction on a Groebner basis: a multiple and a
+    # negation of phi(1,1) after G, and two members' keys swapped, still
+    # certify, by the recursion
+    with monkeypatch.context() as patch:
+        patch.setattr(syzygy, "groebner_generators", _with_multiple_and_negation)
+        curve = Curve(pr)
+    assert not curve.ring_shape() and curve.ring_certified()
+    assert len(calls) == 1
+    keyed = syzygy_basis(pr).keyed()
+    with monkeypatch.context() as patch:
+        patch.setattr(syzygy, "syzygy_basis",
+                      lambda params: planted_syzygies(params, _swap(keyed, 0, len(keyed) // 2)))
+        curve = Curve(pr)
+    assert not curve.module_shape() and syzygy._module_identity(curve)
+    assert len(calls) > 1
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6)])
+def test_a_lead_that_no_key_names_fails_the_module_shape(triple):
+    # a module Reducer holding one member past the keyed basis: X0*Psi(0)
+    # enlarges the lead module, so the identity, by the recursion, fails
+    base = Curve(make_params(*triple))
+    assert base.module_shape()
+    curve = copy.copy(base)
+    extra = module_term(base.params.nvars, variable_monomial(base.params.p, 0), Psi(0))
+    curve.module_reducer = Reducer(base.morder, base.sset.elements() + [extra])
+    assert not curve.module_shape() and not syzygy._module_identity(curve)
+
+
 @pytest.mark.parametrize("triple", [(7, 1, 3), (8, 3, 2)])
 def test_the_half_lead_plant_fails_the_ring_hypothesis(monkeypatch, triple):
     # 2*X1^2 - X2*X0 keeps every lead, so K(LT(G)) = N still holds; only the
@@ -1025,18 +1088,18 @@ def _shape_record(report):
     return [rec for rec in report.to_records() if rec["check"] == "leading-term-shape"]
 
 
-def _swap(labeled, i, j):
-    planted = list(labeled)
-    planted[i], planted[j] = (labeled[i][0], labeled[j][1]), (labeled[j][0], labeled[i][1])
+def _swap(keyed, i, j):
+    planted = list(keyed)
+    planted[i], planted[j] = (keyed[i][0], keyed[j][1]), (keyed[j][0], keyed[i][1])
     return planted
 
 
 SHAPE_PLANTS = {
-    "dropped-member": lambda labeled: labeled[:1] + labeled[2:],
-    "extra-label": lambda labeled: labeled + [("planted", labeled[0][1])],
-    "repeated-label": lambda labeled: labeled + [labeled[-1]],
-    "swapped-leads": lambda labeled: _swap(labeled, 0, len(labeled) // 2),
-    "repeated-lead": lambda labeled: labeled[:-1] + [(labeled[-1][0], labeled[0][1])],
+    "dropped-member": lambda keyed: keyed[:1] + keyed[2:],
+    "extra-label": lambda keyed: keyed + [("planted", keyed[0][1])],
+    "repeated-label": lambda keyed: keyed + [keyed[-1]],
+    "swapped-leads": lambda keyed: _swap(keyed, 0, len(keyed) // 2),
+    "repeated-lead": lambda keyed: keyed[:-1] + [(keyed[-1][0], keyed[0][1])],
 }
 
 
@@ -1054,14 +1117,8 @@ def test_the_lead_shape_map_comparison_matches_the_three_tests_on_plants(monkeyp
                                                                        plant):
     # each plant fails the shape; a dropped member and a repeated label
     # leave no label mismatching its prediction, so the witness lists none
-    base = syzygy_basis(make_params(*triple))
-    planted = SHAPE_PLANTS[plant](base.labeled())
-
-    class Planted(SyzygySet):
-        def labeled(self):
-            return planted
-
-    monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: Planted(params, {}, {}, {}))
+    planted = SHAPE_PLANTS[plant](syzygy_basis(make_params(*triple)).keyed())
+    monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted_syzygies(params, planted))
     curve = Curve(make_params(*triple))
     (record,) = _shape_record(verify_syzygy_basis(curve))
     assert [record] == _shape_record(leading_term_shape_three_tests(curve))
@@ -1117,13 +1174,9 @@ def test_module_lead_check_finds_a_planted_dividing_lead(monkeypatch, triple, be
         "lone": module_term(nv, (0,) * nv, Phi(1, 1)),  # no other lead on Phi(1,1)
     }[plant]
 
-    class Planted(SyzygySet):
-        def labeled(self):
-            extra = [("planted", planted)]
-            return extra + super().labeled() if before else super().labeled() + extra
-
-    monkeypatch.setattr(syzygy, "syzygy_basis",
-                        lambda params: Planted(params=params, A=base.A, B=base.B, L=base.L))
+    extra = [("planted", planted)]
+    keyed = extra + base.keyed() if before else base.keyed() + extra
+    monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted_syzygies(params, keyed))
     curve = Curve(pr)
     record = _module_leads_record(curve)
     assert record == _module_leads_double_loop(curve)
@@ -1249,6 +1302,35 @@ def test_excluded_forms_catch_a_lead_past_the_box(monkeypatch, mono, sym, family
     assert not check.passed
     assert check.detail == f"{len(members)} family members with exponents <= 3"
     assert check.witness == {"family": family, "term": term_to_json((witness, sym))}
+
+
+@pytest.mark.parametrize("triple", [(13, 2, 6), (17, 3, 8)])
+def test_excluded_forms_test_only_the_leads_that_can_divide_a_cap(monkeypatch, triple):
+    # two members led on Psi(p-b) planted, one before the basis and one
+    # after it: powers of X0 or X_p, one variable times such a power, and
+    # leads that divide no cap; the witness, the first box hit and its
+    # first lead, is that of every box tested against every lead
+    pr = make_params(*triple)
+    p, top, keyed = pr.p, Psi(pr.p - pr.b), syzygy_basis(pr).keyed()
+
+    def x(v, e=1):
+        return variable_monomial(p, v, e)
+
+    monos = [x(0, 3), x(p, 4), mono_mul(x(3), x(0, 2)), mono_mul(x(p), x(0)),
+             mono_mul(x(2), x(p, 5)), mono_mul(x(p - 1), x(p, 2)), mono_mul(x(1), x(2)), x(2, 2),
+             mono_mul(mono_mul(x(1), x(p)), x(0))]
+    families = Counter()
+    for first, last in itertools.product(monos, repeat=2):
+        planted = [("planted", module_term(pr.nvars, first, top)), *keyed,
+                   ("planted", module_term(pr.nvars, last, top))]
+        monkeypatch.setattr(syzygy, "syzygy_basis",
+                            lambda params: planted_syzygies(params, planted))
+        curve = Curve(pr)
+        (check,) = verify_excluded_leading_forms(curve, 2).checks
+        assert check.witness == excluded_form_every_box(curve), (first, last)
+        families[None if check.passed else check.witness["family"]] += 1
+    assert families.keys() == {None, "pure-X0", "X0-power-times-variable",
+                               "Xp-power-times-variable"}
 
 
 def test_excluded_instances(p713):
