@@ -248,10 +248,10 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
     G itself; and the reduced Groebner basis of the ideal of G has no new
     leading monomial.  The identity K(LT(G)) = N, once every element lies
     in the curve ideal, decides both Groebner claims
-    (Curve.ring_certified): in closed form when the first check passes,
-    whose comparison the Curve keeps (Curve.ring_shape), and by Bigatti's
-    recursion on any other lead set.  The S-pair detail then counts every
-    pair, and the reduced basis leads with the minimal leads of G.  Otherwise every
+    (Curve.ring_certified): in closed form when the leads are the
+    predicted ones, as the first check finds, and by Bigatti's recursion
+    on any other lead set.  The S-pair detail then counts every pair, and
+    the reduced basis leads with the minimal leads of G.  Otherwise every
     pair is divided x-major, and the first non-zero remainder is the
     witness; and the triple's one closure (Curve.closure), closed
     untruncated, is a Groebner basis of the ideal of G.
@@ -269,13 +269,19 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
     labels = [lab for lab, _ in curve.gset.labeled()]
     report = VerificationReport(params)
 
-    actual, shaped, witness = set(table.lead_monomials()), curve.ring_shape(), None
-    if not shaped:
-        expected = expected_leading_monomials(params)
-        witness = {"unexpected": sorted(map(list, actual - expected)),
-                   "missing": sorted(map(list, expected - actual))}
-    report.add("leading-term-set", shaped, detail=f"{len(actual)} leading monomials",
-               witness=witness)
+    expected = expected_leading_monomials(params)
+    actual = set(table.lead_monomials())
+    report.add(
+        "leading-term-set",
+        actual == expected,
+        detail=f"{len(actual)} leading monomials",
+        witness=None
+        if actual == expected
+        else {
+            "unexpected": sorted(map(list, actual - expected)),
+            "missing": sorted(map(list, expected - actual)),
+        },
+    )
 
     witness, leads, pairs = None, actual, table.pair_count()
     if not curve.ring_certified():
@@ -337,27 +343,25 @@ def _shape_by_mp(params: CurveParams) -> dict:
     return series
 
 
-def _certified(table: Reducer, shaped: bool = False) -> bool:
+def _certified(table: Reducer) -> bool:
     """Whether the basis G of the ring Reducer table, of one weight per
     element (see _mixed_weight), is a Groebner basis of the curve ideal I:
     each element lies in I, as its coefficients sum to 0, and K(LT(G)) =
     N.  Then <LT(G)>, inside LT(I), has the Hilbert series of I and equals
     it (Macaulay; Cox, Little, O'Shea, sections 5.2 and 2.7).
 
-    shaped says that the leads of G are expected_leading_monomials (the
-    leading-term-set comparison, Curve.ring_shape).  The standard
-    monomials of LT(G) are then X0^e times the shape X_p^n * u, a free
+    When the leads of G are expected_leading_monomials, the standard
+    monomials of LT(G) are X0^e times the shape X_p^n * u, a free
     K[X0]-module, so K(LT(G)) = S(t) prod_{i=1..p}(1 - t^{m_i}) and N =
     A(t) prod_{i=1..p}(1 - t^{m_i}): the identity is S(t)(1 - t^{m_p}) =
     A(t)(1 - t^{m_p}), O(p) terms on each side (_shape_by_mp,
     semigroup._apery_by_mp).  Any other lead set goes to Bigatti's
     recursion (polyring.hilbert_numerator)."""
-    params = table.order.params
+    params, leads = table.order.params, table.lead_monomials()
     if any(sum(g.terms.values()) for g in table.basis):
         return False
-    if shaped:
+    if set(leads) == expected_leading_monomials(params):
         return _shape_by_mp(params) == _apery_by_mp(params)
-    leads = table.lead_monomials()
     return hilbert_numerator(params.exponent_weights, leads) == apery_numerator(params)
 
 

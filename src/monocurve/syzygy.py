@@ -43,7 +43,7 @@ Both Groebner claims are decided by one Hilbert-series identity each
 numerator of the curve ideal (semigroup.apery_numerator), and K, that of
 a monomial ideal.  When the leads are the predicted ones, as the
 leading-term-set and leading-term-shape comparisons find them
-(Curve.ring_shape, Curve.module_shape), each K is known in closed form
+(generators._certified, Curve.module_shape), each K is known in closed form
 and the identity compares O(p) series terms with Selmer's; any other
 lead set goes to Bigatti's recursion (polyring.hilbert_numerator).  A
 passing triple divides no S-pair; when an identity or a hypothesis
@@ -72,7 +72,6 @@ from .generators import (
     _family_psi,
     _units,
     epsilon,
-    expected_leading_monomials,
     groebner_generators,
     patil_generators,
     tau,
@@ -381,17 +380,17 @@ class Curve:
     order, the one copy of G the ring checks read; images maps each module
     symbol, of A, B and L, to its binomial; module_reducer divides by the
     syzygy basis in label order.  The key caches grow as the checks run,
-    and ring_certified() and closure() are computed on first use;
-    everything else is read, never changed, so a caller that extends a
-    basis builds its own Reducer.  Only a check whose certificate fails
-    builds the closure: a passing verify, deep or shallow, builds none.
-    ring_shape() and module_shape() are computed once per Reducer they
-    read, so a copy given a Reducer of its own decides them afresh.
+    and ring_certified(), module_shape() and closure() are computed on
+    first use; everything else is read, never changed, so a caller that
+    extends a basis builds its own Reducer, and a copy given another
+    Reducer clears what was computed from the old one.  Only a check
+    whose certificate fails builds the closure: a passing verify, deep or
+    shallow, builds none.
     """
 
     __slots__ = ("params", "morder", "order", "gset", "patil", "sset", "images",
                  "ring_reducer", "module_reducer", "_ring_certified", "_closure",
-                 "_ring_shape", "_module_shape")
+                 "_module_shape")
 
     def __init__(self, params: CurveParams):
         self.params = params
@@ -404,17 +403,7 @@ class Curve:
         self.images.update((Psi(j), g) for j, g in sorted(self.gset.psis.items()))
         self.ring_reducer = Reducer(self.order, self.gset.polynomials())
         self.module_reducer = Reducer(self.morder, self.sset.elements())
-        self._ring_certified = self._closure = None
-        self._ring_shape = self._module_shape = (None, None)
-
-    def ring_shape(self) -> bool:
-        """Whether the leads of G are expected_leading_monomials: the
-        comparison that leading-term-set reports, made once."""
-        table = self.ring_reducer
-        if self._ring_shape[0] is not table:
-            shaped = set(table.lead_monomials()) == expected_leading_monomials(self.params)
-            self._ring_shape = (table, shaped)
-        return self._ring_shape[1]
+        self._ring_certified = self._closure = self._module_shape = None
 
     def module_shape(self) -> bool:
         """Whether each member of the syzygy basis leads with its predicted
@@ -422,23 +411,20 @@ class Curve:
         The predicted leads are pairwise distinct, so one map comparison,
         keyed by family and index tuple, decides it; the length tests catch
         a repeated key, which the map hides, and a lead no key names."""
-        table = self.module_reducer
-        if self._module_shape[0] is not table:
-            keyed = self.sset.keyed()
+        if self._module_shape is None:
+            table, keyed = self.module_reducer, self.sset.keyed()
             actual = _lead_map(keyed, table)
-            shaped = (actual == _expected_leads(self.params)
-                      and len(actual) == len(keyed) == len(table.leads))
-            self._module_shape = (table, shaped)
-        return self._module_shape[1]
+            self._module_shape = (actual == _expected_leads(self.params)
+                                  and len(actual) == len(keyed) == len(table.leads))
+        return self._module_shape
 
     def ring_certified(self) -> bool:
         """Whether G, each element of one weight, is a Groebner basis of
-        the curve ideal (generators._certified), computed once; in closed
-        form when its leads are the predicted ones (ring_shape)."""
+        the curve ideal (generators._certified), computed once."""
         if self._ring_certified is None:
             table = self.ring_reducer
             self._ring_certified = (_mixed_weight(self.params, enumerate(table.basis)) is None
-                                    and _certified(table, self.ring_shape()))
+                                    and _certified(table))
         return self._ring_certified
 
     def closure(self) -> tuple[Closure, list]:
@@ -566,9 +552,20 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     params, morder, table, sset = curve.params, curve.morder, curve.module_reducer, curve.sset
     report = VerificationReport(params)
 
+    keyed = []
+
+    def members() -> list:
+        # sset.keyed(), listed once, by the first witness that names a
+        # member: on a large basis the list is megabytes that a passing
+        # verify never reads
+        if not keyed:
+            keyed.extend(sset.keyed())
+        return keyed
+
     def label(k: int) -> str:
-        # the k-th member's label, spelled only for a witness
-        return sset.label(sset.keyed()[k][0])
+        # the k-th member's label; a member past the keyed basis is named
+        # by its place
+        return sset.label(members()[k][0]) if k < len(members()) else f"member {k}"
 
     bad = None
     for k, g in enumerate(table.basis):
@@ -584,7 +581,7 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     shape_ok, bad = curve.module_shape(), None
     if not shape_ok:
         predicted, mismatch = _expected_leads(params), []
-        for key, term in _lead_map(sset.keyed(), table).items():
+        for key, term in _lead_map(members(), table).items():
             want = predicted.get(key)  # None for a key with no prediction
             if term != want:
                 mismatch.append({"element": sset.label(key), "computed": term_to_json(term),

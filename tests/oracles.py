@@ -375,7 +375,8 @@ def module_term(nvars: int, mono, sym, coeff=1) -> ModElement:
 def planted_syzygies(params: CurveParams, keyed: list) -> SyzygySet:
     """A syzygy set whose members are keyed, (key, element) pairs in list
     order, as SyzygySet.keyed() lists them; a key that is a string, for a
-    planted member, is its own label."""
+    planted member, is its own label.  Its A, B and L hold the members
+    keyed by family, so counts() counts those and no planted member."""
 
     class Planted(SyzygySet):
         def keyed(self):
@@ -384,7 +385,9 @@ def planted_syzygies(params: CurveParams, keyed: list) -> SyzygySet:
         def label(self, key):
             return key if isinstance(key, str) else super().label(key)
 
-    return Planted(params, {}, {}, {})
+    families = [{key[1]: g for key, g in keyed if isinstance(key, tuple) and key[0] == family}
+                for family in "ABL"]
+    return Planted(params, *families)
 
 
 def excluded_form_every_box(curve) -> dict | None:

@@ -192,15 +192,19 @@ def test_verify_fails_cleanly_on_a_non_groebner_set(monkeypatch, capsys):
 
 def test_verify_fails_cleanly_on_an_unlabelled_syzygy(monkeypatch, capsys):
     # a syzygy whose label has no predicted lead term fails
-    # leading-term-shape with "expected": null, and verify exits 1
-    keyed = syzygy.syzygy_basis(make_params(7, 1, 3)).keyed()
+    # leading-term-shape with "expected": null, and verify exits 1; the
+    # payload counts the A/B/L members only
+    base = syzygy.syzygy_basis(make_params(7, 1, 3))
+    keyed = base.keyed()
     keyed.append(("planted", module_term(4, (0, 0, 0, 0), syzygy.Psi(0))))
     monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted_syzygies(params, keyed))
     code = main(["verify", "--m0", "7", "--d", "1", "--p", "3", "--bound", "2", "--format", "json"])
     out, err = capsys.readouterr()
     assert code == 1
     assert "Traceback" not in err
-    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    payload = json.loads(out)
+    assert payload["counts"]["syzygies"] == base.counts()
+    checks = {c["check"]: c for c in payload["checks"]}
     assert checks["leading-term-shape"]["witness"] == {"mismatches": [{
         "element": "planted", "computed": {"expo": [0, 0, 0, 0], "basis": {"kind": "Psi", "j": 0}},
         "expected": None}]}

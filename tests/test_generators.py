@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from monocurve import make_params
+from monocurve import generators, make_params
 from monocurve.cli import main
 from monocurve.generators import (
     GeneratorSet,
@@ -544,6 +544,18 @@ def _closures_of(monkeypatch) -> list:
     return built
 
 
+def _count_bigatti(monkeypatch):
+    # every lead set that _certified hands to Bigatti's recursion
+    calls = []
+
+    def counted(weights, monos):
+        calls.append(monos)
+        return hilbert_numerator(weights, monos)
+
+    monkeypatch.setattr(generators, "hilbert_numerator", counted)
+    return calls
+
+
 def test_closed_form_check_closes_the_classical_set(monkeypatch, p713):
     # the same h in place of psi_1,0 keeps the classical ideal, but psi(1,0)
     # then reduces to zero only after the S-pair of h and phi_1 at weight 28
@@ -559,8 +571,10 @@ def test_closed_form_check_closes_the_classical_set(monkeypatch, p713):
     assert normal_form(curve.gset.psis[0], Reducer(order, curve.patil.polynomials()))[0]
     # so division by the classical set leaves a remainder, and its closure
     # decides the record; h leads with X2^2*X3 where psi_1,0 led with X1*X3,
-    # so K(LT) fails too
+    # so K(LT), by Bigatti's recursion on leads off the prediction, fails too
+    calls = _count_bigatti(monkeypatch)
     assert not _certified(Reducer(order, curve.patil.polynomials()))
+    assert len(calls) == 1
     built = _closures_of(monkeypatch)
     checks = {c.name: c for c in verify_ideal_equality(curve).checks}
     assert built == [curve.patil.polynomials()]
@@ -586,8 +600,11 @@ def test_closed_form_check_reports_the_full_normal_form(monkeypatch, triple):
     assert remainder
     curve = Curve(pr)
     # bad lies outside the ideal, so it leaves a remainder by the classical
-    # set, a Groebner basis of the curve ideal, and the closure runs
+    # set, a Groebner basis of the curve ideal whose leads are the predicted
+    # ones, so certified in closed form, and the closure runs
+    calls = _count_bigatti(monkeypatch)
     assert _certified(Reducer(order, curve.patil.polynomials()))
+    assert calls == []
     assert normal_form(bad, Reducer(order, curve.patil.polynomials()))[0]
     built = _closures_of(monkeypatch)
     check = {c.name: c for c in verify_ideal_equality(curve).checks}["closed-form-set-reduces"]

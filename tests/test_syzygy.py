@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 from monocurve import generators, make_params, syzygy
 from monocurve.cli import main
-from monocurve.generators import GeneratorSet, groebner_generators
+from monocurve.generators import GeneratorSet, expected_leading_monomials, groebner_generators
 from monocurve.polyring import (
     Closure,
     Poly,
@@ -928,6 +928,7 @@ def test_harvest_record_matches_the_all_pairs_scan_with_each_member_dropped(monk
         curve = copy.copy(base)
         curve.sset = planted_syzygies(base.params, planted)
         curve.module_reducer = Reducer(base.morder, [g for _, g in planted])
+        curve._module_shape = None
         report = verify_syzygy_basis(curve)
         harvest = _record(report, "harvested-relations-reduce")
         assert harvest == _all_pairs_harvest_record(curve, rows), label
@@ -969,6 +970,7 @@ def test_sampled_dropped_syzygies_fail_the_module_identity(triple):
     for k in rng.sample(range(len(elements)), min(len(elements), 20)):
         curve = copy.copy(base)
         curve.module_reducer = Reducer(base.morder, elements[:k] + elements[k + 1:])
+        curve._module_shape = None
         assert not syzygy._module_identity(curve), (triple, k)
 
 
@@ -982,6 +984,7 @@ def test_module_identity_matches_the_per_symbol_reference(triple):
     for k in random.Random(sum(triple)).sample(range(len(elements)), 2):
         curve = copy.copy(base)
         curve.module_reducer = Reducer(base.morder, elements[:k] + elements[k + 1:])
+        curve._module_shape = None
         assert not syzygy._module_identity(curve), (triple, k)
         assert not module_identity_by_symbol(curve), (triple, k)
 
@@ -1034,7 +1037,8 @@ def test_only_leads_off_the_prediction_reach_bigattis_recursion(monkeypatch, cap
     with monkeypatch.context() as patch:
         patch.setattr(syzygy, "groebner_generators", _with_multiple_and_negation)
         curve = Curve(pr)
-    assert not curve.ring_shape() and curve.ring_certified()
+    assert set(curve.ring_reducer.lead_monomials()) != expected_leading_monomials(pr)
+    assert curve.ring_certified()
     assert len(calls) == 1
     keyed = syzygy_basis(pr).keyed()
     with monkeypatch.context() as patch:
@@ -1048,13 +1052,21 @@ def test_only_leads_off_the_prediction_reach_bigattis_recursion(monkeypatch, cap
 @pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6)])
 def test_a_lead_that_no_key_names_fails_the_module_shape(triple):
     # a module Reducer holding one member past the keyed basis: X0*Psi(0)
-    # enlarges the lead module, so the identity, by the recursion, fails
+    # enlarges the lead module, so the identity, by the recursion, fails;
+    # the report names the member by its place and lists no mismatch
     base = Curve(make_params(*triple))
     assert base.module_shape()
     curve = copy.copy(base)
     extra = module_term(base.params.nvars, variable_monomial(base.params.p, 0), Psi(0))
     curve.module_reducer = Reducer(base.morder, base.sset.elements() + [extra])
+    curve._module_shape = None
     assert not curve.module_shape() and not syzygy._module_identity(curve)
+    n = len(base.sset)
+    checks = {c.name: c for c in verify_syzygy_basis(curve).checks}
+    assert checks["members-are-relations"].witness["element"] == f"member {n}"
+    assert checks["members-are-relations"].detail == f"{n + 1} members"
+    assert checks["leading-term-shape"].witness == {"mismatches": []}
+    assert not checks["s-vectors-reduce"].passed
 
 
 @pytest.mark.parametrize("triple", [(7, 1, 3), (8, 3, 2)])
