@@ -137,18 +137,13 @@ def _cmd_syzygies(args: argparse.Namespace) -> tuple[bool, list[str] | dict]:
         for lab, g in sset.labeled():
             lines.append(f"  {lab} = {syzygy.format_mod_elem(morder, g)}")
         return True, lines
-    return True, {
-        "params": params.to_dict(),
-        "counts": counts,
-        "elements": [
-            {
-                "label": lab,
-                "terms": syzygy.mod_elem_to_json(morder, g),
-                "leading_term": syzygy.term_to_json(morder.leading_term(g)[0]),
-            }
-            for lab, g in sset.labeled()
-        ],
-    }
+    elements = []
+    for lab, g in sset.labeled():
+        # the terms sorted once: the first is the leading term
+        terms = syzygy.mod_elem_to_json(morder, g)
+        lead = {"expo": terms[0]["expo"], "basis": terms[0]["basis"]}
+        elements.append({"label": lab, "terms": terms, "leading_term": lead})
+    return True, {"params": params.to_dict(), "counts": counts, "elements": elements}
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[bool, list[str] | dict]:

@@ -560,7 +560,8 @@ def verify_standard_monomials(curve: Curve, bound: int) -> VerificationReport:
     exactly when their minimal generators are, so the standard monomials
     are the shape exactly when the minimal leads of G are E.  The weights
     then differ (_shape_weights_distinct), and the details count the
-    shape's members with exponents <= bound, and their pairs.
+    shape's members with exponents <= bound, in closed form, and their
+    pairs: a passing check allocates nothing of the bound's size.
 
     Only a failing shape walks the box, for its witness: the order-ideal
     walk (standard_monomials) is compared with standard_shape, and a
@@ -578,9 +579,11 @@ def verify_standard_monomials(curve: Curve, bound: int) -> VerificationReport:
 
     leads, expected = curve.ring_reducer.lead_monomials(), expected_leading_monomials(params)
     exact = set(leads) == expected or set(_minimal(leads)) == expected
-    mismatch = None
+    mismatch = std = None
     if exact:
-        std = standard_shape(params, bound)
+        # the shape's size: per u = X_i (1 at i = 0), n <= top and e <= bound
+        p, a, b = params.p, params.a, params.b
+        n = sum((min(a - 1 if i >= b else a, bound) + 1) * (bound + 1) for i in range(p))
     else:
         std = standard_monomials(curve, bound)
         walked = set(std)
@@ -595,16 +598,18 @@ def verify_standard_monomials(curve: Curve, bound: int) -> VerificationReport:
             # is not a minimal lead is
             mono = min(expected.symmetric_difference(_minimal(leads)))
             mismatch = {"monomial": list(mono), "outside_lt_ideal": mono in expected}
+        n = len(std)
     report.add(
         "standard-monomial-shape",
         mismatch is None,
-        detail=f"{len(std)} standard monomials with exponents <= {bound}",
+        detail=f"{n} standard monomials with exponents <= {bound}",
         witness=mismatch,
     )
 
-    n = len(std)
     checked, collision = n * (n - 1) // 2, None
     if not (exact and _shape_weights_distinct(params)):
+        if std is None:
+            std = standard_shape(params, bound)
         # the first colliding (x, y) in pair order, and the pairs tried up to it
         first, pairs = {}, []
         for y, mono in enumerate(std):

@@ -260,10 +260,13 @@ class TermOrder:
 
     Each subclass defines its key once, in uncached_key(), which fills no
     cache; key(), here, memoizes it in the dict _cache, term to key, which
-    Reducer.divide fills and reads directly.  A term keyed only once, as
-    each sampled term of syzygy.verify_order_projection, is keyed by
-    uncached_key().  leading_term is written out on each subclass, so that
-    the calls of each order can be counted on its own class.
+    Reducer.divide fills and reads directly, and sorted_terms, for output.
+    A term keyed only once is keyed as uncached_key() keys it: each sampled
+    term of syzygy.verify_order_projection, and each term of a syzygy
+    member whose lead syzygy.ModuleOrder.leading_term finds, once, as the
+    member's Reducer row is built.  leading_term is written out on each
+    subclass, so that the calls of each order can be counted on its own
+    class.
     """
 
     def key(self, term):

@@ -61,7 +61,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import inf
-from operator import add, sub
+from operator import add, lshift, mul, sub
 from typing import NamedTuple
 
 from .generators import (
@@ -152,18 +152,73 @@ class ModElement(SparseMap):
 
 
 def relation_image(curve: Curve, elem: ModElement) -> Poly:
-    """Evaluate an element: sum of coeff * monomial * symbol image."""
-    images = curve.images
-    acc = {}
-    for (mono, sym), c in elem.terms.items():
-        for m2, c2 in images[sym].terms.items():
-            mm = tuple(map(add, mono, m2))
-            v = acc.get(mm, 0) + c * c2
-            if v:
-                acc[mm] = v
-            else:
-                del acc[mm]
-    return Poly._raw(curve.params.nvars, acc)
+    """Evaluate an element: sum of coeff * monomial * symbol image.
+
+    A ring product on packed monomials (Curve.packing): each monomial of
+    the images and of the elements is packed into one int once per Curve,
+    so a product is one integer addition and the sum is keyed by ints.  A
+    monomial not packed yet is packed with the rest of the element, and
+    the sum starts again, as that may have widened every field.  Only a
+    non-zero image is unpacked into the Poly it returns.
+    """
+    pack, terms = curve.packing(), elem.terms
+    while True:
+        codes, images, acc = pack.codes, pack.images, {}
+        for (mono, sym), c in terms.items():
+            code = codes.get(mono)
+            if code is None:
+                break
+            for code2, c2 in images[sym]:
+                mm = code + code2
+                v = acc.get(mm, 0) + c * c2
+                if v:
+                    acc[mm] = v
+                else:
+                    del acc[mm]
+        else:
+            return Poly._raw(curve.params.nvars, pack.unpack(acc) if acc else acc)
+        pack.add(mono for mono, _ in terms)
+
+
+class _Packing:
+    """The monomials relation_image has met on one Curve, each packed into
+    one int, variable k in bits [k * width, (k + 1) * width): codes maps a
+    monomial to its int, and images each symbol to its binomial's terms as
+    (int, coefficient) pairs.  Every exponent packed is below
+    2**(width - 1), so the int of a product of two packed monomials is the
+    sum of theirs, with no carry from one field into the next; a monomial
+    with a larger exponent re-packs every monomial at a wider width."""
+
+    __slots__ = ("nvars", "width", "codes", "images", "_binomials")
+
+    def __init__(self, nvars: int, binomials: dict):
+        self.nvars, self.width, self.codes, self.images = nvars, 0, {}, {}
+        self._binomials = binomials
+        self.add(m for g in binomials.values() for m in g.terms)
+
+    def add(self, monos) -> None:
+        """Pack each monomial of monos that is not packed yet."""
+        codes = self.codes
+        new = {m for m in monos if m not in codes}
+        if not new:
+            return
+        width = max(map(max, new)).bit_length() + 1
+        widen = width > self.width
+        if widen:
+            self.width = width
+            new.update(codes)
+        shifts = range(0, self.width * self.nvars, self.width)
+        for m in new:
+            codes[m] = sum(map(lshift, m, shifts))
+        if widen:
+            self.images = {sym: [(codes[m], c) for m, c in g.terms.items()]
+                           for sym, g in self._binomials.items()}
+
+    def unpack(self, acc: dict) -> dict:
+        """acc, keyed by packed ints, keyed by exponent tuples."""
+        width, mask = self.width, (1 << self.width) - 1
+        shifts = range(0, width * self.nvars, width)
+        return {tuple(code >> s & mask for s in shifts): c for code, c in acc.items()}
 
 
 def _stamp(params: CurveParams, sym) -> Mono:
@@ -192,6 +247,13 @@ class ModuleOrder(TermOrder):
     and the negated reversed exponents of its stamp, and its tie-break,
     are computed once, and a term's key is theirs shifted by m: no
     product is built and the ring order's cache stays as it is.
+
+    leading_term() keys each term as uncached_key() does, with the
+    per-symbol parts and the weights bound once per call, and fills no
+    memo: a member's lead is found once, as its Reducer row is built, and
+    its terms are keyed again only by a division.  So the memo fills only
+    in Reducer.divide and in sorted_terms, for output, and a passing verify
+    leaves it empty.
     """
 
     def __init__(self, params: CurveParams):
@@ -213,8 +275,21 @@ class ModuleOrder(TermOrder):
     def leading_term(self, elem: ModElement):
         if not elem.terms:
             raise ZeroPolynomialError("the zero element has no leading term")
-        term = max(elem.terms, key=self.key)
-        return term, elem.terms[term]
+        # uncached_key, with the per-symbol parts and the weights bound here
+        symbols, weights = self._symbols, self.params.exponent_weights
+        lead = top = None
+        for term in elem.terms:
+            mono, sym = term
+            known = symbols.get(sym)
+            if known is None:
+                self.uncached_key(term)
+                known = symbols[sym]
+            weight, negrev, tiebreak = known
+            key = ((sum(map(mul, mono, weights)) + weight, tuple(map(sub, negrev, reversed(mono)))),
+                   tiebreak)
+            if top is None or key > top:
+                lead, top = term, key
+        return lead, elem.terms[lead]
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +404,6 @@ class SyzygySet:
     def labeled(self) -> list[tuple[str, ModElement]]:
         return [(self.label(key), g) for key, g in self.keyed()]
 
-    def elements(self) -> list[ModElement]:
-        return [g for _, g in self.keyed()]
-
 
 def syzygy_basis(params: CurveParams) -> SyzygySet:
     """Build all three families over their index ranges from one table."""
@@ -361,11 +433,11 @@ def _expected_leads(params: CurveParams) -> dict:
     return out
 
 
-def _lead_map(keyed: list, table: Reducer) -> dict:
-    """Each key of keyed mapped to the leading term of its member in the
-    module Reducer table, which holds the members in that order; a
-    repeated key keeps its first place and its last term."""
-    return {key: term for (key, _), (term, _) in zip(keyed, table.leads)}
+def _lead_map(keys: list, table: Reducer) -> dict:
+    """Each of keys mapped to the leading term of its member in the module
+    Reducer table, which holds the members in that order; a repeated key
+    keeps its first place and its last term."""
+    return {key: term for key, (term, _) in zip(keys, table.leads)}
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +451,20 @@ class Curve:
     cache per order.  ring_reducer divides by G = gset.labeled() in that
     order, the one copy of G the ring checks read; images maps each module
     symbol, of A, B and L, to its binomial; module_reducer divides by the
-    syzygy basis in label order.  The key caches grow as the checks run,
-    and ring_certified(), module_shape() and closure() are computed on
-    first use; everything else is read, never changed, so a caller that
-    extends a basis builds its own Reducer, and a copy given another
-    Reducer clears what was computed from the old one.  Only a check
-    whose certificate fails builds the closure: a passing verify, deep or
-    shallow, builds none.
+    syzygy basis in label order, listed once (SyzygySet.keyed), and keys
+    holds each member's key in that order.  The key caches grow as the
+    checks run, and ring_certified(), module_shape(), closure() and
+    packing() are computed on first use; everything else is read, never
+    changed, so a caller that extends a basis builds its own Reducer, and
+    a copy given another Reducer, or other images, clears what was
+    computed from the old one.  Only a check whose certificate fails
+    builds the closure: a passing verify, deep or shallow, builds none,
+    and leaves the module order's key cache empty.
     """
 
-    __slots__ = ("params", "morder", "order", "gset", "patil", "sset", "images",
+    __slots__ = ("params", "morder", "order", "gset", "patil", "sset", "keys", "images",
                  "ring_reducer", "module_reducer", "_ring_certified", "_closure",
-                 "_module_shape")
+                 "_module_shape", "_packing")
 
     def __init__(self, params: CurveParams):
         self.params = params
@@ -399,11 +473,13 @@ class Curve:
         self.gset = groebner_generators(params)
         self.patil = patil_generators(params)
         self.sset = syzygy_basis(params)
+        keyed = self.sset.keyed()
+        self.keys = [key for key, _ in keyed]
         self.images = {Phi(i, j): g for (i, j), g in sorted(self.gset.phis.items())}
         self.images.update((Psi(j), g) for j, g in sorted(self.gset.psis.items()))
         self.ring_reducer = Reducer(self.order, self.gset.polynomials())
-        self.module_reducer = Reducer(self.morder, self.sset.elements())
-        self._ring_certified = self._closure = self._module_shape = None
+        self.module_reducer = Reducer(self.morder, [g for _, g in keyed])
+        self._ring_certified = self._closure = self._module_shape = self._packing = None
 
     def module_shape(self) -> bool:
         """Whether each member of the syzygy basis leads with its predicted
@@ -412,10 +488,10 @@ class Curve:
         keyed by family and index tuple, decides it; the length tests catch
         a repeated key, which the map hides, and a lead no key names."""
         if self._module_shape is None:
-            table, keyed = self.module_reducer, self.sset.keyed()
-            actual = _lead_map(keyed, table)
+            table, keys = self.module_reducer, self.keys
+            actual = _lead_map(keys, table)
             self._module_shape = (actual == _expected_leads(self.params)
-                                  and len(actual) == len(keyed) == len(table.leads))
+                                  and len(actual) == len(keys) == len(table.leads))
         return self._module_shape
 
     def ring_certified(self) -> bool:
@@ -437,6 +513,13 @@ class Curve:
         if self._closure is None:
             self._closure = _closure_by_weight(self.ring_reducer)
         return self._closure
+
+    def packing(self) -> _Packing:
+        """The monomials of the images, and of the elements relation_image
+        has evaluated, packed into ints (_Packing), computed on first use."""
+        if self._packing is None:
+            self._packing = _Packing(self.params.nvars, self.images)
+        return self._packing
 
 
 # ---------------------------------------------------------------------------
@@ -546,26 +629,17 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     binomials after it is divided.
 
     The members are read from the module Reducer, in label order, and
-    (b) is Curve.module_shape, keyed by family and index tuple; a label
-    is spelled (SyzygySet.label) only for a witness.
+    (b) is Curve.module_shape, keyed by family and index tuple (Curve.keys);
+    a label is spelled (SyzygySet.label) only for a witness.
     """
     params, morder, table, sset = curve.params, curve.morder, curve.module_reducer, curve.sset
+    keys = curve.keys
     report = VerificationReport(params)
-
-    keyed = []
-
-    def members() -> list:
-        # sset.keyed(), listed once, by the first witness that names a
-        # member: on a large basis the list is megabytes that a passing
-        # verify never reads
-        if not keyed:
-            keyed.extend(sset.keyed())
-        return keyed
 
     def label(k: int) -> str:
         # the k-th member's label; a member past the keyed basis is named
         # by its place
-        return sset.label(members()[k][0]) if k < len(members()) else f"member {k}"
+        return sset.label(keys[k]) if k < len(keys) else f"member {k}"
 
     bad = None
     for k, g in enumerate(table.basis):
@@ -581,7 +655,7 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     shape_ok, bad = curve.module_shape(), None
     if not shape_ok:
         predicted, mismatch = _expected_leads(params), []
-        for key, term in _lead_map(members(), table).items():
+        for key, term in _lead_map(keys, table).items():
             want = predicted.get(key)  # None for a key with no prediction
             if term != want:
                 mismatch.append({"element": sset.label(key), "computed": term_to_json(term),

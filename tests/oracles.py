@@ -24,14 +24,16 @@ lifted onto a symbol (lift); patil_by_terms, the classical set built
 term by term; order_projection_by_images, the sampled projection check
 through one module element and image polynomial per sampled term;
 order_projection_exact, the same check decided once per symbol, drawing
-only to name a witness; excluded_form_every_box, the excluded-form
+only to name a witness; relation_image_by_tuples, an element's image with
+one exponent tuple per product; excluded_form_every_box, the excluded-form
 witness with every box tested against every lead on its symbol;
 leading_term_shape_three_tests, the lead shape decided by a set
 equality, a distinct count and a per-label comparison;
 and
 phi_symbol and psi_symbol, the symbol conventions.  poly_term and
-module_term build one-term elements, which the library never does, and
-planted_syzygies a syzygy set of planted members.
+module_term build one-term elements, which the library never does,
+planted_syzygies a syzygy set of planted members, and syzygy_members the
+members of a syzygy set in label order.
 betti_1_by_search counts minimal generators per weight from the
 membership search alone, and betti_2_by_homology the minimal syzygies
 per weight from the homology of the same complexes.
@@ -370,6 +372,22 @@ def module_term(nvars: int, mono, sym, coeff=1) -> ModElement:
     """The one-term module element coeff * mono * sym, zero when coeff is,
     through ModElement's validating constructor."""
     return ModElement(nvars, {(tuple(mono), sym): coeff})
+
+
+def relation_image_by_tuples(curve, elem: ModElement) -> Poly:
+    """The image of a module element with one exponent tuple per product:
+    the sum of c * mono * image(sym) over its terms, by Poly arithmetic.
+    The reference for syzygy.relation_image, which adds packed ints."""
+    out = Poly.zero(elem.nvars)
+    for (mono, sym), c in elem.terms.items():
+        out = out + curve.images[sym].times_term(c, mono)
+    return out
+
+
+def syzygy_members(sset: SyzygySet) -> list:
+    """The members of a syzygy set in label order, as SyzygySet.keyed()
+    lists them."""
+    return [g for _, g in sset.keyed()]
 
 
 def planted_syzygies(params: CurveParams, keyed: list) -> SyzygySet:

@@ -930,3 +930,19 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(fuzz_dir, case):
     assert "Traceback" not in err, argv
     # and main, parsing a command with its own parser, reads as the full tree
     assert outcome == _outcome(_run_full_tree, argv), argv
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_syzygies_keys_each_distinct_term_once(monkeypatch, capsys, fmt):
+    # the terms are sorted once per member, through the key memo, and the
+    # JSON lead is the first sorted term, not a leading_term: no term is
+    # keyed twice
+    calls, leads, key = [], [], syzygy.ModuleOrder.uncached_key
+    monkeypatch.setattr(syzygy.ModuleOrder, "uncached_key",
+                        lambda self, term: calls.append(term) or key(self, term))
+    monkeypatch.setattr(syzygy.ModuleOrder, "leading_term", lambda self, elem: leads.append(elem))
+    assert main(["syzygies", "--m0", "13", "--d", "2", "--p", "6", "--format", fmt]) == 0
+    capsys.readouterr()
+    terms = {t for _, g in syzygy.syzygy_basis(make_params(13, 2, 6)).keyed() for t in g.terms}
+    assert len(calls) == len(terms) and set(calls) == terms
+    assert leads == []

@@ -1,5 +1,6 @@
 import bisect
 import itertools
+import json
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -747,6 +748,38 @@ def test_standard_shape_matches_enumeration():
 def test_standard_shape_matches_the_order_ideal_walk(m0, d, p, bound):
     pr = make_params(m0, d, p)
     assert standard_shape(pr, bound) == standard_monomials(Curve(pr), bound)
+
+
+def _refuse_to_list(params, bound):
+    raise AssertionError(f"standard_shape listed at bound {bound}")
+
+
+def test_a_passing_verify_counts_the_shape_without_listing_it(monkeypatch, capsys):
+    # the details of a passing shape are counted in closed form: nothing of
+    # the bound's size is built, and a bound of 10^12 is counted exactly.
+    # (7,1,3): a = 2 and b = 1, so u = 1 takes n <= 2 and X1, X2 take n <= 1
+    monkeypatch.setattr(generators, "standard_shape", _refuse_to_list)
+    bound = 10**12
+    argv = ["verify", "--m0", "7", "--d", "1", "--p", "3", "--bound", str(bound)]
+    assert main(argv + ["--format", "json"]) == 0
+    checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    n = 7 * (bound + 1)
+    assert checks["standard-monomial-shape"]["detail"] == (
+        f"{n} standard monomials with exponents <= {bound}")
+    assert checks["standard-monomials-eta-distinct"]["detail"] == f"{n * (n - 1) // 2} pairs"
+
+
+@pytest.mark.parametrize("bound", [2, 3, 5])
+def test_the_counted_shape_has_the_listed_shapes_size(monkeypatch, bound):
+    # the closed-form count, on every triple of the small grid, against the
+    # length of the listed shape
+    listed = {pr: len(standard_shape(pr, bound)) for pr in SWEEP}
+    monkeypatch.setattr(generators, "standard_shape", _refuse_to_list)
+    for pr, n in listed.items():
+        (shape, pairs) = verify_standard_monomials(Curve(pr), bound).checks
+        assert (shape.passed, shape.detail) == (
+            True, f"{n} standard monomials with exponents <= {bound}"), pr
+        assert (pairs.passed, pairs.detail) == (True, f"{n * (n - 1) // 2} pairs"), pr
 
 
 def test_standard_monomials_match_the_full_test_walk_on_the_grid():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from monocurve import generators, make_params, syzygy
-from monocurve.cli import main
+from monocurve.cli import main, verification_bundle
 from monocurve.generators import GeneratorSet, expected_leading_monomials, groebner_generators
 from monocurve.polyring import (
     Closure,
@@ -53,8 +53,8 @@ from oracles import (_symbol_from_json, betti_2_by_homology, buchberger,
                      mod_elem_from_json, module_identity_by_symbol, module_sum_by_symbol,
                      module_term, order_projection_by_images,
                      order_projection_exact, parameter_sweep, phi_symbol, planted_syzygies,
-                     poly_term, s_polynomial, syzygy_A_chained, syzygy_B_lifted,
-                     syzygy_L_chained)
+                     poly_term, relation_image_by_tuples, s_polynomial, syzygy_A_chained,
+                     syzygy_B_lifted, syzygy_L_chained, syzygy_members)
 
 P713 = make_params(7, 1, 3)
 C713 = Curve(P713)
@@ -192,7 +192,7 @@ def test_term_lists_match_the_chained_construction():
         for (l, i, j), g in sset.L.items():
             assert g == syzygy_L_chained(pr, l, i, j), (pr, l, i, j)
         assert all(type(c) is int and c in (1, -1)
-                   for g in sset.elements() for c in g.terms.values()), pr
+                   for g in syzygy_members(sset) for c in g.terms.values()), pr
     assert cancelling
 
 
@@ -370,7 +370,7 @@ def test_leading_terms_match_display():
     for pr in SWEEP5:
         morder = ModuleOrder(pr)
         sset = syzygy_basis(pr)
-        computed = {morder.leading_term(g)[0] for g in sset.elements()}
+        computed = {morder.leading_term(g)[0] for g in syzygy_members(sset)}
         assert computed == set(syzygy._expected_leads(pr).values())
         b = pr.b
         for (i, j), g in sset.A.items():
@@ -384,7 +384,7 @@ def test_closed_forms_keep_integer_coefficients():
     # no division leaves the integers; a Fraction here is a silent slow path
     pr = make_params(17, 3, 8)
     curve = Curve(pr)
-    elems = groebner_generators(pr).polynomials() + syzygy_basis(pr).elements()
+    elems = groebner_generators(pr).polynomials() + syzygy_members(syzygy_basis(pr))
     for _, _, r, rel in schreyer_relations(curve):
         elems += [r, rel]
     assert all(type(c) is int for e in elems for c in e.terms.values())
@@ -393,7 +393,7 @@ def test_closed_forms_keep_integer_coefficients():
 
 
 def test_module_normal_form_basics(p713):
-    elems = syzygy_basis(p713).elements()
+    elems = syzygy_members(syzygy_basis(p713))
     a30 = C713.sset.A[3, 0]
     r, quots = normal_form(a30, Reducer(MORDER, [a30]))
     assert not r and quots[0] == poly_term(4, (0, 0, 0, 0))
@@ -405,7 +405,7 @@ def test_module_normal_form_basics(p713):
 
 
 def test_module_normal_form_recombines(p713):
-    elems = syzygy_basis(p713).elements()
+    elems = syzygy_members(syzygy_basis(p713))
     probe = (C713.sset.A[1, 0].times_term(Fraction(3, 2), _x(2))
              + C713.sset.L[1, 2, 2].times_term(1, _x(0, 2)))
     r, quots = normal_form(probe, Reducer(MORDER, elems))
@@ -422,7 +422,7 @@ def test_module_division_skips_the_lead_term_not_the_lead_monomial(p713):
     # no A/B/L member carries its lead monomial on a second symbol; g does,
     # so a division step that skipped every term on that monomial would
     # drop one and break f = sum q_k * basis_k + r
-    for elem in syzygy_basis(p713).elements():
+    for elem in syzygy_members(syzygy_basis(p713)):
         lead, _ = MORDER.leading_term(elem)
         assert [t for t in elem.terms if t[0] == lead[0]] == [lead]
     m = mono_mul(_x(1), _x(2))
@@ -455,7 +455,7 @@ def test_ring_division_is_module_division_on_one_symbol(p713):
 
 
 def test_s_vectors_reduce(p713):
-    elems = syzygy_basis(p713).elements()
+    elems = syzygy_members(syzygy_basis(p713))
     table = Reducer(MORDER, elems)
     pairs = C713.module_reducer.pairs()
     for x, y in pairs:
@@ -632,7 +632,7 @@ def test_criterion_record_matches_the_all_pairs_scan_on_planted_tails(monkeypatc
 
 
 def test_harvested_relations_reduce(p713):
-    elems = syzygy_basis(p713).elements()
+    elems = syzygy_members(syzygy_basis(p713))
     rows = list(schreyer_relations(C713))
     assert len(rows) == 15
     assert [(i, j) for i, j, *_ in rows] == [(i, j) for j in range(6) for i in range(j)]
@@ -924,11 +924,11 @@ def test_harvest_record_matches_the_all_pairs_scan_with_each_member_dropped(monk
     for k in range(len(keyed)):
         planted = keyed[:k] + keyed[k + 1:]
         label = base.sset.label(keyed[k][0])
-        # the ring side is the base's, its harvest and verdict included
-        curve = copy.copy(base)
-        curve.sset = planted_syzygies(base.params, planted)
-        curve.module_reducer = Reducer(base.morder, [g for _, g in planted])
-        curve._module_shape = None
+        # the basis lists every member but the k-th; the harvest is the base's
+        with monkeypatch.context() as patch:
+            patch.setattr(syzygy, "syzygy_basis",
+                          lambda params: planted_syzygies(params, planted))
+            curve = Curve(base.params)
         report = verify_syzygy_basis(curve)
         harvest = _record(report, "harvested-relations-reduce")
         assert harvest == _all_pairs_harvest_record(curve, rows), label
@@ -965,7 +965,7 @@ def test_each_dropped_generator_fails_the_ring_identity(triple):
 def test_sampled_dropped_syzygies_fail_the_module_identity(triple):
     base = Curve(make_params(*triple))
     assert base.ring_certified()
-    elements = base.sset.elements()
+    elements = syzygy_members(base.sset)
     rng = random.Random(sum(triple))
     for k in rng.sample(range(len(elements)), min(len(elements), 20)):
         curve = copy.copy(base)
@@ -980,7 +980,7 @@ def test_module_identity_matches_the_per_symbol_reference(triple):
     # the basis and with a sampled member dropped
     base = Curve(make_params(*triple))
     assert syzygy._module_identity(base) and module_identity_by_symbol(base)
-    elements = base.sset.elements()
+    elements = syzygy_members(base.sset)
     for k in random.Random(sum(triple)).sample(range(len(elements)), 2):
         curve = copy.copy(base)
         curve.module_reducer = Reducer(base.morder, elements[:k] + elements[k + 1:])
@@ -1058,7 +1058,7 @@ def test_a_lead_that_no_key_names_fails_the_module_shape(triple):
     assert base.module_shape()
     curve = copy.copy(base)
     extra = module_term(base.params.nvars, variable_monomial(base.params.p, 0), Psi(0))
-    curve.module_reducer = Reducer(base.morder, base.sset.elements() + [extra])
+    curve.module_reducer = Reducer(base.morder, syzygy_members(base.sset) + [extra])
     curve._module_shape = None
     assert not curve.module_shape() and not syzygy._module_identity(curve)
     n = len(base.sset)
@@ -1245,7 +1245,7 @@ EXCLUDED_SWEEP = [pr for pr in SWEEP5 if pr.a <= 2 and pr.d == 1]
 def test_excluded_forms_agree_with_box_walk():
     for pr in EXCLUDED_SWEEP:
         curve = Curve(pr)
-        leads = _lead_table(pr, curve.sset.elements())
+        leads = _lead_table(pr, syzygy_members(curve.sset))
         for bound in (2, 3, 4):
             members = _excluded_family_members(pr, bound)
             assert not any(_in_lead_module(leads, m, s) for _, m, s in members)
@@ -1265,13 +1265,9 @@ def test_excluded_forms_agree_with_box_walk():
 )
 def test_excluded_forms_catch_a_planted_lead(monkeypatch, mono, sym):
     pr = P713
-    elements = syzygy_basis(pr).elements() + [module_term(pr.nvars, mono, sym)]
-
-    class Planted:
-        def elements(self):
-            return elements
-
-    monkeypatch.setattr("monocurve.syzygy.syzygy_basis", lambda params: Planted())
+    keyed = syzygy_basis(pr).keyed() + [("planted", module_term(pr.nvars, mono, sym))]
+    elements = [g for _, g in keyed]
+    monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted_syzygies(params, keyed))
     leads = _lead_table(pr, elements)
     members = _excluded_family_members(pr, 3)
     walked = [(f, m, s) for f, m, s in members if _in_lead_module(leads, m, s)]
@@ -1299,13 +1295,9 @@ def test_excluded_forms_catch_a_lead_past_the_box(monkeypatch, mono, sym, family
     # 3, where the walk finds none; the witness is the least member that it
     # divides, mono_lcm(lead, low): X3^5*Psi(2) first divides X1*X3^5*Psi(2)
     pr = P713
-    elements = syzygy_basis(pr).elements() + [module_term(pr.nvars, mono, sym)]
-
-    class Planted:
-        def elements(self):
-            return elements
-
-    monkeypatch.setattr("monocurve.syzygy.syzygy_basis", lambda params: Planted())
+    keyed = syzygy_basis(pr).keyed() + [("planted", module_term(pr.nvars, mono, sym))]
+    elements = [g for _, g in keyed]
+    monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted_syzygies(params, keyed))
     leads = _lead_table(pr, elements)
     members = _excluded_family_members(pr, 3)
     assert not any(_in_lead_module(leads, m, s) for _, m, s in members)
@@ -1346,7 +1338,7 @@ def test_excluded_forms_test_only_the_leads_that_can_divide_a_cap(monkeypatch, t
 
 
 def test_excluded_instances(p713):
-    leads = _lead_table(p713, syzygy_basis(p713).elements())
+    leads = _lead_table(p713, syzygy_members(syzygy_basis(p713)))
     assert not _in_lead_module(leads, _x(0, 2), Psi(0))  # X0^2*Psi(0)
     assert not _in_lead_module(leads, _x(2, 3), Phi(1, 2))  # X2^3*Phi(1,2), no X1 factor
     assert _in_lead_module(leads, mono_mul(_x(1), _x(2)), Psi(2))
@@ -1431,9 +1423,103 @@ def test_the_per_symbol_projection_record_matches_the_sampled_one(monkeypatch, p
     _same_projection_records(curve, order_projection_exact)
 
 
-def test_a_curve_at_p24_holds_at_most_7_8_mib():
+def _flip_first(g):
+    # g with the sign of its first term flipped: no longer a relation
+    terms = dict(g.terms)
+    first = next(iter(terms))
+    terms[first] = -terms[first]
+    return ModElement._raw(g.nvars, terms)
+
+
+def _same_images(curve, elems):
+    # the packed images equal the tuple products; the count of non-zero ones
+    nonzero = 0
+    for elem in elems:
+        image = relation_image(curve, elem)
+        assert image == relation_image_by_tuples(curve, elem), elem
+        nonzero += bool(image)
+    return nonzero
+
+
+@pytest.mark.parametrize("triple", [(17, 3, 8), (1000003, 999999, 3)])
+def test_packed_images_match_the_tuple_products_on_every_member(triple):
+    # every member is a relation, and with one sign flipped none is; at
+    # (1000003,999999,3) the exponents reach a + d = 1333333 and the fields
+    # are 22 bits wide
+    curve = Curve(make_params(*triple))
+    members = curve.module_reducer.basis
+    assert _same_images(curve, members) == 0
+    assert _same_images(curve, [_flip_first(g) for g in members]) == len(members)
+    assert curve.packing().width == max(max(m) for m in curve.packing().codes).bit_length() + 1
+
+
+def test_packed_images_match_the_tuple_products_on_the_half_lead_harvest(monkeypatch):
+    # the harvest of a set that is not a Groebner basis: fractional
+    # cofactors, and elements whose images are non-zero remainders
+    half = Poly(7, {variable_monomial(6, 1, 2): 2,
+                    mono_mul(variable_monomial(6, 2), variable_monomial(6, 0)): -1})
+    monkeypatch.setattr(syzygy, "groebner_generators", _replace_phi11(half))
+    curve = Curve(make_params(13, 2, 6))
+    rows = list(schreyer_relations(curve))
+    assert _same_images(curve, [rel for *_, rel in rows]) == sum(bool(r) for _, _, r, _ in rows) > 0
+    for _, _, r, rel in rows:
+        assert relation_image(curve, rel) == r
+
+
+def test_a_planted_member_evaluates_to_its_tuple_product():
+    # a non-zero planted member, Psi(0) on X0^2 beside A(1;3,0)
+    curve = Curve(make_params(17, 3, 8))
+    planted = curve.sset.A[1, 0] + module_term(9, variable_monomial(8, 0, 2), Psi(0))
+    image = relation_image(curve, planted)
+    assert image and image == relation_image_by_tuples(curve, planted)
+    assert image == curve.images[Psi(0)].times_term(1, variable_monomial(8, 0, 2))
+
+
+def test_a_monomial_wider_than_the_fields_repacks_every_monomial():
+    # X1 is packed by the first member; X0^(2^width) is not and does not
+    # fit, so the sum starts again at a wider width, and the images of the
+    # members, evaluated before and after, stay the tuple products
+    curve = Curve(make_params(17, 3, 8))
+    members = curve.module_reducer.basis
+    assert _same_images(curve, members) == 0
+    width = curve.packing().width
+    wide = variable_monomial(8, 0, 2 ** width)
+    elem = module_term(9, variable_monomial(8, 1), Psi(0)) + module_term(9, wide, Psi(1))
+    assert _same_images(curve, [elem, members[0].times_term(3, wide)]) == 1
+    assert curve.packing().width == width + 2
+    assert _same_images(curve, members) == 0
+    assert _same_images(curve, [_flip_first(g) for g in members]) == len(members)
+
+
+def test_members_are_relations_evaluates_each_member_once(monkeypatch):
+    calls, image = [], syzygy.relation_image
+    monkeypatch.setattr(syzygy, "relation_image",
+                        lambda curve, elem: calls.append(elem) or image(curve, elem))
+    curve = Curve(make_params(17, 3, 8))
+    assert verify_syzygy_basis(curve).passed
+    assert list(map(id, calls)) == list(map(id, curve.module_reducer.basis))
+
+
+def test_a_curve_and_a_passing_verify_list_the_members_once(monkeypatch):
+    calls, keyed = [], SyzygySet.keyed
+    monkeypatch.setattr(SyzygySet, "keyed", lambda self: calls.append(self) or keyed(self))
+    curve = Curve(make_params(17, 3, 8))
+    assert all(r.passed for r in verification_bundle(curve, 2, 1000, 0))
+    assert calls == [curve.sset]
+
+
+def test_a_passing_verify_leaves_the_module_key_cache_empty():
+    # each member's lead is keyed once, uncached, as its row is built, and
+    # a passing verify divides nothing
+    curve = Curve(make_params(17, 3, 8))
+    assert all(r.passed for r in verification_bundle(curve, 2, 1000, 0))
+    assert curve.morder._cache == {}
+
+
+def test_a_curve_at_p24_holds_at_most_5_1_mib():
     # a tripwire on the memory a Curve holds: each basis element once, in
-    # its Reducer, and one key per distinct term per order
+    # its Reducer, each member's key once, and one key per distinct term of
+    # the ring order; the module leads fill no key cache
     params = make_params(71, 2, 24)
     tracemalloc.start()
     try:
@@ -1443,7 +1529,7 @@ def test_a_curve_at_p24_holds_at_most_7_8_mib():
     finally:
         tracemalloc.stop()
     assert curve.module_reducer.basis
-    assert held <= 7.8 * 2**20, held / 2**20
+    assert held <= 5.1 * 2**20, held / 2**20
 
 
 def test_the_sampled_projection_check_builds_no_element_and_fills_no_key_cache(monkeypatch):
@@ -1486,7 +1572,7 @@ def test_the_module_key_is_the_ring_key_of_the_projection(data):
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_random_combinations_stay_relations(data):
-    elems = syzygy_basis(P713).elements()
+    elems = syzygy_members(syzygy_basis(P713))
     monos = st.tuples(*[st.integers(0, 2)] * 4)
     acc = ModElement.zero(4)
     for _ in range(data.draw(st.integers(1, 4))):
