@@ -265,9 +265,9 @@ def run(args: argparse.Namespace) -> int:
 
 def _parse_range(text: str) -> tuple[int, int]:
     """'lo..hi', or a single value, as a non-empty integer range."""
-    lo, _, hi = text.partition("..")
+    lo, dots, hi = text.partition("..")
     try:
-        lo, hi = int(lo), int(hi or lo)
+        lo, hi = int(lo), int(hi if dots else lo)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo..hi with integers, got {text!r}") from None
     if lo > hi:

@@ -284,7 +284,7 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
     )
 
     witness, leads, pairs = None, actual, table.pair_count()
-    if not curve.ring_certified():
+    if not curve.ring_certified:
         pairs, pair, r = table.first_unreduced()
         if pair:
             witness = {"pair": [labels[k] for k in pair], "remainder": poly_to_json(order, r)}
@@ -449,8 +449,8 @@ def verify_minimality(curve: Curve, deep: bool = False) -> VerificationReport:
     first in label order, and the detail counts the generators, as it did
     when each was tested by a closure of its own.
     """
-    params, table = curve.params, curve.ring_reducer
-    labels = [lab for lab, _ in curve.gset.labeled()]
+    params, table, labeled = curve.params, curve.ring_reducer, curve.gset.labeled()
+    labels = [lab for lab, _ in labeled]
     report = VerificationReport(params)
 
     first = _first_dividing_pair(table)
@@ -466,8 +466,8 @@ def verify_minimality(curve: Curve, deep: bool = False) -> VerificationReport:
     )
 
     if deep:
-        redundant = _mixed_weight(params, zip(labels, table.basis))
-        if redundant is None and not (curve.ring_certified() and _minimal_by_count(table)):
+        redundant = _mixed_weight(params, labeled)
+        if redundant is None and not (curve.ring_certified and _minimal_by_count(table)):
             first = _redundant_by_weight(curve.order, curve.closure()[1])
             redundant = None if first is None else {"element": labels[first]}
         report.add(
@@ -495,7 +495,7 @@ def verify_ideal_equality(curve: Curve) -> VerificationReport:
     classical set's closure, truncated at the heaviest weight of G.
     """
     params, order, table, patil = curve.params, curve.order, curve.ring_reducer, curve.patil
-    labeled = [(lab, g) for (lab, _), g in zip(curve.gset.labeled(), table.basis)]
+    labeled = curve.gset.labeled()
     report = VerificationReport(params)
 
     report.add(
@@ -504,8 +504,8 @@ def verify_ideal_equality(curve: Curve) -> VerificationReport:
         detail=f"{len(labeled)} closed-form vs {len(patil)} classical generators",
     )
 
-    in_ideal = curve.ring_certified() and all(_in_curve_ideal(params, g)
-                                              for g in patil.polynomials())
+    in_ideal = curve.ring_certified and all(_in_curve_ideal(params, g)
+                                            for g in patil.polynomials())
     stuck = None if in_ideal else _first_stuck(patil.labeled(), table)
     report.add("classical-set-reduces", stuck is None, witness=stuck)
 

@@ -51,8 +51,11 @@ fails, the checks scan every pair and name the first failure with its
 witness and count.  Members are keyed by family and index tuple
 (SyzygySet.keyed), and a label is spelled only for output and witnesses.
 
-A Curve holds what every check of one triple shares, each built once,
-and every verify_* report takes one.
+A Curve holds what every check of one triple shares, built once from
+the three builders and never changed: the ring certificate
+(Curve.ring_certified), the lead-shape comparison (Curve.module_shape)
+and the packed images are computed as it is built, and only the closure
+of G waits for a failing certificate.  Every verify_* report takes one.
 """
 
 from __future__ import annotations
@@ -161,7 +164,7 @@ def relation_image(curve: Curve, elem: ModElement) -> Poly:
     the sum starts again, as that may have widened every field.  Only a
     non-zero image is unpacked into the Poly it returns.
     """
-    pack, terms = curve.packing(), elem.terms
+    pack, terms = curve.packing, elem.terms
     while True:
         codes, images, acc = pack.codes, pack.images, {}
         for (mono, sym), c in terms.items():
@@ -445,26 +448,28 @@ def _lead_map(keys: list, table: Reducer) -> dict:
 
 
 class Curve:
-    """The objects every check of one triple shares, each built once.
+    """The objects every check of one triple shares, built once by
+    __init__ from groebner_generators, patil_generators and syzygy_basis,
+    and never changed afterwards.
 
     order is the ring order inside morder, so the triple has one key
-    cache per order.  ring_reducer divides by G = gset.labeled() in that
-    order, the one copy of G the ring checks read; images maps each module
-    symbol, of A, B and L, to its binomial; module_reducer divides by the
-    syzygy basis in label order, listed once (SyzygySet.keyed), and keys
-    holds each member's key in that order.  The key caches grow as the
-    checks run, and ring_certified(), module_shape(), closure() and
-    packing() are computed on first use; everything else is read, never
-    changed, so a caller that extends a basis builds its own Reducer, and
-    a copy given another Reducer, or other images, clears what was
-    computed from the old one.  Only a check whose certificate fails
-    builds the closure: a passing verify, deep or shallow, builds none,
-    and leaves the module order's key cache empty.
+    cache per order.  images maps each module symbol, of A, B and L, to
+    its binomial, the phis by (i, j) and then the psis by j, as
+    gset.labeled() lists them, and ring_reducer divides by those
+    binomials in that order: it holds G, the one copy the ring checks and
+    the Schreyer harvest read.  module_reducer divides by the syzygy basis
+    in label order, listed once (SyzygySet.keyed), and keys holds each
+    member's key in that order.  ring_certified, module_shape and packing
+    are computed here, as every verify reads them; the key caches grow as
+    the checks run.  Only a check whose certificate fails builds the
+    closure (closure()): a passing verify, deep or shallow, builds none,
+    and leaves the module order's key cache empty.  A test plants a part
+    through the builders, before the Curve is built.
     """
 
     __slots__ = ("params", "morder", "order", "gset", "patil", "sset", "keys", "images",
-                 "ring_reducer", "module_reducer", "_ring_certified", "_closure",
-                 "_module_shape", "_packing")
+                 "ring_reducer", "module_reducer", "ring_certified", "module_shape", "packing",
+                 "_closure")
 
     def __init__(self, params: CurveParams):
         self.params = params
@@ -477,31 +482,23 @@ class Curve:
         self.keys = [key for key, _ in keyed]
         self.images = {Phi(i, j): g for (i, j), g in sorted(self.gset.phis.items())}
         self.images.update((Psi(j), g) for j, g in sorted(self.gset.psis.items()))
-        self.ring_reducer = Reducer(self.order, self.gset.polynomials())
+        self.ring_reducer = table = Reducer(self.order, self.images.values())
         self.module_reducer = Reducer(self.morder, [g for _, g in keyed])
-        self._ring_certified = self._closure = self._module_shape = self._packing = None
-
-    def module_shape(self) -> bool:
-        """Whether each member of the syzygy basis leads with its predicted
-        term: the comparison that leading-term-shape reports, made once.
-        The predicted leads are pairwise distinct, so one map comparison,
-        keyed by family and index tuple, decides it; the length tests catch
-        a repeated key, which the map hides, and a lead no key names."""
-        if self._module_shape is None:
-            table, keys = self.module_reducer, self.keys
-            actual = _lead_map(keys, table)
-            self._module_shape = (actual == _expected_leads(self.params)
-                                  and len(actual) == len(keys) == len(table.leads))
-        return self._module_shape
-
-    def ring_certified(self) -> bool:
-        """Whether G, each element of one weight, is a Groebner basis of
-        the curve ideal (generators._certified), computed once."""
-        if self._ring_certified is None:
-            table = self.ring_reducer
-            self._ring_certified = (_mixed_weight(self.params, enumerate(table.basis)) is None
-                                    and _certified(table))
-        return self._ring_certified
+        # the (key, member) pairs, kept alive beside the two lead maps
+        # below, would raise a large Curve's peak memory
+        del keyed
+        # whether G, each element of one weight, is a Groebner basis of the
+        # curve ideal (generators._certified)
+        self.ring_certified = (_mixed_weight(params, enumerate(table.basis)) is None
+                               and _certified(table))
+        # whether each member leads with its predicted term, as
+        # leading-term-shape reports: the predicted leads are pairwise
+        # distinct, so one map comparison, keyed by family and index tuple,
+        # decides it once no key repeats, which the map would hide
+        actual = _lead_map(self.keys, self.module_reducer)
+        self.module_shape = actual == _expected_leads(params) and len(actual) == len(self.keys)
+        self.packing = _Packing(params.nvars, self.images)
+        self._closure = None
 
     def closure(self) -> tuple[Closure, list]:
         """The one closure of G, grown weight by weight up to its heaviest
@@ -514,13 +511,6 @@ class Curve:
             self._closure = _closure_by_weight(self.ring_reducer)
         return self._closure
 
-    def packing(self) -> _Packing:
-        """The monomials of the images, and of the elements relation_image
-        has evaluated, packed into ints (_Packing), computed on first use."""
-        if self._packing is None:
-            self._packing = _Packing(self.params.nvars, self.images)
-        return self._packing
-
 
 # ---------------------------------------------------------------------------
 # S-vectors
@@ -528,17 +518,16 @@ class Curve:
 
 def schreyer_relations(curve: Curve) -> Iterator[tuple]:
     """Yield each S-pair of the binomials of the symbols (curve.images),
-    j-major, divided once by a Reducer of them in symbol order, as (i, j,
-    remainder, element).  The element, the pair's two cofactors minus the
-    division's quotients on the binomials' symbols, evaluates to the
-    remainder.  So the binomials form a Groebner basis exactly when every
+    j-major, divided once by the ring Reducer, which holds them in symbol
+    order, as (i, j, remainder, element).  The element, the pair's two
+    cofactors minus the division's quotients on the binomials' symbols,
+    evaluates to the remainder.  So the binomials form a Groebner basis exactly when every
     remainder is zero, and the elements then generate the relations among
     them (Schreyer; Eisenbud, Commutative Algebra, 15.5); no coprime pair
     is skipped, as its Koszul relation can be one of the generators.  A
     pair is divided only when its row is asked for, so a scan that stops
     at its first failure divides no later pair."""
-    symbols = list(curve.images)
-    table = Reducer(curve.order, curve.images.values())
+    symbols, table = list(curve.images), curve.ring_reducer
     for i, j in sorted(table.pairs(), key=lambda pair: pair[::-1]):
         s, (ci, ui), (cj, uj) = table.s_pair(i, j)
         r, quots = normal_form(s, table)
@@ -593,7 +582,7 @@ def _module_identity(curve: Curve) -> bool:
     (polyring.hilbert_numerator), once per distinct lead set, as many
     symbols share one."""
     params, table = curve.params, curve.module_reducer
-    if curve.module_shape():
+    if curve.module_shape:
         series = _shape_module_sum(curve)
     else:
         shifts = {}
@@ -617,8 +606,8 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     that reduces to zero against the basis; (e) no lead divides another.
 
     (c) and (d) are decided by one identity (_module_identity) once (a)
-    passed, the symbols' binomials are the ring Reducer's basis, and the
-    ring identity holds (Curve.ring_certified): the basis is then a
+    passed and the ring identity holds (Curve.ring_certified) for the
+    symbols' binomials, the ring Reducer's basis: the basis is then a
     Groebner basis of the syzygy module, which holds every S-vector and
     every harvested relation, and the details count every pair.  When (b)
     holds, the identity is taken in closed form from the predicted lead
@@ -636,23 +625,18 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     keys = curve.keys
     report = VerificationReport(params)
 
-    def label(k: int) -> str:
-        # the k-th member's label; a member past the keyed basis is named
-        # by its place
-        return sset.label(keys[k]) if k < len(keys) else f"member {k}"
-
     bad = None
     for k, g in enumerate(table.basis):
         image = relation_image(curve, g)
         if image:
-            bad = {"element": label(k), "image": poly_to_json(morder.ring, image)}
+            bad = {"element": sset.label(keys[k]), "image": poly_to_json(morder.ring, image)}
             break
     n = len(table.basis)
     report.add("members-are-relations", bad is None, detail=f"{n} members", witness=bad)
     members_ok = bad is None
 
     # the first three keys whose lead differs from the prediction, labelled
-    shape_ok, bad = curve.module_shape(), None
+    shape_ok, bad = curve.module_shape, None
     if not shape_ok:
         predicted, mismatch = _expected_leads(params), []
         for key, term in _lead_map(keys, table).items():
@@ -666,13 +650,13 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     report.add("leading-term-shape", shape_ok, detail=f"{n} leading terms", witness=bad)
 
     # one identity decides (c) and (d); if it or a hypothesis fails, both scan
-    certified = (members_ok and list(curve.images.values()) == curve.ring_reducer.basis
-                 and curve.ring_certified() and _module_identity(curve))
+    certified = members_ok and curve.ring_certified and _module_identity(curve)
     bad, count = None, table.pair_count()
     if not certified:
         count, pair, r = table.first_unreduced()
         if pair:
-            bad = {"pair": [label(k) for k in pair], "remainder": mod_elem_to_json(morder, r)}
+            bad = {"pair": [sset.label(keys[k]) for k in pair],
+                   "remainder": mod_elem_to_json(morder, r)}
     report.add("s-vectors-reduce", bad is None, detail=f"{count} same-symbol pairs", witness=bad)
 
     symbols, bad = list(curve.images), None
@@ -699,7 +683,7 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     if first is not None:
         x, y = first
         checked = x * (n - 1) + (y if x < y else y + 1)
-        offender = {"divisor": label(x), "multiple": label(y)}
+        offender = {"divisor": sset.label(keys[x]), "multiple": sset.label(keys[y])}
     report.add(
         "module-leading-terms-incomparable",
         offender is None,

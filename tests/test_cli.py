@@ -221,6 +221,18 @@ def test_run_config_direct(tmp_path):
     assert payload["m0_multiple"] == [4, 2, 1]
 
 
+@pytest.mark.parametrize("span", ["2..", "..2"])
+def test_a_range_with_an_empty_end_is_rejected(span):
+    # "2.." is no single value: both spellings exit 2 with the one message,
+    # through main and through the full parser tree
+    argv = ["sweep", "--p", span, "--a", "1..1", "--d", "1..1"]
+    for call in (main, _run_full_tree):
+        code, out, err = _outcome(call, argv)
+        assert (code, out) == (2, ""), (call, span)
+        assert f"expected lo..hi with integers, got {span!r}" in err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+
+
 def _outcome(call, argv) -> tuple:
     # (exit code, stdout, stderr): the return value, or SystemExit's code
     out, err = io.StringIO(), io.StringIO()
@@ -355,7 +367,7 @@ def test_output_matches_golden(name, capsys):
 def test_scanned_s_pairs_of_a_passing_triple_match_golden(name, monkeypatch, capsys):
     # with the three certificates failing, every S-pair check scans its
     # pairs and the closures run; a passing triple still prints its golden
-    monkeypatch.setattr(syzygy.Curve, "ring_certified", lambda self: False)
+    monkeypatch.setattr(syzygy, "_certified", lambda table: False)
     monkeypatch.setattr(syzygy, "_module_identity", lambda curve: False)
     monkeypatch.setattr(generators, "_minimal_by_count", lambda table: False)
     assert main(GOLDEN_CALLS[name]) == 0
@@ -689,11 +701,13 @@ def test_each_triple_builds_its_shared_objects_once(monkeypatch, capsys):
 
 def test_each_triple_harvests_its_s_pairs_once(monkeypatch, capsys):
     # when the ring identity fails, the S-polynomial of every pair of the
-    # closed-form set is divided by the triple's ring reducer once, and the
-    # classical generators are the only other elements it divides; the
-    # syzygy check builds one harvest, over a Reducer of its own
+    # closed-form set is divided by the triple's ring reducer twice, once
+    # by the S-pair scan and once by the syzygy check's one harvest, which
+    # builds no Reducer; the classical generators are the only other
+    # elements it divides
     curves, divisions, harvests = [], collections.Counter(), collections.Counter()
     init, divide, harvest = syzygy.Curve.__init__, Reducer.divide, syzygy.schreyer_relations
+    reducer_init, built = Reducer.__init__, []
 
     def keep(self, params):
         init(self, params)
@@ -703,21 +717,30 @@ def test_each_triple_harvests_its_s_pairs_once(monkeypatch, capsys):
         divisions[self] += 1
         return divide(self, f)
 
+    def count_reducer(self, order, basis=()):
+        built.append(self)
+        reducer_init(self, order, basis)
+
     def count_harvest(curve):
         harvests[curve.ring_reducer] += 1
-        return harvest(curve)
+        before = len(built)
+        rows = list(harvest(curve))
+        assert len(built) == before
+        return rows
 
     monkeypatch.setattr(syzygy.Curve, "__init__", keep)
-    monkeypatch.setattr(syzygy.Curve, "ring_certified", lambda self: False)
+    monkeypatch.setattr(syzygy, "_certified", lambda table: False)
     monkeypatch.setattr(Reducer, "divide", count_division)
+    monkeypatch.setattr(Reducer, "__init__", count_reducer)
     monkeypatch.setattr(syzygy, "schreyer_relations", count_harvest)
 
     def check(ran):
         assert len(curves) == ran
         for curve in curves:
             table = curve.ring_reducer
+            assert not curve.ring_certified
             assert harvests[table] == 1
-            assert divisions[table] == len(table.pairs()) + len(curve.patil)
+            assert divisions[table] == 2 * len(table.pairs()) + len(curve.patil)
 
     assert main(["verify", "--m0", "13", "--d", "2", "--p", "6", "--bound", "2"]) == 0
     check(1)
@@ -754,7 +777,7 @@ def test_each_triple_closes_its_closed_form_set_once(monkeypatch, capsys):
         closures.clear()
         assert main(["verify", "--m0", "13", "--d", "2", "--p", "6", "--bound", "2"] + extra) == 0
         (curve,) = curves
-        assert curve.ring_certified()
+        assert curve.ring_certified
         assert not closures and curve._closure is None, extra
         assert curve.closure() is curve.closure()
         assert closures == {curve.order: 1}
@@ -799,7 +822,7 @@ def test_a_certified_triple_divides_no_pair_past_its_heaviest_generator(monkeypa
     monkeypatch.setattr(generators, "_minimal_by_count", lambda table: False)
     assert main(argv) == 0
     (curve,) = curves
-    assert curve.ring_certified()
+    assert curve.ring_certified
     top = max(curve.order.weight(lm) for lm, _ in curve.ring_reducer.leads)
     grown = curve.closure()[0]
     assert popped and max(popped) <= top

@@ -3,7 +3,7 @@ import itertools
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -299,13 +299,18 @@ def test_minimality_detects_planted_redundancy(monkeypatch, p713):
 
 @dataclass(frozen=True)
 class _PlantedSet(GeneratorSet):
-    """The closed-form set with labeled plants before and after it."""
+    """The closed-form set with plants before or after it: those before sit
+    among the phis under keys (0, k), which sort ahead of (1, 1), and those
+    after among the psis under keys past p - b, which sort last.  labels
+    maps the key of each plant to its label.  Psi(j) past p - b has no
+    stamp for the module order to key, so a Curve with plants after the
+    set runs the ring checks only."""
 
-    before: tuple = ()
-    after: tuple = ()
+    labels: dict = field(default_factory=dict)
 
     def labeled(self):
-        return list(self.before) + super().labeled() + list(self.after)
+        keys = sorted(self.phis) + sorted(self.psis)
+        return [(self.labels.get(key, lab), g) for key, (lab, g) in zip(keys, super().labeled())]
 
 
 def _first_redundant(order, labeled):
@@ -333,14 +338,18 @@ def _one_left_out(order, labeled):
 def _plant(monkeypatch, make, before=False):
     # every Curve built afterwards carries make(params, gset), a polynomial
     # labeled "planted" or a list of (label, polynomial), after the
-    # closed-form set or, with before, ahead of it
+    # closed-form set or, with before, ahead of it (_PlantedSet)
     def planted(params):
         gset = groebner_generators(params)
         plants = make(params, gset)
         if isinstance(plants, Poly):
             plants = [("planted", plants)]
-        plants = tuple(plants)
-        return _PlantedSet(params, gset.phis, gset.psis, *((plants, ()) if before else ((), plants)))
+        phis, psis = dict(gset.phis), dict(gset.psis)
+        top = params.p - params.b
+        keys = [(0, k) if before else top + 1 + k for k in range(len(plants))]
+        for key, (_, g) in zip(keys, plants):
+            (phis if before else psis)[key] = g
+        return _PlantedSet(params, phis, psis, {key: lab for key, (lab, _) in zip(keys, plants)})
 
     monkeypatch.setattr("monocurve.syzygy.groebner_generators", planted)
 
@@ -349,9 +358,9 @@ def _plant(monkeypatch, make, before=False):
 @pytest.mark.parametrize("before", [False, True])
 def test_a_generator_planted_through_the_labels_reaches_every_ring_check(monkeypatch, triple,
                                                                         before):
-    # X1^2 lies outside the curve ideal.  Planted through labeled() alone,
-    # with the phis and psis left as they are, it must reach the ring
-    # certificate, the S-pair scan, the lead ideal and the count
+    # X1^2 lies outside the curve ideal.  Planted beside the closed-form
+    # set under its own label, ahead of it or after it, it must reach the
+    # ring certificate, the S-pair scan, the lead ideal and the count
     pr = make_params(*triple)
     plain = Curve(pr)
     assert plain.ring_reducer.basis == [g for _, g in plain.gset.labeled()]
@@ -359,7 +368,7 @@ def test_a_generator_planted_through_the_labels_reaches_every_ring_check(monkeyp
     _plant(monkeypatch, lambda params, gset: x1x1, before)
     curve = Curve(pr)
     assert curve.ring_reducer.basis == [g for _, g in curve.gset.labeled()]
-    assert not curve.ring_certified()
+    assert not curve.ring_certified
     checks = {c.name: c for report in (verify_groebner_generators(curve),
                                        verify_ideal_equality(curve)) for c in report.checks}
     # the S-polynomial of X1^2 and phi(1,1) = X1^2 - X2*X0 is +-X2*X0
@@ -474,7 +483,7 @@ def test_the_count_certificate_agrees_with_the_closure_rank_tests_on_the_grid():
         curve = Curve(pr)
         assert verify_minimality(curve, deep=True).passed, pr
         assert curve._closure is None, pr
-        assert curve.ring_certified() and _minimal_by_count(curve.ring_reducer), pr
+        assert curve.ring_certified and _minimal_by_count(curve.ring_reducer), pr
         assert _redundant_by_weight(curve.order, curve.closure()[1]) is None, pr
 
 
@@ -496,7 +505,7 @@ def test_a_planted_redundant_generator_fails_the_count(monkeypatch, triple, befo
 
     _plant(monkeypatch, make, before)
     curve = Curve(make_params(*triple))
-    assert curve.ring_certified()
+    assert curve.ring_certified
     assert not _minimal_by_count(curve.ring_reducer)
     expected = "phi(1,1)" if plant == "copy" and not before else "planted"
     assert _deep_witness(curve) == expected
@@ -616,8 +625,10 @@ def test_closed_form_check_reports_the_full_normal_form(monkeypatch, triple):
 
 def test_truncated_checks_reject_an_inhomogeneous_element(monkeypatch, capsys):
     pr = make_params(7, 1, 3)
-    # X1^2 - X0 carries weights 16 and 7
-    _plant(monkeypatch, lambda params, gset: Poly(4, {(2, 0, 0, 0): 1, (0, 0, 0, 1): -1}))
+    # X1^2 - X0 carries weights 16 and 7; planted ahead of the set, under
+    # Phi(0, 0), a symbol the module order can key, as the verify below does
+    _plant(monkeypatch, lambda params, gset: Poly(4, {(2, 0, 0, 0): 1, (0, 0, 0, 1): -1}),
+           before=True)
     witness = {"element": "planted", "weights": [7, 16]}
     curve = Curve(pr)
     deep = verify_minimality(curve, deep=True).checks[1]
@@ -650,7 +661,7 @@ def test_a_classical_binomial_outside_the_ideal_keeps_the_division_witness(monke
 
     monkeypatch.setattr("monocurve.syzygy.patil_generators", planted)
     curve = Curve(pr)
-    assert curve.ring_certified()
+    assert curve.ring_certified
     remainder, _ = normal_form(bad, Reducer(curve.order, curve.gset.polynomials()))
     assert remainder
     check = {c.name: c for c in verify_ideal_equality(curve).checks}["classical-set-reduces"]

@@ -6,6 +6,8 @@ computes the reduced Groebner basis of the closed-form set under the
 curve's weight order, written from README's definition of that order:
 compare weights (X_i weighs m_i), and break a tie on the right-most
 exponent difference, where the larger monomial has the smaller exponent.
+Its leads are the predicted ones, and its elements, made monic, are
+those of oracles.buchberger, which runs on the library's closure.
 
 For the module, each syzygy member sum c * m * T_sym becomes a
 polynomial in K[X, T], one variable T_sym per symbol, and every product
@@ -20,12 +22,15 @@ the module the members generate.  None of the library's order keys,
 stamps or tie-breaks is imported.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from monocurve import make_params, syzygy_basis
 from monocurve.generators import expected_leading_monomials, groebner_generators
+from monocurve.polyring import Poly, WeightOrder, mono_mul, variable_monomial
 from monocurve.syzygy import ModElement, Phi, Psi, _expected_leads
-from oracles import parameter_sweep
+from oracles import buchberger, parameter_sweep
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import MonomialOrder  # noqa: E402
@@ -62,14 +67,33 @@ def _minimal(monos) -> set:
             if not any(n != m and all(a <= b for a, b in zip(n, m)) for n in monos)}
 
 
-def _sympy_leads(params, order) -> set:
-    # the leading monomials of sympy's reduced Groebner basis of the
-    # closed-form set, with the variables in tuple order
+def _sympy_basis(params, order) -> list:
+    # sympy's reduced Groebner basis of the closed-form set, with the
+    # variables in tuple order, as sympy Polys
     xs = sympy.symbols(f"x1:{params.p + 1}") + (sympy.Symbol("x0"),)
     polys = [sum(int(c) * sympy.Mul(*(x ** e for x, e in zip(xs, m))) for m, c in g.terms.items())
              for g in groebner_generators(params).polynomials()]
-    basis = sympy.groebner(polys, *xs, order=order)
-    return {sympy.Poly(g, *xs).monoms(order=order)[0] for g in basis.exprs}
+    return [sympy.Poly(g, *xs) for g in sympy.groebner(polys, *xs, order=order).exprs]
+
+
+def _sympy_leads(params, order) -> set:
+    # the leading monomials of sympy's reduced Groebner basis
+    return {g.monoms(order=order)[0] for g in _sympy_basis(params, order)}
+
+
+def _monic(terms) -> frozenset:
+    # an element as its (exponent, Fraction) pairs, divided by the
+    # coefficient of its lead, the first of terms
+    terms = [(m, Fraction(int(sympy.numer(c)), int(sympy.denom(c)))) for m, c in terms]
+    lead = terms[0][1]
+    return frozenset((m, c / lead) for m, c in terms)
+
+
+def _library_basis(params, polys) -> set:
+    # oracles.buchberger's reduced basis of polys, each element made monic
+    order = WeightOrder(params)
+    return {_monic(sorted(g.terms.items(), key=lambda t: order.key(t[0]), reverse=True))
+            for g in buchberger(order, polys)}
 
 
 def test_sympys_reduced_basis_leads_with_the_predicted_monomials():
@@ -77,6 +101,22 @@ def test_sympys_reduced_basis_leads_with_the_predicted_monomials():
     for pr in GRID5:
         order = CurveOrder(pr.generators[1:] + pr.generators[:1])
         assert _minimal(_sympy_leads(pr, order)) == _minimal(expected_leading_monomials(pr)), pr
+
+
+def test_sympys_reduced_basis_is_the_library_oracles():
+    # element by element, monic, on every triple; with the half-lead plant
+    # 2*X1^2 - X2*X0 in place of phi(1,1) on the library's side, which lies
+    # outside the curve ideal, the two bases differ on every triple
+    assert len(GRID5) == 59
+    for pr in GRID5:
+        order = CurveOrder(pr.generators[1:] + pr.generators[:1])
+        theirs = {_monic(g.terms(order=order)) for g in _sympy_basis(pr, order)}
+        gset = groebner_generators(pr)
+        assert theirs == _library_basis(pr, gset.polynomials()), pr
+        x2x0 = mono_mul(variable_monomial(pr.p, 2), variable_monomial(pr.p, 0))
+        half = Poly(pr.nvars, {variable_monomial(pr.p, 1, 2): 2, x2x0: -1})
+        planted = [half if g is gset.phis[1, 1] else g for g in gset.polynomials()]
+        assert theirs != _library_basis(pr, planted), pr
 
 
 @pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6), (9, 2, 4)])

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import itertools
 import random
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 
 from monocurve import generators, make_params, syzygy
 from monocurve.cli import main, verification_bundle
-from monocurve.generators import GeneratorSet, expected_leading_monomials, groebner_generators
+from monocurve.generators import expected_leading_monomials, groebner_generators
 from monocurve.polyring import (
     Closure,
     Poly,
@@ -657,8 +656,10 @@ def test_a_harvested_element_that_is_no_relation_is_the_witness(monkeypatch, p71
         return rows
 
     monkeypatch.setattr(syzygy, "schreyer_relations", planted)
-    monkeypatch.setattr(syzygy.Curve, "ring_certified", lambda self: False)
-    report = verify_syzygy_basis(Curve(p713))
+    monkeypatch.setattr(syzygy, "_certified", lambda table: False)
+    curve = Curve(p713)
+    assert not curve.ring_certified
+    report = verify_syzygy_basis(curve)
     assert _record(report, "s-vectors-reduce") == (True, "9 same-symbol pairs", None)
     assert _record(report, "harvested-relations-reduce") == (
         False, "3 harvested relations",
@@ -800,18 +801,22 @@ def _replace_phi11(g):
 
 
 def _with_multiple_and_negation(params):
-    # X1*phi(1,1) and -phi(1,1) after the closed-form set: the closure holds
-    # a lead that another lead divides, and two equal leads
+    # X1*phi(1,1) and -phi(1,1) after the closed-form set, among the psis
+    # under keys past p - b, which sort last: the closure holds a lead that
+    # another lead divides, and two equal leads
     gset = groebner_generators(params)
-    phi = gset.phis[(1, 1)]
-    extra = [("X1*phi(1,1)", poly_term(params.nvars, variable_monomial(params.p, 1)) * phi),
-             ("-phi(1,1)", -phi)]
+    phi, top = gset.phis[(1, 1)], params.p - params.b
+    extra = {top + 1: poly_term(params.nvars, variable_monomial(params.p, 1)) * phi,
+             top + 2: -phi}
+    return dataclasses.replace(gset, psis={**gset.psis, **extra})
 
-    class Extended(GeneratorSet):
-        def labeled(self):
-            return super().labeled() + extra
 
-    return Extended(params, gset.phis, gset.psis)
+def _dropped(gset, n):
+    # the closed-form set without its n-th element in label order
+    keys = [("phis", k) for k in sorted(gset.phis)] + [("psis", k) for k in sorted(gset.psis)]
+    family, key = keys[n]
+    return dataclasses.replace(gset, **{family: {k: g for k, g in getattr(gset, family).items()
+                                                 if k != key}})
 
 
 def _with_a_ring_tail_term(params):
@@ -851,17 +856,15 @@ def test_the_closure_holds_every_lead_of_g_so_none_is_lost(monkeypatch, triple):
     base = Curve(pr)
     x2x0 = mono_mul(variable_monomial(pr.p, 2), variable_monomial(pr.p, 0))
     half = Poly(pr.nvars, {variable_monomial(pr.p, 1, 2): 2, x2x0: -1})
-    with monkeypatch.context() as patch:
-        patch.setattr(syzygy, "groebner_generators", _replace_phi11(half))
-        curves = [Curve(pr)]
-    polys = base.gset.polynomials()
-    for k in range(len(polys)):
-        curve = copy.copy(base)
-        curve.ring_reducer = Reducer(base.order, polys[:k] + polys[k + 1:])
-        curve._ring_certified = curve._closure = None
-        curves.append(curve)
+    plants = [_replace_phi11(half)]
+    plants += [lambda params, k=k: _dropped(base.gset, k) for k in range(len(base.gset))]
+    curves = []
+    for planted in plants:
+        with monkeypatch.context() as patch:
+            patch.setattr(syzygy, "groebner_generators", planted)
+            curves.append(Curve(pr))
     for n, curve in enumerate(curves):
-        assert not curve.ring_certified(), (triple, n)
+        assert not curve.ring_certified, (triple, n)
         leads = set(curve.closure()[0].close().lead_monomials())
         assert set(curve.ring_reducer.lead_monomials()) <= leads, (triple, n)
         passed, _, witness = _record(generators.verify_groebner_generators(curve),
@@ -903,7 +906,7 @@ def test_certified_records_match_the_closure_records(monkeypatch):
             lead_ideal = _record(generators.verify_groebner_generators(curve), "buchberger-lt-ideal")
             closed_form = _record(generators.verify_ideal_equality(curve), "closed-form-set-reduces")
         assert not built, pr
-        assert curve.ring_certified()
+        assert curve.ring_certified
         assert lead_ideal == _buchberger_record(curve), pr
         assert closed_form == _closure_record(curve), pr
 
@@ -919,7 +922,7 @@ def test_harvest_record_matches_the_all_pairs_scan_with_each_member_dropped(monk
     base = Curve(make_params(*triple))
     rows, keyed = list(schreyer_relations(base)), base.sset.keyed()
     monkeypatch.setattr(syzygy, "schreyer_relations", lambda curve: rows)
-    assert base.ring_certified()
+    assert base.ring_certified
     passed = 0
     for k in range(len(keyed)):
         planted = keyed[:k] + keyed[k + 1:]
@@ -943,7 +946,7 @@ def test_both_identities_hold_where_the_all_pairs_scans_pass():
     # relation divides to zero
     for pr in SWEEP5 + [make_params(17, 3, 8)]:
         curve = Curve(pr)
-        assert curve.ring_certified() and syzygy._module_identity(curve), pr
+        assert curve.ring_certified and syzygy._module_identity(curve), pr
         rows = list(schreyer_relations(curve))
         assert _all_pairs_spoly_record(curve, rows)[0], pr
         assert _all_pairs_harvest_record(curve, rows)[0], pr
@@ -951,40 +954,46 @@ def test_both_identities_hold_where_the_all_pairs_scans_pass():
 
 
 @pytest.mark.parametrize("triple", PLANTED_TRIPLES)
-def test_each_dropped_generator_fails_the_ring_identity(triple):
+def test_each_dropped_generator_fails_the_ring_identity(monkeypatch, triple):
     base = Curve(make_params(*triple))
     for k in range(len(base.images)):
-        curve = copy.copy(base)
-        curve.images = {sym: g for n, (sym, g) in enumerate(base.images.items()) if n != k}
-        curve.ring_reducer = Reducer(base.order, curve.images.values())
-        curve._ring_certified = None
-        assert not curve.ring_certified(), (triple, k)
+        with monkeypatch.context() as patch:
+            patch.setattr(syzygy, "groebner_generators", lambda params: _dropped(base.gset, k))
+            curve = Curve(base.params)
+        assert len(curve.images) == len(base.images) - 1
+        assert not curve.ring_certified, (triple, k)
+
+
+def _without_member(monkeypatch, base, k):
+    # a Curve of base's triple whose syzygy basis lists every member but the
+    # k-th, planted through the builder
+    keyed = base.sset.keyed()
+    with monkeypatch.context() as patch:
+        patch.setattr(syzygy, "syzygy_basis",
+                      lambda params: planted_syzygies(params, keyed[:k] + keyed[k + 1:]))
+        curve = Curve(base.params)
+    assert len(curve.module_reducer.basis) == len(keyed) - 1
+    return curve
 
 
 @pytest.mark.parametrize("triple", PLANTED_TRIPLES)
-def test_sampled_dropped_syzygies_fail_the_module_identity(triple):
+def test_sampled_dropped_syzygies_fail_the_module_identity(monkeypatch, triple):
     base = Curve(make_params(*triple))
-    assert base.ring_certified()
-    elements = syzygy_members(base.sset)
+    assert base.ring_certified
     rng = random.Random(sum(triple))
-    for k in rng.sample(range(len(elements)), min(len(elements), 20)):
-        curve = copy.copy(base)
-        curve.module_reducer = Reducer(base.morder, elements[:k] + elements[k + 1:])
-        curve._module_shape = None
+    for k in rng.sample(range(len(base.sset)), min(len(base.sset), 20)):
+        curve = _without_member(monkeypatch, base, k)
         assert not syzygy._module_identity(curve), (triple, k)
 
 
 @pytest.mark.parametrize("triple", [(17, 3, 8), (41, 2, 12), (71, 2, 24)])
-def test_module_identity_matches_the_per_symbol_reference(triple):
+def test_module_identity_matches_the_per_symbol_reference(monkeypatch, triple):
     # one K per distinct lead set gives the verdict of one K per symbol, on
     # the basis and with a sampled member dropped
     base = Curve(make_params(*triple))
     assert syzygy._module_identity(base) and module_identity_by_symbol(base)
-    elements = syzygy_members(base.sset)
-    for k in random.Random(sum(triple)).sample(range(len(elements)), 2):
-        curve = copy.copy(base)
-        curve.module_reducer = Reducer(base.morder, elements[:k] + elements[k + 1:])
-        curve._module_shape = None
+    for k in random.Random(sum(triple)).sample(range(len(base.sset)), 2):
+        curve = _without_member(monkeypatch, base, k)
         assert not syzygy._module_identity(curve), (triple, k)
         assert not module_identity_by_symbol(curve), (triple, k)
 
@@ -1038,34 +1047,37 @@ def test_only_leads_off_the_prediction_reach_bigattis_recursion(monkeypatch, cap
         patch.setattr(syzygy, "groebner_generators", _with_multiple_and_negation)
         curve = Curve(pr)
     assert set(curve.ring_reducer.lead_monomials()) != expected_leading_monomials(pr)
-    assert curve.ring_certified()
+    assert curve.ring_certified
     assert len(calls) == 1
     keyed = syzygy_basis(pr).keyed()
     with monkeypatch.context() as patch:
         patch.setattr(syzygy, "syzygy_basis",
                       lambda params: planted_syzygies(params, _swap(keyed, 0, len(keyed) // 2)))
         curve = Curve(pr)
-    assert not curve.module_shape() and syzygy._module_identity(curve)
+    assert not curve.module_shape and syzygy._module_identity(curve)
     assert len(calls) > 1
 
 
 @pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6)])
-def test_a_lead_that_no_key_names_fails_the_module_shape(triple):
-    # a module Reducer holding one member past the keyed basis: X0*Psi(0)
-    # enlarges the lead module, so the identity, by the recursion, fails;
-    # the report names the member by its place and lists no mismatch
-    base = Curve(make_params(*triple))
-    assert base.module_shape()
-    curve = copy.copy(base)
-    extra = module_term(base.params.nvars, variable_monomial(base.params.p, 0), Psi(0))
-    curve.module_reducer = Reducer(base.morder, syzygy_members(base.sset) + [extra])
-    curve._module_shape = None
-    assert not curve.module_shape() and not syzygy._module_identity(curve)
-    n = len(base.sset)
+def test_a_lead_that_no_key_names_fails_the_module_shape(monkeypatch, triple):
+    # one member planted past the keyed basis, under A(0;b,0), a key with no
+    # prediction: X0*Psi(0) enlarges the lead module, so the identity, by
+    # the recursion, fails; the report names the member by its label and
+    # lists its lead with no expected term
+    pr = make_params(*triple)
+    base = Curve(pr)
+    assert base.module_shape
+    lead = (variable_monomial(pr.p, 0), Psi(0))
+    keyed = base.sset.keyed() + [(("A", (0, 0)), module_term(pr.nvars, *lead))]
+    monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted_syzygies(params, keyed))
+    curve = Curve(pr)
+    assert not curve.module_shape and not syzygy._module_identity(curve)
+    n, label = len(base.sset), f"A(0;{pr.b},0)"
     checks = {c.name: c for c in verify_syzygy_basis(curve).checks}
-    assert checks["members-are-relations"].witness["element"] == f"member {n}"
+    assert checks["members-are-relations"].witness["element"] == label
     assert checks["members-are-relations"].detail == f"{n + 1} members"
-    assert checks["leading-term-shape"].witness == {"mismatches": []}
+    assert checks["leading-term-shape"].witness == {"mismatches": [
+        {"element": label, "computed": term_to_json(lead), "expected": None}]}
     assert not checks["s-vectors-reduce"].passed
 
 
@@ -1084,7 +1096,7 @@ def test_the_half_lead_plant_fails_the_ring_hypothesis(monkeypatch, triple):
     curve = Curve(pr)
     leads = curve.ring_reducer.lead_monomials()
     assert hilbert_numerator(pr.exponent_weights, leads) == apery_numerator(pr)
-    assert not curve.ring_certified()
+    assert not curve.ring_certified
     spoly = _record(generators.verify_groebner_generators(curve), "s-polynomials-reduce")
     assert spoly == _all_pairs_spoly_record(curve, list(schreyer_relations(curve)))
     assert spoly[0] == (triple == (8, 3, 2))
@@ -1397,11 +1409,25 @@ PROJECTION_PLANTS = {
 }
 
 
+def _curve_with_image(monkeypatch, params, sym, terms):
+    # a Curve whose closed-form set holds terms in place of sym's binomial
+    def planted(params):
+        gset = groebner_generators(params)
+        if isinstance(sym, Psi):
+            return dataclasses.replace(gset, psis={**gset.psis, sym.j: Poly(params.nvars, terms)})
+        return dataclasses.replace(gset, phis={**gset.phis, sym: Poly(params.nvars, terms)})
+
+    with monkeypatch.context() as patch:
+        patch.setattr(syzygy, "groebner_generators", planted)
+        curve = Curve(params)
+    assert curve.images[sym].terms == terms
+    return curve
+
+
 @pytest.mark.parametrize("sym, terms, missed", PROJECTION_PLANTS.values(), ids=PROJECTION_PLANTS)
-def test_sampled_projection_record_matches_the_reference_on_a_planted_lead(p713, sym, terms,
-                                                                          missed):
-    curve = Curve(p713)
-    curve.images[sym] = Poly(p713.nvars, terms)
+def test_sampled_projection_record_matches_the_reference_on_a_planted_lead(monkeypatch, p713, sym,
+                                                                          terms, missed):
+    curve = _curve_with_image(monkeypatch, p713, sym, terms)
     _same_projection_records(curve)
     for seed in range(6):
         assert verify_order_projection(curve, 5, seed).passed == (seed in missed), seed
@@ -1413,8 +1439,7 @@ def test_the_per_symbol_projection_record_matches_the_sampled_one(monkeypatch, p
     # a passing curve, and each planted lead with the seeds that miss it
     if case in PROJECTION_PLANTS:
         sym, terms, _ = PROJECTION_PLANTS[case]
-        curve = Curve(p713)
-        curve.images[sym] = Poly(p713.nvars, terms)
+        curve = _curve_with_image(monkeypatch, p713, sym, terms)
     else:
         curve = Curve(make_params(*case))
         with monkeypatch.context() as patch:
@@ -1450,7 +1475,7 @@ def test_packed_images_match_the_tuple_products_on_every_member(triple):
     members = curve.module_reducer.basis
     assert _same_images(curve, members) == 0
     assert _same_images(curve, [_flip_first(g) for g in members]) == len(members)
-    assert curve.packing().width == max(max(m) for m in curve.packing().codes).bit_length() + 1
+    assert curve.packing.width == max(max(m) for m in curve.packing.codes).bit_length() + 1
 
 
 def test_packed_images_match_the_tuple_products_on_the_half_lead_harvest(monkeypatch):
@@ -1482,11 +1507,11 @@ def test_a_monomial_wider_than_the_fields_repacks_every_monomial():
     curve = Curve(make_params(17, 3, 8))
     members = curve.module_reducer.basis
     assert _same_images(curve, members) == 0
-    width = curve.packing().width
+    width = curve.packing.width
     wide = variable_monomial(8, 0, 2 ** width)
     elem = module_term(9, variable_monomial(8, 1), Psi(0)) + module_term(9, wide, Psi(1))
     assert _same_images(curve, [elem, members[0].times_term(3, wide)]) == 1
-    assert curve.packing().width == width + 2
+    assert curve.packing.width == width + 2
     assert _same_images(curve, members) == 0
     assert _same_images(curve, [_flip_first(g) for g in members]) == len(members)
 
@@ -1506,6 +1531,87 @@ def test_a_curve_and_a_passing_verify_list_the_members_once(monkeypatch):
     curve = Curve(make_params(17, 3, 8))
     assert all(r.passed for r in verification_bundle(curve, 2, 1000, 0))
     assert calls == [curve.sset]
+
+
+HALF_LEAD_TRIPLES = [(7, 1, 3), (8, 3, 2), (13, 2, 6)]
+
+
+def _half_lead_curve(monkeypatch, params):
+    # 2*X1^2 - X2*X0 in place of phi(1,1): every lead kept, outside the ideal
+    x2x0 = mono_mul(variable_monomial(params.p, 2), variable_monomial(params.p, 0))
+    half = Poly(params.nvars, {variable_monomial(params.p, 1, 2): 2, x2x0: -1})
+    with monkeypatch.context() as patch:
+        patch.setattr(syzygy, "groebner_generators", _replace_phi11(half))
+        return Curve(params)
+
+
+def _holds_one_copy_of_g_and_distinct_keys(curve):
+    # G in label order is the images' binomials in symbol order, and the
+    # keys label the module Reducer's members, each once
+    assert curve.ring_reducer.basis == list(curve.images.values()) == curve.gset.polynomials()
+    assert len(curve.keys) == len(set(curve.keys)) == len(curve.module_reducer.basis)
+    assert [curve.sset.label(key) for key in curve.keys] == [lab for lab, _ in curve.sset.labeled()]
+
+
+def test_a_curve_holds_one_copy_of_g_and_each_key_once(monkeypatch, ladder):
+    # the images and the ring Reducer come from one list, in label order,
+    # and the keys and the module Reducer from one listing of the members
+    for pr in ladder:
+        curve = Curve(pr)
+        assert curve.ring_certified and curve.module_shape
+        _holds_one_copy_of_g_and_distinct_keys(curve)
+    for triple in HALF_LEAD_TRIPLES:
+        curve = _half_lead_curve(monkeypatch, make_params(*triple))
+        assert not curve.ring_certified
+        _holds_one_copy_of_g_and_distinct_keys(curve)
+
+
+def _watch_the_harvest(monkeypatch):
+    # the ring Reducers that the harvest divides by, and the Reducers it builds
+    divided, built, inside = [], [], []
+    divide, init, harvest = Reducer.divide, Reducer.__init__, syzygy.schreyer_relations
+
+    def divide_watched(table, f):
+        if inside and table.ring:
+            divided.append(table)
+        return divide(table, f)
+
+    def init_watched(table, order, basis=()):
+        if inside:
+            built.append(table)
+        init(table, order, basis)
+
+    def harvest_watched(curve):
+        inside.append(curve)
+        try:
+            return list(harvest(curve))
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Reducer, "divide", divide_watched)
+    monkeypatch.setattr(Reducer, "__init__", init_watched)
+    monkeypatch.setattr(syzygy, "schreyer_relations", harvest_watched)
+    return divided, built
+
+
+@pytest.mark.parametrize("case", [*HALF_LEAD_TRIPLES, "ladder"])
+def test_a_failing_verify_harvests_by_the_ring_reducer(monkeypatch, ladder, case):
+    # the half-lead plant fails the ring certificate, and so does each small
+    # ladder triple with the certificate planted false: the harvest divides
+    # every pair by curve.ring_reducer, and builds no Reducer of its own
+    if case == "ladder":
+        monkeypatch.setattr(syzygy, "_certified", lambda table: False)
+        curves = [Curve(pr) for pr in ladder if pr.p <= 8]
+        monkeypatch.undo()
+    else:
+        curves = [_half_lead_curve(monkeypatch, make_params(*case))]
+    for curve in curves:
+        divided, built = _watch_the_harvest(monkeypatch)
+        report = verify_syzygy_basis(curve)
+        monkeypatch.undo()
+        assert _record(report, "harvested-relations-reduce")[0] == (case == "ladder")
+        assert divided == [curve.ring_reducer] * len(curve.ring_reducer.pairs())
+        assert built == []
 
 
 def test_a_passing_verify_leaves_the_module_key_cache_empty():
