@@ -261,9 +261,10 @@ class TermOrder:
     Each subclass defines its key once, in uncached_key(), which fills no
     cache; key(), here, memoizes it in the dict _cache, term to key, which
     Reducer.divide fills and reads directly, and sorted_terms, for output.
-    A term keyed only once is keyed as uncached_key() keys it: each sampled
-    term of syzygy.verify_order_projection, and each term of a syzygy
-    member whose lead syzygy.ModuleOrder.leading_term finds, once, as the
+    A term keyed only once is keyed as uncached_key() keys it: each image
+    monomial and symbol of syzygy.verify_order_projection, and each drawn
+    monomial, whose key shifts theirs, and each term of a syzygy member
+    whose lead syzygy.ModuleOrder.leading_term finds, once, as the
     member's Reducer row is built.  leading_term is written out on each
     subclass, so that the calls of each order can be counted on its own
     class.

@@ -243,13 +243,14 @@ def _symbol_tiebreak(sym) -> tuple:
 class ModuleOrder(TermOrder):
     """Total order on module terms: projection first, symbol tie-break second.
 
-    uncached_key() is the ring key of the projection m * _stamp(sym),
-    which verify_order_projection checks against the lead of the term's
-    image, and the tie-break; key() is the same key, memoized per term.
-    The ring key is additive in the monomial, so per symbol the weight
-    and the negated reversed exponents of its stamp, and its tie-break,
-    are computed once, and a term's key is theirs shifted by m: no
-    product is built and the ring order's cache stays as it is.
+    uncached_key() is the ring key of the projection m * _stamp(sym), and
+    the tie-break; key() is the same key, memoized per term.  The ring key
+    is additive in the monomial, so per symbol the weight and the negated
+    reversed exponents of its stamp, and its tie-break, are computed once,
+    and a term's key is theirs shifted by m: no product is built and the
+    ring order's cache stays as it is.  verify_order_projection keys each
+    (1, sym) once and shifts it by each sampled m in the same way, to
+    compare it with the lead of the term's image.
 
     leading_term() keys each term as uncached_key() does, with the
     per-symbol parts and the weights bound once per call, and fills no
@@ -780,23 +781,31 @@ def verify_order_projection(curve: Curve, samples: int = 1000, seed: int = 0,
     A term's image is mono times the binomial of sym: the binomial's
     monomials are distinct, so are their products with mono, and no term
     of the image cancels.  So the image's lead is the largest of those
-    products, found by their ring keys, and no module element, image
-    polynomial or cache entry is built: both orders key each sampled term
-    by uncached_key().  The witness is the first term whose projection key
+    products.  Both keys shift by the ring key of mono, so each symbol's
+    image monomials and its projection (1, sym) are keyed once, by
+    uncached_key(), and a sampled term costs one ring key, of mono.  No
+    cache entry is built, and a product only to name a failing term's
+    image lead.  The witness is the first term whose projection key
     differs from its image lead's key.
     """
-    ring_key, module_key = curve.order.uncached_key, curve.morder.uncached_key
+    ring_key = curve.order.uncached_key
+    one = mono_one(curve.params.nvars)
     symbols = sorted(curve.images, key=str)
-    images = [list(curve.images[sym].terms) for sym in symbols]
+    # per symbol: its image monomials' ring keys, and its projection key
+    table = [([ring_key(m) for m in curve.images[sym].terms],
+              curve.morder.uncached_key((one, sym))[0]) for sym in symbols]
     shape = (curve.params.nvars, len(symbols), samples, seed)
     terms = _draws(*shape) if drawn is None else drawn.get(shape)
     if terms is None:
         terms = drawn[shape] = list(_draws(*shape))
     bad = None
     for mono, k in terms:
-        products = [tuple(map(add, mono, m)) for m in images[k]]
-        lead_key, lm = max(zip(map(ring_key, products), products))
-        if lead_key != module_key((mono, symbols[k]))[0]:
+        w, nr = ring_key(mono)
+        image_keys, (ws, ns) = table[k]
+        if (max([(w + wm, tuple(map(add, nr, nm))) for wm, nm in image_keys])
+                != (w + ws, tuple(map(add, nr, ns)))):
+            lm = max((tuple(map(add, mono, m)) for m in curve.images[symbols[k]].terms),
+                     key=ring_key)
             bad = {"term": term_to_json((mono, symbols[k])), "image-lead": list(lm)}
             break
     report = VerificationReport(curve.params)

@@ -439,9 +439,10 @@ def order_projection_by_images(curve, samples: int = 1000, seed: int = 0) -> Ver
     """The sampled projection check term by term: each sampled term made a
     module element, evaluated by relation_image, its image's lead found by
     the ring order's leading_monomial and keyed by key().  The reference
-    for syzygy.verify_order_projection, which multiplies the drawn
-    monomial into each image monomial and keys nothing through a cache;
-    the draws are the same."""
+    for syzygy.verify_order_projection, which keys each image monomial and
+    each symbol's projection once, shifts those keys by the ring key of
+    each drawn monomial, builds no product for a passing term and keys
+    nothing through a cache; the draws are the same."""
     rng = random.Random(seed)
     params = curve.params
     symbols = sorted(curve.images, key=str)

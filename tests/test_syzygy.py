@@ -1406,6 +1406,8 @@ PROJECTION_PLANTS = {
     "phi(1,1) = X1^2 - X3^5": (Phi(1, 1), {(2, 0, 0, 0): 1, (0, 0, 5, 0): -1}, {0, 2, 3}),
     "psi(1) = X2*X3^2 - X2*X3^2*X0": (Psi(1), {(0, 1, 2, 0): 1, (0, 1, 2, 1): -1}, {1}),
     "phi(2,2) = X2^2 - X2^2*X0": (Phi(2, 2), {(0, 2, 0, 0): 1, (0, 2, 0, 1): -1}, {1, 5}),
+    "phi(1,1) = X1^2 + X2*X0 - X3^5": (Phi(1, 1), {(2, 0, 0, 0): 1, (0, 1, 0, 1): 1,
+                                                   (0, 0, 5, 0): -1}, {0, 2, 3}),
 }
 
 
@@ -1432,6 +1434,27 @@ def test_sampled_projection_record_matches_the_reference_on_a_planted_lead(monke
     for seed in range(6):
         assert verify_order_projection(curve, 5, seed).passed == (seed in missed), seed
         assert not verify_order_projection(curve, 1000, seed).passed, seed
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (17, 3, 8)])
+def test_a_passing_projection_check_keys_each_sampled_term_once(monkeypatch, triple):
+    # each image monomial is ring-keyed once and each symbol's projection
+    # once; a sample then costs one ring key, of its drawn monomial, and
+    # nothing is keyed through a memo
+    curve = Curve(make_params(*triple))
+    ring_cache, ring, module = dict(curve.order._cache), [], []
+    ring_key, module_key = WeightOrder.uncached_key, ModuleOrder.uncached_key
+    monkeypatch.setattr(WeightOrder, "uncached_key",
+                        lambda self, mono: ring.append(mono) or ring_key(self, mono))
+    monkeypatch.setattr(ModuleOrder, "uncached_key",
+                        lambda self, term: module.append(term) or module_key(self, term))
+    assert verify_order_projection(curve, 300, 7).passed
+    draws = syzygy._draws(curve.params.nvars, len(curve.images), 300, 7)
+    monos = [m for g in curve.images.values() for m in g.terms]
+    assert Counter(ring) == Counter(monos + [m for m, _ in draws])
+    one = (0,) * curve.params.nvars
+    assert sorted(module, key=str) == sorted(((one, sym) for sym in curve.images), key=str)
+    assert curve.morder._cache == {} and curve.order._cache == ring_cache
 
 
 @pytest.mark.parametrize("case", [*PROJECTION_TRIPLES, *PROJECTION_PLANTS])
