@@ -54,18 +54,23 @@ def _emit(args: argparse.Namespace, text: str):
         return
     try:
         print(text, flush=True)
-    except BrokenPipeError:
-        # The reader has gone.  Point the stdout descriptor at devnull, so
-        # that the interpreter's last flush at exit stays silent; the
-        # command still returns the exit code of the work it did.  A
-        # stream with no descriptor (io.StringIO) has nothing to flush.
+    except OSError as exc:
+        # Point the stdout descriptor at devnull, so that the interpreter's
+        # last flush at exit stays silent.  When the reader has gone
+        # (BrokenPipeError) the command still returns the exit code of the
+        # work it did; any other failure, such as a full device, is an
+        # unwritable output.  A stream with no descriptor (io.StringIO)
+        # has nothing to flush.
         try:
             fd = sys.stdout.fileno()
         except (AttributeError, OSError, ValueError):
-            return
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, fd)
-        os.close(devnull)
+            fd = None
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            raise ParameterError(f"cannot write to stdout: {exc.strerror or exc}") from None
 
 
 def _params_lines(params: CurveParams) -> list[str]:

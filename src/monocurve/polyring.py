@@ -18,11 +18,11 @@ the larger monomial being the one whose entry is negative.  Encoded as a
 sort key this is (weight, negated-reversed-exponents) under tuple order.
 
 Poly shares its linear arithmetic and its validating constructor with
-syzygy.ModElement through SparseMap, and the ring and module orders
-share TermOrder, and with it one key memo.  There is one division loop,
-Reducer.divide, for both: a Reducer prepares a basis once, grouping its
-lead terms by module symbol, and a ring basis is a module with the
-single symbol None.  It holds each element once, and a division step
+syzygy.ModElement through SparseMap.  The ring and module orders are
+pure key functions, each with one key() and no per-term state.  There
+is one division loop, Reducer.divide, for both: a Reducer prepares a
+basis once, grouping its lead terms by module symbol, and a ring basis
+is a module with the single symbol None.  It holds each element once, and a division step
 reads the element's terms from it.
 normal_form, the one public name of that loop, divides a Poly or a
 module element by a Reducer and nothing else; the closed-form basis of
@@ -254,52 +254,21 @@ class Poly(SparseMap):
 # term orders
 
 
-class TermOrder:
-    """What the ring and module orders share, given uncached_key() and
-    leading_term() on each.
-
-    Each subclass defines its key once, in uncached_key(), which fills no
-    cache; key(), here, memoizes it in the dict _cache, term to key, which
-    Reducer.divide fills and reads directly, and sorted_terms, for output.
-    A term keyed only once is keyed as uncached_key() keys it: each image
-    monomial and symbol of syzygy.verify_order_projection, and each drawn
-    monomial, whose key shifts theirs, and each term of a syzygy member
-    whose lead syzygy.ModuleOrder.leading_term finds, once, as the
-    member's Reducer row is built.  leading_term is written out on each
-    subclass, so that the calls of each order can be counted on its own
-    class.
-    """
-
-    def key(self, term):
-        k = self._cache.get(term)
-        if k is None:
-            k = self._cache[term] = self.uncached_key(term)
-        return k
-
-    def sorted_terms(self, elem) -> list:
-        return [(t, elem.terms[t]) for t in sorted(elem.terms, key=self.key, reverse=True)]
-
-
-class WeightOrder(TermOrder):
+class WeightOrder:
     """Total order on monomials for a fixed parameter set.
 
-    uncached_key() is an ascending sort key: compare weights, then the
-    negated reversed exponent tuple, so that of two equal-weight
-    monomials the larger is the one whose right-most non-zero difference
-    entry is negative.  key() is the same key, memoized per monomial.
+    key() is an ascending sort key: compare weights, then the negated
+    reversed exponent tuple, so that of two equal-weight monomials the
+    larger is the one whose right-most non-zero difference entry is
+    negative.
     """
 
     def __init__(self, params: CurveParams):
         self.params = params
         self.weight = params.weight
-        self._cache = {}
 
-    def uncached_key(self, mono: Mono):
+    def key(self, mono: Mono):
         return self.weight(mono), tuple(map(neg, reversed(mono)))
-
-    # TermOrder's one memo, bound in this class too, where
-    # perfbench/test_perfbench.py checks that the tracer leaves it unwrapped
-    key = TermOrder.key
 
     def leading_term(self, poly: Poly) -> tuple[Mono, int | Fraction]:
         if not poly.terms:
@@ -328,19 +297,22 @@ class Reducer:
     divides by one, in the order it was built with, and its S-pairs are
     listed, counted, built and scanned here.
 
-    It also remembers, per term, the first row that divides it: rows are
-    only appended, so that row stays the first for good.
+    It also remembers, per term, the first row that divides it, in _hits:
+    rows are only appended, so that row stays the first for good; and the
+    term's sort key under order, in _keys, which only divide fills and
+    reads.
     """
 
-    __slots__ = ("order", "ring", "basis", "leads", "_rows", "_hits")
+    __slots__ = ("order", "ring", "basis", "leads", "_rows", "_hits", "_keys")
 
-    def __init__(self, order: TermOrder, basis=()):
+    def __init__(self, order, basis=()):
         self.order = order
         self.ring = isinstance(order, WeightOrder)
         self.basis = []
         self.leads = []
         self._rows = {}
         self._hits = {}
+        self._keys = {}
         for g in basis:
             self.append(g)
 
@@ -395,20 +367,20 @@ class Reducer:
     def divide(self, f):
         """(remainder, quotients) of f by the basis; see normal_form.
 
-        Each term is keyed once, as it enters the work queue, by filling
-        the order's key cache, so the largest term is found by plain
-        lookups.  Each processed term is smaller than the one before, so
-        an index k never gets the same quotient monomial twice.  A step by
+        Each term is keyed once, as it first enters a work queue, into
+        _keys, so the largest term is found by plain lookups.  Each
+        processed term is smaller than the one before, so an index k
+        never gets the same quotient monomial twice.  A step by
         basis[k] subtracts its terms but the lead, skipped as a whole term:
         another term of a module element can share the lead's monomial.
         """
         ring, rows, hits, basis, leads = self.ring, self._rows, self._hits, self.basis, self.leads
-        key, cache = self.order.key, self.order._cache
+        key, keys = self.order.key, self._keys
         work = dict(f.terms)
         for t in work:
-            if t not in cache:
-                key(t)
-        rank = cache.__getitem__
+            if t not in keys:
+                keys[t] = key(t)
+        rank = keys.__getitem__
         remainder = {}
         quotients = {}
         while work:
@@ -439,8 +411,8 @@ class Reducer:
                 t2 = tuple(map(add, t2, u)) if ring else (tuple(map(add, t2[0], u)), t2[1])
                 v = work.get(t2)
                 if v is None:
-                    if t2 not in cache:
-                        key(t2)
+                    if t2 not in keys:
+                        keys[t2] = key(t2)
                     work[t2] = -c * c2
                 else:
                     v -= c * c2
@@ -609,9 +581,14 @@ def coeff_to_str(c: int | Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _json_terms(order: TermOrder, elem, spell) -> list[dict]:
+def _sorted_terms(order, elem) -> list:
+    """The (term, coeff) pairs of elem, largest first under order."""
+    return [(t, elem.terms[t]) for t in sorted(elem.terms, key=order.key, reverse=True)]
+
+
+def _json_terms(order, elem, spell) -> list[dict]:
     """Terms largest first as {"coeff": "num/den", **spell(key)}."""
-    return [{"coeff": coeff_to_str(c), **spell(key)} for key, c in order.sorted_terms(elem)]
+    return [{"coeff": coeff_to_str(c), **spell(key)} for key, c in _sorted_terms(order, elem)]
 
 
 def poly_to_json(order: WeightOrder, f: Poly) -> list[dict]:
@@ -629,10 +606,10 @@ def _term_text(mono: Mono, c: int | Fraction) -> str:
     return f"{c}*{name}"
 
 
-def _join_signed(order: TermOrder, elem, spell) -> str:
+def _join_signed(order, elem, spell) -> str:
     """Terms largest first, joined by their signs; spell(key, |coeff|) writes one."""
     text = ""
-    for key, c in order.sorted_terms(elem):
+    for key, c in _sorted_terms(order, elem):
         body = spell(key, abs(c))
         if text:
             text += f" {'-' if c < 0 else '+'} {body}"

@@ -24,10 +24,10 @@ fixed symbol tie-break: lower Psi index wins, Psi beats Phi, and Phi
 pairs compare by (j, i).
 
 ModElement is a polyring.SparseMap keyed by (monomial, symbol), with
-Poly's arithmetic and validating constructor, and ModuleOrder a
-polyring.TermOrder.  normal_form divides it by a module Reducer with the
-ring's division loop (polyring.Reducer), where a ring basis has the one
-symbol None.
+Poly's arithmetic and validating constructor, and ModuleOrder a pure
+key function, as polyring.WeightOrder is.  normal_form divides it by a
+module Reducer with the ring's division loop (polyring.Reducer), where a
+ring basis has the one symbol None.
 S-vectors take the ring's one S-pair path: a module Reducer lists and
 counts the pairs of basis elements whose leads share a symbol, builds
 each S-vector from the leads it holds and scans them
@@ -85,7 +85,6 @@ from .polyring import (
     Poly,
     Reducer,
     SparseMap,
-    TermOrder,
     WeightOrder,
     ZeroPolynomialError,
     _first_dividing_pair,
@@ -240,37 +239,30 @@ def _symbol_tiebreak(sym) -> tuple:
     return (0, sym.j, sym.i)
 
 
-class ModuleOrder(TermOrder):
+class ModuleOrder:
     """Total order on module terms: projection first, symbol tie-break second.
 
-    uncached_key() is the ring key of the projection m * _stamp(sym), and
-    the tie-break; key() is the same key, memoized per term.  The ring key
-    is additive in the monomial, so per symbol the weight and the negated
-    reversed exponents of its stamp, and its tie-break, are computed once,
-    and a term's key is theirs shifted by m: no product is built and the
-    ring order's cache stays as it is.  verify_order_projection keys each
+    key() is the ring key of the projection m * _stamp(sym), and the
+    tie-break.  The ring key is additive in the monomial, so per symbol
+    the weight and the negated reversed exponents of its stamp, and its
+    tie-break, are computed once, in _symbols, and a term's key is theirs
+    shifted by m: no product is built.  verify_order_projection keys each
     (1, sym) once and shifts it by each sampled m in the same way, to
-    compare it with the lead of the term's image.
-
-    leading_term() keys each term as uncached_key() does, with the
-    per-symbol parts and the weights bound once per call, and fills no
-    memo: a member's lead is found once, as its Reducer row is built, and
-    its terms are keyed again only by a division.  So the memo fills only
-    in Reducer.divide and in sorted_terms, for output, and a passing verify
-    leaves it empty.
+    compare it with the lead of the term's image.  leading_term() keys
+    each term as key() does, with the per-symbol parts and the weights
+    bound once per call.
     """
 
     def __init__(self, params: CurveParams):
         self.params = params
         self.ring = WeightOrder(params)
-        self._cache = {}
         self._symbols = {}
 
-    def uncached_key(self, term):
+    def key(self, term):
         mono, sym = term
         known = self._symbols.get(sym)
         if known is None:
-            weight, negrev = self.ring.uncached_key(_stamp(self.params, sym))
+            weight, negrev = self.ring.key(_stamp(self.params, sym))
             known = self._symbols[sym] = (weight, negrev, _symbol_tiebreak(sym))
         weight, negrev, tiebreak = known
         return (self.ring.weight(mono) + weight,
@@ -279,14 +271,14 @@ class ModuleOrder(TermOrder):
     def leading_term(self, elem: ModElement):
         if not elem.terms:
             raise ZeroPolynomialError("the zero element has no leading term")
-        # uncached_key, with the per-symbol parts and the weights bound here
+        # key, with the per-symbol parts and the weights bound here
         symbols, weights = self._symbols, self.params.exponent_weights
         lead = top = None
         for term in elem.terms:
             mono, sym = term
             known = symbols.get(sym)
             if known is None:
-                self.uncached_key(term)
+                self.key(term)
                 known = symbols[sym]
             weight, negrev, tiebreak = known
             key = ((sum(map(mul, mono, weights)) + weight, tuple(map(sub, negrev, reversed(mono)))),
@@ -453,19 +445,17 @@ class Curve:
     __init__ from groebner_generators, patil_generators and syzygy_basis,
     and never changed afterwards.
 
-    order is the ring order inside morder, so the triple has one key
-    cache per order.  images maps each module symbol, of A, B and L, to
-    its binomial, the phis by (i, j) and then the psis by j, as
-    gset.labeled() lists them, and ring_reducer divides by those
-    binomials in that order: it holds G, the one copy the ring checks and
-    the Schreyer harvest read.  module_reducer divides by the syzygy basis
+    order is the ring order inside morder.  images maps each module
+    symbol, of A, B and L, to its binomial, the phis by (i, j) and then
+    the psis by j, as gset.labeled() lists them, and ring_reducer divides
+    by those binomials in that order: it holds G, the one copy the ring
+    checks and the Schreyer harvest read.  module_reducer divides by the syzygy basis
     in label order, listed once (SyzygySet.keyed), and keys holds each
     member's key in that order.  ring_certified, module_shape and packing
-    are computed here, as every verify reads them; the key caches grow as
-    the checks run.  Only a check whose certificate fails builds the
-    closure (closure()): a passing verify, deep or shallow, builds none,
-    and leaves the module order's key cache empty.  A test plants a part
-    through the builders, before the Curve is built.
+    are computed here, as every verify reads them.  Only a check whose
+    certificate fails builds the closure (closure()): a passing verify,
+    deep or shallow, builds none.  A test plants a part through the
+    builders, before the Curve is built.
     """
 
     __slots__ = ("params", "morder", "order", "gset", "patil", "sset", "keys", "images",
@@ -782,18 +772,17 @@ def verify_order_projection(curve: Curve, samples: int = 1000, seed: int = 0,
     monomials are distinct, so are their products with mono, and no term
     of the image cancels.  So the image's lead is the largest of those
     products.  Both keys shift by the ring key of mono, so each symbol's
-    image monomials and its projection (1, sym) are keyed once, by
-    uncached_key(), and a sampled term costs one ring key, of mono.  No
-    cache entry is built, and a product only to name a failing term's
-    image lead.  The witness is the first term whose projection key
-    differs from its image lead's key.
+    image monomials and its projection (1, sym) are keyed once, and a
+    sampled term costs one ring key, of mono.  A product is built only to
+    name a failing term's image lead.  The witness is the first term
+    whose projection key differs from its image lead's key.
     """
-    ring_key = curve.order.uncached_key
+    ring_key = curve.order.key
     one = mono_one(curve.params.nvars)
     symbols = sorted(curve.images, key=str)
     # per symbol: its image monomials' ring keys, and its projection key
     table = [([ring_key(m) for m in curve.images[sym].terms],
-              curve.morder.uncached_key((one, sym))[0]) for sym in symbols]
+              curve.morder.key((one, sym))[0]) for sym in symbols]
     shape = (curve.params.nvars, len(symbols), samples, seed)
     terms = _draws(*shape) if drawn is None else drawn.get(shape)
     if terms is None:

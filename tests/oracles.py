@@ -471,7 +471,7 @@ def order_projection_exact(curve, samples: int = 1000, seed: int = 0) -> Verific
     first sample on a disagreeing symbol, which is the witness."""
     params = curve.params
     one = mono_one(params.nvars)
-    ring_key, module_key = curve.order.uncached_key, curve.morder.uncached_key
+    ring_key, module_key = curve.order.key, curve.morder.key
     symbols = sorted(curve.images, key=str)
     wrong = {sym for sym in symbols
              if max(map(ring_key, curve.images[sym].terms)) != module_key((one, sym))[0]}

@@ -62,9 +62,10 @@ def test_every_public_library_name_has_a_library_caller():
 
 
 def test_no_library_module_keeps_a_module_level_cache():
-    # state that outlives a call lives on a Curve, an order or a Reducer:
-    # no module or class binds a mutable container, cli's command table
-    # aside, and no function is memoized by functools
+    # state that outlives a call lives on a Curve or a Reducer, and on a
+    # module order as one key part per symbol: no module or class binds a
+    # mutable container, cli's command table aside, and no function is
+    # memoized by functools
     mutable = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
     makers = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "Counter",
               "deque", "WeakKeyDictionary", "WeakValueDictionary"}
@@ -88,6 +89,19 @@ def test_no_library_module_keeps_a_module_level_cache():
                 found += [(path.name, f"functools.{a.name}") for a in node.names
                           if a.name in ("cache", "lru_cache")]
     assert found == [("cli.py", "_COMMANDS")]
+
+
+def test_the_term_orders_keep_one_key_and_no_key_cache():
+    # an order is a pure key function: its one key() fills no cache, and
+    # the one per-term key memo is a Reducer's, filled only by its division
+    found = []
+    for path in sorted((ROOT / "src" / "monocurve").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else getattr(node, "id", getattr(node, "name", None)))
+            if name == "uncached_key" or (isinstance(node, ast.Attribute) and name == "_cache"):
+                found.append((path.name, node.lineno, name))
+    assert found == []
 
 
 def test_every_parameter_of_a_library_function_is_read():

@@ -1071,6 +1071,9 @@ def test_a_lead_that_no_key_names_fails_the_module_shape(monkeypatch, triple):
     keyed = base.sset.keyed() + [(("A", (0, 0)), module_term(pr.nvars, *lead))]
     monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted_syzygies(params, keyed))
     curve = Curve(pr)
+    # the planted key is new, so the keys stay distinct and the map
+    # comparison alone fails the shape
+    assert len(set(curve.keys)) == len(curve.keys) == len(base.keys) + 1
     assert not curve.module_shape and not syzygy._module_identity(curve)
     n, label = len(base.sset), f"A(0;{pr.b},0)"
     checks = {c.name: c for c in verify_syzygy_basis(curve).checks}
@@ -1439,14 +1442,13 @@ def test_sampled_projection_record_matches_the_reference_on_a_planted_lead(monke
 @pytest.mark.parametrize("triple", [(7, 1, 3), (17, 3, 8)])
 def test_a_passing_projection_check_keys_each_sampled_term_once(monkeypatch, triple):
     # each image monomial is ring-keyed once and each symbol's projection
-    # once; a sample then costs one ring key, of its drawn monomial, and
-    # nothing is keyed through a memo
+    # once; a sample then costs one ring key, of its drawn monomial
     curve = Curve(make_params(*triple))
-    ring_cache, ring, module = dict(curve.order._cache), [], []
-    ring_key, module_key = WeightOrder.uncached_key, ModuleOrder.uncached_key
-    monkeypatch.setattr(WeightOrder, "uncached_key",
+    orders, ring, module = _order_state(curve), [], []
+    ring_key, module_key = WeightOrder.key, ModuleOrder.key
+    monkeypatch.setattr(WeightOrder, "key",
                         lambda self, mono: ring.append(mono) or ring_key(self, mono))
-    monkeypatch.setattr(ModuleOrder, "uncached_key",
+    monkeypatch.setattr(ModuleOrder, "key",
                         lambda self, term: module.append(term) or module_key(self, term))
     assert verify_order_projection(curve, 300, 7).passed
     draws = syzygy._draws(curve.params.nvars, len(curve.images), 300, 7)
@@ -1454,7 +1456,7 @@ def test_a_passing_projection_check_keys_each_sampled_term_once(monkeypatch, tri
     assert Counter(ring) == Counter(monos + [m for m, _ in draws])
     one = (0,) * curve.params.nvars
     assert sorted(module, key=str) == sorted(((one, sym) for sym in curve.images), key=str)
-    assert curve.morder._cache == {} and curve.order._cache == ring_cache
+    assert _order_state(curve) == orders
 
 
 @pytest.mark.parametrize("case", [*PROJECTION_TRIPLES, *PROJECTION_PLANTS])
@@ -1637,18 +1639,27 @@ def test_a_failing_verify_harvests_by_the_ring_reducer(monkeypatch, ladder, case
         assert built == []
 
 
-def test_a_passing_verify_leaves_the_module_key_cache_empty():
-    # each member's lead is keyed once, uncached, as its row is built, and
-    # a passing verify divides nothing
-    curve = Curve(make_params(17, 3, 8))
-    assert all(r.passed for r in verification_bundle(curve, 2, 1000, 0))
-    assert curve.morder._cache == {}
+def _order_state(curve):
+    # what the two orders of a Curve hold, the module order's per-symbol
+    # key parts aside, which its construction fills for every symbol
+    ring, module = dict(vars(curve.order)), dict(vars(curve.morder))
+    module.pop("_symbols")
+    return ring, module
+
+
+def test_a_passing_verify_leaves_the_module_key_cache_empty(monkeypatch):
+    # the orders hold no per-term state: a passing verify, and a failing
+    # one that divides, leave both as the Curve built them
+    for curve in (Curve(make_params(17, 3, 8)), _half_lead_curve(monkeypatch, P713)):
+        built = _order_state(curve)
+        reports = verification_bundle(curve, 2, 1000, 0)
+        assert all(r.passed for r in reports) == curve.ring_certified
+        assert _order_state(curve) == built
 
 
 def test_a_curve_at_p24_holds_at_most_5_1_mib():
     # a tripwire on the memory a Curve holds: each basis element once, in
-    # its Reducer, each member's key once, and one key per distinct term of
-    # the ring order; the module leads fill no key cache
+    # its Reducer, and each member's key once; the orders hold no term keys
     params = make_params(71, 2, 24)
     tracemalloc.start()
     try:
@@ -1663,7 +1674,8 @@ def test_a_curve_at_p24_holds_at_most_5_1_mib():
 
 def test_the_sampled_projection_check_builds_no_element_and_fills_no_key_cache(monkeypatch):
     # each sample multiplies into the image monomials and keys the products
-    # once: no relation_image, no Poly or ModElement, no cached key
+    # once: no relation_image, no Poly or ModElement, and the orders stay
+    # as built
     calls, built = [], []
     image, raw, init = syzygy.relation_image, SparseMap._raw.__func__, SparseMap.__init__
     curve = Curve(make_params(17, 3, 8))
@@ -1672,10 +1684,10 @@ def test_the_sampled_projection_check_builds_no_element_and_fills_no_key_cache(m
     monkeypatch.setattr(SparseMap, "_raw", classmethod(lambda *args: built.append(args[0])
                                                        or raw(*args)))
     monkeypatch.setattr(SparseMap, "__init__", lambda *args: built.append(args[0]) or init(*args))
-    sizes = len(curve.order._cache), len(curve.morder._cache)
+    orders = _order_state(curve)
     assert verify_order_projection(curve, 1000, 3).passed
     assert (len(calls), built) == (0, [])
-    assert (len(curve.order._cache), len(curve.morder._cache)) == sizes
+    assert _order_state(curve) == orders
 
 
 KEY_PARAMS = [make_params(*t) for t in ((7, 1, 3), (9, 1, 3), (17, 3, 8), (1000003, 999999, 3))]
@@ -1690,12 +1702,9 @@ def test_the_module_key_is_the_ring_key_of_the_projection(data):
     sym = data.draw(st.sampled_from(psi + sorted(set(phi.values()))))
     morder = ModuleOrder(params)
     key = morder.key((mono, sym))
-    assert morder.ring._cache == {}  # the module key fills no ring key
     ring = WeightOrder(params)
     assert key == (ring.key(mono_mul(mono, syzygy._stamp(params, sym))),
                    syzygy._symbol_tiebreak(sym))
-    assert morder.uncached_key((mono, sym)) == key
-    assert ring.uncached_key(mono) == ring.key(mono)
 
 
 @given(st.data())
