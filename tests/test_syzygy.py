@@ -1640,9 +1640,11 @@ def test_a_failing_verify_harvests_by_the_ring_reducer(monkeypatch, ladder, case
 
 
 def _order_state(curve):
-    # what the two orders of a Curve hold, the module order's per-symbol
-    # key parts aside, which its construction fills for every symbol
-    ring, module = dict(vars(curve.order)), dict(vars(curve.morder))
+    # what the two orders of a Curve hold, each container copied, so that
+    # one filled in place reads as a change; the module order's per-symbol
+    # key parts aside, which grow with the symbols it meets
+    ring, module = ({k: v.copy() if isinstance(v, (dict, list, set)) else v
+                     for k, v in vars(order).items()} for order in (curve.order, curve.morder))
     module.pop("_symbols")
     return ring, module
 
