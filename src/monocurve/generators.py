@@ -244,11 +244,11 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
     """The closed-form set is a Groebner basis with the predicted lead terms.
 
     Three checks, on G as the ring Reducer holds it: the leading monomials
-    match the closed-form set; every S-polynomial reduces to zero against
-    G itself; and the reduced Groebner basis of the ideal of G has no new
-    leading monomial.  The identity K(LT(G)) = N, once every element lies
-    in the curve ideal, decides both Groebner claims
-    (Curve.ring_certified): in closed form when the leads are the
+    are the predicted ones (Curve.predicted_leads); every S-polynomial
+    reduces to zero against G itself; and the reduced Groebner basis of
+    the ideal of G has no new leading monomial.  The identity K(LT(G)) =
+    N, once every element lies in the curve ideal, decides both Groebner
+    claims (Curve.ring_certified): in closed form when the leads are the
     predicted ones, as the first check finds, and by Bigatti's recursion
     on any other lead set.  The S-pair detail then counts every pair, and
     the reduced basis leads with the minimal leads of G.  Otherwise every
@@ -269,7 +269,7 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
     labels = [lab for lab, _ in curve.gset.labeled()]
     report = VerificationReport(params)
 
-    expected = expected_leading_monomials(params)
+    expected = curve.predicted_leads
     actual = set(table.lead_monomials())
     report.add(
         "leading-term-set",
@@ -343,14 +343,15 @@ def _shape_by_mp(params: CurveParams) -> dict:
     return series
 
 
-def _certified(table: Reducer) -> bool:
+def _certified(table: Reducer, expected: set) -> bool:
     """Whether the basis G of the ring Reducer table, of one weight per
     element (see _mixed_weight), is a Groebner basis of the curve ideal I:
     each element lies in I, as its coefficients sum to 0, and K(LT(G)) =
     N.  Then <LT(G)>, inside LT(I), has the Hilbert series of I and equals
     it (Macaulay; Cox, Little, O'Shea, sections 5.2 and 2.7).
 
-    When the leads of G are expected_leading_monomials, the standard
+    expected is expected_leading_monomials(params), built once per Curve
+    (Curve.predicted_leads).  When the leads of G are those, the standard
     monomials of LT(G) are X0^e times the shape X_p^n * u, a free
     K[X0]-module, so K(LT(G)) = S(t) prod_{i=1..p}(1 - t^{m_i}) and N =
     A(t) prod_{i=1..p}(1 - t^{m_i}): the identity is S(t)(1 - t^{m_p}) =
@@ -360,7 +361,7 @@ def _certified(table: Reducer) -> bool:
     params, leads = table.order.params, table.lead_monomials()
     if any(sum(g.terms.values()) for g in table.basis):
         return False
-    if set(leads) == expected_leading_monomials(params):
+    if set(leads) == expected:
         return _shape_by_mp(params) == _apery_by_mp(params)
     return hilbert_numerator(params.exponent_weights, leads) == apery_numerator(params)
 
@@ -556,9 +557,10 @@ def verify_standard_monomials(curve: Curve, bound: int) -> VerificationReport:
     images under X_i -> T^(m_i), for all exponents.
 
     The minimal monomials outside the shape are E =
-    expected_leading_monomials(params), and two monomial ideals are equal
-    exactly when their minimal generators are, so the standard monomials
-    are the shape exactly when the minimal leads of G are E.  The weights
+    expected_leading_monomials(params) (Curve.predicted_leads), and two
+    monomial ideals are equal exactly when their minimal generators are, so
+    the standard monomials are the shape exactly when the minimal leads of
+    G are E.  The weights
     then differ (_shape_weights_distinct), and the details count the
     shape's members with exponents <= bound, in closed form, and their
     pairs: a passing check allocates nothing of the bound's size.
@@ -577,7 +579,7 @@ def verify_standard_monomials(curve: Curve, bound: int) -> VerificationReport:
     params = curve.params
     report = VerificationReport(params)
 
-    leads, expected = curve.ring_reducer.lead_monomials(), expected_leading_monomials(params)
+    leads, expected = curve.ring_reducer.lead_monomials(), curve.predicted_leads
     exact = set(leads) == expected or set(_minimal(leads)) == expected
     mismatch = std = None
     if exact:

@@ -19,10 +19,12 @@ sort key this is (weight, negated-reversed-exponents) under tuple order.
 
 Poly shares its linear arithmetic and its validating constructor with
 syzygy.ModElement through SparseMap.  The ring and module orders are
-pure key functions, each with one key() and no per-term state.  There
-is one division loop, Reducer.divide, for both: a Reducer prepares a
-basis once, grouping its lead terms by module symbol, and a ring basis
-is a module with the single symbol None.  It holds each element once, and a division step
+pure key functions, each with one key() and no per-term state; each
+also keys a whole basis in one pass (leading_terms), on monomials packed
+into ints for that pass alone.  There is one division loop,
+Reducer.divide, for both: a Reducer prepares a basis once, grouping its
+lead terms by module symbol, and a ring basis is a module with the
+single symbol None.  It holds each element once, and a division step
 reads the element's terms from it.
 normal_form, the one public name of that loop, divides a Poly or a
 module element by a Reducer and nothing else; the closed-form basis of
@@ -50,7 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import groupby
-from operator import add, le, mul, neg, sub
+from operator import add, le, lshift, mul, neg, sub
 
 from .semigroup import CurveParams, _add_shifted, _times_one_minus
 
@@ -276,8 +278,40 @@ class WeightOrder:
         mono = max(poly.terms, key=self.key)
         return mono, poly.terms[mono]
 
+    def leading_terms(self, polys: list) -> list:
+        """[leading_term(g) for g in polys], in one pass that weighs and
+        packs each distinct monomial once (_packed_keys)."""
+        packed = _packed_keys(self.params.exponent_weights,
+                              set().union(*(g.terms for g in polys)))
+        leads = []
+        for g in polys:
+            if not g.terms:
+                raise ZeroPolynomialError("the zero polynomial has no leading term")
+            mono = max(g.terms, key=packed.__getitem__)
+            leads.append((mono, g.terms[mono]))
+        return leads
+
     def leading_monomial(self, poly: Poly) -> Mono:
         return self.leading_term(poly)[0]
+
+
+def _packed_keys(weights, monos, low: int = 0) -> dict:
+    """Each of monos, a set of exponent tuples, mapped to one int that
+    sorts as WeightOrder.key sorts it: the weight above the packed
+    exponents, less those, shifted up by low bits.
+
+    The exponents are packed as syzygy._Packing packs them, position k in
+    bits [k * width, (k + 1) * width), so X0 sits in the top field and a
+    smaller packed int is the larger X0 exponent, then the larger X_p
+    exponent, and so on: the negated reversed exponents of the key.  width
+    leaves the top bit of each field clear for every exponent of monos, so
+    two packed ints add with no carry from one field into the next, and
+    the sum of the ints of two monomials is the int of their product."""
+    width = max(map(max, monos), default=0).bit_length() + 1
+    top = width * len(weights)
+    shifts = range(0, top, width)
+    return {m: ((sum(map(mul, m, weights)) << top) - sum(map(lshift, m, shifts))) << low
+            for m in monos}
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +331,11 @@ class Reducer:
     divides by one, in the order it was built with, and its S-pairs are
     listed, counted, built and scanned here.
 
+    Built over a whole basis, it takes every lead from one pass of its
+    order's leading_terms, which weighs and packs each distinct monomial
+    of the basis once (_packed_keys); an element that joins later, by
+    append, takes its lead from leading_term.
+
     It also remembers, per term, the first row that divides it, in _hits:
     rows are only appended, so that row stays the first for good; and the
     term's sort key under order, in _keys, which only divide fills and
@@ -313,17 +352,19 @@ class Reducer:
         self._rows = {}
         self._hits = {}
         self._keys = {}
-        for g in basis:
-            self.append(g)
+        basis = list(basis)
+        for g, lead in zip(basis, order.leading_terms(basis)):
+            self._append(g, lead)
 
     def append(self, g) -> None:
-        self._append(g, *self.order.leading_term(g))
+        self._append(g, self.order.leading_term(g))
 
-    def _append(self, g, lead, lc) -> None:
-        """append(g), given the leading term and coefficient of g."""
-        mono, sym = (lead, None) if self.ring else lead
+    def _append(self, g, lead) -> None:
+        """append(g), given lead, the leading term and coefficient of g."""
+        term, lc = lead
+        mono, sym = (term, None) if self.ring else term
         self._rows.setdefault(sym, []).append((mono, _inverse(lc), len(self.basis)))
-        self.leads.append((lead, lc))
+        self.leads.append(lead)
         self.basis.append(g)
 
     def lead_monomials(self, sym=None) -> list:
@@ -478,7 +519,9 @@ class Closure(Reducer):
 
     def __init__(self, order: WeightOrder, gens=()):
         self._pairs = []
-        super().__init__(order, gens)
+        super().__init__(order)
+        for g in gens:
+            self.append(g)
 
     def append(self, g) -> None:
         if not g:
@@ -489,7 +532,7 @@ class Closure(Reducer):
         for i, (m, _) in enumerate(self.leads):
             if not mono_coprime(m, lm):
                 heappush(pairs, (order.weight(mono_lcm(m, lm)), i, j))
-        self._append(g if lc == 1 else g.scaled(_inverse(lc)), lm, 1)
+        self._append(g if lc == 1 else g.scaled(_inverse(lc)), (lm, 1))
 
     def close(self, upto: int | None = None) -> Closure:
         """The closure itself, a Groebner basis of the ideal of the

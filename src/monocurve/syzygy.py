@@ -63,8 +63,9 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import starmap, zip_longest
 from math import inf
-from operator import add, lshift, mul, sub
+from operator import add, eq, lshift, mul, sub
 from typing import NamedTuple
 
 from .generators import (
@@ -75,6 +76,7 @@ from .generators import (
     _family_psi,
     _units,
     epsilon,
+    expected_leading_monomials,
     groebner_generators,
     patil_generators,
     tau,
@@ -90,6 +92,7 @@ from .polyring import (
     _first_dividing_pair,
     _join_signed,
     _json_terms,
+    _packed_keys,
     _term_text,
     hilbert_numerator,
     mono_divides,
@@ -249,8 +252,8 @@ class ModuleOrder:
     shifted by m: no product is built.  verify_order_projection keys each
     (1, sym) once and shifts it by each sampled m in the same way, to
     compare it with the lead of the term's image.  leading_term() keys
-    each term as key() does, with the per-symbol parts and the weights
-    bound once per call.
+    each term as key() does, and leading_terms() keys every term of a
+    whole basis in one pass, from packed ints.
     """
 
     def __init__(self, params: CurveParams):
@@ -258,34 +261,64 @@ class ModuleOrder:
         self.ring = WeightOrder(params)
         self._symbols = {}
 
-    def key(self, term):
-        mono, sym = term
+    def _symbol(self, sym) -> tuple:
+        """The part of key() that sym alone decides, from _symbols: the
+        weight and the negated reversed exponents of its stamp, and its
+        tie-break."""
         known = self._symbols.get(sym)
         if known is None:
             weight, negrev = self.ring.key(_stamp(self.params, sym))
             known = self._symbols[sym] = (weight, negrev, _symbol_tiebreak(sym))
-        weight, negrev, tiebreak = known
+        return known
+
+    def key(self, term):
+        mono, sym = term
+        weight, negrev, tiebreak = self._symbol(sym)
         return (self.ring.weight(mono) + weight,
                 tuple(map(sub, negrev, reversed(mono)))), tiebreak
 
     def leading_term(self, elem: ModElement):
         if not elem.terms:
             raise ZeroPolynomialError("the zero element has no leading term")
-        # key, with the per-symbol parts and the weights bound here
-        symbols, weights = self._symbols, self.params.exponent_weights
+        # key, with the weights bound here
+        symbol, weights = self._symbol, self.params.exponent_weights
         lead = top = None
         for term in elem.terms:
             mono, sym = term
-            known = symbols.get(sym)
-            if known is None:
-                self.key(term)
-                known = symbols[sym]
-            weight, negrev, tiebreak = known
+            weight, negrev, tiebreak = symbol(sym)
             key = ((sum(map(mul, mono, weights)) + weight, tuple(map(sub, negrev, reversed(mono)))),
                    tiebreak)
             if top is None or key > top:
                 lead, top = term, key
         return lead, elem.terms[lead]
+
+    def leading_terms(self, elems: list) -> list:
+        """[leading_term(g) for g in elems], in one pass that keys each term
+        occurrence with one int addition.  Each distinct monomial, and each
+        symbol's stamp, is weighed and packed once (polyring._packed_keys),
+        shifted above the rank of the symbols' tie-breaks, and a symbol's
+        int is its stamp's plus its rank.  The sum of a term's two ints is
+        then its projection's packed key above its symbol's rank, which
+        sorts as key() does.  Each symbol's part of key() is filled in
+        _symbols, as leading_term() fills it."""
+        terms = set().union(*(g.terms for g in elems))
+        ranked = sorted({sym for _, sym in terms}, key=lambda sym: self._symbol(sym)[2])
+        stamps = [_stamp(self.params, sym) for sym in ranked]
+        packed = _packed_keys(self.params.exponent_weights,
+                              {mono for mono, _ in terms}.union(stamps), len(ranked).bit_length())
+        parts = {sym: packed[stamp] + rank for rank, (sym, stamp) in enumerate(zip(ranked, stamps))}
+        leads = []
+        for g in elems:
+            if not g.terms:
+                raise ZeroPolynomialError("the zero element has no leading term")
+            top = -1  # every key is at least 0
+            for term in g.terms:
+                mono, sym = term
+                key = packed[mono] + parts[sym]
+                if key > top:
+                    lead, top = term, key
+            leads.append((lead, g.terms[lead]))
+        return leads
 
 
 # ---------------------------------------------------------------------------
@@ -408,32 +441,32 @@ def syzygy_basis(params: CurveParams) -> SyzygySet:
                      _family_L(params, table))
 
 
-def _expected_leads(params: CurveParams) -> dict:
-    """The predicted leading term of each basis element, keyed as
-    SyzygySet.keyed() keys it, by family and index tuple."""
+def _expected_leads(params: CurveParams) -> Iterator[tuple]:
+    """The key and the predicted leading term of each basis element, in
+    label order, as SyzygySet.keyed() keys and lists the members."""
     p, b = params.p, params.b
     x = [variable_monomial(p, i) for i in range(p + 1)]
-    out = {}
     for i in range(1, p + 1):
         for j in range(0, p - b):
-            out["A", (i, j)] = (x[i], Psi(j))
+            yield ("A", (i, j)), (x[i], Psi(j))
     top = Psi(p - b)
     for i in range(1, p):
         for j in range(i, p):
-            out["B", (i, j)] = (mono_mul(x[i], x[j]), top)
-    for j in range(2, p):
-        for i in range(1, j + 1):
-            sym = Phi(i, j)
-            for l in range(1, j):
-                out["L", (l, i, j)] = (x[l], sym)
-    return out
+            yield ("B", (i, j)), (mono_mul(x[i], x[j]), top)
+    phi = [[Phi(i, j) for j in range(p)] for i in range(p)]  # each symbol built once
+    for l in range(1, p - 1):
+        for i in range(1, p):
+            for j in range(max(i, l + 1), p):
+                yield ("L", (l, i, j)), (x[l], phi[i][j])
 
 
-def _lead_map(keys: list, table: Reducer) -> dict:
-    """Each of keys mapped to the leading term of its member in the module
-    Reducer table, which holds the members in that order; a repeated key
-    keeps its first place and its last term."""
-    return {key: term for key, (term, _) in zip(keys, table.leads)}
+def _shape_holds(params: CurveParams, keys: list, leads: list) -> bool:
+    """Whether keys are the predicted keys in label order, each once, and
+    each member leads with its predicted term: leads[k] is the (term,
+    coefficient) lead of the member at keys[k].  One walk beside
+    _expected_leads, which stops at the first difference."""
+    got = zip(keys, (term for term, _ in leads))
+    return all(starmap(eq, zip_longest(got, _expected_leads(params))))
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +484,22 @@ class Curve:
     by those binomials in that order: it holds G, the one copy the ring
     checks and the Schreyer harvest read.  module_reducer divides by the syzygy basis
     in label order, listed once (SyzygySet.keyed), and keys holds each
-    member's key in that order.  ring_certified, module_shape and packing
-    are computed here, as every verify reads them.  Only a check whose
+    member's key in that order.  Each Reducer takes its leads from one
+    pass of its order over the whole basis (leading_terms).
+    predicted_leads holds the predicted lead monomials of G
+    (generators.expected_leading_monomials), which the ring certificate
+    and the two ring checks that compare leads read.  ring_certified,
+    module_shape and packing are computed here, as every verify reads
+    them: module_shape walks the keys and the leads in label order beside
+    their prediction (_shape_holds).  Only a check whose
     certificate fails builds the closure (closure()): a passing verify,
     deep or shallow, builds none.  A test plants a part through the
     builders, before the Curve is built.
     """
 
     __slots__ = ("params", "morder", "order", "gset", "patil", "sset", "keys", "images",
-                 "ring_reducer", "module_reducer", "ring_certified", "module_shape", "packing",
-                 "_closure")
+                 "ring_reducer", "module_reducer", "predicted_leads", "ring_certified",
+                 "module_shape", "packing", "_closure")
 
     def __init__(self, params: CurveParams):
         self.params = params
@@ -475,19 +514,17 @@ class Curve:
         self.images.update((Psi(j), g) for j, g in sorted(self.gset.psis.items()))
         self.ring_reducer = table = Reducer(self.order, self.images.values())
         self.module_reducer = Reducer(self.morder, [g for _, g in keyed])
-        # the (key, member) pairs, kept alive beside the two lead maps
-        # below, would raise a large Curve's peak memory
+        # the (key, member) pairs, kept alive while the rest is built, would
+        # raise a large Curve's peak memory
         del keyed
+        self.predicted_leads = expected_leading_monomials(params)
         # whether G, each element of one weight, is a Groebner basis of the
         # curve ideal (generators._certified)
         self.ring_certified = (_mixed_weight(params, enumerate(table.basis)) is None
-                               and _certified(table))
+                               and _certified(table, self.predicted_leads))
         # whether each member leads with its predicted term, as
-        # leading-term-shape reports: the predicted leads are pairwise
-        # distinct, so one map comparison, keyed by family and index tuple,
-        # decides it once no key repeats, which the map would hide
-        actual = _lead_map(self.keys, self.module_reducer)
-        self.module_shape = actual == _expected_leads(params) and len(actual) == len(self.keys)
+        # leading-term-shape reports
+        self.module_shape = _shape_holds(params, self.keys, self.module_reducer.leads)
         self.packing = _Packing(params.nvars, self.images)
         self._closure = None
 
@@ -629,8 +666,10 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     # the first three keys whose lead differs from the prediction, labelled
     shape_ok, bad = curve.module_shape, None
     if not shape_ok:
-        predicted, mismatch = _expected_leads(params), []
-        for key, term in _lead_map(keys, table).items():
+        # a repeated key keeps its first place and its last lead
+        actual = dict(zip(keys, (term for term, _ in table.leads)))
+        predicted, mismatch = dict(_expected_leads(params)), []
+        for key, term in actual.items():
             want = predicted.get(key)  # None for a key with no prediction
             if term != want:
                 mismatch.append({"element": sset.label(key), "computed": term_to_json(term),

@@ -498,7 +498,7 @@ def leading_term_shape_three_tests(curve) -> VerificationReport:
     first three mismatching labels, with "expected" null for a label that
     has no prediction."""
     labeled, sset = curve.sset.labeled(), curve.sset
-    predicted = {sset.label(key): term for key, term in _expected_leads(curve.params).items()}
+    predicted = {sset.label(key): term for key, term in _expected_leads(curve.params)}
     actual = {lab: term for (lab, _), (term, _) in zip(labeled, curve.module_reducer.leads)}
     shape_ok = (set(actual.values()) == set(predicted.values())
                 and len(set(actual.values())) == len(labeled))

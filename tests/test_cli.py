@@ -367,7 +367,7 @@ def test_output_matches_golden(name, capsys):
 def test_scanned_s_pairs_of_a_passing_triple_match_golden(name, monkeypatch, capsys):
     # with the three certificates failing, every S-pair check scans its
     # pairs and the closures run; a passing triple still prints its golden
-    monkeypatch.setattr(syzygy, "_certified", lambda table: False)
+    monkeypatch.setattr(syzygy, "_certified", lambda table, expected: False)
     monkeypatch.setattr(syzygy, "_module_identity", lambda curve: False)
     monkeypatch.setattr(generators, "_minimal_by_count", lambda table: False)
     assert main(GOLDEN_CALLS[name]) == 0
@@ -745,7 +745,7 @@ def test_each_triple_harvests_its_s_pairs_once(monkeypatch, capsys):
         return rows
 
     monkeypatch.setattr(syzygy.Curve, "__init__", keep)
-    monkeypatch.setattr(syzygy, "_certified", lambda table: False)
+    monkeypatch.setattr(syzygy, "_certified", lambda table, expected: False)
     monkeypatch.setattr(Reducer, "divide", count_division)
     monkeypatch.setattr(Reducer, "__init__", count_reducer)
     monkeypatch.setattr(syzygy, "schreyer_relations", count_harvest)

@@ -583,7 +583,7 @@ def test_closed_form_check_closes_the_classical_set(monkeypatch, p713):
     # decides the record; h leads with X2^2*X3 where psi_1,0 led with X1*X3,
     # so K(LT), by Bigatti's recursion on leads off the prediction, fails too
     calls = _count_bigatti(monkeypatch)
-    assert not _certified(Reducer(order, curve.patil.polynomials()))
+    assert not _certified(Reducer(order, curve.patil.polynomials()), curve.predicted_leads)
     assert len(calls) == 1
     built = _closures_of(monkeypatch)
     checks = {c.name: c for c in verify_ideal_equality(curve).checks}
@@ -613,7 +613,7 @@ def test_closed_form_check_reports_the_full_normal_form(monkeypatch, triple):
     # set, a Groebner basis of the curve ideal whose leads are the predicted
     # ones, so certified in closed form, and the closure runs
     calls = _count_bigatti(monkeypatch)
-    assert _certified(Reducer(order, curve.patil.polynomials()))
+    assert _certified(Reducer(order, curve.patil.polynomials()), curve.predicted_leads)
     assert calls == []
     assert normal_form(bad, Reducer(order, curve.patil.polynomials()))[0]
     built = _closures_of(monkeypatch)
@@ -842,7 +842,8 @@ def _lead_past_the_box(pr, bound):
     # sees no change, but the minimal leads are no longer those of the shape
     polys = groebner_generators(pr).polynomials()
     polys.append(poly_term(pr.nvars, variable_monomial(pr.p, 0, bound + 1)))
-    return SimpleNamespace(params=pr, ring_reducer=Reducer(WeightOrder(pr), polys))
+    return SimpleNamespace(params=pr, ring_reducer=Reducer(WeightOrder(pr), polys),
+                           predicted_leads=expected_leading_monomials(pr))
 
 
 def _plant_extra(std, pr):
@@ -958,7 +959,8 @@ def test_the_expected_leads_cut_out_the_shape_and_its_weights_differ(p):
 def _lead_dropped(pr, bound):
     # G without psi(b, p-b): X_p^(a+1) turns standard
     polys = groebner_generators(pr).polynomials()[:-1]
-    return SimpleNamespace(params=pr, ring_reducer=Reducer(WeightOrder(pr), polys))
+    return SimpleNamespace(params=pr, ring_reducer=Reducer(WeightOrder(pr), polys),
+                           predicted_leads=expected_leading_monomials(pr))
 
 
 @pytest.mark.parametrize("triple, plant, witness", [

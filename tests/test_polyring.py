@@ -14,6 +14,7 @@ from monocurve.polyring import (
     WeightOrder,
     ZeroPolynomialError,
     _first_dividing_pair,
+    _packed_keys,
     format_poly,
     hilbert_numerator,
     mono_div,
@@ -468,3 +469,47 @@ def test_a_closure_computes_each_lead_once(monkeypatch):
     assert len(closed.basis) == len(calls) == 3
     monkeypatch.undo()
     assert closed.leads == [leading_term(ORDER, g) for g in closed.basis]
+
+
+PACKED_PARAMS = [make_params(*t) for t in ((7, 1, 3), (17, 3, 8), (1000003, 999999, 3))]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_packed_keys_sort_as_the_ring_key_next_to_a_fields_top_bit(data):
+    # the widest exponent drawn sets the field width, so an exponent of
+    # 2**bits - 1 fills its field up to the top bit, and the field of a
+    # product up to the top bit itself: the packed ints sort as
+    # WeightOrder.key, and so do the sums of two, the ints of the products
+    params = data.draw(st.sampled_from(PACKED_PARAMS))
+    bits = data.draw(st.integers(1, 40))
+    exponent = st.integers(0, 2) | st.integers(max(0, 2 ** bits - 3), 2 ** bits - 1)
+    monos = data.draw(st.lists(st.tuples(*[exponent] * params.nvars), min_size=1, max_size=8,
+                               unique=True))
+    low = data.draw(st.integers(0, 3))
+    order, packed = WeightOrder(params), _packed_keys(params.exponent_weights, set(monos), low)
+    assert all(k % 2 ** low == 0 and k >= 0 for k in packed.values())
+    assert sorted(monos, key=packed.__getitem__) == sorted(monos, key=order.key)
+    pairs = [(f, g) for f in monos for g in monos]
+    assert (sorted(pairs, key=lambda fg: packed[fg[0]] + packed[fg[1]])
+            == sorted(pairs, key=lambda fg: order.key(mono_mul(*fg))))
+
+
+def test_a_reducer_keys_its_basis_in_one_pass_and_a_closure_by_element(monkeypatch):
+    # leading_terms keys a whole basis, and leading_term the elements that
+    # join one at a time: those of a closure, and those of append
+    calls, leading_term, leading_terms = [], WeightOrder.leading_term, WeightOrder.leading_terms
+    monkeypatch.setattr(WeightOrder, "leading_term",
+                        lambda self, g: calls.append("one") or leading_term(self, g))
+    monkeypatch.setattr(WeightOrder, "leading_terms",
+                        lambda self, gs: calls.append(len(gs)) or leading_terms(self, gs))
+    gens = G713.polynomials()
+    table = Reducer(ORDER, gens)
+    assert calls == [len(gens)]
+    assert table.leads == [leading_term(ORDER, g) for g in gens]
+    calls.clear()
+    Closure(ORDER, gens)
+    table.append(gens[0])
+    assert calls == [0] + ["one"] * (len(gens) + 1)
+    with pytest.raises(ZeroPolynomialError):
+        Reducer(ORDER, [gens[0], Poly.zero(4)])

@@ -202,7 +202,7 @@ def _sympy_module_leads(params, members, ranked) -> dict:
 
 def _predicted_module_leads(params) -> dict:
     leads = {}
-    for mono, sym in _expected_leads(params).values():
+    for _, (mono, sym) in _expected_leads(params):
         leads.setdefault(sym, set()).add(mono)
     return {sym: _minimal(monos) for sym, monos in leads.items()}
 

@@ -370,7 +370,7 @@ def test_leading_terms_match_display():
         morder = ModuleOrder(pr)
         sset = syzygy_basis(pr)
         computed = {morder.leading_term(g)[0] for g in syzygy_members(sset)}
-        assert computed == set(syzygy._expected_leads(pr).values())
+        assert computed == {term for _, term in syzygy._expected_leads(pr)}
         b = pr.b
         for (i, j), g in sset.A.items():
             assert morder.leading_term(g)[0] == (variable_monomial(pr.p, i), Psi(j))
@@ -656,7 +656,7 @@ def test_a_harvested_element_that_is_no_relation_is_the_witness(monkeypatch, p71
         return rows
 
     monkeypatch.setattr(syzygy, "schreyer_relations", planted)
-    monkeypatch.setattr(syzygy, "_certified", lambda table: False)
+    monkeypatch.setattr(syzygy, "_certified", lambda table, expected: False)
     curve = Curve(p713)
     assert not curve.ring_certified
     report = verify_syzygy_basis(curve)
@@ -1005,7 +1005,7 @@ def test_the_module_closed_form_is_the_per_symbol_sum_of_the_predicted_leads():
     for pr in GRID8:
         curve = Curve(pr)
         predicted = {}
-        for mono, sym in syzygy._expected_leads(pr).values():
+        for _, (mono, sym) in syzygy._expected_leads(pr):
             predicted.setdefault(sym, []).append(mono)
         form = syzygy._shape_module_sum(curve)
         assert form == module_sum_by_symbol(curve, lambda sym: predicted.get(sym, [])), pr
@@ -1152,6 +1152,93 @@ def test_the_lead_shape_map_comparison_matches_the_three_tests_on_plants(monkeyp
     assert record["status"] == "fail"
     assert (record["witness"] == {"mismatches": []}) == (plant in ("dropped-member",
                                                                    "repeated-label"))
+
+
+def _fraction_coefficients(keyed):
+    # every other member scaled by a Fraction: its terms and leads stay
+    return [(key, g.scaled(Fraction(k + 2, 2))) for k, (key, g) in enumerate(keyed)]
+
+
+def _rebuilt(keyed):
+    # each member built outside the families, term by term through the
+    # validating constructor, with monomials of its own
+    return [(key, ModElement(g.nvars, {(tuple(list(m)), sym): c
+                                       for (m, sym), c in g.terms.items()}))
+            for key, g in keyed]
+
+
+LEAD_PLANTS = {**SHAPE_PLANTS, "fraction-coefficients": _fraction_coefficients,
+               "rebuilt": _rebuilt}
+
+
+def _leads_are_leading_terms(curve):
+    # the one-pass leads of both Reducers, against each element's own lead
+    for table in (curve.ring_reducer, curve.module_reducer):
+        assert table.leads == [table.order.leading_term(g) for g in table.basis]
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6), (17, 3, 8), (41, 2, 12),
+                                     (1000003, 999999, 3)])
+def test_the_one_pass_leads_are_the_leading_terms(triple):
+    pr = make_params(*triple)
+    curve = Curve(pr)
+    assert curve.ring_certified and curve.module_shape
+    _leads_are_leading_terms(curve)
+    # the prediction walks the keys in label order
+    assert [key for key, _ in syzygy._expected_leads(pr)] == curve.keys
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6), (9, 4, 2)])
+@pytest.mark.parametrize("plant", sorted(LEAD_PLANTS))
+def test_the_one_pass_leads_are_the_leading_terms_on_plants(monkeypatch, triple, plant):
+    pr = make_params(*triple)
+    planted = LEAD_PLANTS[plant](syzygy_basis(pr).keyed())
+    monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted_syzygies(params, planted))
+    curve = Curve(pr)
+    _leads_are_leading_terms(curve)
+    assert curve.module_shape == (plant in ("fraction-coefficients", "rebuilt"))
+    if plant == "fraction-coefficients":
+        assert {type(lc) for _, lc in curve.module_reducer.leads} == {int, Fraction}
+
+
+def test_the_one_pass_ring_leads_are_the_leading_terms_on_the_half_lead_plant(monkeypatch):
+    for triple in HALF_LEAD_TRIPLES:
+        curve = _half_lead_curve(monkeypatch, make_params(*triple))
+        assert 2 in [lc for _, lc in curve.ring_reducer.leads]
+        _leads_are_leading_terms(curve)
+
+
+def test_a_curve_keys_each_basis_in_one_pass(monkeypatch):
+    # no leading_term per element, and the module pass fills the key part
+    # of each symbol it meets, as leading_term does
+    calls = []
+    for order in (WeightOrder, ModuleOrder):
+        monkeypatch.setattr(order, "leading_term", lambda self, g: calls.append(g))
+    curve = Curve(make_params(17, 3, 8))
+    assert calls == []
+    assert set(curve.morder._symbols) == set(curve.images)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_the_packed_module_keys_sort_as_the_module_key(data):
+    # every pair of terms drawn, as a two-term element in both orders, and
+    # each term alone: the pass picks the lead that key() picks, with
+    # exponents next to the top bit of the field width it chooses.  The
+    # terms m * stamp(u) * s and m * stamp(s) * u share their projection,
+    # so the symbols' tie-break decides between them
+    params = data.draw(st.sampled_from(KEY_PARAMS))
+    _, psi, phi = syzygy._table(params)
+    bits = data.draw(st.integers(1, 24))
+    exponent = st.integers(0, 2) | st.integers(max(0, 2 ** bits - 3), 2 ** bits - 1)
+    monos = data.draw(st.lists(st.tuples(*[exponent] * params.nvars), min_size=1, max_size=2))
+    syms = data.draw(st.lists(st.sampled_from(psi + sorted(set(phi.values()))), min_size=1,
+                              max_size=3, unique=True))
+    terms = {(mono_mul(m, syzygy._stamp(params, u)), s) for m in monos for s in syms for u in syms}
+    elems = [ModElement(params.nvars, {s: 1, t: -1}) for s in terms for t in terms]
+    morder = ModuleOrder(params)
+    assert ([lead for lead, _ in morder.leading_terms(elems)]
+            == [max(g.terms, key=morder.key) for g in elems])
 
 
 def _module_leads_double_loop(curve):
@@ -1625,7 +1712,7 @@ def test_a_failing_verify_harvests_by_the_ring_reducer(monkeypatch, ladder, case
     # ladder triple with the certificate planted false: the harvest divides
     # every pair by curve.ring_reducer, and builds no Reducer of its own
     if case == "ladder":
-        monkeypatch.setattr(syzygy, "_certified", lambda table: False)
+        monkeypatch.setattr(syzygy, "_certified", lambda table, expected: False)
         curves = [Curve(pr) for pr in ladder if pr.p <= 8]
         monkeypatch.undo()
     else:
