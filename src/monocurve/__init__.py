@@ -10,7 +10,6 @@ from .generators import (
     patil_generators,
     standard_monomials,
     standard_shape,
-    tau,
     verify_groebner_generators,
     verify_ideal_equality,
     verify_minimality,

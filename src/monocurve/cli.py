@@ -174,7 +174,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[bool, list[str] | dict]:
         "passed": passed,
         "counts": {
             "generators": len(curve.gset),
-            "syzygies": curve.sset.counts(),
+            "syzygies": curve.counts,
         },
         "checks": [rec for r in reports for rec in r.to_records()],
     }

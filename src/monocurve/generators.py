@@ -63,11 +63,6 @@ def epsilon(i: int, j: int, p: int) -> int:
     return i + j if i + j < p else p
 
 
-def tau(i: int, j: int, p: int) -> int:
-    """0 when i + j < p, else p."""
-    return 0 if i + j < p else p
-
-
 def _units(params: CurveParams) -> list:
     """The unit monomials of one triple, each built once: X_k at index k
     for k in [0, p] (X0 sits last, polyring.variable_position), then X_p^a

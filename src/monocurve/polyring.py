@@ -28,7 +28,8 @@ single symbol None.  It holds each element once, and a division step
 reads the element's terms from it.
 normal_form, the one public name of that loop, divides a Poly or a
 module element by a Reducer and nothing else; the closed-form basis of
-a triple has one Reducer, held by syzygy.Curve.
+a triple has one Reducer, held by syzygy.Curve, and its syzygy basis a
+LeadTable, a Reducer's leads without the basis.
 
 There is one S-pair path, on the Reducer, for Polys and module elements
 alike: pairs lists the index pairs whose leads share a symbol and
@@ -51,8 +52,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import groupby
-from operator import add, le, lshift, mul, neg, sub
+from itertools import compress, groupby
+from operator import add, le, mul, neg, sub
 
 from .semigroup import CurveParams, _add_shifted, _times_one_minus
 
@@ -295,7 +296,7 @@ class WeightOrder:
         return self.leading_term(poly)[0]
 
 
-def _packed_keys(weights, monos, low: int = 0) -> dict:
+def _packed_keys(weights, monos, low: int = 0, width: int = 0) -> dict:
     """Each of monos, a set of exponent tuples, mapped to one int that
     sorts as WeightOrder.key sorts it: the weight above the packed
     exponents, less those, shifted up by low bits.
@@ -306,66 +307,49 @@ def _packed_keys(weights, monos, low: int = 0) -> dict:
     exponent, and so on: the negated reversed exponents of the key.  width
     leaves the top bit of each field clear for every exponent of monos, so
     two packed ints add with no carry from one field into the next, and
-    the sum of the ints of two monomials is the int of their product."""
-    width = max(map(max, monos), default=0).bit_length() + 1
+    the sum of the ints of two monomials is the int of their product.  A
+    width given, as a _Packing gives its own, must be that wide.  The int
+    is linear in the exponents, so it is one dot product with the int of
+    each variable."""
+    width = width or max(map(max, monos), default=0).bit_length() + 1
     top = width * len(weights)
-    shifts = range(0, top, width)
-    return {m: ((sum(map(mul, m, weights)) << top) - sum(map(lshift, m, shifts))) << low
-            for m in monos}
+    units = [((w << top) - (1 << shift)) << low for w, shift in zip(weights, range(0, top, width))]
+    return {m: sum(map(mul, m, units)) for m in monos}
 
 
 # ---------------------------------------------------------------------------
 # division, S-polynomials, Buchberger
 
 
-class Reducer:
-    """A division basis prepared once for any number of divisions.
+class LeadTable:
+    """The leading terms of a basis, without the basis.
 
-    It is the one store of its basis: basis holds each element, in list
-    order, leads the leading term and coefficient of each, and
-    lead_monomials(sym) the lead monomials on one symbol.  The private
-    rows group each element's lead monomial, inverse lead coefficient and
-    index by the symbol of its lead: a module basis by its module
-    symbols, a ring basis under the one symbol None.  A row holds no term
-    of its element: a division step reads them from basis.  normal_form
-    divides by one, in the order it was built with, and its S-pairs are
-    listed, counted, built and scanned here.
-
-    Built over a whole basis, it takes every lead from one pass of its
-    order's leading_terms, which weighs and packs each distinct monomial
-    of the basis once (_packed_keys); an element that joins later, by
-    append, takes its lead from leading_term.
-
-    It also remembers, per term, the first row that divides it, in _hits:
-    rows are only appended, so that row stays the first for good; and the
-    term's sort key under order, in _keys, which only divide fills and
-    reads.
+    leads holds the leading term and coefficient of each element, in list
+    order, and lead_monomials(sym) the lead monomials on one symbol.  The
+    private rows group each element's lead monomial, inverse lead
+    coefficient and index by the symbol of its lead: a module basis by its
+    module symbols, a ring basis under the one symbol None.  pairs lists,
+    and pair_count counts, the index pairs whose leads share a symbol.
+    syzygy.Curve keeps one for the syzygy basis, whose members it drops.
     """
 
-    __slots__ = ("order", "ring", "basis", "leads", "_rows", "_hits", "_keys")
+    __slots__ = ("order", "ring", "leads", "_rows")
 
-    def __init__(self, order, basis=()):
+    def __init__(self, order, leads):
         self.order = order
         self.ring = isinstance(order, WeightOrder)
-        self.basis = []
         self.leads = []
         self._rows = {}
-        self._hits = {}
-        self._keys = {}
-        basis = list(basis)
-        for g, lead in zip(basis, order.leading_terms(basis)):
-            self._append(g, lead)
+        add = self._add
+        for lead in leads:
+            add(lead)
 
-    def append(self, g) -> None:
-        self._append(g, self.order.leading_term(g))
-
-    def _append(self, g, lead) -> None:
-        """append(g), given lead, the leading term and coefficient of g."""
+    def _add(self, lead) -> None:
+        """Add lead, the leading term and coefficient of the next element."""
         term, lc = lead
         mono, sym = (term, None) if self.ring else term
-        self._rows.setdefault(sym, []).append((mono, _inverse(lc), len(self.basis)))
+        self._rows.setdefault(sym, []).append((mono, _inverse(lc), len(self.leads)))
         self.leads.append(lead)
-        self.basis.append(g)
 
     def lead_monomials(self, sym=None) -> list:
         """The lead monomials on sym in list order: all of a ring basis."""
@@ -380,6 +364,45 @@ class Reducer:
     def pair_count(self) -> int:
         """len(pairs()), without listing them."""
         return sum(len(row) * (len(row) - 1) // 2 for row in self._rows.values())
+
+
+class Reducer(LeadTable):
+    """A division basis prepared once for any number of divisions.
+
+    It is the one store of its basis: basis holds each element, in list
+    order, beside the LeadTable of their leads.  A row holds no term of
+    its element: a division step reads them from basis.  normal_form
+    divides by one, in the order it was built with, and its S-pairs are
+    listed, counted, built and scanned here.
+
+    Built over a whole basis, it takes every lead from one pass of its
+    order's leading_terms, which weighs and packs each distinct monomial
+    of the basis once (_packed_keys), or from leads, when its caller has
+    them; an element that joins later, by append, takes its lead from
+    leading_term.
+
+    It also remembers, per term, the first row that divides it, in _hits:
+    rows are only appended, so that row stays the first for good; and the
+    term's sort key under order, in _keys, which only divide fills and
+    reads.
+    """
+
+    __slots__ = ("basis", "_hits", "_keys")
+
+    def __init__(self, order, basis=(), leads=None):
+        basis = list(basis)
+        super().__init__(order, order.leading_terms(basis) if leads is None else leads)
+        self.basis = basis
+        self._hits = {}
+        self._keys = {}
+
+    def append(self, g) -> None:
+        self._append(g, self.order.leading_term(g))
+
+    def _append(self, g, lead) -> None:
+        """append(g), given lead, the leading term and coefficient of g."""
+        self._add(lead)
+        self.basis.append(g)
 
     def s_pair(self, x: int, y: int) -> tuple:
         """(S, (cx, ux), (cy, uy)) for a pair (x, y) of pairs(), from the
@@ -479,14 +502,18 @@ def normal_form(f, table: Reducer) -> tuple:
     return table.divide(f)
 
 
-def _first_dividing_pair(table: Reducer) -> tuple[int, int] | None:
+def _first_dividing_pair(table: LeadTable) -> tuple[int, int] | None:
     """The first (x, y) in index order, x != y, whose lead monomial x
     divides lead monomial y on one symbol of table, or None; leads on two
     symbols never divide.  A lead divides one of its own degree only when
     equal to it, so equal leads are found by a dict, and each distinct
     lead is tested against the distinct leads of lower degree only, by
-    the first index of each."""
-    found = []
+    the first index of each.  A lead whose support, an int with bit v set
+    for each variable v it carries, has a bit outside the other's divides
+    nothing there, so only the leads that pass that test are compared:
+    the p-b+1 psi leads X_{b+i}*X_p^a carry X_p, which no quadratic lead
+    does.  A row of one degree compares nothing and weighs no support."""
+    found, bits = [], [1 << v for v in range(table.order.params.nvars)]
     for row in table._rows.values():
         first = {}
         for lead, *_, k in row:
@@ -494,11 +521,12 @@ def _first_dividing_pair(table: Reducer) -> tuple[int, int] | None:
                 found.append((first[lead], k))
             else:
                 first[lead] = k
+        groups = [list(same) for _, same in groupby(sorted(first, key=sum), sum)]
         lower = []
-        for _, same in groupby(sorted(first, key=sum), sum):
-            same = list(same)
-            found += [(first[lx], first[ly]) for ly in same for lx in lower
-                      if mono_divides(lx, ly)]
+        for same in groups if len(groups) > 1 else ():
+            same = [(m, sum(compress(bits, m))) for m in same]
+            found += [(first[lx], first[ly]) for ly, my in same for lx, mx in lower
+                      if not mx & ~my and mono_divides(lx, ly)]
             lower += same
     return min(found, default=None)
 

@@ -7,11 +7,11 @@ either Psi(j), standing for the power binomial psi(b, j), or Phi(i, j)
 The evaluation map sends a term to monomial * binomial; an element is a
 relation when its image is zero.
 
-syzygy_basis fills each family in one loop over its own index range,
-from one table per triple (_table) of unit monomials and symbols, each
-built once and shared by every term that carries it; a member is read
-from its family's map, as syzygy_basis(params).L[l, i, j].  The table
-applies two index conventions:
+syzygy_basis holds no member: SyzygySet.keyed() builds them as it is
+walked, each family in label order from one loop over its own index
+range, from one table per triple (_table) of unit monomials and
+symbols, each built once and shared by every term that carries it.  The
+table applies two index conventions:
   * Phi(i, j) = Phi(j, i), so pairs are kept sorted;
   * Phi(i, j) is zero whenever either index leaves [1, p-1].  Indices 0
     and p do occur in the syzygy displays; dropping them agrees with the
@@ -52,37 +52,38 @@ witness and count.  Members are keyed by family and index tuple
 (SyzygySet.keyed), and a label is spelled only for output and witnesses.
 
 A Curve holds what every check of one triple shares, built once from
-the three builders and never changed: the ring certificate
-(Curve.ring_certified), the lead-shape comparison (Curve.module_shape)
-and the packed images are computed as it is built, and only the closure
-of G waits for a failing certificate.  Every verify_* report takes one.
+the three builders: it walks the syzygy basis once, reading each
+member's lead and image from its packed monomials in one loop
+(_Packing.read), and keeps the keys, the leads and the first member
+that is not a relation, but no member.  The ring certificate
+(Curve.ring_certified) and the lead-shape comparison (Curve.module_shape)
+are computed as it is built; the module Reducer and the closure of G
+wait for a failing certificate.  Every verify_* report takes one.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import starmap, zip_longest
+from itertools import chain, starmap, zip_longest
 from math import inf
-from operator import add, eq, lshift, mul, sub
+from operator import add, eq, itemgetter, mul, sub
 from typing import NamedTuple
 
 from .generators import (
     _certified,
     _closure_by_weight,
     _mixed_weight,
-    _family_phi,
-    _family_psi,
     _units,
-    epsilon,
     expected_leading_monomials,
     groebner_generators,
     patil_generators,
-    tau,
 )
 from .polyring import (
     Closure,
+    LeadTable,
     Mono,
     Poly,
     Reducer,
@@ -105,7 +106,7 @@ from .polyring import (
     variable_monomial,
 )
 from .report import VerificationReport
-from .semigroup import CurveParams, _add_shifted, _times_one_minus, apery_numerator
+from .semigroup import CurveParams, _add_shifted, _apery_by_mp, _times_one_minus, apery_numerator
 
 
 # Symbols are named tuples, so that hashing and comparing a module term
@@ -159,47 +160,46 @@ class ModElement(SparseMap):
 def relation_image(curve: Curve, elem: ModElement) -> Poly:
     """Evaluate an element: sum of coeff * monomial * symbol image.
 
-    A ring product on packed monomials (Curve.packing): each monomial of
-    the images and of the elements is packed into one int once per Curve,
-    so a product is one integer addition and the sum is keyed by ints.  A
-    monomial not packed yet is packed with the rest of the element, and
-    the sum starts again, as that may have widened every field.  Only a
-    non-zero image is unpacked into the Poly it returns.
+    A ring product on packed monomials (Curve.packing, _Packing.read):
+    each monomial of the images and of the elements is packed into one
+    int once per Curve, so a product is one integer addition and the sum
+    is keyed by ints.  Only a non-zero image is unpacked into the Poly it
+    returns.
     """
-    pack, terms = curve.packing, elem.terms
-    while True:
-        codes, images, acc = pack.codes, pack.images, {}
-        for (mono, sym), c in terms.items():
-            code = codes.get(mono)
-            if code is None:
-                break
-            for code2, c2 in images[sym]:
-                mm = code + code2
-                v = acc.get(mm, 0) + c * c2
-                if v:
-                    acc[mm] = v
-                else:
-                    del acc[mm]
-        else:
-            return Poly._raw(curve.params.nvars, pack.unpack(acc) if acc else acc)
-        pack.add(mono for mono, _ in terms)
+    pack = curve.packing
+    acc = pack.read(elem)[1]
+    return Poly._raw(curve.params.nvars, pack.unpack(acc) if acc else acc)
 
 
 class _Packing:
-    """The monomials relation_image has met on one Curve, each packed into
-    one int, variable k in bits [k * width, (k + 1) * width): codes maps a
-    monomial to its int, and images each symbol to its binomial's terms as
-    (int, coefficient) pairs.  Every exponent packed is below
+    """The monomials met on one Curve, each packed into one int, its ring
+    key (polyring._packed_keys) at the width of the fields, shifted above
+    the rank of the symbols' tie-breaks: codes maps a monomial to its int.
+    The ring key is additive and every exponent packed is below
     2**(width - 1), so the int of a product of two packed monomials is the
     sum of theirs, with no carry from one field into the next; a monomial
-    with a larger exponent re-packs every monomial at a wider width."""
+    with a larger exponent re-packs every monomial at a wider width.
 
-    __slots__ = ("nvars", "width", "codes", "images", "_binomials")
+    symbols maps each symbol it can read, of the symbols given, to its
+    part, its stamp's int plus its rank, and its image, its binomial's
+    terms as (int, coefficient) pairs, none for a symbol with no binomial.
+    The sum of a term's monomial's int and its symbol's part is its
+    projection's key above its symbol's rank, which sorts as
+    ModuleOrder.key does.  monos are packed with the stamps and the
+    binomials' monomials."""
 
-    def __init__(self, nvars: int, binomials: dict):
-        self.nvars, self.width, self.codes, self.images = nvars, 0, {}, {}
+    __slots__ = ("nvars", "width", "codes", "symbols", "_weights", "_low", "_stamps",
+                 "_binomials")
+
+    def __init__(self, morder: ModuleOrder, symbols, binomials: dict, monos):
+        known = {sym: morder._symbol(sym) for sym in set(symbols)}
+        # each symbol's stamp, in the order of the symbols' tie-breaks
+        self._stamps = {sym: known[sym][3] for sym in sorted(known, key=lambda s: known[s][2])}
+        self.nvars, self.width, self.codes, self.symbols = morder.params.nvars, 0, {}, {}
+        self._weights, self._low = morder.params.exponent_weights, len(known).bit_length()
         self._binomials = binomials
-        self.add(m for g in binomials.values() for m in g.terms)
+        self.add(chain(monos, self._stamps.values(),
+                       (m for g in binomials.values() for m in g.terms)))
 
     def add(self, monos) -> None:
         """Pack each monomial of monos that is not packed yet."""
@@ -212,18 +212,58 @@ class _Packing:
         if widen:
             self.width = width
             new.update(codes)
-        shifts = range(0, self.width * self.nvars, self.width)
-        for m in new:
-            codes[m] = sum(map(lshift, m, shifts))
+        codes.update(_packed_keys(self._weights, new, self._low, self.width))
         if widen:
-            self.images = {sym: [(codes[m], c) for m, c in g.terms.items()]
-                           for sym, g in self._binomials.items()}
+            binomials = self._binomials
+            self.symbols = {sym: (codes[stamp] + rank,
+                                  [(codes[m], c) for m, c in binomials[sym].terms.items()]
+                                  if sym in binomials else ())
+                            for rank, (sym, stamp) in enumerate(self._stamps.items())}
+
+    def read(self, elem: ModElement) -> tuple:
+        """(lead, image) of elem from one loop over its terms: its leading
+        term and coefficient under the module order, None for zero, and
+        its non-zero image terms keyed by packed ints.  A monomial not
+        packed yet is packed with the rest of the element, and the loop
+        starts again, as that may have widened every field."""
+        terms = elem.terms
+        while True:
+            codes, symbols = self.codes, self.symbols
+            lead, top, acc = None, -1, {}  # every key is at least 0
+            get = acc.get
+            for term, c in terms.items():
+                code = codes.get(term[0])
+                if code is None:
+                    break
+                part, image = symbols[term[1]]
+                if code + part > top:
+                    lead, top = term, code + part
+                for code2, c2 in image:
+                    mm = code + code2
+                    acc[mm] = get(mm, 0) + c * c2
+            else:
+                if any(acc.values()):
+                    return (lead, terms[lead]), {mm: v for mm, v in acc.items() if v}
+                return lead and (lead, terms[lead]), {}
+            self.add(mono for mono, _ in terms)
+
+    def ring_lead(self, g: Poly) -> tuple:
+        """The leading term and coefficient of g, a Poly whose monomials
+        are packed, under the ring order: the monomial of largest int."""
+        if not g.terms:
+            raise ZeroPolynomialError("the zero polynomial has no leading term")
+        mono = max(g.terms, key=self.codes.__getitem__)
+        return mono, g.terms[mono]
 
     def unpack(self, acc: dict) -> dict:
-        """acc, keyed by packed ints, keyed by exponent tuples."""
-        width, mask = self.width, (1 << self.width) - 1
-        shifts = range(0, width * self.nvars, width)
-        return {tuple(code >> s & mask for s in shifts): c for code, c in acc.items()}
+        """acc, keyed by packed ints, keyed by exponent tuples: each int,
+        shifted down past the ranks, is the weight above the packed
+        exponents, less those."""
+        width, low, nvars = self.width, self._low, self.nvars
+        mask, top = (1 << width) - 1, (1 << width * nvars) - 1
+        shifts = range(0, width * nvars, width)
+        return {tuple(packed >> s & mask for s in shifts): c
+                for packed, c in ((-(code >> low) & top, c) for code, c in acc.items())}
 
 
 def _stamp(params: CurveParams, sym) -> Mono:
@@ -263,17 +303,17 @@ class ModuleOrder:
 
     def _symbol(self, sym) -> tuple:
         """The part of key() that sym alone decides, from _symbols: the
-        weight and the negated reversed exponents of its stamp, and its
-        tie-break."""
+        weight and the negated reversed exponents of its stamp, its
+        tie-break, and the stamp itself."""
         known = self._symbols.get(sym)
         if known is None:
-            weight, negrev = self.ring.key(_stamp(self.params, sym))
-            known = self._symbols[sym] = (weight, negrev, _symbol_tiebreak(sym))
+            stamp = _stamp(self.params, sym)
+            known = self._symbols[sym] = (*self.ring.key(stamp), _symbol_tiebreak(sym), stamp)
         return known
 
     def key(self, term):
         mono, sym = term
-        weight, negrev, tiebreak = self._symbol(sym)
+        weight, negrev, tiebreak, _ = self._symbol(sym)
         return (self.ring.weight(mono) + weight,
                 tuple(map(sub, negrev, reversed(mono)))), tiebreak
 
@@ -285,7 +325,7 @@ class ModuleOrder:
         lead = top = None
         for term in elem.terms:
             mono, sym = term
-            weight, negrev, tiebreak = symbol(sym)
+            weight, negrev, tiebreak, _ = symbol(sym)
             key = ((sum(map(mul, mono, weights)) + weight, tuple(map(sub, negrev, reversed(mono)))),
                    tiebreak)
             if top is None or key > top:
@@ -294,30 +334,18 @@ class ModuleOrder:
 
     def leading_terms(self, elems: list) -> list:
         """[leading_term(g) for g in elems], in one pass that keys each term
-        occurrence with one int addition.  Each distinct monomial, and each
-        symbol's stamp, is weighed and packed once (polyring._packed_keys),
-        shifted above the rank of the symbols' tie-breaks, and a symbol's
-        int is its stamp's plus its rank.  The sum of a term's two ints is
-        then its projection's packed key above its symbol's rank, which
-        sorts as key() does.  Each symbol's part of key() is filled in
+        occurrence with one int addition, on a _Packing of their symbols
+        with no images: each distinct monomial, and each symbol's stamp, is
+        weighed and packed once.  Each symbol's part of key() is filled in
         _symbols, as leading_term() fills it."""
         terms = set().union(*(g.terms for g in elems))
-        ranked = sorted({sym for _, sym in terms}, key=lambda sym: self._symbol(sym)[2])
-        stamps = [_stamp(self.params, sym) for sym in ranked]
-        packed = _packed_keys(self.params.exponent_weights,
-                              {mono for mono, _ in terms}.union(stamps), len(ranked).bit_length())
-        parts = {sym: packed[stamp] + rank for rank, (sym, stamp) in enumerate(zip(ranked, stamps))}
+        pack = _Packing(self, (sym for _, sym in terms), {}, {mono for mono, _ in terms})
         leads = []
         for g in elems:
-            if not g.terms:
+            lead = pack.read(g)[0]
+            if lead is None:
                 raise ZeroPolynomialError("the zero element has no leading term")
-            top = -1  # every key is at least 0
-            for term in g.terms:
-                mono, sym = term
-                key = packed[mono] + parts[sym]
-                if key > top:
-                    lead, top = term, key
-            leads.append((lead, g.terms[lead]))
+            leads.append(lead)
         return leads
 
 
@@ -338,88 +366,108 @@ def _table(params: CurveParams) -> tuple:
     return _units(params), [Psi(j) for j in range(p - params.b + 1)], phi
 
 
-def _family_A(params: CurveParams, table: tuple) -> dict:
+def _family_A(params: CurveParams, table: tuple) -> Iterator[tuple]:
     """A(i; b, j), led by X_i * Psi(j), for i in [1, p] and j in [0, p-b-1],
-    keyed by (i, j): multiplying psi(b, j) by X_i re-expresses the product
-    through the next power binomial and quadratic corrections."""
+    keyed by ("A", (i, j)) in label order: multiplying psi(b, j) by X_i
+    re-expresses the product through the next power binomial, Psi(b+i+j)
+    capped at Psi(p-b) with X_{b+i+j-p}, and quadratic corrections on X_p^a
+    and X_0^(a+d), each kept where its Phi has both indices in [1, p-1]."""
     p, b, nv = params.p, params.b, params.nvars
     x, psi, phi = table
-    xpa, x0ad, out = x[p + 1], x[p + 2], {}
+    xpa, x0ad = x[p + 1], x[p + 2]
     for i in range(1, p + 1):
         for j in range(p - b):
-            e = epsilon(i, b + j, p)
-            terms = {(x[i], psi[j]): 1, (x[b + i + j - e], psi[e - b]): -1}
-            corrections = [(xpa, phi.get((i, b + j)), -1)]
-            if i != p - b:  # there the two X0 corrections carry one symbol and cancel
-                corrections += [(x0ad, phi.get((i, j)), 1),
-                                (x0ad, phi.get((b + i + j - p, p - b)), -1)]
-            for m, sym, c in corrections:
-                if sym is not None:
-                    terms[m, sym] = c
-            out[i, j] = ModElement._raw(nv, terms)
-    return out
+            s = b + i + j
+            terms = {(x[i], psi[j]): 1}
+            if s < p:
+                terms[x[0], psi[i + j]] = -1
+            else:
+                terms[x[s - p], psi[-1]] = -1
+            if i < p:
+                terms[xpa, phi[i, b + j]] = -1
+            # at i = p-b the two X0 corrections carry one symbol and cancel
+            if i != p - b:
+                if i < p and j:
+                    terms[x0ad, phi[i, j]] = 1
+                if s > p:
+                    terms[x0ad, phi[s - p, p - b]] = -1
+            yield ("A", (i, j)), ModElement._raw(nv, terms)
 
 
-def _family_B(params: CurveParams, table: tuple) -> dict:
+def _family_B(params: CurveParams, table: tuple) -> Iterator[tuple]:
     """B(i, j), led by X_i * X_j * Psi(p-b), for 1 <= i <= j <= p-1, keyed
-    by (i, j): phi(i, j) on Psi(p-b) less one copy of psi(b, p-b) on
-    Phi(i, j), a Koszul-style relation."""
+    by ("B", (i, j)) in label order: phi(i, j) on Psi(p-b) less one copy
+    of psi(b, p-b) on Phi(i, j), a Koszul-style relation, each binomial's
+    two monomials multiplied from the table's units."""
+    p, b, nv = params.p, params.b, params.nvars
     x, psi, phi = table
-    top = _family_psi(params, x)[params.p - params.b].terms.items()
-    out = {}
-    for (i, j), quad in _family_phi(params, x).items():
-        terms = {(m, psi[-1]): c for m, c in quad.terms.items()}
-        for m, c in top:
-            terms[m, phi[i, j]] = -c
-        out[i, j] = ModElement._raw(params.nvars, terms)
-    return out
+    top, top_lead, top_tail = psi[-1], mono_mul(x[p], x[p + 1]), mono_mul(x[p - b], x[p + 2])
+    for i in range(1, p):
+        for j in range(i, p):
+            e = i + j if i + j < p else p
+            yield ("B", (i, j)), ModElement._raw(nv, {(mono_mul(x[i], x[j]), top): 1,
+                                                    (mono_mul(x[e], x[i + j - e]), top): -1,
+                                                    (top_lead, phi[i, j]): -1,
+                                                    (top_tail, phi[i, j]): 1})
 
 
-def _family_L(params: CurveParams, table: tuple) -> dict:
+def _family_L(params: CurveParams, table: tuple) -> Iterator[tuple]:
     """L(l; i, j), led by X_l * Phi(i, j), for i <= j and l < j in [1, p-1],
-    keyed by (l, i, j): it exchanges the outer multiplier between two
-    quadratic symbols, with capped-index corrections."""
-    p, nv, out = params.p, params.nvars, {}
+    keyed by ("L", (l, i, j)) in label order: it exchanges the outer multiplier
+    between two quadratic symbols, with corrections on X_0 below the cap
+    p and on X_p above it."""
+    p, nv = params.p, params.nvars
     x, _, phi = table
-    for j in range(2, p):
-        for i in range(1, j + 1):
-            for l in range(1, j):
-                t, u = tau(i, j, p), tau(i, l, p)
+    for l in range(1, p - 1):
+        for i in range(1, p):
+            for j in range(max(i, l + 1), p):
                 terms = {(x[l], phi[i, j]): 1, (x[j], phi[i, l]): -1}
-                for m, sym, c in ((x[t], phi.get((i + j - t, l)), 1),
-                                  (x[u], phi.get((i + l - u, j)), -1)):
-                    if sym is not None:
-                        terms[m, sym] = c
-                out[l, i, j] = ModElement._raw(nv, terms)
-    return out
+                if i + j < p:
+                    terms[x[0], phi[i + j, l]] = 1
+                elif i + j > p:
+                    terms[x[p], phi[i + j - p, l]] = 1
+                if i + l < p:
+                    terms[x[0], phi[i + l, j]] = -1
+                elif i + l > p:
+                    terms[x[p], phi[i + l - p, j]] = -1
+                yield ("L", (l, i, j)), ModElement._raw(nv, terms)
 
 
 @dataclass(frozen=True)
 class SyzygySet:
-    """The full syzygy basis, keyed by family and index tuple.
+    """The full syzygy basis of one triple, keyed by family and index
+    tuple.  It holds no member: keyed() builds them one at a time, as it
+    is walked, so a walk that drops each member holds none.
 
     keyed() lists each member under its key (family, index tuple), in
     label order, and spells no label; label(key) spells one, for output
-    and witnesses.
+    and witnesses.  A, B and L map one family's index tuples to its
+    members, built from a walk, for a reader of one family.
     """
 
     params: CurveParams
-    A: dict
-    B: dict
-    L: dict
 
     def __len__(self) -> int:
-        return len(self.A) + len(self.B) + len(self.L)
+        return self.counts()["total"]
 
     def counts(self) -> dict:
-        return {"A": len(self.A), "B": len(self.B), "L": len(self.L), "total": len(self)}
+        return _counts({key for key, _ in self.keyed()})
 
-    def keyed(self) -> list[tuple[tuple, ModElement]]:
+    def keyed(self) -> Iterator[tuple[tuple, ModElement]]:
         """(key, member) pairs: A by (i, j), then B by (i, j), then L by
-        (l, i, j), each key (family, index tuple)."""
-        return [((family, idx), g) for family, members in (("A", self.A), ("B", self.B),
-                                                            ("L", self.L))
-                for idx, g in sorted(members.items())]
+        (l, i, j), each key (family, index tuple), each family built as it
+        is walked from one table (_table)."""
+        params = self.params
+        table = _table(params)
+        for family in (_family_A, _family_B, _family_L):
+            yield from family(params, table)
+
+    def _family(self, name: str) -> dict:
+        return {key[1]: g for key, g in self.keyed() if key[0] == name}
+
+    A = property(lambda self: self._family("A"))
+    B = property(lambda self: self._family("B"))
+    L = property(lambda self: self._family("L"))
 
     def label(self, key: tuple) -> str:
         """The label of the member at key: A(i;b,j), B(i,j) or L(l;i,j)."""
@@ -434,11 +482,20 @@ class SyzygySet:
         return [(self.label(key), g) for key, g in self.keyed()]
 
 
+def _counts(keys) -> dict:
+    """The members of each family among keys, distinct keys, and their
+    total; a key that is no (family, index tuple), as a planted member's,
+    counts in none."""
+    families = Counter(key[0] for key in keys if type(key) is tuple)
+    counts = {family: families[family] for family in "ABL"}
+    counts["total"] = sum(counts.values())
+    return counts
+
+
 def syzygy_basis(params: CurveParams) -> SyzygySet:
-    """Build all three families over their index ranges from one table."""
-    table = _table(params)
-    return SyzygySet(params, _family_A(params, table), _family_B(params, table),
-                     _family_L(params, table))
+    """The syzygy basis of one triple, whose members SyzygySet.keyed()
+    builds as it is walked."""
+    return SyzygySet(params)
 
 
 def _expected_leads(params: CurveParams) -> Iterator[tuple]:
@@ -446,10 +503,11 @@ def _expected_leads(params: CurveParams) -> Iterator[tuple]:
     label order, as SyzygySet.keyed() keys and lists the members."""
     p, b = params.p, params.b
     x = [variable_monomial(p, i) for i in range(p + 1)]
+    psi = [Psi(j) for j in range(p - b + 1)]  # each symbol built once
     for i in range(1, p + 1):
         for j in range(0, p - b):
-            yield ("A", (i, j)), (x[i], Psi(j))
-    top = Psi(p - b)
+            yield ("A", (i, j)), (x[i], psi[j])
+    top = psi[-1]
     for i in range(1, p):
         for j in range(i, p):
             yield ("B", (i, j)), (mono_mul(x[i], x[j]), top)
@@ -465,7 +523,7 @@ def _shape_holds(params: CurveParams, keys: list, leads: list) -> bool:
     each member leads with its predicted term: leads[k] is the (term,
     coefficient) lead of the member at keys[k].  One walk beside
     _expected_leads, which stops at the first difference."""
-    got = zip(keys, (term for term, _ in leads))
+    got = zip(keys, map(itemgetter(0), leads))
     return all(starmap(eq, zip_longest(got, _expected_leads(params))))
 
 
@@ -476,57 +534,90 @@ def _shape_holds(params: CurveParams, keys: list, leads: list) -> bool:
 class Curve:
     """The objects every check of one triple shares, built once by
     __init__ from groebner_generators, patil_generators and syzygy_basis,
-    and never changed afterwards.
+    and never changed afterwards but for the two parts built on first use.
 
     order is the ring order inside morder.  images maps each module
     symbol, of A, B and L, to its binomial, the phis by (i, j) and then
     the psis by j, as gset.labeled() lists them, and ring_reducer divides
     by those binomials in that order: it holds G, the one copy the ring
-    checks and the Schreyer harvest read.  module_reducer divides by the syzygy basis
-    in label order, listed once (SyzygySet.keyed), and keys holds each
-    member's key in that order.  Each Reducer takes its leads from one
-    pass of its order over the whole basis (leading_terms).
-    predicted_leads holds the predicted lead monomials of G
-    (generators.expected_leading_monomials), which the ring certificate
-    and the two ring checks that compare leads read.  ring_certified,
-    module_shape and packing are computed here, as every verify reads
-    them: module_shape walks the keys and the leads in label order beside
-    their prediction (_shape_holds).  Only a check whose
-    certificate fails builds the closure (closure()): a passing verify,
-    deep or shallow, builds none.  A test plants a part through the
-    builders, before the Curve is built.
+    checks and the Schreyer harvest read, and takes its leads from the
+    packed ints of packing (_Packing.ring_lead), which sort as the ring
+    keys.  predicted_leads holds the predicted lead
+    monomials of G (generators.expected_leading_monomials), which the
+    ring certificate and the two ring checks that compare leads read.
+
+    The syzygy basis is walked once, in label order (SyzygySet.keyed),
+    and each member is dropped once read: one loop over its terms
+    (_Packing.read) gives its lead and its image.  The Curve keeps each
+    member's key, in keys, from which counts counts them per family, the
+    LeadTable of their leads, in module_leads, and the first member whose
+    image is not zero, as (index, image), in non_relation, or None.
+    module_shape, whether the keys and leads are the predicted ones in
+    label order (_shape_holds), and ring_certified are computed here, as
+    every verify reads them.  Only a check whose certificate fails builds
+    the module Reducer (module_reducer), by walking the basis again, or
+    the closure (closure()): a passing verify, deep or shallow, builds
+    neither.  A test plants a part through the builders, before the Curve
+    is built.
     """
 
     __slots__ = ("params", "morder", "order", "gset", "patil", "sset", "keys", "images",
-                 "ring_reducer", "module_reducer", "predicted_leads", "ring_certified",
-                 "module_shape", "packing", "_closure")
+                 "ring_reducer", "module_leads", "non_relation", "predicted_leads",
+                 "ring_certified", "module_shape", "packing", "_module_reducer", "_closure")
 
     def __init__(self, params: CurveParams):
         self.params = params
-        self.morder = ModuleOrder(params)
-        self.order = self.morder.ring
+        self.morder = morder = ModuleOrder(params)
+        self.order = morder.ring
         self.gset = groebner_generators(params)
         self.patil = patil_generators(params)
         self.sset = syzygy_basis(params)
-        keyed = self.sset.keyed()
-        self.keys = [key for key, _ in keyed]
         self.images = {Phi(i, j): g for (i, j), g in sorted(self.gset.phis.items())}
         self.images.update((Psi(j), g) for j, g in sorted(self.gset.psis.items()))
-        self.ring_reducer = table = Reducer(self.order, self.images.values())
-        self.module_reducer = Reducer(self.morder, [g for _, g in keyed])
-        # the (key, member) pairs, kept alive while the rest is built, would
-        # raise a large Curve's peak memory
-        del keyed
+        # the table's symbols are the members', and its units their
+        # monomials, but B's products, which are G's
+        units, psi, phi = _table(params)
+        self.packing = pack = _Packing(morder, chain(psi, phi.values()), self.images, units)
+        self.ring_reducer = table = Reducer(self.order, self.images.values(),
+                                            map(pack.ring_lead, self.images.values()))
         self.predicted_leads = expected_leading_monomials(params)
         # whether G, each element of one weight, is a Groebner basis of the
         # curve ideal (generators._certified)
         self.ring_certified = (_mixed_weight(params, enumerate(table.basis)) is None
                                and _certified(table, self.predicted_leads))
+        keys, leads, bad = [], [], None
+        for key, g in self.sset.keyed():
+            lead, image = pack.read(g)
+            if lead is None:
+                raise ZeroPolynomialError("the zero element has no leading term")
+            if image and bad is None:
+                bad = len(keys), Poly._raw(params.nvars, pack.unpack(image))
+            keys.append(key)
+            leads.append(lead)
+        self.keys, self.non_relation = keys, bad
         # whether each member leads with its predicted term, as
         # leading-term-shape reports
-        self.module_shape = _shape_holds(params, self.keys, self.module_reducer.leads)
-        self.packing = _Packing(params.nvars, self.images)
-        self._closure = None
+        self.module_shape = _shape_holds(params, keys, leads)
+        self.module_leads = LeadTable(morder, leads)
+        self._module_reducer = self._closure = None
+
+    @property
+    def counts(self) -> dict:
+        """The members of each family, and their total, from keys, each
+        counted once: when module_shape holds, they are the predicted
+        keys, each once, and need no set."""
+        return _counts(self.keys if self.module_shape else set(self.keys))
+
+    @property
+    def module_reducer(self) -> Reducer:
+        """The Reducer of the syzygy basis in label order, with the leads
+        module_leads holds, built once, on first use, by walking the basis
+        again: only the S-vector scan and the harvest of a failing
+        certificate divide by it."""
+        if self._module_reducer is None:
+            self._module_reducer = Reducer(self.morder, (g for _, g in self.sset.keyed()),
+                                           self.module_leads.leads)
+        return self._module_reducer
 
     def closure(self) -> tuple[Closure, list]:
         """The one closure of G, grown weight by weight up to its heaviest
@@ -570,16 +661,20 @@ def schreyer_relations(curve: Curve) -> Iterator[tuple]:
 
 
 def _shape_module_sum(curve: Curve) -> dict:
-    """sum_sym t^{w(image(sym))} K(M_sym) for the predicted lead sets M_sym:
-    X_1..X_p on Psi(j) for j < p-b, the X_i*X_j with 1 <= i <= j <= p-1 on
-    Psi(p-b), and X_1..X_{j-1} on Phi(i, j).  K is prod (1 - t^{m_l}) over
-    the variables of a set, and (1 + sum_{i<p} t^{m_i}) prod_{i<p}(1 -
-    t^{m_i}) for the quadratics, so the sum is taken by Horner's rule:
-    from the Psi(j) with j < p-b, times (1 - t^{m_p}), plus the quadratic
-    term of Psi(p-b); then for j = p-1 down to 1, times (1 - t^{m_j}),
-    plus the t^{w(image(Phi(i, j)))} with i <= j."""
+    """sum_sym t^{w(image(sym))} K(M_sym) + N for the predicted lead sets
+    M_sym: X_1..X_p on Psi(j) for j < p-b, the X_i*X_j with 1 <= i <= j <=
+    p-1 on Psi(p-b), and X_1..X_{j-1} on Phi(i, j).  K is prod (1 -
+    t^{m_l}) over the variables of a set, and (1 + sum_{i<p} t^{m_i})
+    prod_{i<p}(1 - t^{m_i}) for the quadratics, so the sum is taken by
+    Horner's rule: from the Psi(j) with j < p-b, times (1 - t^{m_p}), plus
+    the quadratic term of Psi(p-b); then for j = p-1 down to 1, times (1 -
+    t^{m_j}), plus the t^{w(image(Phi(i, j)))} with i <= j.  N is A(t)(1 -
+    t^{m_p}) (semigroup._apery_by_mp) times the same p - 1 factors, so it
+    joins the sum before them, and the module identity holds exactly when
+    the result is 1."""
     params, gens = curve.params, curve.params.generators
-    p, b, levels = params.p, params.b, {}
+    p, b = params.p, params.b
+    levels = {p: _apery_by_mp(params)}
     quadratic = dict.fromkeys((0, *gens[1:-1]), 1)  # 1 + sum_{i<p} t^{m_i}
     for sym, image in curve.images.items():
         shift = params.weight(next(iter(image.terms)))
@@ -588,7 +683,7 @@ def _shape_module_sum(curve: Curve) -> dict:
         elif sym.j < p - b:
             _add_shifted(levels.setdefault(p + 1, {}), {shift: 1})
         else:
-            _add_shifted(levels.setdefault(p, {}), quadratic, shift)
+            _add_shifted(levels[p], quadratic, shift)
     series = levels.get(p + 1, {})
     for j in range(p, 0, -1):
         series = _add_shifted(_times_one_minus(series, [gens[j]]), levels.get(j, {}))
@@ -605,23 +700,22 @@ def _module_identity(curve: Curve) -> bool:
     that series (Macaulay, symbol by symbol).
 
     When each member leads with its predicted term (Curve.module_shape,
-    the leading-term-shape comparison), the sum is taken in closed form
-    (_shape_module_sum).  Any other lead set goes to Bigatti's recursion
-    (polyring.hilbert_numerator), once per distinct lead set, as many
-    symbols share one."""
-    params, table = curve.params, curve.module_reducer
+    the leading-term-shape comparison), the sum plus N is taken in closed
+    form, in one Horner chain (_shape_module_sum), and must be 1.  Any
+    other lead set goes to Bigatti's recursion (polyring.hilbert_numerator),
+    once per distinct lead set, as many symbols share one."""
+    params, table = curve.params, curve.module_leads
     if curve.module_shape:
-        series = _shape_module_sum(curve)
-    else:
-        shifts = {}
-        for sym, image in curve.images.items():
-            leads = frozenset(table.lead_monomials(sym))
-            shifts.setdefault(leads, []).append(params.weight(next(iter(image.terms))))
-        series = {}
-        for leads, weights in shifts.items():
-            k = hilbert_numerator(params.exponent_weights, leads)
-            for shift in weights:
-                _add_shifted(series, k, shift)
+        return _shape_module_sum(curve) == {0: 1}
+    shifts = {}
+    for sym, image in curve.images.items():
+        leads = frozenset(table.lead_monomials(sym))
+        shifts.setdefault(leads, []).append(params.weight(next(iter(image.terms))))
+    series = {}
+    for leads, weights in shifts.items():
+        k = hilbert_numerator(params.exponent_weights, leads)
+        for shift in weights:
+            _add_shifted(series, k, shift)
     return series == _add_shifted({0: 1}, apery_numerator(params), sign=-1)
 
 
@@ -643,23 +737,24 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     Otherwise the S-vectors are divided x-major and the harvest of every
     pair of binomials (schreyer_relations) is scanned j-major; the first
     failure of each is its witness and ends its count, and no pair of
-    binomials after it is divided.
+    binomials after it is divided.  (e) follows from (b) too, as the
+    predicted leads on one symbol are distinct and of one degree;
+    otherwise the leads are scanned (polyring._first_dividing_pair).
 
-    The members are read from the module Reducer, in label order, and
-    (b) is Curve.module_shape, keyed by family and index tuple (Curve.keys);
-    a label is spelled (SyzygySet.label) only for a witness.
+    The members were read as the Curve was built (Curve.non_relation,
+    Curve.module_leads), in label order, and (b) is Curve.module_shape,
+    keyed by family and index tuple (Curve.keys); a label is spelled
+    (SyzygySet.label) only for a witness.  Only a failing (c) or (d)
+    divides, by Curve.module_reducer.
     """
-    params, morder, table, sset = curve.params, curve.morder, curve.module_reducer, curve.sset
+    params, morder, leads, sset = curve.params, curve.morder, curve.module_leads, curve.sset
     keys = curve.keys
     report = VerificationReport(params)
 
-    bad = None
-    for k, g in enumerate(table.basis):
-        image = relation_image(curve, g)
-        if image:
-            bad = {"element": sset.label(keys[k]), "image": poly_to_json(morder.ring, image)}
-            break
-    n = len(table.basis)
+    bad, n = None, len(keys)
+    if curve.non_relation is not None:
+        k, image = curve.non_relation
+        bad = {"element": sset.label(keys[k]), "image": poly_to_json(morder.ring, image)}
     report.add("members-are-relations", bad is None, detail=f"{n} members", witness=bad)
     members_ok = bad is None
 
@@ -667,7 +762,7 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     shape_ok, bad = curve.module_shape, None
     if not shape_ok:
         # a repeated key keeps its first place and its last lead
-        actual = dict(zip(keys, (term for term, _ in table.leads)))
+        actual = dict(zip(keys, (term for term, _ in leads.leads)))
         predicted, mismatch = dict(_expected_leads(params)), []
         for key, term in actual.items():
             want = predicted.get(key)  # None for a key with no prediction
@@ -681,9 +776,9 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
 
     # one identity decides (c) and (d); if it or a hypothesis fails, both scan
     certified = members_ok and curve.ring_certified and _module_identity(curve)
-    bad, count = None, table.pair_count()
+    bad, count = None, leads.pair_count()
     if not certified:
-        count, pair, r = table.first_unreduced()
+        count, pair, r = curve.module_reducer.first_unreduced()
         if pair:
             bad = {"pair": [sset.label(keys[k]) for k in pair],
                    "remainder": mod_elem_to_json(morder, r)}
@@ -699,7 +794,7 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
             elif relation_image(curve, rel):
                 bad = {"pair": pair, "problem": "harvested element is not a relation"}
             else:
-                r, _ = normal_form(rel, table)
+                r, _ = normal_form(rel, curve.module_reducer)
                 bad = {"pair": pair, "remainder": mod_elem_to_json(morder, r)} if r else None
             if bad:
                 break
@@ -707,8 +802,10 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
                witness=bad)
 
     # the first dividing (x, y) in the order of a double loop over all
-    # leads, and the ordered pairs that loop would have tried up to it
-    first = _first_dividing_pair(table)
+    # leads, and the ordered pairs that loop would have tried up to it.
+    # When (b) holds, the leads on each symbol are the predicted ones, each
+    # once and all of one degree, so none divides another
+    first = None if shape_ok else _first_dividing_pair(leads)
     checked, offender = n * (n - 1), None
     if first is not None:
         x, y = first
@@ -751,7 +848,7 @@ def verify_excluded_leading_forms(curve: Curve, bound: int) -> VerificationRepor
         raise ValueError(f"bound must be at least 2, got {bound}")
     params = curve.params
     p, b = params.p, params.b
-    leads = curve.module_reducer.lead_monomials
+    leads = curve.module_leads.lead_monomials
     one = mono_one(params.nvars)
     x0, xp, top = variable_monomial(p, 0, inf), variable_monomial(p, p, inf), Psi(p - b)
     boxes = [("pure-X0", Psi(j), one, x0, leads(Psi(j))) for j in range(0, p - b + 1)]

@@ -30,7 +30,8 @@ witness with every box tested against every lead on its symbol;
 leading_term_shape_three_tests, the lead shape decided by a set
 equality, a distinct count and a per-label comparison;
 and
-phi_symbol and psi_symbol, the symbol conventions.  poly_term and
+phi_symbol and psi_symbol, the symbol conventions, and tau, the cap of
+an L correction.  poly_term and
 module_term build one-term elements, which the library never does,
 planted_syzygies a syzygy set of planted members, and syzygy_members the
 members of a syzygy set in label order.
@@ -45,7 +46,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import inf
 
-from monocurve.generators import PatilSet, epsilon, tau
+from monocurve.generators import PatilSet, epsilon
 from monocurve.polyring import (Closure, Poly, Reducer, WeightOrder, _exact, mono_div,
                                 mono_divides, mono_lcm, mono_mul, mono_one, normal_form,
                                 variable_monomial)
@@ -54,6 +55,12 @@ from monocurve.semigroup import (CurveParams, ParameterError, _add_shifted, _tim
 from monocurve.report import VerificationReport
 from monocurve.syzygy import (ModElement, Phi, Psi, SyzygySet, _expected_leads, relation_image,
                               term_to_json)
+
+
+def tau(i: int, j: int, p: int) -> int:
+    """The paper's cap of an L correction: 0 when i + j < p, else p.  The
+    library's L family spells its two cases inline."""
+    return 0 if i + j < p else p
 
 
 def _reach(x: int, values: tuple[int, ...]) -> tuple[list, list]:
@@ -393,19 +400,17 @@ def syzygy_members(sset: SyzygySet) -> list:
 def planted_syzygies(params: CurveParams, keyed: list) -> SyzygySet:
     """A syzygy set whose members are keyed, (key, element) pairs in list
     order, as SyzygySet.keyed() lists them; a key that is a string, for a
-    planted member, is its own label.  Its A, B and L hold the members
-    keyed by family, so counts() counts those and no planted member."""
+    planted member, is its own label.  counts() counts its keys by family,
+    and no planted member."""
 
     class Planted(SyzygySet):
         def keyed(self):
-            return keyed
+            return iter(keyed)
 
         def label(self, key):
             return key if isinstance(key, str) else super().label(key)
 
-    families = [{key[1]: g for key, g in keyed if isinstance(key, tuple) and key[0] == family}
-                for family in "ABL"]
-    return Planted(params, *families)
+    return Planted(params)
 
 
 def excluded_form_every_box(curve) -> dict | None:

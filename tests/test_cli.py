@@ -195,7 +195,7 @@ def test_verify_fails_cleanly_on_an_unlabelled_syzygy(monkeypatch, capsys):
     # leading-term-shape with "expected": null, and verify exits 1; the
     # payload counts the A/B/L members only
     base = syzygy.syzygy_basis(make_params(7, 1, 3))
-    keyed = base.keyed()
+    keyed = list(base.keyed())
     keyed.append(("planted", module_term(4, (0, 0, 0, 0), syzygy.Psi(0))))
     monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted_syzygies(params, keyed))
     code = main(["verify", "--m0", "7", "--d", "1", "--p", "3", "--bound", "2", "--format", "json"])
@@ -416,6 +416,39 @@ def test_fractional_witnesses_match_golden(name, monkeypatch, capsys):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+FLIPPED_A_GOLDEN_CALLS = {
+    "verify-7-1-3-flipped-a.json": ["verify", "--m0", "7", "--d", "1", "--p", "3",
+                                    "--bound", "2", "--format", "json"],
+    "verify-13-2-6-flipped-a.txt": ["verify", "--m0", "13", "--d", "2", "--p", "6",
+                                    "--bound", "3"],
+}
+
+
+def _flipped_a(params):
+    # A(1;b,0) with the sign of its first term flipped: no longer a relation
+    planted = []
+    for key, g in syzygy.SyzygySet(params).keyed():
+        if key == ("A", (1, 0)):
+            terms = dict(g.terms)
+            first = next(iter(terms))
+            terms[first] = -terms[first]
+            g = syzygy.ModElement._raw(g.nvars, terms)
+        planted.append((key, g))
+    return planted_syzygies(params, planted)
+
+
+@pytest.mark.parametrize("name", sorted(FLIPPED_A_GOLDEN_CALLS))
+def test_a_flipped_member_matches_golden(name, monkeypatch, capsys):
+    # members-are-relations names the flipped member and its image, read
+    # from the packed codes of the walk that builds the Curve; the module
+    # identity is not tried, so both module scans divide
+    monkeypatch.setattr(syzygy, "syzygy_basis", _flipped_a)
+    assert main(FLIPPED_A_GOLDEN_CALLS[name]) == 1
+    out = capsys.readouterr().out
+    assert "A(1;" in out and '"2/1"' in out
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
 def test_the_syzygy_basis_reads_nothing_of_the_closed_form_set(monkeypatch):
     # with the half lead planted in place of phi(1,1), B and the whole
     # basis stay the unplanted ones, alone and inside a Curve
@@ -424,7 +457,8 @@ def test_the_syzygy_basis_reads_nothing_of_the_closed_form_set(monkeypatch):
         monkeypatch.setattr("monocurve.syzygy.groebner_generators", _half_lead)
         curve = syzygy.Curve(pr)
         assert curve.gset.phis[1, 1] != groebner_generators(pr).phis[1, 1]
-        assert syzygy.syzygy_basis(pr) == want and curve.sset == want
+        members = list(want.keyed())
+        assert list(syzygy.syzygy_basis(pr).keyed()) == members == list(curve.sset.keyed())
         monkeypatch.undo()
 
 
@@ -733,9 +767,9 @@ def test_each_triple_harvests_its_s_pairs_once(monkeypatch, capsys):
         divisions[self] += 1
         return divide(self, f)
 
-    def count_reducer(self, order, basis=()):
+    def count_reducer(self, order, basis=(), leads=None):
         built.append(self)
-        reducer_init(self, order, basis)
+        reducer_init(self, order, basis, leads)
 
     def count_harvest(curve):
         harvests[curve.ring_reducer] += 1
@@ -850,8 +884,9 @@ def test_a_certified_triple_divides_no_pair_past_its_heaviest_generator(monkeypa
 def test_a_passing_verify_divides_no_s_pair(monkeypatch, capsys):
     # on a passing triple the two Hilbert-series identities decide both
     # S-pair checks, and closed forms decide the ideal equality: no harvest
-    # is built, nothing is divided, and the only Reducers are each curve's
-    # two, so none is built over the classical set
+    # is built, nothing is divided, and the only Reducer is each curve's
+    # ring Reducer, so none is built over the classical set, and the
+    # module Reducer, which only a failing scan reads, is never built
     curves, divisions, harvests, reducers = [], collections.Counter(), [], []
     init, reducer_init, divide = syzygy.Curve.__init__, Reducer.__init__, Reducer.divide
 
@@ -859,8 +894,8 @@ def test_a_passing_verify_divides_no_s_pair(monkeypatch, capsys):
         init(self, params)
         curves.append(self)
 
-    def keep_reducer(self, order, basis=()):
-        reducer_init(self, order, basis)
+    def keep_reducer(self, order, basis=(), leads=None):
+        reducer_init(self, order, basis, leads)
         reducers.append(self)
 
     def count_division(self, f):
@@ -876,7 +911,8 @@ def test_a_passing_verify_divides_no_s_pair(monkeypatch, capsys):
         assert len(curves) == ran
         assert not harvests
         assert not divisions
-        owned = [r for curve in curves for r in (curve.ring_reducer, curve.module_reducer)]
+        assert all(curve._module_reducer is None for curve in curves)
+        owned = [curve.ring_reducer for curve in curves]
         assert reducers == owned
 
     assert main(["verify", "--m0", "41", "--d", "2", "--p", "12", "--bound", "2",

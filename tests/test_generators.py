@@ -30,7 +30,6 @@ from monocurve.generators import (
     patil_generators,
     standard_monomials,
     standard_shape,
-    tau,
     verify_groebner_generators,
     verify_ideal_equality,
     verify_minimality,
@@ -53,7 +52,7 @@ from monocurve.semigroup import _apery_by_mp, _times_one_minus
 from monocurve.syzygy import Curve
 from oracles import (apery_set_by_search, buchberger, curve_image, parameter_sweep, patil_by_terms,
                      phi_by_subtraction, poly_term, psi_by_subtraction, s_polynomial,
-                     standard_monomials_full_test)
+                     standard_monomials_full_test, tau)
 
 SWEEP = list(parameter_sweep(range(2, 6), range(1, 4), range(1, 6)))
 SWEEP6 = list(parameter_sweep(range(2, 7), range(1, 4), range(1, 6)))

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from monocurve import make_params
+from monocurve import make_params, polyring
 from monocurve.generators import groebner_generators
 from monocurve.polyring import (
     Closure,
@@ -27,7 +27,7 @@ from monocurve.polyring import (
 )
 from monocurve.syzygy import Curve, ModElement, ModuleOrder, Phi, Psi
 from oracles import (buchberger, curve_image, first_dividing_pair_all_pairs, hilbert_function,
-                     module_term, numerator_all_pairs, poly_from_json, poly_term,
+                     module_term, numerator_all_pairs, parameter_sweep, poly_from_json, poly_term,
                      s_polynomial, series_coefficients)
 
 P713 = make_params(7, 1, 3)
@@ -432,6 +432,40 @@ def test_first_dividing_pair_matches_the_all_pairs_scan_on_module_symbols(terms)
     # leads on two symbols never divide, even with equal monomials
     table = Reducer(ModuleOrder(P713), [module_term(4, m, sym) for m, sym in terms])
     assert _first_dividing_pair(table) == first_dividing_pair_all_pairs(table)
+
+
+def test_first_dividing_pair_matches_the_all_pairs_scan_on_the_sweep_and_the_plants():
+    # both lead tables of every sweep triple, where no lead divides
+    # another, and each with a dividing lead planted: a copy, a multiple
+    # of a quadratic lead and a multiple of a psi lead, whose supports
+    # hold the divisor's
+    for pr in parameter_sweep(range(2, 6), range(1, 4), range(1, 6)):
+        curve = Curve(pr)
+        ring = curve.ring_reducer
+        for table in (ring, curve.module_leads):
+            assert _first_dividing_pair(table) is first_dividing_pair_all_pairs(table) is None
+        quadratic, psi = ring.basis[0], ring.basis[-1]
+        xp, x0 = variable_monomial(pr.p, pr.p), variable_monomial(pr.p, 0)
+        for extra in (quadratic, quadratic.times_term(1, xp), psi.times_term(1, x0)):
+            planted = Reducer(ring.order, [*ring.basis, extra])
+            assert _first_dividing_pair(planted) == first_dividing_pair_all_pairs(planted)
+            assert _first_dividing_pair(planted)[1] == len(ring.basis)
+        members = curve.module_reducer.basis
+        for extra in (members[-1], members[0].times_term(1, xp)):
+            planted = Reducer(curve.morder, [*members, extra])
+            assert _first_dividing_pair(planted) == first_dividing_pair_all_pairs(planted)
+            assert _first_dividing_pair(planted)[1] == len(members)
+
+
+def test_first_dividing_pair_tests_no_psi_lead_against_a_quadratic_lead(monkeypatch):
+    # of the p - b + 1 psi leads X_{b+i}*X_p^a, only the p - b with b+i < p
+    # reach a divisibility test, against X_{b+i}^2; the rest of the
+    # quadratic leads carry no X_p, and their supports rule them out
+    pr, calls, divides = make_params(17, 3, 8), [], polyring.mono_divides
+    ring = Curve(pr).ring_reducer
+    monkeypatch.setattr(polyring, "mono_divides", lambda f, g: calls.append(f) or divides(f, g))
+    assert _first_dividing_pair(ring) is None
+    assert len(calls) == pr.p - pr.b == 7
 
 
 def test_first_dividing_pair_examples():

@@ -242,12 +242,13 @@ def test_members_on_one_unit_monomial_share_its_tuple(ladder):
     for pr in ladder:
         if pr.p < 3 or pr.b == pr.p:
             continue
-        sset = syzygy_basis(pr)
-        (a_x1,) = [m for m, sym in sset.A[1, 0].terms if sym == Psi(0)]
-        (l_x1,) = [m for m, sym in sset.L[1, 1, 2].terms if sym == Phi(1, 2)]
+        members = dict(syzygy_basis(pr).keyed())  # one walk, one table
+        (a_x1,) = [m for m, sym in members["A", (1, 0)].terms if sym == Psi(0)]
+        (l_x1,) = [m for m, sym in members["L", (1, 1, 2)].terms if sym == Phi(1, 2)]
         assert a_x1 == variable_monomial(pr.p, 1) and a_x1 is l_x1
         x0 = variable_monomial(pr.p, 0, pr.a + pr.d)
-        shared = {id(m) for g in sset.A.values() for m, _ in g.terms if m == x0}
+        shared = {id(m) for (family, _), g in members.items() if family == "A"
+                  for m, _ in g.terms if m == x0}
         assert len(shared) == 1
 
 
@@ -517,10 +518,9 @@ def test_symbol_pairing_matches_the_all_pairs_scan():
 def test_symbol_pairing_matches_the_all_pairs_scan_on_a_failing_basis(monkeypatch, p713):
     # a tail term X0*Phi(1,1) under the lead of A(1;1,1) leaves its lead alone
     # and breaks the third same-symbol S-vector
-    base = syzygy_basis(p713)
-    A = dict(base.A)
-    A[(1, 1)] = A[(1, 1)] + module_term(4, _x(0), Phi(1, 1))
-    planted = SyzygySet(params=p713, A=A, B=base.B, L=base.L)
+    tail = module_term(4, _x(0), Phi(1, 1))
+    planted = planted_syzygies(p713, [(key, g + tail if key == ("A", (1, 1)) else g)
+                                      for key, g in syzygy_basis(p713).keyed()])
     monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted)
     curve = Curve(p713)
     record = _s_vectors_record(curve)
@@ -594,7 +594,7 @@ PLANTINGS = 12  # per triple, seeded by the triple
 
 def _plant_a_tail_term(curve, rng):
     # one member gains a term below its lead, coefficient -1, 1 or 2
-    morder, keyed = curve.morder, curve.sset.keyed()
+    morder, keyed = curve.morder, list(curve.sset.keyed())
     symbols = list(curve.images)
     while True:
         k = rng.randrange(len(keyed))
@@ -920,7 +920,7 @@ def test_harvest_record_matches_the_all_pairs_scan_with_each_member_dropped(monk
     # although the S-vectors of what is left still reduce in the pinned
     # number of drops
     base = Curve(make_params(*triple))
-    rows, keyed = list(schreyer_relations(base)), base.sset.keyed()
+    rows, keyed = list(schreyer_relations(base)), list(base.sset.keyed())
     monkeypatch.setattr(syzygy, "schreyer_relations", lambda curve: rows)
     assert base.ring_certified
     passed = 0
@@ -967,7 +967,7 @@ def test_each_dropped_generator_fails_the_ring_identity(monkeypatch, triple):
 def _without_member(monkeypatch, base, k):
     # a Curve of base's triple whose syzygy basis lists every member but the
     # k-th, planted through the builder
-    keyed = base.sset.keyed()
+    keyed = list(base.sset.keyed())
     with monkeypatch.context() as patch:
         patch.setattr(syzygy, "syzygy_basis",
                       lambda params: planted_syzygies(params, keyed[:k] + keyed[k + 1:]))
@@ -999,15 +999,16 @@ def test_module_identity_matches_the_per_symbol_reference(monkeypatch, triple):
 
 
 def test_the_module_closed_form_is_the_per_symbol_sum_of_the_predicted_leads():
-    # the Horner sum of the module identity equals one numerator_all_pairs
-    # per symbol over the predicted lead sets, and it is 1 - N
+    # the Horner sum of the module identity, less the N it folds in, equals
+    # one numerator_all_pairs per symbol over the predicted lead sets, and
+    # it is 1 - N
     assert len(GRID8) == 361
     for pr in GRID8:
         curve = Curve(pr)
         predicted = {}
         for _, (mono, sym) in syzygy._expected_leads(pr):
             predicted.setdefault(sym, []).append(mono)
-        form = syzygy._shape_module_sum(curve)
+        form = _add_shifted(syzygy._shape_module_sum(curve), apery_numerator(pr), sign=-1)
         assert form == module_sum_by_symbol(curve, lambda sym: predicted.get(sym, [])), pr
         assert form == _add_shifted({0: 1}, apery_numerator(pr), sign=-1), pr
 
@@ -1049,7 +1050,7 @@ def test_only_leads_off_the_prediction_reach_bigattis_recursion(monkeypatch, cap
     assert set(curve.ring_reducer.lead_monomials()) != expected_leading_monomials(pr)
     assert curve.ring_certified
     assert len(calls) == 1
-    keyed = syzygy_basis(pr).keyed()
+    keyed = list(syzygy_basis(pr).keyed())
     with monkeypatch.context() as patch:
         patch.setattr(syzygy, "syzygy_basis",
                       lambda params: planted_syzygies(params, _swap(keyed, 0, len(keyed) // 2)))
@@ -1068,7 +1069,7 @@ def test_a_lead_that_no_key_names_fails_the_module_shape(monkeypatch, triple):
     base = Curve(pr)
     assert base.module_shape
     lead = (variable_monomial(pr.p, 0), Psi(0))
-    keyed = base.sset.keyed() + [(("A", (0, 0)), module_term(pr.nvars, *lead))]
+    keyed = list(base.sset.keyed()) + [(("A", (0, 0)), module_term(pr.nvars, *lead))]
     monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted_syzygies(params, keyed))
     curve = Curve(pr)
     # the planted key is new, so the keys stay distinct and the map
@@ -1144,7 +1145,7 @@ def test_the_lead_shape_map_comparison_matches_the_three_tests_on_plants(monkeyp
                                                                        plant):
     # each plant fails the shape; a dropped member and a repeated label
     # leave no label mismatching its prediction, so the witness lists none
-    planted = SHAPE_PLANTS[plant](syzygy_basis(make_params(*triple)).keyed())
+    planted = SHAPE_PLANTS[plant](list(syzygy_basis(make_params(*triple)).keyed()))
     monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted_syzygies(params, planted))
     curve = Curve(make_params(*triple))
     (record,) = _shape_record(verify_syzygy_basis(curve))
@@ -1192,7 +1193,7 @@ def test_the_one_pass_leads_are_the_leading_terms(triple):
 @pytest.mark.parametrize("plant", sorted(LEAD_PLANTS))
 def test_the_one_pass_leads_are_the_leading_terms_on_plants(monkeypatch, triple, plant):
     pr = make_params(*triple)
-    planted = LEAD_PLANTS[plant](syzygy_basis(pr).keyed())
+    planted = LEAD_PLANTS[plant](list(syzygy_basis(pr).keyed()))
     monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted_syzygies(params, planted))
     curve = Curve(pr)
     _leads_are_leading_terms(curve)
@@ -1210,12 +1211,16 @@ def test_the_one_pass_ring_leads_are_the_leading_terms_on_the_half_lead_plant(mo
 
 def test_a_curve_keys_each_basis_in_one_pass(monkeypatch):
     # no leading_term per element, and the module pass fills the key part
-    # of each symbol it meets, as leading_term does
-    calls = []
+    # of each symbol it meets, as leading_term does: G and the syzygy basis
+    # take their leads from the Curve's one packing, the basis in the walk
+    # that reads each member once, with no leading_terms pass of its own
+    calls, passes, leading_terms = [], [], ModuleOrder.leading_terms
     for order in (WeightOrder, ModuleOrder):
         monkeypatch.setattr(order, "leading_term", lambda self, g: calls.append(g))
+    monkeypatch.setattr(ModuleOrder, "leading_terms",
+                        lambda self, elems: passes.append(elems) or leading_terms(self, elems))
     curve = Curve(make_params(17, 3, 8))
-    assert calls == []
+    assert calls == [] and passes == []
     assert set(curve.morder._symbols) == set(curve.images)
 
 
@@ -1289,7 +1294,7 @@ def test_module_lead_check_finds_a_planted_dividing_lead(monkeypatch, triple, be
     }[plant]
 
     extra = [("planted", planted)]
-    keyed = extra + base.keyed() if before else base.keyed() + extra
+    keyed = extra + list(base.keyed()) if before else list(base.keyed()) + extra
     monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted_syzygies(params, keyed))
     curve = Curve(pr)
     record = _module_leads_record(curve)
@@ -1367,7 +1372,7 @@ def test_excluded_forms_agree_with_box_walk():
 )
 def test_excluded_forms_catch_a_planted_lead(monkeypatch, mono, sym):
     pr = P713
-    keyed = syzygy_basis(pr).keyed() + [("planted", module_term(pr.nvars, mono, sym))]
+    keyed = list(syzygy_basis(pr).keyed()) + [("planted", module_term(pr.nvars, mono, sym))]
     elements = [g for _, g in keyed]
     monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted_syzygies(params, keyed))
     leads = _lead_table(pr, elements)
@@ -1397,7 +1402,7 @@ def test_excluded_forms_catch_a_lead_past_the_box(monkeypatch, mono, sym, family
     # 3, where the walk finds none; the witness is the least member that it
     # divides, mono_lcm(lead, low): X3^5*Psi(2) first divides X1*X3^5*Psi(2)
     pr = P713
-    keyed = syzygy_basis(pr).keyed() + [("planted", module_term(pr.nvars, mono, sym))]
+    keyed = list(syzygy_basis(pr).keyed()) + [("planted", module_term(pr.nvars, mono, sym))]
     elements = [g for _, g in keyed]
     monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted_syzygies(params, keyed))
     leads = _lead_table(pr, elements)
@@ -1417,7 +1422,7 @@ def test_excluded_forms_test_only_the_leads_that_can_divide_a_cap(monkeypatch, t
     # leads that divide no cap; the witness, the first box hit and its
     # first lead, is that of every box tested against every lead
     pr = make_params(*triple)
-    p, top, keyed = pr.p, Psi(pr.p - pr.b), syzygy_basis(pr).keyed()
+    p, top, keyed = pr.p, Psi(pr.p - pr.b), list(syzygy_basis(pr).keyed())
 
     def x(v, e=1):
         return variable_monomial(p, v, e)
@@ -1629,20 +1634,76 @@ def test_a_monomial_wider_than_the_fields_repacks_every_monomial():
 
 
 def test_members_are_relations_evaluates_each_member_once(monkeypatch):
-    calls, image = [], syzygy.relation_image
+    # the walk that builds the Curve reads each member once, in label
+    # order, for its lead and its image, and the passing check reads none
+    # again: it evaluates no element at all
+    calls, images, image, read = [], [], syzygy.relation_image, syzygy._Packing.read
     monkeypatch.setattr(syzygy, "relation_image",
-                        lambda curve, elem: calls.append(elem) or image(curve, elem))
+                        lambda curve, elem: images.append(elem) or image(curve, elem))
+    monkeypatch.setattr(syzygy._Packing, "read",
+                        lambda pack, elem: calls.append(elem) or read(pack, elem))
     curve = Curve(make_params(17, 3, 8))
+    members = [g for _, g in curve.sset.keyed()]
+    assert calls == members and len(members) == 196
     assert verify_syzygy_basis(curve).passed
-    assert list(map(id, calls)) == list(map(id, curve.module_reducer.basis))
+    assert calls == members and images == []
 
 
 def test_a_curve_and_a_passing_verify_list_the_members_once(monkeypatch):
+    # one walk, as the Curve is built; a passing verify walks none again,
+    # as it builds no module Reducer
     calls, keyed = [], SyzygySet.keyed
     monkeypatch.setattr(SyzygySet, "keyed", lambda self: calls.append(self) or keyed(self))
     curve = Curve(make_params(17, 3, 8))
     assert all(r.passed for r in verification_bundle(curve, 2, 1000, 0))
     assert calls == [curve.sset]
+    assert curve._module_reducer is None
+
+
+def _module_reducers_built(monkeypatch):
+    # every Reducer built over the module order, as it is built
+    built, init = [], Reducer.__init__
+
+    def watched(table, order, basis=(), leads=None):
+        init(table, order, basis, leads)
+        if not table.ring:
+            built.append(table)
+
+    monkeypatch.setattr(Reducer, "__init__", watched)
+    return built
+
+
+def test_a_passing_verify_builds_no_module_reducer(monkeypatch):
+    # the walk keeps each member's lead and verdict, which every check of a
+    # passing triple reads: no member is divided by, so none is kept
+    built = _module_reducers_built(monkeypatch)
+    curve = Curve(make_params(17, 3, 8))
+    assert all(r.passed for r in verification_bundle(curve, 2, 1000, 0))
+    assert built == [] and curve._module_reducer is None
+
+
+def test_the_half_lead_plant_builds_the_module_reducer_once(monkeypatch):
+    # the Curve builds none; the failing scans build one, on first use, by
+    # a second walk, with the leads the first walk kept
+    built = _module_reducers_built(monkeypatch)
+    curve = _half_lead_curve(monkeypatch, make_params(13, 2, 6))
+    assert built == []
+    assert not all(r.passed for r in verification_bundle(curve, 2, 1000, 0))
+    assert built == [curve.module_reducer]
+    assert curve.module_reducer.leads == curve.module_leads.leads
+    assert curve.module_reducer.basis == [g for _, g in curve.sset.keyed()]
+
+
+def test_syzygy_basis_builds_no_member_until_keyed_is_walked(monkeypatch):
+    # each member is built as the walk reaches it, and none before
+    built, raw = [], ModElement._raw.__func__
+    monkeypatch.setattr(ModElement, "_raw",
+                        classmethod(lambda cls, *args: built.append(cls) or raw(cls, *args)))
+    walk = syzygy_basis(make_params(17, 3, 8)).keyed()
+    assert built == []
+    assert next(walk)[0] == ("A", (1, 0)) and len(built) == 1
+    rest = sum(1 for _ in walk)
+    assert len(built) == 1 + rest == 196
 
 
 HALF_LEAD_TRIPLES = [(7, 1, 3), (8, 3, 2), (13, 2, 6)]
@@ -1688,10 +1749,10 @@ def _watch_the_harvest(monkeypatch):
             divided.append(table)
         return divide(table, f)
 
-    def init_watched(table, order, basis=()):
+    def init_watched(table, order, basis=(), leads=None):
         if inside:
             built.append(table)
-        init(table, order, basis)
+        init(table, order, basis, leads)
 
     def harvest_watched(curve):
         inside.append(curve)
@@ -1746,9 +1807,10 @@ def test_a_passing_verify_leaves_the_module_key_cache_empty(monkeypatch):
         assert _order_state(curve) == built
 
 
-def test_a_curve_at_p24_holds_at_most_5_1_mib():
-    # a tripwire on the memory a Curve holds: each basis element once, in
-    # its Reducer, and each member's key once; the orders hold no term keys
+def test_a_curve_at_p24_holds_at_most_2_85_mib():
+    # a tripwire on the memory a Curve holds: G once, in its Reducer, and
+    # each member's key and lead once, but no member; the orders hold no
+    # term keys
     params = make_params(71, 2, 24)
     tracemalloc.start()
     try:
@@ -1758,7 +1820,7 @@ def test_a_curve_at_p24_holds_at_most_5_1_mib():
     finally:
         tracemalloc.stop()
     assert curve.module_reducer.basis
-    assert held <= 5.1 * 2**20, held / 2**20
+    assert held <= 2.85 * 2**20, held / 2**20
 
 
 def test_the_sampled_projection_check_builds_no_element_and_fills_no_key_cache(monkeypatch):
