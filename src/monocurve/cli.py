@@ -26,8 +26,9 @@ def verification_bundle(curve: syzygy.Curve, bound: int, samples: int, seed: int
     """Every verification report the tool knows how to produce.
 
     drawn, when given, keeps the sampled projection terms between calls,
-    one list of samples terms per (p, b) shape; the draws depend on
-    nothing else but samples and seed (syzygy.verify_order_projection).
+    per (p, b) shape the first draw of each symbol, at most one term per
+    symbol; the draws depend on nothing else but samples and seed, and a
+    term's verdict on its symbol alone (syzygy.verify_order_projection).
     sweep passes one dict per p, so it holds at most p shapes; verify
     passes none, so its draws stop at the first failing sample.
     """
@@ -197,7 +198,8 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[bool, list[str] | dict]:
     entries = []
     failed = skipped = 0
     # the triples of one (p, b) draw the same projection terms: draw them
-    # once, and drop them when p, the grid's outer loop, moves on
+    # once, keep each symbol's first draw, and drop them when p, the
+    # grid's outer loop, moves on
     drawn, drawn_p = {}, None
     for p, a, b, d in grid:
         if p != drawn_p:

@@ -298,23 +298,30 @@ def verify_groebner_generators(curve: Curve) -> VerificationReport:
     return report
 
 
-def _mixed_weight(params: CurveParams, labeled) -> dict | None:
-    """The first (label, polynomial) whose terms carry more than one weight,
-    as a witness with its distinct weights ascending, or None."""
-    for lab, g in labeled:
-        weights = sorted({params.weight(m) for m in g.terms})
+def _first_mixed(weighed) -> dict | None:
+    """The first (label, weights) with more than one weight, as a witness
+    with its weights ascending, or None."""
+    for lab, weights in weighed:
         if len(weights) > 1:
-            return {"element": lab, "weights": weights}
+            return {"element": lab, "weights": sorted(weights)}
     return None
 
 
-def _in_curve_ideal(params: CurveParams, g: Poly) -> bool:
-    """Whether g lies in the curve ideal I, the kernel of X_i -> t^{m_i}:
-    its coefficients sum to 0 at each weight."""
-    sums = Counter()
+def _mixed_weight(params: CurveParams, labeled) -> dict | None:
+    """The first (label, polynomial) whose terms carry more than one weight,
+    as a witness with its distinct weights ascending, or None."""
+    return _first_mixed((lab, {params.weight(m) for m in g.terms}) for lab, g in labeled)
+
+
+def _weight_sums(params: CurveParams, g: Poly) -> dict:
+    """g's coefficient sum at each weight of its terms.  g lies in the
+    curve ideal I, the kernel of X_i -> t^{m_i}, exactly when every sum is
+    0, and its distinct weights are the keys."""
+    sums, weight = {}, params.weight
     for m, c in g.terms.items():
-        sums[params.weight(m)] += c
-    return not any(sums.values())
+        w = weight(m)
+        sums[w] = sums.get(w, 0) + c
+    return sums
 
 
 def _first_stuck(labeled, table: Reducer) -> dict | None:
@@ -481,7 +488,7 @@ def verify_ideal_equality(curve: Curve) -> VerificationReport:
     A passing triple divides nothing.  Once G, the closed-form set (the
     ring Reducer), is certified a Groebner basis of the curve ideal I
     (Curve.ring_certified), a classical binomial reduces to zero by G
-    exactly when it lies in I (_in_curve_ideal).  The classical set is
+    exactly when it lies in I (_weight_sums).  The classical set is
     divided by G, for the first remainder, only when one does not, or
     when G is not certified.  An element of G that a rewriting identity
     writes as a classical element or a sum of two lies in the classical
@@ -500,9 +507,12 @@ def verify_ideal_equality(curve: Curve) -> VerificationReport:
         detail=f"{len(labeled)} closed-form vs {len(patil)} classical generators",
     )
 
-    in_ideal = curve.ring_certified and all(_in_curve_ideal(params, g)
-                                            for g in patil.polynomials())
-    stuck = None if in_ideal else _first_stuck(patil.labeled(), table)
+    # each classical element weighed once, for both its membership in I
+    # and its distinct weights
+    classical = patil.labeled()
+    weighed = [(lab, _weight_sums(params, g)) for lab, g in classical]
+    in_ideal = curve.ring_certified and not any(any(s.values()) for _, s in weighed)
+    stuck = None if in_ideal else _first_stuck(classical, table)
     report.add("classical-set-reduces", stuck is None, witness=stuck)
 
     # rewriting identities: each closed form as a classical element or a
@@ -516,8 +526,10 @@ def verify_ideal_equality(curve: Curve) -> VerificationReport:
     sums = {lhs for _, lhs, _ in identities}
 
     # division by the classical set, and its closure up to the heaviest
-    # closed-form element only when a remainder is left
-    stuck = _mixed_weight(params, patil.labeled() + labeled)
+    # closed-form element only when a remainder is left; a certified G has
+    # one weight per element already (Curve.ring_certified)
+    stuck = _first_mixed(weighed) or (None if curve.ring_certified
+                                      else _mixed_weight(params, labeled))
     if (stuck is None and not all(g in sums for g in table.basis)
             and _first_stuck(labeled, Reducer(order, patil.polynomials()))):
         top = max(params.weight(lm) for lm in table.lead_monomials())

@@ -897,12 +897,7 @@ def verify_order_projection(curve: Curve, samples: int = 1000, seed: int = 0,
     in text order, from random.Random(seed).  The draws depend only on the
     number of variables (p + 1), the number of symbols (fixed by p and b),
     samples and seed, so all triples with the same p and b draw the same
-    terms.  Without drawn they are drawn one sample at a time, and the
-    first failing sample stops them.  drawn maps those four numbers to the
-    list of their samples terms, filled on first use: a caller checking
-    many triples draws each (p, b) shape's terms once, and holds samples
-    terms per shape it keeps (sweep keeps one p's shapes).  An exact
-    per-symbol check would draw only to name a witness, and need no dict.
+    terms.
 
     A term's image is mono times the binomial of sym: the binomial's
     monomials are distinct, so are their products with mono, and no term
@@ -912,6 +907,19 @@ def verify_order_projection(curve: Curve, samples: int = 1000, seed: int = 0,
     sampled term costs one ring key, of mono.  A product is built only to
     name a failing term's image lead.  The witness is the first term
     whose projection key differs from its image lead's key.
+
+    A term order is compatible with multiplication, so that shift decides
+    nothing: a term's verdict depends on its symbol alone, and the first
+    failing sample is the first draw of a failing symbol.  drawn maps the
+    four numbers above to each symbol's first draw, in draw order, filled
+    on first use by drawing until every symbol has appeared or the samples
+    run out: a caller checking many triples draws each (p, b) shape once,
+    holds and judges at most one term per symbol of it (sweep keeps one
+    p's shapes), and gets the record of the full draw.  Without drawn,
+    the terms are drawn and judged one sample at a time, and the first
+    failing sample stops them; deciding that path per symbol too is
+    ROADMAP item 3, which waits on item 2 because a faster verify makes
+    more benchmark passes, and perfbench keeps every pass's output.
     """
     ring_key = curve.order.key
     one = mono_one(curve.params.nvars)
@@ -922,7 +930,14 @@ def verify_order_projection(curve: Curve, samples: int = 1000, seed: int = 0,
     shape = (curve.params.nvars, len(symbols), samples, seed)
     terms = _draws(*shape) if drawn is None else drawn.get(shape)
     if terms is None:
-        terms = drawn[shape] = list(_draws(*shape))
+        # each symbol's first draw, in draw order: later ones cannot
+        # change the record
+        first = {}
+        for term in _draws(*shape):
+            first.setdefault(term[1], term)
+            if len(first) == len(symbols):
+                break
+        terms = drawn[shape] = list(first.values())
     bad = None
     for mono, k in terms:
         w, nr = ring_key(mono)

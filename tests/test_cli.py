@@ -568,24 +568,60 @@ def test_a_sweep_draws_each_shapes_projection_terms_once(monkeypatch, capsys):
     assert len(shapes) == 1
 
 
+def _first_draw_of_each_symbol(shape):
+    # every sample of the shape, then each symbol index's first, in order
+    terms, seen = list(syzygy._draws(*shape)), set()
+    return [term for term in terms if term[1] not in seen and not seen.add(term[1])]
+
+
 def test_a_sweep_holds_only_the_current_ps_draws(monkeypatch, capsys):
     # p is the grid's outer loop, and each shape carries p + 1 variables,
     # so no later triple reuses an earlier p's draws: the sweep drops them
-    # and holds at most p shapes, all of the current p
-    held, bundle = [], cli.verification_bundle
+    # and holds at most p shapes, all of the current p.  A shape holds
+    # each symbol's first draw, in draw order, and each triple's check
+    # ring-keys its image monomials and those drawn monomials alone, so
+    # neither grows with --samples once every symbol is drawn
+    held, keyed, bundle, check = [], None, cli.verification_bundle, syzygy.verify_order_projection
+    ring_key = WeightOrder.key
+
+    def key(self, mono):
+        if keyed is not None:
+            keyed.append(mono)
+        return ring_key(self, mono)
 
     def record(curve, *args, drawn=None, **kwargs):
         reports = bundle(curve, *args, drawn=drawn, **kwargs)
         held.append((curve.params.p, len(drawn), {shape[0] for shape in drawn}))
+        for shape, terms in drawn.items():
+            assert terms == _first_draw_of_each_symbol(shape), shape
+            assert len(terms) <= shape[1]
         return reports
 
+    def counted(curve, samples, seed, drawn):
+        nonlocal keyed
+        keyed = []
+        report = check(curve, samples=samples, seed=seed, drawn=drawn)
+        monos, keyed = keyed, None
+        terms = drawn[curve.params.nvars, len(curve.images), samples, seed]
+        images = [m for g in curve.images.values() for m in g.terms]
+        assert collections.Counter(monos) == collections.Counter(images + [m for m, _ in terms])
+        keys[samples] += len(monos)
+        return report
+
     monkeypatch.setattr(cli, "verification_bundle", record)
-    assert main(["sweep", "--p", "2..4", "--a", "1..2", "--d", "1..2", "--bound", "2",
-                 "--samples", "20"]) == 0
-    capsys.readouterr()
-    assert all(nvars == {p + 1} and n <= p for p, n, nvars in held)
-    # by each p's last triple, every b of that p has drawn its shape
-    assert {p: n for p, n, _ in held} == {2: 2, 3: 3, 4: 4}
+    monkeypatch.setattr(syzygy, "verify_order_projection", counted)
+    monkeypatch.setattr(WeightOrder, "key", key)
+    keys = collections.Counter()
+    for samples in (20, 200, 5000):
+        held.clear()
+        assert main(["sweep", "--p", "2..4", "--a", "1..2", "--d", "1..2", "--bound", "2",
+                     "--samples", str(samples)]) == 0
+        capsys.readouterr()
+        assert all(nvars == {p + 1} and n <= p for p, n, nvars in held)
+        # by each p's last triple, every b of that p has drawn its shape
+        assert {p: n for p, n, _ in held} == {2: 2, 3: 3, 4: 4}
+    # 200 samples already draw every symbol of each shape
+    assert keys[20] < keys[200] == keys[5000]
 
 
 @pytest.mark.parametrize("seed", [0, 5])

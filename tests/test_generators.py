@@ -668,6 +668,40 @@ def test_a_classical_binomial_outside_the_ideal_keeps_the_division_witness(monke
     assert check.witness == {"element": "theta", "remainder": poly_to_json(curve.order, remainder)}
 
 
+@pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6), (17, 3, 8)])
+def test_ideal_equality_weighs_each_classical_monomial_once(monkeypatch, triple):
+    # one pass per classical element gives both its coefficient sum at
+    # each weight and its distinct weights; a certified G has one weight
+    # per element already, and is not weighed again
+    curve = Curve(make_params(*triple))
+    assert curve.ring_certified
+    weighed, weight = [], type(curve.params).weight
+    monkeypatch.setattr(type(curve.params), "weight",
+                        lambda self, mono: weighed.append(mono) or weight(self, mono))
+    assert verify_ideal_equality(curve).passed
+    assert Counter(weighed) == Counter(m for g in curve.patil.polynomials() for m in g.terms)
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6), (17, 3, 8)])
+def test_a_classical_element_of_two_weights_is_the_closed_form_witness(monkeypatch, triple):
+    # theta with X0 for its tail carries two weights: the classical check
+    # names its remainder by G, and the closed-form check its weights
+    pr = make_params(*triple)
+    lead, _ = patil_generators(pr).theta.terms
+    x0 = variable_monomial(pr.p, 0)
+    bad = Poly(pr.nvars, {lead: 1, x0: -1})
+
+    def planted(params):
+        patil = patil_generators(params)
+        return PatilSet(params, patil.xis, patil.phis, patil.psis, bad)
+
+    monkeypatch.setattr("monocurve.syzygy.patil_generators", planted)
+    checks = {c.name: c for c in verify_ideal_equality(Curve(pr)).checks}
+    assert checks["classical-set-reduces"].witness["element"] == "theta"
+    assert checks["closed-form-set-reduces"].witness == {
+        "element": "theta", "weights": sorted([pr.weight(lead), pr.weight(x0)])}
+
+
 def test_verify_ideal_equality(p713, p832, p613):
     for pr in (p713, p832, p613, make_params(13, 3, 5)):
         report = verify_ideal_equality(Curve(pr))

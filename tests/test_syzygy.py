@@ -1475,16 +1475,21 @@ def test_a_wrong_image_lead_is_the_projection_witness(monkeypatch, p713, samples
                              "image-lead": lead}
 
 
-PROJECTION_SAMPLES = (0, 1, 2, 5, 1000)
+PROJECTION_SAMPLES = (0, 1, 2, 5, 200, 1000)
 
 
 def _same_projection_records(curve, oracle=order_projection_by_images):
+    # a sweep's dict (drawn) keeps each symbol's first draw and judges only
+    # those; a term's verdict depends on its symbol alone, so its record is
+    # the one verify gets from every draw
     for seed in range(6):
         for samples in PROJECTION_SAMPLES:
             report = verify_order_projection(curve, samples, seed)
+            shared = verify_order_projection(curve, samples, seed, drawn={})
             reference = oracle(curve, samples, seed)
             assert report.checks == reference.checks, (seed, samples)
-            assert report.to_records() == reference.to_records(), (seed, samples)
+            assert report.to_records() == reference.to_records() == shared.to_records(), (
+                seed, samples)
 
 
 PROJECTION_TRIPLES = [(7, 1, 3), (9, 1, 3), (5, 1, 2), (17, 3, 8), (1000003, 999999, 3)]
@@ -1529,6 +1534,22 @@ def test_sampled_projection_record_matches_the_reference_on_a_planted_lead(monke
     for seed in range(6):
         assert verify_order_projection(curve, 5, seed).passed == (seed in missed), seed
         assert not verify_order_projection(curve, 1000, seed).passed, seed
+
+
+def test_a_shared_draw_serves_every_curve_of_its_shape(monkeypatch, p713):
+    # one dict, filled by the first curve, gives each later curve with the
+    # same p and b its own per-sample record: another d, and each plant
+    curves = [C713, Curve(make_params(7, 2, 3))]
+    curves += [_curve_with_image(monkeypatch, p713, sym, terms)
+               for sym, terms, _ in PROJECTION_PLANTS.values()]
+    for seed in range(6):
+        for samples in PROJECTION_SAMPLES:
+            drawn = {}
+            for curve in curves:
+                shared = verify_order_projection(curve, samples, seed, drawn=drawn)
+                alone = verify_order_projection(curve, samples, seed)
+                assert shared.to_records() == alone.to_records(), (seed, samples, curve.params)
+            assert len(drawn) == 1
 
 
 @pytest.mark.parametrize("triple", [(7, 1, 3), (17, 3, 8)])
