@@ -434,7 +434,8 @@ def verify_minimality(curve: Curve, deep: bool = False) -> VerificationReport:
     """No leading term divides another; optionally, no member is redundant.
 
     The deep check first confirms that every element has a single weight,
-    and fails with the first that does not, and its weights.  When the
+    and fails with the first that does not, and its weights (a certified
+    G has one weight per element already).  When the
     ring certificate holds (Curve.ring_certified), counting the elements
     per weight against beta_1 decides the check (_minimal_by_count), and
     no closure is built.  Otherwise, or when a count differs, the rank
@@ -469,7 +470,7 @@ def verify_minimality(curve: Curve, deep: bool = False) -> VerificationReport:
     )
 
     if deep:
-        redundant = _mixed_weight(params, labeled)
+        redundant = None if curve.ring_certified else _mixed_weight(params, labeled)
         if redundant is None and not (curve.ring_certified and _minimal_by_count(table)):
             first = _redundant_by_weight(curve.order, curve.closure()[1])
             redundant = None if first is None else {"element": labels[first]}

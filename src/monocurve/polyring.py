@@ -28,8 +28,8 @@ single symbol None.  It holds each element once, and a division step
 reads the element's terms from it.
 normal_form, the one public name of that loop, divides a Poly or a
 module element by a Reducer and nothing else; the closed-form basis of
-a triple has one Reducer, held by syzygy.Curve, and its syzygy basis a
-LeadTable, a Reducer's leads without the basis.
+a triple has one Reducer, held by syzygy.Curve, and its syzygy basis
+one only when a check of it fails.
 
 There is one S-pair path, on the Reducer, for Polys and module elements
 alike: pairs lists the index pairs whose leads share a symbol and
@@ -321,35 +321,38 @@ def _packed_keys(weights, monos, low: int = 0, width: int = 0) -> dict:
 # division, S-polynomials, Buchberger
 
 
-class LeadTable:
-    """The leading terms of a basis, without the basis.
+class Reducer:
+    """A division basis prepared once for any number of divisions.
 
-    leads holds the leading term and coefficient of each element, in list
-    order, and lead_monomials(sym) the lead monomials on one symbol.  The
+    It is the one store of its basis: basis holds each element, in list
+    order, and leads the leading term and coefficient of each.  The
     private rows group each element's lead monomial, inverse lead
     coefficient and index by the symbol of its lead: a module basis by its
-    module symbols, a ring basis under the one symbol None.  pairs lists,
-    and pair_count counts, the index pairs whose leads share a symbol.
-    syzygy.Curve keeps one for the syzygy basis, whose members it drops.
+    module symbols, a ring basis under the one symbol None.  A row holds
+    no term of its element: a division step reads them from basis.
+    normal_form divides by one, in the order it was built with, and its
+    S-pairs are listed, counted, built and scanned here.
+
+    Built over a whole basis, it takes every lead from one pass of its
+    order's leading_terms, which weighs and packs each distinct monomial
+    of the basis once (_packed_keys), or from leads, when its caller has
+    them; an element that joins later, by append, takes its lead from
+    leading_term.
+
+    It also remembers, per term, the first row that divides it, in _hits:
+    rows are only appended, so that row stays the first for good; and the
+    term's sort key under order, in _keys, which only divide fills and
+    reads.
     """
 
-    __slots__ = ("order", "ring", "leads", "_rows")
+    __slots__ = ("order", "ring", "basis", "leads", "_rows", "_hits", "_keys")
 
-    def __init__(self, order, leads):
-        self.order = order
-        self.ring = isinstance(order, WeightOrder)
-        self.leads = []
-        self._rows = {}
-        add = self._add
-        for lead in leads:
-            add(lead)
-
-    def _add(self, lead) -> None:
-        """Add lead, the leading term and coefficient of the next element."""
-        term, lc = lead
-        mono, sym = (term, None) if self.ring else term
-        self._rows.setdefault(sym, []).append((mono, _inverse(lc), len(self.leads)))
-        self.leads.append(lead)
+    def __init__(self, order, basis=(), leads=None):
+        self.order, self.ring = order, isinstance(order, WeightOrder)
+        self.basis, self.leads, self._rows, self._hits, self._keys = [], [], {}, {}, {}
+        basis = list(basis)
+        for g, lead in zip(basis, order.leading_terms(basis) if leads is None else leads):
+            self._append(g, lead)
 
     def lead_monomials(self, sym=None) -> list:
         """The lead monomials on sym in list order: all of a ring basis."""
@@ -365,43 +368,15 @@ class LeadTable:
         """len(pairs()), without listing them."""
         return sum(len(row) * (len(row) - 1) // 2 for row in self._rows.values())
 
-
-class Reducer(LeadTable):
-    """A division basis prepared once for any number of divisions.
-
-    It is the one store of its basis: basis holds each element, in list
-    order, beside the LeadTable of their leads.  A row holds no term of
-    its element: a division step reads them from basis.  normal_form
-    divides by one, in the order it was built with, and its S-pairs are
-    listed, counted, built and scanned here.
-
-    Built over a whole basis, it takes every lead from one pass of its
-    order's leading_terms, which weighs and packs each distinct monomial
-    of the basis once (_packed_keys), or from leads, when its caller has
-    them; an element that joins later, by append, takes its lead from
-    leading_term.
-
-    It also remembers, per term, the first row that divides it, in _hits:
-    rows are only appended, so that row stays the first for good; and the
-    term's sort key under order, in _keys, which only divide fills and
-    reads.
-    """
-
-    __slots__ = ("basis", "_hits", "_keys")
-
-    def __init__(self, order, basis=(), leads=None):
-        basis = list(basis)
-        super().__init__(order, order.leading_terms(basis) if leads is None else leads)
-        self.basis = basis
-        self._hits = {}
-        self._keys = {}
-
     def append(self, g) -> None:
         self._append(g, self.order.leading_term(g))
 
     def _append(self, g, lead) -> None:
         """append(g), given lead, the leading term and coefficient of g."""
-        self._add(lead)
+        term, lc = lead
+        mono, sym = (term, None) if self.ring else term
+        self._rows.setdefault(sym, []).append((mono, _inverse(lc), len(self.leads)))
+        self.leads.append(lead)
         self.basis.append(g)
 
     def s_pair(self, x: int, y: int) -> tuple:
@@ -502,18 +477,23 @@ def normal_form(f, table: Reducer) -> tuple:
     return table.divide(f)
 
 
-def _first_dividing_pair(table: LeadTable) -> tuple[int, int] | None:
+def _with_supports(monos: list) -> list:
+    """(m, support) for each of monos, with bit v of the int support set for
+    each variable v of m: a support with a bit outside another's divides
+    nothing there."""
+    bits = [1 << v for v in range(len(monos[0]))] if monos else ()
+    return [(m, sum(compress(bits, m))) for m in monos]
+
+
+def _first_dividing_pair(table: Reducer) -> tuple[int, int] | None:
     """The first (x, y) in index order, x != y, whose lead monomial x
     divides lead monomial y on one symbol of table, or None; leads on two
-    symbols never divide.  A lead divides one of its own degree only when
-    equal to it, so equal leads are found by a dict, and each distinct
-    lead is tested against the distinct leads of lower degree only, by
-    the first index of each.  A lead whose support, an int with bit v set
-    for each variable v it carries, has a bit outside the other's divides
-    nothing there, so only the leads that pass that test are compared:
-    the p-b+1 psi leads X_{b+i}*X_p^a carry X_p, which no quadratic lead
-    does.  A row of one degree compares nothing and weighs no support."""
-    found, bits = [], [1 << v for v in range(table.order.params.nvars)]
+    symbols never divide.  Equal leads are found by a dict, and each
+    distinct lead is tested, by the first index of each, against the
+    distinct leads of lower degree whose support lies in its own
+    (_with_supports): the p-b+1 psi leads X_{b+i}*X_p^a carry X_p, which
+    no quadratic lead does.  A row of one degree compares nothing."""
+    found = []
     for row in table._rows.values():
         first = {}
         for lead, *_, k in row:
@@ -524,7 +504,7 @@ def _first_dividing_pair(table: LeadTable) -> tuple[int, int] | None:
         groups = [list(same) for _, same in groupby(sorted(first, key=sum), sum)]
         lower = []
         for same in groups if len(groups) > 1 else ():
-            same = [(m, sum(compress(bits, m))) for m in same]
+            same = _with_supports(same)
             found += [(first[lx], first[ly]) for ly, my in same for lx, mx in lower
                       if not mx & ~my and mono_divides(lx, ly)]
             lower += same
@@ -606,11 +586,16 @@ def hilbert_numerator(weights, monos) -> dict:
 
 def _minimal(monos) -> list:
     """The minimal generators of the monomial ideal of monos: each distinct
-    monomial that no other one divides, tested against lower degrees only."""
+    monomial that no other one divides, tested only against those of lower
+    degree whose support lies in its own (_with_supports)."""
+    groups = [list(same) for _, same in groupby(sorted(set(monos), key=sum), sum)]
+    if len(groups) < 2:
+        return groups[0] if groups else []
     kept = []
-    for _, same in groupby(sorted(set(monos), key=sum), sum):
-        kept += [m for m in same if not any(mono_divides(k, m) for k in kept)]
-    return kept
+    for same in map(_with_supports, groups):
+        kept += [(m, mm) for m, mm in same
+                 if not any(not mk & ~mm and mono_divides(k, m) for k, mk in kept)]
+    return [m for m, _ in kept]
 
 
 def _numerator(weights, gens, memo) -> dict:

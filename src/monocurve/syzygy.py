@@ -54,22 +54,22 @@ witness and count.  Members are keyed by family and index tuple
 A Curve holds what every check of one triple shares, built once from
 the three builders: it walks the syzygy basis once, reading each
 member's lead and image from its packed monomials in one loop
-(_Packing.read), and keeps the keys, the leads and the first member
-that is not a relation, but no member.  The ring certificate
-(Curve.ring_certified) and the lead-shape comparison (Curve.module_shape)
-are computed as it is built; the module Reducer and the closure of G
-wait for a failing certificate.  Every verify_* report takes one.
+(_Packing.read), and keeps the lead-shape comparison (Curve.module_shape)
+and the first member that is not a relation, but no member and no key
+or lead per member.  The module Reducer, with the keys, and the closure
+of G wait for a failing shape or certificate.  Every verify_* report
+takes one.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, starmap, zip_longest
-from math import inf
-from operator import add, eq, itemgetter, mul, sub
+from math import comb, inf
+from operator import add, eq, mul, sub
 from typing import NamedTuple
 
 from .generators import (
@@ -83,7 +83,6 @@ from .generators import (
 )
 from .polyring import (
     Closure,
-    LeadTable,
     Mono,
     Poly,
     Reducer,
@@ -268,10 +267,12 @@ class _Packing:
 
 def _stamp(params: CurveParams, sym) -> Mono:
     """The predicted lead monomial of a symbol's binomial: X_p^a * X_{b+j}
-    for Psi(j), X_i * X_j for Phi(i, j)."""
+    for Psi(j), X_i * X_j for Phi(i, j).  A Psi(j) past p - b, which only a
+    planted generator carries, is stamped as Psi(p-b) is, X_p^(a+1)."""
     p = params.p
     if isinstance(sym, Psi):
-        return mono_mul(variable_monomial(p, p, params.a), variable_monomial(p, params.b + sym.j))
+        xj = variable_monomial(p, min(params.b + sym.j, p))
+        return mono_mul(variable_monomial(p, p, params.a), xj)
     return mono_mul(variable_monomial(p, sym.i), variable_monomial(p, sym.j))
 
 
@@ -518,13 +519,20 @@ def _expected_leads(params: CurveParams) -> Iterator[tuple]:
                 yield ("L", (l, i, j)), (x[l], phi[i][j])
 
 
-def _shape_holds(params: CurveParams, keys: list, leads: list) -> bool:
-    """Whether keys are the predicted keys in label order, each once, and
-    each member leads with its predicted term: leads[k] is the (term,
-    coefficient) lead of the member at keys[k].  One walk beside
-    _expected_leads, which stops at the first difference."""
-    got = zip(keys, map(itemgetter(0), leads))
-    return all(starmap(eq, zip_longest(got, _expected_leads(params))))
+def _shape_counts(params: CurveParams) -> dict:
+    """_counts of the predicted keys: p(p-b) A, p(p-1)/2 B, and one L per
+    lead X_l, l < j, on each of the j symbols Phi(i, j): (p-2)(p-1)p/3."""
+    p, b = params.p, params.b
+    counts = {"A": p * (p - b), "B": p * (p - 1) // 2, "L": (p - 2) * (p - 1) * p // 3}
+    return {**counts, "total": sum(counts.values())}
+
+
+def _shape_pair_count(params: CurveParams) -> int:
+    """The pairs of predicted leads on one symbol (Reducer.pair_count): of p
+    on each Psi(j<p-b), p(p-1)/2 on Psi(p-b), and j-1 on each Phi(i, j)."""
+    p, b = params.p, params.b
+    return ((p - b) * comb(p, 2) + comb(p * (p - 1) // 2, 2)
+            + sum(j * comb(j - 1, 2) for j in range(1, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -546,24 +554,21 @@ class Curve:
     monomials of G (generators.expected_leading_monomials), which the
     ring certificate and the two ring checks that compare leads read.
 
-    The syzygy basis is walked once, in label order (SyzygySet.keyed),
-    and each member is dropped once read: one loop over its terms
-    (_Packing.read) gives its lead and its image.  The Curve keeps each
-    member's key, in keys, from which counts counts them per family, the
-    LeadTable of their leads, in module_leads, and the first member whose
-    image is not zero, as (index, image), in non_relation, or None.
-    module_shape, whether the keys and leads are the predicted ones in
-    label order (_shape_holds), and ring_certified are computed here, as
-    every verify reads them.  Only a check whose certificate fails builds
-    the module Reducer (module_reducer), by walking the basis again, or
-    the closure (closure()): a passing verify, deep or shallow, builds
-    neither.  A test plants a part through the builders, before the Curve
-    is built.
+    The syzygy basis is walked once, in label order (_walk), and each
+    member dropped once read.  The Curve keeps module_shape, whether each
+    member's key and lead are the predicted ones (_expected_leads), and
+    the first member whose image is not zero, as (key, image), in
+    non_relation, or None, but no key or lead per member: when
+    module_shape holds, what the checks count, counts too, is a closed
+    form in p and b.  Only a failing shape or certificate reads keys and
+    the module Reducer (module_reducer), built by a second walk, or the
+    closure (closure()).  A test plants a part through the builders,
+    before the Curve is built.
     """
 
-    __slots__ = ("params", "morder", "order", "gset", "patil", "sset", "keys", "images",
-                 "ring_reducer", "module_leads", "non_relation", "predicted_leads",
-                 "ring_certified", "module_shape", "packing", "_module_reducer", "_closure")
+    __slots__ = ("params", "morder", "order", "gset", "patil", "sset", "images", "ring_reducer",
+                 "non_relation", "predicted_leads", "ring_certified", "module_shape", "packing",
+                 "_keys", "_module_reducer", "_closure")
 
     def __init__(self, params: CurveParams):
         self.params = params
@@ -574,10 +579,11 @@ class Curve:
         self.sset = syzygy_basis(params)
         self.images = {Phi(i, j): g for (i, j), g in sorted(self.gset.phis.items())}
         self.images.update((Psi(j), g) for j, g in sorted(self.gset.psis.items()))
-        # the table's symbols are the members', and its units their
-        # monomials, but B's products, which are G's
+        # the table's units are the members' monomials, but B's products,
+        # which are G's; a harvested relation carries the images' symbols
         units, psi, phi = _table(params)
-        self.packing = pack = _Packing(morder, chain(psi, phi.values()), self.images, units)
+        self.packing = pack = _Packing(morder, chain(psi, phi.values(), self.images),
+                                       self.images, units)
         self.ring_reducer = table = Reducer(self.order, self.images.values(),
                                             map(pack.ring_lead, self.images.values()))
         self.predicted_leads = expected_leading_monomials(params)
@@ -585,38 +591,41 @@ class Curve:
         # curve ideal (generators._certified)
         self.ring_certified = (_mixed_weight(params, enumerate(table.basis)) is None
                                and _certified(table, self.predicted_leads))
-        keys, leads, bad = [], [], None
+        self.non_relation = self._keys = self._module_reducer = self._closure = None
+        walk = self._walk()  # compared in C up to a difference, then drained
+        self.module_shape = all(starmap(eq, zip_longest(walk, _expected_leads(params))))
+        deque(walk, 0)
+
+    def _walk(self) -> Iterator[tuple]:
+        """(key, leading term) of each member in label order, filling non_relation."""
+        read, unpack, nvars = self.packing.read, self.packing.unpack, self.params.nvars
         for key, g in self.sset.keyed():
-            lead, image = pack.read(g)
+            lead, image = read(g)
             if lead is None:
                 raise ZeroPolynomialError("the zero element has no leading term")
-            if image and bad is None:
-                bad = len(keys), Poly._raw(params.nvars, pack.unpack(image))
-            keys.append(key)
-            leads.append(lead)
-        self.keys, self.non_relation = keys, bad
-        # whether each member leads with its predicted term, as
-        # leading-term-shape reports
-        self.module_shape = _shape_holds(params, keys, leads)
-        self.module_leads = LeadTable(morder, leads)
-        self._module_reducer = self._closure = None
+            if image and self.non_relation is None:
+                self.non_relation = key, Poly._raw(nvars, unpack(image))
+            yield key, lead[0]
 
     @property
     def counts(self) -> dict:
-        """The members of each family, and their total, from keys, each
-        counted once: when module_shape holds, they are the predicted
-        keys, each once, and need no set."""
-        return _counts(self.keys if self.module_shape else set(self.keys))
+        """The members of each family, and their total, each key once."""
+        return _shape_counts(self.params) if self.module_shape else _counts(set(self.keys))
+
+    @property
+    def keys(self) -> list:
+        """Each member's key in label order, listed with module_reducer."""
+        self.module_reducer
+        return self._keys
 
     @property
     def module_reducer(self) -> Reducer:
-        """The Reducer of the syzygy basis in label order, with the leads
-        module_leads holds, built once, on first use, by walking the basis
-        again: only the S-vector scan and the harvest of a failing
-        certificate divide by it."""
+        """The Reducer of the syzygy basis in label order, built once, on
+        first use, by walking the basis again with the keys."""
         if self._module_reducer is None:
-            self._module_reducer = Reducer(self.morder, (g for _, g in self.sset.keyed()),
-                                           self.module_leads.leads)
+            keyed = list(self.sset.keyed())
+            self._keys = [key for key, _ in keyed]
+            self._module_reducer = Reducer(self.morder, [g for _, g in keyed])
         return self._module_reducer
 
     def closure(self) -> tuple[Closure, list]:
@@ -671,7 +680,7 @@ def _shape_module_sum(curve: Curve) -> dict:
     t^{m_j}), plus the t^{w(image(Phi(i, j)))} with i <= j.  N is A(t)(1 -
     t^{m_p}) (semigroup._apery_by_mp) times the same p - 1 factors, so it
     joins the sum before them, and the module identity holds exactly when
-    the result is 1."""
+    the result is 1.  A Psi past p - b, with no lead, joins after them."""
     params, gens = curve.params, curve.params.generators
     p, b = params.p, params.b
     levels = {p: _apery_by_mp(params)}
@@ -679,11 +688,13 @@ def _shape_module_sum(curve: Curve) -> dict:
     for sym, image in curve.images.items():
         shift = params.weight(next(iter(image.terms)))
         if isinstance(sym, Phi):
-            _add_shifted(levels.setdefault(sym.j, {}), {shift: 1})
-        elif sym.j < p - b:
-            _add_shifted(levels.setdefault(p + 1, {}), {shift: 1})
-        else:
+            level = levels.setdefault(sym.j, {})
+        elif sym.j == p - b:
             _add_shifted(levels[p], quadratic, shift)
+            continue
+        else:  # X_1..X_p below p - b; a planted Psi past it has no lead, K = 1
+            level = levels.setdefault(p + 1 if sym.j < p - b else 1, {})
+        level[shift] = level.get(shift, 0) + 1
     series = levels.get(p + 1, {})
     for j in range(p, 0, -1):
         series = _add_shifted(_times_one_minus(series, [gens[j]]), levels.get(j, {}))
@@ -701,13 +712,14 @@ def _module_identity(curve: Curve) -> bool:
 
     When each member leads with its predicted term (Curve.module_shape,
     the leading-term-shape comparison), the sum plus N is taken in closed
-    form, in one Horner chain (_shape_module_sum), and must be 1.  Any
-    other lead set goes to Bigatti's recursion (polyring.hilbert_numerator),
-    once per distinct lead set, as many symbols share one."""
-    params, table = curve.params, curve.module_leads
+    form, in one Horner chain (_shape_module_sum), and must be 1, and no
+    lead is read.  Any other lead set is read from Curve.module_reducer and
+    goes to Bigatti's recursion (polyring.hilbert_numerator), once per
+    distinct lead set, as many symbols share one."""
+    params = curve.params
     if curve.module_shape:
         return _shape_module_sum(curve) == {0: 1}
-    shifts = {}
+    shifts, table = {}, curve.module_reducer
     for sym, image in curve.images.items():
         leads = frozenset(table.lead_monomials(sym))
         shifts.setdefault(leads, []).append(params.weight(next(iter(image.terms))))
@@ -741,28 +753,27 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     predicted leads on one symbol are distinct and of one degree;
     otherwise the leads are scanned (polyring._first_dividing_pair).
 
-    The members were read as the Curve was built (Curve.non_relation,
-    Curve.module_leads), in label order, and (b) is Curve.module_shape,
-    keyed by family and index tuple (Curve.keys); a label is spelled
-    (SyzygySet.label) only for a witness.  Only a failing (c) or (d)
-    divides, by Curve.module_reducer.
+    (a) and (b) were read as the Curve was built (Curve.non_relation,
+    Curve.module_shape).  When (b) holds, the members and the same-symbol
+    pairs are counted in closed form and no key or lead is read; otherwise,
+    or when (c) and (d) scan, they come from Curve.keys and
+    Curve.module_reducer.  A label is spelled only for a witness.
     """
-    params, morder, leads, sset = curve.params, curve.morder, curve.module_leads, curve.sset
-    keys = curve.keys
+    params, morder, sset, shape_ok = curve.params, curve.morder, curve.sset, curve.module_shape
     report = VerificationReport(params)
 
-    bad, n = None, len(keys)
+    bad, n = None, _shape_counts(params)["total"] if shape_ok else len(curve.keys)
     if curve.non_relation is not None:
-        k, image = curve.non_relation
-        bad = {"element": sset.label(keys[k]), "image": poly_to_json(morder.ring, image)}
+        key, image = curve.non_relation
+        bad = {"element": sset.label(key), "image": poly_to_json(morder.ring, image)}
     report.add("members-are-relations", bad is None, detail=f"{n} members", witness=bad)
     members_ok = bad is None
 
     # the first three keys whose lead differs from the prediction, labelled
-    shape_ok, bad = curve.module_shape, None
+    bad = None
     if not shape_ok:
         # a repeated key keeps its first place and its last lead
-        actual = dict(zip(keys, (term for term, _ in leads.leads)))
+        actual = dict(zip(curve.keys, (term for term, _ in curve.module_reducer.leads)))
         predicted, mismatch = dict(_expected_leads(params)), []
         for key, term in actual.items():
             want = predicted.get(key)  # None for a key with no prediction
@@ -776,11 +787,11 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
 
     # one identity decides (c) and (d); if it or a hypothesis fails, both scan
     certified = members_ok and curve.ring_certified and _module_identity(curve)
-    bad, count = None, leads.pair_count()
+    bad, count = None, _shape_pair_count(params) if shape_ok else curve.module_reducer.pair_count()
     if not certified:
         count, pair, r = curve.module_reducer.first_unreduced()
         if pair:
-            bad = {"pair": [sset.label(keys[k]) for k in pair],
+            bad = {"pair": [sset.label(curve.keys[k]) for k in pair],
                    "remainder": mod_elem_to_json(morder, r)}
     report.add("s-vectors-reduce", bad is None, detail=f"{count} same-symbol pairs", witness=bad)
 
@@ -805,12 +816,12 @@ def verify_syzygy_basis(curve: Curve) -> VerificationReport:
     # leads, and the ordered pairs that loop would have tried up to it.
     # When (b) holds, the leads on each symbol are the predicted ones, each
     # once and all of one degree, so none divides another
-    first = None if shape_ok else _first_dividing_pair(leads)
+    first = None if shape_ok else _first_dividing_pair(curve.module_reducer)
     checked, offender = n * (n - 1), None
     if first is not None:
         x, y = first
         checked = x * (n - 1) + (y if x < y else y + 1)
-        offender = {"divisor": sset.label(keys[x]), "multiple": sset.label(keys[y])}
+        offender = {"divisor": sset.label(curve.keys[x]), "multiple": sset.label(curve.keys[y])}
     report.add(
         "module-leading-terms-incomparable",
         offender is None,
@@ -835,41 +846,44 @@ def verify_excluded_leading_forms(curve: Curve, bound: int) -> VerificationRepor
     variables, so the check holds for all exponents.  A lead term divides
     some member exactly when it divides the cap, and the least such
     member, mono_lcm(lead, low), is the witness.  The detail counts the
-    members with free exponents <= bound.
+    members with free exponents <= bound, in closed form: one free
+    variable in each of the p-b+1 pure-X0 and 2p variable-times-power
+    boxes, p-j+2 in each of the j boxes on a Phi(i, j).
 
-    The caps of the 2p variable-times-power boxes on Psi(p-b) carry at
+    When each member leads with its predicted term (Curve.module_shape),
+    no box is tested: no predicted lead divides its box's cap.  Otherwise
+    the caps of the 2p variable-times-power boxes on Psi(p-b) carry at
     most one of X_1..X_{p-1} each, so those boxes are tested only against
-    the leads on Psi(p-b) that do too.  Each lead is tested for that once,
-    and p - 1 of the p(p-1)/2 predicted leads pass, so the boxes take O(p^2)
-    divisibility tests, not p^3.  A lead left out divides no cap, so the
-    first box hit, and its first lead, stay the same.
+    the leads on Psi(p-b) that do too, and the first box hit, and its
+    first lead, stay those of testing every lead.
     """
     if bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
     params = curve.params
-    p, b = params.p, params.b
-    leads = curve.module_leads.lead_monomials
-    one = mono_one(params.nvars)
-    x0, xp, top = variable_monomial(p, 0, inf), variable_monomial(p, p, inf), Psi(p - b)
-    boxes = [("pure-X0", Psi(j), one, x0, leads(Psi(j))) for j in range(0, p - b + 1)]
-    few = [m for m in leads(top) if m[:p - 1].count(0) >= p - 2]
-    for i in range(1, p + 1):
-        xi = variable_monomial(p, i)
-        boxes.append(("X0-power-times-variable", top, xi, mono_mul(xi, x0), few))
-        boxes.append(("Xp-power-times-variable", top, xi, mono_mul(xi, xp), few))
-    for i in range(1, p):
-        for j in range(i, p):
-            caps = (0,) * (j - 1) + (inf,) * (p - j + 2)
-            boxes.append(("low-index-free-Phi", Phi(i, j), one, caps, leads(Phi(i, j))))
-
-    report = VerificationReport(params)
+    p, b, n = params.p, params.b, bound + 1
+    boxes = []
+    if not curve.module_shape:
+        leads = curve.module_reducer.lead_monomials
+        one = mono_one(params.nvars)
+        x0, xp, top = variable_monomial(p, 0, inf), variable_monomial(p, p, inf), Psi(p - b)
+        boxes = [("pure-X0", Psi(j), one, x0, leads(Psi(j))) for j in range(0, p - b + 1)]
+        few = [m for m in leads(top) if m[:p - 1].count(0) >= p - 2]
+        for i in range(1, p + 1):
+            xi = variable_monomial(p, i)
+            boxes.append(("X0-power-times-variable", top, xi, mono_mul(xi, x0), few))
+            boxes.append(("Xp-power-times-variable", top, xi, mono_mul(xi, xp), few))
+        for i in range(1, p):
+            for j in range(i, p):
+                caps = (0,) * (j - 1) + (inf,) * (p - j + 2)
+                boxes.append(("low-index-free-Phi", Phi(i, j), one, caps, leads(Phi(i, j))))
     bad = None
     for family, sym, low, high, tested in boxes:
         lead = next((m for m in tested if mono_divides(m, high)), None)
         if lead is not None:
             bad = {"family": family, "term": term_to_json((mono_lcm(lead, low), sym))}
             break
-    count = sum((bound + 1) ** high.count(inf) for *_, high, _ in boxes)
+    count = (p - b + 1 + 2 * p) * n + sum(j * n ** (p - j + 2) for j in range(1, p))
+    report = VerificationReport(params)
     report.add(
         "excluded-forms-stay-excluded",
         bad is None,

@@ -12,7 +12,7 @@ More keep the library's earlier, slower forms as references for the
 faster ones: numerator_all_pairs, Bigatti's recursion minimizing every
 ideal it meets; module_identity_by_symbol and module_sum_by_symbol, one
 K per module symbol; first_dividing_pair_all_pairs, every ordered pair
-of leads;
+of leads; minimal_all_pairs, each monomial tested against every lower one;
 s_polynomial, the S-element of two elements from leads recomputed by
 the order, for Reducer.s_pair, which reads the leads it holds;
 standard_monomials_full_test, each monomial tested against every lead;
@@ -25,8 +25,9 @@ term by term; order_projection_by_images, the sampled projection check
 through one module element and image polynomial per sampled term;
 order_projection_exact, the same check decided once per symbol, drawing
 only to name a witness; relation_image_by_tuples, an element's image with
-one exponent tuple per product; excluded_form_every_box, the excluded-form
-witness with every box tested against every lead on its symbol;
+one exponent tuple per product; excluded_boxes, the excluded families'
+boxes, and excluded_form_every_box, the excluded-form witness with every
+box tested against every lead on its symbol;
 leading_term_shape_three_tests, the lead shape decided by a set
 equality, a distinct count and a per-label comparison;
 and
@@ -348,6 +349,19 @@ def first_dividing_pair_all_pairs(table: Reducer) -> tuple[int, int] | None:
                 if x != y and sx == sy and mono_divides(mx, my)), default=None)
 
 
+def minimal_all_pairs(monos) -> list:
+    """The minimal generators of the monomial ideal of monos: each distinct
+    monomial, by ascending degree, that no monomial kept before it
+    divides, every one of them tested.  The reference for
+    polyring._minimal, which tests only those whose support lies in the
+    monomial's own."""
+    kept = []
+    for mono in sorted(set(monos), key=sum):
+        if not any(mono_divides(k, mono) for k in kept if sum(k) < sum(mono)):
+            kept.append(mono)
+    return kept
+
+
 def standard_monomials_full_test(lms, nvars: int, bound: int) -> list:
     """The monomials with exponents <= bound that no monomial of lms
     divides, ascending: the order ideal reached from 1 by raising one
@@ -413,15 +427,12 @@ def planted_syzygies(params: CurveParams, keyed: list) -> SyzygySet:
     return Planted(params)
 
 
-def excluded_form_every_box(curve) -> dict | None:
-    """The witness of excluded-forms-stay-excluded, or None, with every box
-    tested against every lead on its symbol in box order: each of the 2p
-    variable-times-power boxes on Psi(p-b) against all p(p-1)/2 of its
-    predicted leads.  The reference for syzygy.verify_excluded_leading_forms,
-    which tests those boxes only against the leads that can divide a cap."""
-    params = curve.params
+def excluded_boxes(params: CurveParams) -> list:
+    """(family, symbol, low, cap) of every excluded box, in box order: the
+    families of syzygy.verify_excluded_leading_forms, each a box of
+    exponents under one symbol from low up to a cap infinite on its free
+    variables."""
     p, b = params.p, params.b
-    leads = curve.module_reducer.lead_monomials
     one = mono_one(params.nvars)
     x0, xp, top = variable_monomial(p, 0, inf), variable_monomial(p, p, inf), Psi(p - b)
     boxes = [("pure-X0", Psi(j), one, x0) for j in range(0, p - b + 1)]
@@ -433,7 +444,19 @@ def excluded_form_every_box(curve) -> dict | None:
         for j in range(i, p):
             boxes.append(("low-index-free-Phi", Phi(i, j), one,
                           (0,) * (j - 1) + (inf,) * (p - j + 2)))
-    for family, sym, low, high in boxes:
+    return boxes
+
+
+def excluded_form_every_box(curve) -> dict | None:
+    """The witness of excluded-forms-stay-excluded, or None, with every box
+    (excluded_boxes) tested against every lead on its symbol in box order:
+    each of the 2p variable-times-power boxes on Psi(p-b) against all
+    p(p-1)/2 of its predicted leads.  The reference for
+    syzygy.verify_excluded_leading_forms, which tests those boxes only
+    against the leads that can divide a cap, and no box when every lead is
+    the predicted one."""
+    leads = curve.module_reducer.lead_monomials
+    for family, sym, low, high in excluded_boxes(curve.params):
         lead = next((m for m in leads(sym) if mono_divides(m, high)), None)
         if lead is not None:
             return {"family": family, "term": term_to_json((mono_lcm(lead, low), sym))}

@@ -683,6 +683,20 @@ def test_ideal_equality_weighs_each_classical_monomial_once(monkeypatch, triple)
 
 
 @pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6), (17, 3, 8)])
+def test_deep_minimality_weighs_no_term_of_a_certified_g(monkeypatch, triple):
+    # the ring certificate weighed every term of G as the Curve was built,
+    # and found one weight per element; the deep check does not weigh them
+    # again, and the count per weight reads the order the Curve holds
+    curve = Curve(make_params(*triple))
+    assert curve.ring_certified
+    weighed, weight = [], type(curve.params).weight
+    monkeypatch.setattr(type(curve.params), "weight",
+                        lambda self, mono: weighed.append(mono) or weight(self, mono))
+    assert verify_minimality(curve, deep=True).passed
+    assert weighed == []
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6), (17, 3, 8)])
 def test_a_classical_element_of_two_weights_is_the_closed_form_witness(monkeypatch, triple):
     # theta with X0 for its tail carries two weights: the classical check
     # names its remainder by G, and the closed-form check its weights

@@ -14,6 +14,7 @@ from monocurve.polyring import (
     WeightOrder,
     ZeroPolynomialError,
     _first_dividing_pair,
+    _minimal,
     _packed_keys,
     format_poly,
     hilbert_numerator,
@@ -27,8 +28,8 @@ from monocurve.polyring import (
 )
 from monocurve.syzygy import Curve, ModElement, ModuleOrder, Phi, Psi
 from oracles import (buchberger, curve_image, first_dividing_pair_all_pairs, hilbert_function,
-                     module_term, numerator_all_pairs, parameter_sweep, poly_from_json, poly_term,
-                     s_polynomial, series_coefficients)
+                     minimal_all_pairs, module_term, numerator_all_pairs, parameter_sweep,
+                     poly_from_json, poly_term, s_polynomial, series_coefficients)
 
 P713 = make_params(7, 1, 3)
 ORDER = WeightOrder(P713)
@@ -442,7 +443,7 @@ def test_first_dividing_pair_matches_the_all_pairs_scan_on_the_sweep_and_the_pla
     for pr in parameter_sweep(range(2, 6), range(1, 4), range(1, 6)):
         curve = Curve(pr)
         ring = curve.ring_reducer
-        for table in (ring, curve.module_leads):
+        for table in (ring, curve.module_reducer):
             assert _first_dividing_pair(table) is first_dividing_pair_all_pairs(table) is None
         quadratic, psi = ring.basis[0], ring.basis[-1]
         xp, x0 = variable_monomial(pr.p, pr.p), variable_monomial(pr.p, 0)
@@ -466,6 +467,40 @@ def test_first_dividing_pair_tests_no_psi_lead_against_a_quadratic_lead(monkeypa
     monkeypatch.setattr(polyring, "mono_divides", lambda f, g: calls.append(f) or divides(f, g))
     assert _first_dividing_pair(ring) is None
     assert len(calls) == pr.p - pr.b == 7
+
+
+def test_minimal_tests_no_psi_lead_against_a_quadratic_lead(monkeypatch):
+    # buchberger-lt-ideal's minimal leads of G: as in _first_dividing_pair,
+    # only the p - b psi leads X_{b+i}*X_p^a with b+i < p are tested, each
+    # against X_{b+i}^2 alone of the 28 quadratic leads
+    pr, calls, divides = make_params(17, 3, 8), [], polyring.mono_divides
+    leads = Curve(pr).ring_reducer.lead_monomials()
+    monkeypatch.setattr(polyring, "mono_divides", lambda f, g: calls.append(f) or divides(f, g))
+    assert sorted(_minimal(leads)) == sorted(leads)
+    assert len(calls) == pr.p - pr.b == 7
+    assert sorted(calls) == sorted(variable_monomial(pr.p, k, 2) for k in range(pr.b, pr.p))
+
+
+def test_minimal_matches_the_all_pairs_reference_on_the_sweep_and_the_plants():
+    # the lead monomials of both Reducers of every sweep triple, on each
+    # symbol, and G's with a dividing lead planted: a copy, a multiple of a
+    # quadratic lead and a multiple of a psi lead
+    for pr in parameter_sweep(range(2, 6), range(1, 4), range(1, 6)):
+        curve = Curve(pr)
+        ring, module = curve.ring_reducer, curve.module_reducer
+        for leads in [ring.lead_monomials(), *map(module.lead_monomials, curve.images)]:
+            assert _minimal(leads) == minimal_all_pairs(leads), pr
+        quadratic, psi = ring.leads[0][0], ring.leads[-1][0]
+        xp, x0 = variable_monomial(pr.p, pr.p), variable_monomial(pr.p, 0)
+        for extra in (quadratic, mono_mul(quadratic, xp), mono_mul(psi, x0)):
+            leads = [*ring.lead_monomials(), extra]
+            assert _minimal(leads) == minimal_all_pairs(leads), (pr, extra)
+
+
+@given(st.lists(small_monos, max_size=14))
+@settings(max_examples=300, deadline=None)
+def test_minimal_matches_the_all_pairs_reference(monos):
+    assert _minimal(monos) == minimal_all_pairs(monos)
 
 
 def test_first_dividing_pair_examples():

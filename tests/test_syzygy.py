@@ -1,9 +1,12 @@
 import dataclasses
 import itertools
+import json
 import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from math import inf
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -48,7 +51,8 @@ from monocurve.syzygy import (
 )
 from monocurve.semigroup import _add_shifted, apery_numerator
 from oracles import (_symbol_from_json, betti_2_by_homology, buchberger,
-                     excluded_form_every_box, leading_term_shape_three_tests, lift,
+                     excluded_boxes, excluded_form_every_box,
+                     leading_term_shape_three_tests, lift,
                      mod_elem_from_json, module_identity_by_symbol, module_sum_by_symbol,
                      module_term, order_projection_by_images,
                      order_projection_exact, parameter_sweep, phi_symbol, planted_syzygies,
@@ -1155,6 +1159,115 @@ def test_the_lead_shape_map_comparison_matches_the_three_tests_on_plants(monkeyp
                                                                    "repeated-label"))
 
 
+# past SWEEP5: p = 12 with b = 1 and b = p (no A), p = 16 with b = 1 and 5
+CLOSED_FORM_PARAMS = SWEEP5 + [make_params(*t) for t in ((25, 2, 12), (24, 1, 12),
+                                                         (33, 2, 16), (37, 3, 16))]
+
+
+def test_the_closed_forms_match_the_scans_of_a_walked_basis():
+    # what a passing Curve takes in closed form, against the scans of the
+    # module Reducer that a second walk builds: the members per family,
+    # the same-symbol pairs, and the excluded-forms detail at bounds 2-4
+    for pr in CLOSED_FORM_PARAMS:
+        curve = Curve(pr)
+        assert curve.module_shape, pr
+        table = curve.module_reducer
+        assert syzygy._shape_counts(pr) == syzygy._counts(curve.keys) == curve.counts, pr
+        assert syzygy._shape_pair_count(pr) == table.pair_count(), pr
+        for bound in (2, 3, 4):
+            count = sum((bound + 1) ** high.count(inf) for *_, high in excluded_boxes(pr))
+            (check,) = verify_excluded_leading_forms(curve, bound).checks
+            assert check.detail == f"{count} family members with exponents <= {bound}", pr
+        assert excluded_form_every_box(curve) is None, pr
+
+
+def test_a_passing_verify_reports_the_closed_forms_and_keeps_no_member_table():
+    # the details of a passing verify are those of the scans, and the Curve
+    # keeps no container with an entry per member
+    pr = make_params(17, 3, 8)
+    curve, walked = Curve(pr), Curve(pr)
+    n = len(walked.keys)
+    reports = verification_bundle(curve, 2, 1000, 0)
+    assert all(r.passed for r in reports)
+    details = {c.name: c.detail for r in reports for c in r.checks}
+    assert details["members-are-relations"] == f"{n} members" == "196 members"
+    assert details["s-vectors-reduce"] == f"{walked.module_reducer.pair_count()} same-symbol pairs"
+    assert details["module-leading-terms-incomparable"] == f"{n * (n - 1)} ordered pairs"
+    assert curve._keys is None and curve._module_reducer is None
+    held = [name for name in Curve.__slots__ if isinstance(getattr(curve, name), (list, dict, set))
+            and len(getattr(curve, name)) >= n]
+    assert held == []
+
+
+SHAPE_GOLDEN = Path(__file__).parent / "golden" / "shape-plants.json"
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6), (9, 4, 2)])
+@pytest.mark.parametrize("plant", sorted(SHAPE_PLANTS))
+def test_each_shape_plant_takes_the_scans_with_its_golden_records(monkeypatch, triple, plant):
+    # a failing shape reads no closed form: the records of the syzygy and
+    # excluded-forms reports are those of the scans over the walked leads
+    # alone, kept in the golden file
+    pr = make_params(*triple)
+    planted = SHAPE_PLANTS[plant](list(syzygy_basis(pr).keyed()))
+    monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted_syzygies(params, planted))
+    curve = Curve(pr)
+    assert not curve.module_shape and curve._module_reducer is None
+    records = (verify_syzygy_basis(curve).to_records()
+               + verify_excluded_leading_forms(curve, 3).to_records())
+    assert curve.module_reducer.basis == [g for _, g in planted]
+    golden = json.loads(SHAPE_GOLDEN.read_text(encoding="utf-8"))
+    assert records == golden["%d-%d-%d %s" % (*triple, plant)]
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6)])
+def test_the_walk_reads_every_member_past_the_first_shape_difference(monkeypatch, triple):
+    # the first two members swapped fail the shape at the first member: the
+    # last member, not a relation, is still read and named, and a zero
+    # member in its place still raises
+    pr = make_params(*triple)
+    keyed = _swap(list(syzygy_basis(pr).keyed()), 0, 1)
+    last = keyed[-1][0]
+    monkeypatch.setattr(syzygy, "syzygy_basis", lambda params: planted_syzygies(params, keyed))
+    keyed[-1] = (last, _flip_first(keyed[-1][1]))
+    curve = Curve(pr)
+    assert not curve.module_shape and curve.non_relation[0] == last
+    passed, _, witness = _record(verify_syzygy_basis(curve), "members-are-relations")
+    assert not passed and witness["element"] == curve.sset.label(last)
+    keyed[-1] = (last, ModElement.zero(pr.nvars))
+    with pytest.raises(ZeroPolynomialError, match="the zero element has no leading term"):
+        Curve(pr)
+
+
+def _psi_past_the_top(monkeypatch, params):
+    # psi(b, p-b+1), a copy of psi(b, p-b), planted in G
+    def planted(params):
+        gset, top = groebner_generators(params), params.p - params.b
+        return dataclasses.replace(gset, psis={**gset.psis, top + 1: gset.psis[top]})
+
+    with monkeypatch.context() as patch:
+        patch.setattr(syzygy, "groebner_generators", planted)
+        return Curve(params)
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6), (9, 4, 2)])
+def test_a_psi_past_p_minus_b_leads_no_member_and_fails_the_module_identity(monkeypatch,
+                                                                            triple):
+    # its symbol is stamped as Psi(p-b) is and carries no member's lead, so
+    # the closed-form sum gives it K = 1, as the per-symbol sum does, and
+    # the identity fails; its images are packed, so the harvest evaluates
+    pr = make_params(*triple)
+    top = pr.p - pr.b
+    curve = _psi_past_the_top(monkeypatch, pr)
+    assert syzygy._stamp(pr, Psi(top + 1)) == syzygy._stamp(pr, Psi(top))
+    assert curve.module_shape and curve.module_reducer.lead_monomials(Psi(top + 1)) == []
+    form = _add_shifted(syzygy._shape_module_sum(curve), apery_numerator(pr), sign=-1)
+    assert form == module_sum_by_symbol(curve, curve.module_reducer.lead_monomials)
+    assert not syzygy._module_identity(curve) and not module_identity_by_symbol(curve)
+    passed, _, witness = _record(verify_syzygy_basis(curve), "harvested-relations-reduce")
+    assert not passed and witness["pair"][1] == f"Psi({top + 1})"
+
+
 def _fraction_coefficients(keyed):
     # every other member scaled by a Fraction: its terms and leads stay
     return [(key, g.scaled(Fraction(k + 2, 2))) for k, (key, g) in enumerate(keyed)]
@@ -1705,13 +1818,14 @@ def test_a_passing_verify_builds_no_module_reducer(monkeypatch):
 
 def test_the_half_lead_plant_builds_the_module_reducer_once(monkeypatch):
     # the Curve builds none; the failing scans build one, on first use, by
-    # a second walk, with the leads the first walk kept
+    # a second walk, with the leads that walk reads
     built = _module_reducers_built(monkeypatch)
     curve = _half_lead_curve(monkeypatch, make_params(13, 2, 6))
     assert built == []
     assert not all(r.passed for r in verification_bundle(curve, 2, 1000, 0))
     assert built == [curve.module_reducer]
-    assert curve.module_reducer.leads == curve.module_leads.leads
+    read = curve.packing.read
+    assert curve.module_reducer.leads == [read(g)[0] for _, g in curve.sset.keyed()]
     assert curve.module_reducer.basis == [g for _, g in curve.sset.keyed()]
 
 
@@ -1828,11 +1942,8 @@ def test_a_passing_verify_leaves_the_module_key_cache_empty(monkeypatch):
         assert _order_state(curve) == built
 
 
-def test_a_curve_at_p24_holds_at_most_2_85_mib():
-    # a tripwire on the memory a Curve holds: G once, in its Reducer, and
-    # each member's key and lead once, but no member; the orders hold no
-    # term keys
-    params = make_params(71, 2, 24)
+def _held_by_a_curve(params):
+    # the bytes a built Curve holds, under tracemalloc
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -1840,8 +1951,25 @@ def test_a_curve_at_p24_holds_at_most_2_85_mib():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert curve.module_reducer.basis
-    assert held <= 2.85 * 2**20, held / 2**20
+    return curve, held
+
+
+def test_a_curve_at_p24_holds_at_most_1_1_mib():
+    # a tripwire on the memory a Curve holds: G once, in its Reducer, and
+    # no member, no key and no lead per member; the orders hold no term
+    # keys.  A Curve at (71,2,24) held 0.80-0.97 MiB when this bound was set
+    curve, held = _held_by_a_curve(make_params(71, 2, 24))
+    assert curve.module_shape and curve.module_reducer.basis
+    assert held <= 1.1 * 2**20, held / 2**20
+
+
+def test_a_curve_at_p48_holds_at_most_6_2_mib():
+    # the same tripwire at (145,2,48), with 37,976 members: their keys and
+    # a table of their leads hold about 13 MiB.  A Curve held 5.2-5.4 MiB
+    # when this bound was set
+    curve, held = _held_by_a_curve(make_params(145, 2, 48))
+    assert curve.module_shape and curve._keys is None and curve._module_reducer is None
+    assert held <= 6.2 * 2**20, held / 2**20
 
 
 def test_the_sampled_projection_check_builds_no_element_and_fills_no_key_cache(monkeypatch):
