@@ -19,9 +19,8 @@ sort key this is (weight, negated-reversed-exponents) under tuple order.
 
 Poly shares its linear arithmetic and its validating constructor with
 syzygy.ModElement through SparseMap.  The ring and module orders are
-pure key functions, each with one key() and no per-term state; each
-also keys a whole basis in one pass (leading_terms), on monomials packed
-into ints for that pass alone.  There is one division loop,
+pure key functions, each with one key() and no per-term state.  There is
+one division loop,
 Reducer.divide, for both: a Reducer prepares a basis once, grouping its
 lead terms by module symbol, and a ring basis is a module with the
 single symbol None.  It holds each element once, and a division step
@@ -279,42 +278,8 @@ class WeightOrder:
         mono = max(poly.terms, key=self.key)
         return mono, poly.terms[mono]
 
-    def leading_terms(self, polys: list) -> list:
-        """[leading_term(g) for g in polys], in one pass that weighs and
-        packs each distinct monomial once (_packed_keys)."""
-        packed = _packed_keys(self.params.exponent_weights,
-                              set().union(*(g.terms for g in polys)))
-        leads = []
-        for g in polys:
-            if not g.terms:
-                raise ZeroPolynomialError("the zero polynomial has no leading term")
-            mono = max(g.terms, key=packed.__getitem__)
-            leads.append((mono, g.terms[mono]))
-        return leads
-
     def leading_monomial(self, poly: Poly) -> Mono:
         return self.leading_term(poly)[0]
-
-
-def _packed_keys(weights, monos, low: int = 0, width: int = 0) -> dict:
-    """Each of monos, a set of exponent tuples, mapped to one int that
-    sorts as WeightOrder.key sorts it: the weight above the packed
-    exponents, less those, shifted up by low bits.
-
-    The exponents are packed as syzygy._Packing packs them, position k in
-    bits [k * width, (k + 1) * width), so X0 sits in the top field and a
-    smaller packed int is the larger X0 exponent, then the larger X_p
-    exponent, and so on: the negated reversed exponents of the key.  width
-    leaves the top bit of each field clear for every exponent of monos, so
-    two packed ints add with no carry from one field into the next, and
-    the sum of the ints of two monomials is the int of their product.  A
-    width given, as a _Packing gives its own, must be that wide.  The int
-    is linear in the exponents, so it is one dot product with the int of
-    each variable."""
-    width = width or max(map(max, monos), default=0).bit_length() + 1
-    top = width * len(weights)
-    units = [((w << top) - (1 << shift)) << low for w, shift in zip(weights, range(0, top, width))]
-    return {m: sum(map(mul, m, units)) for m in monos}
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +298,9 @@ class Reducer:
     normal_form divides by one, in the order it was built with, and its
     S-pairs are listed, counted, built and scanned here.
 
-    Built over a whole basis, it takes every lead from one pass of its
-    order's leading_terms, which weighs and packs each distinct monomial
-    of the basis once (_packed_keys), or from leads, when its caller has
-    them; an element that joins later, by append, takes its lead from
-    leading_term.
+    Each element takes its lead from leads, when its caller has them, as
+    a Curve has from its packed monomials, or else from its order's
+    leading_term, as does an element that joins later, by append.
 
     It also remembers, per term, the first row that divides it, in _hits:
     rows are only appended, so that row stays the first for good; and the
@@ -351,7 +314,7 @@ class Reducer:
         self.order, self.ring = order, isinstance(order, WeightOrder)
         self.basis, self.leads, self._rows, self._hits, self._keys = [], [], {}, {}, {}
         basis = list(basis)
-        for g, lead in zip(basis, order.leading_terms(basis) if leads is None else leads):
+        for g, lead in zip(basis, map(order.leading_term, basis) if leads is None else leads):
             self._append(g, lead)
 
     def lead_monomials(self, sym=None) -> list:

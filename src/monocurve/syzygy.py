@@ -10,8 +10,9 @@ relation when its image is zero.
 syzygy_basis holds no member: SyzygySet.keyed() builds them as it is
 walked, each family in label order from one loop over its own index
 range, from one table per triple (_table) of unit monomials and
-symbols, each built once and shared by every term that carries it.  The
-table applies two index conventions:
+symbols, each built once and shared by every term that carries it; the
+table itself is built once and shared by every walk.  The table applies
+two index conventions:
   * Phi(i, j) = Phi(j, i), so pairs are kept sorted;
   * Phi(i, j) is zero whenever either index leaves [1, p-1].  Indices 0
     and p do occur in the syzygy displays; dropping them agrees with the
@@ -56,9 +57,11 @@ the three builders: it walks the syzygy basis once, reading each
 member's lead and image from its packed monomials in one loop
 (_Packing.read), and keeps the lead-shape comparison (Curve.module_shape)
 and the first member that is not a relation, but no member and no key
-or lead per member.  The module Reducer, with the keys, and the closure
-of G wait for a failing shape or certificate.  Every verify_* report
-takes one.
+or lead per member.  The module Reducer, with the keys and the leads
+read again from the same packing, and the closure of G wait for a
+failing shape or certificate.  Every verify_* report takes one.  The
+packed format is this module's alone: _packed_keys encodes a monomial
+and _Packing.unpack decodes it.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ import random
 from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, starmap, zip_longest
 from math import comb, inf
 from operator import add, eq, mul, sub
@@ -92,7 +96,6 @@ from .polyring import (
     _first_dividing_pair,
     _join_signed,
     _json_terms,
-    _packed_keys,
     _term_text,
     hilbert_numerator,
     mono_divides,
@@ -170,10 +173,29 @@ def relation_image(curve: Curve, elem: ModElement) -> Poly:
     return Poly._raw(curve.params.nvars, pack.unpack(acc) if acc else acc)
 
 
+def _packed_keys(weights, monos, low: int, width: int) -> dict:
+    """Each of monos, a set of exponent tuples, mapped to one int that
+    sorts as WeightOrder.key sorts it: the weight above the packed
+    exponents, less those, shifted up by low bits.
+
+    The exponents are packed position k in bits [k * width, (k + 1) *
+    width), so X0 sits in the top field and a smaller packed int is the
+    larger X0 exponent, then the larger X_p exponent, and so on: the
+    negated reversed exponents of the key.  width must leave the top bit
+    of each field clear for every exponent of monos, so two packed ints
+    add with no carry from one field into the next, and the sum of the
+    ints of two monomials is the int of their product.  The int is linear
+    in the exponents, so it is one dot product with the int of each
+    variable; _Packing.unpack inverts it."""
+    top = width * len(weights)
+    units = [((w << top) - (1 << shift)) << low for w, shift in zip(weights, range(0, top, width))]
+    return {m: sum(map(mul, m, units)) for m in monos}
+
+
 class _Packing:
     """The monomials met on one Curve, each packed into one int, its ring
-    key (polyring._packed_keys) at the width of the fields, shifted above
-    the rank of the symbols' tie-breaks: codes maps a monomial to its int.
+    key (_packed_keys) at the width of the fields, shifted above the rank
+    of the symbols' tie-breaks: codes maps a monomial to its int.
     The ring key is additive and every exponent packed is below
     2**(width - 1), so the int of a product of two packed monomials is the
     sum of theirs, with no carry from one field into the next; a monomial
@@ -185,7 +207,9 @@ class _Packing:
     The sum of a term's monomial's int and its symbol's part is its
     projection's key above its symbol's rank, which sorts as
     ModuleOrder.key does.  monos are packed with the stamps and the
-    binomials' monomials."""
+    binomials' monomials.  A Curve builds one, and takes every lead of
+    its two bases from it: G's by ring_lead, and the syzygy basis's by
+    read, on the walk and on the module Reducer's second walk."""
 
     __slots__ = ("nvars", "width", "codes", "symbols", "_weights", "_low", "_stamps",
                  "_binomials")
@@ -267,13 +291,14 @@ class _Packing:
 
 def _stamp(params: CurveParams, sym) -> Mono:
     """The predicted lead monomial of a symbol's binomial: X_p^a * X_{b+j}
-    for Psi(j), X_i * X_j for Phi(i, j).  A Psi(j) past p - b, which only a
-    planted generator carries, is stamped as Psi(p-b) is, X_p^(a+1)."""
+    for Psi(j), X_i * X_j for Phi(i, j).  An index past p, which only a
+    planted generator carries, is stamped as p: a Psi(j) past p - b as
+    Psi(p-b) is, X_p^(a+1), and a Phi(i, j) with j past p as Phi(i, p)."""
     p = params.p
     if isinstance(sym, Psi):
         xj = variable_monomial(p, min(params.b + sym.j, p))
         return mono_mul(variable_monomial(p, p, params.a), xj)
-    return mono_mul(variable_monomial(p, sym.i), variable_monomial(p, sym.j))
+    return mono_mul(variable_monomial(p, min(sym.i, p)), variable_monomial(p, min(sym.j, p)))
 
 
 def _symbol_tiebreak(sym) -> tuple:
@@ -292,9 +317,9 @@ class ModuleOrder:
     tie-break, are computed once, in _symbols, and a term's key is theirs
     shifted by m: no product is built.  verify_order_projection keys each
     (1, sym) once and shifts it by each sampled m in the same way, to
-    compare it with the lead of the term's image.  leading_term() keys
-    each term as key() does, and leading_terms() keys every term of a
-    whole basis in one pass, from packed ints.
+    compare it with the lead of the term's image.  A Curve reads the leads
+    of its members from packed ints instead (_Packing.read), which sort as
+    key() does.
     """
 
     def __init__(self, params: CurveParams):
@@ -321,33 +346,8 @@ class ModuleOrder:
     def leading_term(self, elem: ModElement):
         if not elem.terms:
             raise ZeroPolynomialError("the zero element has no leading term")
-        # key, with the weights bound here
-        symbol, weights = self._symbol, self.params.exponent_weights
-        lead = top = None
-        for term in elem.terms:
-            mono, sym = term
-            weight, negrev, tiebreak, _ = symbol(sym)
-            key = ((sum(map(mul, mono, weights)) + weight, tuple(map(sub, negrev, reversed(mono)))),
-                   tiebreak)
-            if top is None or key > top:
-                lead, top = term, key
+        lead = max(elem.terms, key=self.key)
         return lead, elem.terms[lead]
-
-    def leading_terms(self, elems: list) -> list:
-        """[leading_term(g) for g in elems], in one pass that keys each term
-        occurrence with one int addition, on a _Packing of their symbols
-        with no images: each distinct monomial, and each symbol's stamp, is
-        weighed and packed once.  Each symbol's part of key() is filled in
-        _symbols, as leading_term() fills it."""
-        terms = set().union(*(g.terms for g in elems))
-        pack = _Packing(self, (sym for _, sym in terms), {}, {mono for mono, _ in terms})
-        leads = []
-        for g in elems:
-            lead = pack.read(g)[0]
-            if lead is None:
-                raise ZeroPolynomialError("the zero element has no leading term")
-            leads.append(lead)
-        return leads
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +454,18 @@ class SyzygySet:
     def counts(self) -> dict:
         return _counts({key for key, _ in self.keyed()})
 
+    @cached_property
+    def _shared_table(self) -> tuple:
+        """The one table of the triple (_table), built on first use and
+        shared by every walk and by the Curve."""
+        return _table(self.params)
+
     def keyed(self) -> Iterator[tuple[tuple, ModElement]]:
         """(key, member) pairs: A by (i, j), then B by (i, j), then L by
         (l, i, j), each key (family, index tuple), each family built as it
-        is walked from one table (_table)."""
-        params = self.params
-        table = _table(params)
+        is walked from the one table."""
         for family in (_family_A, _family_B, _family_L):
-            yield from family(params, table)
+            yield from family(self.params, self._shared_table)
 
     def _family(self, name: str) -> dict:
         return {key[1]: g for key, g in self.keyed() if key[0] == name}
@@ -561,9 +565,9 @@ class Curve:
     non_relation, or None, but no key or lead per member: when
     module_shape holds, what the checks count, counts too, is a closed
     form in p and b.  Only a failing shape or certificate reads keys and
-    the module Reducer (module_reducer), built by a second walk, or the
-    closure (closure()).  A test plants a part through the builders,
-    before the Curve is built.
+    the module Reducer (module_reducer), built by a second walk that reads
+    each lead from packing again, or the closure (closure()).  A test
+    plants a part through the builders, before the Curve is built.
     """
 
     __slots__ = ("params", "morder", "order", "gset", "patil", "sset", "images", "ring_reducer",
@@ -581,7 +585,7 @@ class Curve:
         self.images.update((Psi(j), g) for j, g in sorted(self.gset.psis.items()))
         # the table's units are the members' monomials, but B's products,
         # which are G's; a harvested relation carries the images' symbols
-        units, psi, phi = _table(params)
+        units, psi, phi = self.sset._shared_table
         self.packing = pack = _Packing(morder, chain(psi, phi.values(), self.images),
                                        self.images, units)
         self.ring_reducer = table = Reducer(self.order, self.images.values(),
@@ -621,11 +625,14 @@ class Curve:
     @property
     def module_reducer(self) -> Reducer:
         """The Reducer of the syzygy basis in label order, built once, on
-        first use, by walking the basis again with the keys."""
+        first use, by walking the basis again with the keys, each member's
+        lead read from packing as the first walk read it."""
         if self._module_reducer is None:
             keyed = list(self.sset.keyed())
             self._keys = [key for key, _ in keyed]
-            self._module_reducer = Reducer(self.morder, [g for _, g in keyed])
+            basis = [g for _, g in keyed]
+            self._module_reducer = Reducer(self.morder, basis,
+                                           [self.packing.read(g)[0] for g in basis])
         return self._module_reducer
 
     def closure(self) -> tuple[Closure, list]:
@@ -680,7 +687,8 @@ def _shape_module_sum(curve: Curve) -> dict:
     t^{m_j}), plus the t^{w(image(Phi(i, j)))} with i <= j.  N is A(t)(1 -
     t^{m_p}) (semigroup._apery_by_mp) times the same p - 1 factors, so it
     joins the sum before them, and the module identity holds exactly when
-    the result is 1.  A Psi past p - b, with no lead, joins after them."""
+    the result is 1.  A planted symbol outside _table's ranges, as a Psi
+    past p - b or a Phi(i, p), leads no member, K = 1: it joins after them."""
     params, gens = curve.params, curve.params.generators
     p, b = params.p, params.b
     levels = {p: _apery_by_mp(params)}
@@ -688,13 +696,14 @@ def _shape_module_sum(curve: Curve) -> dict:
     for sym, image in curve.images.items():
         shift = params.weight(next(iter(image.terms)))
         if isinstance(sym, Phi):
-            level = levels.setdefault(sym.j, {})
+            level = sym.j if 1 <= sym.i <= sym.j < p else 1
         elif sym.j == p - b:
             _add_shifted(levels[p], quadratic, shift)
             continue
-        else:  # X_1..X_p below p - b; a planted Psi past it has no lead, K = 1
-            level = levels.setdefault(p + 1 if sym.j < p - b else 1, {})
-        level[shift] = level.get(shift, 0) + 1
+        else:  # X_1..X_p below p - b
+            level = p + 1 if 0 <= sym.j < p - b else 1
+        row = levels.setdefault(level, {})
+        row[shift] = row.get(shift, 0) + 1
     series = levels.get(p + 1, {})
     for j in range(p, 0, -1):
         series = _add_shifted(_times_one_minus(series, [gens[j]]), levels.get(j, {}))

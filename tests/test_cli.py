@@ -215,23 +215,34 @@ def test_verify_fails_cleanly_on_a_psi_past_p_minus_b(monkeypatch, capsys, fmt):
     # psi(b, p-b+1), a copy of psi(b, p-b), planted in G: its symbol Psi(6)
     # at (13,2,6) indexes no variable and leads no member, so the harvest
     # leaves a remainder on it; G is no longer minimal, and the checks
-    # that read the syzygies' predicted shape still pass
+    # that read the syzygies' predicted shape still pass.  So for phi(1, p)
+    # and phi(1, p+1), copies of phi(1, 1), whose symbols Phi(1,6) and
+    # Phi(1,7) lead no member either; their images also lead off their
+    # stamps, so the projection check fails too
     def planted(params):
         gset, top = groebner_generators(params), params.p - params.b
-        return GeneratorSet(params, gset.phis, {**gset.psis, top + 1: gset.psis[top]})
+        if kind == "Psi":
+            return GeneratorSet(params, gset.phis, {**gset.psis, top + 1: gset.psis[top]})
+        return GeneratorSet(params, {**gset.phis, (1, j): gset.phis[1, 1]}, gset.psis)
 
     monkeypatch.setattr(syzygy, "groebner_generators", planted)
-    code = main(["verify", "--m0", "13", "--d", "2", "--p", "6", "--bound", "2", "--format", fmt])
-    out, err = capsys.readouterr()
-    assert (code, err) == (1, "")
     failed = {"leading-terms-incomparable", "no-redundant-generator", "cardinalities-match",
               "harvested-relations-reduce"}
-    if fmt == "text":
-        assert {line.split()[1] for line in out.splitlines() if line.startswith("[FAIL]")} == failed
-        return
-    checks = {c["check"]: c for c in json.loads(out)["checks"]}
-    assert {name for name, c in checks.items() if c["status"] == "fail"} == failed
-    assert checks["harvested-relations-reduce"]["witness"]["pair"] == ["Phi(1,1)", "Psi(6)"]
+    for kind, j, fails, pair in [
+            ("Psi", None, failed, ["Phi(1,1)", "Psi(6)"]),
+            ("Phi", 6, failed | {"projection-matches-image-lead"}, ["Phi(1,1)", "Phi(1,6)"]),
+            ("Phi", 7, failed | {"projection-matches-image-lead"}, ["Phi(1,1)", "Phi(1,7)"])]:
+        code = main(["verify", "--m0", "13", "--d", "2", "--p", "6", "--bound", "2",
+                     "--format", fmt])
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, ""), pair
+        if fmt == "text":
+            assert {line.split()[1] for line in out.splitlines()
+                    if line.startswith("[FAIL]")} == fails, pair
+            continue
+        checks = {c["check"]: c for c in json.loads(out)["checks"]}
+        assert {name for name, c in checks.items() if c["status"] == "fail"} == fails, pair
+        assert checks["harvested-relations-reduce"]["witness"]["pair"] == pair
 
 
 def test_run_config_direct(tmp_path):

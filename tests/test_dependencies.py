@@ -91,17 +91,36 @@ def test_no_library_module_keeps_a_module_level_cache():
     assert found == [("cli.py", "_COMMANDS")]
 
 
+def _named(node):
+    # the name a node defines, binds, imports or reads, or None
+    return (node.attr if isinstance(node, ast.Attribute)
+            else getattr(node, "id", getattr(node, "name", None)))
+
+
 def test_the_term_orders_keep_one_key_and_no_key_cache():
-    # an order is a pure key function: its one key() fills no cache, and
-    # the one per-term key memo is a Reducer's, filled only by its division
+    # an order is a pure key function: its one key() fills no cache, the
+    # one per-term key memo is a Reducer's, filled only by its division,
+    # and an order keys one element at a time, as leading_term: no second
+    # whole-basis lead pass (leading_terms) beside a Curve's packing
     found = []
     for path in sorted((ROOT / "src" / "monocurve").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            name = (node.attr if isinstance(node, ast.Attribute)
-                    else getattr(node, "id", getattr(node, "name", None)))
-            if name == "uncached_key" or (isinstance(node, ast.Attribute) and name == "_cache"):
+            name = _named(node)
+            if (name in ("uncached_key", "leading_terms")
+                    or (isinstance(node, ast.Attribute) and name == "_cache")):
                 found.append((path.name, node.lineno, name))
     assert found == []
+
+
+def test_only_syzygy_packs_monomials():
+    # the packed monomial format has one home: _packed_keys encodes it
+    # next to _Packing, which decodes it (unpack), so no other module
+    # names either
+    namers = {(path.name, _named(node))
+              for path in sorted((ROOT / "src" / "monocurve").glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if _named(node) in ("_packed_keys", "_Packing")}
+    assert namers == {("syzygy.py", "_packed_keys"), ("syzygy.py", "_Packing")}
 
 
 def test_every_parameter_of_a_library_function_is_read():

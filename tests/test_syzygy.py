@@ -1268,6 +1268,44 @@ def test_a_psi_past_p_minus_b_leads_no_member_and_fails_the_module_identity(monk
     assert not passed and witness["pair"][1] == f"Psi({top + 1})"
 
 
+def _plant_symbol(gset, sym):
+    # a copy of psi(b, p-b) or of phi(1, 1) planted in G on sym
+    if isinstance(sym, Psi):
+        top = gset.params.p - gset.params.b
+        return dataclasses.replace(gset, psis={**gset.psis, sym.j: gset.psis[top]})
+    return dataclasses.replace(gset, phis={**gset.phis, tuple(sym): gset.phis[1, 1]})
+
+
+# symbols outside the ranges of syzygy._table, which no member carries
+SYMBOL_PLANTS = {"psi-past-p-minus-b": lambda p, b: Psi(p - b + 1),
+                 "phi-1-p": lambda p, b: Phi(1, p),
+                 "phi-1-past-p": lambda p, b: Phi(1, p + 1),
+                 "phi-0-1": lambda p, b: Phi(0, 1)}
+
+
+@pytest.mark.parametrize("triple", [(7, 1, 3), (13, 2, 6), (9, 4, 2)])
+@pytest.mark.parametrize("plant", sorted(SYMBOL_PLANTS))
+def test_the_closed_module_sum_gives_a_symbol_that_leads_no_member_k_1(monkeypatch, triple,
+                                                                       plant):
+    # the closed-form sum is Bigatti's on the leads the members carry, plus
+    # N: a planted symbol leads no member, so its K is 1, whatever its
+    # indices, and the identity fails
+    pr = make_params(*triple)
+    sym = SYMBOL_PLANTS[plant](pr.p, pr.b)
+    monkeypatch.setattr(syzygy, "groebner_generators",
+                        lambda params: _plant_symbol(groebner_generators(params), sym))
+    curve = Curve(pr)
+    leads = curve.module_reducer.lead_monomials
+    assert curve.module_shape and sym in curve.images and leads(sym) == []
+    bigatti = {}
+    for s, image in curve.images.items():
+        _add_shifted(bigatti, hilbert_numerator(pr.exponent_weights, leads(s)),
+                     pr.weight(next(iter(image.terms))))
+    assert bigatti == module_sum_by_symbol(curve, leads)
+    assert syzygy._shape_module_sum(curve) == _add_shifted(bigatti, apery_numerator(pr))
+    assert not syzygy._module_identity(curve) and not module_identity_by_symbol(curve)
+
+
 def _fraction_coefficients(keyed):
     # every other member scaled by a Fraction: its terms and leads stay
     return [(key, g.scaled(Fraction(k + 2, 2))) for k, (key, g) in enumerate(keyed)]
@@ -1323,26 +1361,50 @@ def test_the_one_pass_ring_leads_are_the_leading_terms_on_the_half_lead_plant(mo
 
 
 def test_a_curve_keys_each_basis_in_one_pass(monkeypatch):
-    # no leading_term per element, and the module pass fills the key part
-    # of each symbol it meets, as leading_term does: G and the syzygy basis
+    # no leading_term per element, and the packing fills the key part of
+    # each symbol it meets, as leading_term does: G and the syzygy basis
     # take their leads from the Curve's one packing, the basis in the walk
-    # that reads each member once, with no leading_terms pass of its own
-    calls, passes, leading_terms = [], [], ModuleOrder.leading_terms
+    # that reads each member once.  On a failing shape, the module Reducer
+    # takes its leads from that packing too, and no second one is built
+    calls, packings, init = [], [], syzygy._Packing.__init__
     for order in (WeightOrder, ModuleOrder):
         monkeypatch.setattr(order, "leading_term", lambda self, g: calls.append(g))
-    monkeypatch.setattr(ModuleOrder, "leading_terms",
-                        lambda self, elems: passes.append(elems) or leading_terms(self, elems))
+    monkeypatch.setattr(syzygy._Packing, "__init__",
+                        lambda self, *args: packings.append(self) or init(self, *args))
     curve = Curve(make_params(17, 3, 8))
-    assert calls == [] and passes == []
+    assert calls == [] and packings == [curve.packing]
     assert set(curve.morder._symbols) == set(curve.images)
+    pr = make_params(13, 2, 6)
+    for plant in sorted(SHAPE_PLANTS):
+        planted = SHAPE_PLANTS[plant](list(syzygy_basis(pr).keyed()))
+        monkeypatch.setattr(syzygy, "syzygy_basis",
+                            lambda params: planted_syzygies(params, planted))
+        packings.clear()
+        curve = Curve(pr)
+        assert not curve.module_shape
+        assert len(curve.module_reducer.leads) == len(planted)
+        assert calls == [] and packings == [curve.packing], plant
+
+
+def test_a_curve_builds_its_table_once(monkeypatch):
+    # the packing and every walk of the syzygy basis share one table: the
+    # Curve's walk, the module Reducer's second walk, and any later one
+    calls, table = [], syzygy._table
+    monkeypatch.setattr(syzygy, "_table", lambda params: calls.append(params) or table(params))
+    pr = make_params(17, 3, 8)
+    curve = Curve(pr)
+    curve.module_reducer
+    assert len(curve.sset) == len(curve.keys)
+    assert calls == [pr]
 
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_the_packed_module_keys_sort_as_the_module_key(data):
     # every pair of terms drawn, as a two-term element in both orders, and
-    # each term alone: the pass picks the lead that key() picks, with
-    # exponents next to the top bit of the field width it chooses.  The
+    # each term alone: a packing of the symbols, with no images, reads the
+    # lead that key() picks, with exponents next to the top bit of the
+    # field width it chooses as it packs each element's monomials.  The
     # terms m * stamp(u) * s and m * stamp(s) * u share their projection,
     # so the symbols' tie-break decides between them
     params = data.draw(st.sampled_from(KEY_PARAMS))
@@ -1355,7 +1417,8 @@ def test_the_packed_module_keys_sort_as_the_module_key(data):
     terms = {(mono_mul(m, syzygy._stamp(params, u)), s) for m in monos for s in syms for u in syms}
     elems = [ModElement(params.nvars, {s: 1, t: -1}) for s in terms for t in terms]
     morder = ModuleOrder(params)
-    assert ([lead for lead, _ in morder.leading_terms(elems)]
+    pack = syzygy._Packing(morder, syms, {}, ())
+    assert ([pack.read(g)[0][0] for g in elems]
             == [max(g.terms, key=morder.key) for g in elems])
 
 
